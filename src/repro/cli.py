@@ -679,7 +679,8 @@ def _cmd_analyze(args) -> int:
         jobs=args.jobs, cache=cache, backend=args.backend,
     )
     if args.json:
-        print(json.dumps(result.to_json_doc(), indent=2))
+        print(json.dumps({**result.to_json_doc(),
+                          "plan_cache": result.plan_cache}, indent=2))
         return 0
     _print_ceiling_table(result.ceilings)
     print()

@@ -26,6 +26,13 @@ Canonical touch-stream semantics (mirrored by ``repro.oracle``):
   in body order within an iteration;
 * straight-line memory instructions (and bodies of non-flat loops) emit
   their full ``[first .. end]`` line range on every execution.
+
+On the compiled datapath the fast engine does not walk affine nests in
+Python at all: :meth:`Core._run_body` lowers each run of eligible
+top-level nodes (:mod:`repro.cpu.nest`) and the C kernel generates the
+same streams per phase, returning one counter row per phase that is
+costed here in one array pass (see ``docs/ENGINE.md``, "Nest
+executor").  Everything else takes the walk below.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..engine import AccessPlan, BatchDatapath, PlanCache, validate_engine
+from ..engine import ckernel
 from ..engine.plan import OP_DEMAND_READ, OP_DEMAND_WRITE, PlanSegment
 from ..errors import ExecutionError
 from ..isa.instructions import (
@@ -54,8 +62,30 @@ from ..obs.spans import SPANS
 from ..pmu.core_pmu import CorePmu
 from ..trace.bus import TraceBus
 from ..trace.events import PHASE, TraceEvent
+from .nest import PHASE_VEC, Nest, NestBuilder
 from .port_model import PortModel
-from .timing import PhaseCost, TimingParams, phase_cycles, reissue_slots
+from .timing import (
+    THROUGHPUT_BOUNDS,
+    PhaseCost,
+    TimingParams,
+    memory_bounds,
+    phase_cycles,
+    reissue_slots,
+)
+
+#: lowered programs kept per core before the table is cleared
+NEST_CACHE_PROGRAMS = 256
+
+#: BatchStats.as_dict() keys, which are the leading counter-block
+#: columns in the same order (tests/engine/test_ckernel_layout.py)
+BATCH_FIELDS = tuple(BatchStats().as_dict())
+
+#: counter-block columns the phase costing reads, in BatchStats order
+_COST_FIELDS = ("l2_hits", "l3_hits", "dram_reads", "writebacks",
+                "nt_lines", "hw_prefetch_dram_reads", "remote_dram_lines",
+                "tlb_walk_cycles")
+_COST_COLS = [ckernel.OUT[name] for name in
+              ("l2h", "l3h", "drd", "wbk", "ntl", "pfr", "rem", "tlbw")]
 
 
 @dataclass
@@ -147,6 +177,8 @@ class Core:
         #: compile-tier state (used only by the fast engine)
         self.plan_cache = PlanCache()
         self._datapath = BatchDatapath(port)
+        #: id(program) -> (program, lowered parts) for the nest executor
+        self._lowered: Dict[int, tuple] = {}
 
     @property
     def plan_stats(self):
@@ -171,7 +203,7 @@ class Core:
         if self.bus.enabled:
             # this core's phases start at the machine's current TSC
             self.bus.cursor = self.bus.now
-        self._exec_nodes(program.body, {}, buffer_map, dram_bytes_per_cycle, result)
+        self._run_body(program, buffer_map, dram_bytes_per_cycle, result)
         counts = program.static_counts()
         result.true_flops = counts.flops
         self.pmu.add("cycles", int(result.cycles))
@@ -186,6 +218,201 @@ class Core:
         self.pmu.add("llc_misses", batch.dram_reads)
         self.pmu.add("dtlb_walks", batch.tlb_misses)
         return result
+
+    # ------------------------------------------------------------------
+    # nest executor
+    # ------------------------------------------------------------------
+    def _run_body(self, program: Program, buffers, dram_bpc,
+                  result: ExecutionResult) -> None:
+        """Execute the program body: lowered nests through the C kernel,
+        every other top-level node through the walk."""
+        stats = self.plan_cache.stats
+        if self.engine != "fast" or not self._datapath._use_c:
+            reason = ("reference_engine" if self.engine != "fast"
+                      else "no_ckernel")
+            stats.fallbacks[reason] += len(program.body)
+            self._exec_nodes(program.body, {}, buffers, dram_bpc, result)
+            return
+        for part in self._lower(program):
+            if isinstance(part, Nest):
+                stats.nest_runs += 1
+                self._exec_nest(part, buffers, dram_bpc, result)
+            else:
+                node, reason = part
+                stats.fallbacks[reason] += 1
+                self._exec_nodes((node,), {}, buffers, dram_bpc, result)
+
+    def _lower(self, program: Program) -> list:
+        """The program body as ``Nest`` / ``(node, reason)`` parts,
+        lowered once per program object (strongly referenced)."""
+        cached = self._lowered.get(id(program))
+        if cached is not None:
+            return cached[1]
+        with SPANS("engine.compile"):
+            parts: list = []
+            builder = NestBuilder(self)
+            for node in program.body:
+                reason = builder.add_top(node)
+                if reason is None:
+                    continue
+                if builder.nnodes:
+                    parts.append(builder.build())
+                builder = NestBuilder(self)
+                parts.append((node, reason))
+            if builder.nnodes:
+                parts.append(builder.build())
+        if len(self._lowered) >= NEST_CACHE_PROGRAMS:
+            self._lowered.clear()
+        self._lowered[id(program)] = (program, parts)
+        return parts
+
+    def _exec_nest(self, nest: Nest, buffers, dram_bpc,
+                   result: ExecutionResult) -> None:
+        """Run one lowered nest to completion through the C kernel.
+
+        Each kernel call returns at a phase boundary (row matrix full,
+        or the prefetched set short of the next phase's worst case); its
+        rows are costed and applied before the walk resumes.
+        """
+        dp = self._datapath
+        with SPANS("engine.compile"):
+            nest.bind(buffers, self.port.node)
+        state = nest.state
+        state.fill(0)
+        while state[0] < nest.nnodes:
+            with SPANS("engine.execute"):
+                n = dp.execute_nest(nest, state, max(nest.room, int(state[1])))
+            if n:
+                self._cost_rows(nest, n, dram_bpc, result)
+
+    def _cost_rows(self, nest: Nest, n: int, dram_bpc,
+                   result: ExecutionResult) -> None:
+        """Cost, trace and apply one kernel call's ``n`` phase rows.
+
+        Every phase is costed at once through the elementwise
+        :func:`memory_bounds` / :func:`reissue_slots`; ``result.cycles``
+        still accumulates in program order (``np.cumsum``), with
+        straight-line ``VecOp`` issue cycles in their place.
+        """
+        dp = self._datapath
+        rows = dp.nest_rows[:n]
+        pcs = dp.nest_row_node[:n]
+        with SPANS("cpu.timing"):
+            cum = rows[:, _COST_COLS]
+            delta = np.empty_like(cum)
+            delta[0] = cum[0]
+            np.subtract(cum[1:], cum[:-1], out=delta[1:])
+            batch = BatchStats(**dict(zip(_COST_FIELDS, delta.T)))
+            l2_bw, l3_bw, dram_bw, exposed = memory_bounds(
+                self.config, batch, self.timing, dram_bpc)
+            fp_issue, mem_issue, chain, vec_cost = nest.statics[pcs].T
+            total = np.maximum(
+                np.maximum(np.maximum(fp_issue, mem_issue),
+                           np.maximum(chain, l2_bw)),
+                np.maximum(l3_bw, dram_bw),
+            ) + exposed
+            if nest.has_vec:
+                is_vec = nest.is_vec[pcs]
+                total = np.where(is_vec, vec_cost, total)
+                keep = ~is_vec
+            else:
+                keep = slice(None)
+            steps = np.cumsum(np.concatenate(([result.cycles], total)))
+            result.cycles = float(steps[-1])
+            result.instructions += int(nest.instructions[pcs].sum())
+            costs = list(map(
+                PhaseCost, fp_issue[keep].tolist(), mem_issue[keep].tolist(),
+                chain[keep].tolist(), l2_bw[keep].tolist(),
+                l3_bw[keep].tolist(), dram_bw[keep].tolist(),
+                exposed[keep].tolist(),
+            ))
+            result.phases.extend(costs)
+            slots = (reissue_slots(self.config, batch, self.timing)
+                     if nest.has_dep else None)
+            self._nest_pmu(nest, pcs, slots)
+        with SPANS("engine.execute"):
+            result.batch.merge(dp.apply_nest_totals())
+        if self.bus.enabled:
+            self._trace_rows(nest, rows, pcs, costs,
+                             (fp_issue, mem_issue, chain, l2_bw, l3_bw,
+                              dram_bw), total, slots, dram_bpc)
+
+    def _nest_pmu(self, nest: Nest, pcs, slots) -> None:
+        """PMU FP events of a batch of phases: per-phase adds summed per
+        node, nodes in program order (first-touch key order kept)."""
+        counts = np.bincount(pcs, minlength=nest.nnodes)
+        slot_sums = (np.bincount(pcs, weights=slots, minlength=nest.nnodes)
+                     if slots is not None else None)
+        add_fp = self.pmu.add_fp
+        for pc in np.flatnonzero(counts).tolist():
+            phase = nest.phase[pc]
+            execs = int(counts[pc])
+            for (width, prec, is_fma), instrs in phase.fp_events:
+                add_fp(width, prec, instrs * execs, is_fma)
+            if phase.dep_terms:
+                total_slots = int(slot_sums[pc])
+                if total_slots:
+                    for (width, prec, is_fma), instrs, _f in phase.dep_terms:
+                        add_fp(width, prec, instrs * total_slots, is_fma)
+
+    def _trace_rows(self, nest: Nest, rows, pcs, costs, bounds, total,
+                    slots, dram_bpc) -> None:
+        """Publish one kernel call's PHASE events, in program order and
+        with the walk's args, advancing the phase cursor.
+
+        The call's batch events were published once, at the cursor
+        where it started (like one executed plan); each PHASE event
+        carries its own phase's counters from the row deltas.
+        ``bounds`` are the six throughput-bound arrays in
+        :data:`THROUGHPUT_BOUNDS` order; ``argmax`` picks the first
+        maximum, as :attr:`PhaseCost.dominant` does.
+        """
+        bus = self.bus
+        cum = rows[:, :len(BATCH_FIELDS)]
+        delta = np.empty_like(cum)
+        delta[0] = cum[0]
+        np.subtract(cum[1:], cum[:-1], out=delta[1:])
+        dominant = np.argmax(np.stack(bounds), axis=0).tolist()
+        nslots = (slots.tolist() if slots is not None
+                  else [0] * len(pcs))
+        cost_iter = iter(costs)
+        mlp = self.timing.mlp
+        core = self.core_id
+        for counts, pc, dur, dom, slot in zip(
+                delta.tolist(), pcs.tolist(), total.tolist(), dominant,
+                nslots):
+            phase = nest.phase[pc]
+            if phase.kind == PHASE_VEC:
+                args = {
+                    "trips": 1,
+                    "dominant": "fp_issue",
+                    "bounds": {"fp_issue": dur},
+                    "batch": {},
+                    "dram_bpc": dram_bpc,
+                    "mlp": mlp,
+                    "reissue_slots": 0,
+                    "reissue_flops": 0,
+                    "instructions": 1,
+                    "flops": phase.flops,
+                }
+            else:
+                if not phase.dep_terms:
+                    slot = 0
+                args = {
+                    "trips": phase.trips,
+                    "dominant": THROUGHPUT_BOUNDS[dom],
+                    "bounds": next(cost_iter).as_dict(),
+                    "batch": dict(zip(BATCH_FIELDS, counts)),
+                    "dram_bpc": dram_bpc,
+                    "mlp": mlp,
+                    "reissue_slots": slot,
+                    "reissue_flops": phase.dep_flops * slot,
+                    "instructions": phase.instructions,
+                    "flops": phase.flops,
+                }
+            bus.emit(TraceEvent(PHASE, phase.label, bus.cursor, core=core,
+                                dur=dur, args=args))
+            bus.cursor += dur
 
     # ------------------------------------------------------------------
     # tree walk

@@ -1,0 +1,357 @@
+"""Nest lowering: program nodes to flat descriptors for the C kernel.
+
+The fast engine on the compiled datapath runs whole affine loop nests
+through ``repro_execute_nest`` (``engine/_ckernel.c``) instead of
+walking them in Python.  This module lowers a run of top-level program
+nodes into a :class:`Nest` — the descriptor arrays that kernel entry
+walks — plus the per-node static cost tables the core needs to turn
+the kernel's per-phase counter rows into :class:`~repro.cpu.timing.
+PhaseCost` objects.
+
+A descriptor is a preorder node list:
+
+* ``loop`` / ``end`` bracket a non-flat loop (one induction-variable
+  slot per nesting level; ``end`` links back to its ``loop``);
+* ``flat`` is one flat-loop execution (its own trip count, a slice of
+  the site table);
+* ``single`` is one straight-line memory instruction (one site);
+* ``nop`` is a phase without memory traffic — a straight-line
+  ``VecOp`` or a flat loop without memory sites — recorded only so its
+  cost lands in program order.
+
+Each site row carries the plan opcode, stream id, home, base, own-loop
+stride, width, and one byte stride per enclosing slot; bases and homes
+are bound per execution from the buffer map (:meth:`Nest.bind`).
+Zero-trip loops lower to nothing, exactly as the walk skips them.
+
+Lowering refuses (returns a reason from
+:data:`~repro.engine.plan.NEST_FALLBACK_REASONS`) whatever the walk
+must handle itself: gathers, multi-site bodies with a negative
+own-loop stride (the walk raises ``ExecutionError`` for those), and
+anything whose walk would raise — an address naming a loop outside its
+scope, an unknown node, an FP mix the port model rejects.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional
+
+import numpy as np
+
+from ..engine import ckernel
+from ..engine.plan import (
+    OP_DEMAND_READ,
+    OP_DEMAND_WRITE,
+    OP_FLUSH,
+    OP_NTSTORE,
+    OP_PREFETCH,
+    _KIND_TO_OP,
+)
+from ..errors import ReproError
+from ..isa.instructions import (
+    Flush,
+    GatherLoad,
+    Load,
+    Loop,
+    PrefetchHint,
+    Store,
+    VecOp,
+)
+
+_NH, _NK, _NS = ckernel.NH, ckernel.NK, ckernel.NS
+_NS_IVS = len(ckernel.NEST_SITE)
+_NN_FIELDS = len(ckernel.NEST_NODE)
+
+#: phase kinds of :attr:`Nest.phase` entries
+PHASE_LOOP, PHASE_SINGLE, PHASE_VEC = "loop", "single", "vec"
+
+
+class NestPhase:
+    """Static description of one phase node (what the walk would cost
+    and trace for it)."""
+
+    __slots__ = ("kind", "label", "trips", "instructions", "flops",
+                 "fp_events", "dep_terms", "dep_flops", "has_sites")
+
+    def __init__(self, kind: str, label: str, trips: int,
+                 instructions: int, flops: int, fp_events: list,
+                 dep_terms: list, has_sites: bool) -> None:
+        self.kind = kind
+        self.label = label
+        self.trips = trips
+        self.instructions = instructions
+        self.flops = flops
+        #: ``((width, precision, is_fma), instrs)`` PMU adds per execution
+        self.fp_events = fp_events
+        #: ``((width, precision, is_fma), instrs, flops)`` per reissue slot
+        self.dep_terms = dep_terms
+        #: flops one reissue slot re-counts (the PHASE ``reissue_flops``)
+        self.dep_flops = sum(flops for _key, _instrs, flops in dep_terms)
+        self.has_sites = has_sites
+
+
+class Nest:
+    """A lowered run of top-level nodes, ready to bind and execute."""
+
+    def __init__(self, nodes: List[int], sites: list,
+                 phases: Dict[int, NestPhase],
+                 statics: Dict[int, tuple], depth: int, max_sites: int,
+                 max_bound: int, line_shift: int) -> None:
+        nnodes = len(nodes) // _NN_FIELDS
+        self.nnodes = nnodes
+        self.phase = phases
+        self.hdr = np.zeros(len(ckernel.NEST_HEADER), dtype=np.int64)
+        self.hdr[_NH["nodes"]] = nnodes
+        self.hdr[_NH["depth"]] = depth
+        self.hdr[_NH["shift"]] = line_shift
+        self.nodes = np.array(nodes, dtype=np.int64).reshape(nnodes,
+                                                             _NN_FIELDS)
+        width = _NS_IVS + depth
+        self.sites = np.zeros((len(sites), width), dtype=np.int64)
+        buffers: List[str] = []
+        bidx = []
+        offsets = []
+        for row, (op, sid, stride, nbytes, buf, offset, ivs) in zip(
+                self.sites, sites):
+            row[_NS["op"]] = op
+            row[_NS["sid"]] = sid
+            row[_NS["stride"]] = stride
+            row[_NS["width"]] = nbytes
+            for slot, iv_stride in ivs.items():
+                row[_NS_IVS + slot] = iv_stride
+            if buf not in buffers:
+                buffers.append(buf)
+            bidx.append(buffers.index(buf))
+            offsets.append(offset)
+        self.buffers = tuple(buffers)
+        self._bidx = np.array(bidx, dtype=np.int64)
+        self._offsets = np.array(offsets, dtype=np.int64)
+        self._binding = None
+        #: worst-case prefetched-set inserts of the largest phase
+        self.room = 6 * max_bound + 8
+        self.state = np.zeros(len(ckernel.NEST_STATE) + depth
+                              + 2 * max_sites, dtype=np.int64)
+        #: per-node static cost table, indexed by node number: columns
+        #: FP issue, memory issue, chain bound (phases) and issue cycles
+        #: (straight-line ``VecOp``\ s)
+        self.statics = np.zeros((nnodes, 4))
+        self.is_vec = np.zeros(nnodes, dtype=bool)
+        self.instructions = np.zeros(nnodes, dtype=np.int64)
+        for pc, row in statics.items():
+            self.statics[pc] = row
+            self.is_vec[pc] = phases[pc].kind == PHASE_VEC
+            self.instructions[pc] = phases[pc].instructions
+        self.has_vec = bool(self.is_vec.any())
+        self.has_dep = any(p.dep_terms for p in phases.values())
+        self.hdr_p = self.hdr.ctypes.data
+        self.nodes_p = self.nodes.ctypes.data
+        self.sites_p = self.sites.ctypes.data
+
+    def bind(self, buffer_map, own_node: int) -> None:
+        """Write absolute bases and resolved homes into the site table
+        (skipped when the buffer placement is unchanged)."""
+        allocs = [buffer_map[name] for name in self.buffers]
+        binding = tuple((a.base, a.node) for a in allocs)
+        if binding == self._binding or not self.buffers:
+            return
+        self._binding = binding
+        bases = np.array([b for b, _n in binding], dtype=np.int64)
+        homes = np.array([own_node if n is None else n
+                          for _b, n in binding], dtype=np.int64)
+        sites = self.sites
+        sites[:, _NS["base"]] = bases[self._bidx] + self._offsets
+        sites[:, _NS["home"]] = homes[self._bidx]
+        sites[:, _NS["remote"]] = sites[:, _NS["home"]] != own_node
+
+
+def _line_bound(stride: int, width: int, trips: int, shift: int) -> int:
+    """Upper bound on the lines one site emits in one execution: each
+    line at most once, within the span every window covers."""
+    per_window = ((width - 1) >> shift) + 2
+    if stride == 0:
+        return per_window
+    span = ((abs(stride) * (trips - 1) + width - 1) >> shift) + 2
+    return min(trips * per_window, span)
+
+
+_SINGLE_OPS = ((Load, OP_DEMAND_READ), (PrefetchHint, OP_PREFETCH),
+               (Flush, OP_FLUSH))
+
+
+class NestBuilder:
+    """Accumulates consecutive top-level nodes into one :class:`Nest`."""
+
+    def __init__(self, core) -> None:
+        self.core = core
+        self.nodes: List[int] = []
+        self.sites: list = []
+        self.phases: Dict[int, NestPhase] = {}
+        self.statics: Dict[int, tuple] = {}
+        self.scope: Dict[str, int] = {}
+        self.depth = 0
+        self.max_sites = 0
+        self.max_bound = 0
+
+    @property
+    def nnodes(self) -> int:
+        return len(self.nodes) // _NN_FIELDS
+
+    def add_top(self, node) -> Optional[str]:
+        """Lower one top-level node; on refusal nothing is kept and the
+        fallback reason is returned."""
+        mark = (len(self.nodes), len(self.sites))
+        reason = self._add(node)
+        if reason is None:
+            return None
+        del self.nodes[mark[0]:]
+        del self.sites[mark[1]:]
+        pcs = mark[0] // _NN_FIELDS
+        for table in (self.phases, self.statics):
+            for pc in [pc for pc in table if pc >= pcs]:
+                del table[pc]
+        return reason
+
+    def build(self) -> Nest:
+        core = self.core
+        return Nest(self.nodes, self.sites, self.phases, self.statics,
+                    self.depth, self.max_sites, self.max_bound,
+                    core._line_shift)
+
+    # ------------------------------------------------------------------
+    def _node(self, kind: str, slot: int = 0, trips: int = 1,
+              link: int = 0, nsites: int = 0, bound: int = 0) -> int:
+        pc = self.nnodes
+        self.nodes.extend((_NK[kind], slot, trips, link,
+                           len(self.sites) - nsites, nsites, bound))
+        return pc
+
+    def _phase(self, kind: str, phase: NestPhase, statics: tuple,
+               nsites: int = 0, trips: int = 1, bound: int = 0) -> None:
+        pc = self._node(kind, trips=trips, nsites=nsites, bound=bound)
+        self.phases[pc] = phase
+        self.statics[pc] = statics
+        self.max_bound = max(self.max_bound, bound)
+
+    def _add(self, node) -> Optional[str]:
+        if isinstance(node, Loop):
+            if node.trips == 0:
+                return None
+            if not any(isinstance(child, Loop) for child in node.body):
+                return self._flat(node)
+            if node.loop_id in self.scope:
+                return "unsupported"
+            slot = len(self.scope)
+            self.depth = max(self.depth, slot + 1)
+            self.scope[node.loop_id] = slot
+            try:
+                begin = self._node("loop", slot=slot, trips=node.trips)
+                for child in node.body:
+                    reason = self._add(child)
+                    if reason is not None:
+                        return reason
+                self._node("end", slot=slot, trips=node.trips, link=begin)
+            finally:
+                del self.scope[node.loop_id]
+            return None
+        if isinstance(node, VecOp):
+            return self._vec(node)
+        if isinstance(node, GatherLoad):
+            return "gather"
+        if isinstance(node, (Load, Store, PrefetchHint, Flush)):
+            return self._single(node)
+        return "unsupported"
+
+    def _outer_strides(self, strides, own_id: Optional[str]):
+        """{slot: stride} of an address's enclosing-loop terms, plus the
+        own-loop stride; None when a term names a loop out of scope."""
+        own = 0
+        ivs: Dict[int, int] = {}
+        for lid, stride in strides:
+            if lid == own_id:
+                own = stride
+            elif lid in self.scope:
+                ivs[self.scope[lid]] = stride
+            else:
+                return None
+        return own, ivs
+
+    def _flat(self, loop: Loop) -> Optional[str]:
+        core = self.core
+        try:
+            info = core._analyze(loop)
+            fp_issue = (core.ports.fp_issue_cycles(info.fp_ops_total)
+                        if info.fp_ops_total else 0.0)
+            mem_issue = core.ports.mem_issue_cycles(
+                info.load_widths_total, info.store_widths_total)
+        except ReproError:
+            return "unsupported"
+        mem = info.mem_sites
+        if any(site.kind == "gather" for site in mem):
+            return "gather"
+        rows = []
+        for site in mem:
+            addr = site.instr.addr
+            terms = self._outer_strides(addr.strides, loop.loop_id)
+            if terms is None:
+                return "unsupported"
+            own, ivs = terms
+            rows.append((_KIND_TO_OP[site.kind], site.site_id, own,
+                         site.width_bits // 8, addr.buffer, addr.offset,
+                         ivs))
+        if len(rows) > 1 and any(row[2] < 0 for row in rows):
+            return "negative_multisite_stride"
+        trips = loop.trips
+        shift = core._line_shift
+        bound = sum(_line_bound(row[2], row[3], trips, shift)
+                    for row in rows)
+        self.sites.extend(rows)
+        self.max_sites = max(self.max_sites, len(rows))
+        phase = NestPhase(
+            PHASE_LOOP, f"loop:{loop.loop_id}", trips,
+            info.body_instructions * trips, info.flops_per_trip * trips,
+            info.fp_events_total, info.dep_fp_terms, bool(rows),
+        )
+        self._phase("flat" if rows else "nop", phase,
+                    (fp_issue, mem_issue, info.chain_cycles_total, 0.0),
+                    nsites=len(rows), trips=trips, bound=bound)
+        return None
+
+    def _single(self, node) -> Optional[str]:
+        core = self.core
+        addr = node.addr
+        terms = self._outer_strides(addr.strides, None)
+        if terms is None:
+            return "unsupported"
+        if isinstance(node, Store):
+            op = OP_NTSTORE if node.nt else OP_DEMAND_WRITE
+        else:
+            op = next(code for cls, code in _SINGLE_OPS
+                      if isinstance(node, cls))
+        nbytes = getattr(node, "width_bits", 64) // 8
+        mem_issue = core.ports.mem_issue_cycles(
+            {node.width_bits: 1} if isinstance(node, Load) else {},
+            {node.width_bits: 1} if isinstance(node, Store) else {},
+        )
+        self.sites.append((op, 0, 0, nbytes, addr.buffer, addr.offset,
+                           terms[1]))
+        self.max_sites = max(self.max_sites, 1)
+        phase = NestPhase(PHASE_SINGLE, f"instr:{type(node).__name__.lower()}",
+                          1, 1, 0, [], [], True)
+        self._phase("single", phase, (0.0, mem_issue, 0.0, 0.0), nsites=1,
+                    bound=((nbytes - 1) >> core._line_shift) + 2)
+        return None
+
+    def _vec(self, node: VecOp) -> Optional[str]:
+        try:
+            cost = self.core.ports.fp_issue_cycles(
+                {(node.op, node.width_bits): 1})
+        except ReproError:
+            return "unsupported"
+        events = []
+        if node.flops:
+            events.append(((node.width_bits, node.precision,
+                            node.op == "fma"), 1))
+        phase = NestPhase(PHASE_VEC, f"instr:{node.op}", 1, 1, node.flops,
+                          events, [], False)
+        self._phase("nop", phase, (0.0, 0.0, 0.0, cost))
+        return None

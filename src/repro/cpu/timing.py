@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
+import numpy as np
+
 from ..memory.hierarchy import BatchStats, HierarchyConfig
 from .port_model import PortModel
 
@@ -37,6 +39,12 @@ class TimingParams:
                                         # speculates L1-hit latency and
                                         # replays dependants on any L1 miss)
     max_reissue_per_miss: int = 4       # scheduler window bound
+
+
+#: names of the throughput bounds, in :attr:`PhaseCost.dominant`'s
+#: tie-breaking order (the first maximum wins)
+THROUGHPUT_BOUNDS = ("fp_issue", "mem_issue", "dependency_chain",
+                     "l2_bandwidth", "l3_bandwidth", "dram_bandwidth")
 
 
 @dataclass(frozen=True)
@@ -69,14 +77,10 @@ class PhaseCost:
     @property
     def dominant(self) -> str:
         """Name of the binding constraint (diagnostics/reports)."""
-        bounds = {
-            "fp_issue": self.fp_issue,
-            "mem_issue": self.mem_issue,
-            "dependency_chain": self.chain,
-            "l2_bandwidth": self.l2_bandwidth,
-            "l3_bandwidth": self.l3_bandwidth,
-            "dram_bandwidth": self.dram_bandwidth,
-        }
+        bounds = dict(zip(THROUGHPUT_BOUNDS, (
+            self.fp_issue, self.mem_issue, self.chain, self.l2_bandwidth,
+            self.l3_bandwidth, self.dram_bandwidth,
+        )))
         return max(bounds, key=bounds.get)
 
     def as_dict(self) -> dict:
@@ -110,10 +114,37 @@ def phase_cycles(ports: PortModel,
     the functional memory events; ``dram_bytes_per_cycle`` is the
     share of DRAM bandwidth available to this core during the phase.
     """
-    line = config.line_bytes
     fp_issue = ports.fp_issue_cycles(fp_ops) if fp_ops else 0.0
     mem_issue = ports.mem_issue_cycles(load_widths, store_widths)
+    return PhaseCost(
+        fp_issue, mem_issue, chain_cycles,
+        *memory_bounds(config, batch, params, dram_bytes_per_cycle,
+                       remote_extra_latency),
+    )
 
+
+def _share(part, whole):
+    """``part / whole`` where both are nonzero, else 0.0 (elementwise
+    for arrays)."""
+    if isinstance(whole, np.ndarray):
+        return np.divide(part, whole, out=np.zeros(whole.shape),
+                         where=(whole != 0) & (part != 0))
+    return part / whole if whole and part else 0.0
+
+
+def memory_bounds(config: HierarchyConfig, batch: BatchStats,
+                  params: TimingParams, dram_bytes_per_cycle: float,
+                  remote_extra_latency: int = 0):
+    """``(l2, l3, dram bandwidth, exposed latency)`` cycles of a phase.
+
+    The memory half of :func:`phase_cycles`.  Every operation is
+    elementwise, so ``batch`` may hold plain counts (one phase) or
+    equal-length int64 arrays (one entry per phase, as the nest
+    executor costs them); either way each phase sees the same IEEE
+    operations in the same order, so array costs are bit-identical to
+    scalar ones.
+    """
+    line = config.line_bytes
     l2_bw = batch.l2_hits * line / config.l2.bytes_per_cycle
     l3_bw = batch.l3_hits * line / config.l3.bytes_per_cycle
 
@@ -122,11 +153,7 @@ def phase_cycles(ports: PortModel,
     effective_lines = local_lines + batch.remote_dram_lines / remote_factor
     dram_bw = effective_lines * line / dram_bytes_per_cycle
 
-    remote_share = (
-        batch.remote_dram_lines / batch.dram_reads
-        if batch.dram_reads and batch.remote_dram_lines
-        else 0.0
-    )
+    remote_share = _share(batch.remote_dram_lines, batch.dram_reads)
     dram_latency = (
         config.dram.latency_cycles
         + remote_share * (config.numa.remote_latency_extra_cycles + remote_extra_latency)
@@ -137,25 +164,17 @@ def phase_cycles(ports: PortModel,
         + batch.dram_reads * dram_latency
         + batch.tlb_walk_cycles
     ) / params.mlp
-
-    return PhaseCost(
-        fp_issue=fp_issue,
-        mem_issue=mem_issue,
-        chain=chain_cycles,
-        l2_bandwidth=l2_bw,
-        l3_bandwidth=l3_bw,
-        dram_bandwidth=dram_bw,
-        exposed_latency=exposed,
-    )
+    return l2_bw, l3_bw, dram_bw, exposed
 
 
 def reissue_slots(config: HierarchyConfig, batch: BatchStats,
-                  params: TimingParams) -> int:
+                  params: TimingParams):
     """Number of FP re-dispatch opportunities a phase's misses create.
 
     Each slot re-counts the loop body's load-dependent FP instructions
     once in the core PMU — the mechanical source of the overcount the
-    paper quantifies.
+    paper quantifies.  Elementwise like :func:`memory_bounds`: per-phase
+    count arrays give per-phase slot arrays.
     """
 
     def per_line(latency: int) -> int:

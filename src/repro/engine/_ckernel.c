@@ -44,6 +44,22 @@ enum {
 /* run_meta[] per-run layout -- keep in sync with engine/plan.py */
 enum { RM_OP, RM_HOME, RM_REMOTE, RM_OFF, RM_N, RM_SID, RM_FIELDS };
 
+/* nest descriptor layout -- keep in sync with NEST_* in engine/ckernel.py
+ *
+ * header:   NH_* scalars
+ * nodes:    one NN_FIELDS row per node, in body (preorder) order
+ * sites:    one row per memory site: NS_* fields, then one byte stride
+ *           per enclosing induction-variable slot (NH_DEPTH of them)
+ * state:    the resumable walk position (NST_*), the iv slots, then
+ *           2 scratch words per site of the widest flat loop */
+enum { NH_NODES, NH_DEPTH, NH_SHIFT, NH_FIELDS };
+enum { NN_KIND, NN_SLOT, NN_TRIPS, NN_LINK, NN_SITE0, NN_NSITES,
+       NN_BOUND, NN_FIELDS };
+enum { NK_LOOP, NK_END, NK_FLAT, NK_SINGLE, NK_NOP };
+enum { NS_OP, NS_SID, NS_HOME, NS_REMOTE, NS_BASE, NS_STRIDE, NS_WIDTH,
+       NS_IVS };
+enum { NST_PC, NST_NEED, NST_IVS };
+
 typedef struct {
     /* caches: 0 = L1, 1 = L2, 2 = L3 */
     int64_t *tags[3];
@@ -767,4 +783,181 @@ int64_t repro_execute_single(Ctx *c, int64_t line, int64_t is_write,
         o[i] = 0;
     demand_line(c, line, 0, (int)is_write, home, (int)remote, o);
     return 0;
+}
+
+
+/* ------------------------------------------------------------------ */
+/* whole-nest execution                                                */
+/* ------------------------------------------------------------------ */
+
+/* one line of one site, dispatched on the plan opcode (OP_* in
+ * engine/plan.py); the per-run counter bumps of repro_execute_plan
+ * applied per line */
+static inline void nest_line(Ctx *c, int64_t op, int64_t line, int64_t sid,
+                             int64_t home, int remote, int64_t *o) {
+    if (op <= 1) {
+        demand_line(c, line, sid, (int)op, home, remote, o);
+    } else if (op == 3) {
+        o[O_SWP] += 1;
+        swpf_line(c, line, home, o);
+    } else if (op == 4) {
+        o[O_FLS] += 1;
+        flush_line(c, line, home, o);
+    } else { /* op == 2: non-temporal store */
+        o[O_ACC] += 1;
+        o[O_NTL] += 1;
+        c->homes[home * 4 + 2] += 1;
+        if (remote) {
+            o[O_REM] += 1;
+            c->homes[home * 4 + 3] += 1;
+        }
+        nt_line(c, line, o);
+    }
+}
+
+static inline void nest_range(Ctx *c, const int64_t *s, int64_t lo,
+                              int64_t hi, int64_t *o) {
+    int64_t op = s[NS_OP], sid = s[NS_SID], home = s[NS_HOME];
+    int remote = (int)s[NS_REMOTE];
+    for (int64_t l = lo; l <= hi; l++)
+        nest_line(c, op, l, sid, home, remote, o);
+}
+
+/* site base at the current outer induction-variable values */
+static inline int64_t nest_base(const int64_t *s, const int64_t *iv,
+                                int64_t depth) {
+    int64_t b = s[NS_BASE];
+    for (int64_t k = 0; k < depth; k++)
+        b += iv[k] * s[NS_IVS + k];
+    return b;
+}
+
+/* one flat-loop execution: Core._iter_interleaved (any number of sites
+ * with non-negative own strides, closed-form skip between crossings)
+ * or the descending single-site frontier of Core._site_lines */
+static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
+                      int64_t sw, const int64_t *iv, int64_t depth,
+                      int64_t shift, int64_t *scratch, int64_t *o) {
+    int64_t trips = nd[NN_TRIPS], ns = nd[NN_NSITES];
+    const int64_t *S0 = sites + nd[NN_SITE0] * sw;
+    int64_t *base = scratch, *last = scratch + ns;
+    if (ns == 1 && S0[NS_STRIDE] < 0) {
+        int64_t b = nest_base(S0, iv, depth), stride = S0[NS_STRIDE];
+        int64_t w = S0[NS_WIDTH], prev = 0, floor_line = 0;
+        int have_floor = 0;
+        for (int64_t t = 0; t < trips; t++) {
+            int64_t pos = b + t * stride;
+            int64_t lo = pos >> shift, hi = (pos + w - 1) >> shift;
+            int crossing = t == 0 || lo < prev;
+            prev = lo;
+            if (!crossing)
+                continue;
+            if (have_floor && hi >= floor_line)
+                hi = floor_line - 1;
+            if (lo > hi)
+                continue;
+            nest_range(c, S0, lo, hi, o);
+            floor_line = lo;
+            have_floor = 1;
+        }
+        return;
+    }
+    for (int64_t s = 0; s < ns; s++) {
+        base[s] = nest_base(S0 + s * sw, iv, depth);
+        last[s] = -1;
+    }
+    int64_t t = 0;
+    while (t < trips) {
+        for (int64_t s = 0; s < ns; s++) {
+            const int64_t *S = S0 + s * sw;
+            int64_t pos = base[s] + t * S[NS_STRIDE];
+            int64_t first = pos >> shift;
+            int64_t end = (pos + S[NS_WIDTH] - 1) >> shift;
+            if (end <= last[s])
+                continue;
+            nest_range(c, S, first > last[s] ? first : last[s] + 1, end, o);
+            last[s] = end;
+        }
+        /* skip to the next trip at which some site's window reaches a
+         * line past its frontier */
+        int64_t nxt = trips;
+        for (int64_t s = 0; s < ns; s++) {
+            const int64_t *S = S0 + s * sw;
+            int64_t stride = S[NS_STRIDE];
+            if (!stride)
+                continue;
+            int64_t need = ((last[s] + 1) << shift) - base[s]
+                - S[NS_WIDTH] + 1;
+            /* no division when the crossing is the very next trip */
+            int64_t cross = need <= (t + 1) * stride
+                ? t + 1 : (need + stride - 1) / stride;
+            if (cross < nxt)
+                nxt = cross;
+        }
+        t = nxt > t + 1 ? nxt : t + 1;
+    }
+}
+
+/* Walk a nest descriptor from state[NST_PC], executing every phase
+ * (flat-loop execution, straight-line access, or memory-free phase) in
+ * program order.  After each phase the cumulative counter block is
+ * copied into row `r` of `rows` (O_COUNT columns) and the phase's node
+ * index into row_node[r]; per-home DRAM traffic accumulates in
+ * ctx->homes for the whole call.  Stops at a phase boundary when `max_rows` rows are
+ * written, or when the prefetched-line set lacks room for the next
+ * phase's worst case (NN_BOUND lines; state[NST_NEED] then holds the
+ * inserts to reserve).  Returns the rows written; the walk is done
+ * when state[NST_PC] reaches NH_NODES. */
+int64_t repro_execute_nest(Ctx *c, const int64_t *hdr, const int64_t *nodes,
+                           const int64_t *sites, int64_t *state,
+                           int64_t *rows, int64_t *row_node,
+                           int64_t max_rows, int64_t *o) {
+    int64_t nnodes = hdr[NH_NODES], depth = hdr[NH_DEPTH];
+    int64_t shift = hdr[NH_SHIFT], sw = NS_IVS + depth;
+    int64_t *iv = state + NST_IVS, *scratch = iv + depth;
+    int64_t pc = state[NST_PC], nrows = 0;
+    state[NST_NEED] = 0;
+    for (int64_t i = 0; i < O_COUNT; i++)
+        o[i] = 0;
+    while (pc < nnodes) {
+        const int64_t *nd = nodes + pc * NN_FIELDS;
+        int64_t kind = nd[NN_KIND];
+        if (kind == NK_LOOP) {
+            iv[nd[NN_SLOT]] = 0;
+            pc++;
+            continue;
+        }
+        if (kind == NK_END) {
+            int64_t slot = nd[NN_SLOT];
+            if (++iv[slot] < nd[NN_TRIPS])
+                pc = nd[NN_LINK] + 1;
+            else
+                pc++;
+            continue;
+        }
+        if (nrows == max_rows)
+            break;
+        if (kind != NK_NOP) {
+            int64_t need = 6 * nd[NN_BOUND] + 8;
+            if ((c->pf_regs[0] + c->pf_regs[1] + need) * 2
+                    > c->pf_mask + 1) {
+                state[NST_NEED] = need;
+                break;
+            }
+            if (kind == NK_FLAT) {
+                nest_flat(c, nd, sites, sw, iv, depth, shift, scratch, o);
+            } else {
+                const int64_t *S = sites + nd[NN_SITE0] * sw;
+                int64_t b = nest_base(S, iv, depth);
+                nest_range(c, S, b >> shift, (b + S[NS_WIDTH] - 1) >> shift,
+                           o);
+            }
+        }
+        int64_t *row = rows + nrows * O_COUNT;
+        for (int64_t i = 0; i < O_COUNT; i++)
+            row[i] = o[i];
+        row_node[nrows++] = pc++;
+    }
+    state[NST_PC] = pc;
+    return nrows;
 }

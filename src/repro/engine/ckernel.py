@@ -41,8 +41,22 @@ OUT = {name: i for i, name in enumerate(OUT_FIELDS)}
 OUT_COUNT = len(OUT_FIELDS)
 
 #: run_meta[] per-run layout — keep in sync with the RM_* enum
+RM_FIELD_NAMES = ("op", "home", "remote", "off", "n", "sid")
 RM_OP, RM_HOME, RM_REMOTE, RM_OFF, RM_N, RM_SID = range(6)
-RM_FIELDS = 6
+RM_FIELDS = len(RM_FIELD_NAMES)
+
+#: nest-descriptor layouts (``repro_execute_nest``) — keep in sync with
+#: the NH_* / NN_* / NK_* / NS_* / NST_* enums in _ckernel.c
+NEST_HEADER = ("nodes", "depth", "shift")
+NEST_NODE = ("kind", "slot", "trips", "link", "site0", "nsites", "bound")
+NEST_KINDS = ("loop", "end", "flat", "single", "nop")
+NEST_SITE = ("op", "sid", "home", "remote", "base", "stride", "width")
+NEST_STATE = ("pc", "need")
+NH = {name: i for i, name in enumerate(NEST_HEADER)}
+NN = {name: i for i, name in enumerate(NEST_NODE)}
+NK = {name: i for i, name in enumerate(NEST_KINDS)}
+NS = {name: i for i, name in enumerate(NEST_SITE)}
+NST = {name: i for i, name in enumerate(NEST_STATE)}
 
 _c64 = ctypes.c_int64
 _cp = ctypes.c_void_p
@@ -143,6 +157,10 @@ def lib() -> Optional[ctypes.CDLL]:
         ctypes.POINTER(Ctx), _c64, _c64, _c64, _c64, _cp,
     ]
     loaded.repro_execute_single.restype = _c64
+    loaded.repro_execute_nest.argtypes = [
+        ctypes.POINTER(Ctx), _cp, _cp, _cp, _cp, _cp, _cp, _c64, _cp,
+    ]
+    loaded.repro_execute_nest.restype = _c64
     _lib = loaded
     return _lib
 

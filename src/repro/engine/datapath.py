@@ -74,6 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: pop() default distinguishing "absent" from any stored dirty bit
 _MISS = object()
 
+#: phase rows one ``repro_execute_nest`` call may write before it
+#: returns at a phase boundary (bounds the row matrix)
+NEST_MAX_ROWS = 2048
+
 
 class BatchDatapath:
     """Executes access plans against one core's port state."""
@@ -661,6 +665,13 @@ class BatchDatapath:
         self._regs = np.zeros(4, dtype=np.int64)
         self._homes = np.zeros((len(hier.dram), 4), dtype=np.int64)
         self._out = np.zeros(ckernel.OUT_COUNT, dtype=np.int64)
+        #: caller-owned phase-row matrix of repro_execute_nest: one
+        #: cumulative counter block per phase
+        self.nest_rows = np.zeros((NEST_MAX_ROWS, ckernel.OUT_COUNT),
+                                  dtype=np.int64)
+        self.nest_row_node = np.zeros(NEST_MAX_ROWS, dtype=np.int64)
+        self._rows_p = self.nest_rows.ctypes.data
+        self._row_node_p = self.nest_row_node.ctypes.data
         ctx.regs = self._regs.ctypes.data
         ctx.homes = self._homes.ctypes.data
         lib = ckernel.lib()
@@ -669,6 +680,7 @@ class BatchDatapath:
         # wrapper object per access, visible at single-access rates)
         self._fn_plan = lib.repro_execute_plan
         self._fn_single = lib.repro_execute_single
+        self._fn_nest = lib.repro_execute_nest
         self._ctx_ref = ctypes.byref(ctx)
         self._out_ptr = self._out.ctypes.data
         self._cmask = None  # force a flag sync on first use
@@ -738,6 +750,30 @@ class BatchDatapath:
         self._fn_plan(self._ctx_ref, packed.nruns, meta_p, lines_p,
                       sids_p, self._out_ptr)
         self._post_call()
+        return self._apply_out(self._out.tolist())
+
+    def execute_nest(self, nest, state: np.ndarray, room: int) -> int:
+        """One resumable ``repro_execute_nest`` call over ``nest``.
+
+        ``nest`` carries the bound descriptor pointers (header, nodes,
+        sites) and ``state`` the walk position the kernel advances;
+        ``room`` prefetched-set inserts are reserved first.  Returns the
+        number of phase rows written into :attr:`nest_rows` /
+        :attr:`nest_row_node` (cumulative counter blocks, see
+        ``docs/ENGINE.md``).  Nothing is applied to Python state until
+        :meth:`apply_nest_totals`.
+        """
+        self._pre_call(room)
+        n = self._fn_nest(
+            self._ctx_ref, nest.hdr_p, nest.nodes_p, nest.sites_p,
+            state.ctypes.data, self._rows_p, self._row_node_p,
+            NEST_MAX_ROWS, self._out_ptr,
+        )
+        self._post_call()
+        return n
+
+    def apply_nest_totals(self) -> BatchStats:
+        """Apply a nest call's whole counter block in one step."""
         return self._apply_out(self._out.tolist())
 
     def execute_single_c(self, line: int, is_write: bool, node) -> BatchStats:

@@ -53,6 +53,16 @@ import numpy as np
 #: on one long-lived machine otherwise grow without limit)
 PLAN_CACHE_MAX_LINES = 8_000_000
 
+#: why a top-level program node was walked in Python instead of running
+#: through the nest executor (``Core._run_body``; docs/ENGINE.md)
+NEST_FALLBACK_REASONS = (
+    "gather",                     # data-dependent addressing in the nest
+    "negative_multisite_stride",  # the walk raises ExecutionError for it
+    "no_ckernel",                 # the C datapath is not in use
+    "reference_engine",           # engine="reference" always walks
+    "unsupported",                # out-of-scope iv, unknown node, cost error
+)
+
 #: segment opcodes (``PlanSegment.op``), dispatched on by the datapath
 OP_DEMAND_READ = 0   # 'load' / 'gather'
 OP_DEMAND_WRITE = 1  # 'store'
@@ -530,6 +540,10 @@ class PlanCacheStats:
     fallback lookups (gathers, negative strides, segment-fallback
     machines) land in the same counters with their capture-key
     semantics.
+
+    The nest executor bypasses both tiers: ``nest_runs`` counts
+    descriptor executions, and ``fallbacks`` the top-level program
+    nodes walked instead, by reason (:data:`NEST_FALLBACK_REASONS`).
     """
 
     hits: int = 0
@@ -537,6 +551,9 @@ class PlanCacheStats:
     built_segments: int = 0
     built_lines: int = 0
     flushes: int = 0
+    nest_runs: int = 0
+    fallbacks: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(NEST_FALLBACK_REASONS, 0))
 
     @property
     def lookups(self) -> int:
@@ -554,6 +571,9 @@ class PlanCacheStats:
             "built_segments": self.built_segments,
             "built_lines": self.built_lines,
             "flushes": self.flushes,
+            "nest_runs": self.nest_runs,
+            **{f"fallback_{reason}": count
+               for reason, count in self.fallbacks.items()},
         }
 
 

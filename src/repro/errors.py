@@ -7,6 +7,8 @@ still being able to distinguish the subsystem that failed.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -61,9 +63,20 @@ class SweepPointError(SweepError):
 
     The message names the failing point and, when the flight recorder
     managed to write one, the path of its crash dump under
-    ``artifacts/flightrec/``.  Raised from worker processes, so it must
-    stay constructible from its message alone to survive pickling.
+    ``artifacts/flightrec/``.  ``invalid`` is the underlying error's own
+    message when the point failed on its own parameters (a
+    :class:`ConfigurationError`, e.g. a size the kernel rejects) and
+    ``None`` for internal failures.  Raised from worker processes, so
+    it must stay constructible from its message alone; ``__reduce__``
+    carries ``invalid`` through pickling.
     """
+
+    def __init__(self, message: str, invalid: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.invalid = invalid
+
+    def __reduce__(self):
+        return type(self), (str(self), self.invalid)
 
 
 class TimelineError(ReproError):

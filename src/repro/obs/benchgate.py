@@ -115,12 +115,12 @@ GATES: Dict[str, List[GateCheck]] = {
         # sweep, absolute — a faster committed baseline must not let
         # the engine coast back down toward the old plateau
         GateCheck("sweeps.dgemm.speedup", "min_floor", 10.0),
-        # compile-tier amortization: plans must actually be reused ...
-        GateCheck("sweeps.*.plan_cache.hit_rate", "min_abs", 0.10),
-        # ... and with size-polymorphic structures, near-perfectly:
-        # every problem size of a sweep rebinds the same interned
-        # plans instead of recompiling
-        GateCheck("sweeps.*.plan_cache.hit_rate", "min_floor", 0.95),
+        # the compiled tier must actually carry the sweep: every
+        # top-level node of the committed kernels runs through the C
+        # nest executor, none falls back to the Python walk (the
+        # per-loop plan cache only serves the walk now, so its hit
+        # rate no longer measures the fast path)
+        GateCheck("sweeps.*.nest.coverage", "min_floor", 0.95),
         GateCheck("amortization.amortization_factor", "min_rel", 0.50),
     ],
     "s3_timeline": [

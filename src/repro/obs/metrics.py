@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..engine.plan import NEST_FALLBACK_REASONS
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -387,6 +389,18 @@ class MetricsRegistry:
             f"{prefix}_plan_cache_hit_rate",
             "Fraction of plan lookups served from the compile-tier cache",
         ).set(stats_doc.get("hit_rate", 0.0))
+        self.counter(
+            f"{prefix}_nest_runs_total",
+            "Loop-nest descriptors executed by the C nest executor",
+        ).inc(stats_doc.get("nest_runs", 0))
+        fallbacks = self.counter(
+            f"{prefix}_nest_fallbacks_total",
+            "Top-level program nodes walked in Python, by reason",
+            labelnames=("reason",),
+        )
+        for reason in NEST_FALLBACK_REASONS:
+            fallbacks.inc(stats_doc.get(f"fallback_{reason}", 0),
+                          reason=reason)
 
     def absorb_sweep_stats(self, stats_doc: dict,
                            prefix: str = "repro") -> None:

@@ -24,7 +24,7 @@ ceiling from the larger sets that sweep through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -77,6 +77,8 @@ class ErtCeilings:
     measurements: Tuple[Measurement, ...]
     #: sweep executor statistics (cache hits, wall time, jobs)
     sweep_stats: Optional[object] = None
+    #: the grid sweep's compile-tier / nest-executor counters
+    plan_cache: Dict[str, float] = field(default_factory=dict)
 
     def compute_label(self) -> str:
         n, fpe = self.compute_point
@@ -208,4 +210,5 @@ def discover_ceilings(machine="snb",
         levels={level: best_levels[level] for level in LEVELS},
         measurements=measurements,
         sweep_stats=run.stats,
+        plan_cache=run.plan_cache,
     )

@@ -20,13 +20,13 @@ sweep executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..kernels.registry import kernel_names
 from ..measure.runner import Measurement
-from ..sweep.executor import run_plan
+from ..sweep.executor import merge_plan_cache, run_plan
 from ..sweep.plan import SweepPlan
 from ..units import format_bandwidth
 from .ert import (
@@ -172,6 +172,10 @@ class AnalyzeResult:
     measurements: Tuple[Measurement, ...]
     #: hierarchy levels placed (subset of :data:`LEVELS`)
     levels: Tuple[str, ...] = LEVELS
+    #: compile-tier / nest-executor counters of both sweeps (reported by
+    #: ``repro analyze --json``; not part of :meth:`to_json_doc`, whose
+    #: digest pins the analysis itself)
+    plan_cache: Dict[str, float] = field(default_factory=dict)
 
     def trajectories(self) -> List[Trajectory]:
         """Per-level (I_k, P) series for the kernel sweep."""
@@ -276,4 +280,5 @@ def analyze(kernel: str, sizes: Sequence[int], machine="snb",
         ceilings=ceilings,
         roofline=HierarchicalRoofline.from_ceilings(ceilings),
         measurements=tuple(run.measurements),
+        plan_cache=merge_plan_cache([ceilings.plan_cache, run.plan_cache]),
     )

@@ -61,6 +61,8 @@ class Job:
     status: str = PENDING
     result: Optional[dict] = None
     error: Optional[str] = None
+    #: the failure was on the request's own parameters (answer 400)
+    invalid: bool = False
     #: how many requests rode this execution beyond the first
     coalesced: int = 0
     events: List[dict] = field(default_factory=list)

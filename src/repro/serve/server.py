@@ -19,7 +19,10 @@ replay point-by-point from the content-addressed sweep cache — the
 service never simulates the same inputs twice.  POSTs run the work on
 a thread pool (the event loop only shuffles bytes) and respond when
 the job finishes; pass ``{"async": true}`` to get ``202`` + a job id
-immediately and poll ``/jobs/<id>`` instead.
+immediately and poll ``/jobs/<id>`` instead.  A job that fails on the
+request's own parameters (a size the kernel rejects, an unknown
+preset) answers ``400`` with the validation message; internal
+failures answer ``500``.
 
 On SIGTERM/SIGINT the server **drains**: the listener closes (new
 connections are refused), in-flight jobs run to completion and their
@@ -35,7 +38,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError, SweepPointError
 from ..obs.metrics import REGISTRY
 from .http import (
     HttpError,
@@ -225,7 +228,10 @@ class RooflineServer:
                 "coalesced": attached,
             })
         await job.done_event.wait()
-        status = 200 if job.status == DONE else 500
+        if job.status == DONE:
+            status = 200
+        else:
+            status = 400 if job.invalid else 500
         await self._send_json(writer, status, job.describe())
 
     async def _run_job(self, job) -> None:
@@ -243,7 +249,9 @@ class RooflineServer:
             job.status = DONE
         except ReproError as exc:
             job.status = ERROR
-            job.error = str(exc)
+            invalid = _invalid_request(exc)
+            job.invalid = invalid is not None
+            job.error = str(exc) if invalid is None else invalid
         except Exception as exc:  # noqa: BLE001 — job must terminate
             job.status = ERROR
             job.error = f"{type(exc).__name__}: {exc}"
@@ -381,6 +389,17 @@ class RooflineServer:
         )
         emit({"type": "phase", "phase": "placed"})
         return result.to_json_doc()
+
+
+def _invalid_request(exc: ReproError) -> Optional[str]:
+    """The validation message when a job failed on the request's own
+    parameters (a configuration error, directly or inside a sweep
+    point), else None — an internal failure."""
+    if isinstance(exc, SweepPointError):
+        return exc.invalid
+    if isinstance(exc, ConfigurationError):
+        return str(exc)
+    return None
 
 
 def _validate(kind: str, doc: dict) -> dict:

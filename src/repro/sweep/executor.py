@@ -44,7 +44,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
-from ..errors import SweepError, SweepPointError
+from ..engine.plan import PlanCacheStats
+from ..errors import ConfigurationError, SweepError, SweepPointError
 from ..measure.runner import Measurement, measure_kernel
 from ..obs import remote
 from ..obs.metrics import REGISTRY
@@ -155,7 +156,9 @@ def simulate_point(point: SweepPoint,
         )
         raise SweepPointError(
             f"sweep point {label} failed: {type(exc).__name__}: {exc} "
-            f"[point: {point!r}] [flight-recorder dump: {dump}]"
+            f"[point: {point!r}] [flight-recorder dump: {dump}]",
+            invalid=str(exc) if isinstance(exc, ConfigurationError)
+            else None,
         ) from exc
 
 
@@ -163,8 +166,8 @@ def merge_plan_cache(docs) -> dict:
     """Sum keyed ``plan_cache`` counter docs (missing/None skipped) and
     derive the combined hit rate.  The single summing helper behind
     both the per-machine harvest and the cross-point aggregate."""
-    total = {"hits": 0, "misses": 0, "built_segments": 0,
-             "built_lines": 0, "flushes": 0}
+    total = PlanCacheStats().as_dict()
+    del total["hit_rate"]
     for doc in docs:
         if not doc:
             continue

@@ -19,6 +19,7 @@ import json
 import math
 from typing import Dict, Iterable, List, Optional
 
+from ..engine.plan import NEST_FALLBACK_REASONS
 from ..obs.metrics import escape_help, format_labels, format_value
 from .events import (
     CACHE,
@@ -314,6 +315,14 @@ def to_prometheus(summary: dict, prefix: str = "repro") -> str:
                "Fraction of plan lookups served from the compile-tier "
                "cache",
                [({}, plan_cache.get("hit_rate", 0.0))])
+        metric("nest_runs_total", "counter",
+               "Loop-nest descriptors executed by the C nest executor",
+               [({}, plan_cache.get("nest_runs", 0))])
+        metric("nest_fallbacks_total", "counter",
+               "Top-level program nodes walked in Python, by reason",
+               [({"reason": reason},
+                 plan_cache.get(f"fallback_{reason}", 0))
+                for reason in NEST_FALLBACK_REASONS])
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
 
+from repro.engine import ckernel
 from repro.isa import ProgramBuilder
 from repro.kernels.base import CodegenCaps
 from repro.machine.presets import paper_machine, tiny_test_machine
@@ -51,6 +53,25 @@ def tiny():
 @pytest.fixture
 def tiny_caps(tiny):
     return CodegenCaps.from_machine(tiny)
+
+
+@pytest.fixture
+def python_datapath(monkeypatch):
+    """Context-manager factory: machines built inside it run the fast
+    engine on the inlined Python datapath.
+
+    That is the path that still lowers every flat loop to a cached,
+    bound access plan; on the compiled C datapath the nest executor
+    runs whole nests and bypasses the plan cache, so white-box plan
+    cache tests pin this path instead.
+    """
+    @contextlib.contextmanager
+    def scope():
+        with monkeypatch.context() as patch:
+            patch.setattr(ckernel, "available", lambda: False)
+            yield
+
+    return scope
 
 
 @pytest.fixture(scope="session")

@@ -155,17 +155,20 @@ def _descending_program():
 
 @pytest.mark.parametrize("build", [_gather_program, _descending_program],
                          ids=["gather", "negative-stride"])
-def test_non_affine_loops_take_the_concrete_fallback_and_match(build):
+def test_non_affine_loops_take_the_concrete_fallback_and_match(
+        build, python_datapath):
     program = build()
     outcome = run_cross_engine(program)
     assert outcome.ok, "\n".join(str(d) for d in outcome.divergences)
-    # white-box: these shapes are not symbolically plannable, so they
-    # must land in the capture-keyed concrete tier, never the bound one
-    machine = tiny_test_machine()
-    machine.run(machine.load(program))
-    cache = machine.core(0).plan_cache
-    assert len(cache._entries) > 0
-    assert len(cache._bound) == 0
+    # white-box: these shapes are not symbolically plannable, so on the
+    # plan-binding datapath they must land in the capture-keyed
+    # concrete tier, never the bound one
+    with python_datapath():
+        machine = tiny_test_machine()
+        machine.run(machine.load(program))
+        cache = machine.core(0).plan_cache
+        assert len(cache._entries) > 0
+        assert len(cache._bound) == 0
 
 
 # ----------------------------------------------------------------------
@@ -196,9 +199,10 @@ def test_warm_protocol_byte_identical_across_engines():
 # ----------------------------------------------------------------------
 # compile tier: plan caching behaviour
 # ----------------------------------------------------------------------
-def test_fast_engine_hits_the_plan_cache_across_reps():
-    machine = tiny_test_machine()
-    measure_kernel(machine, make_kernel("daxpy"), 256, reps=3)
+def test_fast_engine_hits_the_plan_cache_across_reps(python_datapath):
+    with python_datapath():
+        machine = tiny_test_machine()
+        measure_kernel(machine, make_kernel("daxpy"), 256, reps=3)
     stats = machine.core(0).plan_stats
     # structure interning is process-global, so `misses` can be zero
     # here (an earlier test may have interned daxpy's loop shapes
@@ -234,12 +238,13 @@ def test_plan_cache_flushes_at_the_line_cap():
     assert cache.get(("b",)) is plan_b
 
 
-def test_plan_key_distinguishes_buffer_placement():
+def test_plan_key_distinguishes_buffer_placement(python_datapath):
     # same kernel measured at two sizes -> one shared symbolic
     # structure, but different trip counts and buffer bases -> new
     # bound-tier entries (no false sharing between distinct contexts)
-    machine = tiny_test_machine()
-    measure_kernel(machine, make_kernel("daxpy"), 64, reps=1)
-    first = len(machine.core(0).plan_cache)
-    measure_kernel(machine, make_kernel("daxpy"), 128, reps=1)
-    assert len(machine.core(0).plan_cache) > first
+    with python_datapath():
+        machine = tiny_test_machine()
+        measure_kernel(machine, make_kernel("daxpy"), 64, reps=1)
+        first = len(machine.core(0).plan_cache)
+        measure_kernel(machine, make_kernel("daxpy"), 128, reps=1)
+        assert len(machine.core(0).plan_cache) > first

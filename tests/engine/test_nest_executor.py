@@ -1,0 +1,214 @@
+"""Nest executor parity: whole loop nests through ``repro_execute_nest``.
+
+On the compiled datapath the fast engine lowers each run of top-level
+program nodes into a nest descriptor and lets the C kernel walk it,
+costing every phase from the kernel's per-phase counter rows in one
+array pass.  These tests pin that path to the per-line reference
+engine bit for bit — every counter, ``repr`` of every phase total and
+of the cycle sum, the PMU snapshot, and the PHASE trace events — and
+check that the path is really taken (a silent fallback to the Python
+walk would keep parity and lose the speed).
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.engine import ckernel, datapath
+from repro.engine.plan import NEST_FALLBACK_REASONS, SymbolicPlan
+from repro.errors import ExecutionError
+from repro.isa import ProgramBuilder
+from repro.kernels import CodegenCaps, make_kernel
+from repro.machine.presets import make_machine, tiny_test_machine
+from repro.oracle import diff_engine_sides, random_program
+from repro.trace.bus import ListSink
+from repro.trace.events import PHASE
+
+pytestmark = pytest.mark.skipif(
+    not ckernel.available(), reason="the nest executor needs the C kernel")
+
+#: (registry name, constructor kwargs, two sizes) per parity kernel
+PARITY_KERNELS = [
+    ("dgemm-naive", {}, (16, 32)),
+    ("dgemm-ikj", {}, (16, 32)),
+    ("dgemm-blocked", {}, (16, 32)),
+    ("dgemm-tiled", {}, (16, 48)),
+    ("stencil3", {}, (96, 520)),
+    ("triad-nt", {}, (128, 2048)),
+    ("ert", {"flops_per_elem": 1}, (256, 4096)),
+    ("ert", {"flops_per_elem": 16, "sweeps": 2}, (256, 4096)),
+]
+
+
+def _run_pair(program, factory=tiny_test_machine, trace=False, runs=2):
+    """Run ``program`` ``runs`` times on a fast and a reference machine;
+    returns ``[(fast machine, fast result, ref machine, ref result,
+    fast sink, ref sink)]`` per run."""
+    fast, ref = factory(), factory()
+    ref.engine = "reference"
+    sinks = (ListSink(), ListSink())
+    if trace:
+        fast.trace.attach(sinks[0])
+        ref.trace.attach(sinks[1])
+    out = []
+    for _ in range(runs):
+        fast_run = fast.run(fast.load(program))
+        ref_run = ref.run(ref.load(program))
+        out.append((fast, fast_run.result, ref, ref_run.result) + sinks)
+    return out
+
+
+def _assert_bit_identical(fast, fast_r, ref, ref_r):
+    divs = diff_engine_sides(fast, fast_r, ref, ref_r, 0)
+    assert not divs, "\n".join(str(d) for d in divs)
+    assert repr(fast_r.cycles) == repr(ref_r.cycles)
+    assert [repr(p.total) for p in fast_r.phases] == \
+        [repr(p.total) for p in ref_r.phases]
+    assert fast_r.phases == ref_r.phases
+    assert all(type(v) is float for p in fast_r.phases
+               for v in p.as_dict().values())
+    assert fast.core_pmu(0).snapshot() == ref.core_pmu(0).snapshot()
+    assert list(fast.core_pmu(0).snapshot()) == \
+        list(ref.core_pmu(0).snapshot())
+
+
+def _phase_events(sink):
+    return [(e.name, e.ts, e.dur, e.args) for e in sink.events
+            if e.kind == PHASE]
+
+
+@pytest.mark.parametrize(
+    "name,kwargs,sizes", PARITY_KERNELS,
+    ids=[f"{n}-{'-'.join(f'{k}{v}' for k, v in kw.items())}"
+         for n, kw, _s in PARITY_KERNELS])
+def test_registry_kernels_match_reference(name, kwargs, sizes):
+    caps = CodegenCaps.from_machine(tiny_test_machine())
+    for n in sizes:
+        program = make_kernel(name, **kwargs).build(n, caps)
+        for fast, fast_r, ref, ref_r, _fs, _rs in _run_pair(program):
+            _assert_bit_identical(fast, fast_r, ref, ref_r)
+        stats = fast.core(0).plan_stats
+        assert stats.nest_runs > 0
+        assert not any(stats.fallbacks.values())
+
+
+@pytest.mark.parametrize("name", ["dgemm-naive", "dgemm-tiled", "stencil3",
+                                  "triad-nt"])
+def test_phase_trace_events_match_reference(name):
+    caps = CodegenCaps.from_machine(tiny_test_machine())
+    program = make_kernel(name).build(32 if name.startswith("dgemm")
+                                      else 256, caps)
+    for fast, fast_r, ref, ref_r, fsink, rsink in _run_pair(
+            program, trace=True):
+        _assert_bit_identical(fast, fast_r, ref, ref_r)
+    fast_phases = _phase_events(fsink)
+    assert fast_phases and fast_phases == _phase_events(rsink)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_conformance_corpus_matches_reference(seed):
+    program = random_program(random.Random(seed))
+    for fast, fast_r, ref, ref_r, fsink, rsink in _run_pair(
+            program, trace=True):
+        _assert_bit_identical(fast, fast_r, ref, ref_r)
+    assert _phase_events(fsink) == _phase_events(rsink)
+
+
+def test_chunked_calls_resume_exactly(monkeypatch):
+    # three-row calls force the walk to stop and resume at phase
+    # boundaries inside every level of the nest
+    monkeypatch.setattr(datapath, "NEST_MAX_ROWS", 3)
+    caps = CodegenCaps.from_machine(tiny_test_machine())
+    for name in ("dgemm-naive", "dgemm-tiled"):
+        program = make_kernel(name).build(16, caps)
+        for fast, fast_r, ref, ref_r, fsink, rsink in _run_pair(
+                program, trace=True):
+            _assert_bit_identical(fast, fast_r, ref, ref_r)
+        assert _phase_events(fsink) == _phase_events(rsink)
+        assert fast.core(0)._datapath.nest_rows.shape[0] == 3
+
+
+def test_home_node_mutation_rebinds_the_nest():
+    factory = lambda: make_machine("snb-ep-x2", scale=0.0625)  # noqa: E731
+    fast, ref = factory(), factory()
+    ref.engine = "reference"
+    program = make_kernel("dgemm-ikj").build(16,
+                                             CodegenCaps.from_machine(fast))
+    for node in (0, 1, 0):
+        fast_r = fast.run(fast.load(program, node=node)).result
+        ref_r = ref.run(ref.load(program, node=node)).result
+        _assert_bit_identical(fast, fast_r, ref, ref_r)
+        assert fast_r.batch.remote_dram_lines == \
+            ref_r.batch.remote_dram_lines
+
+
+def test_analyze_dgemm_program_takes_the_nest_path(monkeypatch):
+    binds = []
+    original = SymbolicPlan.bind
+    monkeypatch.setattr(SymbolicPlan, "bind",
+                        lambda self, *a, **k: binds.append(1)
+                        or original(self, *a, **k))
+    machine = make_machine("snb", scale=0.125)
+    caps = CodegenCaps.from_machine(machine)
+    program = make_kernel("dgemm-tiled").build(64, caps)
+    machine.run(machine.load(program))
+    stats = machine.core(0).plan_stats
+    assert stats.nest_runs > 0
+    assert not binds
+    assert stats.lookups == 0 and stats.built_lines == 0
+    assert not any(stats.fallbacks.values())
+
+
+# ----------------------------------------------------------------------
+# fallbacks: counted by reason, behaviour unchanged
+# ----------------------------------------------------------------------
+def _gather_then_loop():
+    b = ProgramBuilder()
+    buf = b.buffer("data", 4096)
+    table = b.index_table("tab0", [(i * 24) % 4000 for i in range(40)])
+    with b.loop(32) as i:
+        b.gather(buf, table[i], width=64)
+    with b.loop(32) as i:
+        b.load(buf[i * 64], width=64)
+    return b.build()
+
+
+def test_gather_nodes_walk_and_the_rest_runs_as_a_nest():
+    program = _gather_then_loop()
+    for fast, fast_r, ref, ref_r, _fs, _rs in _run_pair(program):
+        _assert_bit_identical(fast, fast_r, ref, ref_r)
+    stats = fast.core(0).plan_stats
+    assert stats.fallbacks["gather"] == 2
+    assert stats.nest_runs == 2
+
+
+def test_negative_multisite_stride_still_raises():
+    b = ProgramBuilder()
+    buf = b.buffer("data", 4096)
+    with b.loop(32) as i:
+        b.load(buf[i * -16 + 31 * 16], width=64)
+        b.load(buf[i * 8], width=64)
+    program = b.build()
+    machine = tiny_test_machine()
+    with pytest.raises(ExecutionError, match="negative loop strides"):
+        machine.run(machine.load(program))
+    assert machine.core(0).plan_stats.fallbacks[
+        "negative_multisite_stride"] == 1
+
+
+def test_reference_engine_and_python_datapath_count_their_fallbacks(
+        python_datapath):
+    program = make_kernel("daxpy").build(64, CodegenCaps.from_machine(
+        tiny_test_machine()))
+    ref = tiny_test_machine(engine="reference")
+    ref.run(ref.load(program))
+    assert ref.core(0).plan_stats.fallbacks["reference_engine"] > 0
+    with python_datapath():
+        machine = tiny_test_machine()
+        machine.run(machine.load(program))
+        stats = machine.core(0).plan_stats
+    assert stats.fallbacks["no_ckernel"] > 0
+    assert stats.nest_runs == 0
+    assert set(stats.fallbacks) == set(NEST_FALLBACK_REASONS)

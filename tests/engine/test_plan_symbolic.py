@@ -207,26 +207,27 @@ def test_size_replay_matrix(name, sizes):
 # ----------------------------------------------------------------------
 # stale-plan hazards: mutated bindings must rebind, never replay
 # ----------------------------------------------------------------------
-def test_reloading_moves_buffer_bases_and_rebinds():
+def test_reloading_moves_buffer_bases_and_rebinds(python_datapath):
     # every machine.load() maps fresh allocations, so running the same
     # program twice mutates every buffer base under a cached structure
-    machine = tiny_test_machine()
-    program = _programs("daxpy", (64,))[0]
-    first = machine.load(program)
-    machine.run(first)
-    cache = machine.core(0).plan_cache
-    bound_after_first = len(cache)
-    second = machine.load(program)
-    moved = {
-        name for name in first.buffer_map
-        if first.buffer_map[name].base != second.buffer_map[name].base
-    }
-    assert moved  # the hazard is real: bases did change
-    machine.run(second)
-    # a silent replay would leave the cache untouched (and corrupt the
-    # functional state); a rebind materialises new entries
-    assert len(cache) > bound_after_first
-    assert machine.core(0).plan_stats.flushes == 0
+    with python_datapath():
+        machine = tiny_test_machine()
+        program = _programs("daxpy", (64,))[0]
+        first = machine.load(program)
+        machine.run(first)
+        cache = machine.core(0).plan_cache
+        bound_after_first = len(cache)
+        second = machine.load(program)
+        moved = {
+            name for name in first.buffer_map
+            if first.buffer_map[name].base != second.buffer_map[name].base
+        }
+        assert moved  # the hazard is real: bases did change
+        machine.run(second)
+        # a silent replay would leave the cache untouched (and corrupt
+        # the functional state); a rebind materialises new entries
+        assert len(cache) > bound_after_first
+        assert machine.core(0).plan_stats.flushes == 0
 
 
 def test_same_program_reloaded_matches_reference_counters():
@@ -235,27 +236,29 @@ def test_same_program_reloaded_matches_reference_counters():
     assert outcome.ok, "\n".join(str(d) for d in outcome.divergences)
 
 
-def test_home_node_mutation_rebinds_without_silent_reuse():
+def test_home_node_mutation_rebinds_without_silent_reuse(python_datapath):
     # remap the same program onto the other NUMA node between runs:
     # the plan's per-line homes change while structure, trips, and
-    # strides all stay identical
+    # strides all stay identical (the nest executor's analogue lives in
+    # tests/engine/test_nest_executor.py)
     factory = lambda: make_machine("snb-ep-x2", scale=0.0625)  # noqa: E731
-    fast = factory()
-    ref = factory()
-    ref.engine = "reference"
-    caps = CodegenCaps.from_machine(fast)
-    program = make_kernel("daxpy").build(64, caps)
-    bound_counts = []
-    for node in (0, 1, 0):
-        fast_run = fast.run(fast.load(program, node=node))
-        ref_run = ref.run(ref.load(program, node=node))
-        divs = diff_engine_sides(
-            fast, fast_run.result, ref, ref_run.result, 0
-        )
-        assert not divs, "\n".join(
-            [f"node {node}"] + [str(d) for d in divs]
-        )
-        bound_counts.append(len(fast.core(0).plan_cache))
+    with python_datapath():
+        fast = factory()
+        ref = factory()
+        ref.engine = "reference"
+        caps = CodegenCaps.from_machine(fast)
+        program = make_kernel("daxpy").build(64, caps)
+        bound_counts = []
+        for node in (0, 1, 0):
+            fast_run = fast.run(fast.load(program, node=node))
+            ref_run = ref.run(ref.load(program, node=node))
+            divs = diff_engine_sides(
+                fast, fast_run.result, ref, ref_run.result, 0
+            )
+            assert not divs, "\n".join(
+                [f"node {node}"] + [str(d) for d in divs]
+            )
+            bound_counts.append(len(fast.core(0).plan_cache))
     # each placement added entries instead of reusing stale homes
     assert bound_counts[0] < bound_counts[1] < bound_counts[2]
 
@@ -263,7 +266,7 @@ def test_home_node_mutation_rebinds_without_silent_reuse():
 # ----------------------------------------------------------------------
 # telemetry: the second size rebinds instead of recompiling
 # ----------------------------------------------------------------------
-def test_dgemm_sweep_plan_cache_telemetry_regression():
+def test_dgemm_sweep_plan_cache_telemetry_regression(python_datapath):
     # the compile-tier amortization story the fast engine is built on:
     # every size of a dgemm sweep resolves through the same interned
     # structures, so the aggregate hit rate must stay near-perfect.
@@ -275,7 +278,8 @@ def test_dgemm_sweep_plan_cache_telemetry_regression():
     plan = SweepPlan()
     plan.add_sweep(MachineRef.of("tiny"), "dgemm-tiled",
                    (16, 24, 32, 40), reps=2)
-    run = run_plan(plan, jobs=1, cache=None)
+    with python_datapath():
+        run = run_plan(plan, jobs=1, cache=None)
     pc = run.plan_cache
     assert pc["hits"] > 0
     assert pc["hit_rate"] >= 0.95
@@ -283,15 +287,16 @@ def test_dgemm_sweep_plan_cache_telemetry_regression():
     assert pc["built_lines"] > 0
 
 
-def test_second_size_rebinds_without_symbolic_misses():
-    machine = tiny_test_machine()
-    measure_kernel(machine, make_kernel("daxpy"), 64, reps=1)
-    core = machine.core(0)
-    stats = core.plan_stats
-    hits0, misses0 = stats.hits, stats.misses
-    bound0 = len(core.plan_cache)
-    built0 = stats.built_lines
-    measure_kernel(machine, make_kernel("daxpy"), 128, reps=1)
+def test_second_size_rebinds_without_symbolic_misses(python_datapath):
+    with python_datapath():
+        machine = tiny_test_machine()
+        measure_kernel(machine, make_kernel("daxpy"), 64, reps=1)
+        core = machine.core(0)
+        stats = core.plan_stats
+        hits0, misses0 = stats.hits, stats.misses
+        bound0 = len(core.plan_cache)
+        built0 = stats.built_lines
+        measure_kernel(machine, make_kernel("daxpy"), 128, reps=1)
     # the loop structures were interned by the first measurement (or
     # earlier in the process): a new problem size adds zero misses
     assert stats.misses == misses0

@@ -14,18 +14,20 @@ from repro.obs.benchgate import (
 
 
 def engine_doc():
-    # shaped like the post-symbolic-plan BENCH_engine.json: the specs
-    # carry absolute floors (dgemm speedup >= 10, hit rate >= 0.95)
+    # shaped like the nest-executor BENCH_engine.json: the specs carry
+    # absolute floors (dgemm speedup >= 10, nest coverage >= 0.95)
     # that a realistic doc must clear
     return {
         "bench": "s5_engine",
         "sweeps": {
             "daxpy": {"fast_seconds": 0.1, "reference_seconds": 2.0,
                       "speedup": 20.0,
-                      "plan_cache": {"hit_rate": 0.99}},
+                      "plan_cache": {"hit_rate": 0.0},
+                      "nest": {"coverage": 1.0}},
             "dgemm": {"fast_seconds": 0.75, "reference_seconds": 9.0,
                       "speedup": 12.0,
-                      "plan_cache": {"hit_rate": 0.99}},
+                      "plan_cache": {"hit_rate": 0.0},
+                      "nest": {"coverage": 1.0}},
         },
         "amortization": {"amortization_factor": 1.75,
                          "marginal_rep_seconds": 0.1,
@@ -127,12 +129,14 @@ class TestCompare:
                                 tolerance_scale=100.0)}
         assert not results["sweeps.dgemm.speedup"].ok
 
-    def test_hit_rate_floor_fires_on_recompile_regression(self):
+    def test_nest_coverage_floor_fires_on_walk_fallback_regression(self):
+        # a third of the sweep's top-level nodes silently walked in
+        # Python instead of running through the C nest executor
         current = engine_doc()
-        current["sweeps"]["dgemm"]["plan_cache"]["hit_rate"] = 0.67
+        current["sweeps"]["dgemm"]["nest"]["coverage"] = 0.67
         results = compare_docs(engine_doc(), current)
         bad = [r for r in results if not r.ok]
-        assert any(r.metric == "sweeps.dgemm.plan_cache.hit_rate"
+        assert any(r.metric == "sweeps.dgemm.nest.coverage"
                    and r.limit == 0.95 for r in bad)
 
     def test_absolute_cap_ignores_baseline(self):

@@ -102,6 +102,55 @@ class TestEndpoints:
             assert "requires" in json.loads(err.value.read())["error"]
         serve(body)
 
+    def test_job_failing_on_request_parameters_is_400(self):
+        # 5003 is not a whole number of vectors: the kernel's own
+        # validation rejects it inside the sweep point, which must read
+        # as a bad request carrying the validation message, not a 500
+        async def body(server, base):
+            loop = asyncio.get_running_loop()
+            for path, doc in (
+                    ("/measure", {"kernel": "daxpy", "n": 5003}),
+                    ("/sweep", {"kernel": "daxpy", "sizes": [5003],
+                                "machine": "tiny"}),
+                    ("/analyze", {"kernel": "daxpy", "sizes": [5003],
+                                  "machine": "tiny", "flops": [1]})):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    await loop.run_in_executor(None, post, base, path, doc)
+                assert err.value.code == 400, path
+                message = json.loads(err.value.read())["error"]
+                assert message.startswith("daxpy: n=5003"), message
+                assert "flight-recorder" not in message
+        serve(body)
+
+    def test_point_error_keeps_its_validation_message_across_pickling(self):
+        # pool workers raise SweepPointError in another process
+        import pickle
+
+        from repro.errors import SweepPointError
+
+        err = SweepPointError("sweep point daxpy:5003 failed: ...",
+                              invalid="daxpy: n=5003 is bad")
+        back = pickle.loads(pickle.dumps(err))
+        assert str(back) == str(err)
+        assert back.invalid == "daxpy: n=5003 is bad"
+        assert pickle.loads(pickle.dumps(SweepPointError("x"))).invalid is None
+
+    def test_internal_job_failure_stays_500(self, monkeypatch):
+        def broken(self, params, emit):
+            raise RuntimeError("simulator bug")
+
+        monkeypatch.setattr(RooflineServer, "_run_measure", broken)
+
+        async def body(server, base):
+            loop = asyncio.get_running_loop()
+            with pytest.raises(urllib.error.HTTPError) as err:
+                await loop.run_in_executor(
+                    None, post, base, "/measure",
+                    {"kernel": "daxpy", "n": 96, "machine": "tiny"})
+            assert err.value.code == 500
+            assert "simulator bug" in json.loads(err.value.read())["error"]
+        serve(body)
+
     def test_job_poll_and_event_stream(self):
         async def body(server, base):
             loop = asyncio.get_running_loop()
