@@ -28,9 +28,6 @@ Subcommands:
   (``POST /measure|/analyze|/sweep``, job polling, NDJSON progress
   streams, Prometheus ``/metrics``) with request coalescing through
   the sweep cache and graceful drain on SIGTERM (docs/SERVICE.md)
-* ``worker``      — one sweep worker process connecting back to a
-  socket-backend listener (``--connect HOST:PORT``); normally spawned
-  by the backend, started manually for external fleets
 * ``cache``       — sweep-cache maintenance: ``cache gc --max-bytes
   2G --max-age 30d`` bounds the on-disk result cache (oldest first)
 
@@ -40,10 +37,9 @@ machine-readable output; ``profile`` and ``sweep`` add ``--trace-out``
 (Prometheus text format).  The global ``--jobs N`` / ``--no-cache`` /
 ``--cache-dir`` flags (also accepted after ``sweep``/``experiment``)
 control how measurement grids execute: ``--jobs`` fans points over a
-process pool (``$REPRO_SWEEP_JOBS`` then ``$REPRO_JOBS`` when the flag
-is absent), ``--no-cache`` forces re-simulation of every point, and
-``--backend serial|pool|socket`` picks where points execute — the
-three are bit-identical (docs/SWEEP.md).
+local process pool (``$REPRO_SWEEP_JOBS`` when the flag is absent; one
+job runs in-process, bit-identically — docs/SWEEP.md), and
+``--no-cache`` forces re-simulation of every point.
 
 Parallel sweeps collect distributed telemetry by default (see
 :mod:`repro.obs.remote`): ``sweep --flame-out`` exports the merged
@@ -351,8 +347,7 @@ def _cmd_sweep(args) -> int:
     try:
         run = run_plan(plan, jobs=args.jobs, cache=cache, bus=bus,
                        progress=progress, telemetry=args.telemetry,
-                       on_point=dashboard.update if dashboard else None,
-                       backend=args.backend)
+                       on_point=dashboard.update if dashboard else None)
     finally:
         if dashboard is not None:
             dashboard.close()
@@ -419,8 +414,7 @@ def _cmd_experiment(args) -> int:
     config = ExperimentConfig(scale=args.scale, quick=args.quick,
                               reps=args.reps, jobs=args.jobs,
                               cache=not args.no_cache,
-                              cache_dir=args.cache_dir,
-                              backend=args.backend, stats=stats)
+                              cache_dir=args.cache_dir, stats=stats)
     ids = args.ids or None
     results = run_experiments(ids, config)
     report = render_report(results, config)
@@ -641,7 +635,7 @@ def _cmd_ert(args) -> int:
     ceilings = discover_ceilings(
         ref, flop_counts=_parse_flop_counts(args.flops),
         sweeps=args.sweeps, reps=args.reps,
-        jobs=args.jobs, cache=cache, backend=args.backend,
+        jobs=args.jobs, cache=cache,
     )
     roofline = HierarchicalRoofline.from_ceilings(ceilings)
     if args.json:
@@ -676,7 +670,7 @@ def _cmd_analyze(args) -> int:
     result = hierarchical_analyze(
         kernel_name, sizes, machine=ref, protocol=args.protocol,
         reps=args.reps, flop_counts=_parse_flop_counts(args.flops),
-        jobs=args.jobs, cache=cache, backend=args.backend,
+        jobs=args.jobs, cache=cache,
     )
     if args.json:
         print(json.dumps({**result.to_json_doc(),
@@ -751,13 +745,6 @@ def _cmd_benchgate(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    """Join a socket sweep as one worker process."""
-    from .sweep.worker import worker_main
-
-    return worker_main(args.connect, heartbeat=args.heartbeat)
-
-
 def _cmd_serve(args) -> int:
     """Run the roofline HTTP service until SIGTERM/SIGINT."""
     import asyncio
@@ -766,7 +753,7 @@ def _cmd_serve(args) -> int:
 
     server = RooflineServer(
         host=args.host, port=args.port, jobs=args.jobs,
-        backend=args.backend, cache_dir=args.cache_dir,
+        cache_dir=args.cache_dir,
         no_cache=args.no_cache, threads=args.threads,
     )
 
@@ -774,8 +761,7 @@ def _cmd_serve(args) -> int:
         await server.start()
         host, port = server.address
         print(f"repro serve listening on http://{host}:{port} "
-              f"(backend={args.backend or 'auto'}, "
-              f"jobs={args.jobs or 'auto'})", file=sys.stderr)
+              f"(jobs={args.jobs or 'auto'})", file=sys.stderr)
         sys.stderr.flush()
         await server.serve_forever()
         print("repro serve drained cleanly", file=sys.stderr)
@@ -848,15 +834,9 @@ def _add_sweep_flags(parser: argparse.ArgumentParser,
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument(
         "--jobs", type=int, **(kw or {"default": None}),
-        help="fan measurement points over N worker processes "
-             "(default: $REPRO_SWEEP_JOBS, then $REPRO_JOBS, else serial)")
-    parser.add_argument(
-        "--backend", choices=("serial", "pool", "socket"),
-        **(kw or {"default": None}),
-        help="sweep execution backend: in-process (serial), local "
-             "process pool (pool), or socket worker fleet (socket); "
-             "default picks serial/pool from --jobs.  Results are "
-             "bit-identical and cache-compatible across backends.")
+        help="fan measurement points over N local worker processes "
+             "(default: $REPRO_SWEEP_JOBS, else 1 = in-process); "
+             "results are bit-identical for every N")
     parser.add_argument(
         "--no-cache", action="store_true", **(kw or {"default": False}),
         help="bypass the sweep result cache (re-simulate every point)")
@@ -1168,18 +1148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gate.add_argument("--repeats", type=int, default=None,
                         help="repeats for in-process re-measurement")
 
-    p_worker = sub.add_parser(
-        "worker",
-        help="join a socket sweep as a worker process (normally "
-             "spawned by the socket backend, but can be started by "
-             "hand to build an external fleet)",
-    )
-    p_worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                          help="the sweep parent's listener address")
-    p_worker.add_argument("--heartbeat", type=float, default=0.5,
-                          help="heartbeat period in seconds (default "
-                               "0.5; 0 disables)")
-
     p_serve = sub.add_parser(
         "serve",
         help="run the roofline HTTP/JSON service (POST /measure, "
@@ -1247,7 +1215,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "conformance": _cmd_conformance,
         "selfprofile": _cmd_selfprofile,
         "benchgate": _cmd_benchgate,
-        "worker": _cmd_worker,
         "serve": _cmd_serve,
         "cache": _cmd_cache,
     }

@@ -44,7 +44,6 @@ import numpy as np
 
 from ..engine import AccessPlan, BatchDatapath, PlanCache, validate_engine
 from ..engine import ckernel
-from ..engine.plan import OP_DEMAND_READ, OP_DEMAND_WRITE, PlanSegment
 from ..errors import ExecutionError
 from ..isa.instructions import (
     Flush,
@@ -565,13 +564,14 @@ class Core:
         binding — trip count, site ids, per-site (base, stride, home) —
         memoises its materialisation in the per-core bound tier, so a
         plan compiled at one problem size rebinds at any other.
-        Gathers, negative own-loop strides, and machines whose datapath
-        needs segment-granular plans take :meth:`_plan_concrete`.
+        Gathers, negative own-loop strides, and machines without the C
+        kernel (whose segment replay needs concrete plans) take
+        :meth:`_plan_concrete`.
         """
         cache = self.plan_cache
         sym = info.symbolic
         if sym is None:
-            if info.skey is None or not self._datapath._symbolic_ok:
+            if info.skey is None or not self._datapath._use_c:
                 return self._plan_concrete(info, loop, ivs, buffers)
             sym = cache.resolve_symbolic(info.skey)
             info.symbolic = sym
@@ -593,11 +593,8 @@ class Core:
                 in zip(info.mem_sites, binding)
             ]
             with SPANS("engine.compile"):
-                plan = sym.bind(
-                    descs, loop.trips, self._line_shift,
-                    port._page_shift, port.node,
-                    packed=self._datapath._use_c,
-                )
+                plan = sym.bind(descs, loop.trips, self._line_shift,
+                                port.node)
             cache.put_bound(bkey, plan)
         return plan
 
@@ -640,38 +637,9 @@ class Core:
 
     def _build_plan(self, info: _LoopInfo, loop: Loop, ivs,
                     buffers) -> AccessPlan:
-        """Lower one flat loop to an :class:`AccessPlan`.
-
-        All-affine multi-site bodies (the interleaved-walker case,
-        where per-burst Python cost dominates compile time) lower
-        through the vectorized :meth:`AccessPlan.from_affine_sites`
-        when the inlined datapath will execute the plan; gathers,
-        single-site bodies, negative strides, and non-inline machines
-        capture the walker's emission stream directly.
-        """
-        sites = info.mem_sites
-        if len(sites) >= 2 and loop.trips > 0 and self._datapath._inline:
-            descs = []
-            for site in sites:
-                if site.kind == "gather":
-                    descs = None
-                    break
-                base, stride, node = self._site_base_stride(
-                    site, loop.loop_id, ivs, buffers
-                )
-                if stride < 0:
-                    descs = None
-                    break
-                descs.append((site.kind, site.site_id, base, stride,
-                              site.width_bits // 8, node))
-            if descs is not None:
-                return AccessPlan.from_affine_sites(
-                    descs, loop.trips, self._line_shift,
-                    self.port._page_shift, self.port.node,
-                )
+        """Lower one flat loop by capturing the walker's emission stream."""
         return AccessPlan.from_emissions(
             self._iter_emissions(info, loop, ivs, buffers),
-            page_shift=self.port._page_shift,
             own_node=self.port.node,
         )
 
@@ -846,34 +814,6 @@ class Core:
                 floor_line = lo
         return lines, node
 
-    def _single_line_stats(self, line: int, is_write: bool, home):
-        """One-line cached plan for straight-line accesses (fast engine).
-
-        The L1-hit fast path (``BatchDatapath.execute_single``) defers
-        any single that misses L1 or would trigger prefetch fills; those
-        land here and replay a cached one-segment plan through the same
-        inlined datapath the flat loops use, instead of the per-line
-        reference dispatch.  Keys share the loop plan cache (and its
-        memory budget); the leading tag cannot collide with loop keys,
-        which start with ``id(loop)``.
-        """
-        port = self.port
-        rhome = port.node if home is None else home
-        key = ("single", line, is_write, rhome)
-        plan = self.plan_cache.get(key)
-        if plan is None:
-            pg = line >> port._page_shift
-            seg = PlanSegment(
-                "store" if is_write else "load", [line], home, 0,
-                op=OP_DEMAND_WRITE if is_write else OP_DEMAND_READ,
-                rhome=rhome, remote=rhome != port.node,
-                first_page=pg, last_page=pg,
-            )
-            plan = AccessPlan(segments=[seg], total_lines=1, runs=[seg],
-                              home0=rhome, remote0=seg.remote)
-            self.plan_cache.put(key, None, (), plan)
-        return self._datapath.execute_plan(plan)
-
     # ------------------------------------------------------------------
     # slow path: straight-line instruction
     # ------------------------------------------------------------------
@@ -915,17 +855,10 @@ class Core:
             shift = self._line_shift
             first = base >> shift
             last = (base + node.bytes - 1) >> shift
-            stats = None
             if first == last and self.engine == "fast":
-                dp = self._datapath
-                if dp._use_c:
-                    stats = dp.execute_single_c(first, False, alloc.node)
-                elif dp._inline:
-                    stats = dp.execute_single(first, False, alloc.node)
-                    if stats is None:
-                        stats = self._single_line_stats(first, False,
-                                                        alloc.node)
-            if stats is None:
+                stats = self._datapath.execute_single(first, False,
+                                                      alloc.node)
+            else:
                 stats = self.port.access_lines(
                     list(range(first, last + 1)), is_write=False,
                     node=alloc.node
@@ -957,17 +890,10 @@ class Core:
         elif isinstance(node, Load) or (
                 isinstance(node, Store) and not node.nt):
             is_write = isinstance(node, Store)
-            stats = None
             if first == last and self.engine == "fast":
-                dp = self._datapath
-                if dp._use_c:
-                    stats = dp.execute_single_c(first, is_write, alloc.node)
-                elif dp._inline:
-                    stats = dp.execute_single(first, is_write, alloc.node)
-                    if stats is None:
-                        stats = self._single_line_stats(first, is_write,
-                                                        alloc.node)
-            if stats is None:
+                stats = self._datapath.execute_single(first, is_write,
+                                                      alloc.node)
+            else:
                 stats = self.port.access_lines(lines, is_write=is_write,
                                                node=alloc.node)
         elif isinstance(node, Store):

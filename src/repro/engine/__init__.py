@@ -2,9 +2,10 @@
 
 * the **compile tier** (:mod:`repro.engine.plan`) lowers a flat loop's
   memory sites into a reusable, cached :class:`AccessPlan`;
-* the **execute tier** (:mod:`repro.engine.datapath`) streams a plan
-  through the memory hierarchy with the per-line work inlined and
-  counters flushed in bulk.
+* the **execute tier** (:mod:`repro.engine.datapath`) runs a plan
+  through the memory hierarchy in the compiled C kernel (counters
+  applied in bulk), or segment by segment through the port's reference
+  calls when the kernel is unavailable.
 
 ``engine="fast"`` (the default everywhere) uses both tiers;
 ``engine="reference"`` keeps the original per-line dispatch path.  The

@@ -1,9 +1,9 @@
 /* Compiled datapath kernel for the fast engine (array-state machines).
  *
- * This is a statement-for-statement transliteration of the inlined
- * dict-LRU loop in repro/engine/datapath.py (_execute_inline and
- * _single_miss), operating on the numpy array state shared with the
- * Python side:
+ * It implements the per-line demand, prefetch, flush and non-temporal
+ * chains of the reference port (CorePort in repro/memory/hierarchy.py)
+ * with the stock prefetcher trio, operating on the numpy array state
+ * shared with the Python side:
  *
  *   - Cache array backend (memory/cache.py): tags / dirty / stamp
  *     per (set, way), LRU as a monotone stamp; victim = smallest stamp
@@ -17,7 +17,7 @@
  *
  * All counters are accumulated into the `out` array; the Python caller
  * applies them to BatchStats / CacheStats / TlbStats / PrefetchStats /
- * IMC counters exactly as the inline loop's flush epilogue does.
+ * IMC counters in one step per call (BatchDatapath._apply_out).
  * Per-home DRAM traffic accumulates into ctx->homes (nnodes x 4:
  * [demand_reads, prefetch_reads, writes, remote_lines]).
  *

@@ -4,11 +4,15 @@ The kernel is a single translation unit with no Python.h dependency,
 compiled on demand with the system C compiler into a shared object
 cached under ``~/.cache/repro-ckernel/`` (override with
 ``REPRO_CKERNEL_CACHE``), keyed by the source sha256 so stale binaries
-can never be picked up.  Loading is best-effort: any failure — no
-compiler, sandboxed filesystem, unsupported platform — degrades to
-``lib() is None`` and the engine falls back to the pure-Python
-datapath.  ``REPRO_CKERNEL=0`` disables the kernel outright (used by
-the conformance suite to exercise the fallback).
+can never be picked up.  Any load failure — unreadable source, no
+compiler, a failed compile, a dlopen error, a struct-size mismatch —
+degrades to ``lib() is None``: the fast engine then keeps dict state
+and replays concrete plans segment by segment through the reference
+ports, about 30x slower than the kernel.  That fallback is loud: the
+first failure in a process emits one :class:`RuntimeWarning` naming the
+reason, the compiler's stderr tail included.  ``REPRO_CKERNEL=0``
+disables the kernel on purpose and silently (used by the conformance
+suite to exercise the fallback).
 
 The ctypes :class:`Ctx` mirrors the C struct field for field; every
 member is 8 bytes wide, so the layouts agree without padding concerns.
@@ -21,8 +25,9 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 _SRC = Path(__file__).with_name("_ckernel.c")
 
@@ -93,62 +98,68 @@ class Ctx(ctypes.Structure):
     ]
 
 
+#: characters of compiler stderr kept in a failure reason
+STDERR_TAIL = 400
+
 _lib = None
 _tried = False
 
 
-def _compile(src: Path, dest: Path) -> bool:
-    dest.parent.mkdir(parents=True, exist_ok=True)
+def _compile(src: Path, dest: Path) -> Optional[str]:
+    """Build the shared object; None on success, else why it failed."""
     cc = os.environ.get("CC", "gcc")
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(dest.parent))
-    os.close(fd)
+    tmp = None
     try:
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(dest.parent))
+        os.close(fd)
         proc = subprocess.run(
             [cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(src)],
             capture_output=True, timeout=120,
         )
         if proc.returncode != 0:
-            return False
+            tail = proc.stderr.decode("utf-8", "replace").strip()
+            return (f"compiling {src.name} with {cc!r} failed "
+                    f"(exit {proc.returncode})"
+                    + (f": {tail[-STDERR_TAIL:]}" if tail else ""))
         os.replace(tmp, dest)  # atomic: concurrent builders race safely
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
+        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"compiling {src.name} with {cc!r} failed: {exc}"
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
 
 
-def lib() -> Optional[ctypes.CDLL]:
-    """The loaded kernel, or None when unavailable (cached per process)."""
-    global _lib, _tried
-    if _tried:
-        return _lib
-    _tried = True
-    if os.environ.get("REPRO_CKERNEL", "1") == "0":
-        return None
+def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
+    """(kernel, None) or (None, why it is unavailable)."""
     try:
         source = _SRC.read_bytes()
-    except OSError:
-        return None
+    except OSError as exc:
+        return None, f"cannot read {_SRC.name}: {exc}"
     digest = hashlib.sha256(source).hexdigest()[:16]
     cache_dir = Path(os.environ.get(
         "REPRO_CKERNEL_CACHE",
         os.path.join(os.path.expanduser("~"), ".cache", "repro-ckernel"),
     ))
     so = cache_dir / f"ckernel-{digest}.so"
-    if not so.exists() and not _compile(_SRC, so):
-        return None
+    if not so.exists():
+        failure = _compile(_SRC, so)
+        if failure is not None:
+            return None, failure
     try:
         loaded = ctypes.CDLL(str(so))
-    except OSError:
-        return None
+    except OSError as exc:
+        return None, f"cannot load {so}: {exc}"
     loaded.repro_ctx_size.restype = _c64
     loaded.repro_ctx_size.argtypes = []
-    if loaded.repro_ctx_size() != ctypes.sizeof(Ctx):
-        return None  # struct layout drift between C and ctypes
+    size = loaded.repro_ctx_size()
+    if size != ctypes.sizeof(Ctx):
+        return None, (f"struct layout drift: C Ctx is {size} bytes, "
+                      f"ctypes Ctx {ctypes.sizeof(Ctx)}")
     loaded.repro_execute_plan.argtypes = [
         ctypes.POINTER(Ctx), _c64, _cp, _cp, _cp, _cp,
     ]
@@ -161,7 +172,28 @@ def lib() -> Optional[ctypes.CDLL]:
         ctypes.POINTER(Ctx), _cp, _cp, _cp, _cp, _cp, _cp, _c64, _cp,
     ]
     loaded.repro_execute_nest.restype = _c64
-    _lib = loaded
+    return loaded, None
+
+
+def lib() -> Optional[ctypes.CDLL]:
+    """The loaded kernel, or None when unavailable (cached per process).
+
+    The first failure warns once (see the module docstring); an
+    explicit ``REPRO_CKERNEL=0`` stays silent.
+    """
+    global _lib, _tried
+    if _tried:
+        return _lib
+    _tried = True
+    if os.environ.get("REPRO_CKERNEL", "1") == "0":
+        return None
+    _lib, reason = _load()
+    if _lib is None:
+        warnings.warn(
+            f"C kernel unavailable: {reason}; the fast engine falls back "
+            f"to the exact segment replay, about 30x slower",
+            RuntimeWarning, stacklevel=2,
+        )
     return _lib
 
 

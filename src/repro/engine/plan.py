@@ -85,17 +85,10 @@ class PlanSegment:
     """A maximal run of consecutive emissions from one memory site.
 
     Beyond the captured emission (``kind``/``lines``/``home``/
-    ``stream_id``), the compile tier precomputes everything about the
-    segment the execute tier would otherwise re-derive per line:
-
-    * ``op`` — integer opcode (see ``OP_*``) for branch dispatch,
-    * ``rhome``/``remote`` — the NUMA home resolved against the owning
-      core's node (plans are cached per core, so this is static),
-    * ``first_page``/``walk_pages``/``last_page`` — the page-transition
-      structure of the line stream.  Only the first line's page depends
-      on runtime TLB cursor state; every *internal* transition is a
-      guaranteed page change, so the per-line ``page != last_page``
-      check collapses to one conditional plus a precomputed walk list.
+    ``stream_id``), the compile tier precomputes the integer opcode
+    ``op`` (see ``OP_*``) and ``rhome``/``remote``, the NUMA home
+    resolved against the owning core's node (plans are cached per core,
+    so this is static) — the columns of the packed run form.
     """
 
     kind: str        # 'load' | 'store' | 'ntstore' | 'gather' | 'prefetch' | 'flush'
@@ -105,9 +98,6 @@ class PlanSegment:
     op: int = OP_DEMAND_READ
     rhome: int = 0
     remote: bool = False
-    first_page: int = -1
-    walk_pages: Tuple[int, ...] = ()
-    last_page: int = -1
     #: merged-run form only (see ``AccessPlan.runs``): when a run fuses
     #: segments from several sites, ``sids[i]`` is the stream id of
     #: ``lines[i]``; ``None`` means the whole run shares ``stream_id``
@@ -130,10 +120,9 @@ class PackedPlan:
     * ``sids`` — per-line stream ids aligned with ``lines`` (only read
       for demand runs with ``sid_mode == -1``).
 
-    No page-transition lists: the kernel performs the per-line
-    ``page != last_page`` check itself, so the packed form is fully
-    position-independent and cheap to materialise from the vectorized
-    affine lowering without any ``.tolist()`` round trip.
+    The kernel performs the per-line page check itself, so the packed
+    form is position-independent and cheap to materialise from the
+    vectorized affine lowering without any ``.tolist()`` round trip.
     """
 
     meta: np.ndarray
@@ -164,22 +153,16 @@ class AccessPlan:
 
     segments: List[PlanSegment]
     total_lines: int = 0
-    #: every segment resolves to one home node (the overwhelmingly
-    #: common case): the datapath then skips per-segment DRAM-home
-    #: accounting and attributes plan totals in one step
-    single_home: bool = True
-    home0: int = 0
-    remote0: bool = False
-    #: execution form: consecutive ``segments`` with the same opcode and
-    #: resolved home fused into flat runs.  Interleaved multi-site
-    #: bodies (a dgemm inner loop alternating two load sites) otherwise
-    #: average ~1 line per segment, so the datapath's per-segment
-    #: preamble would be paid per *line*; fused runs restore long
-    #: streams, carrying per-line stream ids in ``sids`` when sites mix
+    #: compiled-kernel form: consecutive ``segments`` with the same
+    #: opcode and resolved home fused into flat runs.  Interleaved
+    #: multi-site bodies (a dgemm inner loop alternating two load
+    #: sites) otherwise average ~1 line per segment; fused runs restore
+    #: long streams, carrying per-line stream ids in ``sids`` when
+    #: sites mix
     runs: List[PlanSegment] = field(default_factory=list)
     #: array execution form for the compiled kernel (built directly by
-    #: the affine lowering under ``packed=True``, or lazily from
-    #: ``runs`` via :meth:`ensure_packed` for captured plans)
+    #: the affine lowering, or lazily from ``runs`` via
+    #: :meth:`ensure_packed` for captured plans)
     packed: Optional[PackedPlan] = None
 
     @property
@@ -220,7 +203,7 @@ class AccessPlan:
         return self.packed
 
     @classmethod
-    def from_emissions(cls, emissions: Iterable, page_shift: int,
+    def from_emissions(cls, emissions: Iterable,
                        own_node: int) -> "AccessPlan":
         """Capture ``(site, lines, node)`` emissions into segments.
 
@@ -228,10 +211,10 @@ class AccessPlan:
         interleaved walker emits one short burst per crossing
         iteration); emissions from different sites are kept as separate
         segments so per-line execution order is preserved exactly.
-        After capture the execute metadata is precomputed once — same-op
-        segments fused into runs, homes resolved, page-transition
-        structure extracted — this is the "lowering" the plan cache
-        amortises across reps, A/B windows, and protocol reruns.
+        After capture the execute metadata is precomputed once — homes
+        resolved, same-op segments fused into runs — this is the
+        "lowering" the plan cache amortises across reps, A/B windows,
+        and protocol reruns.
         """
         segments: List[PlanSegment] = []
         total = 0
@@ -248,14 +231,11 @@ class AccessPlan:
             )
             last_site_id = site.site_id
 
-        homes = set()
         for seg in segments:
-            op = _KIND_TO_OP[seg.kind]
-            seg.op = op
+            seg.op = _KIND_TO_OP[seg.kind]
             rhome = seg.home if seg.home is not None else own_node
             seg.rhome = rhome
             seg.remote = rhome != own_node
-            homes.add(rhome)
 
         # fuse consecutive same-(op, home) segments into execution runs;
         # per-line order is the concatenation order, so the line stream
@@ -289,22 +269,11 @@ class AccessPlan:
                 continue
             runs.append(seg)
             owned = False
-        for run in runs:
-            if run.op <= OP_NTSTORE and run.lines:
-                _precompute_pages(run, page_shift)
-
-        plan = cls(segments=segments, total_lines=total, runs=runs)
-        if len(homes) <= 1:
-            plan.home0 = homes.pop() if homes else own_node
-            plan.remote0 = plan.home0 != own_node
-        else:
-            plan.single_home = False
-        return plan
+        return cls(segments=segments, total_lines=total, runs=runs)
 
     @classmethod
     def from_affine_sites(cls, sites, trips: int, line_shift: int,
-                          page_shift: int, own_node: int,
-                          packed: bool = False) -> "AccessPlan":
+                          own_node: int) -> "AccessPlan":
         """Vectorized lowering of an affine flat loop (1..n sites).
 
         ``sites`` is a list of ``(kind, site_id, base, stride,
@@ -316,13 +285,11 @@ class AccessPlan:
         Python (the walker averages ~1 line per burst on interleaved
         bodies, so per-burst work dominates compile time otherwise).
 
-        With ``packed=True`` the plan carries only the
-        :class:`PackedPlan` array form — the run metadata and flat line
-        stream stay numpy end to end (no ``.tolist()``), which is the
-        materialisation the compiled datapath kernel consumes.  The
-        returned plan carries ``segments=()`` either way: callers use
-        this form only when the inlined or compiled datapath is active,
-        which never takes the segment-granular fallback.
+        The plan carries only the :class:`PackedPlan` array form — the
+        run metadata and flat line stream stay numpy end to end (no
+        ``.tolist()``), which is what the compiled kernel consumes.  It
+        has no segments: callers lower this way only on the C datapath,
+        which never takes the segment replay.
         """
         nsites = len(sites)
         trange = np.arange(trips, dtype=np.int64)
@@ -379,88 +346,21 @@ class AccessPlan:
             (op_b[1:] != op_b[:-1]) | (rh_b[1:] != rh_b[:-1])) + 1
         bounds = np.concatenate(([0], brk, [counts.size]))
 
-        if packed:
-            b0s = bounds[:-1]
-            offs = line_cum[b0s]
-            meta = np.empty((b0s.size, 6), dtype=np.int64)
-            meta[:, 0] = op_b[b0s]
-            meta[:, 1] = rh_b[b0s]
-            meta[:, 2] = meta[:, 1] != own_node
-            meta[:, 3] = offs
-            meta[:, 4] = line_cum[bounds[1:]] - offs
-            smin = np.minimum.reduceat(sid_flat, offs)
-            smax = np.maximum.reduceat(sid_flat, offs)
-            meta[:, 5] = np.where(smin == smax, smin, -1)
-            plan = cls(
-                segments=[], total_lines=total,
-                packed=PackedPlan(meta=meta, lines=lines_flat,
-                                  sids=sid_flat),
-            )
-            uh = np.unique(rh_b)
-            if uh.size <= 1:
-                plan.home0 = int(uh[0]) if uh.size else own_node
-                plan.remote0 = plan.home0 != own_node
-            else:
-                plan.single_home = False
-            return plan
-
-        runs: List[PlanSegment] = []
-        homes = set()
-        for k in range(bounds.size - 1):
-            b0 = int(bounds[k])
-            b1 = int(bounds[k + 1])
-            l0 = int(line_cum[b0])
-            l1 = int(line_cum[b1])
-            chunk = lines_flat[l0:l1]
-            op = int(op_b[b0])
-            rhome = int(rh_b[b0])
-            homes.add(rhome)
-            schunk = sid_flat[l0:l1]
-            seg = PlanSegment(
-                sites[int(si_b[b0])][0], chunk.tolist(), rhome,
-                int(schunk[0]), op=op, rhome=rhome,
-                remote=rhome != own_node,
-            )
-            if op <= OP_DEMAND_WRITE \
-                    and int(schunk.min()) != int(schunk.max()):
-                seg.sids = schunk.tolist()
-            if op <= OP_NTSTORE:
-                pages = chunk >> page_shift
-                seg.first_page = int(pages[0])
-                seg.last_page = int(pages[-1])
-                idx = np.flatnonzero(pages[1:] != pages[:-1])
-                seg.walk_pages = tuple(int(p) for p in pages[idx + 1])
-            runs.append(seg)
-
-        plan = cls(segments=[], total_lines=total, runs=runs)
-        if len(homes) <= 1:
-            plan.home0 = homes.pop() if homes else own_node
-            plan.remote0 = plan.home0 != own_node
-        else:
-            plan.single_home = False
-        return plan
-
-
-def _precompute_pages(seg: PlanSegment, page_shift: int) -> None:
-    """Fill a demand/NT segment's page-transition fields."""
-    lines = seg.lines
-    if len(lines) > 64:
-        pages = np.asarray(lines, dtype=np.int64) >> page_shift
-        seg.first_page = int(pages[0])
-        seg.last_page = int(pages[-1])
-        idx = np.flatnonzero(pages[1:] != pages[:-1])
-        seg.walk_pages = tuple(int(p) for p in pages[idx + 1])
-        return
-    first = last = lines[0] >> page_shift
-    walks: List[int] = []
-    for line in lines[1:]:
-        page = line >> page_shift
-        if page != last:
-            walks.append(page)
-            last = page
-    seg.first_page = first
-    seg.last_page = last
-    seg.walk_pages = tuple(walks)
+        b0s = bounds[:-1]
+        offs = line_cum[b0s]
+        meta = np.empty((b0s.size, 6), dtype=np.int64)
+        meta[:, 0] = op_b[b0s]
+        meta[:, 1] = rh_b[b0s]
+        meta[:, 2] = meta[:, 1] != own_node
+        meta[:, 3] = offs
+        meta[:, 4] = line_cum[bounds[1:]] - offs
+        smin = np.minimum.reduceat(sid_flat, offs)
+        smax = np.maximum.reduceat(sid_flat, offs)
+        meta[:, 5] = np.where(smin == smax, smin, -1)
+        return cls(
+            segments=[], total_lines=total,
+            packed=PackedPlan(meta=meta, lines=lines_flat, sids=sid_flat),
+        )
 
 
 class SymbolicPlan:
@@ -482,17 +382,16 @@ class SymbolicPlan:
         self.plan_id = plan_id
         self.skey = skey
 
-    def bind(self, sites, trips: int, line_shift: int, page_shift: int,
-             own_node: int, packed: bool = False) -> AccessPlan:
+    def bind(self, sites, trips: int, line_shift: int,
+             own_node: int) -> AccessPlan:
         """Materialise under one concrete symbol assignment.
 
         ``sites`` supplies the bound symbols in body order —
         ``(kind, site_id, base, stride, width_bytes, node)`` — and
         ``trips`` the bound trip count.
         """
-        return AccessPlan.from_affine_sites(
-            sites, trips, line_shift, page_shift, own_node, packed=packed
-        )
+        return AccessPlan.from_affine_sites(sites, trips, line_shift,
+                                            own_node)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"SymbolicPlan(id={self.plan_id}, loop={self.skey[0]!r})"

@@ -39,10 +39,7 @@ class ExperimentConfig:
     every point in the content-addressed on-disk sweep cache so
     re-running an experiment only simulates points whose inputs
     changed.  ``stats``, when set, accumulates cache hit/miss counters
-    across every sweep the experiments submit.  ``backend`` picks the
-    sweep execution backend (a name from
-    :data:`~repro.sweep.backends.BACKEND_NAMES` or an instance);
-    ``None`` keeps the classic jobs-driven serial/pool choice.
+    across every sweep the experiments submit.
     """
 
     scale: float = 0.125
@@ -52,7 +49,6 @@ class ExperimentConfig:
     jobs: Optional[int] = None
     cache: bool = True
     cache_dir: Optional[str] = None
-    backend: Optional[object] = None
     stats: Optional[SweepStats] = field(default=None, repr=False,
                                         compare=False)
 
@@ -85,9 +81,9 @@ class ExperimentConfig:
         return SweepCache(self.cache_dir) if self.cache else None
 
     def run_plan(self, plan: SweepPlan) -> List[Measurement]:
-        """Execute a plan under this config's jobs/cache/backend."""
+        """Execute a plan under this config's jobs/cache."""
         run = run_plan(plan, jobs=self.jobs, cache=self.sweep_cache(),
-                       stats=self.stats, backend=self.backend)
+                       stats=self.stats)
         return run.measurements
 
     def sweep(self, kernel: str, sizes: Sequence[int],

@@ -8,8 +8,7 @@ Three internal representations are used:
 
 * ``dict`` — an ordered-dict fast path for LRU (the common case on
   every preset — Python dicts preserve insertion order, giving O(1)
-  recency updates).  The batched datapath
-  (:mod:`repro.engine.datapath`) inlines against this representation.
+  recency updates); the state of every machine without the C kernel.
 * ``ways`` — a generic ways-list representation driven by a
   :class:`~repro.memory.replacement.ReplacementPolicy` for the
   replacement-policy ablation.

@@ -179,18 +179,18 @@ def discover_ceilings(machine="snb",
                       sweeps: int = 2, reps: int = 2,
                       cores: Tuple[int, ...] = (0,),
                       jobs: Optional[int] = None,
-                      cache=None, backend=None) -> ErtCeilings:
+                      cache=None) -> ErtCeilings:
     """Measure a machine's bandwidth hierarchy and compute roof.
 
-    ``machine`` is a preset name or :class:`MachineRef`; ``jobs``,
-    ``cache`` and ``backend`` pass straight to the sweep executor, so
+    ``machine`` is a preset name or :class:`MachineRef`; ``jobs`` and
+    ``cache`` pass straight to the sweep executor, so
     discovery fans out over workers and replays from the
     content-addressed cache.
     """
     ref = resolve_machine_ref(machine)
     plan = ert_plan(ref, flop_counts=flop_counts, sweeps=sweeps,
                     reps=reps, cores=cores)
-    run: SweepRun = run_plan(plan, jobs=jobs, cache=cache, backend=backend)
+    run: SweepRun = run_plan(plan, jobs=jobs, cache=cache)
     measurements = tuple(run.measurements)
 
     best_levels = _best_level_rates(measurements, sweeps)

@@ -241,8 +241,7 @@ def analyze(kernel: str, sizes: Sequence[int], machine="snb",
             kernel_args: Optional[dict] = None,
             flop_counts: Sequence[int] = DEFAULT_FLOP_COUNTS,
             jobs: Optional[int] = None, cache=None,
-            ceilings: Optional[ErtCeilings] = None,
-            backend=None) -> AnalyzeResult:
+            ceilings: Optional[ErtCeilings] = None) -> AnalyzeResult:
     """Measure a machine's ceilings and place ``kernel`` on every band.
 
     The flagship entry point: discovers the machine's L1/L2/L3/DRAM
@@ -251,9 +250,7 @@ def analyze(kernel: str, sizes: Sequence[int], machine="snb",
     kernel over ``sizes``, and returns an :class:`AnalyzeResult` whose
     per-level intensities divide exact work by measured per-level
     traffic.  Both sweeps run through the cached parallel sweep
-    executor; ``jobs``/``cache``/``backend`` tune it (``backend`` is a
-    backend name or instance passed straight to
-    :func:`~repro.sweep.executor.run_plan`).
+    executor; ``jobs``/``cache`` tune it.
 
     >>> result = analyze("dgemm-tiled", [16, 32, 64], machine="tiny")
     >>> print(result.ascii())
@@ -268,12 +265,11 @@ def analyze(kernel: str, sizes: Sequence[int], machine="snb",
     if ceilings is None:
         ceilings = discover_ceilings(ref, flop_counts=flop_counts,
                                      reps=reps, cores=cores,
-                                     jobs=jobs, cache=cache,
-                                     backend=backend)
+                                     jobs=jobs, cache=cache)
     plan = SweepPlan()
     plan.add_sweep(ref, kernel, list(sizes), protocol=protocol, reps=reps,
                    cores=cores, kernel_args=kernel_args)
-    run = run_plan(plan, jobs=jobs, cache=cache, backend=backend)
+    run = run_plan(plan, jobs=jobs, cache=cache)
     return AnalyzeResult(
         kernel=kernel,
         sizes=tuple(sizes),

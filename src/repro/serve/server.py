@@ -79,13 +79,12 @@ class RooflineServer:
     """The service: routing, job lifecycle, metrics, graceful drain."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
-                 jobs: Optional[int] = None, backend: Optional[str] = None,
+                 jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None, no_cache: bool = False,
                  threads: int = 4) -> None:
         self.host = host
         self.port = port
         self.jobs = jobs
-        self.backend = backend
         self.cache_dir = cache_dir
         self.no_cache = no_cache
         self.table = JobTable()
@@ -330,7 +329,6 @@ class RooflineServer:
                        protocol=params.get("protocol", "cold"),
                        reps=params.get("reps", 2), cores=cores)
         run = run_plan(plan, jobs=self.jobs, cache=self._cache(),
-                       backend=self.backend,
                        on_point=self._on_point(emit))
         return {
             "machine": ref.key_doc(),
@@ -362,7 +360,6 @@ class RooflineServer:
                                protocol=protocol,
                                reps=params.get("reps", 2), cores=cores)
         run = run_plan(plan, jobs=self.jobs, cache=self._cache(),
-                       backend=self.backend,
                        on_point=self._on_point(emit))
         return {
             "machine": ref.key_doc(),
@@ -385,7 +382,7 @@ class RooflineServer:
             reps=params.get("reps", 2),
             flop_counts=[int(f) for f in params.get(
                 "flops", DEFAULT_FLOP_COUNTS)],
-            jobs=self.jobs, cache=self._cache(), backend=self.backend,
+            jobs=self.jobs, cache=self._cache(),
         )
         emit({"type": "phase", "phase": "placed"})
         return result.to_json_doc()

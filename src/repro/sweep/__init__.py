@@ -2,28 +2,23 @@
 
 Measurement grids — the (kernel x size x protocol x machine) sweeps
 behind every roofline figure — are described declaratively as
-:class:`SweepPlan` objects, executed through a pluggable
-:class:`~repro.sweep.backends.SweepBackend` (in-process serial, a
-local process pool, or ``repro worker`` processes over sockets), and
+:class:`SweepPlan` objects, executed through a :class:`~repro.sweep.backends.SweepBackend`
+(in-process serial or a local process pool), and
 memoised point-by-point in an on-disk cache keyed by the full content
 of each point's inputs.  Every backend and cache-replayed run returns
 bit-identical measurements; ``tests/sweep/`` enforces it.
 """
 
 from .backends import (
-    BACKEND_NAMES,
     LocalPoolBackend,
     PointResult,
     SerialBackend,
-    SocketWorkerBackend,
     SweepBackend,
     WorkItem,
-    make_backend,
 )
 from .cache import VERSION_SALT, SweepCache, default_cache_dir, point_key
 from .executor import (
     JOBS_ENV,
-    JOBS_FALLBACK_ENV,
     SweepRun,
     SweepStats,
     resolve_jobs,
@@ -35,14 +30,11 @@ from .plan import SweepPlan, SweepPoint
 from .serialize import measurement_to_payload, payload_to_measurement
 
 __all__ = [
-    "BACKEND_NAMES",
     "GRIDS",
     "JOBS_ENV",
-    "JOBS_FALLBACK_ENV",
     "LocalPoolBackend",
     "PointResult",
     "SerialBackend",
-    "SocketWorkerBackend",
     "SweepBackend",
     "SweepCache",
     "SweepPlan",
@@ -52,7 +44,6 @@ __all__ = [
     "VERSION_SALT",
     "WorkItem",
     "default_cache_dir",
-    "make_backend",
     "make_grid",
     "measurement_to_payload",
     "payload_to_measurement",

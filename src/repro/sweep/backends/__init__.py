@@ -1,6 +1,6 @@
-"""Pluggable sweep execution backends.
+"""Sweep execution backends.
 
-Three implementations of the :class:`~repro.sweep.backends.base.
+Two implementations of the :class:`~repro.sweep.backends.base.
 SweepBackend` protocol:
 
 ========  ============================  ===============================
@@ -8,58 +8,26 @@ name      class                         runs points
 ========  ============================  ===============================
 serial    :class:`SerialBackend`        in-process, one at a time
 pool      :class:`LocalPoolBackend`     local ``ProcessPoolExecutor``
-socket    :class:`SocketWorkerBackend`  ``repro worker`` processes over
-                                        length-prefixed socket frames
 ========  ============================  ===============================
 
-All three funnel points through the same ``simulate_point`` →
+Both funnel points through the same ``simulate_point`` →
 serialised-payload path, so results are bit-identical and share one
-content-addressed cache.  :func:`make_backend` maps a CLI spelling to
-an instance.
+content-addressed cache.  ``run_plan`` picks one from ``jobs`` (serial
+for one job or one pending point, the pool otherwise) unless the caller
+lends it a backend instance.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ...errors import SweepError
 from .base import BackendStats, PointResult, SweepBackend, WorkItem
 from .localpool import LocalPoolBackend
 from .serial import SerialBackend
-from .socketworker import SocketWorkerBackend
 
 __all__ = [
-    "BACKEND_NAMES",
     "BackendStats",
     "LocalPoolBackend",
     "PointResult",
     "SerialBackend",
-    "SocketWorkerBackend",
     "SweepBackend",
     "WorkItem",
-    "make_backend",
 ]
-
-#: CLI spellings, in help-text order
-BACKEND_NAMES = ("serial", "pool", "socket")
-
-
-def make_backend(name: str, jobs: int = 1, **options) -> SweepBackend:
-    """Build a backend from its CLI spelling.
-
-    ``jobs`` sizes the worker fleet for the parallel backends (pool
-    workers / spawned socket workers) and is ignored by ``serial``.
-    Extra keyword ``options`` go to the backend constructor (e.g.
-    ``point_timeout`` for ``socket``).
-    """
-    if name == "serial":
-        return SerialBackend()
-    if name == "pool":
-        return LocalPoolBackend(jobs=max(jobs, 1))
-    if name == "socket":
-        options.setdefault("workers", max(jobs, 1))
-        return SocketWorkerBackend(**options)
-    raise SweepError(
-        f"unknown sweep backend {name!r}; expected one of "
-        f"{', '.join(BACKEND_NAMES)}"
-    )

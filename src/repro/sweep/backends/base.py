@@ -16,8 +16,8 @@ protocol extracts that choice behind three small types:
 hands the misses to the backend, and folds results back into plan
 order.  Because every backend funnels points through the same
 :func:`~repro.sweep.executor.simulate_point` → serialised-payload
-path, serial, local-pool and socket-worker execution are bit-identical
-by construction — ``tests/sweep/test_backends.py`` checksums it.
+path, serial and local-pool execution are bit-identical by
+construction — ``tests/sweep/test_backends.py`` checksums it.
 
 Backends are context managers and reusable: ``submit`` may be called
 any number of times before ``close`` (the service layer keeps one
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from ...obs.remote import TraceContext
 from ..plan import SweepPoint
@@ -63,8 +63,6 @@ class PointResult:
     payload: dict
     submit_ns: int
     elapsed_seconds: float
-    worker: Optional[int] = None
-    requeues: int = 0
 
 
 @dataclass
@@ -73,7 +71,6 @@ class BackendStats:
 
     dispatched: int = 0
     completed: int = 0
-    requeued: int = 0
     worker_deaths: int = 0
     workers_spawned: int = 0
 
@@ -81,7 +78,6 @@ class BackendStats:
         return {
             "dispatched": self.dispatched,
             "completed": self.completed,
-            "requeued": self.requeued,
             "worker_deaths": self.worker_deaths,
             "workers_spawned": self.workers_spawned,
         }
@@ -90,9 +86,10 @@ class BackendStats:
 class SweepBackend(ABC):
     """Executes sweep work items and streams results back.
 
-    Subclasses set ``name`` (the CLI spelling) and ``parallel``
-    (whether points run outside the calling process — the executor
-    uses it as the default for distributed-telemetry collection).
+    Subclasses set ``name`` (reported as ``SweepRun.backend``) and
+    ``parallel`` (whether points run outside the calling process — the
+    executor uses it as the default for distributed-telemetry
+    collection).
     """
 
     name: str = "?"
@@ -112,7 +109,7 @@ class SweepBackend(ABC):
         """
 
     def stats(self) -> dict:
-        """Backend counters (dispatch/completion/requeue totals)."""
+        """Backend counters (dispatch/completion/worker-death totals)."""
         doc = {"backend": self.name, "parallel": self.parallel}
         doc.update(self._stats.to_dict())
         return doc

@@ -7,15 +7,15 @@ order, via three interchangeable paths:
 * **cache hit** — the point's content-addressed key is present on disk
   and checksum-verified; the stored payload is replayed;
 * **backend miss** — the point is handed to a
-  :class:`~repro.sweep.backends.SweepBackend` (in-process serial, a
-  local process pool, or ``repro worker`` processes over sockets),
-  which rebuilds a fresh machine from the point's :class:`MachineRef`
+  :class:`~repro.sweep.backends.SweepBackend` (in-process serial or a
+  local process pool), which rebuilds a fresh machine from the point's
+  :class:`MachineRef`
   recipe and simulates there.  Machines are never shipped across
   processes — only the recipe and the resulting payload are.
 
 Every path funnels through the same serialised payload
-(:mod:`repro.sweep.serialize`), so cached runs and all three backends
-are bit-identical by construction — the determinism suite in
+(:mod:`repro.sweep.serialize`), so cached runs and both backends are
+bit-identical by construction — the determinism suite in
 ``tests/sweep/`` asserts it point by point and
 ``tests/sweep/test_backends.py`` checksums backend parity.
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 from ..engine.plan import PlanCacheStats
 from ..errors import ConfigurationError, SweepError, SweepPointError
@@ -59,30 +59,21 @@ from .serialize import measurement_to_payload, payload_to_measurement
 #: environment default for ``jobs`` when the caller passes ``None``
 JOBS_ENV = "REPRO_SWEEP_JOBS"
 
-#: generic fallback honoured when :data:`JOBS_ENV` is unset — the
-#: sweep-specific variable wins so a sweep can be tuned independently
-#: of other parallel tooling sharing the shell
-JOBS_FALLBACK_ENV = "REPRO_JOBS"
-
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Explicit value, else $REPRO_SWEEP_JOBS, else $REPRO_JOBS, else 1.
+    """Explicit value, else $REPRO_SWEEP_JOBS, else 1.
 
     An explicit ``jobs`` (a CLI flag, say) always wins; the environment
     is only consulted when the caller passes ``None``.
     """
     if jobs is None:
-        for name in (JOBS_ENV, JOBS_FALLBACK_ENV):
-            env = os.environ.get(name, "").strip()
-            if not env:
-                continue
-            try:
-                jobs = int(env)
-            except ValueError as exc:
-                raise SweepError(f"bad {name}={env!r}: {exc}") from exc
-            break
-        else:
+        env = os.environ.get(JOBS_ENV, "").strip()
+        if not env:
             return 1
+        try:
+            jobs = int(env)
+        except ValueError as exc:
+            raise SweepError(f"bad {JOBS_ENV}={env!r}: {exc}") from exc
     if jobs < 1:
         raise SweepError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -256,7 +247,7 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
              telemetry: Optional[bool] = None,
              on_point: Optional[Callable[[int, int, SweepPoint, str], None]]
              = None,
-             backend: Optional[Union[str, "SweepBackend"]] = None
+             backend: Optional["SweepBackend"] = None
              ) -> SweepRun:
     """Execute a plan: replay cached points, simulate the rest.
 
@@ -266,14 +257,11 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
     ``stats`` lets callers accumulate counters across several plans
     (the experiment runner does); a fresh one is used when omitted.
 
-    ``backend`` picks the execution backend for cache misses: a
-    :class:`~repro.sweep.backends.SweepBackend` instance (borrowed —
-    the caller closes it; the service layer reuses one across
-    requests), a name from
-    :data:`~repro.sweep.backends.BACKEND_NAMES` (constructed for this
-    run and closed after), or ``None`` for the classic behaviour —
-    serial when ``jobs`` is 1 or only one point misses, a local
-    process pool otherwise.  Results are bit-identical and
+    Cache misses run serially when ``jobs`` is 1 or only one point
+    misses, on a local process pool of ``jobs`` workers otherwise.  A
+    :class:`~repro.sweep.backends.SweepBackend` instance passed as
+    ``backend`` replaces that choice and is borrowed (the caller closes
+    it, so it can be reused across runs).  Results are bit-identical and
     cache-compatible whichever backend runs them.
 
     ``telemetry`` switches distributed telemetry collection: ``None``
@@ -286,7 +274,7 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
     unlike ``progress``, which fires in plan order after everything is
     done.  The live dashboard hangs off ``on_point``.
     """
-    from .backends import SweepBackend, WorkItem, make_backend
+    from .backends import SweepBackend, WorkItem
     from .backends.localpool import LocalPoolBackend
     from .backends.serial import SerialBackend
 
@@ -295,8 +283,6 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
         collect = bool(telemetry)
     elif backend is None:
         collect = jobs > 1
-    elif isinstance(backend, str):
-        collect = backend != "serial"
     else:
         collect = backend.parallel
     run_id = remote.new_run_id()
@@ -349,9 +335,6 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
             else:
                 owned = LocalPoolBackend(min(jobs, len(pending)))
             active = owned
-        elif isinstance(backend, str):
-            owned = make_backend(backend, jobs=jobs)
-            active = owned
         else:
             active = backend
         backend_name = active.name
@@ -397,7 +380,7 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
         elapsed_seconds=run_stats.elapsed_seconds, collected=collect,
     )
     if pending:
-        # counters (dispatched/requeued/worker deaths), cumulative over
+        # counters (dispatched/completed/worker deaths), cumulative over
         # the backend's lifetime when the caller lent us a shared one
         telemetry_doc["backend"] = backend_stats()
 

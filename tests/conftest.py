@@ -56,14 +56,14 @@ def tiny_caps(tiny):
 
 
 @pytest.fixture
-def python_datapath(monkeypatch):
+def no_ckernel(monkeypatch):
     """Context-manager factory: machines built inside it run the fast
-    engine on the inlined Python datapath.
+    engine as on a host without the C kernel.
 
-    That is the path that still lowers every flat loop to a cached,
-    bound access plan; on the compiled C datapath the nest executor
-    runs whole nests and bypasses the plan cache, so white-box plan
-    cache tests pin this path instead.
+    That datapath keeps dict state, lowers every flat loop to a
+    concrete (capture-keyed) access plan in the per-core plan cache,
+    and replays each plan segment by segment through the reference
+    port calls.
     """
     @contextlib.contextmanager
     def scope():

@@ -156,14 +156,14 @@ def _descending_program():
 @pytest.mark.parametrize("build", [_gather_program, _descending_program],
                          ids=["gather", "negative-stride"])
 def test_non_affine_loops_take_the_concrete_fallback_and_match(
-        build, python_datapath):
+        build, no_ckernel):
     program = build()
     outcome = run_cross_engine(program)
     assert outcome.ok, "\n".join(str(d) for d in outcome.divergences)
-    # white-box: these shapes are not symbolically plannable, so on the
-    # plan-binding datapath they must land in the capture-keyed
-    # concrete tier, never the bound one
-    with python_datapath():
+    # white-box: without the C kernel every flat loop, these shapes
+    # included, lands in the capture-keyed concrete tier, never the
+    # bound one
+    with no_ckernel():
         machine = tiny_test_machine()
         machine.run(machine.load(program))
         cache = machine.core(0).plan_cache
@@ -199,8 +199,8 @@ def test_warm_protocol_byte_identical_across_engines():
 # ----------------------------------------------------------------------
 # compile tier: plan caching behaviour
 # ----------------------------------------------------------------------
-def test_fast_engine_hits_the_plan_cache_across_reps(python_datapath):
-    with python_datapath():
+def test_fast_engine_hits_the_plan_cache_across_reps(no_ckernel):
+    with no_ckernel():
         machine = tiny_test_machine()
         measure_kernel(machine, make_kernel("daxpy"), 256, reps=3)
     stats = machine.core(0).plan_stats
@@ -238,11 +238,11 @@ def test_plan_cache_flushes_at_the_line_cap():
     assert cache.get(("b",)) is plan_b
 
 
-def test_plan_key_distinguishes_buffer_placement(python_datapath):
+def test_plan_key_distinguishes_buffer_placement(no_ckernel):
     # same kernel measured at two sizes -> one shared symbolic
     # structure, but different trip counts and buffer bases -> new
     # bound-tier entries (no false sharing between distinct contexts)
-    with python_datapath():
+    with no_ckernel():
         machine = tiny_test_machine()
         measure_kernel(machine, make_kernel("daxpy"), 64, reps=1)
         first = len(machine.core(0).plan_cache)

@@ -199,13 +199,13 @@ def test_negative_multisite_stride_still_raises():
 
 
 def test_reference_engine_and_python_datapath_count_their_fallbacks(
-        python_datapath):
+        no_ckernel):
     program = make_kernel("daxpy").build(64, CodegenCaps.from_machine(
         tiny_test_machine()))
     ref = tiny_test_machine(engine="reference")
     ref.run(ref.load(program))
     assert ref.core(0).plan_stats.fallbacks["reference_engine"] > 0
-    with python_datapath():
+    with no_ckernel():
         machine = tiny_test_machine()
         machine.run(machine.load(program))
         stats = machine.core(0).plan_stats

@@ -21,15 +21,17 @@ import itertools
 
 import pytest
 
+from repro.engine import ckernel
 from repro.engine.plan import (
     SYMBOLIC_REGISTRY,
     AccessPlan,
     PlanCache,
+    PlanCacheStats,
     SymbolicRegistry,
 )
+from repro.isa import ProgramBuilder
 from repro.kernels import CodegenCaps, make_kernel
 from repro.machine.presets import make_machine, tiny_test_machine
-from repro.measure import measure_kernel
 from repro.oracle import (
     diff_engine_sides,
     render_program,
@@ -103,8 +105,8 @@ def test_bind_scales_with_trip_count():
         _fresh_skey((("load", 64, "x", ("i",)),))
     )
     descs = [("load", 0, 0, 8, 8, 0)]
-    small = sym.bind(descs, 8, 6, 12, 0)
-    big = sym.bind(descs, 64, 6, 12, 0)
+    small = sym.bind(descs, 8, 6, 0)
+    big = sym.bind(descs, 64, 6, 0)
     assert small.total_lines >= 1
     assert big.total_lines == 8 * small.total_lines
     assert small is not big
@@ -114,14 +116,14 @@ def test_bind_respects_base_binding():
     sym, _ = SYMBOLIC_REGISTRY.intern(
         _fresh_skey((("load", 64, "x", ("i",)),))
     )
-    at_zero = sym.bind([("load", 0, 0, 8, 8, 0)], 16, 6, 12, 0)
-    offset = sym.bind([("load", 0, 1 << 20, 8, 8, 0)], 16, 6, 12, 0)
+    at_zero = sym.bind([("load", 0, 0, 8, 8, 0)], 16, 6, 0)
+    offset = sym.bind([("load", 0, 1 << 20, 8, 8, 0)], 16, 6, 0)
     assert at_zero.total_lines == offset.total_lines
     # same shape, different addresses: the bound plans must not alias
-    zero_lines = {seg.lines[0] for seg in at_zero.segments if seg.lines}
-    off_lines = {seg.lines[0] for seg in offset.segments if seg.lines}
-    if zero_lines and off_lines:
-        assert zero_lines.isdisjoint(off_lines)
+    zero_lines = set(at_zero.packed.lines.tolist())
+    off_lines = set(offset.packed.lines.tolist())
+    assert zero_lines and off_lines
+    assert zero_lines.isdisjoint(off_lines)
 
 
 def test_bound_tier_memoises_and_counts_built_lines():
@@ -207,10 +209,10 @@ def test_size_replay_matrix(name, sizes):
 # ----------------------------------------------------------------------
 # stale-plan hazards: mutated bindings must rebind, never replay
 # ----------------------------------------------------------------------
-def test_reloading_moves_buffer_bases_and_rebinds(python_datapath):
+def test_reloading_moves_buffer_bases_and_rebinds(no_ckernel):
     # every machine.load() maps fresh allocations, so running the same
     # program twice mutates every buffer base under a cached structure
-    with python_datapath():
+    with no_ckernel():
         machine = tiny_test_machine()
         program = _programs("daxpy", (64,))[0]
         first = machine.load(program)
@@ -236,13 +238,13 @@ def test_same_program_reloaded_matches_reference_counters():
     assert outcome.ok, "\n".join(str(d) for d in outcome.divergences)
 
 
-def test_home_node_mutation_rebinds_without_silent_reuse(python_datapath):
+def test_home_node_mutation_rebinds_without_silent_reuse(no_ckernel):
     # remap the same program onto the other NUMA node between runs:
     # the plan's per-line homes change while structure, trips, and
     # strides all stay identical (the nest executor's analogue lives in
     # tests/engine/test_nest_executor.py)
     factory = lambda: make_machine("snb-ep-x2", scale=0.0625)  # noqa: E731
-    with python_datapath():
+    with no_ckernel():
         fast = factory()
         ref = factory()
         ref.engine = "reference"
@@ -266,43 +268,76 @@ def test_home_node_mutation_rebinds_without_silent_reuse(python_datapath):
 # ----------------------------------------------------------------------
 # telemetry: the second size rebinds instead of recompiling
 # ----------------------------------------------------------------------
-def test_dgemm_sweep_plan_cache_telemetry_regression(python_datapath):
-    # the compile-tier amortization story the fast engine is built on:
-    # every size of a dgemm sweep resolves through the same interned
-    # structures, so the aggregate hit rate must stay near-perfect.
-    # This is the same floor `repro benchgate` enforces on the
-    # committed BENCH_engine.json baseline.
-    from repro.machine.ref import MachineRef
-    from repro.sweep import SweepPlan, run_plan
+def _gather_beside_affine(n: int):
+    """A top-level loop holding a gather flat loop next to an affine one.
 
-    plan = SweepPlan()
-    plan.add_sweep(MachineRef.of("tiny"), "dgemm-tiled",
-                   (16, 24, 32, 40), reps=2)
-    with python_datapath():
-        run = run_plan(plan, jobs=1, cache=None)
-    pc = run.plan_cache
-    assert pc["hits"] > 0
-    assert pc["hit_rate"] >= 0.95
-    assert pc["flushes"] == 0
-    assert pc["built_lines"] > 0
+    The gather sends the whole top-level node to the Python walk, so on
+    the C datapath the affine loop is lowered through the symbolic tier
+    and bound per row (the size-polymorphic path); the row stride of
+    ``y`` depends on ``n``, so every size is a fresh binding.
+    """
+    b = ProgramBuilder()
+    x = b.buffer("x", 8 * n)
+    y = b.buffer("y", 8 * n * n)
+    table = b.index_table("cols", [8 * ((7 * k) % n) for k in range(n)])
+    with b.loop(n, "row") as row:
+        with b.loop(4, "g") as g:
+            b.gather(x, table[g], width=64)
+        with b.loop(n // 4, "col") as col:
+            b.load(y[row * (8 * n) + col * 32], width=256)
+    return b.build()
 
 
-def test_second_size_rebinds_without_symbolic_misses(python_datapath):
-    with python_datapath():
-        machine = tiny_test_machine()
-        measure_kernel(machine, make_kernel("daxpy"), 64, reps=1)
-        core = machine.core(0)
-        stats = core.plan_stats
-        hits0, misses0 = stats.hits, stats.misses
-        bound0 = len(core.plan_cache)
-        built0 = stats.built_lines
-        measure_kernel(machine, make_kernel("daxpy"), 128, reps=1)
-    # the loop structures were interned by the first measurement (or
-    # earlier in the process): a new problem size adds zero misses
-    assert stats.misses == misses0
+def _run_gather_beside_affine(machine, n: int) -> None:
+    machine.run(machine.load(_gather_beside_affine(n)))
+
+
+needs_ckernel = pytest.mark.skipif(
+    not ckernel.available(), reason="symbolic binds run on the C datapath")
+
+
+@needs_ckernel
+def test_dgemm_sweep_plan_cache_telemetry_regression():
+    # the compile-tier amortization story the walked loops ride on:
+    # every size resolves through the same interned structure, so the
+    # aggregate hit rate must stay near-perfect
+    total = PlanCacheStats()
+    for n in (16, 24, 32, 40):
+        for _rep in range(2):
+            machine = tiny_test_machine()
+            _run_gather_beside_affine(machine, n)
+            stats = machine.core(0).plan_stats
+            assert stats.fallbacks["gather"] > 0
+            total.hits += stats.hits
+            total.misses += stats.misses
+            total.built_lines += stats.built_lines
+            total.flushes += stats.flushes
+    assert total.hits > 0
+    assert total.hit_rate >= 0.95
+    assert total.flushes == 0
+    assert total.built_lines > 0
+
+
+@needs_ckernel
+def test_second_size_rebinds_without_symbolic_misses():
+    machine = tiny_test_machine()
+    _run_gather_beside_affine(machine, 32)
+    core = machine.core(0)
+    stats = core.plan_stats
+    hits0, misses0 = stats.hits, stats.misses
+    interned0 = len(SYMBOLIC_REGISTRY)
+    bound0 = len(core.plan_cache._bound)
+    built0 = stats.built_lines
+    _run_gather_beside_affine(machine, 64)
+    # the affine structure was interned by the first run (or earlier in
+    # the process): a new problem size adds zero symbolic misses — the
+    # one new miss is the new program's gather capture (concrete tier)
+    assert len(SYMBOLIC_REGISTRY) == interned0
+    assert stats.misses == misses0 + 1
     assert stats.hits > hits0
+    assert stats.hit_rate >= 0.95
     # ... but it does materialise fresh bindings at the new trip
     # counts and buffer bases
-    assert len(core.plan_cache) > bound0
+    assert len(core.plan_cache._bound) > bound0
     assert stats.built_lines > built0
     assert stats.flushes == 0

@@ -1,18 +1,14 @@
-"""Backend parity: serial ≡ local-pool ≡ socket, bit for bit.
+"""Backend parity: serial ≡ local pool, bit for bit.
 
 The backend protocol's contract is that *where* a point executes is
 unobservable in the result.  These tests checksum full serialised
-payloads across all three backends, prove cache-key compatibility (a
-cache populated by one backend replays on every other), exercise
-backend reuse across many submits with a hypothesis sweep-shape
-suite, and kill a socket worker mid-point to verify requeue recovery.
+payloads across both backends, prove cache-key compatibility (a cache
+populated by one backend replays on the other), and exercise backend
+reuse across many submits with a hypothesis sweep-shape suite.
 """
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -20,13 +16,10 @@ from repro.errors import SweepError
 from repro.machine.ref import MachineRef
 from repro.sweep import (
     JOBS_ENV,
-    JOBS_FALLBACK_ENV,
     LocalPoolBackend,
     SerialBackend,
-    SocketWorkerBackend,
     SweepCache,
     SweepPlan,
-    make_backend,
     measurement_to_payload,
     resolve_jobs,
     run_plan,
@@ -60,47 +53,36 @@ def pool_backend():
 
 
 @pytest.fixture(scope="module")
-def socket_backend():
-    with SocketWorkerBackend(workers=2) as backend:
-        yield backend
-
-
-@pytest.fixture(scope="module")
 def serial_reference():
-    return run_plan(small_plan(), cache=None, backend="serial")
+    return run_plan(small_plan(), cache=None, jobs=1)
 
 
 class TestParity:
-    def test_serial_pool_socket_checksum_identical(self, serial_reference,
-                                                   pool_backend,
-                                                   socket_backend):
-        want = checksum(serial_reference)
+    def test_serial_pool_checksum_identical(self, serial_reference,
+                                            pool_backend):
         pool = run_plan(small_plan(), cache=None, backend=pool_backend)
-        sock = run_plan(small_plan(), cache=None, backend=socket_backend)
-        assert checksum(pool) == want
-        assert checksum(sock) == want
-        assert pool.backend == "pool" and sock.backend == "socket"
+        assert checksum(pool) == checksum(serial_reference)
+        assert pool.backend == "pool"
 
     def test_backend_names_recorded(self, serial_reference):
         assert serial_reference.backend == "serial"
         assert serial_reference.telemetry["backend"]["backend"] == "serial"
 
     def test_cache_populated_by_one_backend_replays_on_all(
-            self, tmp_path, serial_reference, pool_backend,
-            socket_backend):
+            self, tmp_path, serial_reference, pool_backend):
         cache = SweepCache(str(tmp_path / "shared"))
-        cold = run_plan(small_plan(), cache=cache, backend="serial")
+        cold = run_plan(small_plan(), cache=cache, jobs=1)
         assert cold.stats.misses == 3 and cold.stats.hits == 0
-        for backend in (pool_backend, socket_backend, "serial"):
-            replay = run_plan(small_plan(), cache=cache, backend=backend)
+        for backend in (pool_backend, None):
+            replay = run_plan(small_plan(), cache=cache, jobs=1,
+                              backend=backend)
             assert replay.stats.hits == 3 and replay.stats.misses == 0
             assert replay.keys == cold.keys
             assert checksum(replay) == checksum(serial_reference)
             assert replay.backend == "cached"
 
-    def test_socket_results_fold_back_into_plan_order(self,
-                                                      socket_backend):
-        run = run_plan(small_plan(), cache=None, backend=socket_backend)
+    def test_pool_results_fold_back_into_plan_order(self, pool_backend):
+        run = run_plan(small_plan(), cache=None, backend=pool_backend)
         plan = small_plan()
         for point, m in zip(plan, run.measurements):
             assert (point.kernel, point.n) == (m.kernel, m.n)
@@ -120,119 +102,35 @@ class TestHypothesisShapes:
                        min_size=1, max_size=3, unique=True),
         protocol=st.sampled_from(["cold", "warm"]),
     )
-    def test_pool_and_socket_match_serial(self, kernel, sizes, protocol,
-                                          pool_backend, socket_backend):
+    def test_pool_matches_serial(self, kernel, sizes, protocol,
+                                 pool_backend):
         plan = small_plan(kernel=kernel, sizes=sizes, protocol=protocol,
                           reps=1)
-        serial = run_plan(plan, cache=None, backend="serial")
-        want = checksum(serial)
+        serial = run_plan(plan, cache=None, jobs=1)
         assert checksum(run_plan(plan, cache=None,
-                                 backend=pool_backend)) == want
-        assert checksum(run_plan(plan, cache=None,
-                                 backend=socket_backend)) == want
-
-
-class TestSocketFaults:
-    def test_worker_kill_requeues_and_completes(self, monkeypatch):
-        # the fault hook kills the worker simulating daxpy:160; the
-        # backend must requeue the point and finish the plan on a
-        # replacement worker spawned with the hook stripped
-        monkeypatch.setenv("REPRO_DISTTRACE_KILL", "daxpy:160")
-        with SocketWorkerBackend(workers=2) as backend:
-            run = run_plan(small_plan(), cache=None, backend=backend)
-            stats = backend.stats()
-        monkeypatch.delenv("REPRO_DISTTRACE_KILL")
-        assert len(run.measurements) == 3
-        assert stats["worker_deaths"] >= 1
-        assert stats["requeued"] >= 1
-        reference = run_plan(small_plan(), cache=None, backend="serial")
-        assert checksum(run) == checksum(reference)
-
-    def test_requeue_budget_exhausted_raises(self, monkeypatch):
-        # with a zero requeue budget the first worker death is fatal
-        monkeypatch.setenv("REPRO_DISTTRACE_KILL", "daxpy:96")
-        with SocketWorkerBackend(workers=1, max_requeues=0) as backend:
-            with pytest.raises(SweepError, match="giving up"):
-                run_plan(small_plan(), cache=None, backend=backend)
-
-    def test_worker_error_frame_raises_sweep_point_error(self,
-                                                         monkeypatch):
-        from repro.errors import SweepPointError
-        # the crash hook raises inside simulate_point; the worker ships
-        # an error frame and stays alive (unlike the kill hook)
-        monkeypatch.setenv("REPRO_DISTTRACE_CRASH", "daxpy:96")
-        with SocketWorkerBackend(workers=1) as backend:
-            with pytest.raises(SweepPointError):
-                run_plan(small_plan(sizes=(96,)), cache=None,
-                         backend=backend)
-            # same worker, different label: still serving
-            ok = run_plan(small_plan(sizes=(160,)), cache=None,
-                          backend=backend)
-            assert len(ok.measurements) == 1
-
-
-class TestExternalWorkers:
-    def test_manually_started_worker_serves_a_sweep(self):
-        backend = SocketWorkerBackend(workers=0, spawn=False,
-                                      accept_timeout=30.0)
-        host, port = backend.address
-        env = dict(os.environ)
-        root = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(root)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--connect", f"{host}:{port}"], env=env)
-        try:
-            with backend:
-                run = run_plan(small_plan(sizes=(96, 160)), cache=None,
-                               backend=backend)
-            assert len(run.measurements) == 2
-            reference = run_plan(small_plan(sizes=(96, 160)), cache=None)
-            assert checksum(run) == checksum(reference)
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+                                 backend=pool_backend)) == checksum(serial)
 
 
 class TestResolveJobs:
-    def test_explicit_flag_wins_over_both_env_vars(self, monkeypatch):
+    def test_explicit_flag_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "4")
-        monkeypatch.setenv(JOBS_FALLBACK_ENV, "8")
         assert resolve_jobs(2) == 2
 
-    def test_sweep_env_wins_over_generic_env(self, monkeypatch):
+    def test_env_honoured_when_flag_absent(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "4")
-        monkeypatch.setenv(JOBS_FALLBACK_ENV, "8")
         assert resolve_jobs(None) == 4
-
-    def test_generic_env_honoured_when_sweep_env_unset(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.setenv(JOBS_FALLBACK_ENV, "8")
-        assert resolve_jobs(None) == 8
 
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.delenv(JOBS_FALLBACK_ENV, raising=False)
         assert resolve_jobs(None) == 1
 
-    def test_bad_generic_env_raises(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.setenv(JOBS_FALLBACK_ENV, "many")
-        with pytest.raises(SweepError, match=JOBS_FALLBACK_ENV):
+    def test_bad_env_raises(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV, "many")
+        with pytest.raises(SweepError, match=JOBS_ENV):
             resolve_jobs(None)
 
 
-class TestMakeBackend:
-    def test_spellings(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        pool = make_backend("pool", jobs=3)
-        assert isinstance(pool, LocalPoolBackend) and pool.jobs == 3
-        pool.close()
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(SweepError, match="unknown sweep backend"):
-            make_backend("carrier-pigeon")
-
+class TestBackendLifecycle:
     def test_backend_context_manager_closes(self):
         with SerialBackend() as backend:
             assert not backend.closed

@@ -15,7 +15,7 @@ pytestmark = pytest.mark.sweep
 def populate(cache: SweepCache, sizes) -> list:
     plan = SweepPlan()
     plan.add_sweep(MachineRef.of("tiny"), "daxpy", list(sizes), reps=1)
-    run = run_plan(plan, cache=cache, backend="serial")
+    run = run_plan(plan, cache=cache, jobs=1)
     return run.keys
 
 
