@@ -11,9 +11,12 @@
  *   - ArrayTlb (memory/tlb.py): fully-associative page arrays with
  *     stamp-LRU replicating the dict insertion-order recency.
  *   - Array prefetcher tables (prefetch/arraystate.py).
- *   - PrefetchedSet (memory/prefetched.py): open-addressing int64 hash,
- *     -1 empty / -2 tombstone; capacity is ensured by Python before
- *     every call, so this side never grows the table.
+ *   - PrefetchedSet (memory/prefetched.py): open-addressing int64 hash
+ *     of line + 1, 0 empty, linear probing from the locality-preserving
+ *     home slot (line + (line >> 16) * 0x9E3779B1) & mask, deletion by
+ *     backward shift (no tombstones); capacity is ensured by Python
+ *     before every call (and a grown table shrinks back on clear), so
+ *     this side never grows the table.
  *
  * All counters are accumulated into the `out` array; the Python caller
  * applies them to BatchStats / CacheStats / TlbStats / PrefetchStats /
@@ -74,7 +77,7 @@ typedef struct {
     int64_t  tlb1_entries, tlb2_entries, walk_latency;
     /* prefetched-line hash set */
     int64_t *pf_slots;
-    int64_t *pf_regs;             /* [size, tombstones] */
+    int64_t *pf_regs;             /* [size] */
     int64_t  pf_mask;
     /* stride table */
     int64_t *st_keys, *st_last, *st_strd, *st_conf, *st_lruv, *st_regs;
@@ -109,36 +112,51 @@ static inline int64_t way_find(const Ctx *c, int l, int64_t set,
     return -1;
 }
 
+/* look a line up and choose its victim in one pass over the set:
+ * returns the hit way, or -1 with *victim = the way a fill uses (the
+ * first empty way, tag == -1, else the first way with the smallest
+ * stamp) */
+static inline int64_t way_probe(const Ctx *c, int l, int64_t set,
+                                int64_t line, int64_t *victim) {
+    int64_t a = c->assoc[l];
+    const int64_t *t = c->tags[l] + set * a;
+    const int64_t *s = c->stamp[l] + set * a;
+    int64_t empty = -1, lru = 0;
+    for (int64_t w = 0; w < a; w++) {
+        int64_t v = t[w];
+        if (v == line)
+            return w;
+        if (v == -1) {
+            if (empty < 0)
+                empty = w;
+        } else if (s[w] < s[lru]) {
+            lru = w;
+        }
+    }
+    *victim = empty >= 0 ? empty : lru;
+    return -1;
+}
+
 static inline void touch(Ctx *c, int l, int64_t set, int64_t way) {
     c->regs[l] += 1;
     c->stamp[l][set * c->assoc[l] + way] = c->regs[l];
 }
 
-/* insert an absent line; returns 1 when a victim was evicted
- * (ev_line/ev_dirty set), 0 when an empty way was used (occupancy
- * grows at the caller) */
-static int fill_absent(Ctx *c, int l, int64_t line, int dirty,
-                       int64_t *ev_line, int *ev_dirty) {
-    int64_t set = line & c->set_mask[l];
-    int64_t a = c->assoc[l];
-    int64_t *t = c->tags[l] + set * a;
-    uint8_t *d = c->dirty[l] + set * a;
-    int64_t way = -1;
-    for (int64_t w = 0; w < a; w++)
-        if (t[w] == -1) { way = w; break; }
-    int evicted = 0;
-    if (way < 0) {
-        int64_t *s = c->stamp[l] + set * a;
-        way = 0;
-        for (int64_t w = 1; w < a; w++)
-            if (s[w] < s[way])
-                way = w;
-        *ev_line = t[way];
-        *ev_dirty = d[way];
-        evicted = 1;
+/* fill an absent line into the victim way way_probe chose for it (no
+ * access to that set may come between the probe and the fill); returns
+ * 1 when a valid line was evicted (ev_line/ev_dirty set), 0 when the
+ * way was empty (occupancy grows at the caller) */
+static int fill_way(Ctx *c, int l, int64_t set, int64_t way, int64_t line,
+                    int dirty, int64_t *ev_line, int *ev_dirty) {
+    int64_t i = set * c->assoc[l] + way;
+    int64_t old = c->tags[l][i];
+    int evicted = old != -1;
+    if (evicted) {
+        *ev_line = old;
+        *ev_dirty = c->dirty[l][i];
     }
-    t[way] = line;
-    d[way] = (uint8_t)dirty;
+    c->tags[l][i] = line;
+    c->dirty[l][i] = (uint8_t)dirty;
     touch(c, l, set, way);
     return evicted;
 }
@@ -165,31 +183,25 @@ static inline int contains(const Ctx *c, int l, int64_t line) {
 /* ------------------------------------------------------------------ */
 
 static inline int64_t pf_home(int64_t line, int64_t mask) {
-    uint64_t h = (uint64_t)line * 0x9E3779B97F4A7C15ULL;
-    return (int64_t)((h >> 32) & (uint64_t)mask);
+    uint64_t u = (uint64_t)line;
+    return (int64_t)((u + (u >> 16) * 0x9E3779B1ULL) & (uint64_t)mask);
+}
+
+/* the slot holding `line`, or the empty slot that ends its probe */
+static inline int64_t pf_find(const Ctx *c, int64_t line) {
+    int64_t mask = c->pf_mask, key = line + 1;
+    const int64_t *s = c->pf_slots;
+    int64_t i = pf_home(line, mask);
+    while (s[i] != key && s[i] != 0)
+        i = (i + 1) & mask;
+    return i;
 }
 
 static void pf_add(Ctx *c, int64_t line) {
-    int64_t mask = c->pf_mask;
-    int64_t *s = c->pf_slots;
-    int64_t i = pf_home(line, mask);
-    int64_t first_tomb = -1;
-    for (;;) {
-        int64_t v = s[i];
-        if (v == line)
-            return;
-        if (v == -1)
-            break;
-        if (v == -2 && first_tomb < 0)
-            first_tomb = i;
-        i = (i + 1) & mask;
-    }
-    if (first_tomb >= 0) {
-        s[first_tomb] = line;
-        c->pf_regs[1] -= 1;
-    } else {
-        s[i] = line;
-    }
+    int64_t i = pf_find(c, line);
+    if (c->pf_slots[i])
+        return;
+    c->pf_slots[i] = line + 1;
     c->pf_regs[0] += 1;
 }
 
@@ -197,19 +209,22 @@ static void pf_add(Ctx *c, int64_t line) {
 static int pf_discard(Ctx *c, int64_t line) {
     int64_t mask = c->pf_mask;
     int64_t *s = c->pf_slots;
-    int64_t i = pf_home(line, mask);
-    for (;;) {
-        int64_t v = s[i];
-        if (v == line) {
-            s[i] = -2;
-            c->pf_regs[0] -= 1;
-            c->pf_regs[1] += 1;
-            return 1;
+    int64_t i = pf_find(c, line);
+    if (!s[i])
+        return 0;
+    /* backward shift (Knuth's Algorithm R): move each later member of
+     * the cluster whose home slot is not cyclically in (i, j] into the
+     * hole at i */
+    for (int64_t j = (i + 1) & mask; s[j]; j = (j + 1) & mask) {
+        int64_t v = s[j];
+        if (((j - pf_home(v - 1, mask)) & mask) >= ((j - i) & mask)) {
+            s[i] = v;
+            i = j;
         }
-        if (v == -1)
-            return 0;
-        i = (i + 1) & mask;
     }
+    s[i] = 0;
+    c->pf_regs[0] -= 1;
+    return 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -290,18 +305,13 @@ static inline void page_check(Ctx *c, int64_t line, int64_t *o) {
 /* fill / writeback chains (CorePort._absorb_dirty inlines)            */
 /* ------------------------------------------------------------------ */
 
-static void absorb_l3(Ctx *c, int64_t line, int64_t home, int64_t *o) {
-    int64_t set = line & c->set_mask[2];
-    int64_t w = way_find(c, 2, set, line);
-    if (w >= 0) {
-        /* mark-dirty absorption: no recency touch */
-        c->dirty[2][set * c->assoc[2] + w] = 1;
-        return;
-    }
-    o[O_C3F] += 1;
+/* each fill_lN takes the set and victim way of a way_probe miss */
+
+static void fill_l3(Ctx *c, int64_t set, int64_t way, int64_t line,
+                    int dirty, int64_t home, int64_t *o) {
     int64_t evl;
     int evd;
-    if (fill_absent(c, 2, line, 1, &evl, &evd)) {
+    if (fill_way(c, 2, set, way, line, dirty, &evl, &evd)) {
         o[O_E3] += 1;
         if (evd) {
             o[O_C3D] += 1;
@@ -313,17 +323,23 @@ static void absorb_l3(Ctx *c, int64_t line, int64_t home, int64_t *o) {
     }
 }
 
-static void absorb_l2(Ctx *c, int64_t line, int64_t home, int64_t *o) {
-    int64_t set = line & c->set_mask[1];
-    int64_t w = way_find(c, 1, set, line);
+static void absorb_l3(Ctx *c, int64_t line, int64_t home, int64_t *o) {
+    int64_t set = line & c->set_mask[2], victim;
+    int64_t w = way_probe(c, 2, set, line, &victim);
     if (w >= 0) {
-        c->dirty[1][set * c->assoc[1] + w] = 1;
+        /* mark-dirty absorption: no recency touch */
+        c->dirty[2][set * c->assoc[2] + w] = 1;
         return;
     }
-    o[O_C2F] += 1;
+    o[O_C3F] += 1;
+    fill_l3(c, set, victim, line, 1, home, o);
+}
+
+static void fill_l2(Ctx *c, int64_t set, int64_t way, int64_t line,
+                    int dirty, int64_t home, int64_t *o) {
     int64_t evl;
     int evd;
-    if (fill_absent(c, 1, line, 1, &evl, &evd)) {
+    if (fill_way(c, 1, set, way, line, dirty, &evl, &evd)) {
         o[O_E2] += 1;
         if (evd) {
             o[O_C2D] += 1;
@@ -334,44 +350,60 @@ static void absorb_l2(Ctx *c, int64_t line, int64_t home, int64_t *o) {
     }
 }
 
-/* one non-resident hw-prefetch candidate's fill chain (the body of
- * CorePort._hw_prefetch past its residency skip) */
-static void hw_fill(Ctx *c, int64_t line, int64_t home, int64_t *o) {
-    o[O_HWI] += 1;
-    int64_t set3 = line & c->set_mask[2];
-    int64_t w = way_find(c, 2, set3, line);
+static void absorb_l2(Ctx *c, int64_t line, int64_t home, int64_t *o) {
+    int64_t set = line & c->set_mask[1], victim;
+    int64_t w = way_probe(c, 1, set, line, &victim);
+    if (w >= 0) {
+        c->dirty[1][set * c->assoc[1] + w] = 1;
+        return;
+    }
+    o[O_C2F] += 1;
+    fill_l2(c, set, victim, line, 1, home, o);
+}
+
+static void fill_l1(Ctx *c, int64_t set, int64_t way, int64_t line,
+                    int dirty, int64_t home, int64_t *o) {
     int64_t evl;
     int evd;
+    if (fill_way(c, 0, set, way, line, dirty, &evl, &evd)) {
+        o[O_E1] += 1;
+        if (evd) {
+            o[O_C1D] += 1;
+            absorb_l2(c, evl, home, o);
+        }
+    } else {
+        o[O_OCC1] += 1;
+    }
+}
+
+/* a prefetch's L3 step: a hit is touched, a miss is read from DRAM
+ * and filled clean */
+static void prefetch_l3(Ctx *c, int64_t line, int64_t home, int64_t *o) {
+    int64_t set3 = line & c->set_mask[2], victim;
+    int64_t w = way_probe(c, 2, set3, line, &victim);
     if (w >= 0) {
         touch(c, 2, set3, w);
         o[O_C3H] += 1;
-    } else {
-        o[O_C3M] += 1;
-        o[O_PFR] += 1;
-        c->homes[home * 4 + 1] += 1;
-        o[O_C3F] += 1;
-        if (fill_absent(c, 2, line, 0, &evl, &evd)) {
-            o[O_E3] += 1;
-            if (evd) {
-                o[O_C3D] += 1;
-                o[O_WBK] += 1;
-                c->homes[home * 4 + 2] += 1;
-            }
-        } else {
-            o[O_OCC3] += 1;
-        }
+        return;
     }
-    /* fill L2 (absent: resident lines were skipped by the caller) */
+    o[O_C3M] += 1;
+    o[O_PFR] += 1;
+    c->homes[home * 4 + 1] += 1;
+    o[O_C3F] += 1;
+    fill_l3(c, set3, victim, line, 0, home, o);
+}
+
+/* one hw-prefetch candidate (CorePort._hw_prefetch): skipped when
+ * resident in L2 or L1, else filled through L3 into L2 and recorded as
+ * prefetched */
+static void hw_prefetch(Ctx *c, int64_t line, int64_t home, int64_t *o) {
+    int64_t set2 = line & c->set_mask[1], victim;
+    if (way_probe(c, 1, set2, line, &victim) >= 0 || contains(c, 0, line))
+        return;
+    o[O_HWI] += 1;
+    prefetch_l3(c, line, home, o);
     o[O_C2F] += 1;
-    if (fill_absent(c, 1, line, 0, &evl, &evd)) {
-        o[O_E2] += 1;
-        if (evd) {
-            o[O_C2D] += 1;
-            absorb_l3(c, evl, home, o);
-        }
-    } else {
-        o[O_OCC2] += 1;
-    }
+    fill_l2(c, set2, victim, line, 0, home, o);
     pf_add(c, line);
 }
 
@@ -384,9 +416,7 @@ static void nl_observe(Ctx *c, int64_t line, int64_t home, int64_t *o) {
     if (nxt % c->nl_lpp == 0)
         return; /* never crosses a page */
     o[O_NLI] += 1;
-    if (contains(c, 1, nxt) || contains(c, 0, nxt))
-        return;
-    hw_fill(c, nxt, home, o);
+    hw_prefetch(c, nxt, home, o);
 }
 
 static void sm_observe(Ctx *c, int64_t line, int64_t home, int64_t *o) {
@@ -447,11 +477,8 @@ static void sm_observe(Ctx *c, int64_t line, int64_t home, int64_t *o) {
             end = start + cnt - 1;
             c->sm_front[i] = end;
             o[O_SMI] += cnt;
-            for (int64_t p = start; p <= end; p++) {
-                if (contains(c, 1, p) || contains(c, 0, p))
-                    continue;
-                hw_fill(c, p, home, o);
-            }
+            for (int64_t p = start; p <= end; p++)
+                hw_prefetch(c, p, home, o);
         }
     } else {
         int64_t start = c->sm_front[i] - 1;
@@ -467,11 +494,8 @@ static void sm_observe(Ctx *c, int64_t line, int64_t home, int64_t *o) {
             end = start - cnt + 1;
             c->sm_front[i] = end;
             o[O_SMI] += cnt;
-            for (int64_t p = start; p >= end; p--) {
-                if (contains(c, 1, p) || contains(c, 0, p))
-                    continue;
-                hw_fill(c, p, home, o);
-            }
+            for (int64_t p = start; p >= end; p--)
+                hw_prefetch(c, p, home, o);
         }
     }
 }
@@ -526,9 +550,7 @@ static void st_observe(Ctx *c, int64_t line, int64_t sid, int64_t home,
             if (p < 0)
                 continue;
             o[O_STI] += 1;
-            if (contains(c, 1, p) || contains(c, 0, p))
-                continue;
-            hw_fill(c, p, home, o);
+            hw_prefetch(c, p, home, o);
         }
         return;
     }
@@ -536,9 +558,7 @@ static void st_observe(Ctx *c, int64_t line, int64_t sid, int64_t home,
     int64_t p = line;
     for (int64_t k = 0; k < deg; k++) {
         p += d;
-        if (contains(c, 1, p) || contains(c, 0, p))
-            continue;
-        hw_fill(c, p, home, o);
+        hw_prefetch(c, p, home, o);
     }
 }
 
@@ -551,8 +571,8 @@ static void demand_line(Ctx *c, int64_t line, int64_t sid, int is_write,
     o[O_ACC] += 1;
     o[O_DACC] += 1;
     page_check(c, line, o);
-    int64_t set1 = line & c->set_mask[0];
-    int64_t w1 = way_find(c, 0, set1, line);
+    int64_t set1 = line & c->set_mask[0], v1;
+    int64_t w1 = way_probe(c, 0, set1, line, &v1);
     if (w1 >= 0) {
         touch(c, 0, set1, w1);
         if (is_write)
@@ -563,10 +583,8 @@ static void demand_line(Ctx *c, int64_t line, int64_t sid, int is_write,
             st_observe(c, line, sid, home, o);
         return;
     }
-    int64_t evl;
-    int evd;
-    int64_t set2 = line & c->set_mask[1];
-    int64_t w2 = way_find(c, 1, set2, line);
+    int64_t set2 = line & c->set_mask[1], v2;
+    int64_t w2 = way_probe(c, 1, set2, line, &v2);
     if (w2 >= 0) {
         touch(c, 1, set2, w2);
         o[O_L2H] += 1;
@@ -575,8 +593,8 @@ static void demand_line(Ctx *c, int64_t line, int64_t sid, int is_write,
             o[O_USEFUL] += 1; /* every enabled engine's useful++ */
         }
     } else {
-        int64_t set3 = line & c->set_mask[2];
-        int64_t w3 = way_find(c, 2, set3, line);
+        int64_t set3 = line & c->set_mask[2], v3;
+        int64_t w3 = way_probe(c, 2, set3, line, &v3);
         if (w3 >= 0) {
             touch(c, 2, set3, w3);
             o[O_L3H] += 1;
@@ -589,39 +607,11 @@ static void demand_line(Ctx *c, int64_t line, int64_t sid, int is_write,
                 o[O_REM] += 1;
                 c->homes[home * 4 + 3] += 1;
             }
-            /* fill L3 (absent) */
-            if (fill_absent(c, 2, line, 0, &evl, &evd)) {
-                o[O_E3] += 1;
-                if (evd) {
-                    o[O_C3D] += 1;
-                    o[O_WBK] += 1;
-                    c->homes[home * 4 + 2] += 1;
-                }
-            } else {
-                o[O_OCC3] += 1;
-            }
+            fill_l3(c, set3, v3, line, 0, home, o);
         }
-        /* fill L2 (absent: the L2 miss branch) */
-        if (fill_absent(c, 1, line, 0, &evl, &evd)) {
-            o[O_E2] += 1;
-            if (evd) {
-                o[O_C2D] += 1;
-                absorb_l3(c, evl, home, o);
-            }
-        } else {
-            o[O_OCC2] += 1;
-        }
+        fill_l2(c, set2, v2, line, 0, home, o);
     }
-    /* fill L1 (absent: the L1 miss branch) */
-    if (fill_absent(c, 0, line, is_write, &evl, &evd)) {
-        o[O_E1] += 1;
-        if (evd) {
-            o[O_C1D] += 1;
-            absorb_l2(c, evl, home, o);
-        }
-    } else {
-        o[O_OCC1] += 1;
-    }
+    fill_l1(c, set1, v1, line, is_write, home, o);
     if (c->nl_on)
         nl_observe(c, line, home, o);
     if (c->sm_on)
@@ -631,54 +621,17 @@ static void demand_line(Ctx *c, int64_t line, int64_t sid, int is_write,
 }
 
 static void swpf_line(Ctx *c, int64_t line, int64_t home, int64_t *o) {
-    if (contains(c, 0, line))
+    int64_t set1 = line & c->set_mask[0], v1;
+    if (way_probe(c, 0, set1, line, &v1) >= 0)
         return;
-    int64_t evl;
-    int evd;
-    if (!contains(c, 1, line)) {
-        int64_t set3 = line & c->set_mask[2];
-        int64_t w = way_find(c, 2, set3, line);
-        if (w >= 0) {
-            touch(c, 2, set3, w);
-            o[O_C3H] += 1;
-        } else {
-            o[O_C3M] += 1;
-            o[O_PFR] += 1;
-            c->homes[home * 4 + 1] += 1;
-            o[O_C3F] += 1;
-            if (fill_absent(c, 2, line, 0, &evl, &evd)) {
-                o[O_E3] += 1;
-                if (evd) {
-                    o[O_C3D] += 1;
-                    o[O_WBK] += 1;
-                    c->homes[home * 4 + 2] += 1;
-                }
-            } else {
-                o[O_OCC3] += 1;
-            }
-        }
+    int64_t set2 = line & c->set_mask[1], v2;
+    if (way_probe(c, 1, set2, line, &v2) < 0) {
+        prefetch_l3(c, line, home, o);
         o[O_C2F] += 1;
-        if (fill_absent(c, 1, line, 0, &evl, &evd)) {
-            o[O_E2] += 1;
-            if (evd) {
-                o[O_C2D] += 1;
-                absorb_l3(c, evl, home, o);
-            }
-        } else {
-            o[O_OCC2] += 1;
-        }
+        fill_l2(c, set2, v2, line, 0, home, o);
     }
-    /* fill L1 clean (absent: resident lines returned above) */
     o[O_C1F] += 1;
-    if (fill_absent(c, 0, line, 0, &evl, &evd)) {
-        o[O_E1] += 1;
-        if (evd) {
-            o[O_C1D] += 1;
-            absorb_l2(c, evl, home, o);
-        }
-    } else {
-        o[O_OCC1] += 1;
-    }
+    fill_l1(c, set1, v1, line, 0, home, o);
     pf_add(c, line);
 }
 
@@ -939,8 +892,7 @@ int64_t repro_execute_nest(Ctx *c, const int64_t *hdr, const int64_t *nodes,
             break;
         if (kind != NK_NOP) {
             int64_t need = 6 * nd[NN_BOUND] + 8;
-            if ((c->pf_regs[0] + c->pf_regs[1] + need) * 2
-                    > c->pf_mask + 1) {
+            if ((c->pf_regs[0] + need) * 2 > c->pf_mask + 1) {
                 state[NST_NEED] = need;
                 break;
             }

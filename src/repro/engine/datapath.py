@@ -109,8 +109,9 @@ class BatchDatapath:
         Every pointer references numpy storage that is mutated strictly
         in place by the Python fallbacks (cache ``clear``, TLB ``flush``,
         prefetcher ``reset``), so the context stays valid across busts.
-        The one reallocating structure — the prefetched-line hash set —
-        is re-pointed before every kernel call (``_execute_c``).
+        The one reallocating structure — the prefetched-line hash set,
+        which grows on reservation and shrinks back on ``clear`` — is
+        re-pointed before every kernel call (``_pre_call``).
         """
         port = self.port
         hier = port.hierarchy
@@ -225,8 +226,9 @@ class BatchDatapath:
         pf.ensure_room(room)
         slots = pf.slots
         if slots is not self._pf_ref:
-            # reallocated — by ensure_room here, or by a Python-side
-            # insert (multi-line singles route through access_lines)
+            # reallocated — by ensure_room here, by a Python-side insert
+            # (multi-line singles route through access_lines), or by a
+            # clear() that shrank a grown table
             self._pf_ref = slots
             ctx.pf_slots = slots.ctypes.data
             ctx.pf_mask = pf._mask

@@ -8,28 +8,44 @@ array shared with C rather than a Python ``set``.
 
 Layout (shared with ``engine/_ckernel.c``):
 
-* ``slots`` — power-of-two table; ``-1`` = empty, ``-2`` = tombstone,
-  anything else is a resident line number (always >= 0).
-* ``regs`` — ``[size, tombstones]``.
+* ``slots`` — power-of-two table holding ``line + 1`` per resident line
+  (lines are >= 0); ``0`` = empty.  Each table is its own anonymous
+  mapping, whose pages the OS maps zero-filled on first touch and takes
+  back when the table is dropped, so a large reservation costs only the
+  pages actually used.  (``np.zeros`` does not promise that: once
+  glibc's adaptive mmap threshold has risen past a freed table's size,
+  the next table comes from the heap and is memset in full.)
+* ``regs`` — ``[size]``.
 
-The probe sequence is linear with a Fibonacci multiplicative hash; the
-C side implements the identical function, so both can interleave
-freely on the same table.  Growth happens only on the Python side
-(``ensure_room`` before each kernel call), so C never rehashes.
+The home slot of a line is ``(line + (line >> 16) * 0x9E3779B1) & mask``:
+consecutive lines land in consecutive slots, so a prefetch stream
+touches one host cache line per eight adds, while the folded high bits
+spread arrays whose lines alias modulo the capacity.  Probing is linear
+and deletion shifts later cluster members back into the hole (Knuth's
+Algorithm R), so there are no tombstones and the load is the size alone.
+The C side implements the identical slot function and deletion rule, so
+both can interleave freely on the same table.  Growth happens only on
+the Python side (``ensure_room`` before each kernel call), so C never
+rehashes; ``clear`` shrinks a grown table back to its initial capacity.
 """
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
-EMPTY = -1
-TOMB = -2
-_MULT = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
+EMPTY = 0
+_MULT = 0x9E3779B1
 
 
 def _slot_of(line: int, mask: int) -> int:
-    return (((line * _MULT) & _MASK64) >> 32) & mask
+    return (line + (line >> 16) * _MULT) & mask
+
+
+def _table(capacity: int) -> np.ndarray:
+    """An empty slot table in a lazily zero-filled anonymous mapping."""
+    return np.frombuffer(mmap.mmap(-1, capacity * 8), dtype=np.int64)
 
 
 class PrefetchedSet:
@@ -38,70 +54,68 @@ class PrefetchedSet:
     def __init__(self, capacity: int = 1024) -> None:
         if capacity & (capacity - 1):
             raise ValueError("capacity must be a power of two")
-        self.slots = np.full(capacity, EMPTY, dtype=np.int64)
-        self.regs = np.zeros(2, dtype=np.int64)  # [size, tombstones]
+        self._initial = capacity
+        self.slots = _table(capacity)
+        self.regs = np.zeros(1, dtype=np.int64)  # [size]
         self._mask = capacity - 1
 
     def __len__(self) -> int:
         return int(self.regs[0])
 
-    def __contains__(self, line: int) -> bool:
-        slots, mask = self.slots, self._mask
+    def _find(self, line: int) -> int:
+        """Slot holding ``line``, or the empty slot ending its probe."""
+        slots, mask, key = self.slots, self._mask, line + 1
         i = _slot_of(line, mask)
         while True:
             v = slots[i]
-            if v == line:
-                return True
-            if v == EMPTY:
-                return False
+            if v == key or v == EMPTY:
+                return i
             i = (i + 1) & mask
 
+    def __contains__(self, line: int) -> bool:
+        return bool(self.slots[self._find(line)])
+
     def add(self, line: int) -> None:
-        slots, mask = self.slots, self._mask
-        i = _slot_of(line, mask)
-        first_tomb = -1
-        while True:
-            v = slots[i]
-            if v == line:
-                return
-            if v == EMPTY:
-                break
-            if v == TOMB and first_tomb < 0:
-                first_tomb = i
-            i = (i + 1) & mask
-        if first_tomb >= 0:
-            slots[first_tomb] = line
-            self.regs[1] -= 1
-        else:
-            slots[i] = line
+        i = self._find(line)
+        if self.slots[i]:
+            return
+        self.slots[i] = line + 1
         self.regs[0] += 1
-        if (self.regs[0] + self.regs[1]) * 2 > len(slots):
+        if self.regs[0] * 2 > len(self.slots):
             self._grow()
 
     def discard(self, line: int) -> None:
         slots, mask = self.slots, self._mask
-        i = _slot_of(line, mask)
+        i = self._find(line)
+        if not slots[i]:
+            return
+        # backward shift: move each later member of the cluster whose
+        # home slot is not cyclically in (i, j] into the hole at i
+        j = i
         while True:
-            v = slots[i]
-            if v == line:
-                slots[i] = TOMB
-                self.regs[0] -= 1
-                self.regs[1] += 1
-                return
+            j = (j + 1) & mask
+            v = int(slots[j])
             if v == EMPTY:
-                return
-            i = (i + 1) & mask
+                break
+            if (j - _slot_of(v - 1, mask)) & mask >= (j - i) & mask:
+                slots[i] = v
+                i = j
+        slots[i] = EMPTY
+        self.regs[0] -= 1
 
     def clear(self) -> None:
-        # In place: the C kernel holds a pointer refreshed per call, but
-        # clear between calls must not invalidate an already-built view.
-        self.slots.fill(EMPTY)
+        # A grown table is replaced: the C kernel's pointer is refreshed
+        # by identity before every call (BatchDatapath._pre_call).
+        if len(self.slots) > self._initial:
+            self.slots = _table(self._initial)
+            self._mask = self._initial - 1
+        else:
+            self.slots.fill(EMPTY)
         self.regs.fill(0)
 
     def __iter__(self):
-        for v in self.slots:
-            if v >= 0:
-                yield int(v)
+        for v in self.slots[self.slots != EMPTY].tolist():
+            yield v - 1
 
     def ensure_room(self, extra: int) -> bool:
         """Grow so that ``extra`` more inserts keep load factor <= 1/2.
@@ -109,24 +123,23 @@ class PrefetchedSet:
         Returns True when the slot array was reallocated (callers caching
         the raw pointer must refresh it).
         """
-        need = int(self.regs[0] + self.regs[1]) + extra
+        need = int(self.regs[0]) + extra
         if need * 2 <= len(self.slots):
             return False
         self._grow(minimum=need * 2)
         return True
 
     def _grow(self, minimum: int = 0) -> None:
-        target = max(len(self.slots) * 2, 1024)
+        target = len(self.slots) * 2
         while target < minimum:
             target *= 2
-        live = self.slots[self.slots >= 0]
-        fresh = np.full(target, EMPTY, dtype=np.int64)
+        live = list(self)
+        fresh = _table(target)
         mask = target - 1
-        for line in live.tolist():
+        for line in live:
             i = _slot_of(line, mask)
             while fresh[i] != EMPTY:
                 i = (i + 1) & mask
-            fresh[i] = line
+            fresh[i] = line + 1
         self.slots = fresh
         self._mask = mask
-        self.regs[1] = 0
