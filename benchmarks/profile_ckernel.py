@@ -1,7 +1,7 @@
 """Sampling profile of the C datapath kernel, per function and per line.
 
     PYTHONPATH=src python benchmarks/profile_ckernel.py analyze-dgemm
-    PYTHONPATH=src python benchmarks/profile_ckernel.py sweep-f4 --lines 20
+    PYTHONPATH=src python benchmarks/profile_ckernel.py sweep-f4
 
 Hosts without ``perf`` still need a kernel profile before any change to
 ``engine/_ckernel.c``.  This script:
@@ -12,7 +12,7 @@ Hosts without ``perf`` still need a kernel profile before any change to
 2. builds a tiny C sampler that records the interrupted program counter
    on every ``SIGPROF`` from ``setitimer(ITIMER_PROF)`` (process CPU
    time, so only work is sampled, not waits);
-3. runs the workload ``--repeat`` times in this process with the
+3. runs the workload ``REPEAT`` times in this process with the
    sampler on;
 4. maps every sample inside the kernel's shared object to its innermost
    (inlined) function and source line with ``addr2line -f -i``.
@@ -26,11 +26,11 @@ kernel call happens in the sampled process):
   ``jobs=1``, no sweep cache.
 
 It prints the share of all samples that fell in the kernel, then each
-kernel function's share of the kernel samples, then the hottest lines.
-The host's timer tick caps the sample rate (about 250 samples per CPU
-second on a HZ=250 kernel, whatever ``--interval-us`` asks for), so
-use ``--repeat`` for tighter shares: at one repeat they move by a few
-points between runs.
+kernel function's share of the kernel samples, then the ``TOP_LINES``
+hottest lines.  The timer asks for a sample every millisecond of CPU
+time, but the host's timer tick caps the rate (about 250 samples per
+CPU second on a HZ=250 kernel); the ``REPEAT`` runs are what make the
+shares steady, since a single run's move by a few points.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ from pathlib import Path
 WORKLOADS = ("analyze-dgemm", "sweep-f4")
 MACHINE_SCALE = 0.125
 
+#: sampling interval in microseconds of process CPU time
+INTERVAL_US = 1000
+#: workload runs sampled per profile
+REPEAT = 5
+#: hottest source lines listed
+TOP_LINES = 12
 #: at most this many samples are kept (about 40 minutes at 1 ms)
 MAX_SAMPLES = 1 << 21
 
@@ -202,12 +208,6 @@ def report(name: str, pcs, so: Path, total: int, top_lines: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=WORKLOADS)
-    parser.add_argument("--interval-us", type=int, default=1000,
-                        help="sampling interval in microseconds of CPU time")
-    parser.add_argument("--repeat", type=int, default=1,
-                        help="workload runs to sample")
-    parser.add_argument("--lines", type=int, default=12,
-                        help="hottest source lines to list")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="ckernel-profile-") as tmp:
@@ -226,17 +226,17 @@ def main(argv=None) -> int:
         sampler.sampler_stop.restype = ctypes.c_int64
         buf = (ctypes.c_uint64 * MAX_SAMPLES)()
         started = time.perf_counter()
-        if sampler.sampler_start(buf, MAX_SAMPLES, args.interval_us):
+        if sampler.sampler_start(buf, MAX_SAMPLES, INTERVAL_US):
             sys.exit("cannot install the SIGPROF sampler")
         try:
-            for _ in range(args.repeat):
+            for _ in range(REPEAT):
                 run()
         finally:
             total = sampler.sampler_stop()
         wall = time.perf_counter() - started
         kept = min(total, MAX_SAMPLES)
         print(f"{args.workload}: {wall:.2f} s wall")
-        report(args.workload, buf[:kept], kernel, kept, args.lines)
+        report(args.workload, buf[:kept], kernel, kept, TOP_LINES)
     return 0
 
 

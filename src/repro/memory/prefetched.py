@@ -9,10 +9,11 @@ array shared with C rather than a Python ``set``.
 Layout (shared with ``engine/_ckernel.c``):
 
 * ``slots`` — power-of-two table holding ``line + 1`` per resident line
-  (lines are >= 0); ``0`` = empty.  Each table is its own anonymous
-  mapping, whose pages the OS maps zero-filled on first touch and takes
-  back when the table is dropped, so a large reservation costs only the
-  pages actually used.  (``np.zeros`` does not promise that: once
+  (lines are >= 0); ``0`` = empty.  Each table is its own private
+  anonymous mapping, whose pages the OS maps zero-filled on first touch
+  and takes back when the table is dropped, so a large reservation costs
+  only the pages actually used.  Private, like any heap array: a forked
+  child (a pool worker) gets a copy-on-write view, never shared memory.  (``np.zeros`` does not promise that: once
   glibc's adaptive mmap threshold has risen past a freed table's size,
   the next table comes from the heap and is memset in full.)
 * ``regs`` — ``[size]``.
@@ -44,8 +45,10 @@ def _slot_of(line: int, mask: int) -> int:
 
 
 def _table(capacity: int) -> np.ndarray:
-    """An empty slot table in a lazily zero-filled anonymous mapping."""
-    return np.frombuffer(mmap.mmap(-1, capacity * 8), dtype=np.int64)
+    """An empty slot table in a lazily zero-filled private mapping."""
+    buf = mmap.mmap(-1, capacity * 8, flags=mmap.MAP_PRIVATE,
+                    prot=mmap.PROT_READ | mmap.PROT_WRITE)
+    return np.frombuffer(buf, dtype=np.int64)
 
 
 class PrefetchedSet:

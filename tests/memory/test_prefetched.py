@@ -12,6 +12,8 @@ reachable from its home slot without crossing an empty slot.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,26 @@ def test_clear_shrinks_a_grown_table():
     pf.clear()
     assert len(pf.slots) == 1024
     assert len(pf) == 0 and 7 not in pf and 0 not in pf
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
+def test_a_forked_child_writes_its_own_copy_of_the_table():
+    pf = PrefetchedSet()
+    pf.add(5)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: mutate the inherited table, report, exit
+        ok = False
+        try:
+            pf.discard(5)
+            pf.add(9)
+            ok = 5 not in pf and 9 in pf
+        finally:
+            os.write(write, b"1" if ok else b"0")
+            os._exit(0)
+    os.close(write)
+    assert os.read(read, 1) == b"1"
+    os.close(read)
+    os.waitpid(pid, 0)
+    assert 5 in pf and 9 not in pf
+    assert pf.slots.tolist().count(0) == len(pf.slots) - 1
