@@ -457,7 +457,8 @@ class Core:
             for site, lines, node in self._iter_emissions(
                 info, loop, ivs, buffers
             ):
-                batch.merge(self._dispatch_site(site, lines, node))
+                batch.merge(self._dispatch(site.kind, lines, node,
+                                           site.site_id))
 
         # cycle cost of the phase
         cost = phase_cycles(
@@ -504,19 +505,39 @@ class Core:
             ))
             bus.cursor += cost.total
 
-    def _dispatch_site(self, site: _MemSite, line_list, node: int) -> BatchStats:
-        """Route one site's line batch to the right port operation."""
-        if site.kind == "prefetch":
+    def _dispatch(self, kind: str, line_list, node: int,
+                  stream_id: int = 0) -> BatchStats:
+        """Route one line batch to the right port operation (the
+        reference path)."""
+        if kind == "prefetch":
             return self.port.software_prefetch(line_list, node=node)
-        if site.kind == "flush":
+        if kind == "flush":
             return self.port.flush_lines(line_list, node=node)
         return self.port.access_lines(
             line_list,
-            is_write=(site.kind in ("store", "ntstore")),
-            nt=(site.kind == "ntstore"),
+            is_write=(kind in ("store", "ntstore")),
+            nt=(kind == "ntstore"),
             node=node,
-            stream_id=site.site_id,
+            stream_id=stream_id,
         )
+
+    def _access(self, kind: str, first: int, last: int,
+                node: int) -> BatchStats:
+        """One straight-line instruction's lines ``first..last``.
+
+        The fast engine sends a one-line demand access through the
+        datapath's single-line entry and anything else (a line-crossing
+        access, an NT store, a prefetch hint, a flush) as a one-run
+        plan, so on the C datapath the kernel performs every state
+        transition; the reference engine makes one port call.
+        """
+        if self.engine != "fast":
+            return self._dispatch(kind, list(range(first, last + 1)), node)
+        if first == last and kind in ("load", "gather", "store"):
+            return self._datapath.execute_single(first, kind == "store",
+                                                 node)
+        return self._datapath.execute_plan(AccessPlan.one_run(
+            kind, list(range(first, last + 1)), node, self.port.node))
 
     def _site_base_stride(self, site: _MemSite, loop_id: str, ivs,
                           buffers) -> Tuple[int, int, int]:
@@ -853,16 +874,9 @@ class Core:
             table = self._tables[node.index_addr.buffer]
             base = alloc.base + int(table[node.index_addr.evaluate(ivs)])
             shift = self._line_shift
-            first = base >> shift
-            last = (base + node.bytes - 1) >> shift
-            if first == last and self.engine == "fast":
-                stats = self._datapath.execute_single(first, False,
-                                                      alloc.node)
-            else:
-                stats = self.port.access_lines(
-                    list(range(first, last + 1)), is_write=False,
-                    node=alloc.node
-                )
+            stats = self._access("gather", base >> shift,
+                                 (base + node.bytes - 1) >> shift,
+                                 alloc.node)
             cost = phase_cycles(
                 self.ports, self.config, {}, {node.width_bits: 1}, {},
                 chain_cycles=0.0, batch=stats, params=self.timing,
@@ -873,6 +887,16 @@ class Core:
             result.phases.append(cost)
             self._emit_single_phase("gather", cost, stats, dram_bpc)
             return
+        if isinstance(node, PrefetchHint):
+            kind = "prefetch"
+        elif isinstance(node, Flush):
+            kind = "flush"
+        elif isinstance(node, Load):
+            kind = "load"
+        elif isinstance(node, Store):
+            kind = "ntstore" if node.nt else "store"
+        else:
+            raise ExecutionError(f"cannot execute node {node!r}")
         addr = node.addr
         alloc = buffers[addr.buffer]
         base = alloc.base + addr.offset + sum(
@@ -880,27 +904,9 @@ class Core:
         )
         width_bytes = getattr(node, "width_bits", 64) // 8
         shift = self._line_shift
-        first = base >> shift
-        last = (base + max(width_bytes - 1, 0)) >> shift
-        lines = list(range(first, last + 1))
-        if isinstance(node, PrefetchHint):
-            stats = self.port.software_prefetch(lines, node=alloc.node)
-        elif isinstance(node, Flush):
-            stats = self.port.flush_lines(lines, node=alloc.node)
-        elif isinstance(node, Load) or (
-                isinstance(node, Store) and not node.nt):
-            is_write = isinstance(node, Store)
-            if first == last and self.engine == "fast":
-                stats = self._datapath.execute_single(first, is_write,
-                                                      alloc.node)
-            else:
-                stats = self.port.access_lines(lines, is_write=is_write,
-                                               node=alloc.node)
-        elif isinstance(node, Store):
-            stats = self.port.access_lines(lines, is_write=True, nt=True,
-                                           node=alloc.node)
-        else:
-            raise ExecutionError(f"cannot execute node {node!r}")
+        stats = self._access(kind, base >> shift,
+                             (base + max(width_bytes - 1, 0)) >> shift,
+                             alloc.node)
         cost = phase_cycles(
             self.ports, self.config,
             {},

@@ -7,9 +7,12 @@ caches, the TLB, the prefetch engines, the DRAM IMC counters.  There
 are two datapaths:
 
 * **C kernel** — when ``engine/_ckernel.c`` loaded, the hierarchy holds
-  numpy array state and every plan, nest and single-line access runs in
-  the compiled kernel; its counter block is applied to Python state in
-  one step per call (:meth:`BatchDatapath._apply_out`).
+  numpy array state and the kernel is its only writer: every nest,
+  plan and walked straight-line access runs in it (a one-line demand
+  access through ``repro_execute_single``, anything else as a one-run
+  plan), and its counter block is applied to Python state in one step
+  per call (:meth:`BatchDatapath._apply_out`).  Python only reads that
+  state, resets it in place and grows the prefetched-line table.
 * **no kernel** — dict state and concrete (capture-keyed) plans, each
   segment replayed through the port's per-line reference calls
   (:meth:`BatchDatapath._execute_segments`).  Exact by construction,
@@ -56,11 +59,9 @@ class BatchDatapath:
 
     def __init__(self, port: "CorePort") -> None:
         self.port = port
-        # array-backend hierarchies execute plans through the compiled C
-        # kernel sharing the same numpy state; the hierarchy only adopts
-        # the array backend when the kernel loaded, but keep the guard so
-        # a REPRO_CKERNEL flip mid-process degrades instead of crashing
-        self._use_c = port.hierarchy.array_mode and ckernel.lib() is not None
+        # the hierarchy adopts the array backend only once the kernel
+        # loaded (cached per process), and only the kernel writes it
+        self._use_c = port.hierarchy.array_mode
         self._ctx = None
         self._cmask = None
 
@@ -106,12 +107,13 @@ class BatchDatapath:
     def _build_ctx(self) -> "ckernel.Ctx":
         """Materialise the C context over the port's array state.
 
-        Every pointer references numpy storage that is mutated strictly
-        in place by the Python fallbacks (cache ``clear``, TLB ``flush``,
-        prefetcher ``reset``), so the context stays valid across busts.
-        The one reallocating structure — the prefetched-line hash set,
-        which grows on reservation and shrinks back on ``clear`` — is
-        re-pointed before every kernel call (``_pre_call``).
+        Every pointer references numpy storage that only the kernel
+        writes, apart from Python's in-place resets (cache ``clear``,
+        TLB ``flush``, prefetcher ``reset``), so the context stays valid
+        across busts.  The one reallocating structure — the
+        prefetched-line table, which grows on reservation and shrinks
+        back on ``clear`` — is re-pointed before every kernel call
+        (``_pre_call``).
         """
         port = self.port
         hier = port.hierarchy
@@ -216,7 +218,8 @@ class BatchDatapath:
 
     def _pre_call(self, room: int) -> "ckernel.Ctx":
         """Shared setup before a kernel entry: context, flags, pf-set
-        capacity, and register sync (cache ticks + TLB page cursor)."""
+        capacity (the only place the table grows), and register sync
+        (cache ticks + TLB page cursor)."""
         ctx = self._ctx
         if ctx is None:
             ctx = self._build_ctx()
@@ -226,9 +229,8 @@ class BatchDatapath:
         pf.ensure_room(room)
         slots = pf.slots
         if slots is not self._pf_ref:
-            # reallocated — by ensure_room here, by a Python-side insert
-            # (multi-line singles route through access_lines), or by a
-            # clear() that shrank a grown table
+            # reallocated — by ensure_room here, or by a clear() that
+            # shrank a grown table
             self._pf_ref = slots
             ctx.pf_slots = slots.ctypes.data
             ctx.pf_mask = pf._mask

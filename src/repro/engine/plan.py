@@ -272,6 +272,15 @@ class AccessPlan:
         return cls(segments=segments, total_lines=total, runs=runs)
 
     @classmethod
+    def one_run(cls, kind: str, lines: List[int], home: int,
+                own_node: int) -> "AccessPlan":
+        """One straight-line instruction's lines as a single run, under
+        the port calls' default stream id 0 (``Core._access``)."""
+        seg = PlanSegment(kind, lines, home, 0, op=_KIND_TO_OP[kind],
+                          rhome=home, remote=home != own_node)
+        return cls(segments=[seg], total_lines=len(lines), runs=[seg])
+
+    @classmethod
     def from_affine_sites(cls, sites, trips: int, line_shift: int,
                           own_node: int) -> "AccessPlan":
         """Vectorized lowering of an affine flat loop (1..n sites).

@@ -12,13 +12,14 @@ Three internal representations are used:
 * ``ways`` — a generic ways-list representation driven by a
   :class:`~repro.memory.replacement.ReplacementPolicy` for the
   replacement-policy ablation.
-* ``array`` — numpy-backed tag/dirty/recency arrays with the policy
-  state flattened into per-set stamp or tree-bit rows; behaviourally
-  identical to ``ways`` for every policy (hypothesis-verified in
-  ``tests/memory/test_cache_array.py``).
+* ``array`` — numpy tag/dirty/stamp arrays (LRU only) shared with the
+  compiled datapath kernel, which is their only writer: the transitions
+  below raise on this backend, while inspection and :meth:`Cache.clear`
+  stay available.  Its equivalence with the dict backend is the
+  cross-engine gate's (``docs/ENGINE.md``).
 
-All representations expose identical behaviour, which the
-property-based tests verify against each other.
+The dict and ways representations expose identical behaviour, which
+the property-based tests verify against each other.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ExecutionError
 from ..obs.spans import SPANS
 from ..units import is_power_of_two, log2_int
 from .replacement import ReplacementPolicy, make_policy
@@ -139,11 +140,12 @@ class Cache:
             )
         self._backend = backend
         self._fast = backend == "dict"
+        if backend != "ways" and (policy is not None
+                                  or config.policy != "lru"):
+            raise ConfigurationError(
+                f"{config.name}: the {backend} backend supports only LRU"
+            )
         if backend == "dict":
-            if policy is not None or config.policy != "lru":
-                raise ConfigurationError(
-                    f"{config.name}: the dict backend supports only LRU"
-                )
             # per-set dict: line -> dirty flag; iteration order is recency
             # (first inserted == least recent after move-to-end updates).
             self._sets = [dict() for _ in range(config.nsets)]
@@ -154,40 +156,19 @@ class Cache:
             self._pstate = [self._policy.new_state(self._assoc)
                             for _ in range(config.nsets)]
         else:
-            self._policy = policy or make_policy(config.policy)
-            self._init_array_state()
-
-    def _init_array_state(self) -> None:
-        """Numpy-backed tag/dirty/policy state (the ``array`` backend).
-
-        Per-set policy metadata is flattened into array rows:
-
-        * LRU/FIFO — a monotone global tick stamped into
-          ``_stamp[set, way]`` on recency updates; the victim is the
-          valid way with the smallest stamp, which matches the
-          recency-list order of the ``ways`` backend exactly.
-        * tree-PLRU — the assoc-1 tree bits as a row of ``_plru``.
-        * random — no per-set state; victims come from the shared
-          policy instance's deterministic xorshift stream.
-        """
-        nsets, assoc = self.config.nsets, self._assoc
-        kind = self._policy.name
-        if kind == "plru" and assoc & (assoc - 1):
-            raise ConfigurationError(
-                "tree-PLRU requires power-of-two associativity"
-            )
-        self._akind = kind
-        self._tags = np.full((nsets, assoc), -1, dtype=np.int64)
-        self._adirty = np.zeros((nsets, assoc), dtype=bool)
-        if kind in ("lru", "fifo"):
-            self._stamp = np.zeros((nsets, assoc), dtype=np.int64)
+            # tags (-1 = empty), dirty bits, and per-way recency stamps
+            # from a monotone tick: the LRU way is the smallest stamp
+            shape = (config.nsets, self._assoc)
+            self._tags = np.full(shape, -1, dtype=np.int64)
+            self._adirty = np.zeros(shape, dtype=bool)
+            self._stamp = np.zeros(shape, dtype=np.int64)
             self._tick = 0
-        elif kind == "plru":
-            self._plru = np.zeros((nsets, max(assoc - 1, 1)), dtype=np.uint8)
-        elif kind != "random":
-            raise ConfigurationError(
-                f"array backend does not support policy {kind!r}"
-            )
+
+    def _kernel_owned(self) -> ExecutionError:
+        return ExecutionError(
+            f"{self.config.name}: array-backed cache state is written "
+            "only by the C kernel"
+        )
 
     # ------------------------------------------------------------------
     # shared state-transition accounting
@@ -231,7 +212,7 @@ class Cache:
         elif self._backend == "ways":
             hit = self._generic_lookup(line, mark_dirty)
         else:
-            hit = self._array_lookup(line, mark_dirty)
+            raise self._kernel_owned()
         return self._record_lookup(hit)
 
     def _generic_lookup(self, line: int, mark_dirty: bool) -> bool:
@@ -250,6 +231,8 @@ class Cache:
 
         Filling a line already present refreshes it (dirty flags OR).
         """
+        if self._backend == "array":
+            raise self._kernel_owned()
         self.stats.fills += 1
         if self._fast:
             s = self._sets[line & self._set_mask]
@@ -264,10 +247,8 @@ class Cache:
                     evicted = None
                     self._resident += 1
                 s[line] = dirty
-        elif self._backend == "ways":
-            evicted = self._generic_fill(line, dirty)
         else:
-            evicted = self._array_fill(line, dirty)
+            evicted = self._generic_fill(line, dirty)
         return self._record_eviction(evicted)
 
     def _generic_fill(self, line: int, dirty: bool) -> Optional[Tuple[int, bool]]:
@@ -303,13 +284,9 @@ class Cache:
                 s[line] = True
                 return True
             return False
-        set_idx = line & self._set_mask
         if self._backend == "array":
-            ways = np.nonzero(self._tags[set_idx] == line)[0]
-            if ways.size:
-                self._adirty[set_idx, ways[0]] = True
-                return True
-            return False
+            raise self._kernel_owned()
+        set_idx = line & self._set_mask
         lines = self._lines[set_idx]
         for way in range(self._assoc):
             if lines[way] == line:
@@ -325,7 +302,7 @@ class Cache:
         elif self._backend == "ways":
             dirty = self._generic_invalidate(line)
         else:
-            dirty = self._array_invalidate(line)
+            raise self._kernel_owned()
         if dirty is not None:
             self._resident -= 1
         return self._record_invalidation(dirty)
@@ -340,96 +317,6 @@ class Cache:
                 self._dirty[set_idx][way] = False
                 return dirty
         return None
-
-    # ------------------------------------------------------------------
-    # array backend: same transitions as the ``ways`` backend, with the
-    # policy state flattened into numpy rows (see _init_array_state)
-    # ------------------------------------------------------------------
-    def _array_touch(self, set_idx: int, way: int, fill: bool) -> None:
-        kind = self._akind
-        if kind == "lru" or (kind == "fifo" and fill):
-            self._tick += 1
-            self._stamp[set_idx, way] = self._tick
-        elif kind == "plru":
-            # identical walk to TreePlruPolicy._touch, on the bit row
-            bits = self._plru[set_idx]
-            node = 0
-            span = self._assoc
-            offset = 0
-            while span > 1:
-                half = span // 2
-                go_right = way >= offset + half
-                bits[node] = 0 if go_right else 1
-                node = 2 * node + (2 if go_right else 1)
-                if go_right:
-                    offset += half
-                span = half
-
-    def _array_victim(self, set_idx: int) -> int:
-        kind = self._akind
-        if kind in ("lru", "fifo"):
-            # victim() is only reached with every way valid, so the
-            # smallest stamp is exactly the ways-backend recency tail
-            return int(np.argmin(self._stamp[set_idx]))
-        if kind == "plru":
-            bits = self._plru[set_idx]
-            node = 0
-            span = self._assoc
-            offset = 0
-            while span > 1:
-                half = span // 2
-                go_right = bits[node] == 1
-                node = 2 * node + (2 if go_right else 1)
-                if go_right:
-                    offset += half
-                span = half
-            return offset
-        return self._policy.victim(None, self._assoc)
-
-    def _array_lookup(self, line: int, mark_dirty: bool) -> bool:
-        set_idx = line & self._set_mask
-        ways = np.nonzero(self._tags[set_idx] == line)[0]
-        if not ways.size:
-            return False
-        way = int(ways[0])
-        self._array_touch(set_idx, way, fill=False)
-        if mark_dirty:
-            self._adirty[set_idx, way] = True
-        return True
-
-    def _array_fill(self, line: int, dirty: bool) -> Optional[Tuple[int, bool]]:
-        set_idx = line & self._set_mask
-        tags = self._tags[set_idx]
-        ways = np.nonzero(tags == line)[0]
-        if ways.size:
-            way = int(ways[0])
-            self._array_touch(set_idx, way, fill=True)
-            if dirty:
-                self._adirty[set_idx, way] = True
-            return None
-        empty = np.nonzero(tags == -1)[0]
-        if empty.size:
-            way = int(empty[0])
-            evicted = None
-            self._resident += 1
-        else:
-            way = self._array_victim(set_idx)
-            evicted = (int(tags[way]), bool(self._adirty[set_idx, way]))
-        tags[way] = line
-        self._adirty[set_idx, way] = dirty
-        self._array_touch(set_idx, way, fill=True)
-        return evicted
-
-    def _array_invalidate(self, line: int) -> Optional[bool]:
-        set_idx = line & self._set_mask
-        ways = np.nonzero(self._tags[set_idx] == line)[0]
-        if not ways.size:
-            return None
-        way = int(ways[0])
-        self._tags[set_idx, way] = -1
-        dirty = bool(self._adirty[set_idx, way])
-        self._adirty[set_idx, way] = False
-        return dirty
 
     # ------------------------------------------------------------------
     # inspection
@@ -492,11 +379,8 @@ class Cache:
                 # kernel caches raw pointers) must stay valid across clears.
                 self._tags.fill(-1)
                 self._adirty.fill(False)
-                if self._akind in ("lru", "fifo"):
-                    self._stamp.fill(0)
-                    self._tick = 0
-                elif self._akind == "plru":
-                    self._plru.fill(0)
+                self._stamp.fill(0)
+                self._tick = 0
             else:
                 for set_idx in range(self.config.nsets):
                     self._lines[set_idx] = [None] * self._assoc

@@ -178,10 +178,14 @@ class MemoryHierarchy:
 
         Called by the machine before the first core is built when the
         fast engine will drive this hierarchy through the compiled C
-        datapath.  The array state is behaviourally identical to the
-        dict state (hypothesis-verified), and is shared between the C
-        kernel and the Python port paths, so rare operations (multi-line
-        singles, flushes, conformance introspection) stay exact.
+        datapath.  The C kernel is then the only writer of that state:
+        the interpreter sends every access through it, and the port's
+        Python transitions (``access_lines``, ``software_prefetch``,
+        ``flush_lines``) raise on it.  Python keeps the stats, the
+        in-place resets of :meth:`bust` and read-only inspection
+        (residency, dirty lines, TLB pages) for the conformance diffs.
+        The cross-engine gate holds the kernel counter for counter to
+        the dict state's reference path.
 
         Only LRU hierarchies with the stock prefetcher set are eligible;
         returns False (leaving the dict state in place) otherwise.

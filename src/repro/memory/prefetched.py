@@ -2,9 +2,11 @@
 
 ``CorePort`` tracks the set of lines brought in by hardware/software
 prefetch that have not yet been touched by demand.  On array-backend
-machines the compiled datapath kernel needs to probe and mutate this
-set millions of times per batch, so the storage is a flat numpy slot
-array shared with C rather than a Python ``set``.
+machines the compiled datapath kernel probes and mutates this set
+millions of times per batch, so the storage is a flat numpy slot array
+shared with C rather than a Python ``set``.  The kernel is the table's
+only writer: it performs every add and discard, and Python keeps
+membership, iteration, growth and ``clear``.
 
 Layout (shared with ``engine/_ckernel.c``):
 
@@ -13,21 +15,22 @@ Layout (shared with ``engine/_ckernel.c``):
   anonymous mapping, whose pages the OS maps zero-filled on first touch
   and takes back when the table is dropped, so a large reservation costs
   only the pages actually used.  Private, like any heap array: a forked
-  child (a pool worker) gets a copy-on-write view, never shared memory.  (``np.zeros`` does not promise that: once
-  glibc's adaptive mmap threshold has risen past a freed table's size,
-  the next table comes from the heap and is memset in full.)
+  child (a pool worker) gets a copy-on-write view, never shared memory.
+  (``np.zeros`` does not promise that: once glibc's adaptive mmap
+  threshold has risen past a freed table's size, the next table comes
+  from the heap and is memset in full.)
 * ``regs`` — ``[size]``.
 
 The home slot of a line is ``(line + (line >> 16) * 0x9E3779B1) & mask``:
 consecutive lines land in consecutive slots, so a prefetch stream
 touches one host cache line per eight adds, while the folded high bits
 spread arrays whose lines alias modulo the capacity.  Probing is linear
-and deletion shifts later cluster members back into the hole (Knuth's
-Algorithm R), so there are no tombstones and the load is the size alone.
-The C side implements the identical slot function and deletion rule, so
-both can interleave freely on the same table.  Growth happens only on
-the Python side (``ensure_room`` before each kernel call), so C never
-rehashes; ``clear`` shrinks a grown table back to its initial capacity.
+and the kernel's deletion shifts later cluster members back into the
+hole (Knuth's Algorithm R), so there are no tombstones and the load is
+the size alone.  :meth:`PrefetchedSet.__contains__` and the rehash in
+``_grow`` use the identical slot function.  Growth happens only here
+(``ensure_room`` before each kernel call), so C never rehashes;
+``clear`` shrinks a grown table back to its initial capacity.
 """
 
 from __future__ import annotations
@@ -78,34 +81,6 @@ class PrefetchedSet:
     def __contains__(self, line: int) -> bool:
         return bool(self.slots[self._find(line)])
 
-    def add(self, line: int) -> None:
-        i = self._find(line)
-        if self.slots[i]:
-            return
-        self.slots[i] = line + 1
-        self.regs[0] += 1
-        if self.regs[0] * 2 > len(self.slots):
-            self._grow()
-
-    def discard(self, line: int) -> None:
-        slots, mask = self.slots, self._mask
-        i = self._find(line)
-        if not slots[i]:
-            return
-        # backward shift: move each later member of the cluster whose
-        # home slot is not cyclically in (i, j] into the hole at i
-        j = i
-        while True:
-            j = (j + 1) & mask
-            v = int(slots[j])
-            if v == EMPTY:
-                break
-            if (j - _slot_of(v - 1, mask)) & mask >= (j - i) & mask:
-                slots[i] = v
-                i = j
-        slots[i] = EMPTY
-        self.regs[0] -= 1
-
     def clear(self) -> None:
         # A grown table is replaced: the C kernel's pointer is refreshed
         # by identity before every call (BatchDatapath._pre_call).
@@ -132,7 +107,7 @@ class PrefetchedSet:
         self._grow(minimum=need * 2)
         return True
 
-    def _grow(self, minimum: int = 0) -> None:
+    def _grow(self, minimum: int) -> None:
         target = len(self.slots) * 2
         while target < minimum:
             target *= 2

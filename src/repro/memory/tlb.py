@@ -124,16 +124,15 @@ class Tlb:
 
 
 class ArrayTlb:
-    """Numpy-backed TLB, state shareable with the C datapath kernel.
+    """Numpy-backed TLB whose state only the C datapath kernel writes.
 
-    Behaviourally identical to :class:`Tlb`: the dict backend's
-    insertion-order recency is replicated with monotone stamps — the L1
-    victim is the valid entry with the smallest stamp (stamps refresh on
-    hit and on fill), and the L2 victim is the oldest *insertion* (L2
-    entries are never re-stamped after insert, matching the dict's
-    insert-only ordering).  All mutable state lives in int64 arrays so
-    the compiled kernel can operate on the same storage the Python
-    fallback paths use.
+    The kernel replicates :class:`Tlb`'s insertion-order recency with
+    monotone stamps: the L1 victim is the valid entry with the smallest
+    stamp (stamps refresh on hit and on fill), and the L2 victim is the
+    oldest *insertion* (L2 entries are never re-stamped after insert,
+    matching the dict's insert-only ordering).  Python keeps the stats,
+    the in-place :meth:`flush`/:meth:`reset` and read-only inspection;
+    there is no ``translate_page`` here.
 
     Array layout (shared with ``engine/_ckernel.c``):
 
@@ -157,48 +156,6 @@ class ArrayTlb:
 
     def page_of_line(self, line: int, line_bytes: int = 64) -> int:
         return (line * line_bytes) >> self._page_shift
-
-    def translate_page(self, page: int) -> int:
-        self.stats.accesses += 1
-        idx = np.nonzero(self.l1_pages == page)[0]
-        if idx.size:
-            self.regs[0] += 1
-            self.l1_stamp[idx[0]] = self.regs[0]
-            self.stats.l1_hits += 1
-            return 0
-        idx = np.nonzero(self.l2_pages == page)[0]
-        if idx.size:
-            self.l2_pages[idx[0]] = self.EMPTY
-            self.regs[2] -= 1
-            self.stats.l2_hits += 1
-            self._fill(page)
-            return 0
-        self.stats.walks += 1
-        self._fill(page)
-        return self.config.walk_latency_cycles
-
-    def _fill(self, page: int) -> None:
-        l1p, l2p = self.l1_pages, self.l2_pages
-        if self.regs[1] >= self.config.l1_entries:
-            # all L1 slots valid -> smallest stamp is the dict-order head
-            vidx = int(np.argmin(self.l1_stamp))
-            victim = int(l1p[vidx])
-            l1p[vidx] = self.EMPTY
-            self.regs[1] -= 1
-            if self.regs[2] >= self.config.l2_entries:
-                widx = int(np.argmin(self.l2_stamp))
-                l2p[widx] = self.EMPTY
-                self.regs[2] -= 1
-            free2 = int(np.nonzero(l2p == self.EMPTY)[0][0])
-            self.regs[0] += 1
-            l2p[free2] = victim
-            self.l2_stamp[free2] = self.regs[0]
-            self.regs[2] += 1
-        free1 = int(np.nonzero(l1p == self.EMPTY)[0][0])
-        self.regs[0] += 1
-        l1p[free1] = page
-        self.l1_stamp[free1] = self.regs[0]
-        self.regs[1] += 1
 
     def contains(self, page: int) -> bool:
         return bool((self.l1_pages == page).any()

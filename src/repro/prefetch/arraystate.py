@@ -1,12 +1,14 @@
 """Array-state prefetcher variants for the compiled datapath.
 
 These subclasses keep every piece of mutable training state in int64
-numpy arrays so the C datapath kernel (:mod:`repro.engine.ckernel`) can
-operate directly on the same storage the Python ``observe`` fallback
-uses.  Behaviour is identical to the dict-table parents: recency is a
+numpy arrays that the C datapath kernel (:mod:`repro.engine.ckernel`)
+trains in place; the kernel is their only writer.  Python keeps the
+stats, the in-place :meth:`reset` and the arrays for inspection, and
+``observe`` raises instead of falling back to the dict parent's tables.
+The kernel reproduces the dict-table parents exactly: recency is a
 monotone tick stamped per entry, and the eviction victim is the valid
-entry with the smallest stamp — exactly the ``min(..., key=lru_tick)``
-of the dict implementation (ticks are unique, so there are no ties).
+entry with the smallest stamp — the ``min(..., key=lru_tick)`` of the
+dict implementation (ticks are unique, so there are no ties).
 
 Array layout (shared with ``engine/_ckernel.c``):
 
@@ -26,14 +28,25 @@ from typing import List
 
 import numpy as np
 
+from ..errors import ExecutionError
 from .stream import StreamPrefetcher
 from .stride import StridePrefetcher
 
 EMPTY = -1
 
 
+def _kernel_owned(self, line: int, was_miss: bool,
+                  stream_id: int = 0) -> List[int]:
+    raise ExecutionError(
+        f"{self.kind} prefetcher: array-backed training state is written "
+        "only by the C kernel"
+    )
+
+
 class ArrayStridePrefetcher(StridePrefetcher):
     """:class:`StridePrefetcher` with numpy-backed site table."""
+
+    observe = _kernel_owned
 
     def __init__(self, sites: int = 64, degree: int = 2,
                  confidence_threshold: int = 2, max_stride: int = 512) -> None:
@@ -44,47 +57,6 @@ class ArrayStridePrefetcher(StridePrefetcher):
         self.conf = np.zeros(sites, dtype=np.int64)
         self.lruv = np.zeros(sites, dtype=np.int64)
         self.regs = np.zeros(2, dtype=np.int64)  # [tick, count]
-
-    def observe(self, line: int, was_miss: bool, stream_id: int = 0) -> List[int]:
-        regs = self.regs
-        regs[0] += 1
-        idx = np.nonzero(self.keys == stream_id)[0]
-        if not idx.size:
-            self._insert_slot(stream_id, line)
-            return []
-        i = int(idx[0])
-        self.lruv[i] = regs[0]
-        stride = line - int(self.last[i])
-        self.last[i] = line
-        if stride == 0 or abs(stride) > self._max_stride:
-            self.conf[i] = 0
-            self.strd[i] = 0
-            return []
-        if stride == self.strd[i]:
-            self.conf[i] += 1
-        else:
-            self.strd[i] = stride
-            self.conf[i] = 1
-        if self.conf[i] < self._threshold:
-            return []
-        lines = [line + stride * (k + 1) for k in range(self.degree)]
-        lines = [ln for ln in lines if ln >= 0]
-        self.stats.issued += len(lines)
-        return lines
-
-    def _insert_slot(self, stream_id: int, line: int) -> None:
-        if self.regs[1] >= self._sites_max:
-            # table full -> every slot valid, argmin stamp == dict victim
-            victim = int(np.argmin(self.lruv))
-            self.keys[victim] = EMPTY
-            self.regs[1] -= 1
-        free = int(np.nonzero(self.keys == EMPTY)[0][0])
-        self.keys[free] = stream_id
-        self.last[free] = line
-        self.strd[free] = 0
-        self.conf[free] = 0
-        self.lruv[free] = self.regs[0]
-        self.regs[1] += 1
 
     def reset(self) -> None:
         # In place: the C kernel holds raw pointers to these arrays.
@@ -100,6 +72,8 @@ class ArrayStridePrefetcher(StridePrefetcher):
 class ArrayStreamPrefetcher(StreamPrefetcher):
     """:class:`StreamPrefetcher` with numpy-backed page-tracker table."""
 
+    observe = _kernel_owned
+
     def __init__(self, trackers: int = 16, degree: int = 2,
                  distance: int = 8, confidence_threshold: int = 2,
                  lines_per_page: int = 64) -> None:
@@ -112,64 +86,6 @@ class ArrayStreamPrefetcher(StreamPrefetcher):
         self.front = np.zeros(trackers, dtype=np.int64)
         self.lruv = np.zeros(trackers, dtype=np.int64)
         self.regs = np.zeros(2, dtype=np.int64)  # [tick, count]
-
-    def observe(self, line: int, was_miss: bool, stream_id: int = 0) -> List[int]:
-        regs = self.regs
-        regs[0] += 1
-        page = line // self._lines_per_page
-        idx = np.nonzero(self.keys == page)[0]
-        if not idx.size:
-            self._insert_slot(page, line)
-            return []
-        i = int(idx[0])
-        self.lruv[i] = regs[0]
-        delta = line - int(self.last[i])
-        self.last[i] = line
-        if delta == 0:
-            return []
-        direction = 1 if delta > 0 else -1
-        if direction == self.dirn[i]:
-            self.conf[i] += 1
-        else:
-            self.dirn[i] = direction
-            self.conf[i] = 1
-            self.front[i] = line
-        if self.conf[i] < self._threshold:
-            return []
-        return self._run_ahead_slot(page, line, i)
-
-    def _run_ahead_slot(self, page: int, line: int, i: int) -> List[int]:
-        page_first = page * self._lines_per_page
-        page_last = page_first + self._lines_per_page - 1
-        direction = int(self.dirn[i])
-        target = line + direction * self.distance
-        start = int(self.front[i]) + direction
-        if direction > 0:
-            start = max(start, line + 1)
-            end = min(target, page_last)
-            lines = list(range(start, end + 1))[: self.degree]
-        else:
-            start = min(start, line - 1)
-            end = max(target, page_first)
-            lines = list(range(start, end - 1, -1))[: self.degree]
-        if lines:
-            self.front[i] = lines[-1]
-            self.stats.issued += len(lines)
-        return lines
-
-    def _insert_slot(self, page: int, line: int) -> None:
-        if self.regs[1] >= self._trackers_max:
-            victim = int(np.argmin(self.lruv))
-            self.keys[victim] = EMPTY
-            self.regs[1] -= 1
-        free = int(np.nonzero(self.keys == EMPTY)[0][0])
-        self.keys[free] = page
-        self.last[free] = line
-        self.dirn[free] = 0
-        self.conf[free] = 0
-        self.front[free] = line
-        self.lruv[free] = self.regs[0]
-        self.regs[1] += 1
 
     def reset(self) -> None:
         self.stats.reset()

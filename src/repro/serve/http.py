@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 from urllib.parse import parse_qs, urlsplit
@@ -28,6 +29,9 @@ MAX_HEADER_BYTES = 32 * 1024
 
 #: request bodies are tiny JSON docs; anything bigger is a mistake
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: a Content-Length value: decimal digits only (RFC 9110 §8.6)
+_LENGTH = re.compile(r"[0-9]+")
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -63,6 +67,8 @@ class Request:
             doc = json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}")
+        except RecursionError:
+            raise HttpError(400, "request body is nested too deeply")
         if not isinstance(doc, dict):
             raise HttpError(400, "request body must be a JSON object")
         return doc
@@ -90,7 +96,10 @@ async def read_request(reader: asyncio.StreamReader,
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise HttpError(400, f"malformed request line: {lines[0]!r}")
     method, target, _version = parts
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:
+        raise HttpError(400, f"malformed request target: {exc}")
     query = {key: values[-1]
              for key, values in parse_qs(split.query).items()}
 
@@ -101,16 +110,21 @@ async def read_request(reader: asyncio.StreamReader,
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError(400, "conflicting Content-Length headers")
+        headers[name] = value
 
     body = b""
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
+    if not _LENGTH.fullmatch(length_text):
         raise HttpError(400, f"bad Content-Length: {length_text!r}")
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise HttpError(413, f"body of {length} bytes exceeds the cap")
+    # length first: int() refuses strings of over 4300 digits
+    digits = length_text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) \
+            or int(digits) > MAX_BODY_BYTES:
+        raise HttpError(413, f"body of {digits} bytes exceeds the cap")
+    length = int(digits)
     if length:
         try:
             body = await asyncio.wait_for(

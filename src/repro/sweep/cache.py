@@ -84,25 +84,24 @@ class SweepCache:
     def lookup(self, key: str) -> Tuple[Optional[dict], str]:
         """``(payload, status)``: payload is ``None`` unless status=hit.
 
-        Any defect — unreadable file, bad JSON, wrong envelope, key or
-        checksum mismatch — downgrades to a miss so the caller
-        re-simulates; a defective *existing* entry reports ``corrupt``.
+        Any defect — unreadable file, bad or too deeply nested JSON,
+        wrong envelope, key or checksum mismatch — downgrades to a miss
+        so the caller re-simulates; a defective *existing* entry reports
+        ``corrupt``.  Nothing an entry file holds makes this raise.
         """
         path = self.path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
+            payload = entry.get("payload") if isinstance(entry, dict) \
+                else None
+            valid = (isinstance(payload, dict) and entry.get("key") == key
+                     and entry.get("checksum") == _checksum(payload))
         except FileNotFoundError:
             return None, MISS
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return None, CORRUPT
-        if not isinstance(entry, dict):
-            return None, CORRUPT
-        payload = entry.get("payload")
-        if (entry.get("key") != key or not isinstance(payload, dict)
-                or entry.get("checksum") != _checksum(payload)):
-            return None, CORRUPT
-        return payload, HIT
+        return (payload, HIT) if valid else (None, CORRUPT)
 
     def store(self, key: str, payload: dict) -> str:
         """Atomically persist one payload; returns the entry path."""

@@ -17,7 +17,9 @@ import random
 import pytest
 
 from repro.engine import ckernel, datapath
-from repro.engine.plan import NEST_FALLBACK_REASONS, SymbolicPlan
+from repro.engine.plan import (
+    NEST_FALLBACK_REASONS, AccessPlan, SymbolicPlan,
+)
 from repro.errors import ExecutionError
 from repro.isa import ProgramBuilder
 from repro.kernels import CodegenCaps, make_kernel
@@ -182,6 +184,70 @@ def test_gather_nodes_walk_and_the_rest_runs_as_a_nest():
     stats = fast.core(0).plan_stats
     assert stats.fallbacks["gather"] == 2
     assert stats.nest_runs == 2
+
+
+def _walked_straight_line():
+    """One top-level loop the nest executor refuses (it holds a gather),
+    so the walk runs every straight-line access in it: line-crossing
+    gathers, loads and stores, an NT store, prefetch hints (one and two
+    lines) and flushes, beside one-line demand accesses."""
+    b = ProgramBuilder()
+    data = b.buffer("data", 16384)
+    out = b.buffer("out", 8192)
+    table = b.index_table("tab0", [(i * 712) % 12000 + 40
+                                   for i in range(24)])
+    r = b.reg()
+    with b.loop(6) as j:
+        with b.loop(4) as i:
+            b.gather(data, table[i + j * 4], width=256)
+        b.gather(data, table[j * 3 + 1], width=256)
+        b.load(data[j * 64 + 48], width=256)
+        b.load(data[j * 512], width=64)
+        b.store(r, out[j * 128 + 40], width=256)
+        b.store(r, out[j * 64 + 4096], width=256, nt=True)
+        b.prefetch(data[j * 192 + 8192 + 60])
+        b.prefetch(data[j * 192 + 8256])
+        b.flush(out[j * 128 + 40])
+        b.flush(out[j * 128 + 64])
+        b.store(r, out[j * 8 + 2048], width=64)
+        b.load(data[j * 192 + 8192], width=128)
+    return b.build()
+
+
+def _events(sink):
+    return [(e.kind, e.name, e.ts, e.core, e.dur, e.args)
+            for e in sink.events]
+
+
+@pytest.mark.parametrize("node", [0, 1], ids=["local", "remote"])
+def test_walked_straight_line_accesses_run_in_the_kernel(node, monkeypatch):
+    plans = []
+    original = AccessPlan.one_run
+    monkeypatch.setattr(AccessPlan, "one_run", classmethod(
+        lambda cls, *a: plans.append(a[0]) or original(*a)))
+    factory = lambda: make_machine("snb-ep-x2", scale=0.0625)  # noqa: E731
+    fast, ref = factory(), factory()
+    ref.engine = "reference"
+    sinks = (ListSink(), ListSink())
+    fast.trace.attach(sinks[0])
+    ref.trace.attach(sinks[1])
+    program = _walked_straight_line()
+    for _ in range(2):
+        fast_r = fast.run(fast.load(program, node=node)).result
+        ref_r = ref.run(ref.load(program, node=node)).result
+        _assert_bit_identical(fast, fast_r, ref, ref_r)
+        assert sorted(fast.hierarchy.port(0)._prefetched) == \
+            sorted(ref.hierarchy.port(0)._prefetched)
+    assert _events(sinks[0]) == _events(sinks[1])
+    assert fast.core(0).plan_stats.fallbacks["gather"] == 2
+    # the kernel ran every multi-line access, NT store, prefetch and
+    # flush (the array state raises on any Python transition)
+    assert set(plans) == {"gather", "load", "store", "ntstore",
+                          "prefetch", "flush"}
+    assert (fast_r.batch.remote_dram_lines > 0) == (node == 1)
+    assert fast_r.batch.flushes and fast_r.batch.writebacks
+    assert fast_r.batch.nt_lines and fast_r.batch.sw_prefetches
+    assert fast_r.batch.prefetch_useful
 
 
 def test_negative_multisite_stride_still_raises():
