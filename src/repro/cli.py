@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -64,6 +65,7 @@ from .kernels import kernel_names, make_kernel
 from .machine.presets import PRESETS, make_machine
 from .machine.ref import MachineRef
 from .measure import explain_kernel, measure_kernel
+from .obs.metrics import REGISTRY
 from .roofline import KernelPoint, analyze_point, ascii_plot, build_roofline
 from .roofline.ert import DEFAULT_FLOP_COUNTS, LEVELS, discover_ceilings
 from .roofline.export import to_json as roofline_to_json
@@ -86,7 +88,6 @@ from .trace import (
     measurement_to_dict,
     timeline_from_events,
     to_chrome_trace,
-    to_prometheus,
 )
 from .trace.bus import ListSink, TraceBus
 from .units import format_bandwidth, format_bytes, format_flops, format_time
@@ -147,6 +148,7 @@ def _cmd_profile(args) -> int:
     kernel = make_kernel(args.kernel)
     cores = machine.topology.first_cores(args.threads)
     collector = TraceCollector(machine)
+    REGISTRY.reset()
     m = measure_kernel(machine, kernel, args.n, protocol=args.protocol,
                        cores=cores, reps=args.reps, trace=collector)
     if args.trace_out:
@@ -158,8 +160,9 @@ def _cmd_profile(args) -> int:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
     if args.metrics_out:
+        REGISTRY.absorb_trace_summary(collector.summary())
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(to_prometheus(collector.summary()))
+            handle.write(REGISTRY.to_prometheus())
     if args.json:
         print(json.dumps(measurement_to_dict(m), indent=2))
     else:
@@ -324,11 +327,10 @@ def _cmd_sweep(args) -> int:
             print("error: sweep needs either --grid or KERNEL --sizes N,..",
                   file=sys.stderr)
             return 2
-        sizes = [int(s) for s in args.sizes.split(",") if s]
         cores = tuple(ref.build().topology.first_cores(args.threads))
         plan = SweepPlan()
         for protocol in args.protocol.split(","):
-            plan.add_sweep(ref, args.kernel, sizes, protocol=protocol,
+            plan.add_sweep(ref, args.kernel, args.sizes, protocol=protocol,
                            reps=args.reps, cores=cores)
 
     cache = None if args.no_cache else SweepCache(args.cache_dir)
@@ -340,6 +342,7 @@ def _cmd_sweep(args) -> int:
         if not args.json and not args.live:
             print(f"[{done}/{total}] {status:7s} {point.label()}")
 
+    REGISTRY.reset()
     dashboard = None
     if args.live:
         dashboard = SweepDashboard(total=len(plan),
@@ -366,11 +369,7 @@ def _cmd_sweep(args) -> int:
         print(f"flame written to {args.flame_out}", file=sys.stderr)
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(to_prometheus({
-                "sweep": run.stats.to_dict(),
-                "plan_cache": run.plan_cache,
-                "workers": run.telemetry.get("workers", []),
-            }))
+            handle.write(REGISTRY.to_prometheus())
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     if args.json:
         print(json.dumps({
@@ -536,13 +535,12 @@ def _cmd_conformance(args) -> int:
 
 def _cmd_selfprofile(args) -> int:
     """Run one kernel sweep under the host-side span profiler."""
-    from .obs import REGISTRY, SPANS
+    from .obs import SPANS
 
     kernel_name = _KERNEL_ALIASES.get(args.kernel, args.kernel)
     ref = _sweep_machine_ref(args.machine, args.scale, args.engine)
     cores = tuple(ref.build().topology.first_cores(args.threads))
-    sizes = ([int(s) for s in args.sizes.split(",") if s]
-             if args.sizes else [args.n])
+    sizes = args.sizes or [args.n]
     plan = SweepPlan()
     plan.add_sweep(ref, kernel_name, sizes, protocol=args.protocol,
                    reps=args.reps, cores=cores)
@@ -612,9 +610,14 @@ def _cmd_selfprofile(args) -> int:
     return 0
 
 
-def _parse_flop_counts(text: str) -> List[int]:
-    counts = [int(s) for s in text.split(",") if s]
-    return counts or list(DEFAULT_FLOP_COUNTS)
+def _int_list(text: str) -> List[int]:
+    """argparse type: '16,32,64' -> [16, 32, 64]; empty entries are
+    skipped, a non-integer entry is a usage error."""
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad integer list {text!r}; use comma-separated integers")
 
 
 def _print_ceiling_table(ceilings) -> None:
@@ -633,7 +636,7 @@ def _cmd_ert(args) -> int:
     ref = _sweep_machine_ref(args.machine, args.scale, args.engine)
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     ceilings = discover_ceilings(
-        ref, flop_counts=_parse_flop_counts(args.flops),
+        ref, flop_counts=args.flops or list(DEFAULT_FLOP_COUNTS),
         sweeps=args.sweeps, reps=args.reps,
         jobs=args.jobs, cache=cache,
     )
@@ -661,15 +664,15 @@ def _cmd_ert(args) -> int:
 
 def _cmd_analyze(args) -> int:
     kernel_name = _KERNEL_ALIASES.get(args.kernel, args.kernel)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes:
+    if not args.sizes:
         print("error: analyze needs --sizes N,N,..", file=sys.stderr)
         return 2
     ref = _sweep_machine_ref(args.machine, args.scale, args.engine)
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     result = hierarchical_analyze(
-        kernel_name, sizes, machine=ref, protocol=args.protocol,
-        reps=args.reps, flop_counts=_parse_flop_counts(args.flops),
+        kernel_name, args.sizes, machine=ref, protocol=args.protocol,
+        reps=args.reps,
+        flop_counts=args.flops or list(DEFAULT_FLOP_COUNTS),
         jobs=args.jobs, cache=cache,
     )
     if args.json:
@@ -774,28 +777,37 @@ _SIZE_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
 _AGE_SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
 
+def _parse_scaled(text: str, suffixes: dict) -> Optional[float]:
+    """'2g' -> 2 * suffixes['g']; None unless finite and >= 0."""
+    scale = suffixes.get(text[-1:])
+    digits = text[:-1] if scale else text
+    try:
+        value = float(digits) * (scale or 1)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) and value >= 0 else None
+
+
 def _parse_size(text: str) -> int:
     """'500M' / '2g' / '1048576' -> bytes."""
     text = text.strip().lower()
-    scale = _SIZE_SUFFIXES.get(text[-1:], None)
-    digits = text[:-1] if scale else text
-    try:
-        return int(float(digits) * (scale or 1))
-    except ValueError:
+    value = _parse_scaled(text, _SIZE_SUFFIXES)
+    if value is None:
         raise argparse.ArgumentTypeError(
-            f"bad size {text!r}; use bytes or a K/M/G suffix")
+            f"bad size {text!r}; use non-negative bytes or a K/M/G "
+            f"suffix")
+    return int(value)
 
 
 def _parse_age(text: str) -> float:
     """'7d' / '12h' / '45m' / '3600' -> seconds."""
     text = text.strip().lower()
-    scale = _AGE_SUFFIXES.get(text[-1:], None)
-    digits = text[:-1] if scale else text
-    try:
-        return float(digits) * (scale or 1.0)
-    except ValueError:
+    value = _parse_scaled(text, _AGE_SUFFIXES)
+    if value is None:
         raise argparse.ArgumentTypeError(
-            f"bad age {text!r}; use seconds or an s/m/h/d suffix")
+            f"bad age {text!r}; use non-negative seconds or an s/m/h/d "
+            f"suffix")
+    return value
 
 
 def _cmd_cache(args) -> int:
@@ -959,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", choices=sorted(GRIDS),
                          help="named figure grid (f4=daxpy, f5=dgemv, "
                               "f6=dgemm, f7=fft)")
-    p_sweep.add_argument("--sizes",
+    p_sweep.add_argument("--sizes", type=_int_list,
                          help="comma-separated problem sizes "
                               "(with KERNEL form)")
     p_sweep.add_argument("--machine", default="snb-ep",
@@ -1011,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ert.add_argument("--engine", choices=("fast", "reference"),
                        default="fast",
                        help="execution engine for the grid")
-    p_ert.add_argument("--flops", default=",".join(
+    p_ert.add_argument("--flops", type=_int_list, default=",".join(
                            str(c) for c in DEFAULT_FLOP_COUNTS),
                        help="comma-separated flops-per-element grid "
                             "(default %(default)s)")
@@ -1037,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=kernel_names() + sorted(_KERNEL_ALIASES),
                       help="kernel to analyse (dgemm/dgemv resolve to "
                            "the paper's tiled/row variants)")
-    p_an.add_argument("--sizes", required=True,
+    p_an.add_argument("--sizes", type=_int_list, required=True,
                       help="comma-separated problem sizes")
     p_an.add_argument("--machine", default="snb",
                       choices=sorted(PRESETS))
@@ -1048,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--protocol", choices=("cold", "warm"),
                       default="cold")
     p_an.add_argument("--reps", type=int, default=2)
-    p_an.add_argument("--flops", default=",".join(
+    p_an.add_argument("--flops", type=_int_list, default=",".join(
                           str(c) for c in DEFAULT_FLOP_COUNTS),
                       help="flops-per-element grid for ceiling discovery")
     p_an.add_argument("--svg", action="store_true",
@@ -1095,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "paper's tiled/row variants)")
     p_self.add_argument("--n", type=int, default=512,
                         help="problem size (default 512)")
-    p_self.add_argument("--sizes",
+    p_self.add_argument("--sizes", type=_int_list,
                         help="comma-separated sizes (overrides --n; "
                              "profiles a multi-point sweep)")
     p_self.add_argument("--machine", default="tiny",

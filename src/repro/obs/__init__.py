@@ -15,8 +15,9 @@ Five pieces:
   layers, near-zero cost when disabled, exporting Chrome-trace flame
   views of host wall-time and a top-N hotspot table;
 * :mod:`repro.obs.metrics` — a unified registry of counters, gauges
-  and histograms behind one Prometheus/JSON export path (shared
-  text-format helpers with :mod:`repro.trace.export`);
+  and histograms behind one Prometheus/JSON export path, the only
+  Prometheus writer in the repository (it also renders the machine
+  plane's trace-summary counters);
 * :mod:`repro.obs.remote` — the distributed telemetry plane: trace
   contexts dispatched with each sweep point, worker-side span/metrics/
   event capture, parent-side merge onto per-worker flame tracks, and

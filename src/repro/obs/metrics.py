@@ -2,12 +2,12 @@
 
 Telemetry used to be scattered — :class:`~repro.engine.plan.
 PlanCacheStats` lived on each core, sweep-cache hit counts on
-:class:`~repro.sweep.executor.SweepStats`, and each CLI glued its own
-export together.  The :class:`MetricsRegistry` absorbs them behind one
-Prometheus/JSON export path, shared (via the ``escape_*`` /
-``format_*`` helpers below) with :func:`repro.trace.export.
-to_prometheus`, so every exposition in the repository renders the same
-conformant text format.
+:class:`~repro.sweep.executor.SweepStats`, the machine-plane counters
+in a :class:`~repro.trace.collector.TraceCollector` summary, and each
+CLI glued its own export together.  The :class:`MetricsRegistry`
+absorbs them behind one Prometheus/JSON export path: it is the only
+code in the repository that writes Prometheus text, and each metric
+family is declared in one place.
 
 Format conformance (pinned by ``tests/obs/test_prometheus_format.py``):
 
@@ -19,12 +19,13 @@ Format conformance (pinned by ``tests/obs/test_prometheus_format.py``):
   order ending at ``+Inf``, plus ``_sum`` and ``_count``, and are valid
   (all zeros, no NaN) with zero observations;
 * non-finite values render as Prometheus' ``+Inf``/``-Inf``/``NaN``
-  spellings, never as Python's ``inf``/``nan``.
+  spellings, never as Python's ``inf``/``nan``; finite values render
+  exactly (they parse back to the value recorded).
 
 The registry is deliberately small and dependency-free — it is not a
 Prometheus client library, just enough structure that the sweep
-executor, the engine plan cache, and the ``selfprofile`` CLI speak one
-metrics language.
+executor, the engine plan cache, the trace collector and the CLIs
+speak one metrics language.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0,
 
 
 # ----------------------------------------------------------------------
-# Prometheus text-format helpers (shared with repro.trace.export)
+# Prometheus text-format helpers
 # ----------------------------------------------------------------------
 def escape_label_value(value: object) -> str:
     """Escape a label value per the text exposition format."""
@@ -81,14 +82,24 @@ def format_labels(labels: Optional[Dict[str, object]]) -> str:
 
 
 def format_value(value: float) -> str:
-    """Render a sample value; non-finite floats use Prometheus
-    spellings (``+Inf`` / ``-Inf`` / ``NaN``)."""
+    """Render a sample value so that it parses back exactly.
+
+    The short ``{:g}`` form is kept wherever it is exact; otherwise an
+    integral value renders as an integer and any other float as its
+    shortest round-tripping ``repr``.  Non-finite floats use the
+    Prometheus spellings (``+Inf`` / ``-Inf`` / ``NaN``).
+    """
     if isinstance(value, float):
         if math.isnan(value):
             return "NaN"
         if math.isinf(value):
             return "+Inf" if value > 0 else "-Inf"
-    return f"{value:g}"
+    text = f"{value:g}"
+    if float(text) == value:
+        return text
+    if value == int(value):
+        return str(int(value))
+    return repr(float(value))
 
 
 def _bucket_le(bound: float) -> str:
@@ -363,38 +374,37 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # absorbing the scattered telemetry
     # ------------------------------------------------------------------
-    def absorb_plan_cache(self, stats_doc: dict,
-                          prefix: str = "repro") -> None:
+    def absorb_plan_cache(self, stats_doc: dict) -> None:
         """Fold a :class:`PlanCacheStats` ``as_dict()`` into the
         registry (counters for the totals, a gauge for the hit rate)."""
         lookups = self.counter(
-            f"{prefix}_plan_cache_lookups_total",
+            "repro_plan_cache_lookups_total",
             "Compile-tier plan-cache lookups by outcome",
             labelnames=("outcome",),
         )
         lookups.inc(stats_doc.get("hits", 0), outcome="hit")
         lookups.inc(stats_doc.get("misses", 0), outcome="miss")
         built = self.counter(
-            f"{prefix}_plan_cache_built_total",
+            "repro_plan_cache_built_total",
             "Plan-cache compile work by unit (segments, lines)",
             labelnames=("unit",),
         )
         built.inc(stats_doc.get("built_segments", 0), unit="segments")
         built.inc(stats_doc.get("built_lines", 0), unit="lines")
         self.counter(
-            f"{prefix}_plan_cache_flushes_total",
+            "repro_plan_cache_flushes_total",
             "Whole-cache flushes forced by the line-count bound",
         ).inc(stats_doc.get("flushes", 0))
         self.gauge(
-            f"{prefix}_plan_cache_hit_rate",
+            "repro_plan_cache_hit_rate",
             "Fraction of plan lookups served from the compile-tier cache",
         ).set(stats_doc.get("hit_rate", 0.0))
         self.counter(
-            f"{prefix}_nest_runs_total",
+            "repro_nest_runs_total",
             "Loop-nest descriptors executed by the C nest executor",
         ).inc(stats_doc.get("nest_runs", 0))
         fallbacks = self.counter(
-            f"{prefix}_nest_fallbacks_total",
+            "repro_nest_fallbacks_total",
             "Top-level program nodes walked in Python, by reason",
             labelnames=("reason",),
         )
@@ -402,11 +412,10 @@ class MetricsRegistry:
             fallbacks.inc(stats_doc.get(f"fallback_{reason}", 0),
                           reason=reason)
 
-    def absorb_sweep_stats(self, stats_doc: dict,
-                           prefix: str = "repro") -> None:
+    def absorb_sweep_stats(self, stats_doc: dict) -> None:
         """Fold a :class:`SweepStats` ``to_dict()`` into the registry."""
         points = self.counter(
-            f"{prefix}_sweep_points_total",
+            "repro_sweep_points_total",
             "Sweep-plan points by outcome (hit=cache replay, "
             "miss=simulated, corrupt=bad entry re-simulated)",
             labelnames=("outcome",),
@@ -415,13 +424,74 @@ class MetricsRegistry:
         points.inc(stats_doc.get("misses", 0), outcome="miss")
         points.inc(stats_doc.get("corrupt", 0), outcome="corrupt")
         self.gauge(
-            f"{prefix}_sweep_cache_hit_rate",
+            "repro_sweep_cache_hit_rate",
             "Fraction of sweep points served from the result cache",
         ).set(stats_doc.get("hit_rate", 0.0))
         self.gauge(
-            f"{prefix}_sweep_elapsed_seconds",
+            "repro_sweep_elapsed_seconds",
             "Wall time the sweep executor spent on the plan",
         ).set(stats_doc.get("elapsed_seconds", 0.0))
+
+    def absorb_trace_summary(self, summary: dict) -> None:
+        """Fold a :class:`~repro.trace.collector.TraceCollector`
+        ``summary()`` into the registry: the machine-plane families.
+
+        The unlabelled totals always appear (zero when the summary
+        lacks them); a labelled family, and the MLP gauge, appear only
+        when the summary has samples for them.
+        """
+        dram = summary.get("dram", {})
+        reissue = summary.get("reissue", {})
+        mlp = summary.get("avg_outstanding_misses")
+        families = (
+            (self.gauge, "repro_phase_count",
+             "Measured phases in the trace", (),
+             [({}, summary.get("phase_count", 0))]),
+            (self.counter, "repro_cycles_total",
+             "Cycles across measured phases", (),
+             [({}, summary.get("total_cycles", 0.0))]),
+            (self.counter, "repro_bound_cycles_total",
+             "Throughput-bound cycles attributed to each binding "
+             "constraint", ("bound",),
+             [({"bound": bound}, cycles) for bound, cycles
+              in summary.get("bound_cycles", {}).items()]),
+            (self.counter, "repro_cache_events_total",
+             "Functional cache/TLB event counts", ("event",),
+             [({"event": event}, count) for event, count
+              in summary.get("cache", {}).items()]),
+            (self.counter, "repro_dram_lines_total",
+             "IMC-visible 64B line transfers", ("dir",),
+             [({"dir": "read"}, dram.get("read_lines", 0)),
+              ({"dir": "write"}, dram.get("write_lines", 0))]),
+            (self.counter, "repro_prefetch_total",
+             "Per-engine prefetch counters", ("engine", "kind"),
+             [({"engine": engine, "kind": kind}, stats.get(kind, 0))
+              for engine, stats
+              in summary.get("prefetch_engines", {}).items()
+              for kind in ("issued", "useful")]),
+            (self.counter, "repro_reissue_slots_total",
+             "FP re-dispatch slots (the W-overcount mechanism)", (),
+             [({}, reissue.get("slots", 0))]),
+            (self.counter, "repro_reissue_overcounted_flops_total",
+             "Counted flops attributable purely to FP reissue", (),
+             [({}, reissue.get("overcounted_flops", 0))]),
+            (self.gauge, "repro_bandwidth_utilization",
+             "Cycle-weighted achieved/roof bandwidth per memory level",
+             ("level",),
+             [({"level": level}, value) for level, value
+              in (summary.get("bandwidth_utilization") or {}).items()
+              if value is not None]),
+            (self.gauge, "repro_avg_outstanding_misses",
+             "Average outstanding demand misses (MLP actually used)", (),
+             [] if mlp is None else [({}, mlp)]),
+        )
+        for register, name, help_text, labelnames, samples in families:
+            if not samples:
+                continue
+            metric = register(name, help_text, labelnames)
+            record = metric.set if isinstance(metric, Gauge) else metric.inc
+            for labels, value in samples:
+                record(value, **labels)
 
     # ------------------------------------------------------------------
     # cross-process delta transport (distributed telemetry plane)

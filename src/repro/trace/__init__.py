@@ -10,8 +10,10 @@ The layer has three parts:
 * a windowed sampler (:class:`TimelineSampler`) that bins execution
   into fixed cycle windows and derives per-window series plus the
   roofline trajectory (:class:`RooflineTrajectory`);
-* exporters for Chrome trace-event JSON (Perfetto), Prometheus text
-  metrics, and JSON lines.
+* exporters for Chrome trace-event JSON (Perfetto) and JSON lines.
+
+A collector summary's Prometheus metrics go through the one metrics
+registry (:meth:`repro.obs.metrics.MetricsRegistry.absorb_trace_summary`).
 
 See ``docs/OBSERVABILITY.md`` for the full tour.
 """
@@ -32,7 +34,6 @@ from .export import (
     measurement_to_dict,
     to_chrome_trace,
     to_jsonl,
-    to_prometheus,
 )
 from .timeline import (
     COUNTER_KEYS,
@@ -62,7 +63,6 @@ __all__ = [
     "KINDS",
     "to_chrome_trace",
     "to_jsonl",
-    "to_prometheus",
     "measurement_to_dict",
     "Timeline",
     "TimelineConfig",

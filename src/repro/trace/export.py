@@ -1,16 +1,18 @@
-"""Trace exporters: Chrome trace-event JSON, Prometheus text, JSONL.
+"""Trace exporters: Chrome trace-event JSON and JSONL.
 
 * :func:`to_chrome_trace` produces the Trace Event Format consumed by
   Perfetto / ``chrome://tracing``: phases become complete (``X``)
   duration events on one track per core, and the cache/DRAM/prefetch
   batch streams become cumulative counter (``C``) tracks.
-* :func:`to_prometheus` renders a collector summary in the Prometheus
-  text exposition format (counters and gauges with labels).
 * :func:`to_jsonl` writes the raw event stream one JSON object per
   line — the lossless form, for ad-hoc analysis.
 * :func:`measurement_to_dict` is the machine-readable form of a
   :class:`~repro.measure.runner.Measurement` used by ``--json`` CLI
   output; it embeds the trace summary when one was collected.
+
+A collector summary's Prometheus text comes from the metrics registry:
+:meth:`repro.obs.metrics.MetricsRegistry.absorb_trace_summary`, then
+``to_prometheus()``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import json
 import math
 from typing import Dict, Iterable, List, Optional
 
-from ..engine.plan import NEST_FALLBACK_REASONS
-from ..obs.metrics import escape_help, format_labels, format_value
 from .events import (
     CACHE,
     COUNTERS,
@@ -204,126 +204,6 @@ def to_jsonl(events: Iterable[TraceEvent]) -> str:
         json.dumps(_strict_json(e.to_dict()), sort_keys=True)
         for e in events
     )
-
-
-def to_prometheus(summary: dict, prefix: str = "repro") -> str:
-    """Prometheus text exposition of a collector summary.
-
-    Escaping, label formatting and non-finite value spellings are the
-    shared helpers from :mod:`repro.obs.metrics`, so this exposition
-    and the metrics registry's render identically conformant text.
-    Returns the empty string for an empty summary (a valid exposition),
-    never a bare newline.
-    """
-    lines: List[str] = []
-
-    def metric(name: str, kind: str, help_text: str,
-               samples: List) -> None:
-        if not samples:
-            return
-        lines.append(f"# HELP {prefix}_{name} {escape_help(help_text)}")
-        lines.append(f"# TYPE {prefix}_{name} {kind}")
-        for labels, value in samples:
-            lines.append(f"{prefix}_{name}{format_labels(labels)} "
-                         f"{format_value(value)}")
-
-    metric("phase_count", "gauge", "Measured phases in the trace",
-           [({}, summary.get("phase_count", 0))])
-    metric("cycles_total", "counter", "Cycles across measured phases",
-           [({}, summary.get("total_cycles", 0.0))])
-    metric("bound_cycles_total", "counter",
-           "Throughput-bound cycles attributed to each binding constraint",
-           [({"bound": b}, c)
-            for b, c in sorted(summary.get("bound_cycles", {}).items())])
-    metric("cache_events_total", "counter",
-           "Functional cache/TLB event counts",
-           [({"event": k}, v)
-            for k, v in sorted(summary.get("cache", {}).items())])
-    dram = summary.get("dram", {})
-    metric("dram_lines_total", "counter", "IMC-visible 64B line transfers",
-           [({"dir": "read"}, dram.get("read_lines", 0)),
-            ({"dir": "write"}, dram.get("write_lines", 0))])
-    metric("prefetch_total", "counter", "Per-engine prefetch counters",
-           [({"engine": engine, "kind": k}, stats.get(k, 0))
-            for engine, stats in sorted(
-                summary.get("prefetch_engines", {}).items())
-            for k in ("issued", "useful")])
-    reissue = summary.get("reissue", {})
-    metric("reissue_slots_total", "counter",
-           "FP re-dispatch slots (the W-overcount mechanism)",
-           [({}, reissue.get("slots", 0))])
-    metric("reissue_overcounted_flops_total", "counter",
-           "Counted flops attributable purely to FP reissue",
-           [({}, reissue.get("overcounted_flops", 0))])
-    metric("bandwidth_utilization", "gauge",
-           "Cycle-weighted achieved/roof bandwidth per memory level",
-           [({"level": level}, value)
-            for level, value in sorted(
-                (summary.get("bandwidth_utilization") or {}).items())
-            if value is not None])
-    mlp = summary.get("avg_outstanding_misses")
-    if mlp is not None:
-        metric("avg_outstanding_misses", "gauge",
-               "Average outstanding demand misses (MLP actually used)",
-               [({}, mlp)])
-    sweep = summary.get("sweep", {})
-    if sweep:
-        metric("sweep_points_total", "counter",
-               "Sweep-plan points by outcome (hit=cache replay, "
-               "miss=simulated, corrupt=bad entry re-simulated)",
-               [({"outcome": "hit"}, sweep.get("hits", 0)),
-                ({"outcome": "miss"}, sweep.get("misses", 0)),
-                ({"outcome": "corrupt"}, sweep.get("corrupt", 0))])
-        metric("sweep_cache_hit_rate", "gauge",
-               "Fraction of sweep points served from the result cache",
-               [({}, sweep.get("hit_rate", 0.0))])
-        metric("sweep_elapsed_seconds", "gauge",
-               "Wall time the sweep executor spent on the plan",
-               [({}, sweep.get("elapsed_seconds", 0.0))])
-    workers = summary.get("workers") or []
-    if workers:
-        # worker rows come from the merged distributed-telemetry doc
-        # (repro.obs.remote.merge_run_telemetry); label values go
-        # through the same escape helpers as every other series here
-        metric("sweep_worker_points_total", "counter",
-               "Sweep points simulated, by worker process",
-               [({"worker": w.get("pid", 0)}, w.get("points", 0))
-                for w in workers])
-        metric("sweep_worker_busy_seconds_total", "counter",
-               "Wall time spent simulating sweep points, by worker "
-               "process",
-               [({"worker": w.get("pid", 0)}, w.get("busy_seconds", 0.0))
-                for w in workers])
-        metric("sweep_worker_utilization", "gauge",
-               "Fraction of the sweep wall time each worker spent busy",
-               [({"worker": w.get("pid", 0)}, w.get("utilization", 0.0))
-                for w in workers if w.get("utilization") is not None])
-    plan_cache = summary.get("plan_cache", {})
-    if plan_cache:
-        metric("plan_cache_lookups_total", "counter",
-               "Compile-tier plan-cache lookups by outcome",
-               [({"outcome": "hit"}, plan_cache.get("hits", 0)),
-                ({"outcome": "miss"}, plan_cache.get("misses", 0))])
-        metric("plan_cache_built_total", "counter",
-               "Plan-cache compile work by unit (segments, lines)",
-               [({"unit": "segments"}, plan_cache.get("built_segments", 0)),
-                ({"unit": "lines"}, plan_cache.get("built_lines", 0))])
-        metric("plan_cache_flushes_total", "counter",
-               "Whole-cache flushes forced by the line-count bound",
-               [({}, plan_cache.get("flushes", 0))])
-        metric("plan_cache_hit_rate", "gauge",
-               "Fraction of plan lookups served from the compile-tier "
-               "cache",
-               [({}, plan_cache.get("hit_rate", 0.0))])
-        metric("nest_runs_total", "counter",
-               "Loop-nest descriptors executed by the C nest executor",
-               [({}, plan_cache.get("nest_runs", 0))])
-        metric("nest_fallbacks_total", "counter",
-               "Top-level program nodes walked in Python, by reason",
-               [({"reason": reason},
-                 plan_cache.get(f"fallback_{reason}", 0))
-                for reason in NEST_FALLBACK_REASONS])
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _summary_to_dict(summary) -> Optional[dict]:

@@ -1,4 +1,4 @@
-"""Exporter edge cases (satellite of PR 6).
+"""Exporter edge cases.
 
 Empty trace, single-window timeline, zero-observation registry, empty
 span profiler: every export path must produce valid, non-NaN output
@@ -18,9 +18,8 @@ from repro.trace import (
     TraceCollector,
     timeline_from_events,
     to_chrome_trace,
-    to_prometheus,
 )
-from .test_prometheus_format import check_exposition
+from .test_prometheus_format import check_exposition, trace_exposition
 
 
 def _no_nan(node):
@@ -45,7 +44,7 @@ class TestEmptyTrace:
 
     def test_prometheus_of_empty_collector_summary(self):
         collector = TraceCollector(tiny_test_machine())
-        text = to_prometheus(collector.summary())
+        text = trace_exposition(collector.summary())
         check_exposition(text)
         assert "NaN" not in text
 

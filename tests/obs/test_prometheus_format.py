@@ -1,8 +1,8 @@
-"""Prometheus text-exposition conformance (satellite of PR 6).
+"""Prometheus text-exposition conformance.
 
-One checker, applied to every exposition the repository produces —
-the metrics registry's and ``repro.trace.export.to_prometheus``'s —
-so the two paths cannot drift apart in formatting.
+The metrics registry is the only Prometheus writer in the repository;
+one checker is applied to its expositions, host-plane families and
+the machine-plane families absorbed from a trace summary alike.
 """
 
 import math
@@ -17,11 +17,18 @@ from repro.obs.metrics import (
     format_labels,
     format_value,
 )
-from repro.trace.export import to_prometheus
 
 _SAMPLE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [^ ]+$"
 )
+
+
+def trace_exposition(summary: dict) -> str:
+    """The exposition of a trace summary, absorbed into a fresh
+    registry."""
+    reg = MetricsRegistry()
+    reg.absorb_trace_summary(summary)
+    return reg.to_prometheus()
 
 
 def check_exposition(text: str) -> None:
@@ -65,6 +72,35 @@ class TestEscaping:
         assert format_value(float("nan")) == "NaN"
         assert format_value(float("inf")) == "+Inf"
         assert format_value(float("-inf")) == "-Inf"
+
+
+class TestValuePrecision:
+    # {:g} keeps six significant digits: 123456789 used to render as
+    # 1.23457e+08
+
+    @pytest.mark.parametrize("value", [123456789, 2 ** 53, 0.1234567891])
+    def test_values_parse_back_exactly(self, value):
+        assert float(format_value(value)) == value
+        assert float(format_value(float(value))) == value
+
+    def test_integral_values_render_as_integers(self):
+        assert format_value(123456789) == "123456789"
+        assert format_value(123456789.0) == "123456789"
+        assert format_value(float(2 ** 53)) == "9007199254740992"
+
+    def test_other_floats_use_the_shortest_round_trip(self):
+        assert format_value(0.1234567891) == "0.1234567891"
+        assert format_value(1136740.3076923075) == "1136740.3076923075"
+
+    @pytest.mark.parametrize("value", [0, 0.0, 1, 0.5, 0.75, 90.0, 98304,
+                                       1e-3, 2.5e-7, 1e20, -3.0])
+    def test_exact_g_spellings_are_unchanged(self, value):
+        assert format_value(value) == f"{value:g}"
+
+    def test_exposition_sample_is_exact(self):
+        reg = MetricsRegistry()
+        reg.counter("repro_big_total", "big").inc(123456789)
+        assert "repro_big_total 123456789\n" in reg.to_prometheus()
 
 
 class TestRegistryExposition:
@@ -118,6 +154,9 @@ class TestRegistryExposition:
 
 
 class TestTraceExportExposition:
+    """The machine-plane families of ``absorb_trace_summary``, next to
+    the sweep and plan-cache families in one registry."""
+
     def _summary(self):
         return {
             "phase_count": 2,
@@ -135,49 +174,58 @@ class TestTraceExportExposition:
                            "flushes": 0},
         }
 
+    def _exposition(self):
+        summary = self._summary()
+        reg = MetricsRegistry()
+        reg.absorb_trace_summary(summary)
+        reg.absorb_sweep_stats(summary["sweep"])
+        reg.absorb_plan_cache(summary["plan_cache"])
+        return reg.to_prometheus()
+
     def test_summary_exposition_conforms(self):
-        text = to_prometheus(self._summary())
-        check_exposition(text)
+        check_exposition(self._exposition())
 
     def test_label_values_escaped(self):
-        text = to_prometheus(self._summary())
+        text = self._exposition()
         assert 'bound="odd\\"bound"' in text
 
     def test_plan_cache_section_present(self):
-        text = to_prometheus(self._summary())
+        text = self._exposition()
         assert 'repro_plan_cache_lookups_total{outcome="hit"} 6' in text
         assert "repro_plan_cache_hit_rate 0.75" in text
+
+    def test_machine_plane_families_keep_their_kinds(self):
+        text = trace_exposition(self._summary())
+        for name, kind in (("repro_phase_count", "gauge"),
+                           ("repro_cycles_total", "counter"),
+                           ("repro_bound_cycles_total", "counter"),
+                           ("repro_cache_events_total", "counter"),
+                           ("repro_dram_lines_total", "counter"),
+                           ("repro_prefetch_total", "counter"),
+                           ("repro_reissue_slots_total", "counter"),
+                           ("repro_reissue_overcounted_flops_total",
+                            "counter"),
+                           ("repro_bandwidth_utilization", "gauge")):
+            assert f"# TYPE {name} {kind}\n" in text
+        assert ('repro_prefetch_total{engine="stride",kind="useful"} 4'
+                in text)
+        # a level without a utilization estimate is left out, not NaN
+        assert 'repro_bandwidth_utilization{level="dram"} 0.5' in text
+        assert 'level="l3"' not in text
+        # the trace summary carries no sweep or plan-cache families
+        assert "repro_sweep_" not in text
+        assert "repro_plan_cache_" not in text
 
     def test_empty_summary_is_valid_zero_exposition(self):
         # an empty trace summary still renders the always-present
         # families with zero values — valid text, no bare newline
-        text = to_prometheus({})
+        text = trace_exposition({})
         check_exposition(text)
         assert text != "\n"
         assert "repro_phase_count 0" in text
 
     def test_nonfinite_value_spelling(self):
-        text = to_prometheus({"total_cycles": float("nan"),
-                              "phase_count": 1})
+        text = trace_exposition({"total_cycles": float("nan"),
+                                 "phase_count": 1})
         assert "repro_cycles_total NaN" in text
         check_exposition(text)
-
-
-class TestSharedHelpers:
-    def test_both_paths_render_identical_label_syntax(self):
-        # the regression this satellite fixes: trace.export used to
-        # interpolate labels unescaped
-        reg = MetricsRegistry()
-        reg.counter("repro_a_total", "a", labelnames=("k",)).inc(1, k='x"y')
-        registry_line = [
-            line for line in reg.to_prometheus().splitlines()
-            if line.startswith("repro_a_total{")
-        ][0]
-        export_text = to_prometheus(
-            {"bound_cycles": {'x"y': 1.0}, "phase_count": 0})
-        export_line = [
-            line for line in export_text.splitlines()
-            if line.startswith("repro_bound_cycles_total{")
-        ][0]
-        assert 'k="x\\"y"' in registry_line
-        assert 'bound="x\\"y"' in export_line

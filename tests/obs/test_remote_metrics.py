@@ -4,10 +4,9 @@ Pins the :meth:`MetricsRegistry.to_delta_doc` /
 :meth:`MetricsRegistry.absorb_delta` transport the distributed
 telemetry plane ships worker metrics over: counters sum, gauges are
 last-write-wins, histograms bucket-merge (and refuse lossy merges
-across mismatched bucket bounds).  Also round-trips awkward label
-values through both expositions that can carry worker-labelled series
-— the registry's and ``repro.trace.export.to_prometheus``'s workers
-section — via the shared escaping helpers.
+across mismatched bucket bounds).  Also round-trips awkward worker
+label values through the registry's exposition and the delta
+transport.
 """
 
 import math
@@ -15,7 +14,6 @@ import math
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, escape_label_value
-from repro.trace.export import to_prometheus
 
 from tests.obs.test_prometheus_format import check_exposition
 
@@ -134,7 +132,8 @@ class TestDeltaDocValidation:
 
 
 class TestWorkerLabelEscaping:
-    """Weird label values survive both worker-labelled expositions."""
+    """Weird worker label values survive the exposition and the delta
+    transport."""
 
     WEIRD = 'worker "7"\\host\nnode'
 
@@ -158,23 +157,3 @@ class TestWorkerLabelEscaping:
         text = parent.to_prometheus()
         check_exposition(text)
         assert f'worker="{escape_label_value(self.WEIRD)}"' in text
-
-    def test_trace_export_workers_section_is_conformant(self):
-        summary = {
-            "workers": [
-                {"pid": 4242, "points": 3, "busy_seconds": 1.25,
-                 "utilization": 0.625},
-                {"pid": 4243, "points": 2, "busy_seconds": 0.5,
-                 "utilization": None},
-            ],
-        }
-        text = to_prometheus(summary)
-        check_exposition(text)
-        assert 'repro_sweep_worker_points_total{worker="4242"} 3' in text
-        assert ('repro_sweep_worker_busy_seconds_total{worker="4242"} '
-                "1.25" in text)
-        assert 'repro_sweep_worker_utilization{worker="4242"} 0.625' in text
-        # a worker without a utilization estimate is simply omitted
-        # from that family, not rendered as nan
-        assert 'repro_sweep_worker_utilization{worker="4243"}' not in text
-        assert 'repro_sweep_worker_points_total{worker="4243"} 2' in text

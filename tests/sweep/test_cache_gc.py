@@ -97,6 +97,36 @@ class TestGcCli:
         assert code == 2
         assert "needs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", [
+        ["--max-bytes", "-1"], ["--max-bytes", "1e400"],
+        ["--max-bytes", "nan"], ["--max-bytes=-2k"],
+        ["--max-age=-1"], ["--max-age", "nan"], ["--max-age", "inf"],
+        ["--max-age=-1h"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_negative_or_non_finite_bound_is_a_usage_error(
+            self, tmp_path, capsys, bound):
+        from repro.cli import main
+        cache = SweepCache(str(tmp_path / "c"))
+        keys = populate(cache, [64, 96])
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "gc", *bound, "--cache-dir", cache.root])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert all(cache.lookup(key)[1] == "hit" for key in keys)
+
+    @pytest.mark.parametrize("bound", ["--max-bytes", "--max-age"])
+    def test_zero_bound_still_works(self, tmp_path, capsys, bound):
+        from repro.cli import main
+        cache = SweepCache(str(tmp_path / "c"))
+        populate(cache, [64, 96])
+        code = main(["cache", "gc", bound, "0", "--json",
+                     "--cache-dir", cache.root])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["scanned"] == 2
+        if bound == "--max-bytes":
+            assert doc["removed"] == 2
+
     def test_size_and_age_spellings(self):
         from repro.cli import _parse_age, _parse_size
         assert _parse_size("2k") == 2048

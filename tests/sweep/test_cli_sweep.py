@@ -97,6 +97,29 @@ class TestSweepCommand:
         assert 'repro_sweep_points_total{outcome="miss"}' in text
         assert "repro_sweep_cache_hit_rate" in text
 
+    def test_metrics_out_has_no_machine_plane_family(self, tmp_path,
+                                                     capsys):
+        # a sweep's exposition is the metrics registry the run filled:
+        # sweep, plan-cache and latency families, and none of the
+        # trace-summary families, which a sweep has no samples for
+        metrics = tmp_path / "sweep.prom"
+        assert main(["sweep", "daxpy", "--sizes", "96,160",
+                     "--machine", "tiny", "--reps", "1", "--no-cache",
+                     "--metrics-out", str(metrics)]) == 0
+        text = metrics.read_text()
+        for family in ("repro_phase_count", "repro_cycles_total",
+                       "repro_bound_cycles_total",
+                       "repro_cache_events_total",
+                       "repro_dram_lines_total", "repro_prefetch_total",
+                       "repro_reissue_slots_total",
+                       "repro_reissue_overcounted_flops_total",
+                       "repro_bandwidth_utilization",
+                       "repro_avg_outstanding_misses"):
+            assert family not in text, family
+        assert 'repro_sweep_points_total{outcome="miss"} 2' in text
+        assert "repro_sweep_point_seconds_count 2" in text
+        assert "# TYPE repro_plan_cache_lookups_total counter" in text
+
 
 class TestExperimentIntegration:
     def test_experiment_reports_cache_stats(self, tmp_path, capsys):

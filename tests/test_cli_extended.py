@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.roofline.ert import DEFAULT_FLOP_COUNTS
 
 
 class TestExplainCommand:
@@ -97,3 +98,40 @@ class TestAnalyzeCommand:
                      "--machine", "tiny", "--no-cache"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestIntegerListArguments:
+    """A bad entry in a comma-separated integer list is a usage error
+    (exit 2), not a ValueError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "daxpy", "--sizes", "1x", "--machine", "tiny"],
+        ["selfprofile", "daxpy", "--sizes", "16,1x"],
+        ["analyze", "daxpy", "--sizes", "1x", "--machine", "tiny"],
+        ["analyze", "daxpy", "--sizes", "16", "--flops", "a",
+         "--machine", "tiny"],
+        ["ert", "--flops", "1,a", "--machine", "tiny"],
+    ], ids=["sweep-sizes", "selfprofile-sizes", "analyze-sizes",
+            "analyze-flops", "ert-flops"])
+    def test_bad_entry_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "bad integer list" in capsys.readouterr().err
+
+    def test_lists_parse_and_skip_empty_entries(self):
+        args = build_parser().parse_args(
+            ["analyze", "daxpy", "--sizes", "16,,32,", "--flops", "1,4"])
+        assert args.sizes == [16, 32]
+        assert args.flops == [1, 4]
+
+    def test_flops_default_is_the_ert_grid(self):
+        for argv in (["ert"], ["analyze", "daxpy", "--sizes", "16"]):
+            args = build_parser().parse_args(argv)
+            assert args.flops == list(DEFAULT_FLOP_COUNTS)
+
+    def test_sweep_empty_sizes_keeps_its_message(self, capsys):
+        code = main(["sweep", "daxpy", "--sizes", ",",
+                     "--machine", "tiny"])
+        assert code == 2
+        assert "sweep needs either --grid" in capsys.readouterr().err

@@ -51,6 +51,35 @@ class TestProfileCommand:
         assert "# TYPE repro_cycles_total counter" in text
         assert "repro_dram_lines_total" in text
 
+    def test_profile_metrics_keep_every_family(self, tmp_path, capsys):
+        # the families, kinds and labels `profile --metrics-out` has
+        # always written, and nothing else
+        metrics_file = tmp_path / "m.prom"
+        code = main(["profile", "triad", "512", "--machine", "tiny",
+                     "--scale", "1", "--metrics-out", str(metrics_file)])
+        assert code == 0
+        text = metrics_file.read_text()
+        types = {line.split()[2]: line.split()[3]
+                 for line in text.splitlines()
+                 if line.startswith("# TYPE ")}
+        assert types == {
+            "repro_phase_count": "gauge",
+            "repro_cycles_total": "counter",
+            "repro_bound_cycles_total": "counter",
+            "repro_cache_events_total": "counter",
+            "repro_dram_lines_total": "counter",
+            "repro_prefetch_total": "counter",
+            "repro_reissue_slots_total": "counter",
+            "repro_reissue_overcounted_flops_total": "counter",
+            "repro_bandwidth_utilization": "gauge",
+            "repro_avg_outstanding_misses": "gauge",
+        }
+        assert 'repro_dram_lines_total{dir="read"}' in text
+        assert 'repro_prefetch_total{engine="stride",kind="issued"}' in text
+        assert 'repro_bandwidth_utilization{level="dram"}' in text
+        assert 'repro_cache_events_total{event="l1_hits"}' in text
+        assert 'repro_bound_cycles_total{bound="' in text
+
     def test_profile_json(self, capsys):
         code = main(["profile", "triad", "512", "--machine", "tiny",
                      "--scale", "1", "--json"])

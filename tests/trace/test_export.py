@@ -1,7 +1,9 @@
-"""Exporter formats: Chrome trace-event JSON, Prometheus text, JSONL."""
+"""Exporter formats: Chrome trace-event JSON, JSONL, and the Prometheus
+text of a collector summary (rendered by the metrics registry)."""
 
 import json
 
+import repro.trace
 from repro.trace import (
     CACHE,
     DRAM,
@@ -11,8 +13,9 @@ from repro.trace import (
     TraceEvent,
     to_chrome_trace,
     to_jsonl,
-    to_prometheus,
 )
+
+from tests.obs.test_prometheus_format import trace_exposition
 
 EVENTS = [
     TraceEvent(PHASE, "loop:j", 0.0, core=0, dur=100.0,
@@ -103,21 +106,20 @@ class TestPrometheus:
         return col.summary()
 
     def test_exposition_format(self):
-        text = to_prometheus(self.make_summary())
+        text = trace_exposition(self.make_summary())
         assert "# HELP repro_phase_count" in text
         assert "# TYPE repro_phase_count gauge" in text
         assert "repro_phase_count 1" in text
 
     def test_bound_cycles_labelled(self):
-        text = to_prometheus(self.make_summary())
+        text = trace_exposition(self.make_summary())
         assert 'repro_bound_cycles_total{bound="dram_bandwidth"} 90' in text
 
     def test_dram_lines_labelled_by_direction(self):
-        text = to_prometheus(self.make_summary())
+        text = trace_exposition(self.make_summary())
         assert 'repro_dram_lines_total{dir="read"}' in text
         assert 'repro_dram_lines_total{dir="write"}' in text
 
-    def test_custom_prefix(self):
-        text = to_prometheus(self.make_summary(), prefix="sim")
-        assert "sim_phase_count 1" in text
-        assert "repro_" not in text
+    def test_trace_package_has_no_prometheus_writer(self):
+        assert not hasattr(repro.trace, "to_prometheus")
+        assert not hasattr(repro.trace.export, "to_prometheus")

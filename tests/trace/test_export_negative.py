@@ -13,7 +13,9 @@ import math
 import pytest
 
 from repro.trace.events import CACHE, MARK, PHASE, TraceEvent
-from repro.trace.export import to_chrome_trace, to_jsonl, to_prometheus
+from repro.trace.export import to_chrome_trace, to_jsonl
+
+from tests.obs.test_prometheus_format import trace_exposition
 
 
 def test_chrome_trace_ignores_unknown_event_kinds():
@@ -72,7 +74,7 @@ def test_prometheus_renders_non_finite_metrics_as_valid_text():
         "phase_count": float("nan"),
         "total_cycles": float("inf"),
     }
-    text = to_prometheus(summary)
+    text = trace_exposition(summary)
     for line in text.splitlines():
         if line.startswith("#") or not line:
             continue
@@ -83,7 +85,7 @@ def test_prometheus_renders_non_finite_metrics_as_valid_text():
 
 def test_prometheus_empty_summary_stays_well_formed():
     # no crash, and every sample line parses as `name{labels} value`
-    for line in to_prometheus({}).splitlines():
+    for line in trace_exposition({}).splitlines():
         if line and not line.startswith("#"):
             name, _, value = line.rpartition(" ")
             assert name.startswith("repro_")
