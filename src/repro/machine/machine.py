@@ -114,7 +114,8 @@ class Machine:
     # ------------------------------------------------------------------
     def register_session(self, session) -> None:
         """Sessions that need run-boundary counter snapshots (see
-        :mod:`repro.pmu.multiplex`) register here."""
+        :mod:`repro.pmu.multiplex`) register here; each finished run
+        calls ``session.on_run_boundary(run_result)``."""
         self._sessions.append(session)
 
     def unregister_session(self, session) -> None:
@@ -218,15 +219,16 @@ class Machine:
             )
         wall_cycles = max(r.cycles for r in per_core.values())
         self.tsc += wall_cycles
-        for session in self._sessions:
-            session.on_run_boundary()
-        return RunResult(
+        result = RunResult(
             seconds=wall_cycles / frequency,
             cycles=wall_cycles,
             frequency_hz=frequency,
             active_cores=active,
             per_core=per_core,
         )
+        for session in self._sessions:
+            session.on_run_boundary(result)
+        return result
 
     def run_on_cores(self, program_factory, core_ids: Iterable[int],
                      bind_memory: bool = True) -> RunResult:

@@ -18,8 +18,9 @@ two-run discipline.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
-from typing import Callable, Dict
+from typing import Callable
 
 from ..errors import MeasurementError
 from ..isa.builder import ProgramBuilder
@@ -53,7 +54,11 @@ class ColdCache(Protocol):
         if method not in ("sweep", "drop"):
             raise MeasurementError(f"unknown cold method {method!r}")
         self.method = method
-        self._busters: Dict[int, object] = {}
+        # weakly keyed: a collected machine's buster goes with it, and a
+        # new machine can never inherit one sized for other caches
+        self._busters: "weakref.WeakKeyDictionary" = (
+            weakref.WeakKeyDictionary()
+        )
 
     def prepare(self, machine, run_kernel: Callable[[], object]) -> None:
         if self.method == "drop":
@@ -69,8 +74,7 @@ class ColdCache(Protocol):
                 engine.reset()
 
     def _buster_for(self, machine):
-        key = id(machine)
-        if key not in self._busters:
+        if machine not in self._busters:
             size = 2 * machine.hierarchy.total_cache_bytes()
             line = machine.spec.hierarchy.line_bytes
             b = ProgramBuilder()
@@ -81,8 +85,8 @@ class ColdCache(Protocol):
             # dirty and pollute the kernel's measured Q)
             with b.loop(size // line) as i:
                 b.load(buf[i * line], width=64)
-            self._busters[key] = machine.load(b.build())
-        return self._busters[key]
+            self._busters[machine] = machine.load(b.build())
+        return self._busters[machine]
 
 
 class WarmCache(Protocol):

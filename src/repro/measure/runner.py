@@ -11,10 +11,17 @@ Counter deltas ``A - B`` isolate the kernel's own work and traffic from
 setup stores, protocol sweeps, warmup passes, and platform background
 noise.  Runtime is taken directly around the measured execution (the
 TSC needs no subtraction).  Medians over repetitions are reported.
+
+The simulator is deterministic, so where :mod:`repro.measure.replay`
+proves it exact, only the first run A is simulated: every run B and
+every later repetition is replayed from its recorded counter deltas
+and wall cycles, with bit-identical results.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -22,12 +29,14 @@ from ..errors import MeasurementError
 from ..isa.builder import ProgramBuilder
 from ..kernels.base import CodegenCaps, Kernel
 from ..machine.machine import LoadedProgram, Machine
+from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.spans import SPANS
 from ..pmu.perf import PerfSession
 from ..trace.collector import TraceCollector
 from ..trace.events import MARK, TraceEvent
 from ..trace.timeline import TimelineConfig, TimelineSampler
 from .protocol import Protocol, make_protocol
+from .replay import RunLog, _skip_reason
 from .stats import Summary, summarize
 from .traffic import TRAFFIC_EVENTS, bytes_from_session
 from .work import WORK_EVENTS_F64, flops_from_session
@@ -89,7 +98,7 @@ class Measurement:
     traffic_summary: Optional[Summary] = None
     #: per-rep distribution of the measured runtimes
     runtime_summary: Optional[Summary] = None
-    #: structured trace of the final repetition's measured window
+    #: structured trace of the first repetition's measured window
     #: (a :class:`repro.trace.TraceCollector` or
     #: :class:`repro.trace.TimelineSampler`), when requested via
     #: ``measure_kernel(..., trace=...)``; ``None`` otherwise
@@ -178,14 +187,22 @@ def measure_kernel(machine: Machine, kernel: Kernel, n: int,
                    trace=None) -> Measurement:
     """Measure one kernel configuration with the full methodology.
 
-    ``trace`` requests a structured trace of the final repetition:
+    ``trace`` requests a structured trace of the first repetition:
     pass ``True`` for a fresh :class:`~repro.trace.TraceCollector`, a
     :class:`~repro.trace.TimelineConfig` for a windowed
     :class:`~repro.trace.TimelineSampler`, or an existing
     collector/sink to reuse.  The sink is attached to the machine's
-    trace bus only around the final rep's A window — it merely records
+    trace bus only around the first rep's A window — it merely records
     events, so the measured W/Q/T are identical with and without it
-    (a regression test asserts this exactly).
+    (a regression test asserts this exactly).  Repetitions are
+    identical, so tracing the first instead of another one moves only
+    the absolute timestamps.
+
+    Where :func:`repro.measure.replay._skip_reason` allows it, only
+    that first run A is simulated; every run B and every later
+    repetition is replayed exactly (``repro_measure_reps_total``
+    counts both modes, ``repro_measure_replay_skipped_total`` the
+    measurements simulated in full, by reason).
     """
     if reps < 1:
         raise MeasurementError("need at least one repetition")
@@ -222,47 +239,70 @@ def measure_kernel(machine: Machine, kernel: Kernel, n: int,
 
     level_events = ("l1_accesses", "l1_replacement", "l2_lines_in")
     core_events = WORK_EVENTS_F64 + ("llc_misses",) + level_events
+
+    def session():
+        return PerfSession(machine, core_events=core_events,
+                           uncore_events=TRAFFIC_EVENTS, cores=cores)
+
     work_reps: List[float] = []
     traffic_reps: List[float] = []
     llc_reps: List[float] = []
     runtime_reps: List[float] = []
     level_reps: dict = {event: [] for event in level_events}
+    # the first core picks the hierarchy's datapath, which decides
+    # whether the sessions after the first may be replayed
+    for core_id in cores:
+        machine.core(core_id)
+    skipped = _skip_reason(machine, proto)
+    log = None if skipped else RunLog(machine)
     with SPANS("measure.kernel", kernel=kernel.name, n=n):
         for rep in range(reps):
-            # each session starts from fresh-process cache state so the
-            # A/B windows are symmetric: without this, dirty lines left
-            # by A's measured kernel would be written back during B's
-            # window and the subtraction could go negative
-            tracing = collector is not None and rep == reps - 1
-            machine.bust_caches()
-            if tracing:
-                machine.trace.attach(collector)
-            try:
-                with SPANS("measure.rep"), \
-                        PerfSession(machine, core_events=core_events,
-                                    uncore_events=TRAFFIC_EVENTS,
-                                    cores=cores) as a:
-                    run_inits()
-                    proto.prepare(machine, run_kernel)
-                    if tracing:
-                        machine.trace.emit(TraceEvent(
-                            MARK, "measured:begin", machine.tsc
-                        ))
-                    run_result = run_kernel()
-                    if tracing:
-                        machine.trace.emit(TraceEvent(
-                            MARK, "measured:end", machine.tsc
-                        ))
-            finally:
+            if rep and log is not None:
+                with SPANS("measure.replay"):
+                    with session() as a:
+                        log.replay()
+                    with session() as b:
+                        log.replay(baseline=True)
+            else:
+                # each session starts from fresh-process cache state so
+                # the A/B windows are symmetric: without this, dirty
+                # lines left by A's measured kernel would be written
+                # back during B's window and the subtraction could go
+                # negative
+                tracing = collector is not None and rep == 0
+                machine.bust_caches()
                 if tracing:
-                    machine.trace.detach()
-            machine.bust_caches()
-            with SPANS("measure.baseline"), \
-                    PerfSession(machine, core_events=core_events,
-                                uncore_events=TRAFFIC_EVENTS,
-                                cores=cores) as b:
-                run_inits()
-                proto.prepare(machine, run_kernel)
+                    machine.trace.attach(collector)
+                try:
+                    with SPANS("measure.rep"), \
+                            (log or contextlib.nullcontext()), \
+                            session() as a:
+                        run_inits()
+                        proto.prepare(machine, run_kernel)
+                        if log is not None:
+                            log.mark_prefix()
+                        if tracing:
+                            machine.trace.emit(TraceEvent(
+                                MARK, "measured:begin", machine.tsc
+                            ))
+                        run_result = run_kernel()
+                        if tracing:
+                            machine.trace.emit(TraceEvent(
+                                MARK, "measured:end", machine.tsc
+                            ))
+                finally:
+                    if tracing:
+                        machine.trace.detach()
+                if log is not None:
+                    # session B is A's prefix from the same post-bust
+                    # state: derived, not simulated
+                    with SPANS("measure.replay"), session() as b:
+                        log.replay(baseline=True)
+                else:
+                    machine.bust_caches()
+                    with SPANS("measure.baseline"), session() as b:
+                        run_inits()
+                        proto.prepare(machine, run_kernel)
             work_reps.append(flops_from_session(a) - flops_from_session(b))
             traffic_reps.append(bytes_from_session(a)
                                 - bytes_from_session(b))
@@ -272,6 +312,9 @@ def measure_kernel(machine: Machine, kernel: Kernel, n: int,
                 level_reps[event].append(64.0 * (a.core_delta(event)
                                                  - b.core_delta(event)))
             runtime_reps.append(run_result.seconds)
+        if log is not None:
+            log.restore()
+    _count_reps(reps, skipped)
 
     work = summarize(work_reps)
     traffic = summarize(traffic_reps)
@@ -302,6 +345,52 @@ def measure_kernel(machine: Machine, kernel: Kernel, n: int,
         runtime_summary=runtime,
         trace=collector,
     )
+
+
+#: where :func:`measure_kernel` counts repetitions; see
+#: :func:`counting_into`
+_COUNTS: "contextvars.ContextVar[MetricsRegistry]" = (
+    contextvars.ContextVar("repro_measure_counts", default=REGISTRY)
+)
+
+
+@contextlib.contextmanager
+def counting_into(registry: MetricsRegistry):
+    """Count the repetitions of the measurements made inside the block
+    in ``registry`` instead of the process ``REGISTRY``.
+
+    A sweep point counts into the registry its telemetry ships, so the
+    parent's exposition gets the same counts whichever process
+    simulated the point.
+    """
+    token = _COUNTS.set(registry)
+    try:
+        yield registry
+    finally:
+        _COUNTS.reset(token)
+
+
+def _count_reps(reps: int, skipped) -> None:
+    """Record how one measurement's repetitions ran."""
+    registry = _COUNTS.get()
+    counted = registry.counter(
+        "repro_measure_reps_total",
+        "Measurement repetitions by mode (simulated in full, or replayed "
+        "from the first repetition's recorded runs)",
+        labelnames=("mode",),
+    )
+    skips = registry.counter(
+        "repro_measure_replay_skipped_total",
+        "Measurements that simulated every session in full, by the "
+        "reason replay was ruled out",
+        labelnames=("reason",),
+    )
+    if skipped is None:
+        counted.inc(1, mode="simulated")
+        counted.inc(reps - 1, mode="replayed")
+    else:
+        counted.inc(reps, mode="simulated")
+        skips.inc(reason=skipped)
 
 
 def measure_sweep(machine: Machine, kernel: Kernel, sizes: Iterable[int],

@@ -91,6 +91,22 @@ class PrefetchedSet:
             self.slots.fill(EMPTY)
         self.regs.fill(0)
 
+    def snapshot(self) -> tuple:
+        """``(capacity, occupied slots, their keys)``: a compact copy
+        that :meth:`restore` turns back into this exact table."""
+        occupied = np.flatnonzero(self.slots)
+        return len(self.slots), occupied, self.slots[occupied]
+
+    def restore(self, snapshot: tuple) -> None:
+        """Put back the table of a :meth:`snapshot`: same capacity, every
+        line in the same slot.  The slot array is replaced (the datapath
+        re-points by identity); ``regs`` is written in place."""
+        capacity, occupied, keys = snapshot
+        self.slots = _table(capacity)
+        self.slots[occupied] = keys
+        self._mask = capacity - 1
+        self.regs[0] = len(occupied)
+
     def __iter__(self):
         for v in self.slots[self.slots != EMPTY].tolist():
             yield v - 1

@@ -284,16 +284,18 @@ class SpanSectionCapture:
 # ----------------------------------------------------------------------
 def build_point_telemetry(ctx: TraceContext, spans: Optional[dict],
                           busy_ns: int, events_total: int,
-                          event_sample: List[dict]) -> dict:
+                          event_sample: List[dict],
+                          metrics: Optional[MetricsRegistry] = None) -> dict:
     """Assemble the ``telemetry`` payload section for one point.
 
     The worker-labelled metric families are built in a throwaway
-    registry and shipped as a :meth:`MetricsRegistry.to_delta_doc`
+    registry (``metrics``, when the point already counted into one of
+    its own) and shipped as a :meth:`MetricsRegistry.to_delta_doc`
     snapshot, so the parent-side merge is the same ``absorb_delta``
     path the tests pin down.
     """
     pid = os.getpid()
-    local = MetricsRegistry()
+    local = metrics if metrics is not None else MetricsRegistry()
     local.counter(
         "repro_sweep_worker_points_total",
         "Sweep points simulated, by worker process",

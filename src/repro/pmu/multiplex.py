@@ -81,8 +81,9 @@ class MultiplexedPerfSession:
         self._snapshot()
         return self
 
-    def on_run_boundary(self) -> None:
-        """Called by the machine after every program run."""
+    def on_run_boundary(self, run) -> None:
+        """Called by the machine after every program run (``run`` is
+        its :class:`RunResult`; the snapshot reads the counters)."""
         if self._open:
             self._snapshot()
 

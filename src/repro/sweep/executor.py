@@ -46,9 +46,9 @@ from typing import Callable, List, Optional
 
 from ..engine.plan import PlanCacheStats
 from ..errors import ConfigurationError, SweepError, SweepPointError
-from ..measure.runner import Measurement, measure_kernel
+from ..measure.runner import Measurement, counting_into, measure_kernel
 from ..obs import remote
-from ..obs.metrics import REGISTRY
+from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.spans import SPANS
 from ..trace.bus import RingSink, TraceBus
 from ..trace.events import MARK, SWEEP, TraceEvent
@@ -116,13 +116,20 @@ def simulate_point(point: SweepPoint,
         try:
             machine = point.machine.build()
             if collect and ctx.event_sample > 0:
+                # sampled over the traced window (the first repetition's
+                # run A), which keeps the other sessions replayable
                 sink = RingSink(ctx.event_sample)
-                machine.trace.attach(sink)
-            with SPANS("sweep.point", kernel=point.kernel, n=point.n):
+            # with telemetry on, the measurement's rep counts travel in
+            # the point's metrics delta; otherwise they stay in this
+            # process's registry
+            counts = MetricsRegistry() if collect else REGISTRY
+            with SPANS("sweep.point", kernel=point.kernel, n=point.n), \
+                    counting_into(counts):
                 measurement = measure_kernel(
                     machine, point.build_kernel(), point.n,
                     protocol=point.protocol, cores=point.cores,
                     reps=point.reps, width_bits=point.width_bits,
+                    trace=sink,
                 )
         finally:
             if capture is not None:
@@ -132,7 +139,7 @@ def simulate_point(point: SweepPoint,
         payload["plan_cache"] = _harvest_plan_cache(machine, point.cores)
         if collect:
             payload["telemetry"] = remote.build_point_telemetry(
-                ctx, capture.section, busy_ns,
+                ctx, capture.section, busy_ns, metrics=counts,
                 events_total=sink.total if sink else 0,
                 event_sample=[e.to_dict() for e in sink.events]
                 if sink else [],

@@ -1,9 +1,11 @@
 """Protocol/machine lifecycle edge cases."""
 
+import gc
+
 import pytest
 
 from repro.kernels import Daxpy
-from repro.machine.presets import tiny_test_machine
+from repro.machine.presets import make_machine, tiny_test_machine
 from repro.measure import ColdCache, measure_kernel
 
 
@@ -24,6 +26,28 @@ class TestBusterReuse:
         protocol.prepare(a, lambda: None)
         protocol.prepare(b, lambda: None)
         assert len(protocol._busters) == 2
+
+    def test_collected_machine_leaves_no_buster(self):
+        # keyed by id(), the entry outlived its machine, and a new
+        # machine reusing the id inherited a buster sized for other
+        # caches
+        protocol = ColdCache(method="sweep")
+        machine = tiny_test_machine()
+        protocol.prepare(machine, lambda: None)
+        assert len(protocol._busters) == 1
+        del machine
+        gc.collect()
+        assert len(protocol._busters) == 0
+
+    def test_each_buster_is_sized_from_its_own_machine(self):
+        protocol = ColdCache(method="sweep")
+        machines = [tiny_test_machine(), make_machine("snb", scale=1 / 64)]
+        for machine in machines:
+            protocol.prepare(machine, lambda: None)
+        for machine in machines:
+            loaded = protocol._buster_for(machine)
+            assert loaded.buffer_map["buster"].size == (
+                2 * machine.hierarchy.total_cache_bytes())
 
     def test_buster_resets_prefetcher_training(self, tiny):
         port = tiny.hierarchy.port(0)

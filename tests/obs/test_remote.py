@@ -28,6 +28,7 @@ from repro.obs.remote import (
     merge_run_telemetry,
     new_run_id,
 )
+from repro.measure import measure_kernel
 from repro.obs.spans import SPANS, SpanProfiler
 from repro.sweep import (
     SweepCache,
@@ -35,6 +36,7 @@ from repro.sweep import (
     measurement_to_payload,
     run_plan,
 )
+from repro.sweep.executor import simulate_point
 from repro.trace.bus import RingSink, TraceBus
 from repro.trace.events import TraceEvent
 
@@ -165,6 +167,23 @@ class TestTelemetryShape:
 # ----------------------------------------------------------------------
 # merged flame: per-worker tracks with causal links
 # ----------------------------------------------------------------------
+class TestPointEventSample:
+    def test_sample_covers_the_traced_window_only(self):
+        # the point's ring is the measurement's trace sink: it counts
+        # exactly the events a collector sees for the same measurement
+        plan = SweepPlan()
+        plan.add_sweep(MachineRef.of("tiny"), "daxpy", (192,),
+                       protocol="cold", reps=3)
+        point = plan.points[0]
+        payload = simulate_point(point, TraceContext(new_run_id(), 0))
+        measured = measure_kernel(
+            point.machine.build(), point.build_kernel(), point.n,
+            protocol=point.protocol, cores=point.cores, reps=point.reps,
+            width_bits=point.width_bits, trace=True)
+        total = payload["telemetry"]["events"]["total"]
+        assert total == len(measured.trace.events) > 0
+
+
 class TestMergedFlame:
     def test_worker_spans_land_on_per_pid_tracks_with_links(self):
         run = run_plan(small_plan(), jobs=2, cache=None)

@@ -120,6 +120,28 @@ class TestSweepCommand:
         assert "repro_sweep_point_seconds_count 2" in text
         assert "# TYPE repro_plan_cache_lookups_total counter" in text
 
+    @pytest.mark.parametrize("flags", [["--jobs", "2"],
+                                       ["--jobs", "1", "--telemetry"]],
+                             ids=["pool", "serial-telemetry"])
+    def test_rep_counts_do_not_depend_on_the_process(self, tmp_path,
+                                                     capsys, flags):
+        # the measurements' rep counts reach the exposition once,
+        # whichever process simulated the point and whether or not
+        # telemetry carried them there
+        def measure_lines(extra):
+            metrics = tmp_path / "sweep.prom"
+            assert main(["sweep", "daxpy", "--sizes", "96,160",
+                         "--machine", "tiny", "--reps", "3", "--no-cache",
+                         "--metrics-out", str(metrics)] + extra) == 0
+            return sorted(line for line in metrics.read_text().splitlines()
+                          if line.startswith("repro_measure_"))
+
+        serial = measure_lines(["--jobs", "1", "--no-telemetry"])
+        assert measure_lines(flags) == serial
+        # two points of three reps each
+        assert sum(float(line.split()[1]) for line in serial
+                   if line.startswith("repro_measure_reps_total{")) == 6
+
 
 class TestExperimentIntegration:
     def test_experiment_reports_cache_stats(self, tmp_path, capsys):

@@ -52,8 +52,9 @@ class TestProfileCommand:
         assert "repro_dram_lines_total" in text
 
     def test_profile_metrics_keep_every_family(self, tmp_path, capsys):
-        # the families, kinds and labels `profile --metrics-out` has
-        # always written, and nothing else
+        # the machine-plane families, kinds and labels `profile
+        # --metrics-out` has always written, the measurement's rep
+        # counts, and nothing else
         metrics_file = tmp_path / "m.prom"
         code = main(["profile", "triad", "512", "--machine", "tiny",
                      "--scale", "1", "--metrics-out", str(metrics_file)])
@@ -73,7 +74,10 @@ class TestProfileCommand:
             "repro_reissue_overcounted_flops_total": "counter",
             "repro_bandwidth_utilization": "gauge",
             "repro_avg_outstanding_misses": "gauge",
+            "repro_measure_reps_total": "counter",
+            "repro_measure_replay_skipped_total": "counter",
         }
+        assert 'repro_measure_reps_total{mode="simulated"}' in text
         assert 'repro_dram_lines_total{dir="read"}' in text
         assert 'repro_prefetch_total{engine="stride",kind="issued"}' in text
         assert 'repro_bandwidth_utilization{level="dram"}' in text
