@@ -16,7 +16,9 @@
  *     home slot (line + (line >> 16) * 0x9E3779B1) & mask, deletion by
  *     backward shift (no tombstones); capacity is ensured by Python
  *     before every call (and a grown table shrinks back on clear), so
- *     this side never grows the table.
+ *     this side never grows the table.  A touched map, one byte per
+ *     1 << PF_BLOCK_SHIFT slots, marks the blocks ever written, so
+ *     Python reads only those.
  *
  * All counters are accumulated into the `out` array; the Python caller
  * applies them to BatchStats / CacheStats / TlbStats / PrefetchStats /
@@ -78,6 +80,7 @@ typedef struct {
     /* prefetched-line hash set */
     int64_t *pf_slots;
     int64_t *pf_regs;             /* [size] */
+    uint8_t *pf_touched;          /* a byte per 1 << PF_BLOCK_SHIFT slots */
     int64_t  pf_mask;
     /* stride table */
     int64_t *st_keys, *st_last, *st_strd, *st_conf, *st_lruv, *st_regs;
@@ -182,6 +185,10 @@ static inline int contains(const Ctx *c, int l, int64_t line) {
 /* prefetched-line hash set                                            */
 /* ------------------------------------------------------------------ */
 
+/* slots per touched-map byte -- keep in sync with BLOCK_SHIFT in
+ * memory/prefetched.py */
+#define PF_BLOCK_SHIFT 9
+
 static inline int64_t pf_home(int64_t line, int64_t mask) {
     uint64_t u = (uint64_t)line;
     return (int64_t)((u + (u >> 16) * 0x9E3779B1ULL) & (uint64_t)mask);
@@ -202,6 +209,7 @@ static void pf_add(Ctx *c, int64_t line) {
     if (c->pf_slots[i])
         return;
     c->pf_slots[i] = line + 1;
+    c->pf_touched[i >> PF_BLOCK_SHIFT] = 1;
     c->pf_regs[0] += 1;
 }
 
@@ -214,7 +222,8 @@ static int pf_discard(Ctx *c, int64_t line) {
         return 0;
     /* backward shift (Knuth's Algorithm R): move each later member of
      * the cluster whose home slot is not cyclically in (i, j] into the
-     * hole at i */
+     * hole at i.  Every slot written held a line, so its block is
+     * already marked touched. */
     for (int64_t j = (i + 1) & mask; s[j]; j = (j + 1) & mask) {
         int64_t v = s[j];
         if (((j - pf_home(v - 1, mask)) & mask) >= ((j - i) & mask)) {

@@ -81,7 +81,8 @@ class Ctx(ctypes.Structure):
         ("tlb_regs", _cp),
         ("tlb1_entries", _c64), ("tlb2_entries", _c64),
         ("walk_latency", _c64),
-        ("pf_slots", _cp), ("pf_regs", _cp), ("pf_mask", _c64),
+        ("pf_slots", _cp), ("pf_regs", _cp), ("pf_touched", _cp),
+        ("pf_mask", _c64),
         ("st_keys", _cp), ("st_last", _cp), ("st_strd", _cp),
         ("st_conf", _cp), ("st_lruv", _cp), ("st_regs", _cp),
         ("st_sites", _c64), ("st_deg", _c64), ("st_thr", _c64),

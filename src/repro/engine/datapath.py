@@ -136,6 +136,7 @@ class BatchDatapath:
         pf = port._prefetched
         ctx.pf_slots = pf.slots.ctypes.data
         ctx.pf_regs = pf.regs.ctypes.data
+        ctx.pf_touched = pf.touched.ctypes.data
         ctx.pf_mask = pf._mask
         self._pf_ref = pf.slots
         nl = sm = st = None
@@ -229,10 +230,11 @@ class BatchDatapath:
         pf.ensure_room(room)
         slots = pf.slots
         if slots is not self._pf_ref:
-            # reallocated — by ensure_room here, or by a clear() that
-            # shrank a grown table
+            # reallocated, with its touched map — by ensure_room here,
+            # a clear() that shrank a grown table, or a restore()
             self._pf_ref = slots
             ctx.pf_slots = slots.ctypes.data
+            ctx.pf_touched = pf.touched.ctypes.data
             ctx.pf_mask = pf._mask
         regs = self._regs
         regs[0] = port.l1._tick

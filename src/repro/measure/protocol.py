@@ -104,6 +104,10 @@ class WarmCache(Protocol):
             run_kernel()
 
 
+#: the protocol names :func:`make_protocol` accepts
+PROTOCOLS = ("cold", "warm")
+
+
 def make_protocol(spec) -> Protocol:
     """Coerce ``'cold'``/``'warm'``/a :class:`Protocol` to a protocol."""
     if isinstance(spec, Protocol):

@@ -19,6 +19,14 @@ Layout (shared with ``engine/_ckernel.c``):
   (``np.zeros`` does not promise that: once glibc's adaptive mmap
   threshold has risen past a freed table's size, the next table comes
   from the heap and is memset in full.)
+* ``touched`` — one byte per block of 512 slots, set when a slot in
+  the block is written and cleared only with the table.  A snapshot,
+  an iteration or a rehash reads only the touched blocks, so a table
+  reserved for a large run (the cold buster's one flat loop reserves
+  over a million slots) costs what its lines touched, not a scan that
+  faults in every page of the reservation.  The kernel sets the byte
+  in ``pf_add``; ``pf_discard`` writes only slots that held a line,
+  whose blocks are touched already.
 * ``regs`` — ``[size]``.
 
 The home slot of a line is ``(line + (line >> 16) * 0x9E3779B1) & mask``:
@@ -41,6 +49,9 @@ import numpy as np
 
 EMPTY = 0
 _MULT = 0x9E3779B1
+#: log2 of the slots per touched-map byte (``PF_BLOCK_SHIFT`` in the
+#: kernel)
+BLOCK_SHIFT = 9
 
 
 def _slot_of(line: int, mask: int) -> int:
@@ -54,6 +65,10 @@ def _table(capacity: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.int64)
 
 
+def _touched_map(capacity: int) -> np.ndarray:
+    return np.zeros(max(1, capacity >> BLOCK_SHIFT), dtype=np.uint8)
+
+
 class PrefetchedSet:
     """Set of line numbers with storage shareable with the C kernel."""
 
@@ -62,6 +77,7 @@ class PrefetchedSet:
             raise ValueError("capacity must be a power of two")
         self._initial = capacity
         self.slots = _table(capacity)
+        self.touched = _touched_map(capacity)
         self.regs = np.zeros(1, dtype=np.int64)  # [size]
         self._mask = capacity - 1
 
@@ -82,33 +98,51 @@ class PrefetchedSet:
         return bool(self.slots[self._find(line)])
 
     def clear(self) -> None:
-        # A grown table is replaced: the C kernel's pointer is refreshed
-        # by identity before every call (BatchDatapath._pre_call).
+        # A grown table is replaced: the C kernel's pointers are
+        # refreshed by identity before every call (BatchDatapath._pre_call).
         if len(self.slots) > self._initial:
             self.slots = _table(self._initial)
+            self.touched = _touched_map(self._initial)
             self._mask = self._initial - 1
         else:
             self.slots.fill(EMPTY)
+            self.touched.fill(0)
         self.regs.fill(0)
 
+    def _occupied(self) -> np.ndarray:
+        """Indices of the occupied slots, ascending, read from the
+        touched blocks only: one slice per run of adjacent blocks."""
+        blocks = np.flatnonzero(self.touched)
+        if not len(blocks):
+            return blocks
+        cuts = np.flatnonzero(np.diff(blocks) != 1) + 1
+        starts = blocks[np.r_[0, cuts]] << BLOCK_SHIFT
+        ends = (blocks[np.r_[cuts - 1, len(blocks) - 1]] + 1) << BLOCK_SHIFT
+        return np.concatenate([np.flatnonzero(self.slots[lo:hi]) + lo
+                               for lo, hi in zip(starts, ends)])
+
     def snapshot(self) -> tuple:
-        """``(capacity, occupied slots, their keys)``: a compact copy
-        that :meth:`restore` turns back into this exact table."""
-        occupied = np.flatnonzero(self.slots)
-        return len(self.slots), occupied, self.slots[occupied]
+        """``(capacity, occupied slots, their keys, touched map)``: a
+        compact copy that :meth:`restore` turns back into this exact
+        table."""
+        occupied = self._occupied()
+        return (len(self.slots), occupied, self.slots[occupied],
+                self.touched.copy())
 
     def restore(self, snapshot: tuple) -> None:
         """Put back the table of a :meth:`snapshot`: same capacity, every
-        line in the same slot.  The slot array is replaced (the datapath
-        re-points by identity); ``regs`` is written in place."""
-        capacity, occupied, keys = snapshot
+        line in the same slot, the same touched blocks.  The arrays are
+        replaced (the datapath re-points by identity); ``regs`` is
+        written in place."""
+        capacity, occupied, keys, touched = snapshot
         self.slots = _table(capacity)
         self.slots[occupied] = keys
+        self.touched = touched.copy()
         self._mask = capacity - 1
         self.regs[0] = len(occupied)
 
     def __iter__(self):
-        for v in self.slots[self.slots != EMPTY].tolist():
+        for v in self.slots[self._occupied()].tolist():
             yield v - 1
 
     def ensure_room(self, extra: int) -> bool:
@@ -129,11 +163,14 @@ class PrefetchedSet:
             target *= 2
         live = list(self)
         fresh = _table(target)
+        touched = _touched_map(target)
         mask = target - 1
         for line in live:
             i = _slot_of(line, mask)
             while fresh[i] != EMPTY:
                 i = (i + 1) & mask
             fresh[i] = line + 1
+            touched[i >> BLOCK_SHIFT] = 1
         self.slots = fresh
+        self.touched = touched
         self._mask = mask

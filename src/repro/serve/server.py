@@ -419,4 +419,13 @@ def _validate(kind: str, doc: dict) -> dict:
     if "sizes" in doc and (not isinstance(doc["sizes"], list)
                            or not doc["sizes"]):
         raise HttpError(400, "sizes must be a non-empty list")
+    if "protocol" in doc:
+        from ..measure.protocol import PROTOCOLS
+        protocols = ([doc["protocol"]] if kind != "sweep"
+                     else str(doc["protocol"]).split(","))
+        for protocol in protocols:
+            if protocol not in PROTOCOLS:
+                raise HttpError(
+                    400, f"unknown protocol {protocol!r}; known: "
+                         f"{', '.join(PROTOCOLS)}")
     return doc

@@ -10,6 +10,12 @@ queue-depth gauge tracks in-flight futures, and a worker death dumps
 the parent's flight-recorder ring with the reprs of every in-flight
 point before raising :class:`~repro.errors.SweepError`.
 
+Items go out longest first, by :meth:`~repro.sweep.plan.SweepPoint.
+predicted_work` (ties keep their submission order): with the biggest
+points dispatched last, one worker would still be simulating one while
+the others sat idle.  This is longest-processing-time list scheduling;
+results still stream back in completion order.
+
 The pool is created lazily on the first ``submit`` and kept alive
 until ``close`` — repeated submits (the service layer) reuse warm
 workers instead of paying process start-up per request.
@@ -70,7 +76,8 @@ class LocalPoolBackend(SweepBackend):
         pool = self._ensure_pool()
         depth = _queue_depth_gauge()
         backlog = min(self.jobs, max(len(items), 1)) * BACKLOG_PER_WORKER
-        queue = iter(items)
+        queue = iter(sorted(items,
+                            key=lambda item: -item.point.predicted_work()))
         in_flight: Dict[object, WorkItem] = {}
         submitted: Dict[object, float] = {}
         dispatch_ns: Dict[object, int] = {}

@@ -11,16 +11,28 @@ recipe, the kernel a registry name + kwargs), plans pickle cleanly to
 worker processes and hash stably into cache keys.  Point order is
 execution-irrelevant — every point builds its own machine — but result
 order always matches plan order.
+
+:meth:`SweepPoint.predicted_work` estimates a point's simulation cost
+from its data alone, so a pool can start the longest points first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import SweepError
 from ..kernels.registry import kernel_names, make_kernel
 from ..machine.ref import KwargItems, MachineRef
+from ..measure.protocol import PROTOCOLS
+
+
+@lru_cache(maxsize=64)
+def _total_cache_bytes(machine: MachineRef) -> int:
+    """Aggregate cache capacity of a recipe's machine: one build per
+    distinct ref, however many points share it."""
+    return machine.build().hierarchy.total_cache_bytes()
 
 
 @dataclass(frozen=True)
@@ -49,12 +61,37 @@ class SweepPoint:
             raise SweepError(
                 f"unknown kernel {self.kernel!r} in sweep point"
             )
+        if self.protocol not in PROTOCOLS:
+            raise SweepError(
+                f"unknown protocol {self.protocol!r} in sweep point; "
+                f"known: {', '.join(PROTOCOLS)}"
+            )
         if self.n <= 0:
             raise SweepError(f"sweep point needs positive n, got {self.n}")
         if self.reps < 1:
             raise SweepError("sweep point needs at least one repetition")
         if not self.cores:
             raise SweepError("sweep point needs at least one core")
+        if len(set(self.cores)) != len(self.cores):
+            raise SweepError(
+                f"sweep point lists a core twice: {self.cores}"
+            )
+
+    def predicted_work(self) -> int:
+        """Bytes the point's one simulated session walks through.
+
+        Run A of the first repetition is the only session simulated
+        (the baseline and later repetitions are replayed), and its
+        passes each walk the kernel's footprint: the init pass and the
+        measured kernel, plus the warm protocol's warm-up run, or the
+        cold protocol's buster reading twice the machine's aggregate
+        cache capacity.  Computed from the point's data alone: nothing
+        is simulated, and the machine is built once per distinct ref.
+        """
+        footprint = self.build_kernel().footprint_bytes(self.n)
+        if self.protocol == "warm":
+            return 3 * footprint
+        return 2 * footprint + 2 * _total_cache_bytes(self.machine)
 
     def build_kernel(self):
         return make_kernel(self.kernel, **dict(self.kernel_args))

@@ -10,7 +10,9 @@ lines that alias modulo the capacity, clusters that wrap past the last
 slot, and lines whose high bits fold into the slot.  After every step
 the table must also keep the linear-probing invariant that the
 kernel's backward-shift deletion maintains: every stored line is
-reachable from its home slot without crossing an empty slot.
+reachable from its home slot without crossing an empty slot; and every
+occupied slot must lie in a block the touched map marks, since
+iteration, snapshots and rehashes read only those blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from repro.engine.datapath import BatchDatapath
 from repro.engine.plan import AccessPlan
 from repro.machine.presets import tiny_test_machine
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.prefetched import _MULT, PrefetchedSet, _slot_of
+from repro.memory.prefetched import (
+    _MULT, BLOCK_SHIFT, PrefetchedSet, _slot_of,
+)
 
 pytestmark = pytest.mark.skipif(not ckernel.available(),
                                 reason="the C kernel writes the set")
@@ -164,6 +168,13 @@ class PrefetchedSetMachine(RuleBasedStateMachine):
         assert len(pf) * 2 <= len(pf.slots)
         assert _reachable(pf)
 
+    @invariant()
+    def occupied_slots_lie_in_touched_blocks(self):
+        pf = self.pair.pf
+        occupied = np.flatnonzero(pf.slots)
+        assert pf.touched[occupied >> BLOCK_SHIFT].all()
+        assert np.array_equal(pf._occupied(), occupied)
+
 
 PrefetchedSetMachine.TestCase.settings = settings(
     max_examples=100, stateful_step_count=40, deadline=None)
@@ -247,3 +258,28 @@ def test_a_forked_child_writes_its_own_copy_of_the_table():
     assert 5 in pf and 9 not in pf
     assert sorted(pf) == aliases
     assert np.count_nonzero(pf.slots) == len(aliases)
+
+
+def test_snapshot_restore_round_trips_a_table_grown_past_2_21_slots():
+    pair = Pair(engines=())
+    pf = pair.pf
+    assert pf.ensure_room((1 << 20) + 1)
+    assert len(pf.slots) > 1 << 21
+    # lines spread over the table: far-apart blocks, and aliases that
+    # cluster in one
+    lines = [k * 40_009 for k in range(1, 200)] + [7 + k * SLOTS
+                                                   for k in range(8)]
+    pair.prefetch(lines)
+    pair.demand(lines[3])  # an L2 hit: the kernel discards it
+    slots, touched, size = pf.slots.copy(), pf.touched.copy(), len(pf)
+    saved = pf.snapshot()
+    pair.prefetch([11, 12, 13])
+    pair.bust()
+    assert len(pf) == 0 and len(pf.slots) == SLOTS
+    pf.restore(saved)
+    assert np.array_equal(pf.slots, slots)
+    assert np.array_equal(pf.touched, touched)
+    assert len(pf) == size
+    assert sorted(pf) == sorted((slots[slots != 0] - 1).tolist())
+    pair.prefetch([5])  # the kernel follows the restored table
+    assert 5 in pf and len(pf) == size + 1

@@ -95,11 +95,18 @@ class TestEndpoints:
     def test_validation_errors_are_400s(self):
         async def body(server, base):
             loop = asyncio.get_running_loop()
-            with pytest.raises(urllib.error.HTTPError) as err:
-                await loop.run_in_executor(
-                    None, post, base, "/measure", {"kernel": "daxpy"})
-            assert err.value.code == 400
-            assert "requires" in json.loads(err.value.read())["error"]
+            for path, doc, message in (
+                    ("/measure", {"kernel": "daxpy"}, "requires"),
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "machine": "tiny", "protocol": "hot"},
+                     "unknown protocol 'hot'"),
+                    ("/sweep", {"kernel": "daxpy", "sizes": [96],
+                                "machine": "tiny", "protocol": "cold,hot"},
+                     "unknown protocol 'hot'")):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    await loop.run_in_executor(None, post, base, path, doc)
+                assert err.value.code == 400, path
+                assert message in json.loads(err.value.read())["error"]
         serve(body)
 
     def test_job_failing_on_request_parameters_is_400(self):

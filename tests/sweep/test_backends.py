@@ -88,6 +88,38 @@ class TestParity:
             assert (point.kernel, point.n) == (m.kernel, m.n)
 
 
+class TestDispatchOrder:
+    def test_pool_dispatches_longest_first_and_folds_into_plan_order(
+            self, monkeypatch):
+        plan = SweepPlan()
+        tiny = MachineRef.of("tiny")
+        plan.add_sweep(tiny, "daxpy", [96, 4096], protocol="warm", reps=1)
+        plan.add_sweep(tiny, "daxpy", [96, 224], protocol="cold", reps=1)
+        # equal footprints: a tie, which keeps plan order
+        for kernel in ("dgemm-naive", "dgemm-ikj"):
+            plan.add_sweep(tiny, kernel, [16], protocol="warm", reps=1)
+        points = list(plan)
+        estimates = [p.predicted_work() for p in points]
+        expected = sorted(range(len(points)), key=lambda i: -estimates[i])
+        assert expected != list(range(len(points)))
+        assert estimates[4] == estimates[5]
+
+        with LocalPoolBackend(jobs=2) as backend:
+            pool = backend._ensure_pool()
+            submitted = []
+
+            def record(fn, point, ctx):
+                submitted.append(ctx.point_index)
+                return type(pool).submit(pool, fn, point, ctx)
+
+            monkeypatch.setattr(pool, "submit", record)
+            run = run_plan(plan, cache=None, backend=backend)
+        assert submitted == expected
+        assert [(m.kernel, m.n, m.protocol) for m in run.measurements] == \
+            [(p.kernel, p.n, p.protocol) for p in points]
+        assert checksum(run) == checksum(run_plan(plan, cache=None, jobs=1))
+
+
 class TestHypothesisShapes:
     """Random small plans through long-lived (reused) backends."""
 
