@@ -19,17 +19,29 @@ Subcommands:
 * ``analyze``     — the flagship: discover the machine's ceilings, sweep
   one kernel, and place it on every band of the hierarchical roofline
   (ASCII plot, per-level intensity table, SVG/JSON artifacts)
+* ``explain``     — run one kernel once and attribute its cycles to
+  the bound (FP issue, ports, chains, cache/DRAM bandwidth) that owns
+  them
 * ``experiment``  — run experiments and write EXPERIMENTS-style output
 * ``conformance`` — differential-fuzz the fast interpreter against the
   reference oracle and check every kernel's measured W/Q against
   analytic closed forms; exits nonzero and writes a JSONL divergence
   report under ``artifacts/`` on any mismatch
+* ``selfprofile`` — profile the simulator itself: one kernel sweep
+  under the host-side span profiler, exported as a flame trace, a
+  hotspot table and a metrics snapshot
+* ``benchgate``   — re-measure the committed ``BENCH_*.json``
+  baselines and exit nonzero on a regression
 * ``serve``       — roofline as a service: an asyncio HTTP/JSON server
   (``POST /measure|/analyze|/sweep``, job polling, NDJSON progress
   streams, Prometheus ``/metrics``) with request coalescing through
   the sweep cache and graceful drain on SIGTERM (docs/SERVICE.md)
 * ``cache``       — sweep-cache maintenance: ``cache gc --max-bytes
   2G --max-age 30d`` bounds the on-disk result cache (oldest first)
+
+Verbs build their requests through :mod:`repro.request`, as ``repro
+serve`` does, and every kernel argument accepts the registry's aliases
+(``dgemm`` is ``dgemm-tiled``, ``dgemv`` is ``dgemv-row``).
 
 ``measure``, ``roofline``, and ``sweep`` accept ``--json`` for
 machine-readable output; ``profile`` and ``sweep`` add ``--trace-out``
@@ -61,10 +73,17 @@ from typing import List, Optional
 from .errors import ReproError
 from .experiments import ExperimentConfig, experiment_ids, run_experiments
 from .experiments.report import render_report, write_artifacts
-from .kernels import kernel_names, make_kernel
-from .machine.presets import PRESETS, make_machine
+from .engine import ENGINES
+from .kernels.registry import (
+    kernel_choices,
+    kernel_names,
+    make_kernel,
+    resolve_kernel,
+)
+from .machine.presets import PRESETS
 from .machine.ref import MachineRef
 from .measure import explain_kernel, measure_kernel
+from .measure.protocol import PROTOCOLS
 from .obs.metrics import REGISTRY
 from .roofline import KernelPoint, analyze_point, ascii_plot, build_roofline
 from .roofline.ert import DEFAULT_FLOP_COUNTS, LEVELS, discover_ceilings
@@ -72,15 +91,8 @@ from .roofline.export import to_json as roofline_to_json
 from .roofline.hierarchical import HierarchicalRoofline
 from .roofline.hierarchical import analyze as hierarchical_analyze
 from .roofline.plot_svg import save_svg, svg_plot
-from .sweep import (
-    GRIDS,
-    SweepCache,
-    SweepPlan,
-    SweepStats,
-    make_grid,
-    measurement_to_payload,
-    run_plan,
-)
+from .request import build_plan, sweep_document
+from .sweep import GRIDS, SweepCache, SweepStats, run_plan
 from .trace import (
     RooflineTrajectory,
     TimelineConfig,
@@ -93,6 +105,16 @@ from .trace.bus import ListSink, TraceBus
 from .units import format_bandwidth, format_bytes, format_flops, format_time
 
 
+def _write(path: str, content, label: Optional[str] = None) -> None:
+    """Write a str, or anything else as JSON; a ``label`` says so."""
+    if not isinstance(content, str):
+        content = json.dumps(content)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(content)
+    if label:
+        print(f"{label} written to {path}", file=sys.stderr)
+
+
 def _cmd_list(_args) -> int:
     print("machines: ", ", ".join(sorted(PRESETS)))
     print("kernels:  ", ", ".join(kernel_names()))
@@ -100,9 +122,15 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _machine(args):
+    """The verb's machine, built once, and its threads' cores."""
+    ref = MachineRef.named(args.machine, args.scale,
+                           getattr(args, "engine", "fast"))
+    return ref.build(), ref.cores(getattr(args, "threads", 1))
+
+
 def _cmd_roofline(args) -> int:
-    machine = make_machine(args.machine, scale=args.scale)
-    cores = machine.topology.first_cores(args.threads)
+    machine, cores = _machine(args)
     model = build_roofline(machine, cores=cores,
                            include_thread_scaling=args.threads > 1)
     if args.json:
@@ -112,16 +140,8 @@ def _cmd_roofline(args) -> int:
     return 0
 
 
-def _cmd_measure(args) -> int:
-    machine = make_machine(args.machine, scale=args.scale,
-                           engine=args.engine)
-    kernel = make_kernel(args.kernel)
-    cores = machine.topology.first_cores(args.threads)
-    m = measure_kernel(machine, kernel, args.n, protocol=args.protocol,
-                       cores=cores, reps=args.reps)
-    if args.json:
-        print(json.dumps(measurement_to_dict(m), indent=2))
-        return 0
+def _print_measurement(args, kernel, machine, m) -> None:
+    """The W/Q/T/P/I block ``measure`` and ``profile`` print."""
     print(f"kernel    : {kernel.describe()}")
     print(f"machine   : {machine.spec.name}, {args.threads} thread(s), "
           f"{args.protocol} caches")
@@ -133,6 +153,17 @@ def _cmd_measure(args) -> int:
     print(f"T runtime : {format_time(m.runtime_seconds)}")
     print(f"P         : {format_flops(m.performance)}")
     print(f"I         : {m.intensity:.4f} flops/byte")
+
+
+def _cmd_measure(args) -> int:
+    machine, cores = _machine(args)
+    kernel = make_kernel(args.kernel)
+    m = measure_kernel(machine, kernel, args.n, protocol=args.protocol,
+                       cores=cores, reps=args.reps)
+    if args.json:
+        print(json.dumps(measurement_to_dict(m), indent=2))
+        return 0
+    _print_measurement(args, kernel, machine, m)
     if args.plot:
         model = build_roofline(machine, cores=cores)
         point = KernelPoint.from_measurement(m)
@@ -143,10 +174,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    machine = make_machine(args.machine, scale=args.scale,
-                           engine=args.engine)
+    machine, cores = _machine(args)
     kernel = make_kernel(args.kernel)
-    cores = machine.topology.first_cores(args.threads)
     collector = TraceCollector(machine)
     REGISTRY.reset()
     m = measure_kernel(machine, kernel, args.n, protocol=args.protocol,
@@ -157,27 +186,15 @@ def _cmd_profile(args) -> int:
             frequency_hz=collector.frequency_hz or machine.spec.base_hz,
             machine_name=machine.spec.name,
         )
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        _write(args.trace_out, doc)
     if args.metrics_out:
         REGISTRY.absorb_trace_summary(collector.summary())
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(REGISTRY.to_prometheus())
+        _write(args.metrics_out, REGISTRY.to_prometheus())
     if args.json:
         print(json.dumps(measurement_to_dict(m), indent=2))
     else:
         summary = collector.summary()
-        print(f"kernel    : {kernel.describe()}")
-        print(f"machine   : {machine.spec.name}, {args.threads} thread(s), "
-              f"{args.protocol} caches")
-        print(f"W counted : {m.work_flops:.0f} flops "
-              f"(true {m.true_flops}, x{m.work_overcount:.2f})")
-        print(f"Q measured: {format_bytes(m.traffic_bytes)} "
-              f"(compulsory {format_bytes(m.compulsory_bytes)}, "
-              f"x{m.traffic_ratio:.2f})")
-        print(f"T runtime : {format_time(m.runtime_seconds)}")
-        print(f"P         : {format_flops(m.performance)}")
-        print(f"I         : {m.intensity:.4f} flops/byte")
+        _print_measurement(args, kernel, machine, m)
         print()
         print(collector.phase_table())
         print()
@@ -201,12 +218,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-#: convenience spellings for the timeline CLI — the registry names the
-#: dgemm/dgemv variants explicitly, but "the dgemm" of the paper's
-#: figures is the tiled one (and dgemv the row-major walk)
-_KERNEL_ALIASES = {"dgemm": "dgemm-tiled", "dgemv": "dgemv-row"}
-
-
 def _default_timeline_n(name: str) -> int:
     """A problem size big enough to span many 10k-cycle windows."""
     if name.startswith("dgemm"):
@@ -221,12 +232,10 @@ def _default_timeline_n(name: str) -> int:
 def _cmd_timeline(args) -> int:
     # validate the window before paying for a measurement
     config = TimelineConfig(args.window)
-    kernel_name = _KERNEL_ALIASES.get(args.kernel, args.kernel)
-    machine = make_machine(args.machine, scale=args.scale,
-                           engine=args.engine)
+    kernel_name = resolve_kernel(args.kernel)
+    machine, cores = _machine(args)
     kernel = make_kernel(kernel_name)
     n = args.n if args.n is not None else _default_timeline_n(kernel_name)
-    cores = machine.topology.first_cores(args.threads)
     # collect the raw event stream (so the Chrome export keeps its phase
     # spans) and window it afterwards
     collector = TraceCollector(machine)
@@ -253,23 +262,19 @@ def _cmd_timeline(args) -> int:
                        title=f"Roofline trajectory: {label} "
                              f"on {machine.spec.name}")
         written["svg"] = stem + ".svg"
-        with open(written["svg"], "w", encoding="utf-8") as handle:
-            handle.write(svg)
+        _write(written["svg"], svg)
     if want_csv:
         written["csv"] = stem + ".csv"
-        with open(written["csv"], "w", encoding="utf-8") as handle:
-            handle.write(timeline.to_csv())
+        _write(written["csv"], timeline.to_csv())
         written["trajectory_csv"] = stem + ".trajectory.csv"
-        with open(written["trajectory_csv"], "w", encoding="utf-8") as handle:
-            handle.write(trajectory.to_csv())
+        _write(written["trajectory_csv"], trajectory.to_csv())
     if want_chrome:
         doc = to_chrome_trace(collector.events,
                               frequency_hz=machine.spec.base_hz,
                               machine_name=machine.spec.name,
                               timeline=timeline)
         written["chrome"] = stem + ".trace.json"
-        with open(written["chrome"], "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        _write(written["chrome"], doc)
 
     if args.json:
         print(json.dumps({
@@ -299,19 +304,11 @@ def _cmd_timeline(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    machine = make_machine(args.machine, scale=args.scale)
+    machine, _cores = _machine(args)
     kernel = make_kernel(args.kernel)
     report = explain_kernel(machine, kernel, args.n, protocol=args.protocol)
     print(report.render())
     return 0
-
-
-def _sweep_machine_ref(machine: str, scale: float,
-                       engine: str = "fast") -> MachineRef:
-    """CLI machine selection as a picklable ref (tiny takes no scale)."""
-    if machine == "tiny":
-        return MachineRef.of("tiny", engine=engine)
-    return MachineRef.of(machine, scale=scale, engine=engine)
 
 
 def _cmd_sweep(args) -> int:
@@ -319,19 +316,11 @@ def _cmd_sweep(args) -> int:
     from .obs.spans import SPANS
     from .sweep.executor import resolve_jobs
 
-    ref = _sweep_machine_ref(args.machine, args.scale, args.engine)
-    if args.grid:
-        plan = make_grid(args.grid, ref, quick=args.quick, reps=args.reps)
-    else:
-        if not args.kernel or not args.sizes:
-            print("error: sweep needs either --grid or KERNEL --sizes N,..",
-                  file=sys.stderr)
-            return 2
-        cores = tuple(ref.build().topology.first_cores(args.threads))
-        plan = SweepPlan()
-        for protocol in args.protocol.split(","):
-            plan.add_sweep(ref, args.kernel, args.sizes, protocol=protocol,
-                           reps=args.reps, cores=cores)
+    ref = MachineRef.named(args.machine, args.scale, args.engine)
+    plan = build_plan(ref, kernel=args.kernel, sizes=args.sizes,
+                      grid=args.grid, protocol=args.protocol,
+                      reps=args.reps, threads=args.threads,
+                      quick=args.quick)
 
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     bus = TraceBus()
@@ -357,31 +346,16 @@ def _cmd_sweep(args) -> int:
     if args.trace_out:
         doc = to_chrome_trace(sink.events, frequency_hz=1.0,
                               machine_name=f"sweep {ref.describe()}")
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        print(f"trace written to {args.trace_out}", file=sys.stderr)
+        _write(args.trace_out, doc, "trace")
     if args.flame_out:
         # the merged host+workers flame: parent spans on tid 0, worker
         # spans (absorbed by the telemetry merge) on per-pid tracks
-        with open(args.flame_out, "w", encoding="utf-8") as handle:
-            json.dump(SPANS.to_chrome_trace(
-                process_name=f"sweep {ref.describe()}"), handle)
-        print(f"flame written to {args.flame_out}", file=sys.stderr)
+        _write(args.flame_out, SPANS.to_chrome_trace(
+            process_name=f"sweep {ref.describe()}"), "flame")
     if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(REGISTRY.to_prometheus())
-        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
+        _write(args.metrics_out, REGISTRY.to_prometheus(), "metrics")
     if args.json:
-        print(json.dumps({
-            "machine": ref.key_doc(),
-            "backend": run.backend,
-            "stats": run.stats.to_dict(),
-            "plan_cache": run.plan_cache,
-            "telemetry": run.telemetry,
-            "keys": run.keys,
-            "measurements": [measurement_to_payload(m)
-                             for m in run.measurements],
-        }, indent=2))
+        print(json.dumps(sweep_document(ref, run), indent=2))
         return 0
     print()
     print(f"{'kernel':<14} {'n':>9} {'proto':<5} {'threads':>7} "
@@ -418,8 +392,7 @@ def _cmd_experiment(args) -> int:
     results = run_experiments(ids, config)
     report = render_report(results, config)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
+        _write(args.output, report)
         print(f"report written to {args.output}")
     else:
         print(report)
@@ -537,13 +510,12 @@ def _cmd_selfprofile(args) -> int:
     """Run one kernel sweep under the host-side span profiler."""
     from .obs import SPANS
 
-    kernel_name = _KERNEL_ALIASES.get(args.kernel, args.kernel)
-    ref = _sweep_machine_ref(args.machine, args.scale, args.engine)
-    cores = tuple(ref.build().topology.first_cores(args.threads))
+    kernel_name = resolve_kernel(args.kernel)
+    ref = MachineRef.named(args.machine, args.scale, args.engine)
     sizes = args.sizes or [args.n]
-    plan = SweepPlan()
-    plan.add_sweep(ref, kernel_name, sizes, protocol=args.protocol,
-                   reps=args.reps, cores=cores)
+    plan = build_plan(ref, kernel=kernel_name, sizes=sizes,
+                      protocol=args.protocol, reps=args.reps,
+                      threads=args.threads)
     # caching is off by default: a cache hit would replay stored bytes
     # and the profile would show sweep.cache.probe and nothing else
     cache = SweepCache(args.cache_dir) if args.cache else None
@@ -564,13 +536,10 @@ def _cmd_selfprofile(args) -> int:
         f"{kernel_name}_n{'-'.join(str(s) for s in sizes)}_{args.machine}",
     )
     flame_path = stem + ".trace.json"
-    with open(flame_path, "w", encoding="utf-8") as handle:
-        json.dump(SPANS.to_chrome_trace(
-            process_name=f"repro selfprofile {kernel_name}"
-        ), handle)
+    _write(flame_path, SPANS.to_chrome_trace(
+        process_name=f"repro selfprofile {kernel_name}"))
     metrics_path = stem + ".metrics.prom"
-    with open(metrics_path, "w", encoding="utf-8") as handle:
-        handle.write(REGISTRY.to_prometheus())
+    _write(metrics_path, REGISTRY.to_prometheus())
 
     dropped = SPANS.dropped
     if args.json:
@@ -633,7 +602,7 @@ def _print_ceiling_table(ceilings) -> None:
 
 
 def _cmd_ert(args) -> int:
-    ref = _sweep_machine_ref(args.machine, args.scale, args.engine)
+    ref = MachineRef.named(args.machine, args.scale, args.engine)
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     ceilings = discover_ceilings(
         ref, flop_counts=args.flops or list(DEFAULT_FLOP_COUNTS),
@@ -663,14 +632,13 @@ def _cmd_ert(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    kernel_name = _KERNEL_ALIASES.get(args.kernel, args.kernel)
     if not args.sizes:
         print("error: analyze needs --sizes N,N,..", file=sys.stderr)
         return 2
-    ref = _sweep_machine_ref(args.machine, args.scale, args.engine)
+    ref = MachineRef.named(args.machine, args.scale, args.engine)
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     result = hierarchical_analyze(
-        kernel_name, args.sizes, machine=ref, protocol=args.protocol,
+        args.kernel, args.sizes, machine=ref, protocol=args.protocol,
         reps=args.reps,
         flop_counts=args.flops or list(DEFAULT_FLOP_COUNTS),
         jobs=args.jobs, cache=cache,
@@ -692,16 +660,15 @@ def _cmd_analyze(args) -> int:
                          for level in LEVELS))
     if args.svg or args.json_out:
         os.makedirs(args.out_dir, exist_ok=True)
-    stem = f"{kernel_name}_{args.machine}"
+    stem = f"{result.kernel}_{args.machine}"
     if args.svg:
         path = os.path.join(args.out_dir, f"{stem}.svg")
         save_svg(result.svg(), path)
         print(f"\nsvg written to {path}", file=sys.stderr)
     if args.json_out:
         path = os.path.join(args.out_dir, f"{stem}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(result.to_json_doc(), handle, indent=2)
-        print(f"analysis json written to {path}", file=sys.stderr)
+        _write(path, json.dumps(result.to_json_doc(), indent=2),
+               "analysis json")
     return 0
 
 
@@ -858,6 +825,47 @@ def _add_sweep_flags(parser: argparse.ArgumentParser,
              "$REPRO_SWEEP_CACHE)")
 
 
+#: ``--engine`` help of the verbs that measure one kernel or sweep
+_ENGINE_HELP = ("execution engine: batched two-tier (fast, default) or "
+                "per-line dispatch (reference); equivalence-gated")
+
+
+def _add_request_flags(parser: argparse.ArgumentParser,
+                       machine: Optional[str] = "snb-ep", *,
+                       presets: bool = False,
+                       machine_help: Optional[str] = None,
+                       threads: Optional[int] = None,
+                       protocol: Optional[str] = None,
+                       protocols: bool = False,
+                       reps: Optional[int] = None,
+                       engine: Optional[str] = None) -> None:
+    """Declare the request flags a verb takes, with its defaults.
+
+    ``--scale`` (default 0.125) always comes along; a ``None`` default
+    leaves its flag out.  ``presets`` limits ``--machine`` to the
+    preset names, ``protocols`` makes ``--protocol`` a comma-separated
+    list, and ``engine`` is the help text of ``--engine``.
+    """
+    if machine is not None:
+        parser.add_argument("--machine", default=machine, help=machine_help,
+                            choices=sorted(PRESETS) if presets else None)
+    parser.add_argument("--scale", type=float, default=0.125)
+    if threads is not None:
+        parser.add_argument("--threads", type=int, default=threads)
+    if protocols:
+        parser.add_argument("--protocol", default=protocol,
+                            help="cache protocol(s), comma-separated "
+                                 "(cold, warm)")
+    elif protocol is not None:
+        parser.add_argument("--protocol", choices=PROTOCOLS,
+                            default=protocol)
+    if reps is not None:
+        parser.add_argument("--reps", type=int, default=reps)
+    if engine is not None:
+        parser.add_argument("--engine", choices=ENGINES, default="fast",
+                            help=engine)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-roofline",
@@ -870,25 +878,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list machines, kernels, experiments")
 
     p_roof = sub.add_parser("roofline", help="print a measured roofline")
-    p_roof.add_argument("--machine", default="snb-ep")
-    p_roof.add_argument("--scale", type=float, default=0.125)
-    p_roof.add_argument("--threads", type=int, default=1)
+    _add_request_flags(p_roof, threads=1)
     p_roof.add_argument("--json", action="store_true",
                         help="emit the model as JSON instead of a plot")
 
     p_meas = sub.add_parser("measure", help="measure one kernel")
-    p_meas.add_argument("kernel", choices=kernel_names())
+    p_meas.add_argument("kernel", choices=kernel_choices())
     p_meas.add_argument("n", type=int)
-    p_meas.add_argument("--machine", default="snb-ep")
-    p_meas.add_argument("--scale", type=float, default=0.125)
-    p_meas.add_argument("--threads", type=int, default=1)
-    p_meas.add_argument("--protocol", choices=("cold", "warm"),
-                        default="cold")
-    p_meas.add_argument("--reps", type=int, default=2)
+    _add_request_flags(p_meas, threads=1, protocol="cold", reps=2,
+                       engine=_ENGINE_HELP)
     p_meas.add_argument("--plot", action="store_true")
-    p_meas.add_argument("--engine", choices=("fast", "reference"),
-                     default="fast",
-                     help="execution engine: batched two-tier (fast, default) or per-line dispatch (reference); equivalence-gated")
     p_meas.add_argument("--json", action="store_true",
                         help="emit the measurement as JSON")
 
@@ -896,17 +895,10 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="measure one kernel with tracing and phase attribution",
     )
-    p_prof.add_argument("kernel", choices=kernel_names())
+    p_prof.add_argument("kernel", choices=kernel_choices())
     p_prof.add_argument("n", type=int, nargs="?", default=4096)
-    p_prof.add_argument("--machine", default="snb-ep")
-    p_prof.add_argument("--scale", type=float, default=0.125)
-    p_prof.add_argument("--threads", type=int, default=1)
-    p_prof.add_argument("--protocol", choices=("cold", "warm"),
-                        default="cold")
-    p_prof.add_argument("--reps", type=int, default=1)
-    p_prof.add_argument("--engine", choices=("fast", "reference"),
-                     default="fast",
-                     help="execution engine: batched two-tier (fast, default) or per-line dispatch (reference); equivalence-gated")
+    _add_request_flags(p_prof, threads=1, protocol="cold", reps=1,
+                       engine=_ENGINE_HELP)
     p_prof.add_argument("--trace-out",
                         help="write Chrome trace-event JSON here "
                              "(open in Perfetto / chrome://tracing)")
@@ -922,21 +914,14 @@ def build_parser() -> argparse.ArgumentParser:
              "roofline trajectory",
     )
     p_tl.add_argument("--kernel", default="daxpy",
-                      choices=kernel_names() + sorted(_KERNEL_ALIASES),
+                      choices=kernel_choices(),
                       help="kernel to profile (dgemm/dgemv resolve to the "
                            "paper's tiled/row variants)")
     p_tl.add_argument("--n", type=int, default=None,
                       help="problem size (default: per-kernel size that "
                            "spans many windows)")
-    p_tl.add_argument("--machine", default="snb-ep")
-    p_tl.add_argument("--scale", type=float, default=0.125)
-    p_tl.add_argument("--threads", type=int, default=1)
-    p_tl.add_argument("--protocol", choices=("cold", "warm"),
-                      default="cold")
-    p_tl.add_argument("--reps", type=int, default=1)
-    p_tl.add_argument("--engine", choices=("fast", "reference"),
-                   default="fast",
-                   help="execution engine: batched two-tier (fast, default) or per-line dispatch (reference); equivalence-gated")
+    _add_request_flags(p_tl, threads=1, protocol="cold", reps=1,
+                       engine=_ENGINE_HELP)
     p_tl.add_argument("--window", type=float, default=10_000.0,
                       help="window width in cycles (default 10000)")
     p_tl.add_argument("--out-dir", default=os.path.join(
@@ -955,18 +940,15 @@ def build_parser() -> argparse.ArgumentParser:
                            "as JSON")
 
     p_expl = sub.add_parser("explain", help="attribute a kernel's cycles")
-    p_expl.add_argument("kernel", choices=kernel_names())
+    p_expl.add_argument("kernel", choices=kernel_choices())
     p_expl.add_argument("n", type=int)
-    p_expl.add_argument("--machine", default="snb-ep")
-    p_expl.add_argument("--scale", type=float, default=0.125)
-    p_expl.add_argument("--protocol", choices=("cold", "warm"),
-                        default="warm")
+    _add_request_flags(p_expl, protocol="warm")
 
     p_sweep = sub.add_parser(
         "sweep",
         help="run a measurement grid through the parallel sweep engine",
     )
-    p_sweep.add_argument("kernel", nargs="?", choices=kernel_names(),
+    p_sweep.add_argument("kernel", nargs="?", choices=kernel_choices(),
                          help="kernel to sweep (alternative to --grid)")
     p_sweep.add_argument("--grid", choices=sorted(GRIDS),
                          help="named figure grid (f4=daxpy, f5=dgemv, "
@@ -974,17 +956,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sizes", type=_int_list,
                          help="comma-separated problem sizes "
                               "(with KERNEL form)")
-    p_sweep.add_argument("--machine", default="snb-ep",
-                         choices=sorted(PRESETS))
-    p_sweep.add_argument("--scale", type=float, default=0.125)
-    p_sweep.add_argument("--protocol", default="cold",
-                         help="cache protocol(s), comma-separated "
-                              "(cold, warm)")
-    p_sweep.add_argument("--reps", type=int, default=2)
-    p_sweep.add_argument("--threads", type=int, default=1)
-    p_sweep.add_argument("--engine", choices=("fast", "reference"),
-                      default="fast",
-                      help="execution engine: batched two-tier (fast, default) or per-line dispatch (reference); equivalence-gated")
+    _add_request_flags(p_sweep, presets=True, threads=1, protocol="cold",
+                       protocols=True, reps=2, engine=_ENGINE_HELP)
     p_sweep.add_argument("--quick", action="store_true",
                          help="trim grid sizes (named grids only)")
     p_sweep.add_argument("--json", action="store_true",
@@ -1017,12 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="discover a machine's bandwidth ceilings and compute roof "
              "with the ERT microbenchmark grid",
     )
-    p_ert.add_argument("--machine", default="snb",
-                       choices=sorted(PRESETS))
-    p_ert.add_argument("--scale", type=float, default=0.125)
-    p_ert.add_argument("--engine", choices=("fast", "reference"),
-                       default="fast",
-                       help="execution engine for the grid")
+    _add_request_flags(p_ert, "snb", presets=True, reps=2,
+                       engine="execution engine for the grid")
     p_ert.add_argument("--flops", type=_int_list, default=",".join(
                            str(c) for c in DEFAULT_FLOP_COUNTS),
                        help="comma-separated flops-per-element grid "
@@ -1030,7 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ert.add_argument("--sweeps", type=int, default=2,
                        help="passes over the working set per run "
                             "(default 2; >1 keeps warm sets resident)")
-    p_ert.add_argument("--reps", type=int, default=2)
     p_ert.add_argument("--plot", action="store_true",
                        help="print the discovered hierarchy as an "
                             "ASCII roofline")
@@ -1045,21 +1013,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="hierarchical roofline: discover ceilings, sweep one "
              "kernel, and place it on every level's band",
     )
-    p_an.add_argument("kernel",
-                      choices=kernel_names() + sorted(_KERNEL_ALIASES),
+    p_an.add_argument("kernel", choices=kernel_choices(),
                       help="kernel to analyse (dgemm/dgemv resolve to "
                            "the paper's tiled/row variants)")
     p_an.add_argument("--sizes", type=_int_list, required=True,
                       help="comma-separated problem sizes")
-    p_an.add_argument("--machine", default="snb",
-                      choices=sorted(PRESETS))
-    p_an.add_argument("--scale", type=float, default=0.125)
-    p_an.add_argument("--engine", choices=("fast", "reference"),
-                      default="fast",
-                      help="execution engine for both sweeps")
-    p_an.add_argument("--protocol", choices=("cold", "warm"),
-                      default="cold")
-    p_an.add_argument("--reps", type=int, default=2)
+    _add_request_flags(p_an, "snb", presets=True, protocol="cold", reps=2,
+                       engine="execution engine for both sweeps")
     p_an.add_argument("--flops", type=_int_list, default=",".join(
                           str(c) for c in DEFAULT_FLOP_COUNTS),
                       help="flops-per-element grid for ceiling discovery")
@@ -1101,8 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the host-side span profiler and export a flame trace, "
              "hotspot table, and metrics snapshot",
     )
-    p_self.add_argument("kernel",
-                        choices=kernel_names() + sorted(_KERNEL_ALIASES),
+    p_self.add_argument("kernel", choices=kernel_choices(),
                         help="kernel to run (dgemm/dgemv resolve to the "
                              "paper's tiled/row variants)")
     p_self.add_argument("--n", type=int, default=512,
@@ -1110,20 +1069,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--sizes", type=_int_list,
                         help="comma-separated sizes (overrides --n; "
                              "profiles a multi-point sweep)")
-    p_self.add_argument("--machine", default="tiny",
-                        choices=sorted(PRESETS),
-                        help="machine preset (default tiny, so the "
-                             "profile turns around quickly)")
-    p_self.add_argument("--scale", type=float, default=0.125)
-    p_self.add_argument("--threads", type=int, default=1)
-    p_self.add_argument("--protocol", choices=("cold", "warm"),
-                        default="cold")
-    p_self.add_argument("--reps", type=int, default=1)
-    p_self.add_argument("--engine", choices=("fast", "reference"),
-                        default="fast",
-                        help="execution engine to profile (the reference "
-                             "engine additionally exercises the per-batch "
-                             "mem.* demand spans)")
+    _add_request_flags(p_self, "tiny", presets=True,
+                       machine_help="machine preset (default tiny, so the "
+                                    "profile turns around quickly)",
+                       threads=1, protocol="cold", reps=1,
+                       engine="execution engine to profile (the reference "
+                              "engine additionally exercises the per-batch "
+                              "mem.* demand spans)")
     p_self.add_argument("--top", type=int, default=10,
                         help="hotspot-table rows (default 10)")
     p_self.add_argument("--cache", action="store_true",
@@ -1201,9 +1153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run paper experiments")
     p_exp.add_argument("ids", nargs="*", help="experiment ids (default all)")
-    p_exp.add_argument("--scale", type=float, default=0.125)
+    _add_request_flags(p_exp, None, reps=2)
     p_exp.add_argument("--quick", action="store_true")
-    p_exp.add_argument("--reps", type=int, default=2)
     p_exp.add_argument("--output", help="write markdown report here")
     p_exp.add_argument("--artifacts", help="directory for SVG/CSV artifacts")
     _add_sweep_flags(p_exp, suppress=True)

@@ -82,3 +82,11 @@ class SweepPointError(SweepError):
 class TimelineError(ReproError):
     """A timeline profile was misconfigured or the trace cannot be
     windowed (empty trace, window wider than the measured span, ...)."""
+
+
+class HttpError(ReproError):
+    """A request defect that maps straight to an HTTP status code."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status

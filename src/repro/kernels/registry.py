@@ -49,18 +49,28 @@ _FACTORIES: Dict[str, Callable[..., Kernel]] = {
 }
 
 
+#: the paper's short names, accepted wherever a kernel is named: "the
+#: dgemm" of its figures is the tiled one, and dgemv the row-major walk
+ALIASES = {"dgemm": "dgemm-tiled", "dgemv": "dgemv-row"}
+
+
+def resolve_kernel(name: str) -> str:
+    """The registry name ``name`` stands for (aliases resolve)."""
+    name = ALIASES.get(name, name)
+    if name not in _FACTORIES:
+        raise ConfigurationError(
+            f"unknown kernel {name!r}; known: {', '.join(kernel_names())}"
+        )
+    return name
+
+
 def make_kernel(name: str, **kwargs) -> Kernel:
-    """Instantiate a kernel by registry name.
+    """Instantiate a kernel by registry name or alias.
 
     ``kwargs`` are forwarded to the kernel constructor on top of the
     entry's baked-in arguments (a duplicate keyword is an error).
     """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown kernel {name!r}; known: {', '.join(kernel_names())}"
-        ) from exc
+    factory = _FACTORIES[resolve_kernel(name)]
     try:
         return factory(**kwargs)
     except TypeError as exc:
@@ -74,8 +84,13 @@ def kernel_names() -> List[str]:
     return sorted(_FACTORIES)
 
 
+def kernel_choices() -> List[str]:
+    """Every name a front end accepts: registry names, then aliases."""
+    return kernel_names() + sorted(ALIASES)
+
+
 def register_kernel(name: str, factory: Callable[[], Kernel]) -> None:
     """Register a user-defined kernel (library extension point)."""
-    if name in _FACTORIES:
+    if name in _FACTORIES or name in ALIASES:
         raise ConfigurationError(f"kernel {name!r} already registered")
     _FACTORIES[name] = factory

@@ -29,6 +29,7 @@ from ..memory.hierarchy import HierarchyConfig
 from ..memory.numa import NumaConfig, Topology
 from ..units import GIB, KIB, MIB
 from .machine import Machine, MachineSpec
+from .ref import MachineRef
 
 
 def _hierarchy(l3_size: int, l3_assoc: int, dram: DramConfig,
@@ -201,15 +202,7 @@ PRESETS = {
 def make_machine(name: str, scale: float = 1.0,
                  engine: str = "fast") -> Machine:
     """Instantiate a preset by registry name."""
-    try:
-        factory = PRESETS[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown machine preset {name!r}; known: {sorted(PRESETS)}"
-        ) from exc
-    if name == "tiny":
-        return factory(engine=engine)
-    return factory(scale=scale, engine=engine)
+    return MachineRef.named(name, scale, engine).build()
 
 
 def paper_machine(scale: float = 0.125, engine: str = "fast") -> Machine:

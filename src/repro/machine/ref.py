@@ -18,7 +18,7 @@ machines — the property the sweep determinism suite locks down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..cpu.timing import TimingParams
 from ..engine import validate_engine
@@ -28,6 +28,12 @@ from .machine import Machine, MachineSpec
 #: option/timing overrides are stored as sorted ``(key, value)`` tuples
 #: so refs stay hashable and their canonical form is order-independent
 KwargItems = Tuple[Tuple[str, object], ...]
+
+
+#: specs (immutable) of the refs built in this process, emptied when
+#: full: a ref reads its machine's shape without building another
+_SPECS: Dict["MachineRef", MachineSpec] = {}
+MAX_SPECS = 64
 
 
 def _items(kwargs: Optional[dict]) -> KwargItems:
@@ -71,6 +77,18 @@ class MachineRef:
     #: execution engine ("fast" or "reference"; equivalence-gated, so
     #: both produce identical measurements — see docs/ENGINE.md)
     engine: str = "fast"
+
+    @classmethod
+    def named(cls, preset: str, scale: float = 1.0,
+              engine: str = "fast") -> "MachineRef":
+        """The ref a front end means by a preset name, scale and engine.
+
+        ``tiny`` takes no scale: its factory ignores one, and leaving
+        it out keeps one key for every spelling of the tiny machine.
+        """
+        if preset == "tiny":
+            return cls.of(preset, engine=engine)
+        return cls.of(preset, scale=scale, engine=engine)
 
     @classmethod
     def of(cls, preset: str, *, l3_policy: Optional[str] = None,
@@ -133,7 +151,17 @@ class MachineRef:
             machine = Machine(spec, engine=self.engine)
         if not self.prefetch_enabled:
             machine.prefetch_control.disable_all()
+        if len(_SPECS) >= MAX_SPECS:
+            _SPECS.clear()
+        _SPECS[self] = machine.spec
         return machine
+
+    def cores(self, threads: int) -> Tuple[int, ...]:
+        """The first ``threads`` cores, filling socket 0 first (the
+        paper's binding); a machine is built only when no equal ref was
+        built in this process yet."""
+        spec = _SPECS.get(self) or self.build().spec
+        return tuple(spec.topology.first_cores(threads))
 
     # ------------------------------------------------------------------
     # identity

@@ -1,7 +1,7 @@
 """Measurement methodology: protocols, W/Q/T drivers, and the runner
 implementing the paper's two-run subtraction discipline."""
 
-from .explain import ExecutionReport, explain_kernel, report_from_result
+from .explain import ExecutionReport, explain_kernel
 from .protocol import ColdCache, Protocol, WarmCache, make_protocol
 from .runner import Measurement, build_init_program, measure_kernel, measure_sweep
 from .stats import Summary, relative_error, summarize
@@ -28,7 +28,6 @@ __all__ = [
     "build_init_program",
     "bytes_from_session",
     "explain_kernel",
-    "report_from_result",
     "flops_breakdown",
     "flops_from_session",
     "make_protocol",

@@ -1,8 +1,10 @@
 """Execution explanation: *why* a kernel runs at the speed it does.
 
 The roofline says how far a kernel is from its bound; this report says
-which bound.  Every phase (innermost-loop execution) carries its cycle
-breakdown from the timing model; aggregating them attributes the
+which bound.  Every phase (innermost-loop execution or straight-line
+vector op) carries its cycle breakdown from the timing model; a
+:class:`~repro.trace.TraceCollector` on the one explained run
+aggregates them, as it does for ``repro profile``, and attributes the
 kernel's runtime to FP issue, load/store ports, dependency chains,
 cache-level bandwidths, DRAM bandwidth, and exposed latency — the
 machine-checkable version of the judgements the paper draws by eye
@@ -12,23 +14,13 @@ machine-checkable version of the judgements the paper draws by eye
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-from ..cpu.core import ExecutionResult
 from ..kernels.base import CodegenCaps, Kernel
 from ..machine.machine import Machine
+from ..trace.collector import BOUND_ORDER, TraceCollector
 from ..units import format_bytes, format_time
 from .protocol import make_protocol
-
-_BOUND_FIELDS = (
-    "fp_issue",
-    "mem_issue",
-    "dependency_chain",
-    "l2_bandwidth",
-    "l3_bandwidth",
-    "dram_bandwidth",
-)
-
 
 @dataclass
 class ExecutionReport:
@@ -65,7 +57,7 @@ class ExecutionReport:
             f"({self.share(self.dominant_bound):.0%} of bound cycles)",
         ]
         total = sum(self.dominant_cycles.values())
-        for bound in _BOUND_FIELDS:
+        for bound in BOUND_ORDER:
             cycles = self.dominant_cycles.get(bound, 0.0)
             if cycles > 0 and total:
                 lines.append(
@@ -91,42 +83,6 @@ class ExecutionReport:
         return "\n".join(lines)
 
 
-def report_from_result(result: ExecutionResult, kernel: str, n: int,
-                       machine: str, protocol: str,
-                       seconds: float) -> ExecutionReport:
-    """Fold an :class:`ExecutionResult`'s phases into a report."""
-    dominant: Dict[str, float] = {}
-    exposed = 0.0
-    for phase in result.phases:
-        dominant[phase.dominant] = (
-            dominant.get(phase.dominant, 0.0) + phase.throughput_bound
-        )
-        exposed += phase.exposed_latency
-    batch = result.batch
-    return ExecutionReport(
-        kernel=kernel,
-        n=n,
-        machine=machine,
-        protocol=protocol,
-        total_cycles=result.cycles,
-        seconds=seconds,
-        dominant_cycles=dominant,
-        exposed_latency_cycles=exposed,
-        phase_count=len(result.phases),
-        memory_events={
-            "accesses": batch.accesses,
-            "l1_hits": batch.l1_hits,
-            "l2_hits": batch.l2_hits,
-            "l3_hits": batch.l3_hits,
-            "dram_reads": batch.dram_reads,
-            "writebacks": batch.writebacks,
-            "nt_lines": batch.nt_lines,
-            "hw_prefetch_dram_reads": batch.hw_prefetch_dram_reads,
-            "tlb_misses": batch.tlb_misses,
-        },
-    )
-
-
 def explain_kernel(machine: Machine, kernel: Kernel, n: int,
                    protocol="warm", core: int = 0,
                    width_bits: Optional[int] = None) -> ExecutionReport:
@@ -137,8 +93,22 @@ def explain_kernel(machine: Machine, kernel: Kernel, n: int,
     proto = make_protocol(protocol)
     machine.bust_caches()
     proto.prepare(machine, lambda: machine.run(loaded, core_id=core))
-    run = machine.run(loaded, core_id=core)
-    return report_from_result(
-        run.result, kernel.name, n, machine.spec.name, proto.name,
-        run.seconds,
+    collector = TraceCollector(machine, keep_events=False)
+    machine.trace.attach(collector)
+    try:
+        run = machine.run(loaded, core_id=core)
+    finally:
+        machine.trace.detach()
+    return ExecutionReport(
+        kernel=kernel.name,
+        n=n,
+        machine=machine.spec.name,
+        protocol=proto.name,
+        total_cycles=run.result.cycles,
+        seconds=run.seconds,
+        dominant_cycles=collector.dominant_cycles(),
+        exposed_latency_cycles=sum(p.bounds.get("exposed_latency", 0.0)
+                                   for p in collector.phases),
+        phase_count=len(collector.phases),
+        memory_events=collector.batch_totals(),
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..kernels.registry import kernel_names
+from ..kernels.registry import resolve_kernel
 from ..measure.runner import Measurement
 from ..sweep.executor import merge_plan_cache, run_plan
 from ..sweep.plan import SweepPlan
@@ -255,10 +255,7 @@ def analyze(kernel: str, sizes: Sequence[int], machine="snb",
     >>> result = analyze("dgemm-tiled", [16, 32, 64], machine="tiny")
     >>> print(result.ascii())
     """
-    if kernel not in kernel_names():
-        raise ConfigurationError(
-            f"unknown kernel {kernel!r}; known: {', '.join(kernel_names())}"
-        )
+    kernel = resolve_kernel(kernel)
     if not sizes:
         raise ConfigurationError("analyze needs at least one problem size")
     ref = resolve_machine_ref(machine)

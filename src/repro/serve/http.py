@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from ..errors import ReproError
+from ..errors import HttpError
 
 __all__ = ["HttpError", "Request", "read_request", "response_bytes",
            "stream_headers"]
@@ -39,14 +39,6 @@ _REASONS = {
     413: "Payload Too Large", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
-
-
-class HttpError(ReproError):
-    """A request defect that maps straight to a status code."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 Every ``POST /measure|analyze|sweep`` becomes a :class:`Job` keyed by
 the SHA-256 of its canonical ``(kind, params)`` document — the same
-canonical-JSON discipline the sweep cache uses, so two requests that
-would simulate the same thing hash the same.  Coalescing happens at
+canonical-JSON discipline the sweep cache uses.  ``params`` is the
+request as :func:`repro.request.validate` normalised it, so two
+spellings of one request hash the same.  Coalescing happens at
 two layers:
 
 * **in-flight** — an identical request arriving while a job is pending

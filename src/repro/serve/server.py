@@ -19,10 +19,13 @@ replay point-by-point from the content-addressed sweep cache — the
 service never simulates the same inputs twice.  POSTs run the work on
 a thread pool (the event loop only shuffles bytes) and respond when
 the job finishes; pass ``{"async": true}`` to get ``202`` + a job id
-immediately and poll ``/jobs/<id>`` instead.  A job that fails on the
-request's own parameters (a size the kernel rejects, an unknown
-preset) answers ``400`` with the validation message; internal
-failures answer ``500``.
+immediately and poll ``/jobs/<id>`` instead.
+
+Requests are built as the CLI verbs build them (:mod:`repro.request`):
+a bad field answers ``400`` naming it, and the job key hashes the
+normalised request, so ``dgemm`` and ``dgemm-tiled`` share one job.  A
+job that fails on the request's own parameters (a size the kernel
+rejects) answers ``400`` too; internal failures answer ``500``.
 
 On SIGTERM/SIGINT the server **drains**: the listener closes (new
 connections are refused), in-flight jobs run to completion and their
@@ -51,7 +54,7 @@ from .jobs import DONE, ERROR, RUNNING, JobTable
 
 __all__ = ["RooflineServer"]
 
-#: job kinds and the params each requires
+#: job kinds, one POST endpoint each (fields: repro.request.validate)
 _KINDS = ("measure", "analyze", "sweep")
 
 
@@ -209,9 +212,10 @@ class RooflineServer:
     # ------------------------------------------------------------------
     async def _handle_submit(self, kind: str, request: Request,
                              writer: asyncio.StreamWriter) -> None:
+        from ..request import validate
         doc = request.json()
         wants_async = bool(doc.pop("async", False))
-        params = _validate(kind, doc)
+        params = validate(kind, doc)
         job, attached = self.table.submit(kind, params)
         if attached:
             self._metrics["coalesced"].inc()
@@ -309,80 +313,41 @@ class RooflineServer:
                   "label": point.label(), "status": status})
         return on_point
 
-    def _machine_ref(self, params: dict):
-        from ..machine.ref import MachineRef
-        name = params.get("machine", "snb-ep")
-        options = {}
-        if name != "tiny":
-            options["scale"] = params.get("scale", 0.125)
-        if params.get("engine", "fast") != "fast":
-            options["engine"] = params["engine"]
-        return MachineRef.of(name, **options)
-
     def _run_measure(self, params: dict, emit) -> dict:
-        from ..sweep import SweepPlan, measurement_to_payload, run_plan
-        ref = self._machine_ref(params)
-        cores = tuple(ref.build().topology.first_cores(
-            params.get("threads", 1)))
-        plan = SweepPlan()
-        plan.add_sweep(ref, params["kernel"], [params["n"]],
-                       protocol=params.get("protocol", "cold"),
-                       reps=params.get("reps", 2), cores=cores)
-        run = run_plan(plan, jobs=self.jobs, cache=self._cache(),
-                       on_point=self._on_point(emit))
+        doc = self._run_sweep({**params, "sizes": [params["n"]]}, emit)
         return {
-            "machine": ref.key_doc(),
-            "measurement": measurement_to_payload(run.measurements[0]),
-            "stats": run.stats.to_dict(),
-            "backend": run.backend,
+            "machine": doc["machine"],
+            "measurement": doc["measurements"][0],
+            "stats": doc["stats"],
+            "backend": doc["backend"],
         }
 
     def _run_sweep(self, params: dict, emit) -> dict:
-        from ..sweep import (
-            SweepPlan,
-            make_grid,
-            measurement_to_payload,
-            run_plan,
-        )
-        ref = self._machine_ref(params)
-        if "grid" in params:
-            plan = make_grid(params["grid"], ref,
-                             quick=bool(params.get("quick", False)),
-                             reps=params.get("reps", 2))
-        else:
-            cores = tuple(ref.build().topology.first_cores(
-                params.get("threads", 1)))
-            plan = SweepPlan()
-            for protocol in str(params.get("protocol",
-                                           "cold")).split(","):
-                plan.add_sweep(ref, params["kernel"],
-                               [int(n) for n in params["sizes"]],
-                               protocol=protocol,
-                               reps=params.get("reps", 2), cores=cores)
+        from ..machine.ref import MachineRef
+        from ..request import build_plan, sweep_document
+        from ..sweep import run_plan
+        ref = MachineRef.named(params["machine"], params["scale"],
+                               params["engine"])
+        plan = build_plan(
+            ref, kernel=params.get("kernel"), sizes=params.get("sizes"),
+            grid=params.get("grid"), protocol=params.get("protocol", "cold"),
+            reps=params["reps"], threads=params.get("threads", 1),
+            quick=params.get("quick", False))
         run = run_plan(plan, jobs=self.jobs, cache=self._cache(),
                        on_point=self._on_point(emit))
-        return {
-            "machine": ref.key_doc(),
-            "stats": run.stats.to_dict(),
-            "keys": run.keys,
-            "backend": run.backend,
-            "measurements": [measurement_to_payload(m)
-                             for m in run.measurements],
-        }
+        return sweep_document(ref, run)
 
     def _run_analyze(self, params: dict, emit) -> dict:
-        from ..roofline.ert import DEFAULT_FLOP_COUNTS
+        from ..machine.ref import MachineRef
         from ..roofline.hierarchical import analyze
-        ref = self._machine_ref({"machine": params.get("machine", "snb"),
-                                 **params})
+        ref = MachineRef.named(params["machine"], params["scale"],
+                               params["engine"])
         emit({"type": "phase", "phase": "ceilings"})
         result = analyze(
-            params["kernel"], [int(n) for n in params["sizes"]],
-            machine=ref, protocol=params.get("protocol", "cold"),
-            reps=params.get("reps", 2),
-            flop_counts=[int(f) for f in params.get(
-                "flops", DEFAULT_FLOP_COUNTS)],
-            jobs=self.jobs, cache=self._cache(),
+            params["kernel"], params["sizes"], machine=ref,
+            protocol=params["protocol"], reps=params["reps"],
+            flop_counts=params["flops"], jobs=self.jobs,
+            cache=self._cache(),
         )
         emit({"type": "phase", "phase": "placed"})
         return result.to_json_doc()
@@ -397,35 +362,3 @@ def _invalid_request(exc: ReproError) -> Optional[str]:
     if isinstance(exc, ConfigurationError):
         return str(exc)
     return None
-
-
-def _validate(kind: str, doc: dict) -> dict:
-    """Check required fields early so errors are 400s, not job failures."""
-    def need(*names):
-        missing = [n for n in names if n not in doc]
-        if missing:
-            raise HttpError(
-                400, f"/{kind} requires {', '.join(missing)}")
-
-    if kind == "measure":
-        need("kernel", "n")
-        if not isinstance(doc["n"], int):
-            raise HttpError(400, "n must be an integer")
-    elif kind == "analyze":
-        need("kernel", "sizes")
-    elif kind == "sweep":
-        if "grid" not in doc:
-            need("kernel", "sizes")
-    if "sizes" in doc and (not isinstance(doc["sizes"], list)
-                           or not doc["sizes"]):
-        raise HttpError(400, "sizes must be a non-empty list")
-    if "protocol" in doc:
-        from ..measure.protocol import PROTOCOLS
-        protocols = ([doc["protocol"]] if kind != "sweep"
-                     else str(doc["protocol"]).split(","))
-        for protocol in protocols:
-            if protocol not in PROTOCOLS:
-                raise HttpError(
-                    400, f"unknown protocol {protocol!r}; known: "
-                         f"{', '.join(PROTOCOLS)}")
-    return doc

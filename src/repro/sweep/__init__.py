@@ -25,7 +25,7 @@ from .executor import (
     run_plan,
     simulate_point,
 )
-from .grids import GRIDS, make_grid
+from .grids import GRIDS, build_plan, make_grid
 from .plan import SweepPlan, SweepPoint
 from .serialize import measurement_to_payload, payload_to_measurement
 
@@ -43,6 +43,7 @@ __all__ = [
     "SweepStats",
     "VERSION_SALT",
     "WorkItem",
+    "build_plan",
     "default_cache_dir",
     "make_grid",
     "measurement_to_payload",

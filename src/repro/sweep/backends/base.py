@@ -20,8 +20,9 @@ path, serial and local-pool execution are bit-identical by
 construction — ``tests/sweep/test_backends.py`` checksums it.
 
 Backends are context managers and reusable: ``submit`` may be called
-any number of times before ``close`` (the service layer keeps one
-long-lived backend across requests).  A backend instance is *not*
+any number of times before ``close``.  ``run_plan`` builds and closes a
+backend for every run unless its caller lends one (the service lends
+none, so each of its jobs gets its own).  A backend instance is *not*
 safe for concurrent ``submit`` calls unless its class says otherwise.
 """
 

@@ -17,8 +17,10 @@ the others sat idle.  This is longest-processing-time list scheduling;
 results still stream back in completion order.
 
 The pool is created lazily on the first ``submit`` and kept alive
-until ``close`` — repeated submits (the service layer) reuse warm
-workers instead of paying process start-up per request.
+until ``close``, so repeated submits to one backend reuse warm workers.
+``run_plan`` closes the backend it builds when its run ends: only a
+caller that lends one backend to several runs keeps its pool warm
+across them.
 """
 
 from __future__ import annotations

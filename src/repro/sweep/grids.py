@@ -7,8 +7,9 @@ This module holds both halves reusably:
 * the *size selectors* (``daxpy_sizes`` & friends), shared with
   :mod:`repro.experiments.rooflines` so the ``repro sweep --grid f4``
   CLI and the F4 experiment enumerate the exact same grid;
-* the *grid builders* (``GRIDS``), which turn a machine ref into the
-  full plan (all protocols / variants of that figure).
+* the *grids* (``GRIDS``): each figure's kernel and protocol sweeps,
+  which :func:`make_grid` turns into the full plan for a machine ref
+  through :func:`build_plan`, the plan builder of every front end.
 
 Sizes depend only on a machine's static spec, so building a scratch
 machine from the ref just to read cache capacities is cheap and has no
@@ -18,9 +19,9 @@ effect on measured points.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import SweepError
+from ..errors import ConfigurationError, SweepError
 from ..machine.machine import Machine
 from ..machine.ref import MachineRef
 from ..units import round_to
@@ -64,53 +65,16 @@ def fft_sizes(machine: Machine, quick: bool) -> List[int]:
     return [1 << e for e in exps]
 
 
-def f4_daxpy_grid(ref: MachineRef, quick: bool = False,
-                  reps: int = 2) -> SweepPlan:
-    """The F4 figure's full grid: daxpy sizes, cold and warm."""
-    sizes = daxpy_sizes(ref.build(), quick)
-    plan = SweepPlan()
-    for protocol in ("cold", "warm"):
-        plan.add_sweep(ref, "daxpy", sizes, protocol=protocol, reps=reps)
-    return plan
-
-
-def f5_dgemv_grid(ref: MachineRef, quick: bool = False,
-                  reps: int = 2) -> SweepPlan:
-    """The F5 grid: dgemv row- and column-major, cold caches."""
-    sizes = dgemv_sizes(ref.build(), quick)
-    plan = SweepPlan()
-    for kernel in ("dgemv-row", "dgemv-col"):
-        plan.add_sweep(ref, kernel, sizes, protocol="cold", reps=reps)
-    return plan
-
-
-def f6_dgemm_grid(ref: MachineRef, quick: bool = False,
-                  reps: int = 2) -> SweepPlan:
-    """The F6 grid: dgemm variants, warm caches."""
-    sizes = [n for n in dgemm_sizes(ref.build(), quick) if n % 32 == 0]
-    plan = SweepPlan()
-    for variant in DGEMM_VARIANTS:
-        plan.add_sweep(ref, f"dgemm-{variant}", sizes, protocol="warm",
-                       reps=reps)
-    return plan
-
-
-def f7_fft_grid(ref: MachineRef, quick: bool = False,
-                reps: int = 2) -> SweepPlan:
-    """The F7 grid: FFT, warm and cold."""
-    sizes = fft_sizes(ref.build(), quick)
-    plan = SweepPlan()
-    for protocol in ("warm", "cold"):
-        plan.add_sweep(ref, "fft", sizes, protocol=protocol, reps=reps)
-    return plan
-
-
-#: named grids accepted by ``repro sweep --grid``
-GRIDS: Dict[str, Callable[..., SweepPlan]] = {
-    "f4": f4_daxpy_grid,
-    "f5": f5_dgemv_grid,
-    "f6": f6_dgemm_grid,
-    "f7": f7_fft_grid,
+#: named grids accepted by ``repro sweep --grid``: each figure's size
+#: selector and its (kernel, comma-separated protocols) sweeps, in plan
+#: order
+GRIDS: Dict[str, Tuple[Callable[[Machine, bool], List[int]],
+                       Tuple[Tuple[str, str], ...]]] = {
+    "f4": (daxpy_sizes, (("daxpy", "cold,warm"),)),
+    "f5": (dgemv_sizes, (("dgemv-row", "cold"), ("dgemv-col", "cold"))),
+    "f6": (dgemm_sizes, tuple((f"dgemm-{variant}", "warm")
+                              for variant in DGEMM_VARIANTS)),
+    "f7": (fft_sizes, (("fft", "warm,cold"),)),
 }
 
 
@@ -118,9 +82,34 @@ def make_grid(name: str, ref: MachineRef, quick: bool = False,
               reps: int = 2) -> SweepPlan:
     """Build a named grid's plan for ``ref``."""
     try:
-        builder = GRIDS[name.lower()]
+        selector, sweeps = GRIDS[name.lower()]
     except KeyError as exc:
         raise SweepError(
             f"unknown grid {name!r}; known: {sorted(GRIDS)}"
         ) from exc
-    return builder(ref, quick=quick, reps=reps)
+    sizes = selector(ref.build(), quick)
+    plan = SweepPlan()
+    for kernel, protocols in sweeps:
+        plan.extend(build_plan(ref, kernel=kernel, sizes=sizes,
+                               protocol=protocols, reps=reps))
+    return plan
+
+
+def build_plan(ref: MachineRef, *, kernel: Optional[str] = None,
+               sizes: Optional[Sequence[int]] = None,
+               grid: Optional[str] = None, protocol: str = "cold",
+               reps: int = 2, threads: int = 1,
+               quick: bool = False) -> SweepPlan:
+    """A named figure grid, or ``kernel`` over ``sizes`` once per
+    comma-separated ``protocol`` on the first ``threads`` cores."""
+    if grid:
+        return make_grid(grid, ref, quick=quick, reps=reps)
+    if not kernel or not sizes:
+        raise ConfigurationError(
+            "sweep needs either --grid or KERNEL --sizes N,..")
+    cores = ref.cores(threads)
+    plan = SweepPlan()
+    for name in protocol.split(","):
+        plan.add_sweep(ref, kernel, sizes, protocol=name, reps=reps,
+                       cores=cores)
+    return plan

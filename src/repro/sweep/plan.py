@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from ..errors import SweepError
-from ..kernels.registry import kernel_names, make_kernel
+from ..errors import ConfigurationError, SweepError
+from ..kernels.registry import make_kernel, resolve_kernel
 from ..machine.ref import KwargItems, MachineRef
 from ..measure.protocol import PROTOCOLS
 
@@ -41,7 +41,8 @@ class SweepPoint:
 
     #: recipe for the platform this point is measured on
     machine: MachineRef
-    #: kernel registry name (see :mod:`repro.kernels.registry`)
+    #: kernel registry name (see :mod:`repro.kernels.registry`); an
+    #: alias is stored as the name it stands for
     kernel: str
     #: problem size (elements / matrix order, per the kernel's convention)
     n: int
@@ -57,10 +58,13 @@ class SweepPoint:
     width_bits: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kernel not in kernel_names():
+        try:
+            # an alias names the same point, so it keys as its target
+            object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
+        except ConfigurationError:
             raise SweepError(
                 f"unknown kernel {self.kernel!r} in sweep point"
-            )
+            ) from None
         if self.protocol not in PROTOCOLS:
             raise SweepError(
                 f"unknown protocol {self.protocol!r} in sweep point; "

@@ -172,7 +172,8 @@ class TraceCollector:
                 )
         return out
 
-    def _batch_totals(self) -> Dict[str, int]:
+    def batch_totals(self) -> Dict[str, int]:
+        """Demand-access counters summed over the measured phases."""
         totals: Dict[str, int] = {}
         for p in self.measured_phases():
             for key, value in p.batch.items():
@@ -193,7 +194,7 @@ class TraceCollector:
         phases = self.measured_phases()
         total_cycles = sum(p.cycles for p in phases)
         bounds = self.dominant_cycles()
-        batch = self._batch_totals()
+        batch = self.batch_totals()
         line = self._line_bytes
         dram_reads = (batch.get("dram_reads", 0)
                       + batch.get("hw_prefetch_dram_reads", 0))

@@ -102,7 +102,58 @@ class TestEndpoints:
                      "unknown protocol 'hot'"),
                     ("/sweep", {"kernel": "daxpy", "sizes": [96],
                                 "machine": "tiny", "protocol": "cold,hot"},
-                     "unknown protocol 'hot'")):
+                     "unknown protocol 'hot'"),
+                    # a count must be a JSON integer above zero
+                    ("/sweep", {"kernel": "daxpy", "sizes": ["abc"],
+                                "machine": "tiny"}, "sizes must be"),
+                    ("/sweep", {"kernel": "daxpy", "sizes": [1024.7],
+                                "machine": "tiny"}, "sizes must be"),
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "machine": "tiny", "reps": "2"},
+                     "reps must be"),
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "machine": "tiny", "reps": 2.0},
+                     "reps must be"),
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "machine": "tiny", "reps": 0},
+                     "reps must be"),
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "machine": "tiny", "threads": "x"},
+                     "threads must be"),
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "machine": "tiny", "threads": True},
+                     "threads must be"),
+                    ("/measure", {"kernel": "daxpy", "n": -96,
+                                  "machine": "tiny"}, "n must be"),
+                    # lists must be non-empty lists
+                    ("/sweep", {"kernel": "daxpy", "sizes": 96,
+                                "machine": "tiny"},
+                     "sizes must be a non-empty list of positive"),
+                    ("/analyze", {"kernel": "daxpy", "sizes": [96],
+                                  "machine": "tiny", "flops": 4},
+                     "flops must be"),
+                    ("/analyze", {"kernel": "daxpy", "sizes": [96],
+                                  "machine": "tiny", "flops": []},
+                     "flops must be"),
+                    # scale must be a finite positive number
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "scale": float("nan")}, "scale must be a finite"),
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "scale": 0}, "scale must be a finite"),
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "scale": "x"}, "scale must be a finite"),
+                    # names must name something known
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "machine": "nope"},
+                     "unknown machine 'nope'"),
+                    ("/sweep", {"grid": "f9", "machine": "tiny"},
+                     "unknown grid 'f9'"),
+                    ("/measure", {"kernel": "daxpy", "n": 96,
+                                  "machine": "tiny", "engine": "turbo"},
+                     "unknown engine 'turbo'"),
+                    ("/measure", {"kernel": "sgemm", "n": 96,
+                                  "machine": "tiny"},
+                     "unknown kernel 'sgemm'")):
                 with pytest.raises(urllib.error.HTTPError) as err:
                     await loop.run_in_executor(None, post, base, path, doc)
                 assert err.value.code == 400, path
@@ -184,6 +235,58 @@ class TestEndpoints:
             assert lines[-1]["status"] == "done"
             assert any(e.get("type") == "point" for e in lines)
         serve(body)
+
+
+class TestOneRequestPath:
+    """The service builds its requests the way the CLI does."""
+
+    def test_sweep_matches_the_cli_sweep(self, capsys):
+        from repro.cli import main
+
+        assert main(["sweep", "daxpy", "--sizes", "1024,2048", "--machine",
+                     "tiny", "--no-cache", "--json"]) == 0
+        cli = json.loads(capsys.readouterr().out)
+
+        async def body(server, base):
+            loop = asyncio.get_running_loop()
+            status, doc = await loop.run_in_executor(
+                None, post, base, "/sweep",
+                {"kernel": "daxpy", "sizes": [1024, 2048],
+                 "machine": "tiny"})
+            assert status == 200
+            served = doc["result"]
+            assert served["keys"] == cli["keys"]
+            assert served["measurements"] == cli["measurements"]
+            assert served["machine"] == cli["machine"]
+
+            status, doc = await loop.run_in_executor(
+                None, post, base, "/measure",
+                {"kernel": "daxpy", "n": 2048, "machine": "tiny"})
+            assert status == 200
+            assert doc["result"]["measurement"] == cli["measurements"][1]
+        serve(body)
+
+    def test_analyze_alias_returns_its_kernels_result(self):
+        from repro.request import validate
+
+        request = {"sizes": [16, 32], "machine": "tiny", "flops": [1, 4]}
+
+        async def body(server, base):
+            loop = asyncio.get_running_loop()
+            results = []
+            for kernel in ("dgemm", "dgemm-tiled"):
+                status, doc = await loop.run_in_executor(
+                    None, post, base, "/analyze",
+                    {"kernel": kernel, **request})
+                assert status == 200, doc
+                results.append(doc["result"])
+            assert results[0] == results[1]
+            assert results[0]["kernel"] == "dgemm-tiled"
+        serve(body)
+        keys = {job_key("analyze", validate("analyze", {"kernel": k,
+                                                        **request}))
+                for k in ("dgemm", "dgemm-tiled")}
+        assert len(keys) == 1
 
 
 class TestCoalescing:
