@@ -429,6 +429,10 @@ def _cmd_conformance(args) -> int:
     report_path = args.report or os.path.join(
         "artifacts", "conformance", "report.jsonl"
     )
+    # before the campaign, so a bad path fails fast; a bare file name
+    # has no directory to make
+    if os.path.dirname(report_path):
+        os.makedirs(os.path.dirname(report_path), exist_ok=True)
     records = []
     divergent = 0
     for i in range(args.n):
@@ -493,7 +497,6 @@ def _cmd_conformance(args) -> int:
         "divergent_programs": divergent,
         "analytic_mismatches": kernel_problems,
     }
-    os.makedirs(os.path.dirname(report_path), exist_ok=True)
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(summary) + "\n")
         for record in records:

@@ -32,7 +32,8 @@ Python at all: :meth:`Core._run_body` lowers each run of eligible
 top-level nodes (:mod:`repro.cpu.nest`) and the C kernel generates the
 same streams per phase, returning one counter row per phase that is
 costed here in one array pass (see ``docs/ENGINE.md``, "Nest
-executor").  Everything else takes the walk below.
+executor").  Everything else takes the walk below, which without the
+kernel makes exactly the reference engine's port calls.
 """
 
 from __future__ import annotations
@@ -173,11 +174,18 @@ class Core:
         self._loop_info: Dict[int, Tuple[Loop, _LoopInfo]] = {}
         self._tables: Dict[str, object] = {}
         self._next_site_id = core_id << 20  # site ids unique per core
-        #: compile-tier state (used only by the fast engine)
+        #: compile-tier state (used only on the C datapath)
         self.plan_cache = PlanCache()
         self._datapath = BatchDatapath(port)
         #: id(program) -> (program, lowered parts) for the nest executor
         self._lowered: Dict[int, tuple] = {}
+
+    @property
+    def _compiled(self) -> bool:
+        """Whether accesses run in the C kernel: the fast engine on an
+        array-backend hierarchy.  Otherwise the core walks and makes
+        the reference engine's per-line port calls."""
+        return self.engine == "fast" and self._datapath._use_c
 
     @property
     def plan_stats(self):
@@ -226,7 +234,7 @@ class Core:
         """Execute the program body: lowered nests through the C kernel,
         every other top-level node through the walk."""
         stats = self.plan_cache.stats
-        if self.engine != "fast" or not self._datapath._use_c:
+        if not self._compiled:
             reason = ("reference_engine" if self.engine != "fast"
                       else "no_ckernel")
             stats.fallbacks[reason] += len(program.body)
@@ -442,13 +450,13 @@ class Core:
         for (width, prec, is_fma), total in info.fp_events_total:
             self.pmu.add_fp(width, prec, total, is_fma)
 
-        # functional memory traffic.  The fast engine replays a cached
-        # access plan through the batched datapath; the reference engine
-        # dispatches the identical emission stream one port call at a
-        # time (single-site bodies stream their whole trip range in one
+        # functional memory traffic.  On the C datapath the fast engine
+        # replays a cached access plan through the kernel; otherwise the
+        # identical emission stream goes one port call at a time
+        # (single-site bodies stream their whole trip range in one
         # emission; multi-site bodies interleave in iteration order so
         # cross-site locality within an iteration is preserved).
-        if info.mem_sites and self.engine == "fast":
+        if info.mem_sites and self._compiled:
             batch = self._datapath.execute_plan(
                 self._plan_for(info, loop, ivs, buffers)
             )
@@ -525,13 +533,13 @@ class Core:
                 node: int) -> BatchStats:
         """One straight-line instruction's lines ``first..last``.
 
-        The fast engine sends a one-line demand access through the
-        datapath's single-line entry and anything else (a line-crossing
-        access, an NT store, a prefetch hint, a flush) as a one-run
-        plan, so on the C datapath the kernel performs every state
-        transition; the reference engine makes one port call.
+        On the C datapath the fast engine sends a one-line demand access
+        through the datapath's single-line entry and anything else (a
+        line-crossing access, an NT store, a prefetch hint, a flush) as
+        a one-run plan, so the kernel performs every state transition;
+        otherwise this is one port call.
         """
-        if self.engine != "fast":
+        if not self._compiled:
             return self._dispatch(kind, list(range(first, last + 1)), node)
         if first == last and kind in ("load", "gather", "store"):
             return self._datapath.execute_single(first, kind == "store",
@@ -557,8 +565,8 @@ class Core:
         """Yield one flat-loop execution's ``(site, lines, node)`` stream.
 
         This is the canonical emission order both engines share: the
-        reference engine dispatches each emission as one port call; the
-        fast engine captures the stream into an
+        walk dispatches each emission as one port call; the fast engine
+        on the C datapath captures the stream into an
         :class:`~repro.engine.plan.AccessPlan` (see ``docs/ENGINE.md``).
         A single site streams its whole trip range as one emission;
         multi-site bodies interleave per :meth:`_iter_interleaved`.
@@ -585,14 +593,13 @@ class Core:
         binding — trip count, site ids, per-site (base, stride, home) —
         memoises its materialisation in the per-core bound tier, so a
         plan compiled at one problem size rebinds at any other.
-        Gathers, negative own-loop strides, and machines without the C
-        kernel (whose segment replay needs concrete plans) take
+        Gathers and negative own-loop strides take
         :meth:`_plan_concrete`.
         """
         cache = self.plan_cache
         sym = info.symbolic
         if sym is None:
-            if info.skey is None or not self._datapath._use_c:
+            if info.skey is None:
                 return self._plan_concrete(info, loop, ivs, buffers)
             sym = cache.resolve_symbolic(info.skey)
             info.symbolic = sym
@@ -652,17 +659,12 @@ class Core:
         plan = self.plan_cache.get(key_t)
         if plan is None:
             with SPANS("engine.compile"):
-                plan = self._build_plan(info, loop, ivs, buffers)
+                plan = AccessPlan.from_emissions(
+                    self._iter_emissions(info, loop, ivs, buffers),
+                    own_node=self.port.node,
+                )
             self.plan_cache.put(key_t, loop, tuple(pinned), plan)
         return plan
-
-    def _build_plan(self, info: _LoopInfo, loop: Loop, ivs,
-                    buffers) -> AccessPlan:
-        """Lower one flat loop by capturing the walker's emission stream."""
-        return AccessPlan.from_emissions(
-            self._iter_emissions(info, loop, ivs, buffers),
-            own_node=self.port.node,
-        )
 
     def _iter_interleaved(self, info: _LoopInfo, loop: Loop, ivs, buffers):
         """Walk a multi-site loop in iteration order at line granularity.

@@ -4,10 +4,10 @@
   memory sites into a reusable, cached :class:`AccessPlan`;
 * the **execute tier** (:mod:`repro.engine.datapath`) runs a plan
   through the memory hierarchy in the compiled C kernel (counters
-  applied in bulk), or segment by segment through the port's reference
-  calls when the kernel is unavailable.
+  applied in bulk).
 
-``engine="fast"`` (the default everywhere) uses both tiers;
+``engine="fast"`` (the default everywhere) uses both tiers when the C
+kernel is in use, and otherwise walks like the reference engine;
 ``engine="reference"`` keeps the original per-line dispatch path.  The
 two are counter-for-counter identical — see ``docs/ENGINE.md`` for the
 equivalence argument and the conformance gates that enforce it.
@@ -18,10 +18,8 @@ from .datapath import BatchDatapath
 from .plan import (
     SYMBOLIC_REGISTRY,
     AccessPlan,
-    PackedPlan,
     PlanCache,
     PlanCacheStats,
-    PlanSegment,
     SymbolicPlan,
     SymbolicRegistry,
 )
@@ -44,10 +42,8 @@ __all__ = [
     "SYMBOLIC_REGISTRY",
     "AccessPlan",
     "BatchDatapath",
-    "PackedPlan",
     "PlanCache",
     "PlanCacheStats",
-    "PlanSegment",
     "SymbolicPlan",
     "SymbolicRegistry",
     "validate_engine",

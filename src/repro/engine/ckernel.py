@@ -7,8 +7,8 @@ cached under ``~/.cache/repro-ckernel/`` (override with
 can never be picked up.  Any load failure — unreadable source, no
 compiler, a failed compile, a dlopen error, a struct-size mismatch —
 degrades to ``lib() is None``: the fast engine then keeps dict state
-and replays concrete plans segment by segment through the reference
-ports, about 30x slower than the kernel.  That fallback is loud: the
+and walks exactly as the reference engine does, one port call per
+emission, about 100x slower than the kernel.  That fallback is loud: the
 first failure in a process emits one :class:`RuntimeWarning` naming the
 reason, the compiler's stderr tail included.  ``REPRO_CKERNEL=0``
 disables the kernel on purpose and silently (used by the conformance
@@ -192,7 +192,7 @@ def lib() -> Optional[ctypes.CDLL]:
     if _lib is None:
         warnings.warn(
             f"C kernel unavailable: {reason}; the fast engine falls back "
-            f"to the exact segment replay, about 30x slower",
+            f"to the reference engine's per-line walk, about 100x slower",
             RuntimeWarning, stacklevel=2,
         )
     return _lib

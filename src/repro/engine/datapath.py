@@ -4,19 +4,19 @@
 (and, for the nest executor, whole loop-nest descriptors) against the
 functional state a :class:`~repro.memory.hierarchy.CorePort` owns — the
 caches, the TLB, the prefetch engines, the DRAM IMC counters.  There
-are two datapaths:
+is one datapath, the C kernel: when ``engine/_ckernel.c`` loaded, the
+hierarchy holds numpy array state and the kernel is its only writer.
+Every nest, plan and walked straight-line access runs in it (a one-line
+demand access through ``repro_execute_single``, anything else as a
+one-run plan), and its counter block is applied to Python state in one
+step per call (:meth:`BatchDatapath._apply_out`).  Python only reads
+that state, resets it in place and grows the prefetched-line table.
 
-* **C kernel** — when ``engine/_ckernel.c`` loaded, the hierarchy holds
-  numpy array state and the kernel is its only writer: every nest,
-  plan and walked straight-line access runs in it (a one-line demand
-  access through ``repro_execute_single``, anything else as a one-run
-  plan), and its counter block is applied to Python state in one step
-  per call (:meth:`BatchDatapath._apply_out`).  Python only reads that
-  state, resets it in place and grows the prefetched-line table.
-* **no kernel** — dict state and concrete (capture-keyed) plans, each
-  segment replayed through the port's per-line reference calls
-  (:meth:`BatchDatapath._execute_segments`).  Exact by construction,
-  about 30x slower than the kernel.
+Without the kernel (no compiler, ``REPRO_CKERNEL=0``, a custom
+prefetcher or a non-LRU replacement policy) the hierarchy keeps dict
+state and nothing here runs: ``Core`` sends every access through the
+port's per-line reference calls, exactly as the reference engine does
+(``_use_c`` is False and no plan is built).
 
 Equivalence contract (gated by ``repro conformance --diff engine`` and
 ``tests/engine``): for any plan, the final cache/TLB/prefetcher state,
@@ -67,43 +67,23 @@ class BatchDatapath:
 
     def execute_single(self, line: int, is_write: bool, node) -> BatchStats:
         """One single-line demand access (the interpreter's non-loop
-        path): the compiled kernel when in use, else the port's
-        reference call."""
-        if self._use_c:
-            return self.execute_single_c(line, is_write, node)
-        return self.port.access_lines([line], is_write=is_write, node=node)
+        path); :meth:`execute_single_c` is its kernel body, and the
+        perf ledger times both names."""
+        return self.execute_single_c(line, is_write, node)
 
     def execute_plan(self, plan: "AccessPlan") -> BatchStats:
+        """Run one plan's packed run table through the kernel."""
         with SPANS("engine.execute"):
-            if self._use_c:
-                return self._execute_c(plan)
-            return self._execute_segments(plan)
+            # worst case inserts per demand line: degree prefetch
+            # candidates per engine (2+2+1) plus the line itself,
+            # rounded up
+            self._pre_call(6 * plan.total_lines + 8)
+            meta_p, lines_p, sids_p = plan.ptrs
+            self._fn_plan(self._ctx_ref, plan.nruns, meta_p, lines_p,
+                          sids_p, self._out_ptr)
+            self._post_call()
+            return self._apply_out(self._out.tolist())
 
-    def _execute_segments(self, plan: "AccessPlan") -> BatchStats:
-        """No-kernel datapath: one port call per plan segment (exact by
-        construction, the port *is* the reference path)."""
-        port = self.port
-        batch = BatchStats()
-        for seg in plan.segments:
-            kind = seg.kind
-            if kind == "prefetch":
-                stats = port.software_prefetch(seg.lines, node=seg.home)
-            elif kind == "flush":
-                stats = port.flush_lines(seg.lines, node=seg.home)
-            else:
-                stats = port.access_lines(
-                    seg.lines,
-                    is_write=(kind in ("store", "ntstore")),
-                    nt=(kind == "ntstore"),
-                    node=seg.home,
-                    stream_id=seg.stream_id,
-                )
-            batch.merge(stats)
-        return batch
-
-    # ------------------------------------------------------------------
-    # compiled kernel path (array-backend hierarchies)
-    # ------------------------------------------------------------------
     def _build_ctx(self) -> "ckernel.Ctx":
         """Materialise the C context over the port's array state.
 
@@ -250,19 +230,6 @@ class BatchDatapath:
         port.l2._tick = int(regs[1])
         port.l3._tick = int(regs[2])
         port._last_page = int(regs[3])
-
-    def _execute_c(self, plan: "AccessPlan") -> BatchStats:
-        packed = plan.packed
-        if packed is None:
-            packed = plan.ensure_packed()
-        # worst case inserts per demand line: degree prefetch candidates
-        # per engine (2+2+1) plus the line itself, rounded up
-        self._pre_call(6 * plan.total_lines + 8)
-        meta_p, lines_p, sids_p = packed.ptrs
-        self._fn_plan(self._ctx_ref, packed.nruns, meta_p, lines_p,
-                      sids_p, self._out_ptr)
-        self._post_call()
-        return self._apply_out(self._out.tolist())
 
     def execute_nest(self, nest, state: np.ndarray, room: int) -> int:
         """One resumable ``repro_execute_nest`` call over ``nest``.

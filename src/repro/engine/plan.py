@@ -1,16 +1,20 @@
 """Compile tier: flat loops lowered to reusable access plans.
 
 An :class:`AccessPlan` is the fully evaluated memory side of one flat
-(innermost) loop execution: the exact cache-line touch stream every
-site emits, in canonical emission order, pre-concatenated into
-:class:`PlanSegment` runs that the execute tier
-(:mod:`repro.engine.datapath`) streams through the hierarchy without
-re-deriving anything.
+(innermost) loop execution, in the one form the C kernel reads: a
+packed run table over the exact cache-line touch stream every site
+emits, in canonical emission order.  Only the compiled datapath
+(:mod:`repro.engine.datapath`) executes plans; without the kernel the
+fast engine walks flat loops through the port's per-line calls exactly
+as the reference engine does, and builds no plan.
 
-Plans are *captured from the interpreter's own emission generator*, so
-by construction a plan contains the same lines, in the same order, that
-the per-line reference engine would dispatch — the foundation of the
-fast/reference equivalence guarantee (see ``docs/ENGINE.md``).
+A walked loop's plan is *captured from the interpreter's own emission
+generator* (:meth:`AccessPlan.from_emissions`), so by construction it
+holds the same lines, in the same order, that the per-line reference
+engine dispatches — the foundation of the fast/reference equivalence
+guarantee (see ``docs/ENGINE.md``).  Affine loops skip the capture:
+:meth:`AccessPlan.from_affine_sites` computes the identical table in
+numpy.
 
 Plans are cached in two tiers (see :class:`PlanCache`):
 
@@ -19,8 +23,8 @@ Plans are cached in two tiers (see :class:`PlanCache`):
   width, buffer name, and referenced induction variables.  Nothing
   size-dependent (trip counts, strides, bases) enters the key, so the
   dgemm kernel at n=64 and n=160 resolves to the *same*
-  :class:`SymbolicPlan`: segments are parameterised over trip-count
-  and base/stride symbols and only materialised at binding time.
+  :class:`SymbolicPlan`, whose runs are materialised only at binding
+  time.
 * the **bound tier** is per core: a symbolic plan plus one concrete
   binding — ``(trips, site ids, per-site (base, stride, home))`` —
   memoises the materialised :class:`AccessPlan`, so re-executions of
@@ -38,12 +42,13 @@ lookup misses only the first time a loop *structure* is seen in the
 process, which is what makes the hit rate size-polymorphic (a sweep
 over many problem sizes no longer pays one miss per size per address
 context).  Materialisation work is tracked separately by
-``built_segments``/``built_lines``.
+``built_segments`` (runs) and ``built_lines``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -63,7 +68,7 @@ NEST_FALLBACK_REASONS = (
     "unsupported",                # out-of-scope iv, unknown node, cost error
 )
 
-#: segment opcodes (``PlanSegment.op``), dispatched on by the datapath
+#: run opcodes (meta column 0), dispatched on by the kernel
 OP_DEMAND_READ = 0   # 'load' / 'gather'
 OP_DEMAND_WRITE = 1  # 'store'
 OP_NTSTORE = 2
@@ -80,205 +85,97 @@ _KIND_TO_OP = {
 }
 
 
-@dataclass
-class PlanSegment:
-    """A maximal run of consecutive emissions from one memory site.
-
-    Beyond the captured emission (``kind``/``lines``/``home``/
-    ``stream_id``), the compile tier precomputes the integer opcode
-    ``op`` (see ``OP_*``) and ``rhome``/``remote``, the NUMA home
-    resolved against the owning core's node (plans are cached per core,
-    so this is static) — the columns of the packed run form.
-    """
-
-    kind: str        # 'load' | 'store' | 'ntstore' | 'gather' | 'prefetch' | 'flush'
-    lines: List[int]
-    home: int        # NUMA home node of the data
-    stream_id: int   # site id, the stride prefetcher's PC analogue
-    op: int = OP_DEMAND_READ
-    rhome: int = 0
-    remote: bool = False
-    #: merged-run form only (see ``AccessPlan.runs``): when a run fuses
-    #: segments from several sites, ``sids[i]`` is the stream id of
-    #: ``lines[i]``; ``None`` means the whole run shares ``stream_id``
-    sids: Optional[List[int]] = None
-
-
-@dataclass
-class PackedPlan:
-    """Array form of a plan's runs, consumed by the compiled datapath.
+class AccessPlan:
+    """The lowered memory traffic of one flat-loop execution context,
+    as the packed run table ``repro_execute_plan`` reads.
 
     Layout shared with ``engine/_ckernel.c`` (keep the six meta columns
     in sync with the ``RM_*`` enum there and in ``engine/ckernel.py``):
 
     * ``meta`` — one int64 row per run:
-      ``[op, rhome, remote, line_offset, nlines, sid_mode]`` where
-      ``sid_mode >= 0`` is the uniform stream id of the whole run and
-      ``-1`` means per-line ids are in ``sids``.
-    * ``lines`` — all runs' line numbers, flat, indexed by
-      ``line_offset``/``nlines``.
-    * ``sids`` — per-line stream ids aligned with ``lines`` (only read
-      for demand runs with ``sid_mode == -1``).
+      ``[op, rhome, remote, line_offset, nlines, sid_mode]``.  A run is
+      a maximal stretch of the emission stream with one opcode and one
+      home node resolved against the owning core's node (plans are
+      cached per core, so this is static).  ``sid_mode >= 0`` is the
+      uniform stream id of the whole run and ``-1`` means the run mixes
+      sites.
+    * ``lines`` — all runs' line numbers, flat, in emission order,
+      indexed by ``line_offset``/``nlines``.
+    * ``sids`` — per-line stream ids aligned with ``lines``.  Only
+      demand traffic trains the stride prefetcher, so the kernel reads
+      them only for demand runs with ``sid_mode == -1``.
 
-    The kernel performs the per-line page check itself, so the packed
-    form is position-independent and cheap to materialise from the
-    vectorized affine lowering without any ``.tolist()`` round trip.
+    Interleaved multi-site bodies emit ~1-line bursts (a dgemm plan
+    averages about one line per site burst), so fusing bursts into runs
+    keeps per-run overhead from becoming per-line overhead.  The kernel
+    performs the per-line page check itself, so the table is
+    position-independent.
     """
 
-    meta: np.ndarray
-    lines: np.ndarray
-    sids: np.ndarray
-    #: cached raw data pointers (``ndarray.ctypes`` allocates a wrapper
-    #: per access; cached plans replay thousands of times)
-    _ptrs: Optional[Tuple[int, int, int]] = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("meta", "lines", "sids", "ptrs")
+
+    def __init__(self, meta: np.ndarray, lines: np.ndarray,
+                 sids: np.ndarray) -> None:
+        self.meta = meta
+        self.lines = lines
+        self.sids = sids
+        #: (meta, lines, sids) raw data pointers, taken once
+        #: (``ndarray.ctypes`` allocates a wrapper per access; cached
+        #: plans replay thousands of times)
+        self.ptrs = (meta.ctypes.data, lines.ctypes.data, sids.ctypes.data)
 
     @property
     def nruns(self) -> int:
         return self.meta.shape[0]
 
     @property
-    def ptrs(self) -> Tuple[int, int, int]:
-        """(meta, lines, sids) raw data pointers for the C kernel."""
-        if self._ptrs is None:
-            self._ptrs = (self.meta.ctypes.data, self.lines.ctypes.data,
-                          self.sids.ctypes.data)
-        return self._ptrs
-
-
-@dataclass
-class AccessPlan:
-    """The lowered memory traffic of one flat-loop execution context."""
-
-    segments: List[PlanSegment]
-    total_lines: int = 0
-    #: compiled-kernel form: consecutive ``segments`` with the same
-    #: opcode and resolved home fused into flat runs.  Interleaved
-    #: multi-site bodies (a dgemm inner loop alternating two load
-    #: sites) otherwise average ~1 line per segment; fused runs restore
-    #: long streams, carrying per-line stream ids in ``sids`` when
-    #: sites mix
-    runs: List[PlanSegment] = field(default_factory=list)
-    #: array execution form for the compiled kernel (built directly by
-    #: the affine lowering, or lazily from ``runs`` via
-    #: :meth:`ensure_packed` for captured plans)
-    packed: Optional[PackedPlan] = None
-
-    @property
-    def run_count(self) -> int:
-        """Number of lowered execution units (for build telemetry)."""
-        n = len(self.segments) or len(self.runs)
-        if not n and self.packed is not None:
-            n = self.packed.nruns
-        return n
-
-    def ensure_packed(self) -> PackedPlan:
-        """The packed array form, built from ``runs`` on first use."""
-        if self.packed is not None:
-            return self.packed
-        runs = self.runs
-        meta = np.zeros((len(runs), 6), dtype=np.int64)
-        total = sum(len(seg.lines) for seg in runs)
-        lines = np.empty(total, dtype=np.int64)
-        sids = np.zeros(total, dtype=np.int64)
-        off = 0
-        for k, seg in enumerate(runs):
-            n = len(seg.lines)
-            lines[off:off + n] = seg.lines
-            if seg.sids is not None:
-                sids[off:off + n] = seg.sids
-                sid_mode = -1
-            else:
-                sid_mode = seg.stream_id
-            row = meta[k]
-            row[0] = seg.op
-            row[1] = seg.rhome
-            row[2] = 1 if seg.remote else 0
-            row[3] = off
-            row[4] = n
-            row[5] = sid_mode
-            off += n
-        self.packed = PackedPlan(meta=meta, lines=lines, sids=sids)
-        return self.packed
+    def total_lines(self) -> int:
+        return self.lines.shape[0]
 
     @classmethod
     def from_emissions(cls, emissions: Iterable,
                        own_node: int) -> "AccessPlan":
-        """Capture ``(site, lines, node)`` emissions into segments.
+        """Pack a captured ``(site, lines, node)`` emission stream.
 
-        Consecutive emissions from the same site are concatenated (the
-        interleaved walker emits one short burst per crossing
-        iteration); emissions from different sites are kept as separate
-        segments so per-line execution order is preserved exactly.
-        After capture the execute metadata is precomputed once — homes
-        resolved, same-op segments fused into runs — this is the
-        "lowering" the plan cache amortises across reps, A/B windows,
-        and protocol reruns.
+        Consecutive emissions with the same opcode and resolved home
+        fuse into one run; per-line order is emission order, so the
+        line stream the kernel replays is exactly the one the reference
+        engine dispatches.  This is the "lowering" the plan cache
+        amortises across reps, A/B windows, and protocol reruns.
         """
-        segments: List[PlanSegment] = []
-        total = 0
-        last_site_id = None
-        current: List[int] = []
-        for site, lines, node in emissions:
-            total += len(lines)
-            if site.site_id == last_site_id:
-                current.extend(lines)
-                continue
-            current = list(lines)
-            segments.append(
-                PlanSegment(site.kind, current, node, site.site_id)
-            )
-            last_site_id = site.site_id
-
-        for seg in segments:
-            seg.op = _KIND_TO_OP[seg.kind]
-            rhome = seg.home if seg.home is not None else own_node
-            seg.rhome = rhome
-            seg.remote = rhome != own_node
-
-        # fuse consecutive same-(op, home) segments into execution runs;
-        # per-line order is the concatenation order, so the line stream
-        # the datapath replays is unchanged — only the loop bookkeeping
-        # moves from per-segment to per-run
-        runs: List[PlanSegment] = []
-        owned = False  # runs[-1] is a private copy (safe to extend)
-        for seg in segments:
-            prev = runs[-1] if runs else None
-            if prev is not None and seg.op == prev.op \
-                    and seg.rhome == prev.rhome:
-                if not owned:
-                    prev = PlanSegment(
-                        prev.kind, list(prev.lines), prev.home,
-                        prev.stream_id, op=prev.op, rhome=prev.rhome,
-                        remote=prev.remote,
-                    )
-                    runs[-1] = prev
-                    owned = True
-                if seg.op <= OP_DEMAND_WRITE:
-                    # only demand traffic trains the stride prefetcher,
-                    # so only demand runs need per-line stream ids
-                    if prev.sids is not None:
-                        prev.sids.extend(
-                            [seg.stream_id] * len(seg.lines))
-                    elif seg.stream_id != prev.stream_id:
-                        prev.sids = [prev.stream_id] * len(prev.lines)
-                        prev.sids.extend(
-                            [seg.stream_id] * len(seg.lines))
-                prev.lines.extend(seg.lines)
-                continue
-            runs.append(seg)
-            owned = False
-        return cls(segments=segments, total_lines=total, runs=runs)
+        rows: List[list] = []
+        lines: List[int] = []
+        sids: List[int] = []
+        key = row = None
+        for site, site_lines, node in emissions:
+            op = _KIND_TO_OP[site.kind]
+            rhome = own_node if node is None else node
+            sid = site.site_id
+            n = len(site_lines)
+            if (op, rhome) != key:
+                key = (op, rhome)
+                row = [op, rhome, int(rhome != own_node), len(lines), n, sid]
+                rows.append(row)
+            else:
+                row[4] += n
+                if row[5] != sid:
+                    row[5] = -1
+            lines.extend(site_lines)
+            sids.extend(repeat(sid, n))
+        return cls(np.array(rows, dtype=np.int64).reshape(-1, 6),
+                   np.array(lines, dtype=np.int64),
+                   np.array(sids, dtype=np.int64))
 
     @classmethod
     def one_run(cls, kind: str, lines: List[int], home: int,
                 own_node: int) -> "AccessPlan":
         """One straight-line instruction's lines as a single run, under
         the port calls' default stream id 0 (``Core._access``)."""
-        seg = PlanSegment(kind, lines, home, 0, op=_KIND_TO_OP[kind],
-                          rhome=home, remote=home != own_node)
-        return cls(segments=[seg], total_lines=len(lines), runs=[seg])
+        n = len(lines)
+        meta = np.array([[_KIND_TO_OP[kind], home, int(home != own_node),
+                          0, n, 0]], dtype=np.int64)
+        return cls(meta, np.array(lines, dtype=np.int64),
+                   np.zeros(n, dtype=np.int64))
 
     @classmethod
     def from_affine_sites(cls, sites, trips: int, line_shift: int,
@@ -287,18 +184,13 @@ class AccessPlan:
 
         ``sites`` is a list of ``(kind, site_id, base, stride,
         width_bytes, node)`` records in body order with non-negative
-        strides.  Produces exactly the runs :meth:`from_emissions`
-        builds from the interpreter's emission walk — per-site
+        strides.  Produces exactly the table :meth:`from_emissions`
+        packs from the interpreter's emission walk — per-site
         monotone-frontier crossings, the iteration-order merge, and the
         range expansion are computed in numpy instead of per-burst
         Python (the walker averages ~1 line per burst on interleaved
-        bodies, so per-burst work dominates compile time otherwise).
-
-        The plan carries only the :class:`PackedPlan` array form — the
-        run metadata and flat line stream stay numpy end to end (no
-        ``.tolist()``), which is what the compiled kernel consumes.  It
-        has no segments: callers lower this way only on the C datapath,
-        which never takes the segment replay.
+        bodies, so per-burst work dominates compile time otherwise),
+        with no ``.tolist()`` round trip.
         """
         nsites = len(sites)
         trange = np.arange(trips, dtype=np.int64)
@@ -366,17 +258,14 @@ class AccessPlan:
         smin = np.minimum.reduceat(sid_flat, offs)
         smax = np.maximum.reduceat(sid_flat, offs)
         meta[:, 5] = np.where(smin == smax, smin, -1)
-        return cls(
-            segments=[], total_lines=total,
-            packed=PackedPlan(meta=meta, lines=lines_flat, sids=sid_flat),
-        )
+        return cls(meta, lines_flat, sid_flat)
 
 
 class SymbolicPlan:
     """One interned loop structure: the size-polymorphic plan.
 
     A symbolic plan is the compile artifact keyed on loop/kernel
-    identity alone.  Its segments exist only as *symbols* — per-site
+    identity alone.  Its runs exist only as *symbols* — per-site
     access kind and width with free trip-count, base, stride, and home
     parameters — and :meth:`bind` materialises a concrete
     :class:`AccessPlan` for one assignment of those symbols via the
@@ -443,11 +332,11 @@ class PlanCacheStats:
     process (a genuinely new kernel shape); everything else — any
     problem size, any buffer placement, any rep of a known shape — is
     a hit.  Binding-level materialisation work is what
-    ``built_segments``/``built_lines`` track, and ``flushes`` counts
-    whole-cache evictions of the bound tier at the line cap.  Concrete
-    fallback lookups (gathers, negative strides, segment-fallback
-    machines) land in the same counters with their capture-key
-    semantics.
+    ``built_segments`` (the built plans' runs, :attr:`AccessPlan.nruns`)
+    and ``built_lines`` track, and ``flushes`` counts whole-cache
+    evictions of the bound tier at the line cap.  Concrete fallback
+    lookups (gathers, negative strides) land in the same counters with
+    their capture-key semantics.
 
     The nest executor bypasses both tiers: ``nest_runs`` counts
     descriptor executions, and ``fallbacks`` the top-level program
@@ -527,7 +416,7 @@ class PlanCache:
             self._flush()
         self._bound[bkey] = plan
         self._cached_lines += plan.total_lines
-        self.stats.built_segments += plan.run_count
+        self.stats.built_segments += plan.nruns
         self.stats.built_lines += plan.total_lines
 
     # -- concrete fallback tier ----------------------------------------
@@ -544,7 +433,7 @@ class PlanCache:
             self._flush()
         self._entries[key] = (loop, pinned, plan)
         self._cached_lines += plan.total_lines
-        self.stats.built_segments += plan.run_count
+        self.stats.built_segments += plan.nruns
         self.stats.built_lines += plan.total_lines
 
     def _flush(self) -> None:

@@ -25,7 +25,7 @@ import contextvars
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import MeasurementError
+from ..errors import AllocationError, ConfigurationError, MeasurementError
 from ..isa.builder import ProgramBuilder
 from ..kernels.base import CodegenCaps, Kernel
 from ..machine.machine import LoadedProgram, Machine
@@ -218,13 +218,24 @@ def measure_kernel(machine: Machine, kernel: Kernel, n: int,
     proto: Protocol = make_protocol(protocol)
     caps = CodegenCaps.from_machine(machine, width_bits)
     kernel.validate_n(n, caps, len(cores))
+    # a size the simulated address space cannot hold is the request's
+    # fault; checked before building so no huge program is generated
+    space = machine.allocator.capacity
+    too_big = ConfigurationError(
+        f"{kernel.name}: n={n} needs more than the {space}-byte "
+        f"simulated address space")
+    if kernel.footprint_bytes(n) > space:
+        raise too_big
 
     jobs: List[Tuple[LoadedProgram, int]] = []
     init_jobs: List[Tuple[LoadedProgram, int]] = []
     for rank, core_id in enumerate(cores):
         program = kernel.build(n, caps, rank=rank, nranks=len(cores))
         node = machine.topology.node_of_core(core_id)
-        loaded = machine.load(program, node=node)
+        try:
+            loaded = machine.load(program, node=node)
+        except AllocationError:
+            raise too_big from None
         jobs.append((loaded, core_id))
         init_program = build_init_program(program.buffers)
         init_jobs.append(

@@ -119,6 +119,11 @@ class BumpAllocator:
         return list(self._regions)
 
     @property
+    def capacity(self) -> int:
+        """Bytes of simulated address space the allocator can map."""
+        return self._capacity
+
+    @property
     def bytes_allocated(self) -> int:
         return self._next - self._start
 

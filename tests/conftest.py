@@ -60,10 +60,8 @@ def no_ckernel(monkeypatch):
     """Context-manager factory: machines built inside it run the fast
     engine as on a host without the C kernel.
 
-    That datapath keeps dict state, lowers every flat loop to a
-    concrete (capture-keyed) access plan in the per-core plan cache,
-    and replays each plan segment by segment through the reference
-    port calls.
+    That machine keeps dict state, builds no access plan and walks
+    every program through the reference engine's per-line port calls.
     """
     @contextlib.contextmanager
     def scope():
@@ -72,6 +70,32 @@ def no_ckernel(monkeypatch):
             yield
 
     return scope
+
+
+#: plan-cache tests: only the C datapath builds and caches plans
+needs_ckernel = pytest.mark.skipif(
+    not ckernel.available(), reason="access plans run on the C datapath")
+
+
+def build_gather_beside_affine(n: int):
+    """A top-level loop holding a gather flat loop next to an affine one.
+
+    The gather sends the whole top-level node to the Python walk, so on
+    the C datapath the gather loop takes the concrete plan tier and the
+    affine loop is lowered through the symbolic tier and bound per row
+    (the size-polymorphic path); the row stride of ``y`` depends on
+    ``n``, so every size is a fresh binding.
+    """
+    b = ProgramBuilder()
+    x = b.buffer("x", 8 * n)
+    y = b.buffer("y", 8 * n * n)
+    table = b.index_table("cols", [8 * ((7 * k) % n) for k in range(n)])
+    with b.loop(n, "row") as row:
+        with b.loop(4, "g") as g:
+            b.gather(x, table[g], width=64)
+        with b.loop(n // 4, "col") as col:
+            b.load(y[row * (8 * n) + col * 32], width=256)
+    return b.build()
 
 
 @pytest.fixture(scope="session")

@@ -83,11 +83,12 @@ def test_sentinels_close_every_counted_layout():
 
 
 def test_packed_plan_meta_width_matches_rm_fields():
-    from repro.engine.plan import AccessPlan, PlanSegment
+    from repro.engine.plan import AccessPlan
 
-    seg = PlanSegment("load", [1, 2], 0, 7, rhome=0)
-    plan = AccessPlan(segments=[seg], total_lines=2, runs=[seg])
-    assert plan.ensure_packed().meta.shape[1] == ckernel.RM_FIELDS
+    assert AccessPlan.one_run("load", [1, 2], 0, 0).meta.shape[1] \
+        == ckernel.RM_FIELDS
+    assert AccessPlan.from_emissions([], 0).meta.shape[1] \
+        == ckernel.RM_FIELDS
 
 
 def test_counter_block_leads_with_the_batch_stats_fields():

@@ -1,12 +1,13 @@
 """Two-tier engine equivalence: fast vs reference, counter for counter.
 
-The fast engine replays compiled access plans through the batched
-datapath; the reference engine dispatches the identical emission stream
-one port call at a time.  These tests pin the equivalence contract at
+On the C datapath the fast engine replays compiled access plans through
+the kernel; the reference engine (and the fast engine without the
+kernel) dispatches the identical emission stream one port call at a
+time.  These tests pin the equivalence contract at
 three granularities: fuzzed programs (every observable via
 ``run_cross_engine``), full kernel measurements (byte-identical W/Q/T
 JSON), and the compile tier's own telemetry (plan caching actually
-happens, and only on the fast engine).
+happens, and only on the fast engine's C datapath).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.machine.ref import MachineRef
 from repro.measure import measure_kernel
 from repro.oracle import render_program, run_cross_engine
 from repro.trace import measurement_to_dict
+from tests.conftest import build_gather_beside_affine, needs_ckernel
 
 
 # ----------------------------------------------------------------------
@@ -146,29 +148,34 @@ def _gather_program():
 
 
 def _descending_program():
+    # the one-trip gather beside it sends the top-level loop to the
+    # walk, so the descending loop is planned rather than run by the
+    # nest executor
     b = ProgramBuilder()
     buf = b.buffer("data", 4096)
-    with b.loop(32) as i:
-        b.load(buf[i * -16 + 31 * 16], width=128)
+    table = b.index_table("tab0", [0])
+    with b.loop(2, "row"):
+        with b.loop(1) as g:
+            b.gather(buf, table[g], width=64)
+        with b.loop(32) as i:
+            b.load(buf[i * -16 + 31 * 16], width=128)
     return b.build()
 
 
+@needs_ckernel
 @pytest.mark.parametrize("build", [_gather_program, _descending_program],
                          ids=["gather", "negative-stride"])
-def test_non_affine_loops_take_the_concrete_fallback_and_match(
-        build, no_ckernel):
+def test_non_affine_loops_take_the_concrete_fallback_and_match(build):
     program = build()
     outcome = run_cross_engine(program)
     assert outcome.ok, "\n".join(str(d) for d in outcome.divergences)
-    # white-box: without the C kernel every flat loop, these shapes
-    # included, lands in the capture-keyed concrete tier, never the
-    # bound one
-    with no_ckernel():
-        machine = tiny_test_machine()
-        machine.run(machine.load(program))
-        cache = machine.core(0).plan_cache
-        assert len(cache._entries) > 0
-        assert len(cache._bound) == 0
+    # white-box: on the C datapath these walked shapes land in the
+    # capture-keyed concrete tier, never the bound one
+    machine = tiny_test_machine()
+    machine.run(machine.load(program))
+    cache = machine.core(0).plan_cache
+    assert len(cache._entries) > 0
+    assert len(cache._bound) == 0
 
 
 # ----------------------------------------------------------------------
@@ -199,15 +206,17 @@ def test_warm_protocol_byte_identical_across_engines():
 # ----------------------------------------------------------------------
 # compile tier: plan caching behaviour
 # ----------------------------------------------------------------------
-def test_fast_engine_hits_the_plan_cache_across_reps(no_ckernel):
-    with no_ckernel():
-        machine = tiny_test_machine()
-        measure_kernel(machine, make_kernel("daxpy"), 256, reps=3)
+@needs_ckernel
+def test_fast_engine_hits_the_plan_cache_across_reps():
+    machine = tiny_test_machine()
+    loaded = machine.load(build_gather_beside_affine(32))
+    for _rep in range(3):
+        machine.run(loaded)
     stats = machine.core(0).plan_stats
     # structure interning is process-global, so `misses` can be zero
-    # here (an earlier test may have interned daxpy's loop shapes
-    # already); what this machine guarantees is reuse: A/B windows and
-    # reps replay the same structures over and over
+    # here (an earlier test may have interned the affine loop's shape
+    # already); what this machine guarantees is reuse: reruns of one
+    # loaded program (A/B windows, reps) replay the same plans
     assert stats.hits > 0
     assert stats.hits > stats.misses
     assert stats.hit_rate >= 0.8
@@ -226,8 +235,8 @@ def test_reference_engine_never_compiles_plans():
 def test_plan_cache_flushes_at_the_line_cap():
     cache = PlanCache(max_lines=10)
     loop_a, loop_b = object(), object()
-    plan_a = AccessPlan(segments=[], total_lines=6)
-    plan_b = AccessPlan(segments=[], total_lines=6)
+    plan_a = AccessPlan.one_run("load", list(range(6)), 0, 0)
+    plan_b = AccessPlan.one_run("load", list(range(6)), 0, 0)
     cache.put(("a",), loop_a, (), plan_a)
     assert len(cache) == 1
     # 6 + 6 > 10: the second put flushes everything, then stores b
@@ -238,13 +247,15 @@ def test_plan_cache_flushes_at_the_line_cap():
     assert cache.get(("b",)) is plan_b
 
 
-def test_plan_key_distinguishes_buffer_placement(no_ckernel):
-    # same kernel measured at two sizes -> one shared symbolic
+@needs_ckernel
+def test_plan_key_distinguishes_buffer_placement():
+    # same program shape run at two sizes -> one shared symbolic
     # structure, but different trip counts and buffer bases -> new
     # bound-tier entries (no false sharing between distinct contexts)
-    with no_ckernel():
-        machine = tiny_test_machine()
-        measure_kernel(machine, make_kernel("daxpy"), 64, reps=1)
-        first = len(machine.core(0).plan_cache)
-        measure_kernel(machine, make_kernel("daxpy"), 128, reps=1)
-        assert len(machine.core(0).plan_cache) > first
+    machine = tiny_test_machine()
+    machine.run(machine.load(build_gather_beside_affine(32)))
+    cache = machine.core(0).plan_cache
+    first = len(cache._bound)
+    assert first
+    machine.run(machine.load(build_gather_beside_affine(64)))
+    assert len(cache._bound) > first

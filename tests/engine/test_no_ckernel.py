@@ -1,15 +1,19 @@
-"""The no-kernel datapath: dict state, concrete plans, segment replay.
+"""Without the C datapath the fast engine walks like the reference engine.
 
-Hosts without a working C compiler run the fast engine on the exact
-segment fallback (``BatchDatapath._execute_segments``).  These tests
-pin that path to the per-line reference engine counter for counter on
-registry kernels and the conformance corpus, and check that a failed
-kernel load is loud — one ``RuntimeWarning`` naming the reason — while
-an explicit ``REPRO_CKERNEL=0`` stays silent.
+Hosts without a working C compiler, and machines the kernel cannot
+model (a non-LRU L3), keep dict state; there the fast engine builds no
+access plan and sends every access through the port's per-line calls
+on the reference engine's own route (``Core._iter_emissions`` ->
+``Core._dispatch``).  These tests pin that path to the reference engine
+call for call and counter for counter on registry kernels and the
+conformance corpus, and check that a failed kernel load is loud — one
+``RuntimeWarning`` naming the reason — while an explicit
+``REPRO_CKERNEL=0`` stays silent.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
@@ -21,6 +25,7 @@ import pytest
 import repro
 from repro.kernels import CodegenCaps, make_kernel
 from repro.machine.presets import tiny_test_machine
+from repro.machine.ref import MachineRef
 from repro.oracle import diff_engine_sides, random_program
 
 #: (registry name, two sizes) per parity kernel
@@ -68,6 +73,50 @@ def test_conformance_corpus_matches_reference(seed, no_ckernel):
 
 
 # ----------------------------------------------------------------------
+# no plan, and the reference engine's port calls, one for one
+# ----------------------------------------------------------------------
+def _spy_port_calls(machine) -> list:
+    """Record every per-line port call core 0 makes, in order."""
+    calls = []
+    port = machine.core(0).port
+    for name in ("access_lines", "software_prefetch", "flush_lines"):
+        def spy(lines, _name=name, _call=getattr(port, name), **kwargs):
+            calls.append((_name, list(lines), sorted(kwargs.items())))
+            return _call(lines, **kwargs)
+        setattr(port, name, spy)
+    return calls
+
+
+#: (fast, reference) machine factories off the C datapath
+_WALKING_MACHINES = {
+    "no-ckernel": (tiny_test_machine,
+                   lambda: tiny_test_machine(engine="reference")),
+    "fifo-l3": (MachineRef.of("tiny", l3_policy="fifo").build,
+                MachineRef.of("tiny", l3_policy="fifo",
+                              engine="reference").build),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WALKING_MACHINES))
+@pytest.mark.parametrize("name,n", [("dgemm-tiled", 16), ("spmv", 48)])
+def test_fast_engine_makes_the_reference_port_calls(kind, name, n,
+                                                    no_ckernel):
+    scope = no_ckernel() if kind == "no-ckernel" else contextlib.nullcontext()
+    with scope:
+        fast, ref = (build() for build in _WALKING_MACHINES[kind])
+        program = make_kernel(name).build(n, CodegenCaps.from_machine(fast))
+        fast_calls = _spy_port_calls(fast)
+        ref_calls = _spy_port_calls(ref)
+        for machine in (fast, ref):
+            machine.run(machine.load(program))
+    core = fast.core(0)
+    assert core.engine == "fast" and not core._datapath._use_c
+    assert len(core.plan_cache) == 0
+    assert core.plan_stats.built_lines == 0
+    assert fast_calls and fast_calls == ref_calls
+
+
+# ----------------------------------------------------------------------
 # a failed kernel load is loud, an explicit opt-out is not
 # ----------------------------------------------------------------------
 _PROBE = """
@@ -108,7 +157,7 @@ def test_failed_compile_warns_once_with_the_reason(tmp_path):
     category, message = caught[0]
     assert category == "RuntimeWarning"
     assert "compiling _ckernel.c with 'false' failed (exit 1)" in message
-    assert "segment replay" in message and "30x slower" in message
+    assert "per-line walk" in message and "about 100x slower" in message
 
 
 def test_compiler_stderr_tail_is_in_the_warning(tmp_path):

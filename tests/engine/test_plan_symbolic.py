@@ -21,8 +21,8 @@ import itertools
 
 import pytest
 
-from repro.engine import ckernel
 from repro.engine.plan import (
+    OP_DEMAND_WRITE,
     SYMBOLIC_REGISTRY,
     AccessPlan,
     PlanCache,
@@ -37,6 +37,7 @@ from repro.oracle import (
     render_program,
     run_cross_engine_sequence,
 )
+from tests.conftest import build_gather_beside_affine, needs_ckernel
 
 #: monotone source of never-before-seen structural keys, so unit tests
 #: stay independent of interning done earlier in the process
@@ -120,15 +121,15 @@ def test_bind_respects_base_binding():
     offset = sym.bind([("load", 0, 1 << 20, 8, 8, 0)], 16, 6, 0)
     assert at_zero.total_lines == offset.total_lines
     # same shape, different addresses: the bound plans must not alias
-    zero_lines = set(at_zero.packed.lines.tolist())
-    off_lines = set(offset.packed.lines.tolist())
+    zero_lines = set(at_zero.lines.tolist())
+    off_lines = set(offset.lines.tolist())
     assert zero_lines and off_lines
     assert zero_lines.isdisjoint(off_lines)
 
 
 def test_bound_tier_memoises_and_counts_built_lines():
     cache = PlanCache()
-    plan = AccessPlan(segments=[], total_lines=4)
+    plan = AccessPlan.one_run("load", [0, 1, 2, 3], 0, 0)
     bkey = (0, 8, (0,), ((0, 8, 0),))
     assert cache.get_bound(bkey) is None
     cache.put_bound(bkey, plan)
@@ -139,8 +140,9 @@ def test_bound_tier_memoises_and_counts_built_lines():
 
 def test_bound_tier_flushes_at_the_line_cap():
     cache = PlanCache(max_lines=10)
-    cache.put_bound(("a",), AccessPlan(segments=[], total_lines=6))
-    cache.put_bound(("b",), AccessPlan(segments=[], total_lines=6))
+    six = list(range(6))
+    cache.put_bound(("a",), AccessPlan.one_run("load", six, 0, 0))
+    cache.put_bound(("b",), AccessPlan.one_run("load", six, 0, 0))
     assert cache.stats.flushes == 1
     assert cache.get_bound(("a",)) is None
     assert cache.get_bound(("b",)) is not None
@@ -207,29 +209,106 @@ def test_size_replay_matrix(name, sizes):
 
 
 # ----------------------------------------------------------------------
+# the two lowerings agree: capture vs vectorized affine
+# ----------------------------------------------------------------------
+@st.composite
+def _affine_flat_loops(draw):
+    """(trips, sites) for one flat loop: per site its kind, buffer,
+    stride and offset (bytes, non-negative) and width (bits)."""
+    trips = draw(st.integers(min_value=1, max_value=48))
+    sites = draw(st.lists(st.tuples(
+        st.sampled_from(("load", "store", "ntstore", "prefetch", "flush")),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=40).map(lambda k: 8 * k),
+        st.integers(min_value=0, max_value=16).map(lambda k: 8 * k),
+        st.sampled_from((64, 128, 256)),
+    ), min_size=1, max_size=4))
+    return trips, sites
+
+
+def _affine_flat_loop_program(trips, sites):
+    b = ProgramBuilder()
+    size = 64 + max(off + stride * (trips - 1) + width // 8
+                    for _kind, _buf, stride, off, width in sites)
+    bufs = [b.buffer(f"b{k}", size) for k in range(2)]
+    src = b.reg()
+    with b.loop(trips, "i") as i:
+        for kind, buf, stride, off, width in sites:
+            addr = bufs[buf][i * stride + off]
+            if kind == "load":
+                b.load(addr, width=width)
+            elif kind == "prefetch":
+                b.prefetch(addr)
+            elif kind == "flush":
+                b.flush(addr)
+            else:
+                b.store(src, addr, width=width, nt=kind == "ntstore")
+    return b.build()
+
+
+@given(_affine_flat_loops())
+@settings(max_examples=60, deadline=None)
+def test_captured_and_affine_lowerings_pack_the_same_table(loop_spec):
+    # on the columns the kernel reads: lines, [op, home, remote, offset,
+    # count] per run, and the stream ids of demand runs
+    program = _affine_flat_loop_program(*loop_spec)
+    machine = tiny_test_machine()
+    buffers = machine.load(program).buffer_map
+    core = machine.core(0)
+    (loop,) = program.body
+    info = core._analyze(loop)
+    assert info.skey is not None
+    captured = AccessPlan.from_emissions(
+        core._iter_emissions(info, loop, {}, buffers), core.port.node)
+    descs = []
+    for site in info.mem_sites:
+        base, stride, node = core._site_base_stride(
+            site, loop.loop_id, {}, buffers)
+        descs.append((site.kind, site.site_id, base, stride,
+                      site.width_bits // 8, node))
+    affine = AccessPlan.from_affine_sites(
+        descs, loop.trips, core._line_shift, core.port.node)
+    assert captured.lines.tolist() == affine.lines.tolist()
+    assert captured.meta[:, :5].tolist() == affine.meta[:, :5].tolist()
+    for row_c, row_a in zip(captured.meta.tolist(), affine.meta.tolist()):
+        op, _home, _remote, off, count, sid_mode = row_c
+        if op > OP_DEMAND_WRITE:
+            continue
+        assert sid_mode == row_a[5]
+        if sid_mode == -1:
+            assert captured.sids[off:off + count].tolist() \
+                == affine.sids[off:off + count].tolist()
+
+
+# ----------------------------------------------------------------------
 # stale-plan hazards: mutated bindings must rebind, never replay
 # ----------------------------------------------------------------------
-def test_reloading_moves_buffer_bases_and_rebinds(no_ckernel):
+@needs_ckernel
+def test_reloading_moves_buffer_bases_and_rebinds():
     # every machine.load() maps fresh allocations, so running the same
     # program twice mutates every buffer base under a cached structure
-    with no_ckernel():
-        machine = tiny_test_machine()
-        program = _programs("daxpy", (64,))[0]
-        first = machine.load(program)
-        machine.run(first)
-        cache = machine.core(0).plan_cache
-        bound_after_first = len(cache)
-        second = machine.load(program)
-        moved = {
-            name for name in first.buffer_map
-            if first.buffer_map[name].base != second.buffer_map[name].base
-        }
-        assert moved  # the hazard is real: bases did change
-        machine.run(second)
-        # a silent replay would leave the cache untouched (and corrupt
-        # the functional state); a rebind materialises new entries
-        assert len(cache) > bound_after_first
-        assert machine.core(0).plan_stats.flushes == 0
+    # (a bound affine plan and a captured gather plan alike)
+    machine = tiny_test_machine()
+    program = build_gather_beside_affine(32)
+    first = machine.load(program)
+    machine.run(first)
+    cache = machine.core(0).plan_cache
+    bound_after_first = len(cache._bound)
+    captured_after_first = len(cache._entries)
+    assert bound_after_first and captured_after_first
+    second = machine.load(program)
+    moved = {
+        name for name in first.buffer_map
+        if first.buffer_map[name].base != second.buffer_map[name].base
+    }
+    assert moved  # the hazard is real: bases did change
+    machine.run(second)
+    # a silent replay would leave the cache untouched (and corrupt
+    # the functional state); a rebind materialises new entries in
+    # both tiers
+    assert len(cache._bound) > bound_after_first
+    assert len(cache._entries) > captured_after_first
+    assert machine.core(0).plan_stats.flushes == 0
 
 
 def test_same_program_reloaded_matches_reference_counters():
@@ -238,62 +317,42 @@ def test_same_program_reloaded_matches_reference_counters():
     assert outcome.ok, "\n".join(str(d) for d in outcome.divergences)
 
 
-def test_home_node_mutation_rebinds_without_silent_reuse(no_ckernel):
+@needs_ckernel
+def test_home_node_mutation_rebinds_without_silent_reuse():
     # remap the same program onto the other NUMA node between runs:
-    # the plan's per-line homes change while structure, trips, and
+    # the plans' per-line homes change while structure, trips, and
     # strides all stay identical (the nest executor's analogue lives in
     # tests/engine/test_nest_executor.py)
     factory = lambda: make_machine("snb-ep-x2", scale=0.0625)  # noqa: E731
-    with no_ckernel():
-        fast = factory()
-        ref = factory()
-        ref.engine = "reference"
-        caps = CodegenCaps.from_machine(fast)
-        program = make_kernel("daxpy").build(64, caps)
-        bound_counts = []
-        for node in (0, 1, 0):
-            fast_run = fast.run(fast.load(program, node=node))
-            ref_run = ref.run(ref.load(program, node=node))
-            divs = diff_engine_sides(
-                fast, fast_run.result, ref, ref_run.result, 0
-            )
-            assert not divs, "\n".join(
-                [f"node {node}"] + [str(d) for d in divs]
-            )
-            bound_counts.append(len(fast.core(0).plan_cache))
-    # each placement added entries instead of reusing stale homes
-    assert bound_counts[0] < bound_counts[1] < bound_counts[2]
+    fast = factory()
+    ref = factory()
+    ref.engine = "reference"
+    program = build_gather_beside_affine(32)
+    bound_counts = []
+    captured_counts = []
+    for node in (0, 1, 0):
+        fast_run = fast.run(fast.load(program, node=node))
+        ref_run = ref.run(ref.load(program, node=node))
+        divs = diff_engine_sides(
+            fast, fast_run.result, ref, ref_run.result, 0
+        )
+        assert not divs, "\n".join(
+            [f"node {node}"] + [str(d) for d in divs]
+        )
+        cache = fast.core(0).plan_cache
+        bound_counts.append(len(cache._bound))
+        captured_counts.append(len(cache._entries))
+    # each placement added entries, in both tiers, instead of reusing
+    # stale homes
+    assert 0 < bound_counts[0] < bound_counts[1] < bound_counts[2]
+    assert 0 < captured_counts[0] < captured_counts[1] < captured_counts[2]
 
 
 # ----------------------------------------------------------------------
 # telemetry: the second size rebinds instead of recompiling
 # ----------------------------------------------------------------------
-def _gather_beside_affine(n: int):
-    """A top-level loop holding a gather flat loop next to an affine one.
-
-    The gather sends the whole top-level node to the Python walk, so on
-    the C datapath the affine loop is lowered through the symbolic tier
-    and bound per row (the size-polymorphic path); the row stride of
-    ``y`` depends on ``n``, so every size is a fresh binding.
-    """
-    b = ProgramBuilder()
-    x = b.buffer("x", 8 * n)
-    y = b.buffer("y", 8 * n * n)
-    table = b.index_table("cols", [8 * ((7 * k) % n) for k in range(n)])
-    with b.loop(n, "row") as row:
-        with b.loop(4, "g") as g:
-            b.gather(x, table[g], width=64)
-        with b.loop(n // 4, "col") as col:
-            b.load(y[row * (8 * n) + col * 32], width=256)
-    return b.build()
-
-
 def _run_gather_beside_affine(machine, n: int) -> None:
-    machine.run(machine.load(_gather_beside_affine(n)))
-
-
-needs_ckernel = pytest.mark.skipif(
-    not ckernel.available(), reason="symbolic binds run on the C datapath")
+    machine.run(machine.load(build_gather_beside_affine(n)))
 
 
 @needs_ckernel

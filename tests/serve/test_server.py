@@ -180,6 +180,27 @@ class TestEndpoints:
                 assert "flight-recorder" not in message
         serve(body)
 
+    def test_size_beyond_the_address_space_is_400(self):
+        # 2^40 doubles need 16x the 1 TiB simulated address space: the
+        # body passes validation, and the point must reject the size
+        # before building anything, as a bad request naming n
+        async def body(server, base):
+            loop = asyncio.get_running_loop()
+            huge = 1 << 40
+            for path, doc in (
+                    ("/measure", {"kernel": "daxpy", "n": huge,
+                                  "machine": "tiny"}),
+                    ("/sweep", {"kernel": "daxpy", "sizes": [huge],
+                                "machine": "tiny"})):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    await loop.run_in_executor(None, post, base, path, doc)
+                assert err.value.code == 400, path
+                message = json.loads(err.value.read())["error"]
+                assert message.startswith(f"daxpy: n={huge} needs more "
+                                          "than the"), message
+                assert "address space" in message
+        serve(body)
+
     def test_point_error_keeps_its_validation_message_across_pickling(self):
         # pool workers raise SweepPointError in another process
         import pickle

@@ -1,5 +1,7 @@
 """CLI surface tests."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -24,6 +26,19 @@ class TestParser:
 
 
 class TestCommands:
+    def test_conformance_report_to_a_bare_file_name(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # a report path without a directory part needs no directory made
+        monkeypatch.chdir(tmp_path)
+        assert main(["conformance", "--n", "5", "--kernels", "none",
+                     "--report", "eng.jsonl"]) == 0
+        assert "report: eng.jsonl" in capsys.readouterr().out
+        summary = json.loads(
+            (tmp_path / "eng.jsonl").read_text().splitlines()[0])
+        assert summary["kind"] == "summary"
+        assert summary["programs"] == 5
+        assert summary["divergent_programs"] == 0
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
