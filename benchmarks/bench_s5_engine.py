@@ -51,6 +51,8 @@ DAXPY_SIZES = (512, 1024, 2048, 4096)
 # interpretation hurts most) is the upper end
 DGEMM_SIZES = (64, 96, 128, 160)
 REPS = 3  # the measure-runner default: what sweeps actually pay
+#: fast/reference timing pairs per gated sweep speedup
+SWEEP_PAIRS = 5
 
 
 class _Simulated(ColdCache):
@@ -127,15 +129,27 @@ def _time(fn, repeats: int) -> float:
     return min(samples)
 
 
-def _sweep_baseline(kernel_name: str, sizes, repeats: int) -> dict:
-    fast = _time(lambda: _sweep("fast", kernel_name, sizes), repeats)
-    ref = _time(lambda: _sweep("reference", kernel_name, sizes), repeats)
+def _sweep_baseline(kernel_name: str, sizes) -> dict:
+    """Both engines' sweep times, sampled pair by pair.
+
+    Each pair times one fast sweep and then one reference sweep, and
+    each side keeps its minimum over :data:`SWEEP_PAIRS` pairs: a host
+    that speeds up or slows down during the run touches both sides
+    alike, where timing one block per side let the drift between the
+    blocks move the speedup.
+    """
+    fast, ref = [], []
+    for _ in range(SWEEP_PAIRS):
+        fast.append(_time(lambda: _sweep("fast", kernel_name, sizes), 1))
+        ref.append(_time(lambda: _sweep("reference", kernel_name, sizes), 1))
+    fast, ref = min(fast), min(ref)
     machine = _sweep("fast", kernel_name, sizes)
     plan = machine.core(0).plan_stats
     return {
         "kernel": kernel_name,
         "sizes": list(sizes),
         "reps": REPS,
+        "pairs": SWEEP_PAIRS,
         "fast_seconds": fast,
         "reference_seconds": ref,
         "speedup": ref / fast,
@@ -213,8 +227,8 @@ def collect_baseline(repeats: int = 3) -> dict:
         "machine": "tiny",
         "repeats": repeats,
         "sweeps": {
-            "daxpy": _sweep_baseline("daxpy", DAXPY_SIZES, repeats),
-            "dgemm": _sweep_baseline("dgemm-tiled", DGEMM_SIZES, repeats),
+            "daxpy": _sweep_baseline("daxpy", DAXPY_SIZES),
+            "dgemm": _sweep_baseline("dgemm-tiled", DGEMM_SIZES),
         },
         "amortization": _amortization("daxpy", 4096, 5, repeats),
     }

@@ -5,11 +5,15 @@
  * with the stock prefetcher trio, operating on the numpy array state
  * shared with the Python side:
  *
- *   - Cache array backend (memory/cache.py): tags / dirty / stamp
- *     per (set, way), LRU as a monotone stamp; victim = smallest stamp
- *     among all-valid ways, empty ways (tag == -1) fill first.
- *   - ArrayTlb (memory/tlb.py): fully-associative page arrays with
- *     stamp-LRU replicating the dict insertion-order recency.
+ *   - Cache array backend (memory/cache.py): tags / dirty per
+ *     (set, way), each set kept in recency order: way 0 holds the most
+ *     recent line and the valid ways (tag != -1) form a prefix, so a
+ *     fill takes the first empty way, else evicts the last (LRU) way;
+ *     a hit moves its line to way 0, and an invalidation closes the
+ *     hole.
+ *   - ArrayTlb (memory/tlb.py): fully-associative page arrays, each a
+ *     valid prefix in the dict's order reversed (L1 most recent first,
+ *     L2 newest insertion first); the victim is the last valid entry.
  *   - Array prefetcher tables (prefetch/arraystate.py).
  *   - PrefetchedSet (memory/prefetched.py): open-addressing int64 hash
  *     of line + 1, 0 empty, linear probing from the locality-preserving
@@ -32,6 +36,7 @@
  */
 
 #include <stdint.h>
+#include <string.h>
 
 /* out[] layout -- keep in sync with OUT_* in engine/ckernel.py */
 enum {
@@ -69,13 +74,11 @@ typedef struct {
     /* caches: 0 = L1, 1 = L2, 2 = L3 */
     int64_t *tags[3];
     uint8_t *dirty[3];
-    int64_t *stamp[3];
     int64_t  set_mask[3];
     int64_t  assoc[3];
     /* TLB */
-    int64_t *tlb1_pages, *tlb1_stamp;
-    int64_t *tlb2_pages, *tlb2_stamp;
-    int64_t *tlb_regs;            /* [tick, l1_count, l2_count] */
+    int64_t *tlb1_pages, *tlb2_pages;
+    int64_t *tlb_regs;            /* [l1_count, l2_count] */
     int64_t  tlb1_entries, tlb2_entries, walk_latency;
     /* prefetched-line hash set */
     int64_t *pf_slots;
@@ -95,7 +98,7 @@ typedef struct {
     int64_t  page_shift;
     /* per-call enable flags (MSR mask) */
     int64_t  nl_on, sm_on, st_on;
-    /* shared scalar registers: [l1_tick, l2_tick, l3_tick, last_page] */
+    /* shared scalar registers: [last_page] */
     int64_t *regs;
     /* per-home DRAM accumulators, nnodes x 4 */
     int64_t *homes;
@@ -105,50 +108,55 @@ typedef struct {
 /* cache primitives (array backend semantics)                          */
 /* ------------------------------------------------------------------ */
 
-static inline int64_t way_find(const Ctx *c, int l, int64_t set,
-                               int64_t line) {
-    const int64_t *t = c->tags[l] + set * c->assoc[l];
-    int64_t a = c->assoc[l];
-    for (int64_t w = 0; w < a; w++)
-        if (t[w] == line)
-            return w;
-    return -1;
-}
-
-/* look a line up and choose its victim in one pass over the set:
- * returns the hit way, or -1 with *victim = the way a fill uses (the
- * first empty way, tag == -1, else the first way with the smallest
- * stamp) */
+/* look a line up and choose its victim in one pass over the set's
+ * valid prefix: returns the hit way, or -1 with *victim = the way a
+ * fill uses (the first empty way, else the last, least recent way) */
 static inline int64_t way_probe(const Ctx *c, int l, int64_t set,
                                 int64_t line, int64_t *victim) {
     int64_t a = c->assoc[l];
     const int64_t *t = c->tags[l] + set * a;
-    const int64_t *s = c->stamp[l] + set * a;
-    int64_t empty = -1, lru = 0;
-    for (int64_t w = 0; w < a; w++) {
+    int64_t w = 0;
+    for (; w < a; w++) {
         int64_t v = t[w];
         if (v == line)
             return w;
-        if (v == -1) {
-            if (empty < 0)
-                empty = w;
-        } else if (s[w] < s[lru]) {
-            lru = w;
-        }
+        if (v == -1)
+            break;
     }
-    *victim = empty >= 0 ? empty : lru;
+    *victim = w < a ? w : a - 1;
     return -1;
 }
 
-static inline void touch(Ctx *c, int l, int64_t set, int64_t way) {
-    c->regs[l] += 1;
-    c->stamp[l][set * c->assoc[l] + way] = c->regs[l];
+static inline int64_t way_find(const Ctx *c, int l, int64_t set,
+                               int64_t line) {
+    int64_t victim;
+    return way_probe(c, l, set, line, &victim);
 }
 
-/* fill an absent line into the victim way way_probe chose for it (no
- * access to that set may come between the probe and the fill); returns
- * 1 when a valid line was evicted (ev_line/ev_dirty set), 0 when the
- * way was empty (occupancy grows at the caller) */
+/* put (tag, dirty) at way 0, moving ways 0..way-1 back by one (way
+ * `way` is overwritten) */
+static inline void to_front(Ctx *c, int l, int64_t set, int64_t way,
+                            int64_t tag, uint8_t dirty) {
+    int64_t *t = c->tags[l] + set * c->assoc[l];
+    uint8_t *d = c->dirty[l] + set * c->assoc[l];
+    memmove(t + 1, t, (size_t)way * sizeof *t);
+    memmove(d + 1, d, (size_t)way);
+    t[0] = tag;
+    d[0] = dirty;
+}
+
+/* a hit: the line moves to way 0 with its dirty bit */
+static inline void touch(Ctx *c, int l, int64_t set, int64_t way) {
+    if (way == 0)
+        return; /* already the most recent */
+    int64_t i = set * c->assoc[l] + way;
+    to_front(c, l, set, way, c->tags[l][i], c->dirty[l][i]);
+}
+
+/* fill an absent line at way 0, evicting from the victim way way_probe
+ * chose for it (no access to that set may come between the probe and
+ * the fill); returns 1 when a valid line was evicted (ev_line/ev_dirty
+ * set), 0 when the way was empty (occupancy grows at the caller) */
 static int fill_way(Ctx *c, int l, int64_t set, int64_t way, int64_t line,
                     int dirty, int64_t *ev_line, int *ev_dirty) {
     int64_t i = set * c->assoc[l] + way;
@@ -158,22 +166,24 @@ static int fill_way(Ctx *c, int l, int64_t set, int64_t way, int64_t line,
         *ev_line = old;
         *ev_dirty = c->dirty[l][i];
     }
-    c->tags[l][i] = line;
-    c->dirty[l][i] = (uint8_t)dirty;
-    touch(c, l, set, way);
+    to_front(c, l, set, way, line, (uint8_t)dirty);
     return evicted;
 }
 
-/* drop a line; returns -1 absent, else its dirty flag (0/1) */
+/* drop a line, closing the hole so the valid ways stay a prefix;
+ * returns -1 absent, else its dirty flag (0/1) */
 static int cache_invalidate(Ctx *c, int l, int64_t line) {
-    int64_t set = line & c->set_mask[l];
+    int64_t set = line & c->set_mask[l], a = c->assoc[l];
     int64_t w = way_find(c, l, set, line);
     if (w < 0)
         return -1;
-    int64_t i = set * c->assoc[l] + w;
-    int dirty = c->dirty[l][i];
-    c->tags[l][i] = -1;
-    c->dirty[l][i] = 0;
+    int64_t *t = c->tags[l] + set * a;
+    uint8_t *d = c->dirty[l] + set * a;
+    int dirty = d[w];
+    memmove(t + w, t + w + 1, (size_t)(a - 1 - w) * sizeof *t);
+    memmove(d + w, d + w + 1, (size_t)(a - 1 - w));
+    t[a - 1] = -1;
+    d[a - 1] = 0;
     return dirty;
 }
 
@@ -240,55 +250,44 @@ static int pf_discard(Ctx *c, int64_t line) {
 /* TLB (ArrayTlb semantics)                                            */
 /* ------------------------------------------------------------------ */
 
+/* put a page at the front of a level's valid prefix, moving entries
+ * 0..n-1 back by one (entry n is overwritten) */
+static inline void tlb_push(int64_t *pages, int64_t n, int64_t page) {
+    memmove(pages + 1, pages, (size_t)n * sizeof *pages);
+    pages[0] = page;
+}
+
 static void tlb_fill(Ctx *c, int64_t page) {
     int64_t *r = c->tlb_regs;
-    if (r[1] >= c->tlb1_entries) {
-        /* L1 full -> every slot valid; smallest stamp is the dict head */
-        int64_t v = 0;
-        for (int64_t k = 1; k < c->tlb1_entries; k++)
-            if (c->tlb1_stamp[k] < c->tlb1_stamp[v])
-                v = k;
-        int64_t victim = c->tlb1_pages[v];
-        c->tlb1_pages[v] = -1;
-        r[1] -= 1;
-        if (r[2] >= c->tlb2_entries) {
-            int64_t w = 0;
-            for (int64_t k = 1; k < c->tlb2_entries; k++)
-                if (c->tlb2_stamp[k] < c->tlb2_stamp[w])
-                    w = k;
-            c->tlb2_pages[w] = -1;
-            r[2] -= 1;
-        }
-        int64_t f = 0;
-        while (c->tlb2_pages[f] != -1)
-            f++;
-        r[0] += 1;
-        c->tlb2_pages[f] = victim;
-        c->tlb2_stamp[f] = r[0];
-        r[2] += 1;
+    if (r[0] >= c->tlb1_entries) {
+        /* L1 full: its last entry is the least recent; it moves to the
+         * front of L2, over L2's oldest insertion when L2 is full */
+        r[0] -= 1;
+        if (r[1] >= c->tlb2_entries)
+            r[1] -= 1;
+        tlb_push(c->tlb2_pages, r[1], c->tlb1_pages[r[0]]);
+        r[1] += 1;
     }
-    int64_t f = 0;
-    while (c->tlb1_pages[f] != -1)
-        f++;
+    tlb_push(c->tlb1_pages, r[0], page);
     r[0] += 1;
-    c->tlb1_pages[f] = page;
-    c->tlb1_stamp[f] = r[0];
-    r[1] += 1;
 }
 
 static int64_t tlb_translate(Ctx *c, int64_t page, int64_t *o) {
+    int64_t *r = c->tlb_regs;
     o[O_TACC] += 1;
-    for (int64_t k = 0; k < c->tlb1_entries; k++)
-        if (c->tlb1_pages[k] == page) {
-            c->tlb_regs[0] += 1;
-            c->tlb1_stamp[k] = c->tlb_regs[0];
+    int64_t *p = c->tlb1_pages;
+    for (int64_t k = 0; k < r[0]; k++)
+        if (p[k] == page) {
+            tlb_push(p, k, page);
             o[O_T1H] += 1;
             return 0;
         }
-    for (int64_t k = 0; k < c->tlb2_entries; k++)
-        if (c->tlb2_pages[k] == page) {
-            c->tlb2_pages[k] = -1;
-            c->tlb_regs[2] -= 1;
+    p = c->tlb2_pages;
+    for (int64_t k = 0; k < r[1]; k++)
+        if (p[k] == page) {
+            r[1] -= 1;
+            memmove(p + k, p + k + 1, (size_t)(r[1] - k) * sizeof *p);
+            p[r[1]] = -1;
             o[O_T2H] += 1;
             tlb_fill(c, page);
             return 0;
@@ -300,8 +299,8 @@ static int64_t tlb_translate(Ctx *c, int64_t page, int64_t *o) {
 
 static inline void page_check(Ctx *c, int64_t line, int64_t *o) {
     int64_t page = line >> c->page_shift;
-    if (page != c->regs[3]) {
-        c->regs[3] = page;
+    if (page != c->regs[0]) {
+        c->regs[0] = page;
         int64_t walk = tlb_translate(c, page, o);
         if (walk) {
             o[O_TLBM] += 1;
@@ -584,8 +583,8 @@ static void demand_line(Ctx *c, int64_t line, int64_t sid, int is_write,
     int64_t w1 = way_probe(c, 0, set1, line, &v1);
     if (w1 >= 0) {
         touch(c, 0, set1, w1);
-        if (is_write)
-            c->dirty[0][set1 * c->assoc[0] + w1] = 1;
+        if (is_write) /* the line is at way 0 now */
+            c->dirty[0][set1 * c->assoc[0]] = 1;
         o[O_L1H] += 1;
         /* only the IP-stride engine trains on hits */
         if (c->st_on)

@@ -73,12 +73,9 @@ class Ctx(ctypes.Structure):
     _fields_ = [
         ("tags", _cp * 3),
         ("dirty", _cp * 3),
-        ("stamp", _cp * 3),
         ("set_mask", _c64 * 3),
         ("assoc", _c64 * 3),
-        ("tlb1_pages", _cp), ("tlb1_stamp", _cp),
-        ("tlb2_pages", _cp), ("tlb2_stamp", _cp),
-        ("tlb_regs", _cp),
+        ("tlb1_pages", _cp), ("tlb2_pages", _cp), ("tlb_regs", _cp),
         ("tlb1_entries", _c64), ("tlb2_entries", _c64),
         ("walk_latency", _c64),
         ("pf_slots", _cp), ("pf_regs", _cp), ("pf_touched", _cp),

@@ -101,14 +101,11 @@ class BatchDatapath:
         for i, cache in enumerate((port.l1, port.l2, port.l3)):
             ctx.tags[i] = cache._tags.ctypes.data
             ctx.dirty[i] = cache._adirty.ctypes.data
-            ctx.stamp[i] = cache._stamp.ctypes.data
             ctx.set_mask[i] = cache._set_mask
             ctx.assoc[i] = cache._assoc
         tlb = port.tlb
         ctx.tlb1_pages = tlb.l1_pages.ctypes.data
-        ctx.tlb1_stamp = tlb.l1_stamp.ctypes.data
         ctx.tlb2_pages = tlb.l2_pages.ctypes.data
-        ctx.tlb2_stamp = tlb.l2_stamp.ctypes.data
         ctx.tlb_regs = tlb.regs.ctypes.data
         ctx.tlb1_entries = tlb.config.l1_entries
         ctx.tlb2_entries = tlb.config.l2_entries
@@ -152,7 +149,7 @@ class BatchDatapath:
         ctx.sm_lpp = sm._lines_per_page
         ctx.nl_lpp = nl._lines_per_page
         ctx.page_shift = port._page_shift
-        self._regs = np.zeros(4, dtype=np.int64)
+        self._regs = np.zeros(1, dtype=np.int64)  # [last_page]
         self._homes = np.zeros((len(hier.dram), 4), dtype=np.int64)
         self._out = np.zeros(ckernel.OUT_COUNT, dtype=np.int64)
         #: caller-owned phase-row matrix of repro_execute_nest: one
@@ -199,8 +196,8 @@ class BatchDatapath:
 
     def _pre_call(self, room: int) -> "ckernel.Ctx":
         """Shared setup before a kernel entry: context, flags, pf-set
-        capacity (the only place the table grows), and register sync
-        (cache ticks + TLB page cursor)."""
+        capacity (the only place the table grows), and the TLB page
+        cursor."""
         ctx = self._ctx
         if ctx is None:
             ctx = self._build_ctx()
@@ -216,20 +213,11 @@ class BatchDatapath:
             ctx.pf_slots = slots.ctypes.data
             ctx.pf_touched = pf.touched.ctypes.data
             ctx.pf_mask = pf._mask
-        regs = self._regs
-        regs[0] = port.l1._tick
-        regs[1] = port.l2._tick
-        regs[2] = port.l3._tick
-        regs[3] = port._last_page
+        self._regs[0] = port._last_page
         return ctx
 
     def _post_call(self) -> None:
-        port = self.port
-        regs = self._regs
-        port.l1._tick = int(regs[0])
-        port.l2._tick = int(regs[1])
-        port.l3._tick = int(regs[2])
-        port._last_page = int(regs[3])
+        self.port._last_page = int(self._regs[0])
 
     def execute_nest(self, nest, state: np.ndarray, room: int) -> int:
         """One resumable ``repro_execute_nest`` call over ``nest``.

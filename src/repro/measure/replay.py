@@ -138,8 +138,7 @@ class _ResetState:
                         for value in vars(owner).values()
                         if isinstance(value, np.ndarray)]
         self._attrs = (
-            [(cache, {"_tick": cache._tick, "_resident": cache._resident})
-             for cache in caches]
+            [(cache, {"_resident": cache._resident}) for cache in caches]
             + [(owner.stats, dict(vars(owner.stats)))
                for owner in engines + tlbs]
             + [(port, {"_last_page": port._last_page}) for port in ports]

@@ -242,11 +242,19 @@ def measure_kernel(machine: Machine, kernel: Kernel, n: int,
             (LoadedProgram(init_program, loaded.buffer_map, node), core_id)
         )
 
+    def simulate(batch):
+        # a run too large for the host (its prefetched-line table cannot
+        # be mapped) is the request's fault, like a too-large footprint
+        try:
+            return machine.run_parallel(batch)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{kernel.name}: n={n}: {exc}") from exc
+
     def run_inits():
-        machine.run_parallel(init_jobs)
+        simulate(init_jobs)
 
     def run_kernel():
-        return machine.run_parallel(jobs)
+        return simulate(jobs)
 
     level_events = ("l1_accesses", "l1_replacement", "l2_lines_in")
     core_events = WORK_EVENTS_F64 + ("llc_misses",) + level_events

@@ -12,10 +12,12 @@ Three internal representations are used:
 * ``ways`` — a generic ways-list representation driven by a
   :class:`~repro.memory.replacement.ReplacementPolicy` for the
   replacement-policy ablation.
-* ``array`` — numpy tag/dirty/stamp arrays (LRU only) shared with the
+* ``array`` — numpy tag/dirty arrays (LRU only) shared with the
   compiled datapath kernel, which is their only writer: the transitions
   below raise on this backend, while inspection and :meth:`Cache.clear`
-  stay available.  Its equivalence with the dict backend is the
+  stay available.  Each set is kept in recency order, the dict's order
+  reversed: way 0 holds the most recent line, and the valid ways form a
+  prefix (-1 marks the empty ways after it).  Its equivalence with the dict backend is the
   cross-engine gate's (``docs/ENGINE.md``).
 
 The dict and ways representations expose identical behaviour, which
@@ -156,13 +158,11 @@ class Cache:
             self._pstate = [self._policy.new_state(self._assoc)
                             for _ in range(config.nsets)]
         else:
-            # tags (-1 = empty), dirty bits, and per-way recency stamps
-            # from a monotone tick: the LRU way is the smallest stamp
+            # tags (-1 = empty) and dirty bits, most recent way first:
+            # the LRU way is the last valid one
             shape = (config.nsets, self._assoc)
             self._tags = np.full(shape, -1, dtype=np.int64)
             self._adirty = np.zeros(shape, dtype=bool)
-            self._stamp = np.zeros(shape, dtype=np.int64)
-            self._tick = 0
 
     def _kernel_owned(self) -> ExecutionError:
         return ExecutionError(
@@ -379,8 +379,6 @@ class Cache:
                 # kernel caches raw pointers) must stay valid across clears.
                 self._tags.fill(-1)
                 self._adirty.fill(False)
-                self._stamp.fill(0)
-                self._tick = 0
             else:
                 for set_idx in range(self.config.nsets):
                     self._lines[set_idx] = [None] * self._assoc

@@ -47,6 +47,8 @@ import mmap
 
 import numpy as np
 
+from ..errors import ConfigurationError
+
 EMPTY = 0
 _MULT = 0x9E3779B1
 #: log2 of the slots per touched-map byte (``PF_BLOCK_SHIFT`` in the
@@ -149,7 +151,8 @@ class PrefetchedSet:
         """Grow so that ``extra`` more inserts keep load factor <= 1/2.
 
         Returns True when the slot array was reallocated (callers caching
-        the raw pointer must refresh it).
+        the raw pointer must refresh it).  A grown table the host cannot
+        map raises :class:`ConfigurationError`.
         """
         need = int(self.regs[0]) + extra
         if need * 2 <= len(self.slots):
@@ -161,8 +164,14 @@ class PrefetchedSet:
         target = len(self.slots) * 2
         while target < minimum:
             target *= 2
+        try:
+            fresh = _table(target)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"the prefetched-line table needs {target} slots "
+                f"({target * 8} bytes), which host memory cannot map: "
+                f"{exc.strerror or exc}") from exc
         live = list(self)
-        fresh = _table(target)
         touched = _touched_map(target)
         mask = target - 1
         for line in live:

@@ -126,20 +126,20 @@ class Tlb:
 class ArrayTlb:
     """Numpy-backed TLB whose state only the C datapath kernel writes.
 
-    The kernel replicates :class:`Tlb`'s insertion-order recency with
-    monotone stamps: the L1 victim is the valid entry with the smallest
-    stamp (stamps refresh on hit and on fill), and the L2 victim is the
-    oldest *insertion* (L2 entries are never re-stamped after insert,
-    matching the dict's insert-only ordering).  Python keeps the stats,
-    the in-place :meth:`flush`/:meth:`reset` and read-only inspection;
-    there is no ``translate_page`` here.
+    The kernel keeps each level in :class:`Tlb`'s dict order reversed,
+    as a prefix of valid entries: L1 most recent first (a hit moves its
+    page to the front), L2 newest *insertion* first (L2 entries never
+    move after insert, matching the dict's insert-only ordering).  The
+    victim is a level's last valid entry.  Python keeps the stats, the
+    in-place :meth:`flush`/:meth:`reset` and read-only inspection; there
+    is no ``translate_page`` here.
 
     Array layout (shared with ``engine/_ckernel.c``):
 
-    * ``l1_pages`` / ``l1_stamp`` — fully-associative L1 entries
-      (page number, recency stamp); -1 marks an empty slot.
-    * ``l2_pages`` / ``l2_stamp`` — same for the STLB.
-    * ``regs`` — ``[tick, l1_count, l2_count]``.
+    * ``l1_pages`` — fully-associative L1 entries (page numbers); -1
+      marks the empty slots after the valid prefix.
+    * ``l2_pages`` — same for the STLB.
+    * ``regs`` — ``[l1_count, l2_count]``.
     """
 
     EMPTY = -1
@@ -149,10 +149,8 @@ class ArrayTlb:
         self.stats = TlbStats()
         self._page_shift = config.page_bytes.bit_length() - 1
         self.l1_pages = np.full(config.l1_entries, self.EMPTY, dtype=np.int64)
-        self.l1_stamp = np.zeros(config.l1_entries, dtype=np.int64)
         self.l2_pages = np.full(config.l2_entries, self.EMPTY, dtype=np.int64)
-        self.l2_stamp = np.zeros(config.l2_entries, dtype=np.int64)
-        self.regs = np.zeros(3, dtype=np.int64)  # [tick, l1_count, l2_count]
+        self.regs = np.zeros(2, dtype=np.int64)  # [l1_count, l2_count]
 
     def page_of_line(self, line: int, line_bytes: int = 64) -> int:
         return (line * line_bytes) >> self._page_shift
@@ -165,8 +163,6 @@ class ArrayTlb:
         # In place: the C kernel holds raw pointers to these arrays.
         self.l1_pages.fill(self.EMPTY)
         self.l2_pages.fill(self.EMPTY)
-        self.l1_stamp.fill(0)
-        self.l2_stamp.fill(0)
         self.regs.fill(0)
 
     def reset(self) -> None:
@@ -175,7 +171,7 @@ class ArrayTlb:
 
     @property
     def resident_pages(self) -> int:
-        return int(self.regs[1] + self.regs[2])
+        return int(self.regs[0] + self.regs[1])
 
     def page_sets(self):
         l1 = frozenset(int(p) for p in self.l1_pages if p != self.EMPTY)

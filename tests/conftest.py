@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 
 import pytest
@@ -11,6 +12,7 @@ from repro.engine import ckernel
 from repro.isa import ProgramBuilder
 from repro.kernels.base import CodegenCaps
 from repro.machine.presets import paper_machine, tiny_test_machine
+from repro.memory import prefetched
 
 try:
     from hypothesis import settings
@@ -70,6 +72,19 @@ def no_ckernel(monkeypatch):
             yield
 
     return scope
+
+
+@pytest.fixture
+def host_refuses_huge_tables(monkeypatch):
+    """Every prefetched-line table above 2^28 slots fails to map with
+    ENOMEM, as on a host out of memory, without mapping anything large."""
+    real = prefetched._table
+
+    def table(capacity):
+        if capacity > 1 << 28:
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        return real(capacity)
+    monkeypatch.setattr(prefetched, "_table", table)
 
 
 #: plan-cache tests: only the C datapath builds and caches plans

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MeasurementError
+from repro.errors import ConfigurationError, MeasurementError
 from repro.kernels import Daxpy, Dgemm, StreamTriad
 from repro.machine.presets import tiny_test_machine
 from repro.measure import (
@@ -15,6 +15,7 @@ from repro.measure import (
     relative_error,
     summarize,
 )
+from tests.conftest import needs_ckernel
 
 
 class TestStats:
@@ -146,3 +147,16 @@ class TestMeasureKernel:
         m = measure_kernel(tiny, Daxpy(), 256, protocol="warm", reps=3)
         assert m.work_summary.count == 3
         assert m.runtime_summary.count == 3
+
+
+@needs_ckernel
+def test_run_too_large_for_host_memory_is_a_configuration_error(
+        host_refuses_huge_tables):
+    # fits the 1 TiB simulated address space, but its first phase would
+    # reserve a prefetched-line table far beyond the host's memory
+    n = (1 << 36) - 512
+    with pytest.raises(ConfigurationError,
+                       match=rf"^daxpy: n={n}: the prefetched-line table "
+                             r"needs \d+ slots \(\d+ bytes\), which host "
+                             r"memory cannot map: Cannot allocate memory$"):
+        measure_kernel(tiny_test_machine(), Daxpy(), n, reps=1)

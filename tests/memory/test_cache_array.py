@@ -1,10 +1,10 @@
 """Cache backends: occupancy counters, the array state's clear, backend
 validation, and the C kernel's ownership of array state.
 
-The ``array`` backend holds the numpy tag/dirty/stamp state the
-compiled datapath kernel shares; the kernel is its only writer, so a
-Python transition on it must raise rather than run a second copy of
-the algorithm.  Its equivalence with the dict backend is the
+The ``array`` backend holds the numpy tag/dirty state, each set in
+recency order, that the compiled datapath kernel shares; the kernel is
+its only writer, so a Python transition on it must raise rather than
+run a second copy of the algorithm.  Its equivalence with the dict backend is the
 cross-engine gate's (``tests/engine``, ``repro conformance --diff
 engine``).
 """
@@ -99,7 +99,7 @@ def test_clear_resets_array_state(policy):
     assert cache.occupancy() == 0
     assert list(cache.resident_lines()) == []
     assert list(cache.dirty_lines()) == []
-    assert cache._tick == 0 and not cache._stamp.any()
+    assert (cache._tags == -1).all() and not cache._adirty.any()
     # and the kernel fills it again (from L2, which kept its copy)
     dp.execute_single(35, False, None)
     assert cache.contains(35)

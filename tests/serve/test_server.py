@@ -19,6 +19,7 @@ import pytest
 from repro.obs.metrics import REGISTRY
 from repro.serve import RooflineServer
 from repro.serve.jobs import JobTable, job_key
+from tests.conftest import needs_ckernel
 
 pytestmark = pytest.mark.sweep
 
@@ -199,6 +200,23 @@ class TestEndpoints:
                 assert message.startswith(f"daxpy: n={huge} needs more "
                                           "than the"), message
                 assert "address space" in message
+        serve(body)
+
+    @needs_ckernel
+    def test_size_beyond_host_memory_is_400(self, host_refuses_huge_tables):
+        # the size fits the simulated address space, but the host cannot
+        # map the run's prefetched-line table: still the request's fault
+        async def body(server, base):
+            loop = asyncio.get_running_loop()
+            n = (1 << 36) - 512
+            with pytest.raises(urllib.error.HTTPError) as err:
+                await loop.run_in_executor(
+                    None, post, base, "/measure",
+                    {"kernel": "daxpy", "n": n, "machine": "tiny"})
+            assert err.value.code == 400
+            message = json.loads(err.value.read())["error"]
+            assert message.startswith(
+                f"daxpy: n={n}: the prefetched-line table needs "), message
         serve(body)
 
     def test_point_error_keeps_its_validation_message_across_pickling(self):
