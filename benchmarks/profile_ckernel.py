@@ -9,13 +9,20 @@ Hosts without ``perf`` still need a kernel profile before any change to
 1. builds an ``-O2 -g`` copy of ``_ckernel.c`` into a private cache
    directory, under the file name the loader expects, so the workload
    runs the same code as a normal build plus debug information;
-2. builds a tiny C sampler that records the interrupted program counter
-   on every ``SIGPROF`` from ``setitimer(ITIMER_PROF)`` (process CPU
-   time, so only work is sampled, not waits);
+2. builds a tiny C sampler that records, on every ``SIGPROF`` from
+   ``setitimer(ITIMER_PROF)`` (process CPU time, so only work is
+   sampled, not waits), the interrupted program counter and the return
+   address a leaf function would return to: the word at the stack
+   pointer on x86-64, the link register on AArch64;
 3. runs the workload ``REPEAT`` times in this process with the
    sampler on;
 4. maps every sample inside the kernel's shared object to its innermost
-   (inlined) function and source line with ``addr2line -f -i``.
+   (inlined) function and source line with ``addr2line -f -i``.  A
+   sample in libc whose return address lies in the kernel is the
+   kernel's too: libc's ``memmove``, a leaf, called by ``to_front``,
+   ``tlb_push`` and the other shifts; so is a sample in the kernel's
+   PLT stub for ``memmove`` (its one import).  Both count under a
+   ``memmove (<caller>)`` row, at the caller's call site.
 
 Workloads (the same calls as ``perfbench/``, run serially here so every
 kernel call happens in the sampled process):
@@ -25,12 +32,13 @@ kernel call happens in the sampled process):
 * ``sweep-f4`` — the paper's F4 daxpy grid on the same machine,
   ``jobs=1``, no sweep cache.
 
-It prints the share of all samples that fell in the kernel, then each
-kernel function's share of the kernel samples, then the ``TOP_LINES``
-hottest lines.  The timer asks for a sample every millisecond of CPU
-time, but the host's timer tick caps the rate (about 250 samples per
-CPU second on a HZ=250 kernel); the ``REPEAT`` runs are what make the
-shares steady, since a single run's move by a few points.
+It prints the share of all samples that fell in the kernel (and how
+many of those were in ``memmove``), then each kernel function's share
+of the kernel samples, then the ``TOP_LINES`` hottest lines.  The
+timer asks for a sample every millisecond of CPU time, but the host's
+timer tick caps the rate (about 250 samples per CPU second on a HZ=250
+kernel); the ``REPEAT`` runs are what make the shares steady, since a
+single run's move by a few points.
 """
 
 from __future__ import annotations
@@ -69,16 +77,21 @@ SAMPLER_SRC = r"""
 static uint64_t *buf;
 static volatile int64_t count, cap;
 
+/* two words per sample: the interrupted pc, and where a leaf function
+ * interrupted at that pc returns to */
 static void on_prof(int sig, siginfo_t *si, void *uc_) {
     (void)sig; (void)si;
     ucontext_t *uc = (ucontext_t *)uc_;
     if (count < cap) {
+        uint64_t *slot = buf + 2 * count;
 #if defined(__x86_64__)
-        buf[count] = (uint64_t)uc->uc_mcontext.gregs[REG_RIP];
+        slot[0] = (uint64_t)uc->uc_mcontext.gregs[REG_RIP];
+        slot[1] = *(const uint64_t *)uc->uc_mcontext.gregs[REG_RSP];
 #elif defined(__aarch64__)
-        buf[count] = (uint64_t)uc->uc_mcontext.pc;
+        slot[0] = (uint64_t)uc->uc_mcontext.pc;
+        slot[1] = (uint64_t)uc->uc_mcontext.regs[30];
 #else
-        buf[count] = 0;
+        slot[0] = slot[1] = 0;
 #endif
     }
     count++;
@@ -149,18 +162,32 @@ def mapping(so: Path) -> tuple[int, int]:
     """(load base, end) of ``so`` in this process's address space."""
     hi = base = None
     real = os.path.realpath(so)
-    with open("/proc/self/maps", encoding="utf-8") as maps:
-        for row in maps:
-            fields = row.split()
-            if len(fields) < 6 or os.path.realpath(fields[5]) != real:
-                continue
-            start, end = (int(x, 16) for x in fields[0].split("-"))
-            if int(fields[2], 16) == 0 and base is None:
-                base = start
-            hi = end if hi is None else max(hi, end)
+    for start, end, offset, path in _maps():
+        if os.path.realpath(path) != real:
+            continue
+        if offset == 0 and base is None:
+            base = start
+        hi = end if hi is None else max(hi, end)
     if base is None:
         sys.exit(f"{so.name} is not mapped: the kernel did not load")
     return base, hi
+
+
+def libc_ranges() -> list[tuple[int, int]]:
+    """Address ranges of the C library's mappings in this process."""
+    return [(start, end) for start, end, _, path in _maps()
+            if Path(path).name.startswith(("libc.so", "libc-"))]
+
+
+def _maps():
+    """(start, end, file offset, path) of every file-backed mapping."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        for row in maps:
+            fields = row.split()
+            if len(fields) < 6:
+                continue
+            start, end = (int(x, 16) for x in fields[0].split("-"))
+            yield start, end, int(fields[2], 16), fields[5]
 
 
 def symbolize(so: Path, offsets) -> dict:
@@ -186,17 +213,45 @@ def symbolize(so: Path, offsets) -> dict:
     return out
 
 
-def report(name: str, pcs, so: Path, total: int, top_lines: int) -> None:
+def report(name: str, samples, so: Path, total: int,
+           top_lines: int) -> None:
+    """Print the kernel's share of ``samples`` ((pc, leaf return
+    address) pairs) and its hottest functions and lines."""
     base, end = mapping(so)
-    inside = [pc - base for pc in pcs if base <= pc < end]
-    print(f"{name}: {total} samples, {len(inside)} in the kernel "
-          f"({100.0 * len(inside) / max(total, 1):.1f}%)")
-    if not inside:
+    libc = libc_ranges()
+    # (offset in the kernel, whether the sample was in memmove): a
+    # memmove sample counts at its kernel call site (return address - 1)
+    rows, inside = [], []
+    for pc, ret in samples:
+        if base <= pc < end:
+            inside.append((pc - base, ret))
+        elif (base <= ret < end
+              and any(lo <= pc < hi for lo, hi in libc)):
+            rows.append((ret - 1 - base, True))
+    stubs = symbolize(so, [o for o, _ in inside])
+    for offset, ret in inside:
+        # no line information: the PLT stub of memmove, the kernel's one
+        # import, which jumps without touching the stack
+        if stubs[offset][0] == "??" and base <= ret < end:
+            rows.append((ret - 1 - base, True))
+        else:
+            rows.append((offset, False))
+    moves = sum(via for _, via in rows)
+    print(f"{name}: {total} samples, {len(rows)} in the kernel "
+          f"({100.0 * len(rows) / max(total, 1):.1f}%), {moves} of them "
+          f"in memmove")
+    if not rows:
         return
-    where = symbolize(so, inside)
-    by_func = collections.Counter(where[o][0] for o in inside)
-    by_line = collections.Counter(where[o] for o in inside)
-    n = len(inside)
+    where = symbolize(so, [o for o, _ in rows])
+
+    def label(offset, via):
+        caller = where[offset][0]
+        return f"memmove ({caller})" if via else caller
+
+    by_func = collections.Counter(label(o, via) for o, via in rows)
+    by_line = collections.Counter((label(o, via), where[o][1])
+                                  for o, via in rows)
+    n = len(rows)
     print(f"\n{'function (innermost inlined)':<32} {'share':>7}")
     for func, k in by_func.most_common():
         print(f"{func:<32} {100.0 * k / n:>6.1f}%")
@@ -224,7 +279,7 @@ def main(argv=None) -> int:
         sampler.sampler_start.argtypes = [ctypes.c_void_p, ctypes.c_int64,
                                           ctypes.c_int64]
         sampler.sampler_stop.restype = ctypes.c_int64
-        buf = (ctypes.c_uint64 * MAX_SAMPLES)()
+        buf = (ctypes.c_uint64 * (2 * MAX_SAMPLES))()
         started = time.perf_counter()
         if sampler.sampler_start(buf, MAX_SAMPLES, INTERVAL_US):
             sys.exit("cannot install the SIGPROF sampler")
@@ -236,7 +291,9 @@ def main(argv=None) -> int:
         wall = time.perf_counter() - started
         kept = min(total, MAX_SAMPLES)
         print(f"{args.workload}: {wall:.2f} s wall")
-        report(args.workload, buf[:kept], kernel, kept, TOP_LINES)
+        words = buf[:2 * kept]
+        report(args.workload, zip(words[::2], words[1::2]), kernel, kept,
+               TOP_LINES)
     return 0
 
 

@@ -150,6 +150,9 @@ def _print_measurement(args, kernel, machine, m) -> None:
     print(f"Q measured: {format_bytes(m.traffic_bytes)} "
           f"(compulsory {format_bytes(m.compulsory_bytes)}, "
           f"x{m.traffic_ratio:.2f})")
+    if m.below_noise_floor:
+        print(f"            below the {m.noise_floor_bytes:g} B noise "
+              f"floor: I is a lower bound")
     print(f"T runtime : {format_time(m.runtime_seconds)}")
     print(f"P         : {format_flops(m.performance)}")
     print(f"I         : {m.intensity:.4f} flops/byte")

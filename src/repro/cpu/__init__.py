@@ -20,7 +20,13 @@ from .simd import (
     level_by_width,
     levels_up_to,
 )
-from .timing import PhaseCost, TimingParams, phase_cycles, reissue_slots
+from .timing import (
+    PhaseCost,
+    PhaseTable,
+    TimingParams,
+    phase_cycles,
+    reissue_slots,
+)
 
 __all__ = [
     "ALL_LEVELS",
@@ -30,6 +36,7 @@ __all__ = [
     "ExecutionResult",
     "FrequencyGovernor",
     "PhaseCost",
+    "PhaseTable",
     "PortModel",
     "SCALAR",
     "SSE",

@@ -65,8 +65,10 @@ from ..trace.events import PHASE, TraceEvent
 from .nest import PHASE_VEC, Nest, NestBuilder
 from .port_model import PortModel
 from .timing import (
+    PHASE_COLUMNS,
     THROUGHPUT_BOUNDS,
     PhaseCost,
+    PhaseTable,
     TimingParams,
     memory_bounds,
     phase_cycles,
@@ -95,7 +97,7 @@ class ExecutionResult:
     cycles: float = 0.0
     instructions: int = 0
     batch: BatchStats = field(default_factory=BatchStats)
-    phases: List[PhaseCost] = field(default_factory=list)
+    phases: PhaseTable = field(default_factory=PhaseTable)
     true_flops: int = 0
 
     def merge(self, other: "ExecutionResult") -> None:
@@ -327,22 +329,17 @@ class Core:
             steps = np.cumsum(np.concatenate(([result.cycles], total)))
             result.cycles = float(steps[-1])
             result.instructions += int(nest.instructions[pcs].sum())
-            costs = list(map(
-                PhaseCost, fp_issue[keep].tolist(), mem_issue[keep].tolist(),
-                chain[keep].tolist(), l2_bw[keep].tolist(),
-                l3_bw[keep].tolist(), dram_bw[keep].tolist(),
-                exposed[keep].tolist(),
-            ))
-            result.phases.extend(costs)
+            costs = np.stack((fp_issue, mem_issue, chain, l2_bw, l3_bw,
+                              dram_bw, exposed))
+            result.phases.add_block(costs[:, keep])
             slots = (reissue_slots(self.config, batch, self.timing)
                      if nest.has_dep else None)
             self._nest_pmu(nest, pcs, slots)
         with SPANS("engine.execute"):
             result.batch.merge(dp.apply_nest_totals())
         if self.bus.enabled:
-            self._trace_rows(nest, rows, pcs, costs,
-                             (fp_issue, mem_issue, chain, l2_bw, l3_bw,
-                              dram_bw), total, slots, dram_bpc)
+            self._trace_rows(nest, rows, pcs, costs, total, slots,
+                             dram_bpc)
 
     def _nest_pmu(self, nest: Nest, pcs, slots) -> None:
         """PMU FP events of a batch of phases: per-phase adds summed per
@@ -362,32 +359,32 @@ class Core:
                     for (width, prec, is_fma), instrs, _f in phase.dep_terms:
                         add_fp(width, prec, instrs * total_slots, is_fma)
 
-    def _trace_rows(self, nest: Nest, rows, pcs, costs, bounds, total,
-                    slots, dram_bpc) -> None:
+    def _trace_rows(self, nest: Nest, rows, pcs, costs, total, slots,
+                    dram_bpc) -> None:
         """Publish one kernel call's PHASE events, in program order and
         with the walk's args, advancing the phase cursor.
 
         The call's batch events were published once, at the cursor
         where it started (like one executed plan); each PHASE event
         carries its own phase's counters from the row deltas.
-        ``bounds`` are the six throughput-bound arrays in
-        :data:`THROUGHPUT_BOUNDS` order; ``argmax`` picks the first
-        maximum, as :attr:`PhaseCost.dominant` does.
+        ``costs`` is the call's ``(7, n)`` cost block, rows in
+        :data:`PHASE_COLUMNS` order; ``argmax`` over its six throughput
+        bounds picks the first maximum, as :attr:`PhaseCost.dominant`
+        does.
         """
         bus = self.bus
         cum = rows[:, :len(BATCH_FIELDS)]
         delta = np.empty_like(cum)
         delta[0] = cum[0]
         np.subtract(cum[1:], cum[:-1], out=delta[1:])
-        dominant = np.argmax(np.stack(bounds), axis=0).tolist()
+        dominant = np.argmax(costs[:-1], axis=0).tolist()
         nslots = (slots.tolist() if slots is not None
                   else [0] * len(pcs))
-        cost_iter = iter(costs)
         mlp = self.timing.mlp
         core = self.core_id
-        for counts, pc, dur, dom, slot in zip(
+        for counts, pc, dur, dom, slot, cost in zip(
                 delta.tolist(), pcs.tolist(), total.tolist(), dominant,
-                nslots):
+                nslots, costs.T.tolist()):
             phase = nest.phase[pc]
             if phase.kind == PHASE_VEC:
                 args = {
@@ -408,7 +405,7 @@ class Core:
                 args = {
                     "trips": phase.trips,
                     "dominant": THROUGHPUT_BOUNDS[dom],
-                    "bounds": next(cost_iter).as_dict(),
+                    "bounds": dict(zip(PHASE_COLUMNS, cost)),
                     "batch": dict(zip(BATCH_FIELDS, counts)),
                     "dram_bpc": dram_bpc,
                     "mlp": mlp,

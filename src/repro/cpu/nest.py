@@ -5,8 +5,8 @@ through ``repro_execute_nest`` (``engine/_ckernel.c``) instead of
 walking them in Python.  This module lowers a run of top-level program
 nodes into a :class:`Nest` — the descriptor arrays that kernel entry
 walks — plus the per-node static cost tables the core needs to turn
-the kernel's per-phase counter rows into :class:`~repro.cpu.timing.
-PhaseCost` objects.
+the kernel's per-phase counter rows into the columns of a
+:class:`~repro.cpu.timing.PhaseTable`.
 
 A descriptor is a preorder node list:
 

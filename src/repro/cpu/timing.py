@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -94,6 +94,101 @@ class PhaseCost:
             "dram_bandwidth": self.dram_bandwidth,
             "exposed_latency": self.exposed_latency,
         }
+
+
+#: the phase table's columns: :meth:`PhaseCost.as_dict` keys, in order
+PHASE_COLUMNS = THROUGHPUT_BOUNDS + ("exposed_latency",)
+
+
+class PhaseTable:
+    """Phase costs of one execution as seven float64 columns.
+
+    The columns are :data:`PHASE_COLUMNS`, one per :class:`PhaseCost`
+    field.  The nest executor appends one block per C-kernel call
+    (:meth:`add_block`) and the walk one row per :func:`phase_cycles`
+    result (:meth:`append`); blocks and rows are joined into one
+    ``(7, n)`` array only when a reader asks for :attr:`columns`.
+    Indexing and iteration build a :class:`PhaseCost` of Python floats
+    on demand; :attr:`total` is ``PhaseCost.total`` for every phase,
+    bit for bit (the same maximum plus the same exposed latency).
+    """
+
+    __slots__ = ("_parts", "_rows", "_len", "_total")
+
+    def __init__(self) -> None:
+        #: ``(7, k)`` float64 blocks in program order
+        self._parts: List[np.ndarray] = []
+        #: walk rows appended since the last block, as PhaseCost objects
+        self._rows: List[PhaseCost] = []
+        self._len = 0
+        self._total: Optional[np.ndarray] = None
+
+    def append(self, cost: PhaseCost) -> None:
+        """Add one phase (a :func:`phase_cycles` result)."""
+        self._rows.append(cost)
+        self._len += 1
+        self._total = None
+
+    def add_block(self, block: np.ndarray) -> None:
+        """Add a ``(7, k)`` float64 block of phases, columns in
+        :data:`PHASE_COLUMNS` order."""
+        self._flush_rows()
+        self._parts.append(block)
+        self._len += block.shape[1]
+        self._total = None
+
+    def extend(self, other: "PhaseTable") -> None:
+        """Append every phase of ``other``, in order."""
+        self.add_block(other.columns)
+
+    def _flush_rows(self) -> None:
+        if self._rows:
+            self._parts.append(np.array(
+                [(c.fp_issue, c.mem_issue, c.chain, c.l2_bandwidth,
+                  c.l3_bandwidth, c.dram_bandwidth, c.exposed_latency)
+                 for c in self._rows], dtype=np.float64).T)
+            self._rows = []
+
+    @property
+    def columns(self) -> np.ndarray:
+        """Every phase as one ``(7, n)`` float64 array."""
+        self._flush_rows()
+        parts = self._parts
+        if len(parts) != 1:
+            joined = (np.concatenate(parts, axis=1) if parts
+                      else np.empty((len(PHASE_COLUMNS), 0)))
+            self._parts = parts = [joined]
+        return parts[0]
+
+    def column(self, name: str) -> np.ndarray:
+        """One cost column by its :data:`PHASE_COLUMNS` name."""
+        return self.columns[PHASE_COLUMNS.index(name)]
+
+    @property
+    def total(self) -> np.ndarray:
+        """Cycles of every phase: the largest throughput bound plus the
+        exposed latency, as :attr:`PhaseCost.total` computes it."""
+        if self._total is None:
+            cols = self.columns
+            self._total = np.maximum.reduce(cols[:-1]) + cols[-1]
+        return self._total
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> PhaseCost:
+        return PhaseCost(*self.columns[:, index].tolist())
+
+    def __iter__(self):
+        return (PhaseCost(*row) for row in self.columns.T.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PhaseTable):
+            return NotImplemented
+        return (len(self) == len(other)
+                and bool(np.array_equal(self.columns, other.columns)))
+
+    __hash__ = None
 
 
 def phase_cycles(ports: PortModel,

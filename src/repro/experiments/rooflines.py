@@ -40,11 +40,14 @@ def _sweep(config: ExperimentConfig, kernel: str, sizes, protocol,
 
 
 def _points_table(title: str, measurements: Sequence[Measurement]) -> Table:
+    """One row per point; an intensity is ``>=`` when its traffic is
+    below the noise floor (only a lower bound is known)."""
     table = Table(title, ["kernel", "n", "protocol", "threads",
                           "I [F/B]", "P [Gflop/s]"])
     for m in measurements:
+        bound = ">=" if m.below_noise_floor else ""
         table.add(m.kernel, m.n, m.protocol, m.threads,
-                  f"{m.intensity:.3f}", f"{m.performance / 1e9:.3f}")
+                  f"{bound}{m.intensity:.3f}", f"{m.performance / 1e9:.3f}")
     return table
 
 

@@ -35,11 +35,19 @@ from ..pmu.perf import PerfSession
 from ..trace.collector import TraceCollector
 from ..trace.events import MARK, TraceEvent
 from ..trace.timeline import TimelineConfig, TimelineSampler
+from ..units import CACHE_LINE_BYTES
 from .protocol import Protocol, make_protocol
 from .replay import RunLog, _skip_reason
 from .stats import Summary, summarize
 from .traffic import TRAFFIC_EVENTS, bytes_from_session
 from .work import WORK_EVENTS_F64, flops_from_session
+
+
+#: bytes by which the background noise's rounding can move one A - B
+#: traffic delta, per DRAM node: one line per traffic counter
+#: (:attr:`~repro.pmu.uncore.UncorePmu.rounding_lines`); the median
+#: over repetitions keeps the bound
+NOISE_FLOOR_BYTES = float(CACHE_LINE_BYTES * len(TRAFFIC_EVENTS))
 
 
 @dataclass
@@ -103,6 +111,10 @@ class Measurement:
     #: :class:`repro.trace.TimelineSampler`), when requested via
     #: ``measure_kernel(..., trace=...)``; ``None`` otherwise
     trace: Optional[object] = None
+    #: how far the background noise's rounding alone can move the
+    #: measured traffic: one line per IMC counter per DRAM node
+    #: (:attr:`repro.pmu.uncore.UncorePmu.rounding_lines`)
+    noise_floor_bytes: float = NOISE_FLOOR_BYTES
 
     # ------------------------------------------------------------------
     # derived roofline coordinates
@@ -113,18 +125,28 @@ class Measurement:
         return self.true_flops / self.runtime_seconds
 
     @property
+    def below_noise_floor(self) -> bool:
+        """Whether the measured traffic is within the noise rounding of
+        zero: a cache-resident run whose true DRAM traffic is nil."""
+        return self.traffic_bytes < self.noise_floor_bytes
+
+    @property
     def intensity(self) -> float:
         """Flops/byte from exact work and measured traffic.
 
-        Warm cache-resident runs can measure (near-)zero DRAM traffic;
+        Warm cache-resident runs can measure (near-)zero DRAM traffic,
+        or slightly negative traffic within :attr:`noise_floor_bytes`;
         their intensity is floored at one cache line of traffic, placing
         them far right on the plot — the regime the paper notes its
-        methodology leaves to cache-level analysis.
+        methodology leaves to cache-level analysis.  Traffic further
+        below zero than the noise can explain is a broken subtraction.
         """
-        if self.traffic_bytes < -64.0 * self.threads:
+        if self.traffic_bytes < -self.noise_floor_bytes:
             raise MeasurementError(
                 f"{self.kernel}: negative measured traffic "
-                f"({self.traffic_bytes}); A/B subtraction is broken"
+                f"({self.traffic_bytes}) beyond the "
+                f"{self.noise_floor_bytes:g}-byte noise floor; A/B "
+                f"subtraction is broken"
             )
         return self.true_flops / max(self.traffic_bytes, 64.0)
 
@@ -363,6 +385,7 @@ def measure_kernel(machine: Machine, kernel: Kernel, n: int,
         traffic_summary=traffic,
         runtime_summary=runtime,
         trace=collector,
+        noise_floor_bytes=NOISE_FLOOR_BYTES * machine.uncore.rounding_lines,
     )
 
 

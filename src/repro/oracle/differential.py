@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from ..isa.assembler import format_program
 from ..isa.instructions import Loop
 from ..isa.program import Program
@@ -108,7 +110,7 @@ def run_differential(program: Program, prefetch_mask: int = 0,
     if res.true_flops != ref.true_flops:
         divs.append(Divergence("true_flops", res.true_flops, ref.true_flops))
 
-    fast_phases = [cost.total for cost in res.phases]
+    fast_phases = res.phases.total.tolist()
     if len(fast_phases) != len(ref.phase_totals):
         divs.append(Divergence("phase_count", len(fast_phases),
                                len(ref.phase_totals)))
@@ -271,11 +273,12 @@ def diff_engine_sides(fast_m, fast_r, ref_m, ref_r,
         divs.append(Divergence("phase_count", len(fast_r.phases),
                                len(ref_r.phases)))
     else:
-        for idx, (pa, pb) in enumerate(zip(fast_r.phases, ref_r.phases)):
-            if pa.total != pb.total:
-                divs.append(Divergence(f"phase[{idx}].cycles",
-                                       pa.total, pb.total))
-                break
+        fast_t, ref_t = fast_r.phases.total, ref_r.phases.total
+        differ = np.flatnonzero(fast_t != ref_t)
+        if differ.size:
+            idx = int(differ[0])
+            divs.append(Divergence(f"phase[{idx}].cycles",
+                                   float(fast_t[idx]), float(ref_t[idx])))
 
     fast_batch = fast_r.batch.as_dict()
     ref_batch = ref_r.batch.as_dict()

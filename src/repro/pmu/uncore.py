@@ -37,6 +37,22 @@ class UncorePmu:
         share = self._noise_read_fraction if reads else 1.0 - self._noise_read_fraction
         return int(total * share)
 
+    @property
+    def rounding_lines(self) -> int:
+        """Most lines the noise model's rounding can take off one
+        counter's A - B session delta.
+
+        A read at TSC ``t`` adds ``int(k * t)`` noise lines per node
+        (``k`` the counter's noise rate per cycle), so a session window
+        ``[s, s + d]`` adds ``int(k*s + k*d) - int(k*s)`` lines: either
+        ``int(k*d)`` or one more.  Session A's window is at least as
+        long as B's, so ``int(k*d_A) >= int(k*d_B)`` and A - B can lose
+        at most the one line B may have gained, once per node because a
+        whole-platform read multiplies one node's floored count.  The
+        kernel's own traffic only adds to A.
+        """
+        return self.node_count
+
     def read(self, event_id: str, tsc: float, node: Optional[int] = None) -> int:
         """Counter value as software would read it at time ``tsc``.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import MeasurementError
-from ..measure.runner import Measurement
+from ..measure.runner import NOISE_FLOOR_BYTES, Measurement
 from ..measure.stats import Summary
 
 #: payload schema version — bump on any field change so stale cache
@@ -34,6 +34,10 @@ _MEASUREMENT_FIELDS = (
     "compulsory_bytes", "reps", "level_bytes",
 )
 _SUMMARY_KEYS = ("work_summary", "traffic_summary", "runtime_summary")
+#: written only when it differs from a one-node machine's, so every
+#: one-node payload (and its cache entry) is what it was before the
+#: field existed
+_NOISE_FLOOR = "noise_floor_bytes"
 
 
 def _summary_to_doc(summary: Optional[Summary]) -> Optional[dict]:
@@ -55,6 +59,8 @@ def measurement_to_payload(m: Measurement) -> dict:
         doc[name] = getattr(m, name)
     for name in _SUMMARY_KEYS:
         doc[name] = _summary_to_doc(getattr(m, name))
+    if m.noise_floor_bytes != NOISE_FLOOR_BYTES:
+        doc[_NOISE_FLOOR] = m.noise_floor_bytes
     return doc
 
 
@@ -69,6 +75,8 @@ def payload_to_measurement(doc: dict) -> Measurement:
         fields = {name: doc[name] for name in _MEASUREMENT_FIELDS}
         summaries = {name: _summary_from_doc(doc[name])
                      for name in _SUMMARY_KEYS}
-    except (KeyError, TypeError) as exc:
+        floor = float(doc.get(_NOISE_FLOOR, NOISE_FLOOR_BYTES))
+    except (KeyError, TypeError, ValueError) as exc:
         raise MeasurementError(f"malformed measurement payload: {exc}") from exc
-    return Measurement(trace=None, **fields, **summaries)
+    return Measurement(trace=None, noise_floor_bytes=floor, **fields,
+                       **summaries)
