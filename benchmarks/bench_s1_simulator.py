@@ -11,7 +11,9 @@ from repro.machine.presets import tiny_test_machine
 
 
 def test_hierarchy_access_throughput(benchmark):
-    machine = tiny_test_machine()
+    # the port's per-line Python path runs on the reference engine's
+    # dict state; a fast machine's array state is the C kernel's alone
+    machine = tiny_test_machine(engine="reference")
     machine.prefetch_control.disable_all()
     port = machine.hierarchy.port(0)
     lines = list(range(20_000))
@@ -37,7 +39,7 @@ def test_interpreter_daxpy_throughput(benchmark):
 
 def test_prefetcher_overhead(benchmark):
     """Same sweep with engines active: quantifies prefetch-path cost."""
-    machine = tiny_test_machine()
+    machine = tiny_test_machine(engine="reference")
     port = machine.hierarchy.port(0)
     lines = list(range(20_000))
 

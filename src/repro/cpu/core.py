@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine import AccessPlan, BatchDatapath, PlanCache, validate_engine
+from ..engine import AccessPlan, BatchDatapath, PlanCache
 from ..engine import ckernel
 from ..errors import ExecutionError
 from ..isa.instructions import (
@@ -162,14 +162,19 @@ class Core:
     def __init__(self, core_id: int, ports: PortModel,
                  hierarchy_config: HierarchyConfig, port: CorePort,
                  pmu: CorePmu, timing: TimingParams,
-                 engine: str = "fast") -> None:
+                 walk_reason: Optional[str] = None) -> None:
         self.core_id = core_id
         self.ports = ports
         self.config = hierarchy_config
         self.port = port
         self.pmu = pmu
         self.timing = timing
-        self.engine = validate_engine(engine)
+        #: whether accesses run in the C kernel: the hierarchy holds its
+        #: array state.  Otherwise the core walks and makes the
+        #: reference engine's per-line port calls, counting its
+        #: top-level nodes under ``walk_reason`` (the machine's decision)
+        self._compiled = port.hierarchy.array_mode
+        self._walk_reason = walk_reason
         # trace bus shared with the port's hierarchy (and the machine)
         self.bus: TraceBus = port.bus
         self._line_shift = hierarchy_config.line_bytes.bit_length() - 1
@@ -181,13 +186,6 @@ class Core:
         self._datapath = BatchDatapath(port)
         #: id(program) -> (program, lowered parts) for the nest executor
         self._lowered: Dict[int, tuple] = {}
-
-    @property
-    def _compiled(self) -> bool:
-        """Whether accesses run in the C kernel: the fast engine on an
-        array-backend hierarchy.  Otherwise the core walks and makes
-        the reference engine's per-line port calls."""
-        return self.engine == "fast" and self._datapath._use_c
 
     @property
     def plan_stats(self):
@@ -237,9 +235,7 @@ class Core:
         every other top-level node through the walk."""
         stats = self.plan_cache.stats
         if not self._compiled:
-            reason = ("reference_engine" if self.engine != "fast"
-                      else "no_ckernel")
-            stats.fallbacks[reason] += len(program.body)
+            stats.fallbacks[self._walk_reason] += len(program.body)
             self._exec_nodes(program.body, {}, buffers, dram_bpc, result)
             return
         for part in self._lower(program):

@@ -12,11 +12,11 @@ one-run plan), and its counter block is applied to Python state in one
 step per call (:meth:`BatchDatapath._apply_out`).  Python only reads
 that state, resets it in place and grows the prefetched-line table.
 
-Without the kernel (no compiler, ``REPRO_CKERNEL=0``, a custom
-prefetcher or a non-LRU replacement policy) the hierarchy keeps dict
+Without the kernel (no compiler, ``REPRO_CKERNEL=0``, or a non-LRU
+replacement policy) the machine builds its hierarchy with dict/ways
 state and nothing here runs: ``Core`` sends every access through the
-port's per-line reference calls, exactly as the reference engine does
-(``_use_c`` is False and no plan is built).
+port's per-line reference calls, exactly as the reference engine does,
+and builds no plan.
 
 Equivalence contract (gated by ``repro conformance --diff engine`` and
 ``tests/engine``): for any plan, the final cache/TLB/prefetcher state,
@@ -59,9 +59,6 @@ class BatchDatapath:
 
     def __init__(self, port: "CorePort") -> None:
         self.port = port
-        # the hierarchy adopts the array backend only once the kernel
-        # loaded (cached per process), and only the kernel writes it
-        self._use_c = port.hierarchy.array_mode
         self._ctx = None
         self._cmask = None
 

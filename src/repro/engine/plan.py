@@ -63,8 +63,9 @@ PLAN_CACHE_MAX_LINES = 8_000_000
 NEST_FALLBACK_REASONS = (
     "gather",                     # data-dependent addressing in the nest
     "negative_multisite_stride",  # the walk raises ExecutionError for it
-    "no_ckernel",                 # the C datapath is not in use
+    "no_ckernel",                 # the C kernel is unavailable
     "reference_engine",           # engine="reference" always walks
+    "replacement_policy",         # a non-LRU cache level: no array state
     "unsupported",                # out-of-scope iv, unknown node, cost error
 )
 

@@ -81,21 +81,41 @@ class RunResult:
         return sum(r.true_flops for r in self.per_core.values())
 
 
+def _walk_reason(hierarchy: HierarchyConfig, engine: str) -> Optional[str]:
+    """Why a machine's cores walk every access in Python instead of
+    running it in the C datapath kernel, or ``None`` when they run in
+    the kernel (one of :data:`~repro.engine.plan.NEST_FALLBACK_REASONS`).
+
+    The kernel models the fast engine on LRU caches only, and runs
+    only where it loaded (cached per process).
+    """
+    if engine != "fast":
+        return "reference_engine"
+    if any(level.policy != "lru"
+           for level in (hierarchy.l1, hierarchy.l2, hierarchy.l3)):
+        return "replacement_policy"
+    if not ckernel.available():
+        return "no_ckernel"
+    return None
+
+
 class Machine:
-    """One simulated platform instance."""
+    """One simulated platform instance; its datapath is fixed when it
+    is built (:func:`_walk_reason`)."""
 
     def __init__(self, spec: MachineSpec, engine: str = "fast") -> None:
         self.spec = spec
-        #: execution engine for every core this machine creates; may be
-        #: reassigned before the first :meth:`core` call (machine refs
-        #: do this when rebuilding from a spec)
-        self.engine = validate_engine(engine)
+        self._engine = validate_engine(engine)
+        #: why every core of this machine walks, or ``None`` when they
+        #: run in the C kernel over the hierarchy's array state
+        self.walk_reason = _walk_reason(spec.hierarchy, engine)
         self.topology = spec.topology
         self.ports = spec.ports
         self.governor = FrequencyGovernor(
             spec.base_hz, spec.turbo_steps, turbo_enabled=False
         )
-        self.hierarchy = MemoryHierarchy(spec.hierarchy, spec.topology)
+        self.hierarchy = MemoryHierarchy(spec.hierarchy, spec.topology,
+                                         array=self.walk_reason is None)
         #: the machine-wide trace event bus (see :mod:`repro.trace`);
         #: disabled until a sink is attached, at zero simulation cost
         self.trace = self.hierarchy.bus
@@ -126,6 +146,11 @@ class Machine:
     # component access
     # ------------------------------------------------------------------
     @property
+    def engine(self) -> str:
+        """The execution engine, fixed at construction."""
+        return self._engine
+
+    @property
     def prefetch_control(self) -> PrefetchControl:
         return self.hierarchy.prefetch_control
 
@@ -138,14 +163,6 @@ class Machine:
     def core(self, core_id: int) -> Core:
         if core_id not in self._cores:
             self._check_core(core_id)
-            if not self._cores and self.engine == "fast" \
-                    and ckernel.available():
-                # swap to the numpy array state the compiled datapath
-                # shares; must precede the first CorePort construction
-                # (ports capture the cache/TLB representation).  Engine
-                # reassignment after construction is honoured because
-                # no core exists yet at this point.
-                self.hierarchy.adopt_array_backend()
             self._cores[core_id] = Core(
                 core_id,
                 self.ports,
@@ -153,7 +170,7 @@ class Machine:
                 self.hierarchy.port(core_id),
                 self.core_pmu(core_id),
                 self.spec.timing,
-                engine=self.engine,
+                walk_reason=self.walk_reason,
             )
         return self._cores[core_id]
 

@@ -134,14 +134,12 @@ class MachineRef:
                 f"known: {sorted(PRESETS)}"
             ) from exc
         try:
-            machine = factory(**dict(self.options))
+            machine = factory(engine=self.engine, **dict(self.options))
         except TypeError as exc:
             raise ConfigurationError(
                 f"preset {self.preset!r} rejected options "
                 f"{dict(self.options)}: {exc}"
             ) from exc
-        # safe before the first core() call — cores inherit at creation
-        machine.engine = validate_engine(self.engine)
         spec = machine.spec
         if self.l3_policy is not None:
             spec = apply_l3_policy(spec, self.l3_policy)

@@ -44,8 +44,8 @@ SKIP_REASONS = ("engine", "turbo", "protocol", "sessions", "bus")
 def _skip_reason(machine, proto) -> Optional[str]:
     """The first condition that rules out replay, or ``None``.
 
-    * ``engine`` — the hierarchy is not in the C kernel's array mode
-      (reference engine, no kernel, or a non-LRU/custom hierarchy);
+    * ``engine`` — the machine was not built on the C kernel's array
+      state (reference engine, no kernel, or a non-LRU hierarchy);
       only the array state can be copied and restored;
     * ``turbo`` — the clock depends on the active-core count;
     * ``protocol`` — anything but the built-in cold and warm protocols
@@ -53,9 +53,6 @@ def _skip_reason(machine, proto) -> Optional[str]:
     * ``sessions`` — a registered (multiplexed) session observes every
       run boundary;
     * ``bus`` — a sink on the trace bus would miss the replayed events.
-
-    The measured cores must already exist: the first one decides the
-    hierarchy's datapath.
     """
     if not machine.hierarchy.array_mode:
         return "engine"

@@ -290,10 +290,6 @@ def measure_kernel(machine: Machine, kernel: Kernel, n: int,
     llc_reps: List[float] = []
     runtime_reps: List[float] = []
     level_reps: dict = {event: [] for event in level_events}
-    # the first core picks the hierarchy's datapath, which decides
-    # whether the sessions after the first may be replayed
-    for core_id in cores:
-        machine.core(core_id)
     skipped = _skip_reason(machine, proto)
     log = None if skipped else RunLog(machine)
     with SPANS("measure.kernel", kernel=kernel.name, n=n):

@@ -148,72 +148,58 @@ def default_prefetchers() -> List[Prefetcher]:
     ]
 
 
+def _array_prefetchers() -> List[Prefetcher]:
+    """The same set over the array state the C kernel writes."""
+    return [
+        NextLinePrefetcher(),
+        ArrayStreamPrefetcher(),
+        ArrayStridePrefetcher(),
+    ]
+
+
 class MemoryHierarchy:
-    """All caches and DRAM nodes of one machine."""
+    """All caches and DRAM nodes of one machine.
+
+    ``array`` selects the numpy array state the compiled C datapath
+    kernel (:mod:`repro.engine.ckernel`) shares: array caches, the
+    array prefetchers and, per port, an :class:`ArrayTlb` and a
+    :class:`PrefetchedSet`.  The kernel is then the only writer of that
+    state: the port's Python transitions (``access_lines``,
+    ``software_prefetch``, ``flush_lines``) raise on it, while the
+    stats, the in-place resets of :meth:`bust` and read-only inspection
+    stay available.  Only LRU hierarchies with the stock prefetcher set
+    have an array form.  The owning machine decides once, when it is
+    built (:class:`~repro.machine.machine.Machine`).
+    """
 
     def __init__(self, config: HierarchyConfig, topology: Topology,
                  prefetch_factory: Optional[Callable[[], List[Prefetcher]]] = None,
-                 prefetch_control: Optional[PrefetchControl] = None) -> None:
+                 prefetch_control: Optional[PrefetchControl] = None,
+                 array: bool = False) -> None:
+        if array and prefetch_factory is not None:
+            raise ConfigurationError(
+                "array state needs the stock prefetcher set")
+        factory = (_array_prefetchers if array
+                   else prefetch_factory or default_prefetchers)
         self.config = config
         self.topology = topology
         #: trace event bus shared by every port (and the owning machine);
         #: disabled — hence zero-overhead — until a sink is attached
         self.bus = TraceBus()
         self.prefetch_control = prefetch_control or PrefetchControl()
-        factory = prefetch_factory or default_prefetchers
+        #: True when every cache, TLB and prefetcher holds the numpy
+        #: array state the compiled datapath kernel shares; an array
+        #: cache raises ``ConfigurationError`` on a non-LRU level
+        self.array_mode = array
+        backend = "array" if array else None
         ncores = topology.total_cores
-        self.l1 = [Cache(config.l1) for _ in range(ncores)]
-        self.l2 = [Cache(config.l2) for _ in range(ncores)]
-        self.l3 = [Cache(config.l3) for _ in range(topology.sockets)]
+        self.l1 = [Cache(config.l1, backend=backend) for _ in range(ncores)]
+        self.l2 = [Cache(config.l2, backend=backend) for _ in range(ncores)]
+        self.l3 = [Cache(config.l3, backend=backend)
+                   for _ in range(topology.sockets)]
         self.dram = [DramNode(node, config.dram) for node in range(topology.sockets)]
         self._prefetchers: List[List[Prefetcher]] = [factory() for _ in range(ncores)]
         self._ports: Dict[int, CorePort] = {}
-        self._custom_prefetch = prefetch_factory is not None
-        #: True once the caches/TLBs/prefetchers were swapped to the
-        #: numpy array state the compiled datapath kernel shares
-        self.array_mode = False
-
-    def adopt_array_backend(self) -> bool:
-        """Swap every cache and prefetcher to numpy array state.
-
-        Called by the machine before the first core is built when the
-        fast engine will drive this hierarchy through the compiled C
-        datapath.  The C kernel is then the only writer of that state:
-        the interpreter sends every access through it, and the port's
-        Python transitions (``access_lines``, ``software_prefetch``,
-        ``flush_lines``) raise on it.  Python keeps the stats, the
-        in-place resets of :meth:`bust` and read-only inspection
-        (residency, dirty lines, TLB pages) for the conformance diffs.
-        The cross-engine gate holds the kernel counter for counter to
-        the dict state's reference path.
-
-        Only LRU hierarchies with the stock prefetcher set are eligible;
-        returns False (leaving the dict state in place) otherwise.
-        """
-        if self.array_mode:
-            return True
-        if self._ports:
-            return False  # ports already hold references to the dict state
-        if self._custom_prefetch:
-            return False
-        cfg = self.config
-        for level in (cfg.l1, cfg.l2, cfg.l3):
-            if level.policy != "lru":
-                return False
-        if any(c.occupancy() for c in self.l1 + self.l2 + self.l3):
-            return False
-        ncores = self.topology.total_cores
-        self.l1 = [Cache(cfg.l1, backend="array") for _ in range(ncores)]
-        self.l2 = [Cache(cfg.l2, backend="array") for _ in range(ncores)]
-        self.l3 = [Cache(cfg.l3, backend="array")
-                   for _ in range(self.topology.sockets)]
-        self._prefetchers = [
-            [NextLinePrefetcher(), ArrayStreamPrefetcher(),
-             ArrayStridePrefetcher()]
-            for _ in range(ncores)
-        ]
-        self.array_mode = True
-        return True
 
     def port(self, core_id: int) -> "CorePort":
         """The (cached) access port of one core."""
@@ -316,60 +302,29 @@ class CorePort:
         return stats
 
     def _emit_batch(self, stats: BatchStats, home: int) -> None:
-        """Publish one batch's counters on the trace bus.
+        """Publish one port call's counters on the trace bus.
 
-        Emission is batch-granular (one event per port call, not per
-        line) so that tracing a run costs a constant factor, and events
-        are stamped at the *phase* cursor the interpreter maintains.
+        Emission is batch-granular (one event set per port call, not
+        per line) so that tracing a run costs a constant factor.
         """
-        bus = self.bus
-        ts = bus.cursor
-        core = self.core_id
-        bus.emit(TraceEvent(CACHE, f"core{core}", ts, core=core, args={
-            "accesses": stats.accesses,
-            "l1_hits": stats.l1_hits,
-            "l2_hits": stats.l2_hits,
-            "l3_hits": stats.l3_hits,
-            "l1_evictions": stats.l1_evictions,
-            "l2_evictions": stats.l2_evictions,
-            "l3_evictions": stats.l3_evictions,
-            "tlb_misses": stats.tlb_misses,
-            "flushes": stats.flushes,
-        }))
-        reads = stats.dram_reads + stats.hw_prefetch_dram_reads
-        writes = stats.writebacks + stats.nt_lines
-        if reads or writes:
-            bus.emit(TraceEvent(DRAM, f"node{home}", ts, core=core, args={
-                "reads": reads,
-                "writes": writes,
-                "demand_reads": stats.dram_reads,
-                "prefetch_reads": stats.hw_prefetch_dram_reads,
-                "remote_lines": stats.remote_dram_lines,
-            }))
-        if stats.hw_prefetch_issued or stats.sw_prefetches or stats.prefetch_useful:
-            engines = {
-                engine.kind: engine.stats.as_dict()
-                for engine in self.hierarchy.prefetchers_of(core)
-            }
-            bus.emit(TraceEvent(PREFETCH, f"core{core}", ts, core=core, args={
-                "hw_issued": stats.hw_prefetch_issued,
-                "hw_dram_reads": stats.hw_prefetch_dram_reads,
-                "sw_prefetches": stats.sw_prefetches,
-                "useful": stats.prefetch_useful,
-                "engines": engines,
-            }))
+        self.emit_plan_batch(stats, {home: [
+            stats.dram_reads, stats.hw_prefetch_dram_reads,
+            stats.writebacks + stats.nt_lines, stats.remote_dram_lines,
+        ]})
 
     def emit_plan_batch(self, stats: BatchStats,
                         homes: Dict[int, List[int]]) -> None:
-        """Publish one executed plan's counters on the trace bus.
+        """Publish one batch's counters on the trace bus.
 
-        The fast engine's analogue of :meth:`_emit_batch`: one CACHE
-        event for the whole plan, one DRAM event per home node touched
-        (``homes`` maps node -> [demand_reads, prefetch_reads, writes,
-        remote_lines]), and one PREFETCH snapshot.  Coarser granularity
-        than the reference engine's per-port-call events, but identical
-        aggregate args — consumers (TraceCollector, timeline windows)
-        only sum batch-event args and read the last PREFETCH snapshot.
+        One CACHE event for the batch, one DRAM event per home node
+        touched (``homes`` maps node -> [demand_reads, prefetch_reads,
+        writes, remote_lines]), and one PREFETCH snapshot, stamped at
+        the *phase* cursor the interpreter maintains.  The C datapath
+        publishes one executed plan or nest call at a time, the
+        per-line walk one port call (:meth:`_emit_batch`): the
+        granularity differs, the aggregate args do not — consumers
+        (TraceCollector, timeline windows) only sum batch-event args
+        and read the last PREFETCH snapshot.
         """
         bus = self.bus
         ts = bus.cursor

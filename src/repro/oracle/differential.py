@@ -201,12 +201,12 @@ def run_cross_engine(program: Program, prefetch_mask: int = 0,
     every observable, including floating-point cycle totals, must be
     *bit-identical*, because the fast engine executes the same emission
     stream against the same functional state and the cycle model is a
-    pure function of the batch counters.
+    pure function of the batch counters.  ``machine_factory`` takes the
+    ``engine`` keyword, as every preset does.
     """
     sides = []
     for engine in ("fast", "reference"):
-        machine = machine_factory()
-        machine.engine = engine  # before the first core() call
+        machine = machine_factory(engine=engine)
         machine.prefetch_control.write_msr(prefetch_mask)
         loaded = machine.load(program)
         with SPANS(f"oracle.{engine}"):
@@ -235,10 +235,8 @@ def run_cross_engine_sequence(programs, prefetch_mask: int = 0,
     diffed after every program; the first divergent step is reported
     with its index prefixed to each observable name.
     """
-    fast_m = machine_factory()
-    fast_m.engine = "fast"
-    ref_m = machine_factory()
-    ref_m.engine = "reference"
+    fast_m = machine_factory(engine="fast")
+    ref_m = machine_factory(engine="reference")
     fast_cycles = ref_cycles = 0.0
     for step, program in enumerate(programs):
         results = []

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.engine import ENGINES, AccessPlan, PlanCache, validate_engine
+from repro.engine import ENGINES, AccessPlan, PlanCache, ckernel, validate_engine
 from repro.errors import ConfigurationError
 from repro.isa import ProgramBuilder
 from repro.kernels import CodegenCaps, kernel_names, make_kernel
@@ -45,8 +45,11 @@ def test_validate_engine_accepts_known_and_rejects_unknown():
 def test_machine_and_cores_carry_the_engine():
     machine = tiny_test_machine(engine="reference")
     assert machine.engine == "reference"
-    assert machine.core(0).engine == "reference"
-    assert tiny_test_machine().core(0).engine == "fast"
+    assert machine.walk_reason == "reference_engine"
+    assert not machine.core(0)._compiled
+    fast = tiny_test_machine()
+    assert fast.engine == "fast"
+    assert fast.core(0)._compiled == ckernel.available()
 
 
 def test_machine_ref_engine_roundtrip_and_key_doc():
@@ -111,7 +114,8 @@ def test_fast_engine_matches_reference_engine(data):
 #: big-uniform-cache preset the analytic model targets
 _MATRIX_PRESETS = {
     "tiny": tiny_test_machine,
-    "snb": lambda: make_machine("snb", scale=0.0625),
+    "snb": lambda engine="fast": make_machine("snb", scale=0.0625,
+                                              engine=engine),
     "oracle": oracle_test_machine,
 }
 #: all prefetchers on, a mixed mask, and all off

@@ -48,8 +48,7 @@ def _run_pair(program, factory=tiny_test_machine, trace=False, runs=2):
     """Run ``program`` ``runs`` times on a fast and a reference machine;
     returns ``[(fast machine, fast result, ref machine, ref result,
     fast sink, ref sink)]`` per run."""
-    fast, ref = factory(), factory()
-    ref.engine = "reference"
+    fast, ref = factory(), factory(engine="reference")
     sinks = (ListSink(), ListSink())
     if trace:
         fast.trace.attach(sinks[0])
@@ -133,9 +132,8 @@ def test_chunked_calls_resume_exactly(monkeypatch):
 
 
 def test_home_node_mutation_rebinds_the_nest():
-    factory = lambda: make_machine("snb-ep-x2", scale=0.0625)  # noqa: E731
-    fast, ref = factory(), factory()
-    ref.engine = "reference"
+    fast = make_machine("snb-ep-x2", scale=0.0625)
+    ref = make_machine("snb-ep-x2", scale=0.0625, engine="reference")
     program = make_kernel("dgemm-ikj").build(16,
                                              CodegenCaps.from_machine(fast))
     for node in (0, 1, 0):
@@ -225,9 +223,8 @@ def test_walked_straight_line_accesses_run_in_the_kernel(node, monkeypatch):
     original = AccessPlan.one_run
     monkeypatch.setattr(AccessPlan, "one_run", classmethod(
         lambda cls, *a: plans.append(a[0]) or original(*a)))
-    factory = lambda: make_machine("snb-ep-x2", scale=0.0625)  # noqa: E731
-    fast, ref = factory(), factory()
-    ref.engine = "reference"
+    fast = make_machine("snb-ep-x2", scale=0.0625)
+    ref = make_machine("snb-ep-x2", scale=0.0625, engine="reference")
     sinks = (ListSink(), ListSink())
     fast.trace.attach(sinks[0])
     ref.trace.attach(sinks[1])

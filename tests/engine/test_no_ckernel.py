@@ -54,7 +54,7 @@ def _assert_pair_matches(program, no_ckernel):
             assert fast_r.phases == ref_r.phases
             assert fast.core_pmu(0).snapshot() == ref.core_pmu(0).snapshot()
         core = fast.core(0)
-    assert not core._datapath._use_c
+    assert not fast.hierarchy.array_mode and not core._compiled
     assert core.plan_stats.nest_runs == 0
     assert core.plan_stats.fallbacks["no_ckernel"] > 0
 
@@ -87,13 +87,16 @@ def _spy_port_calls(machine) -> list:
     return calls
 
 
-#: (fast, reference) machine factories off the C datapath
+#: (fast, reference) machine factories off the C datapath, and the
+#: fallback reason the fast machine counts its walked nodes under
 _WALKING_MACHINES = {
     "no-ckernel": (tiny_test_machine,
-                   lambda: tiny_test_machine(engine="reference")),
+                   lambda: tiny_test_machine(engine="reference"),
+                   "no_ckernel"),
     "fifo-l3": (MachineRef.of("tiny", l3_policy="fifo").build,
                 MachineRef.of("tiny", l3_policy="fifo",
-                              engine="reference").build),
+                              engine="reference").build,
+                "replacement_policy"),
 }
 
 
@@ -102,18 +105,24 @@ _WALKING_MACHINES = {
 def test_fast_engine_makes_the_reference_port_calls(kind, name, n,
                                                     no_ckernel):
     scope = no_ckernel() if kind == "no-ckernel" else contextlib.nullcontext()
+    fast_build, ref_build, reason = _WALKING_MACHINES[kind]
     with scope:
-        fast, ref = (build() for build in _WALKING_MACHINES[kind])
+        fast, ref = fast_build(), ref_build()
         program = make_kernel(name).build(n, CodegenCaps.from_machine(fast))
         fast_calls = _spy_port_calls(fast)
         ref_calls = _spy_port_calls(ref)
         for machine in (fast, ref):
             machine.run(machine.load(program))
     core = fast.core(0)
-    assert core.engine == "fast" and not core._datapath._use_c
+    assert fast.engine == "fast" and not fast.hierarchy.array_mode
+    assert not core._compiled
     assert len(core.plan_cache) == 0
     assert core.plan_stats.built_lines == 0
     assert fast_calls and fast_calls == ref_calls
+    # the walked nodes count under the machine's real reason alone
+    fallbacks = core.plan_stats.fallbacks
+    assert fallbacks[reason] > 0
+    assert sum(fallbacks.values()) == fallbacks[reason]
 
 
 # ----------------------------------------------------------------------

@@ -323,10 +323,8 @@ def test_home_node_mutation_rebinds_without_silent_reuse():
     # the plans' per-line homes change while structure, trips, and
     # strides all stay identical (the nest executor's analogue lives in
     # tests/engine/test_nest_executor.py)
-    factory = lambda: make_machine("snb-ep-x2", scale=0.0625)  # noqa: E731
-    fast = factory()
-    ref = factory()
-    ref.engine = "reference"
+    fast = make_machine("snb-ep-x2", scale=0.0625)
+    ref = make_machine("snb-ep-x2", scale=0.0625, engine="reference")
     program = build_gather_beside_affine(32)
     bound_counts = []
     captured_counts = []

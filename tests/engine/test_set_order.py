@@ -30,7 +30,7 @@ pytestmark = needs_ckernel
 
 _MACHINES = {
     "tiny": tiny_test_machine,
-    "snb": lambda: make_machine("snb", scale=0.125),
+    "snb": lambda engine: make_machine("snb", scale=0.125, engine=engine),
 }
 
 
@@ -76,8 +76,8 @@ def _check_tlb(array, ref) -> None:
 @settings(max_examples=40, deadline=None)
 def test_array_layout_mirrors_reference_recency(preset, data):
     rng = HypoRng(data)
-    fast, ref = _MACHINES[preset](), _MACHINES[preset]()
-    fast.engine, ref.engine = "fast", "reference"
+    fast = _MACHINES[preset](engine="fast")
+    ref = _MACHINES[preset](engine="reference")
     mask = rng.randint(0, 15)
     for _ in range(rng.randint(1, 3)):
         program = random_program(rng)
@@ -94,8 +94,7 @@ def test_array_layout_mirrors_reference_recency(preset, data):
 
 def test_store_hit_below_way_zero_stays_dirty_and_writes_back():
     spec = tiny_test_machine().spec
-    hier = MemoryHierarchy(spec.hierarchy, spec.topology)
-    assert hier.adopt_array_backend()
+    hier = MemoryHierarchy(spec.hierarchy, spec.topology, array=True)
     hier.prefetch_control.write_msr(0xF)  # no prefetch fills
     port = hier.port(0)
     l1, l2 = port.l1, port.l2

@@ -7,6 +7,7 @@ import pytest
 from repro.kernels import Daxpy
 from repro.machine.presets import make_machine, tiny_test_machine
 from repro.measure import ColdCache, measure_kernel
+from tests.conftest import build_read_sweep
 
 
 class TestBusterReuse:
@@ -50,8 +51,10 @@ class TestBusterReuse:
                 2 * machine.hierarchy.total_cache_bytes())
 
     def test_buster_resets_prefetcher_training(self, tiny):
-        port = tiny.hierarchy.port(0)
-        port.access_lines(list(range(32)), is_write=False)
+        # a 32-line read sweep, on whichever datapath the machine has
+        tiny.run(tiny.load(build_read_sweep(32 * 64)))
+        assert any(engine.stats.issued
+                   for engine in tiny.hierarchy.prefetchers_of(0))
         ColdCache(method="sweep").prepare(tiny, lambda: None)
         for engine in tiny.hierarchy.prefetchers_of(0):
             assert engine.stats.issued == 0

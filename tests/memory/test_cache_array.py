@@ -80,8 +80,7 @@ def test_dict_backend_occupancy_counter_matches_recount(ops):
 def _array_port():
     """Core 0's port on a tiny hierarchy holding array state."""
     spec = tiny_test_machine().spec
-    hier = MemoryHierarchy(spec.hierarchy, spec.topology)
-    assert hier.adopt_array_backend()
+    hier = MemoryHierarchy(spec.hierarchy, spec.topology, array=True)
     return hier.port(0)
 
 

@@ -74,8 +74,8 @@ class Pair:
 
     def __init__(self, engines=("nextline", "stream", "stride")) -> None:
         spec = tiny_test_machine().spec
-        self.hier = MemoryHierarchy(spec.hierarchy, spec.topology)
-        assert self.hier.adopt_array_backend()
+        self.hier = MemoryHierarchy(spec.hierarchy, spec.topology,
+                                    array=True)
         self.ref_hier = MemoryHierarchy(spec.hierarchy, spec.topology)
         for hier in (self.hier, self.ref_hier):
             hier.prefetch_control.disable_all()
