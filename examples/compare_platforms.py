@@ -14,7 +14,7 @@ Run:  python examples/compare_platforms.py
 
 import os
 
-from repro import haswell_node, sandy_bridge_ep
+from repro import make_machine
 from repro.kernels import Daxpy, Dgemm
 from repro.measure import measure_kernel
 from repro.roofline import KernelPoint, build_roofline, save_svg, svg_plot
@@ -25,8 +25,8 @@ def main() -> None:
     os.makedirs(out_dir, exist_ok=True)
 
     results = {}
-    for factory in (sandy_bridge_ep, haswell_node):
-        machine = factory(scale=0.125)
+    for name in ("snb-ep", "hsw-ep"):
+        machine = make_machine(name, scale=0.125)
         model = build_roofline(machine, cores=(0,))
         print(model)
         points = []

@@ -32,12 +32,8 @@ from .machine import (
     Machine,
     MachineRef,
     MachineSpec,
-    dual_socket_ep,
-    haswell_node,
-    ivy_bridge_desktop,
     make_machine,
     paper_machine,
-    sandy_bridge_ep,
     tiny_test_machine,
 )
 from .roofline.hierarchical import AnalyzeResult, analyze
@@ -58,12 +54,8 @@ __all__ = [
     "__version__",
     "analyze",
     "discover_ceilings",
-    "dual_socket_ep",
-    "haswell_node",
-    "ivy_bridge_desktop",
     "make_machine",
     "paper_machine",
     "run_plan",
-    "sandy_bridge_ep",
     "tiny_test_machine",
 ]

@@ -60,7 +60,7 @@ def bandwidth_methods() -> List[str]:
 def default_stream_elements(machine: Machine) -> int:
     """A working set several times the aggregate cache capacity (the
     paper streams 0.5 GB; we scale with the machine's caches)."""
-    target_bytes = 4 * machine.hierarchy.total_cache_bytes()
+    target_bytes = 4 * machine.spec.total_cache_bytes()
     lanes = machine.ports.max_simd_width // 64
     granule = lanes * machine.topology.total_cores * 8
     elements = max(target_bytes // 8, granule)

@@ -30,8 +30,7 @@ class ReplacementAblation(Experiment):
         import math
 
         result = self.new_result()
-        probe = config.machine()
-        l3 = probe.spec.hierarchy.l3.size_bytes
+        l3 = config.ref().spec().hierarchy.l3.size_bytes
         n = round_to(int(math.sqrt(1.25 * l3 / 8)), 8)
         table = Table(
             f"dgemv-row at n={n} (footprint ~1.25x L3), warm protocol",
@@ -144,7 +143,7 @@ class ReissueAblation(Experiment):
 
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         result = self.new_result()
-        l3 = config.machine().spec.hierarchy.l3.size_bytes
+        l3 = config.ref().spec().hierarchy.l3.size_bytes
         n = round_to(2 * l3 // 24, 32)
         table = Table(
             f"triad cold-cache overcount at n={n}",

@@ -98,7 +98,7 @@ class DaxpyRoofline(Experiment):
         result = self.new_result()
         machine = config.machine()
         hier = machine.spec.hierarchy
-        sizes = daxpy_sizes(machine, config.quick)
+        sizes = daxpy_sizes(machine.spec, config.quick)
         model = build_roofline(machine, cores=(0,), trips=4096,
                                stream_elements=round_to(
                                    2 * hier.l3.size_bytes // 8, 64))
@@ -145,7 +145,7 @@ class DgemvRoofline(Experiment):
         result = self.new_result()
         machine = config.machine()
         hier = machine.spec.hierarchy
-        sizes = dgemv_sizes(machine, config.quick)
+        sizes = dgemv_sizes(machine.spec, config.quick)
         model = build_roofline(machine, cores=(0,), trips=4096,
                                stream_elements=round_to(
                                    2 * hier.l3.size_bytes // 8, 64))
@@ -183,7 +183,7 @@ class DgemmRoofline(Experiment):
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         result = self.new_result()
         machine = config.machine()
-        sizes = dgemm_sizes(machine, config.quick)
+        sizes = dgemm_sizes(machine.spec, config.quick)
         model = build_roofline(machine, cores=(0,), trips=4096,
                                stream_elements=round_to(
                                    machine.spec.hierarchy.l3.size_bytes // 8,
@@ -233,7 +233,7 @@ class FftRoofline(Experiment):
         result = self.new_result()
         machine = config.machine()
         l3 = machine.spec.hierarchy.l3.size_bytes
-        sizes = fft_sizes(machine, config.quick)
+        sizes = fft_sizes(machine.spec, config.quick)
         model = build_roofline(machine, cores=(0,), trips=4096,
                                stream_elements=round_to(2 * l3 // 8, 64))
         warm_t, warm_m = _sweep(config, "fft", sizes, "warm")

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from ..bench.peakbw import bandwidth_methods, measure_bandwidth
 from ..bench.peakflops import measure_peak_flops
-from ..machine.presets import (
-    dual_socket_ep,
-    haswell_node,
-    ivy_bridge_desktop,
-    sandy_bridge_ep,
-)
+from ..machine.presets import make_machine
 from ..units import format_bandwidth, format_bytes, format_flops
 from .base import Experiment, ExperimentConfig, ExperimentResult, Table
 
@@ -23,12 +18,9 @@ class PlatformTable(Experiment):
 
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         result = self.new_result()
-        machines = [
-            sandy_bridge_ep(scale=config.scale),
-            ivy_bridge_desktop(scale=config.scale),
-            haswell_node(scale=config.scale),
-            dual_socket_ep(scale=config.scale),
-        ]
+        machines = [make_machine(name, scale=config.scale)
+                    for name in ("snb-ep", "ivb-desktop", "hsw-ep",
+                                 "snb-ep-x2")]
         table = Table(
             "Simulated platforms",
             ["machine", "sockets x cores", "clock", "SIMD", "FMA",

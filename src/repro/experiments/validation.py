@@ -92,11 +92,11 @@ class FmaCounterCheck(Experiment):
 
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         from ..bench.peakflops import peak_flops_program
-        from ..machine.presets import haswell_node
+        from ..machine.presets import make_machine
         from ..pmu.perf import PerfSession
 
         result = self.new_result()
-        machine = haswell_node(scale=config.scale)
+        machine = make_machine("hsw-ep", scale=config.scale)
         trips = 1024
         fma_prog = peak_flops_program(256, has_fma=True, chains=4,
                                       trips=trips)

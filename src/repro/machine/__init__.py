@@ -4,12 +4,14 @@ from .machine import LoadedProgram, Machine, MachineSpec, RunResult
 from .ref import MachineRef
 from .presets import (
     PRESETS,
-    dual_socket_ep,
-    haswell_node,
-    ivy_bridge_desktop,
+    dual_socket_ep_spec,
+    haswell_node_spec,
+    ivy_bridge_desktop_spec,
     make_machine,
+    oracle_spec,
     paper_machine,
-    sandy_bridge_ep,
+    sandy_bridge_ep_spec,
+    tiny_spec,
     tiny_test_machine,
 )
 
@@ -20,11 +22,13 @@ __all__ = [
     "MachineSpec",
     "PRESETS",
     "RunResult",
-    "dual_socket_ep",
-    "haswell_node",
-    "ivy_bridge_desktop",
+    "dual_socket_ep_spec",
+    "haswell_node_spec",
+    "ivy_bridge_desktop_spec",
     "make_machine",
+    "oracle_spec",
     "paper_machine",
-    "sandy_bridge_ep",
+    "sandy_bridge_ep_spec",
+    "tiny_spec",
     "tiny_test_machine",
 ]

@@ -49,6 +49,12 @@ class MachineSpec:
         if self.base_hz <= 0:
             raise ConfigurationError("base frequency must be positive")
 
+    def total_cache_bytes(self) -> int:
+        """Aggregate capacity of every cache in the machine."""
+        h, topo = self.hierarchy, self.topology
+        return (topo.total_cores * (h.l1.size_bytes + h.l2.size_bytes)
+                + topo.sockets * h.l3.size_bytes)
+
 
 @dataclass
 class LoadedProgram:

@@ -4,30 +4,30 @@ The ISPASS'14 measurements run on Sandy Bridge-class Xeons and a
 desktop Ivy Bridge; we provide analogous presets plus a Haswell-class
 FMA machine for contrast and a two-socket NUMA variant.
 
-Every preset accepts a ``scale`` factor that shrinks the *cache
-capacities* (never the bandwidths or latencies): a 1/8-scale machine
-reaches the DRAM-resident regime at 1/8 the working-set size, which
-keeps full experiment sweeps fast while preserving every shape the
-paper reports.  ``scale=1.0`` reproduces the datasheet geometry.
+A preset is a function returning a :class:`MachineSpec`, the
+platform's static description: reading a cache capacity or a core
+count never builds a machine.  :func:`make_machine` (through
+:class:`MachineRef`) turns a registered preset into a live
+:class:`Machine`.
+
+Every datasheet preset accepts a ``scale`` factor that shrinks the
+*cache capacities* (never the bandwidths or latencies): a 1/8-scale
+machine reaches the DRAM-resident regime at 1/8 the working-set size,
+which keeps full experiment sweeps fast while preserving every shape
+the paper reports.  ``scale=1.0`` reproduces the datasheet geometry.
+The ``tiny`` and ``oracle`` test geometries are fixed and take no
+scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ..cpu.port_model import (
-    PortModel,
-    haswell_ports,
-    sandy_bridge_ports,
-    skylake_avx512_ports,
-)
-from ..cpu.timing import TimingParams
+from ..cpu.port_model import haswell_ports, sandy_bridge_ports
 from ..errors import ConfigurationError
 from ..memory.cache import CacheConfig
 from ..memory.dram import DramConfig
 from ..memory.hierarchy import HierarchyConfig
 from ..memory.numa import NumaConfig, Topology
-from ..units import GIB, KIB, MIB
+from ..units import KIB, MIB
 from .machine import Machine, MachineSpec
 from .ref import MachineRef
 
@@ -49,8 +49,7 @@ def _hierarchy(l3_size: int, l3_assoc: int, dram: DramConfig,
     return HierarchyConfig(l1=l1, l2=l2, l3=l3, dram=dram, numa=NumaConfig())
 
 
-def sandy_bridge_ep(scale: float = 1.0, sockets: int = 1,
-                    engine: str = "fast") -> Machine:
+def sandy_bridge_ep_spec(scale: float = 1.0, sockets: int = 1) -> MachineSpec:
     """Xeon E5-2680-class Sandy Bridge-EP: 8 cores/socket @ 2.7 GHz,
     AVX without FMA, 4 DDR3-1600 channels (51.2 GB/s) per socket."""
     base_hz = 2.7e9
@@ -60,8 +59,8 @@ def sandy_bridge_ep(scale: float = 1.0, sockets: int = 1,
         per_core_bytes_per_cycle=13.0e9 / base_hz,
         latency_cycles=220,
     )
-    spec = MachineSpec(
-        name=f"snb-ep{'x2' if sockets == 2 else ''}"
+    return MachineSpec(
+        name=f"snb-ep{f'x{sockets}' if sockets > 1 else ''}"
              + (f"@{scale:g}" if scale != 1.0 else ""),
         topology=Topology(sockets=sockets, cores_per_socket=8),
         ports=sandy_bridge_ports(),
@@ -69,15 +68,14 @@ def sandy_bridge_ep(scale: float = 1.0, sockets: int = 1,
         base_hz=base_hz,
         turbo_steps=(3.5e9, 3.4e9, 3.3e9, 3.2e9, 3.1e9, 3.0e9, 2.9e9, 2.8e9),
     )
-    return Machine(spec, engine=engine)
 
 
-def dual_socket_ep(scale: float = 1.0, engine: str = "fast") -> Machine:
+def dual_socket_ep_spec(scale: float = 1.0) -> MachineSpec:
     """Two-socket Sandy Bridge-EP (the NUMA platform)."""
-    return sandy_bridge_ep(scale=scale, sockets=2, engine=engine)
+    return sandy_bridge_ep_spec(scale=scale, sockets=2)
 
 
-def ivy_bridge_desktop(scale: float = 1.0, engine: str = "fast") -> Machine:
+def ivy_bridge_desktop_spec(scale: float = 1.0) -> MachineSpec:
     """Core i5-3570-class Ivy Bridge: 4 cores @ 3.4 GHz, 2 channels."""
     base_hz = 3.4e9
     dram = DramConfig(
@@ -86,7 +84,7 @@ def ivy_bridge_desktop(scale: float = 1.0, engine: str = "fast") -> Machine:
         per_core_bytes_per_cycle=14.0e9 / base_hz,
         latency_cycles=200,
     )
-    spec = MachineSpec(
+    return MachineSpec(
         name="ivb-desktop" + (f"@{scale:g}" if scale != 1.0 else ""),
         topology=Topology(sockets=1, cores_per_socket=4),
         ports=sandy_bridge_ports(),  # IVB keeps the SNB FP structure
@@ -94,10 +92,9 @@ def ivy_bridge_desktop(scale: float = 1.0, engine: str = "fast") -> Machine:
         base_hz=base_hz,
         turbo_steps=(3.8e9, 3.7e9, 3.6e9, 3.6e9),
     )
-    return Machine(spec, engine=engine)
 
 
-def haswell_node(scale: float = 1.0, engine: str = "fast") -> Machine:
+def haswell_node_spec(scale: float = 1.0) -> MachineSpec:
     """Xeon E5 v3-class Haswell: 8 cores @ 2.6 GHz with dual FMA ports
     (the 'what changes with FMA' contrast machine)."""
     base_hz = 2.6e9
@@ -107,7 +104,7 @@ def haswell_node(scale: float = 1.0, engine: str = "fast") -> Machine:
         per_core_bytes_per_cycle=15.0e9 / base_hz,
         latency_cycles=230,
     )
-    spec = MachineSpec(
+    return MachineSpec(
         name="hsw-ep" + (f"@{scale:g}" if scale != 1.0 else ""),
         topology=Topology(sockets=1, cores_per_socket=8),
         ports=haswell_ports(),
@@ -115,10 +112,9 @@ def haswell_node(scale: float = 1.0, engine: str = "fast") -> Machine:
         base_hz=base_hz,
         turbo_steps=(3.3e9, 3.3e9, 3.2e9, 3.1e9, 3.0e9, 2.9e9, 2.8e9, 2.7e9),
     )
-    return Machine(spec, engine=engine)
 
 
-def tiny_test_machine(engine: str = "fast") -> Machine:
+def tiny_spec() -> MachineSpec:
     """A deliberately small 2-core machine for fast unit tests: every
     cache regime is reachable with kilobyte-sized working sets."""
     dram = DramConfig(
@@ -137,7 +133,7 @@ def tiny_test_machine(engine: str = "fast") -> Machine:
         dram=dram,
         numa=NumaConfig(),
     )
-    spec = MachineSpec(
+    return MachineSpec(
         name="tiny",
         topology=Topology(sockets=1, cores_per_socket=2),
         ports=sandy_bridge_ports(),
@@ -146,10 +142,9 @@ def tiny_test_machine(engine: str = "fast") -> Machine:
         turbo_steps=(1.5e9, 1.2e9),
         noise_lines_per_megacycle=0.0,
     )
-    return Machine(spec, engine=engine)
 
 
-def oracle_test_machine(engine: str = "fast") -> Machine:
+def oracle_spec() -> MachineSpec:
     """Single-core machine with uniformly large caches and zero noise.
 
     Every level is 256 KiB/16-way (256 sets, power of two), so any
@@ -169,7 +164,7 @@ def oracle_test_machine(engine: str = "fast") -> Machine:
     mk = lambda name, lat, bpc: CacheConfig(  # noqa: E731
         name, 256 * KIB, assoc=16, latency_cycles=lat, bytes_per_cycle=bpc
     )
-    spec = MachineSpec(
+    return MachineSpec(
         name="oracle",
         topology=Topology(sockets=1, cores_per_socket=1),
         ports=sandy_bridge_ports(),
@@ -183,26 +178,30 @@ def oracle_test_machine(engine: str = "fast") -> Machine:
         base_hz=base_hz,
         noise_lines_per_megacycle=0.0,
     )
-    return Machine(spec, engine=engine)
 
 
-#: preset registry used by the CLI and experiments
+#: preset registry used by the CLI and experiments: name -> spec function
 PRESETS = {
-    "snb-ep": sandy_bridge_ep,
-    "snb": sandy_bridge_ep,          # shorthand alias
-    "snb-ep-x2": dual_socket_ep,
-    "ivb-desktop": ivy_bridge_desktop,
-    "hsw-ep": haswell_node,
-    "tiny": lambda scale=1.0, engine="fast": tiny_test_machine(engine=engine),
-    "oracle": lambda scale=1.0, engine="fast": oracle_test_machine(
-        engine=engine),
+    "snb-ep": sandy_bridge_ep_spec,
+    "snb": sandy_bridge_ep_spec,          # shorthand alias
+    "snb-ep-x2": dual_socket_ep_spec,
+    "ivb-desktop": ivy_bridge_desktop_spec,
+    "hsw-ep": haswell_node_spec,
+    "tiny": tiny_spec,
+    "oracle": oracle_spec,
 }
 
 
 def make_machine(name: str, scale: float = 1.0,
                  engine: str = "fast") -> Machine:
-    """Instantiate a preset by registry name."""
+    """Instantiate a preset by registry name (``scale`` is ignored by
+    the fixed-geometry presets)."""
     return MachineRef.named(name, scale, engine).build()
+
+
+def tiny_test_machine(engine: str = "fast") -> Machine:
+    """The ``tiny`` preset's machine (see :func:`tiny_spec`)."""
+    return make_machine("tiny", engine=engine)
 
 
 def paper_machine(scale: float = 0.125, engine: str = "fast") -> Machine:
@@ -213,4 +212,4 @@ def paper_machine(scale: float = 0.125, engine: str = "fast") -> Machine:
     table/figure sweeps fast; bandwidths, latencies and port structure
     are unscaled, so every measured *shape* matches the full machine.
     """
-    return sandy_bridge_ep(scale=scale, engine=engine)
+    return make_machine("snb-ep", scale=scale, engine=engine)

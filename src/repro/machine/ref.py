@@ -1,24 +1,34 @@
 """Picklable machine references: preset name + kwargs + overrides.
 
-A live :class:`~repro.machine.machine.Machine` owns trace buses, PMU
-sessions, and functional cache state — none of which belong on a wire.
-Work that crosses a process boundary (the sweep executor's worker pool)
-or a cache-key boundary (the content-addressed result cache) instead
-carries a :class:`MachineRef`: the *recipe* for a machine, as plain
-data.  Workers rebuild an identical fresh machine from the recipe; the
-cache hashes the recipe.
+A machine is resolved in three steps, each a plain function of the
+one before:
 
-A ref names a registered preset and the keyword arguments its factory
-takes, plus the spec-level overrides the ablation experiments rely on
-(L3 replacement policy, timing-parameter substitution, prefetcher
-disable).  Two refs with equal fields build behaviourally identical
-machines — the property the sweep determinism suite locks down.
+* **recipe** — a :class:`MachineRef`: a registered preset's name, the
+  keyword arguments its spec function takes (``scale``, ``sockets``),
+  and the spec-level overrides the ablation experiments rely on (L3
+  replacement policy, timing-parameter substitution, prefetcher
+  disable) plus the execution engine.  Plain data: it pickles to the
+  sweep executor's workers and hashes into the sweep cache's keys.
+* **spec** — :meth:`MachineRef.spec`, the platform's static
+  :class:`~repro.machine.machine.MachineSpec` with the overrides
+  applied.  Nothing is simulated, so every reader that needs only the
+  shape (core lists, ERT working sets, figure grids, cost estimates)
+  stops here.
+* **machine** — :meth:`MachineRef.build`, a fresh live
+  :class:`~repro.machine.machine.Machine` built once from the spec.
+  It owns trace buses, PMU sessions and functional cache state, none
+  of which belong on a wire.
+
+Two refs with equal fields resolve to equal specs and build
+behaviourally identical machines — the property the sweep determinism
+suite locks down.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+import inspect
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Tuple
 
 from ..cpu.timing import TimingParams
 from ..engine import validate_engine
@@ -30,14 +40,19 @@ from .machine import Machine, MachineSpec
 KwargItems = Tuple[Tuple[str, object], ...]
 
 
-#: specs (immutable) of the refs built in this process, emptied when
-#: full: a ref reads its machine's shape without building another
-_SPECS: Dict["MachineRef", MachineSpec] = {}
-MAX_SPECS = 64
-
-
 def _items(kwargs: Optional[dict]) -> KwargItems:
     return tuple(sorted((kwargs or {}).items()))
+
+
+def _spec_function(preset: str) -> Callable[..., MachineSpec]:
+    from .presets import PRESETS  # cycle: presets imports MachineRef
+
+    try:
+        return PRESETS[preset]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown machine preset {preset!r}; known: {sorted(PRESETS)}"
+        ) from None
 
 
 def apply_l3_policy(spec: MachineSpec, policy: str) -> MachineSpec:
@@ -65,7 +80,8 @@ class MachineRef:
 
     #: registry name in :data:`repro.machine.presets.PRESETS`
     preset: str
-    #: keyword arguments for the preset factory (``scale``, ``sockets``)
+    #: keyword arguments for the preset's spec function (``scale``,
+    #: ``sockets``)
     options: KwargItems = ()
     #: L3 replacement policy override (``None`` keeps the preset's)
     l3_policy: Optional[str] = None
@@ -83,10 +99,10 @@ class MachineRef:
               engine: str = "fast") -> "MachineRef":
         """The ref a front end means by a preset name, scale and engine.
 
-        ``tiny`` takes no scale: its factory ignores one, and leaving
-        it out keeps one key for every spelling of the tiny machine.
+        A fixed-geometry preset (``tiny``, ``oracle``) takes no scale:
+        leaving it out keeps one key for every spelling of its machine.
         """
-        if preset == "tiny":
+        if "scale" not in inspect.signature(_spec_function(preset)).parameters:
             return cls.of(preset, engine=engine)
         return cls.of(preset, scale=scale, engine=engine)
 
@@ -95,12 +111,7 @@ class MachineRef:
            timing: Optional[dict] = None, prefetch_enabled: bool = True,
            engine: str = "fast", **options) -> "MachineRef":
         """Ergonomic constructor taking plain keyword arguments."""
-        from .presets import PRESETS  # cycle: presets imports Machine too
-
-        if preset not in PRESETS:
-            raise ConfigurationError(
-                f"unknown machine preset {preset!r}; known: {sorted(PRESETS)}"
-            )
+        _spec_function(preset)
         validate_engine(engine)
         return cls(preset=preset, options=_items(options),
                    l3_policy=l3_policy, timing=_items(timing),
@@ -120,46 +131,42 @@ class MachineRef:
         )
 
     # ------------------------------------------------------------------
-    # construction
+    # resolution
     # ------------------------------------------------------------------
-    def build(self) -> Machine:
-        """A fresh machine; equal refs build identical machines."""
-        from .presets import PRESETS
-
+    def spec(self) -> MachineSpec:
+        """The platform this recipe describes, overrides applied; no
+        machine is built."""
+        spec_function = _spec_function(self.preset)
         try:
-            factory = PRESETS[self.preset]
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"unknown machine preset {self.preset!r}; "
-                f"known: {sorted(PRESETS)}"
-            ) from exc
-        try:
-            machine = factory(engine=self.engine, **dict(self.options))
+            spec = spec_function(**dict(self.options))
         except TypeError as exc:
             raise ConfigurationError(
                 f"preset {self.preset!r} rejected options "
                 f"{dict(self.options)}: {exc}"
             ) from exc
-        spec = machine.spec
         if self.l3_policy is not None:
             spec = apply_l3_policy(spec, self.l3_policy)
         if self.timing:
-            spec = replace(spec, timing=TimingParams(**dict(self.timing)))
-        if spec is not machine.spec:
-            machine = Machine(spec, engine=self.engine)
+            try:
+                timing = TimingParams(**dict(self.timing))
+            except TypeError as exc:
+                raise ConfigurationError(
+                    f"rejected timing override {dict(self.timing)}: {exc}"
+                ) from exc
+            spec = replace(spec, timing=timing)
+        return spec
+
+    def build(self) -> Machine:
+        """A fresh machine; equal refs build identical machines."""
+        machine = Machine(self.spec(), engine=self.engine)
         if not self.prefetch_enabled:
             machine.prefetch_control.disable_all()
-        if len(_SPECS) >= MAX_SPECS:
-            _SPECS.clear()
-        _SPECS[self] = machine.spec
         return machine
 
     def cores(self, threads: int) -> Tuple[int, ...]:
         """The first ``threads`` cores, filling socket 0 first (the
-        paper's binding); a machine is built only when no equal ref was
-        built in this process yet."""
-        spec = _SPECS.get(self) or self.build().spec
-        return tuple(spec.topology.first_cores(threads))
+        paper's binding)."""
+        return tuple(self.spec().topology.first_cores(threads))
 
     # ------------------------------------------------------------------
     # identity

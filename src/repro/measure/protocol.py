@@ -75,7 +75,7 @@ class ColdCache(Protocol):
 
     def _buster_for(self, machine):
         if machine not in self._busters:
-            size = 2 * machine.hierarchy.total_cache_bytes()
+            size = 2 * machine.spec.total_cache_bytes()
             line = machine.spec.hierarchy.line_bytes
             b = ProgramBuilder()
             buf = b.buffer("buster", size)

@@ -246,12 +246,6 @@ class MemoryHierarchy:
                 self.dram[0].write_lines(written)
             return written
 
-    def total_cache_bytes(self) -> int:
-        """Aggregate capacity of every cache in the machine."""
-        ncores = self.topology.total_cores
-        return (ncores * (self.config.l1.size_bytes + self.config.l2.size_bytes)
-                + self.topology.sockets * self.config.l3.size_bytes)
-
 
 class CorePort:
     """One core's view of the hierarchy; drives all demand traffic."""

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..kernels.base import CodegenCaps
 from ..kernels.registry import kernel_names, make_kernel
 from ..machine.machine import Machine
-from ..machine.presets import oracle_test_machine
+from ..machine.presets import make_machine
 from ..measure.runner import measure_kernel
 from ..memory.allocator import Allocation
 from ..pmu.events import FP_EVENT_LANES_F64
@@ -89,11 +89,11 @@ def oracle_machine() -> Machine:
     buster of twice the aggregate capacity per measurement window, so
     oracle wall time scales with cache size.
 
-    The geometry lives in :func:`repro.machine.presets.oracle_test_machine`
+    The geometry lives in :func:`repro.machine.presets.oracle_spec`
     (registered as the ``oracle`` preset) so sweeps and
     ``repro.analyze`` can address the same machine by recipe.
     """
-    return oracle_test_machine()
+    return make_machine("oracle")
 
 
 def oracle_n(kernel_name: str) -> int:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from ..machine.machine import MachineSpec
 from ..machine.ref import MachineRef
 from ..measure.runner import Measurement
 from ..sweep.executor import SweepRun, run_plan
@@ -90,14 +91,14 @@ class ErtCeilings:
         return [self.levels[level] for level in LEVELS]
 
 
-def ert_working_sets(machine) -> Dict[str, int]:
-    """Target working-set bytes per level for a machine.
+def ert_working_sets(spec: MachineSpec) -> Dict[str, int]:
+    """Target working-set bytes per level for a machine spec.
 
     Mid-capacity targets keep each set unambiguously resident at its
     level: half of L1; halfway between adjacent capacities for L2/L3;
     four times L3 so DRAM is continuously streamed.
     """
-    h = machine.spec.hierarchy
+    h = spec.hierarchy
     l1, l2, l3 = h.l1.size_bytes, h.l2.size_bytes, h.l3.size_bytes
     return {
         "L1": l1 // 2,
@@ -134,7 +135,7 @@ def ert_plan(machine, flop_counts: Sequence[int] = DEFAULT_FLOP_COUNTS,
     set, where memory can never be the limiter.
     """
     ref = resolve_machine_ref(machine).with_overrides(prefetch_enabled=False)
-    working = ert_working_sets(ref.build())
+    working = ert_working_sets(ref.spec())
     counts = sorted(set(flop_counts))
     if not counts:
         raise ConfigurationError("ert: need at least one flop count")

@@ -11,9 +11,9 @@ This module holds both halves reusably:
   which :func:`make_grid` turns into the full plan for a machine ref
   through :func:`build_plan`, the plan builder of every front end.
 
-Sizes depend only on a machine's static spec, so building a scratch
-machine from the ref just to read cache capacities is cheap and has no
-effect on measured points.
+Sizes depend only on a machine's static spec: :func:`make_grid` reads
+the ref's :meth:`~repro.machine.ref.MachineRef.spec` and builds no
+machine, and the experiments pass their live machine's ``spec``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SweepError
-from ..machine.machine import Machine
+from ..machine.machine import MachineSpec
 from ..machine.ref import MachineRef
 from ..units import round_to
 from .plan import SweepPlan
@@ -31,9 +31,9 @@ from .plan import SweepPlan
 DGEMM_VARIANTS = ("naive", "ikj", "tiled")
 
 
-def daxpy_sizes(machine: Machine, quick: bool) -> List[int]:
+def daxpy_sizes(spec: MachineSpec, quick: bool) -> List[int]:
     """F4 grid: working sets straddling L2, L3, and DRAM residency."""
-    hier = machine.spec.hierarchy
+    hier = spec.hierarchy
     targets = [hier.l2.size_bytes // 2, hier.l3.size_bytes // 2,
                2 * hier.l3.size_bytes]
     if not quick:
@@ -42,23 +42,23 @@ def daxpy_sizes(machine: Machine, quick: bool) -> List[int]:
     return sorted({round_to(t // 16, 32) for t in targets})
 
 
-def dgemv_sizes(machine: Machine, quick: bool) -> List[int]:
+def dgemv_sizes(spec: MachineSpec, quick: bool) -> List[int]:
     """F5 grid: matrix orders whose footprint brackets the L3."""
-    hier = machine.spec.hierarchy
+    hier = spec.hierarchy
     targets = [hier.l3.size_bytes // 2, 2 * hier.l3.size_bytes]
     if not quick:
         targets.insert(0, hier.l2.size_bytes)
     return sorted({round_to(int(math.sqrt(t / 8)), 8) for t in targets})
 
 
-def dgemm_sizes(machine: Machine, quick: bool) -> List[int]:
+def dgemm_sizes(spec: MachineSpec, quick: bool) -> List[int]:
     """F6 grid: small orders — dgemm is compute-bound, not capacity-probing."""
     return [32, 64] if quick else [32, 64, 96, 128]
 
 
-def fft_sizes(machine: Machine, quick: bool) -> List[int]:
+def fft_sizes(spec: MachineSpec, quick: bool) -> List[int]:
     """F7 grid: power-of-two transform lengths up to 2x L3 residency."""
-    l3 = machine.spec.hierarchy.l3.size_bytes
+    l3 = spec.hierarchy.l3.size_bytes
     max_exp = int(math.log2(max(2 * l3 // 24, 1 << 10)))
     exps = range(8, min(max_exp, 12) + 1, 2) if quick else \
         range(8, max_exp + 1, 2)
@@ -68,7 +68,7 @@ def fft_sizes(machine: Machine, quick: bool) -> List[int]:
 #: named grids accepted by ``repro sweep --grid``: each figure's size
 #: selector and its (kernel, comma-separated protocols) sweeps, in plan
 #: order
-GRIDS: Dict[str, Tuple[Callable[[Machine, bool], List[int]],
+GRIDS: Dict[str, Tuple[Callable[[MachineSpec, bool], List[int]],
                        Tuple[Tuple[str, str], ...]]] = {
     "f4": (daxpy_sizes, (("daxpy", "cold,warm"),)),
     "f5": (dgemv_sizes, (("dgemv-row", "cold"), ("dgemv-col", "cold"))),
@@ -87,7 +87,7 @@ def make_grid(name: str, ref: MachineRef, quick: bool = False,
         raise SweepError(
             f"unknown grid {name!r}; known: {sorted(GRIDS)}"
         ) from exc
-    sizes = selector(ref.build(), quick)
+    sizes = selector(ref.spec(), quick)
     plan = SweepPlan()
     for kernel, protocols in sweeps:
         plan.extend(build_plan(ref, kernel=kernel, sizes=sizes,

@@ -19,20 +19,12 @@ from its data alone, so a pool can start the longest points first.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SweepError
 from ..kernels.registry import make_kernel, resolve_kernel
 from ..machine.ref import KwargItems, MachineRef
 from ..measure.protocol import PROTOCOLS
-
-
-@lru_cache(maxsize=64)
-def _total_cache_bytes(machine: MachineRef) -> int:
-    """Aggregate cache capacity of a recipe's machine: one build per
-    distinct ref, however many points share it."""
-    return machine.build().hierarchy.total_cache_bytes()
 
 
 @dataclass(frozen=True)
@@ -89,13 +81,13 @@ class SweepPoint:
         passes each walk the kernel's footprint: the init pass and the
         measured kernel, plus the warm protocol's warm-up run, or the
         cold protocol's buster reading twice the machine's aggregate
-        cache capacity.  Computed from the point's data alone: nothing
-        is simulated, and the machine is built once per distinct ref.
+        cache capacity.  Computed from the point's data and its
+        machine's spec alone: nothing is built or simulated.
         """
         footprint = self.build_kernel().footprint_bytes(self.n)
         if self.protocol == "warm":
             return 3 * footprint
-        return 2 * footprint + 2 * _total_cache_bytes(self.machine)
+        return 2 * footprint + 2 * self.machine.spec().total_cache_bytes()
 
     def build_kernel(self):
         return make_kernel(self.kernel, **dict(self.kernel_args))

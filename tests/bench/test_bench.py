@@ -13,7 +13,7 @@ from repro.bench import (
     peak_flops_table,
 )
 from repro.errors import ConfigurationError
-from repro.machine.presets import haswell_node, tiny_test_machine
+from repro.machine.presets import make_machine, tiny_test_machine
 
 
 class TestPeakFlopsProgram:
@@ -54,7 +54,7 @@ class TestMeasurePeakFlops:
             2 * one.flops_per_second, rel=0.01)
 
     def test_fma_machine_doubles_per_width(self):
-        hsw = haswell_node(scale=0.125)
+        hsw = make_machine("hsw-ep", scale=0.125)
         result = measure_peak_flops(hsw, 256, cores=(0,), trips=2048)
         assert result.flops_per_cycle_per_core == pytest.approx(16.0, rel=0.01)
 
@@ -79,7 +79,7 @@ class TestBandwidth:
     def test_default_stream_elements_exceed_caches(self):
         machine = tiny_test_machine()
         n = default_stream_elements(machine)
-        assert 8 * n >= 2 * machine.hierarchy.total_cache_bytes()
+        assert 8 * n >= 2 * machine.spec.total_cache_bytes()
 
     def test_nt_memset_beats_regular(self):
         machine = tiny_test_machine()

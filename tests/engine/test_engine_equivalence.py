@@ -20,11 +20,7 @@ from repro.engine import ENGINES, AccessPlan, PlanCache, ckernel, validate_engin
 from repro.errors import ConfigurationError
 from repro.isa import ProgramBuilder
 from repro.kernels import CodegenCaps, kernel_names, make_kernel
-from repro.machine.presets import (
-    make_machine,
-    oracle_test_machine,
-    tiny_test_machine,
-)
+from repro.machine.presets import make_machine, tiny_test_machine
 from repro.machine.ref import MachineRef
 from repro.measure import measure_kernel
 from repro.oracle import render_program, run_cross_engine
@@ -116,7 +112,7 @@ _MATRIX_PRESETS = {
     "tiny": tiny_test_machine,
     "snb": lambda engine="fast": make_machine("snb", scale=0.0625,
                                               engine=engine),
-    "oracle": oracle_test_machine,
+    "oracle": lambda engine="fast": make_machine("oracle", engine=engine),
 }
 #: all prefetchers on, a mixed mask, and all off
 _MATRIX_MASKS = (0, 5, 15)

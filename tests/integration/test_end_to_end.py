@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernels import CodegenCaps, Daxpy, Dgemm
-from repro.machine.presets import dual_socket_ep, sandy_bridge_ep, tiny_test_machine
+from repro.machine.presets import make_machine, tiny_test_machine
 from repro.measure import measure_kernel
 from repro.roofline import (
     KernelPoint,
@@ -18,7 +18,7 @@ from repro.roofline import (
 @pytest.fixture(scope="module")
 def small_snb():
     """A 1/32-scale SNB socket shared by this module's tests."""
-    return sandy_bridge_ep(scale=0.03125)
+    return make_machine("snb-ep", scale=0.03125)
 
 
 class TestQuickstartFlow:
@@ -52,7 +52,7 @@ class TestParallelFlow:
 
 class TestNumaFlow:
     def test_two_socket_measurement(self):
-        machine = dual_socket_ep(scale=0.0625)
+        machine = make_machine("snb-ep-x2", scale=0.0625)
         cores = machine.topology.first_cores(16)
         n = 8 * machine.spec.hierarchy.l3.size_bytes // 16
         n -= n % (32 * 16)

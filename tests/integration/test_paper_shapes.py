@@ -8,14 +8,14 @@ import pytest
 
 from repro.bench import measure_bandwidth, measure_peak_flops
 from repro.kernels import Daxpy, Dgemm, StreamTriad
-from repro.machine.presets import sandy_bridge_ep
+from repro.machine.presets import make_machine
 from repro.measure import measure_kernel
 from repro.roofline import build_roofline
 
 
 @pytest.fixture()
 def snb():
-    return sandy_bridge_ep(scale=0.03125)
+    return make_machine("snb-ep", scale=0.03125)
 
 
 def dram_n(machine, bytes_per_elem, factor=4, granule=32):

@@ -23,8 +23,8 @@ class TestLoad:
         assert a.buffer_map["x"].base != b.buffer_map["x"].base
 
     def test_node_binding(self):
-        from repro.machine.presets import dual_socket_ep
-        machine = dual_socket_ep(scale=0.125)
+        from repro.machine.presets import make_machine
+        machine = make_machine("snb-ep-x2", scale=0.125)
         loaded = machine.load(build_triad(64), node=1)
         assert all(a.node == 1 for a in loaded.buffer_map.values())
 

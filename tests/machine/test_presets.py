@@ -5,76 +5,82 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.machine.presets import (
     PRESETS,
-    dual_socket_ep,
-    haswell_node,
-    ivy_bridge_desktop,
+    dual_socket_ep_spec,
+    ivy_bridge_desktop_spec,
     make_machine,
     paper_machine,
-    sandy_bridge_ep,
-    tiny_test_machine,
+    sandy_bridge_ep_spec,
+    tiny_spec,
 )
 
 
 class TestSandyBridge:
     def test_shape(self):
-        machine = sandy_bridge_ep()
-        assert machine.topology.total_cores == 8
-        assert machine.ports.max_simd_width == 256
-        assert not machine.ports.has_fma
-        assert machine.spec.base_hz == 2.7e9
+        spec = sandy_bridge_ep_spec()
+        assert spec.topology.total_cores == 8
+        assert spec.ports.max_simd_width == 256
+        assert not spec.ports.has_fma
+        assert spec.base_hz == 2.7e9
 
     def test_datasheet_numbers(self):
-        machine = sandy_bridge_ep()
+        machine = make_machine("snb-ep")
         # 8 flops/cycle * 2.7 GHz
         assert machine.theoretical_peak_flops() == pytest.approx(21.6e9)
         assert machine.theoretical_peak_bandwidth() == pytest.approx(51.2e9)
 
     def test_full_scale_cache_sizes(self):
-        hierarchy = sandy_bridge_ep().spec.hierarchy
+        hierarchy = sandy_bridge_ep_spec().hierarchy
         assert hierarchy.l1.size_bytes == 32 * 1024
         assert hierarchy.l2.size_bytes == 256 * 1024
         assert hierarchy.l3.size_bytes == 20 * 1024 * 1024
 
     def test_scaling_shrinks_caches_only(self):
-        full = sandy_bridge_ep()
-        scaled = sandy_bridge_ep(scale=0.125)
-        assert (scaled.spec.hierarchy.l3.size_bytes
-                == full.spec.hierarchy.l3.size_bytes // 8)
-        assert scaled.spec.base_hz == full.spec.base_hz
-        assert (scaled.spec.hierarchy.dram.bytes_per_cycle_total
-                == full.spec.hierarchy.dram.bytes_per_cycle_total)
+        full = sandy_bridge_ep_spec()
+        scaled = sandy_bridge_ep_spec(scale=0.125)
+        assert (scaled.hierarchy.l3.size_bytes
+                == full.hierarchy.l3.size_bytes // 8)
+        assert scaled.base_hz == full.base_hz
+        assert (scaled.hierarchy.dram.bytes_per_cycle_total
+                == full.hierarchy.dram.bytes_per_cycle_total)
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ConfigurationError):
-            sandy_bridge_ep(scale=0.0)
+            sandy_bridge_ep_spec(scale=0.0)
         with pytest.raises(ConfigurationError):
-            sandy_bridge_ep(scale=2.0)
+            sandy_bridge_ep_spec(scale=2.0)
+
+    def test_socket_count_is_in_the_name(self):
+        assert sandy_bridge_ep_spec(scale=0.125).name == "snb-ep@0.125"
+        assert sandy_bridge_ep_spec(sockets=2).name == "snb-epx2"
+        three = sandy_bridge_ep_spec(scale=0.125, sockets=3)
+        assert three.topology.sockets == 3
+        assert three.name == "snb-epx3@0.125"
+        assert dual_socket_ep_spec(scale=0.125).name == "snb-epx2@0.125"
 
 
 class TestOtherPresets:
     def test_dual_socket(self):
-        machine = dual_socket_ep(scale=0.25)
+        machine = make_machine("snb-ep-x2", scale=0.25)
         assert machine.topology.sockets == 2
         assert machine.topology.total_cores == 16
         assert machine.theoretical_peak_bandwidth(2) == pytest.approx(
             2 * machine.theoretical_peak_bandwidth(1))
 
     def test_haswell_has_fma_and_double_peak(self):
-        hsw = haswell_node()
-        snb = sandy_bridge_ep()
+        hsw = make_machine("hsw-ep")
+        snb = make_machine("snb-ep")
         assert hsw.ports.has_fma
         per_cycle_hsw = hsw.theoretical_peak_flops() / hsw.spec.base_hz
         per_cycle_snb = snb.theoretical_peak_flops() / snb.spec.base_hz
         assert per_cycle_hsw == 2 * per_cycle_snb
 
     def test_ivy_bridge(self):
-        machine = ivy_bridge_desktop()
-        assert machine.topology.total_cores == 4
-        assert machine.spec.base_hz == 3.4e9
+        spec = ivy_bridge_desktop_spec()
+        assert spec.topology.total_cores == 4
+        assert spec.base_hz == 3.4e9
 
     def test_tiny_is_fast_to_saturate(self):
-        machine = tiny_test_machine()
-        assert machine.hierarchy.total_cache_bytes() < 64 * 1024
+        assert tiny_spec().total_cache_bytes() < 64 * 1024
 
     def test_paper_machine_is_eighth_scale_snb(self):
         machine = paper_machine()

@@ -48,7 +48,7 @@ class TestBusterReuse:
         for machine in machines:
             loaded = protocol._buster_for(machine)
             assert loaded.buffer_map["buster"].size == (
-                2 * machine.hierarchy.total_cache_bytes())
+                2 * machine.spec.total_cache_bytes())
 
     def test_buster_resets_prefetcher_training(self, tiny):
         # a 32-line read sweep, on whichever datapath the machine has

@@ -154,6 +154,11 @@ def test_aliases_are_not_registry_names():
 class TestMachineRefs:
     def test_tiny_takes_no_scale(self):
         assert MachineRef.named("tiny", 0.5) == MachineRef.of("tiny")
+        assert MachineRef.named("oracle", 0.5) == MachineRef.of("oracle")
+        assert (MachineRef.named("oracle", 0.125).key_doc()
+                == MachineRef.named("oracle", 0.5).key_doc())
+        with pytest.raises(ConfigurationError, match="rejected options"):
+            MachineRef.of("tiny", scale=0.5).build()
         assert (MachineRef.named("snb", 0.5, "reference")
                 == MachineRef.of("snb", scale=0.5, engine="reference"))
 
