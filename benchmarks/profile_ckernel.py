@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import collections
 import ctypes
-import hashlib
 import os
 import subprocess
 import sys
@@ -130,11 +129,15 @@ def _gcc(args, what: str) -> None:
         sys.exit(f"building {what} failed:\n{proc.stderr}")
 
 
-def build(src: Path, cache: Path) -> tuple[Path, Path]:
-    """(debug kernel .so, sampler .so), built into ``cache``."""
-    source = src.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    kernel = cache / f"ckernel-{digest}.so"
+def build(cache: Path) -> tuple[Path, Path]:
+    """(debug kernel .so, sampler .so), built into ``cache``, which
+    becomes the loader's cache directory: the kernel is stored under the
+    name the loader looks for there (``ckernel.so_path()``)."""
+    from repro.engine import ckernel
+
+    src = ckernel._SRC
+    os.environ["REPRO_CKERNEL_CACHE"] = str(cache)
+    kernel = ckernel.so_path()
     _gcc(["-O2", "-g", "-shared", "-fPIC", "-o", str(kernel),
           str(src)], src.name)
     sampler_c = cache / "sampler.c"
@@ -268,10 +271,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ckernel-profile-") as tmp:
         from repro.engine import ckernel
 
-        cache = Path(tmp)
-        kernel, sampler_so = build(ckernel._SRC, cache)
-        # the loader finds the debug build under its own cache key
-        os.environ["REPRO_CKERNEL_CACHE"] = str(cache)
+        kernel, sampler_so = build(Path(tmp))
         if ckernel.lib() is None:
             sys.exit("the C kernel did not load")
         run = workload(args.workload)

@@ -102,7 +102,7 @@ def measure_bandwidth(machine: Machine, method: str = "triad",
         threads=len(cores),
         bound=bind_memory,
         bytes_per_second=app_bytes * n / median(seconds),
-        theoretical_bytes_per_second=machine.theoretical_peak_bandwidth(nodes),
+        theoretical_bytes_per_second=machine.spec.theoretical_peak_bandwidth(nodes),
     )
 
 

@@ -92,7 +92,7 @@ def measure_peak_flops(machine: Machine, width_bits: Optional[int] = None,
         threads=len(cores),
         flops_per_second=total_flops / best_seconds,
         flops_per_cycle_per_core=flops_per_program / median(cycles),
-        theoretical_flops_per_second=machine.theoretical_peak_flops(
+        theoretical_flops_per_second=machine.spec.theoretical_peak_flops(
             width, len(cores)
         ),
     )

@@ -39,14 +39,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..engine import ckernel
-from ..engine.plan import (
-    OP_DEMAND_READ,
-    OP_DEMAND_WRITE,
-    OP_FLUSH,
-    OP_NTSTORE,
-    OP_PREFETCH,
-    _KIND_TO_OP,
-)
+from ..engine.plan import _KIND_TO_OP
 from ..errors import ReproError
 from ..isa.instructions import (
     Flush,
@@ -58,9 +51,9 @@ from ..isa.instructions import (
     VecOp,
 )
 
-_NH, _NK, _NS = ckernel.NH, ckernel.NK, ckernel.NS
-_NS_IVS = len(ckernel.NEST_SITE)
-_NN_FIELDS = len(ckernel.NEST_NODE)
+_NH, _NN, _NK, _NS = ckernel.NH, ckernel.NN, ckernel.NK, ckernel.NS
+_NS_IVS = len(_NS)
+_NN_FIELDS = len(_NN)
 
 #: phase kinds of :attr:`Nest.phase` entries
 PHASE_LOOP, PHASE_SINGLE, PHASE_VEC = "loop", "single", "vec"
@@ -100,7 +93,7 @@ class Nest:
         nnodes = len(nodes) // _NN_FIELDS
         self.nnodes = nnodes
         self.phase = phases
-        self.hdr = np.zeros(len(ckernel.NEST_HEADER), dtype=np.int64)
+        self.hdr = np.zeros(len(_NH), dtype=np.int64)
         self.hdr[_NH["nodes"]] = nnodes
         self.hdr[_NH["depth"]] = depth
         self.hdr[_NH["shift"]] = line_shift
@@ -129,7 +122,7 @@ class Nest:
         self._binding = None
         #: worst-case prefetched-set inserts of the largest phase
         self.room = 6 * max_bound + 8
-        self.state = np.zeros(len(ckernel.NEST_STATE) + depth
+        self.state = np.zeros(len(ckernel.NST) + depth
                               + 2 * max_sites, dtype=np.int64)
         #: per-node static cost table, indexed by node number: columns
         #: FP issue, memory issue, chain bound (phases) and issue cycles
@@ -174,8 +167,8 @@ def _line_bound(stride: int, width: int, trips: int, shift: int) -> int:
     return min(trips * per_window, span)
 
 
-_SINGLE_OPS = ((Load, OP_DEMAND_READ), (PrefetchHint, OP_PREFETCH),
-               (Flush, OP_FLUSH))
+_SINGLE_OPS = ((Load, ckernel.OP_DEMAND_READ),
+               (PrefetchHint, ckernel.OP_PREFETCH), (Flush, ckernel.OP_FLUSH))
 
 
 class NestBuilder:
@@ -221,8 +214,9 @@ class NestBuilder:
     def _node(self, kind: str, slot: int = 0, trips: int = 1,
               link: int = 0, nsites: int = 0, bound: int = 0) -> int:
         pc = self.nnodes
-        self.nodes.extend((_NK[kind], slot, trips, link,
-                           len(self.sites) - nsites, nsites, bound))
+        self.nodes.extend(ckernel.row(
+            _NN, kind=_NK[kind], slot=slot, trips=trips, link=link,
+            site0=len(self.sites) - nsites, nsites=nsites, bound=bound))
         return pc
 
     def _phase(self, kind: str, phase: NestPhase, statics: tuple,
@@ -323,7 +317,7 @@ class NestBuilder:
         if terms is None:
             return "unsupported"
         if isinstance(node, Store):
-            op = OP_NTSTORE if node.nt else OP_DEMAND_WRITE
+            op = ckernel.OP_NTSTORE if node.nt else ckernel.OP_DEMAND_WRITE
         else:
             op = next(code for cls, code in _SINGLE_OPS
                       if isinstance(node, cls))

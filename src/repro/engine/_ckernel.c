@@ -27,82 +27,234 @@
  * All counters are accumulated into the `out` array; the Python caller
  * applies them to BatchStats / CacheStats / TlbStats / PrefetchStats /
  * IMC counters in one step per call (BatchDatapath._apply_out).
- * Per-home DRAM traffic accumulates into ctx->homes (nnodes x 4:
- * [demand_reads, prefetch_reads, writes, remote_lines]).
+ * Per-home DRAM traffic accumulates into ctx->homes (one HM_FIELDS row
+ * per home node).
  *
  * The equivalence contract (cross-engine conformance fuzz and
  * tests/engine) gates this file counter-for-counter against the
  * reference interpreter.
  */
 
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
-/* out[] layout -- keep in sync with OUT_* in engine/ckernel.py */
+/* BEGIN GENERATED INTERFACE: written from the tables in engine/ckernel.py by
+ * `python -m repro.engine.ckernel`; edit those tables, not this block. */
+
+enum { PF_BLOCK_SHIFT = 9 };
+
+/* out[]: the counter block every entry point fills */
 enum {
-    O_ACC, O_L1H, O_L2H, O_L3H, O_DRD, O_WBK, O_NTL,
-    O_E1, O_E2, O_E3, O_SWP, O_HWI, O_PFR, O_PFU, O_REM, O_FLS,
-    O_TLBM, O_TLBW, O_DACC,
-    O_C1F, O_C1D, O_C1I, O_C2F, O_C2D, O_C2I,
-    O_C3H, O_C3M, O_C3F, O_C3D, O_C3I,
-    O_OCC1, O_OCC2, O_OCC3,
-    O_NLI, O_SMI, O_STI, O_USEFUL,
-    O_TACC, O_T1H, O_T2H, O_TWALK,
-    O_COUNT
+    O_ACC, O_L1H, O_L2H, O_L3H, O_DRD, O_WBK, O_NTL, O_E1, O_E2, O_E3,
+    O_SWP, O_HWI, O_PFR, O_PFU, O_REM, O_FLS, O_TLBM, O_TLBW, O_DACC, O_C1F,
+    O_C1D, O_C1I, O_C2F, O_C2D, O_C2I, O_C3H, O_C3M, O_C3F, O_C3D, O_C3I,
+    O_OCC1, O_OCC2, O_OCC3, O_NLI, O_SMI, O_STI, O_USEFUL, O_TACC, O_T1H,
+    O_T2H, O_TWALK, O_COUNT
 };
 
-/* run_meta[] per-run layout -- keep in sync with engine/plan.py */
+/* run_meta[]: one row per run of a packed plan (AccessPlan.meta) */
 enum { RM_OP, RM_HOME, RM_REMOTE, RM_OFF, RM_N, RM_SID, RM_FIELDS };
 
-/* nest descriptor layout -- keep in sync with NEST_* in engine/ckernel.py
- *
- * header:   NH_* scalars
- * nodes:    one NN_FIELDS row per node, in body (preorder) order
- * sites:    one row per memory site: NS_* fields, then one byte stride
- *           per enclosing induction-variable slot (NH_DEPTH of them)
- * state:    the resumable walk position (NST_*), the iv slots, then
- *           2 scratch words per site of the widest flat loop */
+/* plan opcodes (the RM_OP and NS_OP columns) */
+enum {
+    OP_DEMAND_READ, OP_DEMAND_WRITE, OP_NTSTORE, OP_PREFETCH, OP_FLUSH
+};
+
+/* ctx->homes[]: a row of DRAM line counts per home node */
+enum {
+    HM_DEMAND_READS, HM_PREFETCH_READS, HM_WRITES, HM_REMOTE_LINES,
+    HM_FIELDS
+};
+
+/* nest descriptor header */
 enum { NH_NODES, NH_DEPTH, NH_SHIFT, NH_FIELDS };
-enum { NN_KIND, NN_SLOT, NN_TRIPS, NN_LINK, NN_SITE0, NN_NSITES,
-       NN_BOUND, NN_FIELDS };
+
+/* nest nodes: a row per node, in body (preorder) order */
+enum {
+    NN_KIND, NN_SLOT, NN_TRIPS, NN_LINK, NN_SITE0, NN_NSITES, NN_BOUND,
+    NN_FIELDS
+};
+
+/* nest node kinds (the NN_KIND column) */
 enum { NK_LOOP, NK_END, NK_FLAT, NK_SINGLE, NK_NOP };
-enum { NS_OP, NS_SID, NS_HOME, NS_REMOTE, NS_BASE, NS_STRIDE, NS_WIDTH,
-       NS_IVS };
+
+/* nest sites: a row of NS_* fields, then a byte stride per iv slot */
+enum {
+    NS_OP, NS_SID, NS_HOME, NS_REMOTE, NS_BASE, NS_STRIDE, NS_WIDTH, NS_IVS
+};
+
+/* nest state: walk position, iv slots, 2 words per flat site */
 enum { NST_PC, NST_NEED, NST_IVS };
 
 typedef struct {
     /* caches: 0 = L1, 1 = L2, 2 = L3 */
     int64_t *tags[3];
     uint8_t *dirty[3];
-    int64_t  set_mask[3];
-    int64_t  assoc[3];
-    /* TLB */
-    int64_t *tlb1_pages, *tlb2_pages;
-    int64_t *tlb_regs;            /* [l1_count, l2_count] */
-    int64_t  tlb1_entries, tlb2_entries, walk_latency;
-    /* prefetched-line hash set */
-    int64_t *pf_slots;
-    int64_t *pf_regs;             /* [size] */
-    uint8_t *pf_touched;          /* a byte per 1 << PF_BLOCK_SHIFT slots */
-    int64_t  pf_mask;
+    int64_t set_mask[3], assoc[3];
+    /* TLB; tlb_regs is [l1_count, l2_count] */
+    int64_t *tlb1_pages, *tlb2_pages, *tlb_regs;
+    int64_t tlb1_entries, tlb2_entries, walk_latency;
+    /* prefetched-line set: pf_regs is [size], pf_touched a byte a block */
+    int64_t *pf_slots, *pf_regs;
+    uint8_t *pf_touched;
+    int64_t pf_mask;
     /* stride table */
     int64_t *st_keys, *st_last, *st_strd, *st_conf, *st_lruv, *st_regs;
-    int64_t  st_sites, st_deg, st_thr, st_maxs;
+    int64_t st_sites, st_deg, st_thr, st_maxs;
     /* stream table */
-    int64_t *sm_keys, *sm_last, *sm_dirn, *sm_conf, *sm_front,
-            *sm_lruv, *sm_regs;
-    int64_t  sm_trackers, sm_deg, sm_dist, sm_thr, sm_lpp;
-    /* next-line */
-    int64_t  nl_lpp;
-    /* port */
-    int64_t  page_shift;
+    int64_t *sm_keys, *sm_last, *sm_dirn, *sm_conf, *sm_front, *sm_lruv,
+            *sm_regs;
+    int64_t sm_trackers, sm_deg, sm_dist, sm_thr, sm_lpp;
+    /* next-line prefetcher, port */
+    int64_t nl_lpp, page_shift;
     /* per-call enable flags (MSR mask) */
-    int64_t  nl_on, sm_on, st_on;
-    /* shared scalar registers: [last_page] */
-    int64_t *regs;
-    /* per-home DRAM accumulators, nnodes x 4 */
-    int64_t *homes;
+    int64_t nl_on, sm_on, st_on;
+    /* scalar registers [last_page]; per-home DRAM rows of HM_FIELDS */
+    int64_t *regs, *homes;
 } Ctx;
+
+/* what the loader checks against engine/ckernel.py */
+static const int64_t layout_words[] = {
+    (int64_t)sizeof(Ctx),
+    (int64_t)offsetof(Ctx, tags),
+    (int64_t)offsetof(Ctx, dirty),
+    (int64_t)offsetof(Ctx, set_mask),
+    (int64_t)offsetof(Ctx, assoc),
+    (int64_t)offsetof(Ctx, tlb1_pages),
+    (int64_t)offsetof(Ctx, tlb2_pages),
+    (int64_t)offsetof(Ctx, tlb_regs),
+    (int64_t)offsetof(Ctx, tlb1_entries),
+    (int64_t)offsetof(Ctx, tlb2_entries),
+    (int64_t)offsetof(Ctx, walk_latency),
+    (int64_t)offsetof(Ctx, pf_slots),
+    (int64_t)offsetof(Ctx, pf_regs),
+    (int64_t)offsetof(Ctx, pf_touched),
+    (int64_t)offsetof(Ctx, pf_mask),
+    (int64_t)offsetof(Ctx, st_keys),
+    (int64_t)offsetof(Ctx, st_last),
+    (int64_t)offsetof(Ctx, st_strd),
+    (int64_t)offsetof(Ctx, st_conf),
+    (int64_t)offsetof(Ctx, st_lruv),
+    (int64_t)offsetof(Ctx, st_regs),
+    (int64_t)offsetof(Ctx, st_sites),
+    (int64_t)offsetof(Ctx, st_deg),
+    (int64_t)offsetof(Ctx, st_thr),
+    (int64_t)offsetof(Ctx, st_maxs),
+    (int64_t)offsetof(Ctx, sm_keys),
+    (int64_t)offsetof(Ctx, sm_last),
+    (int64_t)offsetof(Ctx, sm_dirn),
+    (int64_t)offsetof(Ctx, sm_conf),
+    (int64_t)offsetof(Ctx, sm_front),
+    (int64_t)offsetof(Ctx, sm_lruv),
+    (int64_t)offsetof(Ctx, sm_regs),
+    (int64_t)offsetof(Ctx, sm_trackers),
+    (int64_t)offsetof(Ctx, sm_deg),
+    (int64_t)offsetof(Ctx, sm_dist),
+    (int64_t)offsetof(Ctx, sm_thr),
+    (int64_t)offsetof(Ctx, sm_lpp),
+    (int64_t)offsetof(Ctx, nl_lpp),
+    (int64_t)offsetof(Ctx, page_shift),
+    (int64_t)offsetof(Ctx, nl_on),
+    (int64_t)offsetof(Ctx, sm_on),
+    (int64_t)offsetof(Ctx, st_on),
+    (int64_t)offsetof(Ctx, regs),
+    (int64_t)offsetof(Ctx, homes),
+    (int64_t)O_ACC,
+    (int64_t)O_L1H,
+    (int64_t)O_L2H,
+    (int64_t)O_L3H,
+    (int64_t)O_DRD,
+    (int64_t)O_WBK,
+    (int64_t)O_NTL,
+    (int64_t)O_E1,
+    (int64_t)O_E2,
+    (int64_t)O_E3,
+    (int64_t)O_SWP,
+    (int64_t)O_HWI,
+    (int64_t)O_PFR,
+    (int64_t)O_PFU,
+    (int64_t)O_REM,
+    (int64_t)O_FLS,
+    (int64_t)O_TLBM,
+    (int64_t)O_TLBW,
+    (int64_t)O_DACC,
+    (int64_t)O_C1F,
+    (int64_t)O_C1D,
+    (int64_t)O_C1I,
+    (int64_t)O_C2F,
+    (int64_t)O_C2D,
+    (int64_t)O_C2I,
+    (int64_t)O_C3H,
+    (int64_t)O_C3M,
+    (int64_t)O_C3F,
+    (int64_t)O_C3D,
+    (int64_t)O_C3I,
+    (int64_t)O_OCC1,
+    (int64_t)O_OCC2,
+    (int64_t)O_OCC3,
+    (int64_t)O_NLI,
+    (int64_t)O_SMI,
+    (int64_t)O_STI,
+    (int64_t)O_USEFUL,
+    (int64_t)O_TACC,
+    (int64_t)O_T1H,
+    (int64_t)O_T2H,
+    (int64_t)O_TWALK,
+    (int64_t)O_COUNT,
+    (int64_t)RM_OP,
+    (int64_t)RM_HOME,
+    (int64_t)RM_REMOTE,
+    (int64_t)RM_OFF,
+    (int64_t)RM_N,
+    (int64_t)RM_SID,
+    (int64_t)RM_FIELDS,
+    (int64_t)OP_DEMAND_READ,
+    (int64_t)OP_DEMAND_WRITE,
+    (int64_t)OP_NTSTORE,
+    (int64_t)OP_PREFETCH,
+    (int64_t)OP_FLUSH,
+    (int64_t)HM_DEMAND_READS,
+    (int64_t)HM_PREFETCH_READS,
+    (int64_t)HM_WRITES,
+    (int64_t)HM_REMOTE_LINES,
+    (int64_t)HM_FIELDS,
+    (int64_t)NH_NODES,
+    (int64_t)NH_DEPTH,
+    (int64_t)NH_SHIFT,
+    (int64_t)NH_FIELDS,
+    (int64_t)NN_KIND,
+    (int64_t)NN_SLOT,
+    (int64_t)NN_TRIPS,
+    (int64_t)NN_LINK,
+    (int64_t)NN_SITE0,
+    (int64_t)NN_NSITES,
+    (int64_t)NN_BOUND,
+    (int64_t)NN_FIELDS,
+    (int64_t)NK_LOOP,
+    (int64_t)NK_END,
+    (int64_t)NK_FLAT,
+    (int64_t)NK_SINGLE,
+    (int64_t)NK_NOP,
+    (int64_t)NS_OP,
+    (int64_t)NS_SID,
+    (int64_t)NS_HOME,
+    (int64_t)NS_REMOTE,
+    (int64_t)NS_BASE,
+    (int64_t)NS_STRIDE,
+    (int64_t)NS_WIDTH,
+    (int64_t)NS_IVS,
+    (int64_t)NST_PC,
+    (int64_t)NST_NEED,
+    (int64_t)NST_IVS,
+    (int64_t)PF_BLOCK_SHIFT,
+};
+
+const int64_t *repro_layout(int64_t *n) {
+    *n = (int64_t)(sizeof layout_words / sizeof *layout_words);
+    return layout_words;
+}
+/* END GENERATED INTERFACE */
 
 /* ------------------------------------------------------------------ */
 /* cache primitives (array backend semantics)                          */
@@ -194,10 +346,6 @@ static inline int contains(const Ctx *c, int l, int64_t line) {
 /* ------------------------------------------------------------------ */
 /* prefetched-line hash set                                            */
 /* ------------------------------------------------------------------ */
-
-/* slots per touched-map byte -- keep in sync with BLOCK_SHIFT in
- * memory/prefetched.py */
-#define PF_BLOCK_SHIFT 9
 
 static inline int64_t pf_home(int64_t line, int64_t mask) {
     uint64_t u = (uint64_t)line;
@@ -313,75 +461,51 @@ static inline void page_check(Ctx *c, int64_t line, int64_t *o) {
 /* fill / writeback chains (CorePort._absorb_dirty inlines)            */
 /* ------------------------------------------------------------------ */
 
-/* each fill_lN takes the set and victim way of a way_probe miss */
-
-static void fill_l3(Ctx *c, int64_t set, int64_t way, int64_t line,
-                    int dirty, int64_t home, int64_t *o) {
-    int64_t evl;
-    int evd;
-    if (fill_way(c, 2, set, way, line, dirty, &evl, &evd)) {
-        o[O_E3] += 1;
-        if (evd) {
-            o[O_C3D] += 1;
-            o[O_WBK] += 1;
-            c->homes[home * 4 + 2] += 1;
-        }
-    } else {
-        o[O_OCC3] += 1;
-    }
+/* count n lines of DRAM traffic in one HM_* column of a home's row */
+static inline void home_add(Ctx *c, int64_t home, int col, int64_t n) {
+    c->homes[home * HM_FIELDS + col] += n;
 }
 
-static void absorb_l3(Ctx *c, int64_t line, int64_t home, int64_t *o) {
-    int64_t set = line & c->set_mask[2], victim;
-    int64_t w = way_probe(c, 2, set, line, &victim);
-    if (w >= 0) {
-        /* mark-dirty absorption: no recency touch */
-        c->dirty[2][set * c->assoc[2] + w] = 1;
+static void absorb(Ctx *c, int l, int64_t line, int64_t home, int64_t *o);
+
+/* fill a line into level l (0 = L1) at the set and victim way of a
+ * way_probe miss; a dirty victim is absorbed by the next level, or
+ * written back from L3 */
+static void fill(Ctx *c, int l, int64_t set, int64_t way, int64_t line,
+                 int dirty, int64_t home, int64_t *o) {
+    static const int ev[3] = {O_E1, O_E2, O_E3};
+    static const int dv[3] = {O_C1D, O_C2D, O_C3D};
+    static const int occ[3] = {O_OCC1, O_OCC2, O_OCC3};
+    int64_t evl;
+    int evd;
+    if (!fill_way(c, l, set, way, line, dirty, &evl, &evd)) {
+        o[occ[l]] += 1;
         return;
     }
-    o[O_C3F] += 1;
-    fill_l3(c, set, victim, line, 1, home, o);
-}
-
-static void fill_l2(Ctx *c, int64_t set, int64_t way, int64_t line,
-                    int dirty, int64_t home, int64_t *o) {
-    int64_t evl;
-    int evd;
-    if (fill_way(c, 1, set, way, line, dirty, &evl, &evd)) {
-        o[O_E2] += 1;
-        if (evd) {
-            o[O_C2D] += 1;
-            absorb_l3(c, evl, home, o);
-        }
+    o[ev[l]] += 1;
+    if (!evd)
+        return;
+    o[dv[l]] += 1;
+    if (l < 2) {
+        absorb(c, l + 1, evl, home, o);
     } else {
-        o[O_OCC2] += 1;
+        o[O_WBK] += 1;
+        home_add(c, home, HM_WRITES, 1);
     }
 }
 
-static void absorb_l2(Ctx *c, int64_t line, int64_t home, int64_t *o) {
-    int64_t set = line & c->set_mask[1], victim;
-    int64_t w = way_probe(c, 1, set, line, &victim);
+/* a dirty victim reaching level l: marked dirty in place when resident
+ * (no recency touch), else filled dirty */
+static void absorb(Ctx *c, int l, int64_t line, int64_t home, int64_t *o) {
+    static const int cf[3] = {O_C1F, O_C2F, O_C3F};
+    int64_t set = line & c->set_mask[l], victim;
+    int64_t w = way_probe(c, l, set, line, &victim);
     if (w >= 0) {
-        c->dirty[1][set * c->assoc[1] + w] = 1;
+        c->dirty[l][set * c->assoc[l] + w] = 1;
         return;
     }
-    o[O_C2F] += 1;
-    fill_l2(c, set, victim, line, 1, home, o);
-}
-
-static void fill_l1(Ctx *c, int64_t set, int64_t way, int64_t line,
-                    int dirty, int64_t home, int64_t *o) {
-    int64_t evl;
-    int evd;
-    if (fill_way(c, 0, set, way, line, dirty, &evl, &evd)) {
-        o[O_E1] += 1;
-        if (evd) {
-            o[O_C1D] += 1;
-            absorb_l2(c, evl, home, o);
-        }
-    } else {
-        o[O_OCC1] += 1;
-    }
+    o[cf[l]] += 1;
+    fill(c, l, set, victim, line, 1, home, o);
 }
 
 /* a prefetch's L3 step: a hit is touched, a miss is read from DRAM
@@ -396,9 +520,9 @@ static void prefetch_l3(Ctx *c, int64_t line, int64_t home, int64_t *o) {
     }
     o[O_C3M] += 1;
     o[O_PFR] += 1;
-    c->homes[home * 4 + 1] += 1;
+    home_add(c, home, HM_PREFETCH_READS, 1);
     o[O_C3F] += 1;
-    fill_l3(c, set3, victim, line, 0, home, o);
+    fill(c, 2, set3, victim, line, 0, home, o);
 }
 
 /* one hw-prefetch candidate (CorePort._hw_prefetch): skipped when
@@ -411,7 +535,7 @@ static void hw_prefetch(Ctx *c, int64_t line, int64_t home, int64_t *o) {
     o[O_HWI] += 1;
     prefetch_l3(c, line, home, o);
     o[O_C2F] += 1;
-    fill_l2(c, set2, victim, line, 0, home, o);
+    fill(c, 1, set2, victim, line, 0, home, o);
     pf_add(c, line);
 }
 
@@ -427,34 +551,47 @@ static void nl_observe(Ctx *c, int64_t line, int64_t home, int64_t *o) {
     hw_prefetch(c, nxt, home, o);
 }
 
-static void sm_observe(Ctx *c, int64_t line, int64_t home, int64_t *o) {
-    c->sm_regs[0] += 1;
-    int64_t page = line / c->sm_lpp;
-    int64_t n = c->sm_trackers, i = -1;
-    for (int64_t k = 0; k < n; k++)
-        if (c->sm_keys[k] == page) { i = k; break; }
-    if (i < 0) {
-        if (c->sm_regs[1] >= n) {
+/* a tracker table's slot for `key` (keys, lruv; regs = [tick, count]),
+ * stamped most recent: a new key (*fresh = 1) takes the first free slot,
+ * after the least recently used entry leaves a full table */
+static inline int64_t tracker_slot(int64_t *keys, int64_t *lruv,
+                                   int64_t *regs, int64_t n, int64_t key,
+                                   int *fresh) {
+    int64_t i = 0;
+    regs[0] += 1;
+    while (i < n && keys[i] != key)
+        i++;
+    *fresh = i == n;
+    if (*fresh) {
+        if (regs[1] >= n) {
             int64_t v = 0;
             for (int64_t k = 1; k < n; k++)
-                if (c->sm_lruv[k] < c->sm_lruv[v])
+                if (lruv[k] < lruv[v])
                     v = k;
-            c->sm_keys[v] = -1;
-            c->sm_regs[1] -= 1;
+            keys[v] = -1;
+            regs[1] -= 1;
         }
-        int64_t f = 0;
-        while (c->sm_keys[f] != -1)
-            f++;
-        c->sm_keys[f] = page;
-        c->sm_last[f] = line;
-        c->sm_dirn[f] = 0;
-        c->sm_conf[f] = 0;
-        c->sm_front[f] = line;
-        c->sm_lruv[f] = c->sm_regs[0];
-        c->sm_regs[1] += 1;
+        for (i = 0; keys[i] != -1; i++)
+            ;
+        keys[i] = key;
+        regs[1] += 1;
+    }
+    lruv[i] = regs[0];
+    return i;
+}
+
+static void sm_observe(Ctx *c, int64_t line, int64_t home, int64_t *o) {
+    int64_t page = line / c->sm_lpp;
+    int fresh;
+    int64_t i = tracker_slot(c->sm_keys, c->sm_lruv, c->sm_regs,
+                             c->sm_trackers, page, &fresh);
+    if (fresh) {
+        c->sm_last[i] = line;
+        c->sm_dirn[i] = 0;
+        c->sm_conf[i] = 0;
+        c->sm_front[i] = line;
         return;
     }
-    c->sm_lruv[i] = c->sm_regs[0];
     int64_t delta = line - c->sm_last[i];
     c->sm_last[i] = line;
     if (delta == 0)
@@ -510,31 +647,15 @@ static void sm_observe(Ctx *c, int64_t line, int64_t home, int64_t *o) {
 
 static void st_observe(Ctx *c, int64_t line, int64_t sid, int64_t home,
                        int64_t *o) {
-    c->st_regs[0] += 1;
-    int64_t n = c->st_sites, i = -1;
-    for (int64_t k = 0; k < n; k++)
-        if (c->st_keys[k] == sid) { i = k; break; }
-    if (i < 0) {
-        if (c->st_regs[1] >= n) {
-            int64_t v = 0;
-            for (int64_t k = 1; k < n; k++)
-                if (c->st_lruv[k] < c->st_lruv[v])
-                    v = k;
-            c->st_keys[v] = -1;
-            c->st_regs[1] -= 1;
-        }
-        int64_t f = 0;
-        while (c->st_keys[f] != -1)
-            f++;
-        c->st_keys[f] = sid;
-        c->st_last[f] = line;
-        c->st_strd[f] = 0;
-        c->st_conf[f] = 0;
-        c->st_lruv[f] = c->st_regs[0];
-        c->st_regs[1] += 1;
+    int fresh;
+    int64_t i = tracker_slot(c->st_keys, c->st_lruv, c->st_regs,
+                             c->st_sites, sid, &fresh);
+    if (fresh) {
+        c->st_last[i] = line;
+        c->st_strd[i] = 0;
+        c->st_conf[i] = 0;
         return;
     }
-    c->st_lruv[i] = c->st_regs[0];
     int64_t d = line - c->st_last[i];
     c->st_last[i] = line;
     if (d == 0 || d > c->st_maxs || d < -c->st_maxs) {
@@ -610,16 +731,16 @@ static void demand_line(Ctx *c, int64_t line, int64_t sid, int is_write,
                 o[O_PFU] += 1;
         } else {
             o[O_DRD] += 1;
-            c->homes[home * 4 + 0] += 1;
+            home_add(c, home, HM_DEMAND_READS, 1);
             if (remote) {
                 o[O_REM] += 1;
-                c->homes[home * 4 + 3] += 1;
+                home_add(c, home, HM_REMOTE_LINES, 1);
             }
-            fill_l3(c, set3, v3, line, 0, home, o);
+            fill(c, 2, set3, v3, line, 0, home, o);
         }
-        fill_l2(c, set2, v2, line, 0, home, o);
+        fill(c, 1, set2, v2, line, 0, home, o);
     }
-    fill_l1(c, set1, v1, line, is_write, home, o);
+    fill(c, 0, set1, v1, line, is_write, home, o);
     if (c->nl_on)
         nl_observe(c, line, home, o);
     if (c->sm_on)
@@ -636,57 +757,67 @@ static void swpf_line(Ctx *c, int64_t line, int64_t home, int64_t *o) {
     if (way_probe(c, 1, set2, line, &v2) < 0) {
         prefetch_l3(c, line, home, o);
         o[O_C2F] += 1;
-        fill_l2(c, set2, v2, line, 0, home, o);
+        fill(c, 1, set2, v2, line, 0, home, o);
     }
     o[O_C1F] += 1;
-    fill_l1(c, set1, v1, line, 0, home, o);
+    fill(c, 0, set1, v1, line, 0, home, o);
     pf_add(c, line);
 }
 
+/* drop a line from every level; returns 1 when some copy was dirty */
+static int invalidate_all(Ctx *c, int64_t line, int64_t *o) {
+    static const int inv[3] = {O_C1I, O_C2I, O_C3I};
+    static const int occ[3] = {O_OCC1, O_OCC2, O_OCC3};
+    int dirty = 0;
+    for (int l = 0; l < 3; l++) {
+        int d = cache_invalidate(c, l, line);
+        if (d >= 0) {
+            o[inv[l]] += 1;
+            o[occ[l]] -= 1;
+            dirty |= d;
+        }
+    }
+    return dirty;
+}
+
 static void flush_line(Ctx *c, int64_t line, int64_t home, int64_t *o) {
-    int dirty = 0, d;
-    if ((d = cache_invalidate(c, 0, line)) >= 0) {
-        o[O_C1I] += 1;
-        o[O_OCC1] -= 1;
-        dirty |= d;
-    }
-    if ((d = cache_invalidate(c, 1, line)) >= 0) {
-        o[O_C2I] += 1;
-        o[O_OCC2] -= 1;
-        dirty |= d;
-    }
-    if ((d = cache_invalidate(c, 2, line)) >= 0) {
-        o[O_C3I] += 1;
-        o[O_OCC3] -= 1;
-        dirty |= d;
-    }
-    if (dirty) {
+    if (invalidate_all(c, line, o)) {
         o[O_WBK] += 1;
-        c->homes[home * 4 + 2] += 1;
+        home_add(c, home, HM_WRITES, 1);
     }
 }
 
 static void nt_line(Ctx *c, int64_t line, int64_t *o) {
     page_check(c, line, o);
-    if (cache_invalidate(c, 0, line) >= 0) {
-        o[O_C1I] += 1;
-        o[O_OCC1] -= 1;
-    }
-    if (cache_invalidate(c, 1, line) >= 0) {
-        o[O_C2I] += 1;
-        o[O_OCC2] -= 1;
-    }
-    if (cache_invalidate(c, 2, line) >= 0) {
-        o[O_C3I] += 1;
-        o[O_OCC3] -= 1;
+    invalidate_all(c, line, o);
+}
+
+/* one line of a plan run or nest site, dispatched on its opcode (OP_*) */
+static inline void op_line(Ctx *c, int64_t op, int64_t line, int64_t sid,
+                           int64_t home, int remote, int64_t *o) {
+    if (op == OP_DEMAND_READ || op == OP_DEMAND_WRITE) {
+        demand_line(c, line, sid, op == OP_DEMAND_WRITE, home, remote, o);
+    } else if (op == OP_PREFETCH) {
+        o[O_SWP] += 1;
+        swpf_line(c, line, home, o);
+    } else if (op == OP_FLUSH) {
+        o[O_FLS] += 1;
+        flush_line(c, line, home, o);
+    } else { /* OP_NTSTORE */
+        o[O_ACC] += 1;
+        o[O_NTL] += 1;
+        home_add(c, home, HM_WRITES, 1);
+        if (remote) {
+            o[O_REM] += 1;
+            home_add(c, home, HM_REMOTE_LINES, 1);
+        }
+        nt_line(c, line, o);
     }
 }
 
 /* ------------------------------------------------------------------ */
 /* entry points                                                        */
 /* ------------------------------------------------------------------ */
-
-int64_t repro_ctx_size(void) { return (int64_t)sizeof(Ctx); }
 
 int64_t repro_execute_plan(Ctx *c, int64_t nruns, const int64_t *meta,
                            const int64_t *lines, const int64_t *sids,
@@ -695,45 +826,12 @@ int64_t repro_execute_plan(Ctx *c, int64_t nruns, const int64_t *meta,
         o[i] = 0;
     for (int64_t r = 0; r < nruns; r++) {
         const int64_t *m = meta + r * RM_FIELDS;
-        int64_t op = m[RM_OP];
-        int64_t home = m[RM_HOME];
+        int64_t op = m[RM_OP], home = m[RM_HOME], n = m[RM_N];
+        int64_t sid = m[RM_SID]; /* -1: per-line ids in sids[] */
         int remote = (int)m[RM_REMOTE];
-        int64_t off = m[RM_OFF];
-        int64_t n = m[RM_N];
-        int64_t sid_mode = m[RM_SID];
-        const int64_t *L = lines + off;
-        if (n <= 0)
-            continue;
-        if (op <= 1) {
-            int is_write = op == 1;
-            if (sid_mode >= 0) {
-                for (int64_t k = 0; k < n; k++)
-                    demand_line(c, L[k], sid_mode, is_write, home,
-                                remote, o);
-            } else {
-                const int64_t *S = sids + off;
-                for (int64_t k = 0; k < n; k++)
-                    demand_line(c, L[k], S[k], is_write, home, remote, o);
-            }
-        } else if (op == 3) {
-            o[O_SWP] += n;
-            for (int64_t k = 0; k < n; k++)
-                swpf_line(c, L[k], home, o);
-        } else if (op == 4) {
-            o[O_FLS] += n;
-            for (int64_t k = 0; k < n; k++)
-                flush_line(c, L[k], home, o);
-        } else { /* op == 2: non-temporal store */
-            o[O_ACC] += n;
-            o[O_NTL] += n;
-            c->homes[home * 4 + 2] += n;
-            if (remote) {
-                o[O_REM] += n;
-                c->homes[home * 4 + 3] += n;
-            }
-            for (int64_t k = 0; k < n; k++)
-                nt_line(c, L[k], o);
-        }
+        const int64_t *L = lines + m[RM_OFF], *S = sids + m[RM_OFF];
+        for (int64_t k = 0; k < n; k++)
+            op_line(c, op, L[k], sid >= 0 ? sid : S[k], home, remote, o);
     }
     return 0;
 }
@@ -751,37 +849,12 @@ int64_t repro_execute_single(Ctx *c, int64_t line, int64_t is_write,
 /* whole-nest execution                                                */
 /* ------------------------------------------------------------------ */
 
-/* one line of one site, dispatched on the plan opcode (OP_* in
- * engine/plan.py); the per-run counter bumps of repro_execute_plan
- * applied per line */
-static inline void nest_line(Ctx *c, int64_t op, int64_t line, int64_t sid,
-                             int64_t home, int remote, int64_t *o) {
-    if (op <= 1) {
-        demand_line(c, line, sid, (int)op, home, remote, o);
-    } else if (op == 3) {
-        o[O_SWP] += 1;
-        swpf_line(c, line, home, o);
-    } else if (op == 4) {
-        o[O_FLS] += 1;
-        flush_line(c, line, home, o);
-    } else { /* op == 2: non-temporal store */
-        o[O_ACC] += 1;
-        o[O_NTL] += 1;
-        c->homes[home * 4 + 2] += 1;
-        if (remote) {
-            o[O_REM] += 1;
-            c->homes[home * 4 + 3] += 1;
-        }
-        nt_line(c, line, o);
-    }
-}
-
 static inline void nest_range(Ctx *c, const int64_t *s, int64_t lo,
                               int64_t hi, int64_t *o) {
     int64_t op = s[NS_OP], sid = s[NS_SID], home = s[NS_HOME];
     int remote = (int)s[NS_REMOTE];
     for (int64_t l = lo; l <= hi; l++)
-        nest_line(c, op, l, sid, home, remote, o);
+        op_line(c, op, l, sid, home, remote, o);
 }
 
 /* site base at the current outer induction-variable values */

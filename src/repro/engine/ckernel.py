@@ -1,21 +1,25 @@
-"""Loader for the compiled datapath kernel (``_ckernel.c``).
+"""The compiled datapath kernel (``_ckernel.c``): its interface and loader.
 
-The kernel is a single translation unit with no Python.h dependency,
-compiled on demand with the system C compiler into a shared object
-cached under ``~/.cache/repro-ckernel/`` (override with
-``REPRO_CKERNEL_CACHE``), keyed by the source sha256 so stale binaries
-can never be picked up.  Any load failure — unreadable source, no
-compiler, a failed compile, a dlopen error, a struct-size mismatch —
-degrades to ``lib() is None``: the fast engine then keeps dict state
-and walks exactly as the reference engine does, one port call per
-emission, about 100x slower than the kernel.  That fallback is loud: the
-first failure in a process emits one :class:`RuntimeWarning` naming the
-reason, the compiler's stderr tail included.  ``REPRO_CKERNEL=0``
-disables the kernel on purpose and silently (used by the conformance
-suite to exercise the fallback).
+The kernel is one C file, compiled on demand with the system C compiler
+into a shared object cached at :func:`so_path`, keyed by the source
+sha256 so stale binaries can never be picked up.  Any load failure —
+unreadable source, no compiler, a failed compile, a dlopen error, a
+layout that differs from the tables below — degrades to ``lib() is
+None``: the fast engine then keeps dict state and walks exactly as the
+reference engine does, about 100x slower, and the first failure in a
+process emits one :class:`RuntimeWarning` naming the reason (compiler
+stderr tail included).  ``REPRO_CKERNEL=0`` disables the kernel on
+purpose and silently (used by the conformance suite).
 
-The ctypes :class:`Ctx` mirrors the C struct field for field; every
-member is 8 bytes wide, so the layouts agree without padding concerns.
+The kernel's interface is written once, here: :data:`CTX` (the ``Ctx``
+struct), :data:`LAYOUTS` (every int64 array layout shared by position)
+and :data:`CONSTANTS`.  The ctypes :class:`Ctx`, the index tables
+(:data:`OUT`, :data:`RM`, ``OP_*``, ...) and the C block between the
+``GENERATED INTERFACE`` markers of ``_ckernel.c`` are built from them;
+``python -m repro.engine.ckernel`` rewrites that block after a table
+edit.  The block's ``repro_layout()`` reports ``sizeof(Ctx)``, every
+member's offset and every enum value as compiled, and the loader
+refuses a kernel whose words differ, naming the first that does.
 """
 
 from __future__ import annotations
@@ -23,77 +27,187 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from ..memory.prefetched import BLOCK_SHIFT
 
 _SRC = Path(__file__).with_name("_ckernel.c")
 
-#: out[] layout — keep in sync with the O_* enum in _ckernel.c
-OUT_FIELDS = (
-    "acc", "l1h", "l2h", "l3h", "drd", "wbk", "ntl",
-    "e1", "e2", "e3", "swp", "hwi", "pfr", "pfu", "rem", "fls",
-    "tlbm", "tlbw", "dacc",
-    "c1f", "c1d", "c1i", "c2f", "c2d", "c2i",
-    "c3h", "c3m", "c3f", "c3d", "c3i",
-    "occ1", "occ2", "occ3",
-    "nli", "smi", "sti", "useful",
-    "tacc", "t1h", "t2h", "twalk",
+#: the C ``Ctx`` struct, in member order: (comment, C declarations)
+CTX = (
+    ("caches: 0 = L1, 1 = L2, 2 = L3",
+     "int64_t *tags[3]; uint8_t *dirty[3]; int64_t set_mask[3], assoc[3]"),
+    ("TLB; tlb_regs is [l1_count, l2_count]",
+     "int64_t *tlb1_pages, *tlb2_pages, *tlb_regs; "
+     "int64_t tlb1_entries, tlb2_entries, walk_latency"),
+    ("prefetched-line set: pf_regs is [size], pf_touched a byte a block",
+     "int64_t *pf_slots, *pf_regs; uint8_t *pf_touched; int64_t pf_mask"),
+    ("stride table",
+     "int64_t *st_keys, *st_last, *st_strd, *st_conf, *st_lruv, *st_regs; "
+     "int64_t st_sites, st_deg, st_thr, st_maxs"),
+    ("stream table",
+     "int64_t *sm_keys, *sm_last, *sm_dirn, *sm_conf, *sm_front, *sm_lruv, "
+     "*sm_regs; int64_t sm_trackers, sm_deg, sm_dist, sm_thr, sm_lpp"),
+    ("next-line prefetcher, port", "int64_t nl_lpp, page_shift"),
+    ("per-call enable flags (MSR mask)", "int64_t nl_on, sm_on, st_on"),
+    ("scalar registers [last_page]; per-home DRAM rows of HM_FIELDS",
+     "int64_t *regs, *homes"),
 )
-OUT = {name: i for i, name in enumerate(OUT_FIELDS)}
-OUT_COUNT = len(OUT_FIELDS)
 
-#: run_meta[] per-run layout — keep in sync with the RM_* enum
-RM_FIELD_NAMES = ("op", "home", "remote", "off", "n", "sid")
-RM_OP, RM_HOME, RM_REMOTE, RM_OFF, RM_N, RM_SID = range(6)
-RM_FIELDS = len(RM_FIELD_NAMES)
+#: every int64 array layout shared by position, one C enum each:
+#: (prefix, comment, members, the sentinel member counting them or None)
+LAYOUTS = (
+    ("O", "out[]: the counter block every entry point fills",
+     "acc l1h l2h l3h drd wbk ntl e1 e2 e3 swp hwi pfr pfu rem fls tlbm "
+     "tlbw dacc c1f c1d c1i c2f c2d c2i c3h c3m c3f c3d c3i occ1 occ2 "
+     "occ3 nli smi sti useful tacc t1h t2h twalk", "COUNT"),
+    ("RM", "run_meta[]: one row per run of a packed plan (AccessPlan.meta)",
+     "op home remote off n sid", "FIELDS"),
+    ("OP", "plan opcodes (the RM_OP and NS_OP columns)",
+     "demand_read demand_write ntstore prefetch flush", None),
+    ("HM", "ctx->homes[]: a row of DRAM line counts per home node",
+     "demand_reads prefetch_reads writes remote_lines", "FIELDS"),
+    ("NH", "nest descriptor header", "nodes depth shift", "FIELDS"),
+    ("NN", "nest nodes: a row per node, in body (preorder) order",
+     "kind slot trips link site0 nsites bound", "FIELDS"),
+    ("NK", "nest node kinds (the NN_KIND column)",
+     "loop end flat single nop", None),
+    ("NS", "nest sites: a row of NS_* fields, then a byte stride per iv slot",
+     "op sid home remote base stride width", "IVS"),
+    ("NST", "nest state: walk position, iv slots, 2 words per flat site",
+     "pc need", "IVS"),
+)
 
-#: nest-descriptor layouts (``repro_execute_nest``) — keep in sync with
-#: the NH_* / NN_* / NK_* / NS_* / NST_* enums in _ckernel.c
-NEST_HEADER = ("nodes", "depth", "shift")
-NEST_NODE = ("kind", "slot", "trips", "link", "site0", "nsites", "bound")
-NEST_KINDS = ("loop", "end", "flat", "single", "nop")
-NEST_SITE = ("op", "sid", "home", "remote", "base", "stride", "width")
-NEST_STATE = ("pc", "need")
-NH = {name: i for i, name in enumerate(NEST_HEADER)}
-NN = {name: i for i, name in enumerate(NEST_NODE)}
-NK = {name: i for i, name in enumerate(NEST_KINDS)}
-NS = {name: i for i, name in enumerate(NEST_SITE)}
-NST = {name: i for i, name in enumerate(NEST_STATE)}
+#: shared scalars: (C name, value)
+CONSTANTS = (("PF_BLOCK_SHIFT", BLOCK_SHIFT),)
 
 _c64 = ctypes.c_int64
 _cp = ctypes.c_void_p
+_CTYPES = {"int64_t": _c64, "int64_t*": _cp, "uint8_t*": _cp}
+
+#: (C type, "*" or "", name, array length or "") of every Ctx member
+CTX_FIELDS = tuple(
+    (decl.split()[0],) + re.fullmatch(r"(\*?)(\w+)(?:\[(\d+)\])?",
+                                      item.strip()).groups("")
+    for _comment, decls in CTX for decl in decls.split("; ")
+    for item in decl.split(None, 1)[1].split(","))
 
 
 class Ctx(ctypes.Structure):
-    """Mirror of the C ``Ctx`` struct (all members 8 bytes)."""
+    """The C ``Ctx`` struct, built from :data:`CTX`."""
 
-    _fields_ = [
-        ("tags", _cp * 3),
-        ("dirty", _cp * 3),
-        ("set_mask", _c64 * 3),
-        ("assoc", _c64 * 3),
-        ("tlb1_pages", _cp), ("tlb2_pages", _cp), ("tlb_regs", _cp),
-        ("tlb1_entries", _c64), ("tlb2_entries", _c64),
-        ("walk_latency", _c64),
-        ("pf_slots", _cp), ("pf_regs", _cp), ("pf_touched", _cp),
-        ("pf_mask", _c64),
-        ("st_keys", _cp), ("st_last", _cp), ("st_strd", _cp),
-        ("st_conf", _cp), ("st_lruv", _cp), ("st_regs", _cp),
-        ("st_sites", _c64), ("st_deg", _c64), ("st_thr", _c64),
-        ("st_maxs", _c64),
-        ("sm_keys", _cp), ("sm_last", _cp), ("sm_dirn", _cp),
-        ("sm_conf", _cp), ("sm_front", _cp), ("sm_lruv", _cp),
-        ("sm_regs", _cp),
-        ("sm_trackers", _c64), ("sm_deg", _c64), ("sm_dist", _c64),
-        ("sm_thr", _c64), ("sm_lpp", _c64),
-        ("nl_lpp", _c64),
-        ("page_shift", _c64),
-        ("nl_on", _c64), ("sm_on", _c64), ("st_on", _c64),
-        ("regs", _cp), ("homes", _cp),
-    ]
+    _fields_ = [(name, _CTYPES[ctype + star] * int(n) if n
+                 else _CTYPES[ctype + star])
+                for ctype, star, name, n in CTX_FIELDS]
+
+
+#: member -> column of each layout, by prefix
+_INDEX = {prefix: {name: i for i, name in enumerate(members.split())}
+          for prefix, _comment, members, _sentinel in LAYOUTS}
+OUT, RM, OP, HM = _INDEX["O"], _INDEX["RM"], _INDEX["OP"], _INDEX["HM"]
+NH, NN, NK, NS, NST = (_INDEX[p] for p in ("NH", "NN", "NK", "NS", "NST"))
+OUT_FIELDS = tuple(OUT)
+OUT_COUNT, RM_FIELDS, HM_FIELDS = len(OUT), len(RM), len(HM)
+OP_DEMAND_READ = OP["demand_read"]    # 'load' / 'gather'
+OP_DEMAND_WRITE = OP["demand_write"]  # 'store'
+OP_NTSTORE = OP["ntstore"]
+OP_PREFETCH = OP["prefetch"]
+OP_FLUSH = OP["flush"]
+
+
+def row(layout: Dict[str, int], **columns: int) -> List[int]:
+    """One zero-filled row of ``layout`` with ``columns`` set by name."""
+    values = [0] * len(layout)
+    for name, value in columns.items():
+        values[layout[name]] = value
+    return values
+
+
+BEGIN = ("/* BEGIN GENERATED INTERFACE: written from the tables in "
+         "engine/ckernel.py by\n * `python -m repro.engine.ckernel`; "
+         "edit those tables, not this block. */\n")
+END = "/* END GENERATED INTERFACE */\n"
+
+
+def _enum(prefix: str, members: str, sentinel: Optional[str]) -> List[str]:
+    return ([f"{prefix}_{m.upper()}" for m in members.split()]
+            + ([f"{prefix}_{sentinel}"] if sentinel else []))
+
+
+def _expected() -> List[Tuple[str, int]]:
+    """(C expression, value) of each ``repro_layout()`` word, in order."""
+    return ([("sizeof(Ctx)", ctypes.sizeof(Ctx))]
+            + [(f"offsetof(Ctx, {name})", getattr(Ctx, name).offset)
+               for _t, _s, name, _n in CTX_FIELDS]
+            + [(member, i) for prefix, _c, members, sentinel in LAYOUTS
+               for i, member in enumerate(_enum(prefix, members, sentinel))]
+            + list(CONSTANTS))
+
+
+def c_block() -> str:
+    """The generated C block, markers included."""
+    out = [BEGIN] + [f"enum {{ {name} = {value} }};\n"
+                     for name, value in CONSTANTS]
+    for prefix, comment, members, sentinel in LAYOUTS:
+        body = ", ".join(_enum(prefix, members, sentinel))
+        body = (f" {body} " if len(body) <= 64 else "\n" + textwrap.fill(
+            body, 76, initial_indent="    ", subsequent_indent="    ") + "\n")
+        out.append(f"/* {comment} */\nenum {{{body}}};\n")
+    out.append("typedef struct {\n" + "".join(
+        f"    /* {comment} */\n"
+        + "".join(textwrap.fill(f"{decl};", 76, initial_indent="    ",
+                                subsequent_indent=" " * 12) + "\n"
+                  for decl in decls.split("; "))
+        for comment, decls in CTX) + "} Ctx;\n")
+    out.append("/* what the loader checks against engine/ckernel.py */\n"
+               "static const int64_t layout_words[] = {\n" + "".join(
+        f"    (int64_t){expr},\n" for expr, _value in _expected()) + "};\n\n"
+        "const int64_t *repro_layout(int64_t *n) {\n"
+        "    *n = (int64_t)(sizeof layout_words / sizeof *layout_words);\n"
+        "    return layout_words;\n}\n")
+    return "\n".join(out) + END
+
+
+def _split(source: str) -> Tuple[str, str, str]:
+    """(text before the generated block, the block, text after)."""
+    start, stop = source.index(BEGIN), source.index(END) + len(END)
+    return source[:start], source[start:stop], source[stop:]
+
+
+def regenerate(path: Path = _SRC) -> bool:
+    """Rewrite ``path``'s generated block from the tables; True when
+    that changed it."""
+    head, block, tail = _split(path.read_text())
+    path.write_text(head + c_block() + tail)
+    return block != c_block()
+
+
+def layout_words(kernel: ctypes.CDLL) -> List[int]:
+    """The words a loaded kernel's ``repro_layout()`` reports."""
+    kernel.repro_layout.argtypes = [ctypes.POINTER(_c64)]
+    kernel.repro_layout.restype = ctypes.POINTER(_c64)
+    count = _c64()
+    return kernel.repro_layout(ctypes.byref(count))[:count.value]
+
+
+def layout_mismatch(words: List[int]) -> Optional[str]:
+    """Why ``repro_layout()`` words differ from the tables, naming the
+    first field or member that does, or None when they agree."""
+    expected = _expected()
+    for (label, want), got in zip(expected, words):
+        if got != want:
+            return (f"layout differs from engine/ckernel.py at {label}: "
+                    f"the kernel has {got}, the table {want}")
+    if len(words) != len(expected):
+        return (f"layout differs from engine/ckernel.py: the kernel has "
+                f"{len(words)} words, the table {len(expected)}")
+    return None
 
 
 #: characters of compiler stderr kept in a failure reason
@@ -101,6 +215,20 @@ STDERR_TAIL = 400
 
 _lib = None
 _tried = False
+
+
+def so_path(source: Optional[bytes] = None) -> Path:
+    """Where the kernel built from ``source`` (default: ``_ckernel.c``)
+    is cached: ``ckernel-<sha256[:16]>.so`` under
+    ``$REPRO_CKERNEL_CACHE`` or ``~/.cache/repro-ckernel``."""
+    if source is None:
+        source = _SRC.read_bytes()
+    digest = hashlib.sha256(source).hexdigest()[:16]
+    cache_dir = Path(os.environ.get(
+        "REPRO_CKERNEL_CACHE",
+        os.path.join(os.path.expanduser("~"), ".cache", "repro-ckernel"),
+    ))
+    return cache_dir / f"ckernel-{digest}.so"
 
 
 def _compile(src: Path, dest: Path) -> Optional[str]:
@@ -138,38 +266,25 @@ def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
         source = _SRC.read_bytes()
     except OSError as exc:
         return None, f"cannot read {_SRC.name}: {exc}"
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    cache_dir = Path(os.environ.get(
-        "REPRO_CKERNEL_CACHE",
-        os.path.join(os.path.expanduser("~"), ".cache", "repro-ckernel"),
-    ))
-    so = cache_dir / f"ckernel-{digest}.so"
+    so = so_path(source)
     if not so.exists():
         failure = _compile(_SRC, so)
         if failure is not None:
             return None, failure
     try:
         loaded = ctypes.CDLL(str(so))
-    except OSError as exc:
+        words = layout_words(loaded)
+    except (OSError, AttributeError) as exc:
         return None, f"cannot load {so}: {exc}"
-    loaded.repro_ctx_size.restype = _c64
-    loaded.repro_ctx_size.argtypes = []
-    size = loaded.repro_ctx_size()
-    if size != ctypes.sizeof(Ctx):
-        return None, (f"struct layout drift: C Ctx is {size} bytes, "
-                      f"ctypes Ctx {ctypes.sizeof(Ctx)}")
-    loaded.repro_execute_plan.argtypes = [
-        ctypes.POINTER(Ctx), _c64, _cp, _cp, _cp, _cp,
-    ]
-    loaded.repro_execute_plan.restype = _c64
-    loaded.repro_execute_single.argtypes = [
-        ctypes.POINTER(Ctx), _c64, _c64, _c64, _c64, _cp,
-    ]
-    loaded.repro_execute_single.restype = _c64
-    loaded.repro_execute_nest.argtypes = [
-        ctypes.POINTER(Ctx), _cp, _cp, _cp, _cp, _cp, _cp, _c64, _cp,
-    ]
-    loaded.repro_execute_nest.restype = _c64
+    mismatch = layout_mismatch(words)
+    if mismatch is not None:
+        return None, f"{so.name}: {mismatch}"
+    for name, args in (("plan", [_c64, _cp, _cp, _cp, _cp]),
+                       ("single", [_c64, _c64, _c64, _c64, _cp]),
+                       ("nest", [_cp, _cp, _cp, _cp, _cp, _cp, _c64, _cp])):
+        entry = getattr(loaded, f"repro_execute_{name}")
+        entry.argtypes = [ctypes.POINTER(Ctx), *args]
+        entry.restype = _c64
     return loaded, None
 
 
@@ -197,3 +312,7 @@ def lib() -> Optional[ctypes.CDLL]:
 
 def available() -> bool:
     return lib() is not None
+
+
+if __name__ == "__main__":
+    print("rewritten" if regenerate() else "already up to date", _SRC)

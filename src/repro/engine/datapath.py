@@ -35,6 +35,7 @@ events only), so only the granularity changes, never the sums.
 from __future__ import annotations
 
 import ctypes
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,6 +53,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: phase rows one ``repro_execute_nest`` call may write before it
 #: returns at a phase boundary (bounds the row matrix)
 NEST_MAX_ROWS = 2048
+
+#: counter-block columns the single-access L1-hit path reads
+_L1H, _HWI, _STI, _TLBM, _TLBW, _TACC, _T1H, _T2H, _TWALK = (
+    ckernel.OUT[name] for name in
+    ("l1h", "hwi", "sti", "tlbm", "tlbw", "tacc", "t1h", "t2h", "twalk"))
+#: a home's DRAM row in the order trace events list it
+_home_row = itemgetter(*(ckernel.HM[name] for name in (
+    "demand_reads", "prefetch_reads", "writes", "remote_lines")))
 
 
 class BatchDatapath:
@@ -108,9 +117,6 @@ class BatchDatapath:
         ctx.tlb2_entries = tlb.config.l2_entries
         ctx.walk_latency = tlb.config.walk_latency_cycles
         pf = port._prefetched
-        ctx.pf_slots = pf.slots.ctypes.data
-        ctx.pf_regs = pf.regs.ctypes.data
-        ctx.pf_touched = pf.touched.ctypes.data
         ctx.pf_mask = pf._mask
         self._pf_ref = pf.slots
         nl = sm = st = None
@@ -122,23 +128,17 @@ class BatchDatapath:
             elif isinstance(engine, NextLinePrefetcher):
                 nl = engine
         self._c_nl, self._c_sm, self._c_st = nl, sm, st
-        ctx.st_keys = st.keys.ctypes.data
-        ctx.st_last = st.last.ctypes.data
-        ctx.st_strd = st.strd.ctypes.data
-        ctx.st_conf = st.conf.ctypes.data
-        ctx.st_lruv = st.lruv.ctypes.data
-        ctx.st_regs = st.regs.ctypes.data
+        # st_*, sm_* and pf_* pointer members point at the stride table's,
+        # stream table's and prefetched set's array of the same name
+        owners = {"st": st, "sm": sm, "pf": pf}
+        for _type, star, name, _n in ckernel.CTX_FIELDS:
+            if star and name[:2] in owners:
+                setattr(ctx, name,
+                        getattr(owners[name[:2]], name[3:]).ctypes.data)
         ctx.st_sites = st._sites_max
         ctx.st_deg = st.degree
         ctx.st_thr = st._threshold
         ctx.st_maxs = st._max_stride
-        ctx.sm_keys = sm.keys.ctypes.data
-        ctx.sm_last = sm.last.ctypes.data
-        ctx.sm_dirn = sm.dirn.ctypes.data
-        ctx.sm_conf = sm.conf.ctypes.data
-        ctx.sm_front = sm.front.ctypes.data
-        ctx.sm_lruv = sm.lruv.ctypes.data
-        ctx.sm_regs = sm.regs.ctypes.data
         ctx.sm_trackers = sm._trackers_max
         ctx.sm_deg = sm.degree
         ctx.sm_dist = sm.distance
@@ -147,7 +147,8 @@ class BatchDatapath:
         ctx.nl_lpp = nl._lines_per_page
         ctx.page_shift = port._page_shift
         self._regs = np.zeros(1, dtype=np.int64)  # [last_page]
-        self._homes = np.zeros((len(hier.dram), 4), dtype=np.int64)
+        self._homes = np.zeros((len(hier.dram), ckernel.HM_FIELDS),
+                               dtype=np.int64)
         self._out = np.zeros(ckernel.OUT_COUNT, dtype=np.int64)
         #: caller-owned phase-row matrix of repro_execute_nest: one
         #: cumulative counter block per phase
@@ -249,24 +250,24 @@ class BatchDatapath:
                         1 if rhome != port.node else 0, self._out_ptr)
         self._post_call()
         o = self._out.tolist()
-        if o[1] == 1 and o[11] == 0:
+        if o[_L1H] == 1 and o[_HWI] == 0:
             # pure L1 hit with no hardware prefetch fill: nothing was
             # filled or evicted anywhere, and the only engine that can
             # have observed is the stride table (train-on-hits), whose
             # candidates — if any — were all resident (issued-only)
             port.l1.stats.hits += 1
-            tacc = o[37]
+            tacc = o[_TACC]
             if tacc:
                 ts = port.tlb.stats
                 ts.accesses += tacc
-                ts.l1_hits += o[38]
-                ts.l2_hits += o[39]
-                ts.walks += o[40]
-            sti = o[35]
+                ts.l1_hits += o[_T1H]
+                ts.l2_hits += o[_T2H]
+                ts.walks += o[_TWALK]
+            sti = o[_STI]
             if sti:
                 self._c_st.stats.issued += sti
-            tlbm = o[16]
-            tlbw = o[17]
+            tlbm = o[_TLBM]
+            tlbw = o[_TLBW]
             key = (tlbm, tlbw)
             stats = self._hit_stats.get(key)
             if stats is None:
@@ -355,7 +356,7 @@ class BatchDatapath:
         harr = self._homes
         drams = port.hierarchy.dram
         for node, rec in enumerate(harr.tolist()):
-            dr, pf_rd, wr, rm = rec
+            dr, pf_rd, wr, rm = _home_row(rec)
             if dr or pf_rd or wr or rm:
                 counters = drams[node].counters
                 counters.cas_reads += dr + pf_rd

@@ -53,6 +53,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .ckernel import OP, RM, RM_FIELDS, row
+
 #: flush the whole per-core plan cache once it holds this many line
 #: entries (a coarse memory bound; sweeps over many distinct programs
 #: on one long-lived machine otherwise grow without limit)
@@ -69,42 +71,38 @@ NEST_FALLBACK_REASONS = (
     "unsupported",                # out-of-scope iv, unknown node, cost error
 )
 
-#: run opcodes (meta column 0), dispatched on by the kernel
-OP_DEMAND_READ = 0   # 'load' / 'gather'
-OP_DEMAND_WRITE = 1  # 'store'
-OP_NTSTORE = 2
-OP_PREFETCH = 3
-OP_FLUSH = 4
-
+#: run opcode (the ``op`` meta column) of each emission kind
 _KIND_TO_OP = {
-    "load": OP_DEMAND_READ,
-    "gather": OP_DEMAND_READ,
-    "store": OP_DEMAND_WRITE,
-    "ntstore": OP_NTSTORE,
-    "prefetch": OP_PREFETCH,
-    "flush": OP_FLUSH,
+    "load": OP["demand_read"],
+    "gather": OP["demand_read"],
+    "store": OP["demand_write"],
+    "ntstore": OP["ntstore"],
+    "prefetch": OP["prefetch"],
+    "flush": OP["flush"],
 }
+
+_RM_N, _RM_SID = RM["n"], RM["sid"]
 
 
 class AccessPlan:
     """The lowered memory traffic of one flat-loop execution context,
     as the packed run table ``repro_execute_plan`` reads.
 
-    Layout shared with ``engine/_ckernel.c`` (keep the six meta columns
-    in sync with the ``RM_*`` enum there and in ``engine/ckernel.py``):
+    Layout shared with ``engine/_ckernel.c``:
 
-    * ``meta`` — one int64 row per run:
-      ``[op, rhome, remote, line_offset, nlines, sid_mode]``.  A run is
+    * ``meta`` — one int64 row per run, its columns the ``RM`` layout
+      of ``engine/ckernel.py``: ``op``, the resolved home, the remote
+      flag, the line offset, the line count ``n`` and ``sid``.  A run is
       a maximal stretch of the emission stream with one opcode and one
       home node resolved against the owning core's node (plans are
-      cached per core, so this is static).  ``sid_mode >= 0`` is the
+      cached per core, so this is static).  ``sid >= 0`` is the
       uniform stream id of the whole run and ``-1`` means the run mixes
       sites.
     * ``lines`` — all runs' line numbers, flat, in emission order,
-      indexed by ``line_offset``/``nlines``.
+      indexed by the offset and ``n`` columns.
     * ``sids`` — per-line stream ids aligned with ``lines``.  Only
       demand traffic trains the stride prefetcher, so the kernel reads
-      them only for demand runs with ``sid_mode == -1``.
+      them only for demand runs with ``sid == -1``.
 
     Interleaved multi-site bodies emit ~1-line bursts (a dgemm plan
     averages about one line per site burst), so fusing bursts into runs
@@ -147,7 +145,7 @@ class AccessPlan:
         rows: List[list] = []
         lines: List[int] = []
         sids: List[int] = []
-        key = row = None
+        key = run = None
         for site, site_lines, node in emissions:
             op = _KIND_TO_OP[site.kind]
             rhome = own_node if node is None else node
@@ -155,15 +153,16 @@ class AccessPlan:
             n = len(site_lines)
             if (op, rhome) != key:
                 key = (op, rhome)
-                row = [op, rhome, int(rhome != own_node), len(lines), n, sid]
-                rows.append(row)
+                run = row(RM, op=op, home=rhome, remote=int(rhome != own_node),
+                          off=len(lines), n=n, sid=sid)
+                rows.append(run)
             else:
-                row[4] += n
-                if row[5] != sid:
-                    row[5] = -1
+                run[_RM_N] += n
+                if run[_RM_SID] != sid:
+                    run[_RM_SID] = -1
             lines.extend(site_lines)
             sids.extend(repeat(sid, n))
-        return cls(np.array(rows, dtype=np.int64).reshape(-1, 6),
+        return cls(np.array(rows, dtype=np.int64).reshape(-1, RM_FIELDS),
                    np.array(lines, dtype=np.int64),
                    np.array(sids, dtype=np.int64))
 
@@ -173,8 +172,9 @@ class AccessPlan:
         """One straight-line instruction's lines as a single run, under
         the port calls' default stream id 0 (``Core._access``)."""
         n = len(lines)
-        meta = np.array([[_KIND_TO_OP[kind], home, int(home != own_node),
-                          0, n, 0]], dtype=np.int64)
+        meta = np.array([row(RM, op=_KIND_TO_OP[kind], home=home,
+                             remote=int(home != own_node), n=n)],
+                        dtype=np.int64)
         return cls(meta, np.array(lines, dtype=np.int64),
                    np.zeros(n, dtype=np.int64))
 
@@ -250,15 +250,15 @@ class AccessPlan:
 
         b0s = bounds[:-1]
         offs = line_cum[b0s]
-        meta = np.empty((b0s.size, 6), dtype=np.int64)
-        meta[:, 0] = op_b[b0s]
-        meta[:, 1] = rh_b[b0s]
-        meta[:, 2] = meta[:, 1] != own_node
-        meta[:, 3] = offs
-        meta[:, 4] = line_cum[bounds[1:]] - offs
+        meta = np.empty((b0s.size, RM_FIELDS), dtype=np.int64)
+        meta[:, RM["op"]] = op_b[b0s]
+        meta[:, RM["home"]] = rh_b[b0s]
+        meta[:, RM["remote"]] = rh_b[b0s] != own_node
+        meta[:, RM["off"]] = offs
+        meta[:, RM["n"]] = line_cum[bounds[1:]] - offs
         smin = np.minimum.reduceat(sid_flat, offs)
         smax = np.maximum.reduceat(sid_flat, offs)
-        meta[:, 5] = np.where(smin == smax, smin, -1)
+        meta[:, RM["sid"]] = np.where(smin == smax, smin, -1)
         return cls(meta, lines_flat, sid_flat)
 
 

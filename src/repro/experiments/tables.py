@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..bench.peakbw import bandwidth_methods, measure_bandwidth
 from ..bench.peakflops import measure_peak_flops
-from ..machine.presets import make_machine
+from ..machine.ref import MachineRef
 from ..units import format_bandwidth, format_bytes, format_flops
 from .base import Experiment, ExperimentConfig, ExperimentResult, Table
 
@@ -18,44 +18,42 @@ class PlatformTable(Experiment):
 
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         result = self.new_result()
-        machines = [make_machine(name, scale=config.scale)
-                    for name in ("snb-ep", "ivb-desktop", "hsw-ep",
-                                 "snb-ep-x2")]
+        specs = [MachineRef.named(name, config.scale).spec()
+                 for name in ("snb-ep", "ivb-desktop", "hsw-ep", "snb-ep-x2")]
         table = Table(
             "Simulated platforms",
             ["machine", "sockets x cores", "clock", "SIMD", "FMA",
              "L1d", "L2", "L3/socket", "peak pi (all cores)",
              "peak beta (platform)"],
         )
-        for machine in machines:
-            spec = machine.spec
-            topo = machine.topology
+        for spec in specs:
+            topo = spec.topology
             table.add(
                 spec.name,
                 f"{topo.sockets} x {topo.cores_per_socket}",
                 f"{spec.base_hz / 1e9:.2f} GHz",
-                f"{machine.ports.max_simd_width}-bit",
-                "yes" if machine.ports.has_fma else "no",
+                f"{spec.ports.max_simd_width}-bit",
+                "yes" if spec.ports.has_fma else "no",
                 format_bytes(spec.hierarchy.l1.size_bytes),
                 format_bytes(spec.hierarchy.l2.size_bytes),
                 format_bytes(spec.hierarchy.l3.size_bytes),
-                format_flops(machine.theoretical_peak_flops(
+                format_flops(spec.theoretical_peak_flops(
                     cores=topo.total_cores)),
-                format_bandwidth(machine.theoretical_peak_bandwidth(
+                format_bandwidth(spec.theoretical_peak_bandwidth(
                     topo.sockets)),
             )
         result.tables.append(table)
-        snb = machines[0]
-        hsw = machines[2]
+        snb = specs[0]
+        hsw = specs[2]
         result.check(
             "FMA machine has 2x the per-core peak of the SNB machine",
-            abs(hsw.theoretical_peak_flops() / hsw.spec.base_hz
-                / (snb.theoretical_peak_flops() / snb.spec.base_hz) - 2.0)
+            abs(hsw.theoretical_peak_flops() / hsw.base_hz
+                / (snb.theoretical_peak_flops() / snb.base_hz) - 2.0)
             < 1e-9,
         )
         result.check(
             "two-socket platform doubles bandwidth",
-            machines[3].theoretical_peak_bandwidth(2)
+            specs[3].theoretical_peak_bandwidth(2)
             == 2 * snb.theoretical_peak_bandwidth(1),
         )
         return result
@@ -147,7 +145,7 @@ class PeakBandwidthTable(Experiment):
         result.check(
             "socket peak reaches >= 85% of theoretical via NT stores",
             values[("memset-nt", all_cores)]
-            >= 0.85 * machine.theoretical_peak_bandwidth(1),
+            >= 0.85 * machine.spec.theoretical_peak_bandwidth(1),
         )
         result.note(
             "As in the paper, the reported beta is the maximum over "

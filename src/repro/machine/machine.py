@@ -55,6 +55,18 @@ class MachineSpec:
         return (topo.total_cores * (h.l1.size_bytes + h.l2.size_bytes)
                 + topo.sockets * h.l3.size_bytes)
 
+    def theoretical_peak_flops(self, width_bits: Optional[int] = None,
+                               cores: int = 1) -> float:
+        """Datasheet peak flop/s at base clock for ``cores`` cores."""
+        width = width_bits or self.ports.max_simd_width
+        return self.ports.peak_flops_per_cycle(width) * self.base_hz * cores
+
+    def theoretical_peak_bandwidth(self, nodes: int = 1) -> float:
+        """Datasheet DRAM bandwidth in bytes/s across ``nodes`` sockets."""
+        if not 0 < nodes <= self.topology.sockets:
+            raise ConfigurationError(f"machine has {self.topology.sockets} nodes")
+        return self.hierarchy.dram.bytes_per_cycle_total * self.base_hz * nodes
+
 
 @dataclass
 class LoadedProgram:
@@ -279,26 +291,6 @@ class Machine:
         if cycles < 0:
             raise ExecutionError("time only moves forward")
         self.tsc += cycles
-
-    # ------------------------------------------------------------------
-    # theoretical characteristics (for tables / sanity checks)
-    # ------------------------------------------------------------------
-    def theoretical_peak_flops(self, width_bits: Optional[int] = None,
-                               cores: int = 1) -> float:
-        """Datasheet peak flop/s at base clock for ``cores`` cores."""
-        width = width_bits or self.ports.max_simd_width
-        per_cycle = self.ports.peak_flops_per_cycle(width)
-        return per_cycle * self.spec.base_hz * cores
-
-    def theoretical_peak_bandwidth(self, nodes: int = 1) -> float:
-        """Datasheet DRAM bandwidth in bytes/s across ``nodes`` sockets."""
-        if not 0 < nodes <= self.topology.sockets:
-            raise ConfigurationError(f"machine has {self.topology.sockets} nodes")
-        return (
-            self.spec.hierarchy.dram.bytes_per_cycle_total
-            * self.spec.base_hz
-            * nodes
-        )
 
     def __repr__(self) -> str:
         t = self.topology

@@ -72,7 +72,7 @@ def theoretical_roofline(machine: Machine, threads: int = 1) -> RooflineModel:
     compute = [
         ComputeCeiling(
             f"{_WIDTH_NAMES.get(w, w)} theoretical",
-            machine.theoretical_peak_flops(w, threads),
+            machine.spec.theoretical_peak_flops(w, threads),
         )
         for w in widths
     ]
@@ -83,6 +83,6 @@ def theoretical_roofline(machine: Machine, threads: int = 1) -> RooflineModel:
             // machine.topology.cores_per_socket),
     )
     memory = [MemoryCeiling(
-        "DRAM theoretical", machine.theoretical_peak_bandwidth(nodes)
+        "DRAM theoretical", machine.spec.theoretical_peak_bandwidth(nodes)
     )]
     return RooflineModel(f"{machine.spec.name} (theoretical)", compute, memory)

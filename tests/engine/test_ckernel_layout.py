@@ -1,85 +1,84 @@
-"""Layout drift guard between ``_ckernel.c`` and ``engine/ckernel.py``.
-
-The C kernel and its ctypes loader share several int64 array layouts
-by position: the counter block (``O_*``), the packed-plan run metadata
-(``RM_*``) and the nest descriptor (``NH_*`` / ``NN_*`` / ``NK_*`` /
-``NS_*`` / ``NST_*``).  The loader's struct-size handshake only guards
-the ``Ctx`` struct, so these tests parse the enums out of the C source
-and compare them, name by name and position by position, with the
-Python tuples.  They need no compiler.
-"""
+"""The C kernel's interface is the table in ``engine/ckernel.py``: the
+committed C block is generated from it, the loader refuses a kernel laid
+out otherwise, and the Python readers of the counter block follow it."""
 
 from __future__ import annotations
 
-import re
+import os
+import shutil
+import warnings
 
 import pytest
 
 from repro.engine import ckernel
 
 SOURCE = ckernel._SRC.read_text()
-
-#: trailing enum members that count the fields instead of naming one
-SENTINELS = {"COUNT", "FIELDS", "IVS"}
+WORDS = ckernel._expected()
 
 
-def _enum(prefix: str):
-    """Member suffixes of the C enum whose members start ``prefix``."""
-    for body in re.findall(r"enum\s*\{([^}]*)\}", SOURCE):
-        body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
-        names = [name.strip() for name in body.split(",") if name.strip()]
-        if names and all(name.startswith(prefix) for name in names):
-            return [name[len(prefix):] for name in names]
-    raise AssertionError(f"no enum with prefix {prefix!r} in _ckernel.c")
+def test_generated_block_matches_the_tables():
+    # after a table edit, `python -m repro.engine.ckernel` rewrites it
+    assert ckernel._split(SOURCE)[1] == ckernel.c_block()
 
 
-def _fields(prefix: str):
-    """(field names in order, sentinel or None) of one C enum."""
-    members = _enum(prefix)
-    if members[-1] in SENTINELS:
-        return [m.lower() for m in members[:-1]], members[-1]
-    return [m.lower() for m in members], None
+def test_regenerate_rewrites_a_stale_block(tmp_path):
+    stale = tmp_path / "_ckernel.c"
+    stale.write_text(SOURCE.replace("RM_SID, RM_FIELDS", "RM_FIELDS"))
+    assert ckernel.regenerate(stale)
+    assert stale.read_text() == SOURCE
+    assert not ckernel.regenerate(stale)
 
 
 @pytest.mark.parametrize("prefix,names", [
     ("O_", ckernel.OUT_FIELDS),
-    ("RM_", ckernel.RM_FIELD_NAMES),
-    ("NH_", ckernel.NEST_HEADER),
-    ("NN_", ckernel.NEST_NODE),
-    ("NK_", ckernel.NEST_KINDS),
-    ("NS_", ckernel.NEST_SITE),
-    ("NST_", ckernel.NEST_STATE),
+    ("RM_", tuple(ckernel.RM)),
+    ("NH_", tuple(ckernel.NH)),
+    ("NN_", tuple(ckernel.NN)),
+    ("NK_", tuple(ckernel.NK)),
+    ("NS_", tuple(ckernel.NS)),
+    ("NST_", tuple(ckernel.NST)),
 ])
 def test_enum_matches_python_layout(prefix, names):
-    fields, _sentinel = _fields(prefix)
-    assert fields == list(names)
+    # the compiled kernel numbers every member as the Python side does
+    if ckernel.lib() is None:
+        pytest.skip("the C kernel is unavailable")
+    words = dict(zip((expr for expr, _value in WORDS),
+                     ckernel.layout_words(ckernel.lib())))
+    assert [words[prefix + name.upper()] for name in names] \
+        == list(range(len(names)))
 
 
-def test_python_index_tables_follow_the_tuples():
-    assert ckernel.OUT_COUNT == len(ckernel.OUT_FIELDS)
-    assert ckernel.RM_FIELDS == len(ckernel.RM_FIELD_NAMES)
-    assert (ckernel.RM_OP, ckernel.RM_HOME, ckernel.RM_REMOTE,
-            ckernel.RM_OFF, ckernel.RM_N, ckernel.RM_SID) == tuple(range(6))
-    for table, names in ((ckernel.OUT, ckernel.OUT_FIELDS),
-                         (ckernel.NH, ckernel.NEST_HEADER),
-                         (ckernel.NN, ckernel.NEST_NODE),
-                         (ckernel.NK, ckernel.NEST_KINDS),
-                         (ckernel.NS, ckernel.NEST_SITE),
-                         (ckernel.NST, ckernel.NEST_STATE)):
-        assert table == {name: i for i, name in enumerate(names)}
+@pytest.mark.parametrize("expr", ["sizeof(Ctx)", "offsetof(Ctx, st_thr)",
+                                  "O_USEFUL", "OP_FLUSH", "HM_WRITES",
+                                  "NST_IVS", "PF_BLOCK_SHIFT"])
+def test_a_differing_word_is_named(expr):
+    words = [value for _expr, value in WORDS]
+    assert ckernel.layout_mismatch(words) is None
+    assert "words" in ckernel.layout_mismatch(words[:-1])
+    words[[e for e, _v in WORDS].index(expr)] += 1
+    assert f" at {expr}:" in ckernel.layout_mismatch(words)
 
 
-def test_sentinels_close_every_counted_layout():
-    # the count members the C side sizes rows with
-    assert _fields("O_")[1] == "COUNT"
-    assert _fields("RM_")[1] == "FIELDS"
-    assert _fields("NH_")[1] == "FIELDS"
-    assert _fields("NN_")[1] == "FIELDS"
-    # site rows continue with one stride per iv slot; the state words
-    # continue with the iv slots and the flat-loop scratch
-    assert _fields("NS_")[1] == "IVS"
-    assert _fields("NST_")[1] == "IVS"
-    assert _fields("NK_")[1] is None
+@pytest.mark.skipif(shutil.which(os.environ.get("CC", "gcc")) is None,
+                    reason="no C compiler to build a kernel with")
+def test_a_kernel_with_two_ctx_fields_swapped_does_not_load(
+        tmp_path, monkeypatch):
+    from repro.machine.presets import tiny_test_machine
+
+    mutant = tmp_path / "_ckernel.c"
+    mutant.write_text(SOURCE.replace("st_deg, st_thr", "st_thr, st_deg"))
+    monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_CKERNEL", "1")
+    monkeypatch.setattr(ckernel, "_SRC", mutant)
+    monkeypatch.setattr(ckernel, "_lib", None)
+    monkeypatch.setattr(ckernel, "_tried", False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        machine = tiny_test_machine()
+        assert ckernel.lib() is None
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "at offsetof(Ctx, st_deg):" in str(caught[0].message)
+    assert machine.walk_reason == "no_ckernel"
 
 
 def test_packed_plan_meta_width_matches_rm_fields():
@@ -107,3 +106,11 @@ def test_counter_block_leads_with_the_batch_stats_fields():
     }
     assert BATCH_FIELDS == tuple(columns)
     assert ckernel.OUT_FIELDS[:len(columns)] == tuple(columns.values())
+
+
+def test_apply_out_unpacks_the_counter_block_in_table_order():
+    # its first locals after (self, o) are the block's columns, unpacked
+    from repro.engine.datapath import BatchDatapath
+
+    names = BatchDatapath._apply_out.__code__.co_varnames
+    assert names[2:2 + ckernel.OUT_COUNT] == ckernel.OUT_FIELDS

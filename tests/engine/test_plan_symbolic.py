@@ -21,8 +21,8 @@ import itertools
 
 import pytest
 
+from repro.engine.ckernel import OP_DEMAND_WRITE
 from repro.engine.plan import (
-    OP_DEMAND_WRITE,
     SYMBOLIC_REGISTRY,
     AccessPlan,
     PlanCache,

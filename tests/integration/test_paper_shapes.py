@@ -68,7 +68,7 @@ class TestClaimOptimizedGemmNearsPeak:
     compute-bound; naive code is far below."""
 
     def test_shape(self, snb):
-        peak = snb.theoretical_peak_flops()
+        peak = snb.spec.theoretical_peak_flops()
         tiled = measure_kernel(snb, Dgemm(variant="tiled"), 96,
                                protocol="warm", reps=1)
         naive = measure_kernel(snb, Dgemm(variant="naive"), 96,

@@ -128,13 +128,13 @@ class TestTurboInteraction:
 class TestTheoretical:
     def test_peak_flops(self, tiny):
         # SNB-like: 8 flops/cycle AVX at 1 GHz
-        assert tiny.theoretical_peak_flops() == 8e9
-        assert tiny.theoretical_peak_flops(128, cores=2) == 8e9
+        assert tiny.spec.theoretical_peak_flops() == 8e9
+        assert tiny.spec.theoretical_peak_flops(128, cores=2) == 8e9
 
     def test_peak_bandwidth(self, tiny):
-        assert tiny.theoretical_peak_bandwidth() == 8e9
+        assert tiny.spec.theoretical_peak_bandwidth() == 8e9
         with pytest.raises(ConfigurationError):
-            tiny.theoretical_peak_bandwidth(nodes=2)
+            tiny.spec.theoretical_peak_bandwidth(nodes=2)
 
     def test_repr(self, tiny):
         assert "tiny" in repr(tiny)

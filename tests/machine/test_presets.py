@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.machine.presets import (
     PRESETS,
     dual_socket_ep_spec,
+    haswell_node_spec,
     ivy_bridge_desktop_spec,
     make_machine,
     paper_machine,
@@ -23,10 +24,10 @@ class TestSandyBridge:
         assert spec.base_hz == 2.7e9
 
     def test_datasheet_numbers(self):
-        machine = make_machine("snb-ep")
+        spec = sandy_bridge_ep_spec()
         # 8 flops/cycle * 2.7 GHz
-        assert machine.theoretical_peak_flops() == pytest.approx(21.6e9)
-        assert machine.theoretical_peak_bandwidth() == pytest.approx(51.2e9)
+        assert spec.theoretical_peak_flops() == pytest.approx(21.6e9)
+        assert spec.theoretical_peak_bandwidth() == pytest.approx(51.2e9)
 
     def test_full_scale_cache_sizes(self):
         hierarchy = sandy_bridge_ep_spec().hierarchy
@@ -63,15 +64,15 @@ class TestOtherPresets:
         machine = make_machine("snb-ep-x2", scale=0.25)
         assert machine.topology.sockets == 2
         assert machine.topology.total_cores == 16
-        assert machine.theoretical_peak_bandwidth(2) == pytest.approx(
-            2 * machine.theoretical_peak_bandwidth(1))
+        assert machine.spec.theoretical_peak_bandwidth(2) == pytest.approx(
+            2 * machine.spec.theoretical_peak_bandwidth(1))
 
     def test_haswell_has_fma_and_double_peak(self):
-        hsw = make_machine("hsw-ep")
-        snb = make_machine("snb-ep")
+        hsw = haswell_node_spec()
+        snb = sandy_bridge_ep_spec()
         assert hsw.ports.has_fma
-        per_cycle_hsw = hsw.theoretical_peak_flops() / hsw.spec.base_hz
-        per_cycle_snb = snb.theoretical_peak_flops() / snb.spec.base_hz
+        per_cycle_hsw = hsw.theoretical_peak_flops() / hsw.base_hz
+        per_cycle_snb = snb.theoretical_peak_flops() / snb.base_hz
         assert per_cycle_hsw == 2 * per_cycle_snb
 
     def test_ivy_bridge(self):

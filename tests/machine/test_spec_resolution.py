@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import ExperimentConfig, make_experiment
 from repro.machine import machine as machine_module
 from repro.machine.presets import PRESETS
 from repro.machine.ref import MachineRef
@@ -65,6 +66,14 @@ def test_shape_readers_build_no_machine(monkeypatch, reader):
     result, machines, caches = _count(monkeypatch,
                                       lambda: _READERS[reader](ref))
     assert result
+    assert (machines, caches) == (0, 0)
+
+
+def test_the_platform_table_builds_no_machine(monkeypatch):
+    config = ExperimentConfig(scale=0.125, quick=True)
+    result, machines, caches = _count(
+        monkeypatch, lambda: make_experiment("T1").run(config))
+    assert result.passed
     assert (machines, caches) == (0, 0)
 
 
