@@ -27,13 +27,14 @@ Canonical touch-stream semantics (mirrored by ``repro.oracle``):
 * straight-line memory instructions (and bodies of non-flat loops) emit
   their full ``[first .. end]`` line range on every execution.
 
-On the compiled datapath the fast engine does not walk affine nests in
+On the compiled datapath the fast engine does not walk loop nests in
 Python at all: :meth:`Core._run_body` lowers each run of eligible
-top-level nodes (:mod:`repro.cpu.nest`) and the C kernel generates the
-same streams per phase, returning one counter row per phase that is
-costed here in one array pass (see ``docs/ENGINE.md``, "Nest
-executor").  Everything else takes the walk below, which without the
-kernel makes exactly the reference engine's port calls.
+top-level nodes, gathers included (:mod:`repro.cpu.nest`), and the C
+kernel generates the same streams per phase, returning one counter row
+per phase that is costed here in one array pass (see
+``docs/ENGINE.md``, "Nest executor").  Everything else takes the walk
+below, which without the kernel makes exactly the reference engine's
+port calls.
 """
 
 from __future__ import annotations
@@ -62,7 +63,13 @@ from ..obs.spans import SPANS
 from ..pmu.core_pmu import CorePmu
 from ..trace.bus import TraceBus
 from ..trace.events import PHASE, TraceEvent
-from .nest import PHASE_VEC, Nest, NestBuilder
+from .nest import (
+    PHASE_VEC,
+    IndexTables,
+    Nest,
+    NestBuilder,
+    check_index_range,
+)
 from .port_model import PortModel
 from .timing import (
     PHASE_COLUMNS,
@@ -255,14 +262,15 @@ class Core:
             return cached[1]
         with SPANS("engine.compile"):
             parts: list = []
-            builder = NestBuilder(self)
+            tables = IndexTables(program.tables)
+            builder = NestBuilder(self, tables)
             for node in program.body:
                 reason = builder.add_top(node)
                 if reason is None:
                     continue
                 if builder.nnodes:
                     parts.append(builder.build())
-                builder = NestBuilder(self)
+                builder = NestBuilder(self, tables)
                 parts.append((node, reason))
             if builder.nnodes:
                 parts.append(builder.build())
@@ -524,19 +532,11 @@ class Core:
 
     def _access(self, kind: str, first: int, last: int,
                 node: int) -> BatchStats:
-        """One straight-line instruction's lines ``first..last``.
-
-        On the C datapath the fast engine sends a one-line demand access
-        through the datapath's single-line entry and anything else (a
-        line-crossing access, an NT store, a prefetch hint, a flush) as
-        a one-run plan, so the kernel performs every state transition;
-        otherwise this is one port call.
-        """
+        """One straight-line instruction's lines ``first..last``: on the
+        C datapath a one-run plan, so the kernel performs every state
+        transition; otherwise one port call."""
         if not self._compiled:
             return self._dispatch(kind, list(range(first, last + 1)), node)
-        if first == last and kind in ("load", "gather", "store"):
-            return self._datapath.execute_single(first, kind == "store",
-                                                 node)
         return self._datapath.execute_plan(AccessPlan.one_run(
             kind, list(range(first, last + 1)), node, self.port.node))
 
@@ -578,22 +578,26 @@ class Core:
 
     def _plan_for(self, info: _LoopInfo, loop: Loop, ivs,
                   buffers) -> AccessPlan:
-        """Cached access plan for this loop in this address context.
+        """The access plan of a walked flat loop on the C datapath.
 
         Symbolically plannable loops resolve through the two-tier
         cache: the structure interns once per process (see
         :data:`repro.engine.plan.SYMBOLIC_REGISTRY`), and each concrete
         binding — trip count, site ids, per-site (base, stride, home) —
-        memoises its materialisation in the per-core bound tier, so a
-        plan compiled at one problem size rebinds at any other.
-        Gathers and negative own-loop strides take
-        :meth:`_plan_concrete`.
+        memoises its materialisation in the per-core bound tier.  The
+        rest (gathers, negative own-loop strides) is packed from the
+        emission walk, uncached: on the C datapath a loop is walked only
+        inside a top-level node the nest executor refused, and such a
+        node raises before it completes.
         """
         cache = self.plan_cache
         sym = info.symbolic
         if sym is None:
             if info.skey is None:
-                return self._plan_concrete(info, loop, ivs, buffers)
+                with SPANS("engine.compile"):
+                    return AccessPlan.from_emissions(
+                        self._iter_emissions(info, loop, ivs, buffers),
+                        own_node=self.port.node)
             sym = cache.resolve_symbolic(info.skey)
             info.symbolic = sym
         else:
@@ -617,46 +621,6 @@ class Core:
                 plan = sym.bind(descs, loop.trips, self._line_shift,
                                 port.node)
             cache.put_bound(bkey, plan)
-        return plan
-
-    def _plan_concrete(self, info: _LoopInfo, loop: Loop, ivs,
-                       buffers) -> AccessPlan:
-        """Capture-keyed fallback for non-symbolic loops.
-
-        The key pins everything the emission stream depends on: the
-        loop body (by identity, strongly referenced), the outer
-        induction-variable values each site's address reads, every
-        referenced buffer's base/home, and gather index tables (by
-        identity, strongly referenced and assumed immutable).
-        """
-        loop_id = loop.loop_id
-        key: list = [id(loop)]
-        pinned: list = []
-        for site in info.mem_sites:
-            instr = site.instr
-            if site.kind == "gather":
-                alloc = buffers[instr.buffer]
-                table = self._tables[instr.index_addr.buffer]
-                pinned.append(table)
-                key.append((alloc.base, alloc.node, id(table)))
-                strides = instr.index_addr.strides
-            else:
-                addr = instr.addr
-                alloc = buffers[addr.buffer]
-                key.append((alloc.base, alloc.node))
-                strides = addr.strides
-            for lid, _stride in strides:
-                if lid != loop_id:
-                    key.append(ivs[lid])
-        key_t = tuple(key)
-        plan = self.plan_cache.get(key_t)
-        if plan is None:
-            with SPANS("engine.compile"):
-                plan = AccessPlan.from_emissions(
-                    self._iter_emissions(info, loop, ivs, buffers),
-                    own_node=self.port.node,
-                )
-            self.plan_cache.put(key_t, loop, tuple(pinned), plan)
         return plan
 
     def _iter_interleaved(self, info: _LoopInfo, loop: Loop, ivs, buffers):
@@ -698,20 +662,15 @@ class Core:
             for record in sites:
                 site, base, stride, node, width, last = record
                 if stride is None:  # gather: positions precomputed
-                    positions = base
-                    pos = int(positions[min(t, positions.size - 1)])
+                    pos = int(base[t])
                     first = pos >> shift
                     end = (pos + width - 1) >> shift
-                    if first == end:
-                        lines = [] if first == last else [first]
-                    elif first == last:
-                        lines = [end]
-                    else:
-                        lines = [first, end]
-                    if not lines:
-                        continue
-                    record[5] = lines[-1]
-                    yield site, lines, node
+                    lines = [] if first == last else [first]
+                    if end != first:
+                        lines.append(end)
+                    record[5] = end
+                    if lines:
+                        yield site, lines, node
                     continue
                 pos = base + t * stride
                 first = pos >> shift
@@ -756,6 +715,9 @@ class Core:
                 stride = st
             else:
                 idx0 += ivs[lid] * st
+        last = idx0 + (trips - 1) * stride
+        check_index_range(instr, min(idx0, last), max(idx0, last),
+                          len(table))
         if stride == 0:
             # one position per trip: a two-line gather re-touches both
             # lines every iteration under consecutive-dedup semantics
@@ -864,25 +826,10 @@ class Core:
                 ))
                 bus.cursor += cost
             return
+        label = type(node).__name__.lower()
         if isinstance(node, GatherLoad):
-            alloc = buffers[node.buffer]
-            table = self._tables[node.index_addr.buffer]
-            base = alloc.base + int(table[node.index_addr.evaluate(ivs)])
-            shift = self._line_shift
-            stats = self._access("gather", base >> shift,
-                                 (base + node.bytes - 1) >> shift,
-                                 alloc.node)
-            cost = phase_cycles(
-                self.ports, self.config, {}, {node.width_bits: 1}, {},
-                chain_cycles=0.0, batch=stats, params=self.timing,
-                dram_bytes_per_cycle=dram_bpc,
-            )
-            result.cycles += cost.total
-            result.batch.merge(stats)
-            result.phases.append(cost)
-            self._emit_single_phase("gather", cost, stats, dram_bpc)
-            return
-        if isinstance(node, PrefetchHint):
+            kind = label = "gather"
+        elif isinstance(node, PrefetchHint):
             kind = "prefetch"
         elif isinstance(node, Flush):
             kind = "flush"
@@ -892,20 +839,26 @@ class Core:
             kind = "ntstore" if node.nt else "store"
         else:
             raise ExecutionError(f"cannot execute node {node!r}")
-        addr = node.addr
-        alloc = buffers[addr.buffer]
-        base = alloc.base + addr.offset + sum(
-            ivs[lid] * s for lid, s in addr.strides
-        )
+        if kind == "gather":
+            alloc = buffers[node.buffer]
+            table = self._tables[node.index_addr.buffer]
+            index = node.index_addr.evaluate(ivs)
+            check_index_range(node, index, index, len(table))
+            base = alloc.base + int(table[index])
+        else:
+            addr = node.addr
+            alloc = buffers[addr.buffer]
+            base = alloc.base + addr.offset + sum(
+                ivs[lid] * s for lid, s in addr.strides
+            )
         width_bytes = getattr(node, "width_bits", 64) // 8
         shift = self._line_shift
         stats = self._access(kind, base >> shift,
-                             (base + max(width_bytes - 1, 0)) >> shift,
-                             alloc.node)
+                             (base + width_bytes - 1) >> shift, alloc.node)
         cost = phase_cycles(
             self.ports, self.config,
             {},
-            {node.width_bits: 1} if isinstance(node, Load) else {},
+            {node.width_bits: 1} if kind in ("load", "gather") else {},
             {node.width_bits: 1} if isinstance(node, Store) else {},
             chain_cycles=0.0, batch=stats, params=self.timing,
             dram_bytes_per_cycle=dram_bpc,
@@ -913,8 +866,7 @@ class Core:
         result.cycles += cost.total
         result.batch.merge(stats)
         result.phases.append(cost)
-        self._emit_single_phase(type(node).__name__.lower(), cost, stats,
-                                dram_bpc)
+        self._emit_single_phase(label, cost, stats, dram_bpc)
 
     def _emit_single_phase(self, label: str, cost: PhaseCost,
                            stats: BatchStats, dram_bpc: float) -> None:

@@ -1,46 +1,51 @@
 """Nest lowering: program nodes to flat descriptors for the C kernel.
 
-The fast engine on the compiled datapath runs whole affine loop nests
-through ``repro_execute_nest`` (``engine/_ckernel.c``) instead of
-walking them in Python.  This module lowers a run of top-level program
-nodes into a :class:`Nest` — the descriptor arrays that kernel entry
-walks — plus the per-node static cost tables the core needs to turn
-the kernel's per-phase counter rows into the columns of a
+The fast engine on the compiled datapath runs whole loop nests through
+``repro_execute_nest`` (``engine/_ckernel.c``) instead of walking them
+in Python.  This module lowers a run of top-level program nodes into a
+:class:`Nest` — the descriptor arrays that kernel entry walks — plus
+the per-node static cost tables the core needs to turn the kernel's
+per-phase counter rows into the columns of a
 :class:`~repro.cpu.timing.PhaseTable`.
 
 A descriptor is a preorder node list:
 
 * ``loop`` / ``end`` bracket a non-flat loop (one induction-variable
   slot per nesting level; ``end`` links back to its ``loop``);
-* ``flat`` is one flat-loop execution (its own trip count, a slice of
-  the site table);
+* ``flat`` is one flat-loop execution of affine sites (its own trip
+  count, a slice of the site table), and ``flat_gather`` one holding a
+  gather, which the kernel visits trip by trip;
 * ``single`` is one straight-line memory instruction (one site);
 * ``nop`` is a phase without memory traffic — a straight-line
   ``VecOp`` or a flat loop without memory sites — recorded only so its
   cost lands in program order.
 
 Each site row carries the plan opcode, stream id, home, base, own-loop
-stride, width, and one byte stride per enclosing slot; bases and homes
-are bound per execution from the buffer map (:meth:`Nest.bind`).
-Zero-trip loops lower to nothing, exactly as the walk skips them.
+stride, width, index and one stride per enclosing slot; bases and homes
+are bound per execution from the buffer map (:meth:`Nest.bind`).  An
+affine site's index is -1.  A gather's position is its buffer's base
+plus ``tables[index + sum(iv * stride)]`` (:class:`IndexTables`), its
+strides counting table entries; lowering checks every reachable entry
+exists.  Zero-trip loops lower to nothing, as the walk skips them.
 
 Lowering refuses (returns a reason from
 :data:`~repro.engine.plan.NEST_FALLBACK_REASONS`) whatever the walk
-must handle itself: gathers, multi-site bodies with a negative
-own-loop stride (the walk raises ``ExecutionError`` for those), and
-anything whose walk would raise — an address naming a loop outside its
-scope, an unknown node, an FP mix the port model rejects.
+must handle itself: multi-site bodies with a negative own-loop stride
+(the walk raises ``ExecutionError`` for those), and anything whose walk
+would raise — an address naming a loop outside its scope, an unknown
+node, an FP mix the port model rejects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from itertools import accumulate
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from ..engine import ckernel
 from ..engine.plan import _KIND_TO_OP
-from ..errors import ReproError
+from ..errors import ExecutionError, ReproError
 from ..isa.instructions import (
     Flush,
     GatherLoad,
@@ -83,13 +88,38 @@ class NestPhase:
         self.has_sites = has_sites
 
 
+class IndexTables:
+    """A program's gather index tables packed back to back into one
+    int64 array, the ``tables`` argument of ``repro_execute_nest``."""
+
+    def __init__(self, tables: Dict[str, np.ndarray]) -> None:
+        self.tables = tables
+        #: table name -> position of its entry 0 in :attr:`packed`
+        self.start = dict(zip(tables, accumulate(
+            (len(table) for table in tables.values()), initial=0)))
+        self.packed = np.concatenate([np.zeros(0, dtype=np.int64),
+                                      *tables.values()])
+        self.ptr = self.packed.ctypes.data
+
+
+def check_index_range(node: GatherLoad, lo: int, hi: int,
+                      entries: int) -> None:
+    """Raise ``ExecutionError`` unless the gather's index-table entries
+    ``lo..hi`` all exist (the walk and the lowering share this check)."""
+    if lo < 0 or hi >= entries:
+        raise ExecutionError(
+            f"{node} reads index-table entries {lo}..{hi} of "
+            f"{node.index_addr.buffer!r}, which has {entries}")
+
+
 class Nest:
     """A lowered run of top-level nodes, ready to bind and execute."""
 
     def __init__(self, nodes: List[int], sites: list,
                  phases: Dict[int, NestPhase],
                  statics: Dict[int, tuple], depth: int, max_sites: int,
-                 max_bound: int, line_shift: int) -> None:
+                 max_bound: int, line_shift: int,
+                 tables: IndexTables) -> None:
         nnodes = len(nodes) // _NN_FIELDS
         self.nnodes = nnodes
         self.phase = phases
@@ -104,12 +134,13 @@ class Nest:
         buffers: List[str] = []
         bidx = []
         offsets = []
-        for row, (op, sid, stride, nbytes, buf, offset, ivs) in zip(
+        for row, (op, sid, stride, nbytes, buf, offset, ivs, index) in zip(
                 self.sites, sites):
             row[_NS["op"]] = op
             row[_NS["sid"]] = sid
             row[_NS["stride"]] = stride
             row[_NS["width"]] = nbytes
+            row[_NS["index"]] = index
             for slot, iv_stride in ivs.items():
                 row[_NS_IVS + slot] = iv_stride
             if buf not in buffers:
@@ -136,6 +167,7 @@ class Nest:
             self.instructions[pc] = phases[pc].instructions
         self.has_vec = bool(self.is_vec.any())
         self.has_dep = any(p.dep_terms for p in phases.values())
+        self.tables = tables
         self.hdr_p = self.hdr.ctypes.data
         self.nodes_p = self.nodes.ctypes.data
         self.sites_p = self.sites.ctypes.data
@@ -168,19 +200,24 @@ def _line_bound(stride: int, width: int, trips: int, shift: int) -> int:
 
 
 _SINGLE_OPS = ((Load, ckernel.OP_DEMAND_READ),
+               (GatherLoad, ckernel.OP_DEMAND_READ),
                (PrefetchHint, ckernel.OP_PREFETCH), (Flush, ckernel.OP_FLUSH))
 
 
 class NestBuilder:
     """Accumulates consecutive top-level nodes into one :class:`Nest`."""
 
-    def __init__(self, core) -> None:
+    def __init__(self, core, tables: IndexTables) -> None:
         self.core = core
+        self.tables = tables
         self.nodes: List[int] = []
+        #: site rows: (op, sid, own stride, width, buffer, offset,
+        #: {slot: iv stride}, packed table index or -1)
         self.sites: list = []
         self.phases: Dict[int, NestPhase] = {}
         self.statics: Dict[int, tuple] = {}
-        self.scope: Dict[str, int] = {}
+        #: loop id -> (iv slot, trips) of the enclosing non-flat loops
+        self.scope: Dict[str, tuple] = {}
         self.depth = 0
         self.max_sites = 0
         self.max_bound = 0
@@ -208,7 +245,7 @@ class NestBuilder:
         core = self.core
         return Nest(self.nodes, self.sites, self.phases, self.statics,
                     self.depth, self.max_sites, self.max_bound,
-                    core._line_shift)
+                    core._line_shift, self.tables)
 
     # ------------------------------------------------------------------
     def _node(self, kind: str, slot: int = 0, trips: int = 1,
@@ -236,7 +273,7 @@ class NestBuilder:
                 return "unsupported"
             slot = len(self.scope)
             self.depth = max(self.depth, slot + 1)
-            self.scope[node.loop_id] = slot
+            self.scope[node.loop_id] = (slot, node.trips)
             try:
                 begin = self._node("loop", slot=slot, trips=node.trips)
                 for child in node.body:
@@ -249,9 +286,7 @@ class NestBuilder:
             return None
         if isinstance(node, VecOp):
             return self._vec(node)
-        if isinstance(node, GatherLoad):
-            return "gather"
-        if isinstance(node, (Load, Store, PrefetchHint, Flush)):
+        if isinstance(node, (Load, Store, GatherLoad, PrefetchHint, Flush)):
             return self._single(node)
         return "unsupported"
 
@@ -264,10 +299,36 @@ class NestBuilder:
             if lid == own_id:
                 own = stride
             elif lid in self.scope:
-                ivs[self.scope[lid]] = stride
+                ivs[self.scope[lid][0]] = stride
             else:
                 return None
         return own, ivs
+
+    def _site(self, node, op: int, sid: int,
+              own: Optional[Loop]) -> Union[tuple, str]:
+        """One memory instruction's site row (``own`` is its flat loop,
+        None for a straight-line one), or why it cannot be lowered."""
+        own_id = own.loop_id if own is not None else None
+        if not isinstance(node, GatherLoad):
+            addr = node.addr
+            terms = self._outer_strides(addr.strides, own_id)
+            if terms is None:
+                return "unsupported"
+            nbytes = getattr(node, "width_bits", 64) // 8
+            return (op, sid, terms[0], nbytes, addr.buffer, addr.offset,
+                    terms[1], -1)
+        iaddr = node.index_addr
+        terms = self._outer_strides(iaddr.strides, own_id)
+        if terms is None:
+            return "unsupported"
+        trips = {lid: trips for lid, (_slot, trips) in self.scope.items()}
+        if own is not None:
+            trips[own_id] = own.trips
+        lo, hi = node.index_range(trips)
+        check_index_range(node, lo, hi,
+                          len(self.tables.tables[iaddr.buffer]))
+        return (op, sid, terms[0], node.bytes, node.buffer, 0, terms[1],
+                self.tables.start[iaddr.buffer] + iaddr.offset)
 
     def _flat(self, loop: Loop) -> Optional[str]:
         core = self.core
@@ -279,25 +340,22 @@ class NestBuilder:
                 info.load_widths_total, info.store_widths_total)
         except ReproError:
             return "unsupported"
-        mem = info.mem_sites
-        if any(site.kind == "gather" for site in mem):
-            return "gather"
         rows = []
-        for site in mem:
-            addr = site.instr.addr
-            terms = self._outer_strides(addr.strides, loop.loop_id)
-            if terms is None:
-                return "unsupported"
-            own, ivs = terms
-            rows.append((_KIND_TO_OP[site.kind], site.site_id, own,
-                         site.width_bits // 8, addr.buffer, addr.offset,
-                         ivs))
-        if len(rows) > 1 and any(row[2] < 0 for row in rows):
+        for site in info.mem_sites:
+            row = self._site(site.instr, _KIND_TO_OP[site.kind],
+                             site.site_id, loop)
+            if isinstance(row, str):
+                return row
+            rows.append(row)
+        affine = [row for row in rows if row[7] < 0]
+        if len(rows) > 1 and any(row[2] < 0 for row in affine):
             return "negative_multisite_stride"
         trips = loop.trips
         shift = core._line_shift
-        bound = sum(_line_bound(row[2], row[3], trips, shift)
-                    for row in rows)
+        # a gather emits at most its [first, end] line pair per trip
+        bound = (sum(_line_bound(row[2], row[3], trips, shift)
+                     for row in affine)
+                 + 2 * trips * (len(rows) - len(affine)))
         self.sites.extend(rows)
         self.max_sites = max(self.max_sites, len(rows))
         phase = NestPhase(
@@ -305,34 +363,36 @@ class NestBuilder:
             info.body_instructions * trips, info.flops_per_trip * trips,
             info.fp_events_total, info.dep_fp_terms, bool(rows),
         )
-        self._phase("flat" if rows else "nop", phase,
+        kind = ("nop" if not rows else
+                "flat" if len(affine) == len(rows) else "flat_gather")
+        self._phase(kind, phase,
                     (fp_issue, mem_issue, info.chain_cycles_total, 0.0),
                     nsites=len(rows), trips=trips, bound=bound)
         return None
 
     def _single(self, node) -> Optional[str]:
         core = self.core
-        addr = node.addr
-        terms = self._outer_strides(addr.strides, None)
-        if terms is None:
-            return "unsupported"
         if isinstance(node, Store):
             op = ckernel.OP_NTSTORE if node.nt else ckernel.OP_DEMAND_WRITE
         else:
             op = next(code for cls, code in _SINGLE_OPS
                       if isinstance(node, cls))
-        nbytes = getattr(node, "width_bits", 64) // 8
+        row = self._site(node, op, 0, None)
+        if isinstance(row, str):
+            return row
+        is_load = isinstance(node, (Load, GatherLoad))
         mem_issue = core.ports.mem_issue_cycles(
-            {node.width_bits: 1} if isinstance(node, Load) else {},
+            {node.width_bits: 1} if is_load else {},
             {node.width_bits: 1} if isinstance(node, Store) else {},
         )
-        self.sites.append((op, 0, 0, nbytes, addr.buffer, addr.offset,
-                           terms[1]))
+        self.sites.append(row)
         self.max_sites = max(self.max_sites, 1)
-        phase = NestPhase(PHASE_SINGLE, f"instr:{type(node).__name__.lower()}",
-                          1, 1, 0, [], [], True)
+        label = ("gather" if isinstance(node, GatherLoad)
+                 else type(node).__name__.lower())
+        phase = NestPhase(PHASE_SINGLE, f"instr:{label}", 1, 1, 0, [], [],
+                          True)
         self._phase("single", phase, (0.0, mem_issue, 0.0, 0.0), nsites=1,
-                    bound=((nbytes - 1) >> core._line_shift) + 2)
+                    bound=((row[3] - 1) >> core._line_shift) + 2)
         return None
 
     def _vec(self, node: VecOp) -> Optional[str]:

@@ -77,11 +77,12 @@ enum {
 };
 
 /* nest node kinds (the NN_KIND column) */
-enum { NK_LOOP, NK_END, NK_FLAT, NK_SINGLE, NK_NOP };
+enum { NK_LOOP, NK_END, NK_FLAT, NK_FLAT_GATHER, NK_SINGLE, NK_NOP };
 
-/* nest sites: a row of NS_* fields, then a byte stride per iv slot */
+/* nest sites: a row of NS_* fields, then a stride per iv slot */
 enum {
-    NS_OP, NS_SID, NS_HOME, NS_REMOTE, NS_BASE, NS_STRIDE, NS_WIDTH, NS_IVS
+    NS_OP, NS_SID, NS_HOME, NS_REMOTE, NS_BASE, NS_STRIDE, NS_WIDTH,
+    NS_INDEX, NS_IVS
 };
 
 /* nest state: walk position, iv slots, 2 words per flat site */
@@ -234,6 +235,7 @@ static const int64_t layout_words[] = {
     (int64_t)NK_LOOP,
     (int64_t)NK_END,
     (int64_t)NK_FLAT,
+    (int64_t)NK_FLAT_GATHER,
     (int64_t)NK_SINGLE,
     (int64_t)NK_NOP,
     (int64_t)NS_OP,
@@ -243,6 +245,7 @@ static const int64_t layout_words[] = {
     (int64_t)NS_BASE,
     (int64_t)NS_STRIDE,
     (int64_t)NS_WIDTH,
+    (int64_t)NS_INDEX,
     (int64_t)NS_IVS,
     (int64_t)NST_PC,
     (int64_t)NST_NEED,
@@ -836,15 +839,6 @@ int64_t repro_execute_plan(Ctx *c, int64_t nruns, const int64_t *meta,
     return 0;
 }
 
-int64_t repro_execute_single(Ctx *c, int64_t line, int64_t is_write,
-                             int64_t home, int64_t remote, int64_t *o) {
-    for (int64_t i = 0; i < O_COUNT; i++)
-        o[i] = 0;
-    demand_line(c, line, 0, (int)is_write, home, (int)remote, o);
-    return 0;
-}
-
-
 /* ------------------------------------------------------------------ */
 /* whole-nest execution                                                */
 /* ------------------------------------------------------------------ */
@@ -857,13 +851,26 @@ static inline void nest_range(Ctx *c, const int64_t *s, int64_t lo,
         op_line(c, op, l, sid, home, remote, o);
 }
 
-/* site base at the current outer induction-variable values */
-static inline int64_t nest_base(const int64_t *s, const int64_t *iv,
-                                int64_t depth) {
-    int64_t b = s[NS_BASE];
+/* a site column plus its iv terms at the current outer induction-variable
+ * values: an affine site's byte base (col NS_BASE) or a gather's
+ * index-table position (col NS_INDEX) */
+static inline int64_t nest_at(const int64_t *s, int col, const int64_t *iv,
+                              int64_t depth) {
+    int64_t b = s[col];
     for (int64_t k = 0; k < depth; k++)
         b += iv[k] * s[NS_IVS + k];
     return b;
+}
+
+/* an affine site's window at byte `pos` under the monotone frontier: the
+ * lines past *last, which advances to the window's end */
+static inline void frontier(Ctx *c, const int64_t *s, int64_t pos,
+                            int64_t shift, int64_t *last, int64_t *o) {
+    int64_t first = pos >> shift, end = (pos + s[NS_WIDTH] - 1) >> shift;
+    if (end <= *last)
+        return;
+    nest_range(c, s, first > *last ? first : *last + 1, end, o);
+    *last = end;
 }
 
 /* one flat-loop execution: Core._iter_interleaved (any number of sites
@@ -876,7 +883,7 @@ static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
     const int64_t *S0 = sites + nd[NN_SITE0] * sw;
     int64_t *base = scratch, *last = scratch + ns;
     if (ns == 1 && S0[NS_STRIDE] < 0) {
-        int64_t b = nest_base(S0, iv, depth), stride = S0[NS_STRIDE];
+        int64_t b = nest_at(S0, NS_BASE, iv, depth), stride = S0[NS_STRIDE];
         int64_t w = S0[NS_WIDTH], prev = 0, floor_line = 0;
         int have_floor = 0;
         for (int64_t t = 0; t < trips; t++) {
@@ -897,20 +904,14 @@ static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
         return;
     }
     for (int64_t s = 0; s < ns; s++) {
-        base[s] = nest_base(S0 + s * sw, iv, depth);
+        base[s] = nest_at(S0 + s * sw, NS_BASE, iv, depth);
         last[s] = -1;
     }
     int64_t t = 0;
     while (t < trips) {
         for (int64_t s = 0; s < ns; s++) {
             const int64_t *S = S0 + s * sw;
-            int64_t pos = base[s] + t * S[NS_STRIDE];
-            int64_t first = pos >> shift;
-            int64_t end = (pos + S[NS_WIDTH] - 1) >> shift;
-            if (end <= last[s])
-                continue;
-            nest_range(c, S, first > last[s] ? first : last[s] + 1, end, o);
-            last[s] = end;
+            frontier(c, S, base[s] + t * S[NS_STRIDE], shift, &last[s], o);
         }
         /* skip to the next trip at which some site's window reaches a
          * line past its frontier */
@@ -932,19 +933,57 @@ static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
     }
 }
 
+/* one flat-loop execution with a gather (NK_FLAT_GATHER): every trip of
+ * Core._iter_interleaved.  A gather site (NS_INDEX >= 0, its strides in
+ * table entries) emits its window's [first, end] line pair, less the
+ * lines equal to the last one it emitted */
+static void nest_flat_gather(Ctx *c, const int64_t *nd, const int64_t *sites,
+                             int64_t sw, const int64_t *iv, int64_t depth,
+                             int64_t shift, const int64_t *tables,
+                             int64_t *scratch, int64_t *o) {
+    int64_t trips = nd[NN_TRIPS], ns = nd[NN_NSITES];
+    const int64_t *S0 = sites + nd[NN_SITE0] * sw;
+    int64_t *at = scratch, *last = scratch + ns;
+    for (int64_t s = 0; s < ns; s++) {
+        const int64_t *S = S0 + s * sw;
+        at[s] = nest_at(S, S[NS_INDEX] < 0 ? NS_BASE : NS_INDEX, iv, depth);
+        last[s] = -1;
+    }
+    for (int64_t t = 0; t < trips; t++) {
+        for (int64_t s = 0; s < ns; s++) {
+            const int64_t *S = S0 + s * sw;
+            int64_t at_t = at[s] + t * S[NS_STRIDE];
+            if (S[NS_INDEX] < 0) {
+                frontier(c, S, at_t, shift, &last[s], o);
+                continue;
+            }
+            int64_t pos = S[NS_BASE] + tables[at_t];
+            int64_t first = pos >> shift;
+            int64_t end = (pos + S[NS_WIDTH] - 1) >> shift;
+            if (first != last[s])
+                nest_range(c, S, first, first, o);
+            if (end != first)
+                nest_range(c, S, end, end, o);
+            last[s] = end;
+        }
+    }
+}
+
 /* Walk a nest descriptor from state[NST_PC], executing every phase
  * (flat-loop execution, straight-line access, or memory-free phase) in
- * program order.  After each phase the cumulative counter block is
- * copied into row `r` of `rows` (O_COUNT columns) and the phase's node
- * index into row_node[r]; per-home DRAM traffic accumulates in
- * ctx->homes for the whole call.  Stops at a phase boundary when `max_rows` rows are
- * written, or when the prefetched-line set lacks room for the next
- * phase's worst case (NN_BOUND lines; state[NST_NEED] then holds the
- * inserts to reserve).  Returns the rows written; the walk is done
- * when state[NST_PC] reaches NH_NODES. */
+ * program order; gather sites read byte offsets from `tables`, the
+ * program's index tables packed back to back.  After each phase the
+ * cumulative counter block is copied into row `r` of `rows` (O_COUNT
+ * columns) and the phase's node index into row_node[r]; per-home DRAM
+ * traffic accumulates in ctx->homes for the whole call.  Stops at a
+ * phase boundary when `max_rows` rows are written, or when the
+ * prefetched-line set lacks room for the next phase's worst case
+ * (NN_BOUND lines; state[NST_NEED] then holds the inserts to reserve).
+ * Returns the rows written; the walk is done when state[NST_PC] reaches
+ * NH_NODES. */
 int64_t repro_execute_nest(Ctx *c, const int64_t *hdr, const int64_t *nodes,
-                           const int64_t *sites, int64_t *state,
-                           int64_t *rows, int64_t *row_node,
+                           const int64_t *sites, const int64_t *tables,
+                           int64_t *state, int64_t *rows, int64_t *row_node,
                            int64_t max_rows, int64_t *o) {
     int64_t nnodes = hdr[NH_NODES], depth = hdr[NH_DEPTH];
     int64_t shift = hdr[NH_SHIFT], sw = NS_IVS + depth;
@@ -979,9 +1018,14 @@ int64_t repro_execute_nest(Ctx *c, const int64_t *hdr, const int64_t *nodes,
             }
             if (kind == NK_FLAT) {
                 nest_flat(c, nd, sites, sw, iv, depth, shift, scratch, o);
-            } else {
+            } else if (kind == NK_FLAT_GATHER) {
+                nest_flat_gather(c, nd, sites, sw, iv, depth, shift, tables,
+                                 scratch, o);
+            } else { /* NK_SINGLE: its full line range */
                 const int64_t *S = sites + nd[NN_SITE0] * sw;
-                int64_t b = nest_base(S, iv, depth);
+                int64_t b = S[NS_INDEX] < 0
+                    ? nest_at(S, NS_BASE, iv, depth)
+                    : S[NS_BASE] + tables[nest_at(S, NS_INDEX, iv, depth)];
                 nest_range(c, S, b >> shift, (b + S[NS_WIDTH] - 1) >> shift,
                            o);
             }

@@ -77,9 +77,9 @@ LAYOUTS = (
     ("NN", "nest nodes: a row per node, in body (preorder) order",
      "kind slot trips link site0 nsites bound", "FIELDS"),
     ("NK", "nest node kinds (the NN_KIND column)",
-     "loop end flat single nop", None),
-    ("NS", "nest sites: a row of NS_* fields, then a byte stride per iv slot",
-     "op sid home remote base stride width", "IVS"),
+     "loop end flat flat_gather single nop", None),
+    ("NS", "nest sites: a row of NS_* fields, then a stride per iv slot",
+     "op sid home remote base stride width index", "IVS"),
     ("NST", "nest state: walk position, iv slots, 2 words per flat site",
      "pc need", "IVS"),
 )
@@ -280,8 +280,8 @@ def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     if mismatch is not None:
         return None, f"{so.name}: {mismatch}"
     for name, args in (("plan", [_c64, _cp, _cp, _cp, _cp]),
-                       ("single", [_c64, _c64, _c64, _c64, _cp]),
-                       ("nest", [_cp, _cp, _cp, _cp, _cp, _cp, _c64, _cp])):
+                       ("nest", [_cp, _cp, _cp, _cp, _cp, _cp, _cp, _c64,
+                                 _cp])):
         entry = getattr(loaded, f"repro_execute_{name}")
         entry.argtypes = [ctypes.POINTER(Ctx), *args]
         entry.restype = _c64

@@ -6,10 +6,10 @@ functional state a :class:`~repro.memory.hierarchy.CorePort` owns — the
 caches, the TLB, the prefetch engines, the DRAM IMC counters.  There
 is one datapath, the C kernel: when ``engine/_ckernel.c`` loaded, the
 hierarchy holds numpy array state and the kernel is its only writer.
-Every nest, plan and walked straight-line access runs in it (a one-line
-demand access through ``repro_execute_single``, anything else as a
-one-run plan), and its counter block is applied to Python state in one
-step per call (:meth:`BatchDatapath._apply_out`).  Python only reads
+Every nest (``repro_execute_nest``), walked flat loop's plan and walked
+straight-line access (a one-run plan, ``repro_execute_plan``) runs in
+it, and its counter block is applied to Python state in one step per
+call (:meth:`BatchDatapath._apply_out`).  Python only reads
 that state, resets it in place and grows the prefetched-line table.
 
 Without the kernel (no compiler, ``REPRO_CKERNEL=0``, or a non-LRU
@@ -45,19 +45,15 @@ from ..obs.spans import SPANS
 from ..prefetch.arraystate import ArrayStreamPrefetcher, ArrayStridePrefetcher
 from ..prefetch.nextline import NextLinePrefetcher
 from . import ckernel
+from .plan import AccessPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..memory.hierarchy import CorePort
-    from .plan import AccessPlan
 
 #: phase rows one ``repro_execute_nest`` call may write before it
 #: returns at a phase boundary (bounds the row matrix)
 NEST_MAX_ROWS = 2048
 
-#: counter-block columns the single-access L1-hit path reads
-_L1H, _HWI, _STI, _TLBM, _TLBW, _TACC, _T1H, _T2H, _TWALK = (
-    ckernel.OUT[name] for name in
-    ("l1h", "hwi", "sti", "tlbm", "tlbw", "tacc", "t1h", "t2h", "twalk"))
 #: a home's DRAM row in the order trace events list it
 _home_row = itemgetter(*(ckernel.HM[name] for name in (
     "demand_reads", "prefetch_reads", "writes", "remote_lines")))
@@ -72,12 +68,11 @@ class BatchDatapath:
         self._cmask = None
 
     def execute_single(self, line: int, is_write: bool, node) -> BatchStats:
-        """One single-line demand access (the interpreter's non-loop
-        path); :meth:`execute_single_c` is its kernel body, and the
-        perf ledger times both names."""
+        """One single-line demand access; :meth:`execute_single_c` is
+        its body, and the perf ledger times both names."""
         return self.execute_single_c(line, is_write, node)
 
-    def execute_plan(self, plan: "AccessPlan") -> BatchStats:
+    def execute_plan(self, plan: AccessPlan) -> BatchStats:
         """Run one plan's packed run table through the kernel."""
         with SPANS("engine.execute"):
             # worst case inserts per demand line: degree prefetch
@@ -164,12 +159,10 @@ class BatchDatapath:
         # wrapper, and the out-array pointer (ndarray.ctypes costs a
         # wrapper object per access, visible at single-access rates)
         self._fn_plan = lib.repro_execute_plan
-        self._fn_single = lib.repro_execute_single
         self._fn_nest = lib.repro_execute_nest
         self._ctx_ref = ctypes.byref(ctx)
         self._out_ptr = self._out.ctypes.data
         self._cmask = None  # force a flag sync on first use
-        self._hit_stats = {}
         self._ctx = ctx
         return ctx
 
@@ -221,7 +214,8 @@ class BatchDatapath:
         """One resumable ``repro_execute_nest`` call over ``nest``.
 
         ``nest`` carries the bound descriptor pointers (header, nodes,
-        sites) and ``state`` the walk position the kernel advances;
+        sites, packed index tables) and ``state`` the walk position the
+        kernel advances;
         ``room`` prefetched-set inserts are reserved first.  Returns the
         number of phase rows written into :attr:`nest_rows` /
         :attr:`nest_row_node` (cumulative counter blocks, see
@@ -231,7 +225,7 @@ class BatchDatapath:
         self._pre_call(room)
         n = self._fn_nest(
             self._ctx_ref, nest.hdr_p, nest.nodes_p, nest.sites_p,
-            state.ctypes.data, self._rows_p, self._row_node_p,
+            nest.tables.ptr, state.ctypes.data, self._rows_p, self._row_node_p,
             NEST_MAX_ROWS, self._out_ptr,
         )
         self._post_call()
@@ -242,48 +236,12 @@ class BatchDatapath:
         return self._apply_out(self._out.tolist())
 
     def execute_single_c(self, line: int, is_write: bool, node) -> BatchStats:
-        """One single-line demand access through the compiled kernel."""
-        port = self.port
-        rhome = port.node if node is None else node
-        self._pre_call(8)
-        self._fn_single(self._ctx_ref, line, 1 if is_write else 0, rhome,
-                        1 if rhome != port.node else 0, self._out_ptr)
-        self._post_call()
-        o = self._out.tolist()
-        if o[_L1H] == 1 and o[_HWI] == 0:
-            # pure L1 hit with no hardware prefetch fill: nothing was
-            # filled or evicted anywhere, and the only engine that can
-            # have observed is the stride table (train-on-hits), whose
-            # candidates — if any — were all resident (issued-only)
-            port.l1.stats.hits += 1
-            tacc = o[_TACC]
-            if tacc:
-                ts = port.tlb.stats
-                ts.accesses += tacc
-                ts.l1_hits += o[_T1H]
-                ts.l2_hits += o[_T2H]
-                ts.walks += o[_TWALK]
-            sti = o[_STI]
-            if sti:
-                self._c_st.stats.issued += sti
-            tlbm = o[_TLBM]
-            tlbw = o[_TLBW]
-            key = (tlbm, tlbw)
-            stats = self._hit_stats.get(key)
-            if stats is None:
-                stats = self._hit_stats[key] = BatchStats(
-                    accesses=1, l1_hits=1, tlb_misses=tlbm,
-                    tlb_walk_cycles=tlbw,
-                )
-            tot = port.totals
-            tot.accesses += 1
-            tot.l1_hits += 1
-            tot.tlb_misses += tlbm
-            tot.tlb_walk_cycles += tlbw
-            if port.bus.enabled:
-                port._emit_batch(stats, rhome)
-            return stats
-        return self._apply_out(o)
+        """One single-line demand access as a one-run plan (stream id
+        0, like every straight-line access)."""
+        own = self.port.node
+        return self.execute_plan(AccessPlan.one_run(
+            "store" if is_write else "load", [line],
+            own if node is None else node, own))
 
     def _apply_out(self, o: list) -> BatchStats:
         """Apply one kernel invocation's counter block to Python state.

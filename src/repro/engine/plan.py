@@ -1,4 +1,4 @@
-"""Compile tier: flat loops lowered to reusable access plans.
+"""Compile tier: walked flat loops lowered to access plans.
 
 An :class:`AccessPlan` is the fully evaluated memory side of one flat
 (innermost) loop execution, in the one form the C kernel reads: a
@@ -8,15 +8,15 @@ emits, in canonical emission order.  Only the compiled datapath
 fast engine walks flat loops through the port's per-line calls exactly
 as the reference engine does, and builds no plan.
 
-A walked loop's plan is *captured from the interpreter's own emission
-generator* (:meth:`AccessPlan.from_emissions`), so by construction it
-holds the same lines, in the same order, that the per-line reference
-engine dispatches — the foundation of the fast/reference equivalence
-guarantee (see ``docs/ENGINE.md``).  Affine loops skip the capture:
-:meth:`AccessPlan.from_affine_sites` computes the identical table in
-numpy.
+On the compiled datapath the nest executor (:mod:`repro.cpu.nest`)
+runs every registry kernel, gathers included, without a plan.  Plans
+serve what it refuses and the core walks: a loop inside a top-level
+node the nest cannot lower, and straight-line accesses there
+(:meth:`AccessPlan.one_run`).
 
-Plans are cached in two tiers (see :class:`PlanCache`):
+An affine walked loop's plan is computed in numpy
+(:meth:`AccessPlan.from_affine_sites`) and cached in two tiers (see
+:class:`PlanCache`):
 
 * the **symbolic tier** is a process-global registry keyed on *loop
   structure alone* — the loop id plus, per site, the access kind,
@@ -28,21 +28,20 @@ Plans are cached in two tiers (see :class:`PlanCache`):
 * the **bound tier** is per core: a symbolic plan plus one concrete
   binding — ``(trips, site ids, per-site (base, stride, home))`` —
   memoises the materialised :class:`AccessPlan`, so re-executions of
-  the same (program, buffer_map) pair (A/B measurement windows, reps,
-  warm-protocol reruns) replay without re-lowering anything.
+  the same (program, buffer_map) pair replay without re-lowering
+  anything.
 
-Loops the symbolic form cannot express — gathers (data-dependent
-streams) and negative own-loop strides — fall back to the concrete
-capture keying of earlier revisions: the loop object by ``id`` (strong
-ref), outer induction-variable values, buffer bases/homes, and gather
-index tables by ``id``.
+Loops the symbolic form cannot express — gathers and negative own-loop
+strides — are packed uncached from the interpreter's own emission
+generator (:meth:`AccessPlan.from_emissions`), so by construction the
+plan holds the same lines, in the same order, that the per-line
+reference engine dispatches (see ``docs/ENGINE.md``).
 
 ``PlanCacheStats.hits``/``misses`` count symbolic-tier resolution: a
 lookup misses only the first time a loop *structure* is seen in the
-process, which is what makes the hit rate size-polymorphic (a sweep
-over many problem sizes no longer pays one miss per size per address
-context).  Materialisation work is tracked separately by
-``built_segments`` (runs) and ``built_lines``.
+process, which is what makes the hit rate size-polymorphic.
+Materialisation work is tracked separately by ``built_segments``
+(runs) and ``built_lines``.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import numpy as np
 
 from .ckernel import OP, RM, RM_FIELDS, row
 
-#: flush the whole per-core plan cache once it holds this many line
+#: flush the whole per-core bound tier once it holds this many line
 #: entries (a coarse memory bound; sweeps over many distinct programs
 #: on one long-lived machine otherwise grow without limit)
 PLAN_CACHE_MAX_LINES = 8_000_000
@@ -63,7 +62,6 @@ PLAN_CACHE_MAX_LINES = 8_000_000
 #: why a top-level program node was walked in Python instead of running
 #: through the nest executor (``Core._run_body``; docs/ENGINE.md)
 NEST_FALLBACK_REASONS = (
-    "gather",                     # data-dependent addressing in the nest
     "negative_multisite_stride",  # the walk raises ExecutionError for it
     "no_ckernel",                 # the C kernel is unavailable
     "reference_engine",           # engine="reference" always walks
@@ -94,8 +92,7 @@ class AccessPlan:
       of ``engine/ckernel.py``: ``op``, the resolved home, the remote
       flag, the line offset, the line count ``n`` and ``sid``.  A run is
       a maximal stretch of the emission stream with one opcode and one
-      home node resolved against the owning core's node (plans are
-      cached per core, so this is static).  ``sid >= 0`` is the
+      home node resolved against the owning core's node.  ``sid >= 0`` is the
       uniform stream id of the whole run and ``-1`` means the run mixes
       sites.
     * ``lines`` — all runs' line numbers, flat, in emission order,
@@ -139,8 +136,7 @@ class AccessPlan:
         Consecutive emissions with the same opcode and resolved home
         fuse into one run; per-line order is emission order, so the
         line stream the kernel replays is exactly the one the reference
-        engine dispatches.  This is the "lowering" the plan cache
-        amortises across reps, A/B windows, and protocol reruns.
+        engine dispatches.
         """
         rows: List[list] = []
         lines: List[int] = []
@@ -335,9 +331,8 @@ class PlanCacheStats:
     a hit.  Binding-level materialisation work is what
     ``built_segments`` (the built plans' runs, :attr:`AccessPlan.nruns`)
     and ``built_lines`` track, and ``flushes`` counts whole-cache
-    evictions of the bound tier at the line cap.  Concrete fallback
-    lookups (gathers, negative strides) land in the same counters with
-    their capture-key semantics.
+    evictions of the bound tier at the line cap.  Uncached plans
+    (gathers, negative strides) count nowhere.
 
     The nest executor bypasses both tiers: ``nest_runs`` counts
     descriptor executions, and ``fallbacks`` the top-level program
@@ -376,21 +371,16 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """Per-core plan store: bound symbolic plans plus concrete captures.
+    """Per-core plan store: the bound tier.
 
-    The bound tier memoises :meth:`SymbolicPlan.bind` materialisations
-    under ``(plan_id, trips, site ids, per-site (base, stride, home))``
-    keys; the concrete tier keeps capture-keyed plans for loops the
-    symbolic form cannot express (entries hold strong references to the
-    loop object and any gather tables so the ``id()`` key components
-    stay valid).  Both tiers share the line-count memory cap and are
-    flushed together.
+    It memoises :meth:`SymbolicPlan.bind` materialisations under
+    ``(plan_id, trips, site ids, per-site (base, stride, home))`` keys,
+    flushed whole once their lines pass ``max_lines``.
     """
 
     def __init__(self, max_lines: int = PLAN_CACHE_MAX_LINES) -> None:
         self.stats = PlanCacheStats()
         self.max_lines = max_lines
-        self._entries: Dict[tuple, Tuple[object, tuple, AccessPlan]] = {}
         self._bound: Dict[tuple, AccessPlan] = {}
         self._cached_lines = 0
 
@@ -414,34 +404,13 @@ class PlanCache:
 
     def put_bound(self, bkey: tuple, plan: AccessPlan) -> None:
         if self._cached_lines + plan.total_lines > self.max_lines:
-            self._flush()
+            self._bound.clear()
+            self._cached_lines = 0
+            self.stats.flushes += 1
         self._bound[bkey] = plan
         self._cached_lines += plan.total_lines
         self.stats.built_segments += plan.nruns
         self.stats.built_lines += plan.total_lines
 
-    # -- concrete fallback tier ----------------------------------------
-    def get(self, key: tuple):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return entry[2]
-
-    def put(self, key: tuple, loop, pinned: tuple, plan: AccessPlan) -> None:
-        if self._cached_lines + plan.total_lines > self.max_lines:
-            self._flush()
-        self._entries[key] = (loop, pinned, plan)
-        self._cached_lines += plan.total_lines
-        self.stats.built_segments += plan.nruns
-        self.stats.built_lines += plan.total_lines
-
-    def _flush(self) -> None:
-        self._entries.clear()
-        self._bound.clear()
-        self._cached_lines = 0
-        self.stats.flushes += 1
-
     def __len__(self) -> int:
-        return len(self._entries) + len(self._bound)
+        return len(self._bound)

@@ -223,6 +223,16 @@ class GatherLoad:
     def bytes(self) -> int:
         return self.width_bits // 8
 
+    def index_range(self, trips) -> Tuple[int, int]:
+        """Lowest and highest index-table entry the gather reads while
+        each loop it names runs ``trips[loop id]`` trips."""
+        lo = hi = self.index_addr.offset
+        for loop_id, stride in self.index_addr.strides:
+            span = max(trips[loop_id] - 1, 0) * stride
+            lo += min(span, 0)
+            hi += max(span, 0)
+        return lo, hi
+
     def __str__(self) -> str:
         return (f"vgather.{self.width_bits} {self.dst}, "
                 f"{self.buffer}[@{self.index_addr}]")

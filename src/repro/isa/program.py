@@ -159,23 +159,12 @@ class Program:
         self._check_gather_bounds()
 
     def _check_gather_bounds(self) -> None:
-        gathers = [n for n in self.walk() if isinstance(n, GatherLoad)]
-        if not gathers:
-            return
-        trips: Dict[str, int] = {}
-        for node in self.walk():
-            if isinstance(node, Loop):
-                trips[node.loop_id] = node.trips
-        for node in gathers:
+        for node, trips in _gathers(self.body, {}):
             table = self.tables[node.index_addr.buffer]
-            max_index = node.index_addr.offset + sum(
-                max(trips.get(lid, 1) - 1, 0) * stride
-                for lid, stride in node.index_addr.strides
-                if stride > 0
-            )
-            if max_index >= len(table):
+            lo, hi = node.index_range(trips)
+            if lo < 0 or hi >= len(table):
                 raise IsaError(
-                    f"{node} indexes table entry {max_index} but the "
+                    f"{node} indexes table entries {lo}..{hi} but the "
                     f"table has {len(table)} entries"
                 )
             if len(table):
@@ -255,6 +244,16 @@ def _accumulate(nodes, multiplier: int, acc: _CountAccumulator) -> None:
             acc.prefetches += multiplier
         elif isinstance(node, Flush):
             acc.flushes += multiplier
+
+
+def _gathers(nodes, trips: Dict[str, int]):
+    """Yield ``(gather, {loop id: trips})`` for every gather, the dict
+    holding the trip counts of its enclosing loops."""
+    for node in nodes:
+        if isinstance(node, Loop):
+            yield from _gathers(node.body, {**trips, node.loop_id: node.trips})
+        elif isinstance(node, GatherLoad):
+            yield node, trips
 
 
 def _max_extents(nodes, buffer: str, max_ivs: Dict[str, int], extents) -> None:

@@ -40,13 +40,13 @@ def _lcg_columns_rect(n: int, ncols: int, row_nnz: int, bandwidth: int,
     ``ncols`` columns so a wide matrix really is gathered widely."""
     state = seed & 0x7FFFFFFF
     columns = []
-    half = bandwidth // 2
+    append = columns.append
+    band, rows = max(bandwidth, 1), max(n, 1)
     for row in range(n):
-        centre = (row * ncols) // max(n, 1)
+        low = (row * ncols) // rows - bandwidth // 2  # the band's start
         for _ in range(row_nnz):
             state = (1103515245 * state + 12345) & 0x7FFFFFFF
-            offset = state % max(bandwidth, 1) - half
-            columns.append((centre + offset) % ncols)
+            append((low + state % band) % ncols)
     return columns
 
 

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from repro.cpu.nest import NestBuilder
 from repro.engine import ckernel
 from repro.isa import ProgramBuilder
 from repro.kernels.base import CodegenCaps
@@ -87,6 +88,16 @@ def host_refuses_huge_tables(monkeypatch):
     monkeypatch.setattr(prefetched, "_table", table)
 
 
+@pytest.fixture
+def walk_on_c(monkeypatch):
+    """Refuse every top-level node to the nest executor, so a C-datapath
+    machine walks whole programs as it walks a refused node: flat loops
+    through the plan tiers, straight-line accesses as one-run plans.
+    Each node counts as an ``unsupported`` fallback."""
+    monkeypatch.setattr(NestBuilder, "add_top",
+                        lambda self, node: "unsupported")
+
+
 #: plan-cache tests: only the C datapath builds and caches plans
 needs_ckernel = pytest.mark.skipif(
     not ckernel.available(), reason="access plans run on the C datapath")
@@ -95,8 +106,8 @@ needs_ckernel = pytest.mark.skipif(
 def build_gather_beside_affine(n: int):
     """A top-level loop holding a gather flat loop next to an affine one.
 
-    The gather sends the whole top-level node to the Python walk, so on
-    the C datapath the gather loop takes the concrete plan tier and the
+    The nest executor runs it whole.  Walked on the C datapath
+    (:func:`walk_on_c`), the gather loop is packed uncached and the
     affine loop is lowered through the symbolic tier and bound per row
     (the size-polymorphic path); the row stride of ``y`` depends on
     ``n``, so every size is a fresh binding.
@@ -111,6 +122,17 @@ def build_gather_beside_affine(n: int):
         with b.loop(n // 4, "col") as col:
             b.load(y[row * (8 * n) + col * 32], width=256)
     return b.build()
+
+
+def build_descending_gather(check_bounds: bool = True):
+    """``t[2 - i]`` over 8 trips on a 16-entry table: the gather reads
+    entries -5..2, below the table's start."""
+    b = ProgramBuilder()
+    x = b.buffer("x", 4096)
+    table = b.index_table("t", [64 * e for e in range(16)])
+    with b.loop(8) as i:
+        b.gather(x, table[i * -1 + 2], width=64)
+    return b.build(check_bounds=check_bounds)
 
 
 @pytest.fixture(scope="session")

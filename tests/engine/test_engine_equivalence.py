@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.engine import ENGINES, AccessPlan, PlanCache, ckernel, validate_engine
+from repro.engine import ENGINES, ckernel, validate_engine
 from repro.errors import ConfigurationError
 from repro.isa import ProgramBuilder
 from repro.kernels import CodegenCaps, kernel_names, make_kernel
@@ -136,7 +136,7 @@ def test_cross_engine_matrix_preset_by_prefetchers(preset, mask):
 
 
 # ----------------------------------------------------------------------
-# non-symbolic loops: the concrete capture fallback
+# non-symbolic loops: in the nest, or walked and packed uncached
 # ----------------------------------------------------------------------
 def _gather_program():
     b = ProgramBuilder()
@@ -148,9 +148,7 @@ def _gather_program():
 
 
 def _descending_program():
-    # the one-trip gather beside it sends the top-level loop to the
-    # walk, so the descending loop is planned rather than run by the
-    # nest executor
+    # a descending loop beside a one-trip gather in one top-level loop
     b = ProgramBuilder()
     buf = b.buffer("data", 4096)
     table = b.index_table("tab0", [0])
@@ -163,19 +161,23 @@ def _descending_program():
 
 
 @needs_ckernel
+@pytest.mark.parametrize("walk", [False, True], ids=["nest", "walk"])
 @pytest.mark.parametrize("build", [_gather_program, _descending_program],
                          ids=["gather", "negative-stride"])
-def test_non_affine_loops_take_the_concrete_fallback_and_match(build):
+def test_non_affine_loops_run_uncached(build, walk, request):
+    if walk:
+        request.getfixturevalue("walk_on_c")
     program = build()
     outcome = run_cross_engine(program)
     assert outcome.ok, "\n".join(str(d) for d in outcome.divergences)
-    # white-box: on the C datapath these walked shapes land in the
-    # capture-keyed concrete tier, never the bound one
+    # white-box: the nest runs these shapes whole; walked, they are
+    # packed from the emission walk and never reach a plan tier
     machine = tiny_test_machine()
     machine.run(machine.load(program))
-    cache = machine.core(0).plan_cache
-    assert len(cache._entries) > 0
-    assert len(cache._bound) == 0
+    stats = machine.core(0).plan_stats
+    assert len(machine.core(0).plan_cache) == 0 and stats.lookups == 0
+    assert (stats.nest_runs == 0) == walk
+    assert stats.fallbacks["unsupported"] == (1 if walk else 0)
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +209,7 @@ def test_warm_protocol_byte_identical_across_engines():
 # compile tier: plan caching behaviour
 # ----------------------------------------------------------------------
 @needs_ckernel
-def test_fast_engine_hits_the_plan_cache_across_reps():
+def test_fast_engine_hits_the_plan_cache_across_reps(walk_on_c):
     machine = tiny_test_machine()
     loaded = machine.load(build_gather_beside_affine(32))
     for _rep in range(3):
@@ -232,23 +234,8 @@ def test_reference_engine_never_compiles_plans():
     assert core.plan_stats.lookups == 0
 
 
-def test_plan_cache_flushes_at_the_line_cap():
-    cache = PlanCache(max_lines=10)
-    loop_a, loop_b = object(), object()
-    plan_a = AccessPlan.one_run("load", list(range(6)), 0, 0)
-    plan_b = AccessPlan.one_run("load", list(range(6)), 0, 0)
-    cache.put(("a",), loop_a, (), plan_a)
-    assert len(cache) == 1
-    # 6 + 6 > 10: the second put flushes everything, then stores b
-    cache.put(("b",), loop_b, (), plan_b)
-    assert len(cache) == 1
-    assert cache.stats.flushes == 1
-    assert cache.get(("a",)) is None
-    assert cache.get(("b",)) is plan_b
-
-
 @needs_ckernel
-def test_plan_key_distinguishes_buffer_placement():
+def test_plan_key_distinguishes_buffer_placement(walk_on_c):
     # same program shape run at two sizes -> one shared symbolic
     # structure, but different trip counts and buffer bases -> new
     # bound-tier entries (no false sharing between distinct contexts)

@@ -22,11 +22,12 @@ from repro.engine.plan import (
 )
 from repro.errors import ExecutionError
 from repro.isa import ProgramBuilder
-from repro.kernels import CodegenCaps, make_kernel
+from repro.kernels import CodegenCaps, kernel_names, make_kernel
 from repro.machine.presets import make_machine, tiny_test_machine
 from repro.oracle import diff_engine_sides, random_program
 from repro.trace.bus import ListSink
 from repro.trace.events import PHASE
+from tests.conftest import build_descending_gather
 
 pytestmark = pytest.mark.skipif(
     not ckernel.available(), reason="the nest executor needs the C kernel")
@@ -41,6 +42,8 @@ PARITY_KERNELS = [
     ("triad-nt", {}, (128, 2048)),
     ("ert", {"flops_per_elem": 1}, (256, 4096)),
     ("ert", {"flops_per_elem": 16, "sweeps": 2}, (256, 4096)),
+    ("spmv", {}, (64, 512)),
+    ("spmv-wide", {}, (64, 512)),
 ]
 
 
@@ -96,7 +99,7 @@ def test_registry_kernels_match_reference(name, kwargs, sizes):
 
 
 @pytest.mark.parametrize("name", ["dgemm-naive", "dgemm-tiled", "stencil3",
-                                  "triad-nt"])
+                                  "triad-nt", "spmv"])
 def test_phase_trace_events_match_reference(name):
     caps = CodegenCaps.from_machine(tiny_test_machine())
     program = make_kernel(name).build(32 if name.startswith("dgemm")
@@ -122,7 +125,7 @@ def test_chunked_calls_resume_exactly(monkeypatch):
     # boundaries inside every level of the nest
     monkeypatch.setattr(datapath, "NEST_MAX_ROWS", 3)
     caps = CodegenCaps.from_machine(tiny_test_machine())
-    for name in ("dgemm-naive", "dgemm-tiled"):
+    for name in ("dgemm-naive", "dgemm-tiled", "spmv"):
         program = make_kernel(name).build(16, caps)
         for fast, fast_r, ref, ref_r, fsink, rsink in _run_pair(
                 program, trace=True):
@@ -161,10 +164,66 @@ def test_analyze_dgemm_program_takes_the_nest_path(monkeypatch):
     assert not any(stats.fallbacks.values())
 
 
+def test_every_registry_kernel_runs_whole_in_the_nest():
+    # the census: no registry kernel walks a node or consults a plan
+    # tier on the C datapath
+    caps = CodegenCaps.from_machine(tiny_test_machine())
+    for name in kernel_names():
+        machine = tiny_test_machine()
+        n = 32 if name.startswith(("dgemm", "fft")) else 64
+        machine.run(machine.load(make_kernel(name).build(n, caps)))
+        stats = machine.core(0).plan_stats
+        assert stats.nest_runs > 0, name
+        assert not any(stats.fallbacks.values()), (name, stats.fallbacks)
+        assert stats.hits + stats.misses == 0, name
+
+
 # ----------------------------------------------------------------------
-# fallbacks: counted by reason, behaviour unchanged
+# gathers: a nest site, in the walk's emission order
 # ----------------------------------------------------------------------
-def _gather_then_loop():
+def _nested_gathers(width):
+    """SpMV-shaped gathers: per row, a straight-line gather between the
+    loop levels, then one flat loop per index entry stride (0, 1, 2 and
+    -1), each gather beside an affine load, then a gather alone; every
+    index has an outer-iv term.  Table entries come in same-line pairs,
+    and every third sits 8 bytes before a line end, so wide gathers
+    straddle lines."""
+    b = ProgramBuilder()
+    x = b.buffer("x", 8192)
+    vals = b.buffer("vals", 4096)
+    y = b.buffer("y", 1024)
+    table = b.index_table("cols", [
+        ((e // 2) * 37 % 120) * 64 + (56 if e % 3 == 0 else 8 * (e % 7))
+        for e in range(64)])
+    r = b.reg()
+    k = 4
+    with b.loop(12, "row") as row:
+        b.gather(x, table[row * 2 + 1], width=width)
+        for name, stride, offset in (("s0", 0, 0), ("s1", 1, 0),
+                                     ("s2", 2, 0), ("down", -1, k - 1)):
+            with b.loop(k, name) as j:
+                b.gather(x, table[row * k + j * stride + offset],
+                         width=width)
+                b.load(vals[row * 256 + j * 64], width=64)
+        with b.loop(k, "alone") as j:
+            b.gather(x, table[row * k + j * 1], width=width)
+        b.store(r, y[row * 8], width=64)
+    return b.build()
+
+
+@pytest.mark.parametrize("width", [64, 128, 256])
+def test_nested_gathers_match_reference(width):
+    program = _nested_gathers(width)
+    for fast, fast_r, ref, ref_r, fsink, rsink in _run_pair(
+            program, trace=True):
+        _assert_bit_identical(fast, fast_r, ref, ref_r)
+    assert _phase_events(fsink) == _phase_events(rsink)
+    stats = fast.core(0).plan_stats
+    assert stats.nest_runs == 2 and stats.lookups == 0
+    assert not any(stats.fallbacks.values())
+
+
+def test_gather_nodes_run_in_the_nest():
     b = ProgramBuilder()
     buf = b.buffer("data", 4096)
     table = b.index_table("tab0", [(i * 24) % 4000 for i in range(40)])
@@ -172,23 +231,53 @@ def _gather_then_loop():
         b.gather(buf, table[i], width=64)
     with b.loop(32) as i:
         b.load(buf[i * 64], width=64)
-    return b.build()
-
-
-def test_gather_nodes_walk_and_the_rest_runs_as_a_nest():
-    program = _gather_then_loop()
+    program = b.build()
     for fast, fast_r, ref, ref_r, _fs, _rs in _run_pair(program):
         _assert_bit_identical(fast, fast_r, ref, ref_r)
     stats = fast.core(0).plan_stats
-    assert stats.fallbacks["gather"] == 2
     assert stats.nest_runs == 2
+    assert not any(stats.fallbacks.values())
 
 
-def _walked_straight_line():
-    """One top-level loop the nest executor refuses (it holds a gather),
-    so the walk runs every straight-line access in it: line-crossing
-    gathers, loads and stores, an NT store, prefetch hints (one and two
-    lines) and flushes, beside one-line demand accesses."""
+def _out_of_table(kind):
+    if kind == "below":
+        return build_descending_gather(check_bounds=False)
+    b = ProgramBuilder()
+    x = b.buffer("x", 4096)
+    table = b.index_table("t", [64 * e for e in range(16)])
+    if kind == "above":
+        with b.loop(8) as i:
+            b.gather(x, table[i + 10], width=64)
+    else:  # a straight-line gather whose outer iv runs past the table
+        with b.loop(4) as j:
+            b.gather(x, table[j * 6], width=64)
+            with b.loop(2) as i:
+                b.load(x[i * 64], width=64)
+    return b.build(check_bounds=False)
+
+
+@pytest.mark.parametrize("side", ["fast", "reference", "walk"])
+@pytest.mark.parametrize("kind,entries", [
+    ("below", r"-5\.\.2"), ("above", r"10\.\.17"),
+    ("straight", r"(0|18)\.\.18")])
+def test_out_of_table_gathers_raise(kind, entries, side, request):
+    # the nest checks each gather's reachable entries when it lowers
+    # it (0..18 for the straight-line one); the walk checks each
+    # execution's (18..18), with no numpy wraparound below 0
+    if side == "walk":
+        request.getfixturevalue("walk_on_c")
+    program = _out_of_table(kind)
+    machine = tiny_test_machine(
+        engine="reference" if side == "reference" else "fast")
+    with pytest.raises(ExecutionError,
+                       match=f"index-table entries {entries} of 't'"):
+        machine.run(machine.load(program))
+
+
+def _straight_line_program():
+    """Straight-line accesses of every kind between loop levels:
+    line-crossing gathers, loads and stores, an NT store, prefetch hints
+    (one and two lines) and flushes, beside one-line demand accesses."""
     b = ProgramBuilder()
     data = b.buffer("data", 16384)
     out = b.buffer("out", 8192)
@@ -217,8 +306,10 @@ def _events(sink):
             for e in sink.events]
 
 
-@pytest.mark.parametrize("node", [0, 1], ids=["local", "remote"])
-def test_walked_straight_line_accesses_run_in_the_kernel(node, monkeypatch):
+def _run_straight_line_pair(node, monkeypatch):
+    """Run :func:`_straight_line_program` twice on a traced snb-ep-x2
+    pair with its buffers on ``node``, asserting parity; returns the fast
+    machine, its last result, the sinks and the one-run plans built."""
     plans = []
     original = AccessPlan.one_run
     monkeypatch.setattr(AccessPlan, "one_run", classmethod(
@@ -228,23 +319,40 @@ def test_walked_straight_line_accesses_run_in_the_kernel(node, monkeypatch):
     sinks = (ListSink(), ListSink())
     fast.trace.attach(sinks[0])
     ref.trace.attach(sinks[1])
-    program = _walked_straight_line()
+    program = _straight_line_program()
     for _ in range(2):
         fast_r = fast.run(fast.load(program, node=node)).result
         ref_r = ref.run(ref.load(program, node=node)).result
         _assert_bit_identical(fast, fast_r, ref, ref_r)
         assert sorted(fast.hierarchy.port(0)._prefetched) == \
             sorted(ref.hierarchy.port(0)._prefetched)
-    assert _events(sinks[0]) == _events(sinks[1])
-    assert fast.core(0).plan_stats.fallbacks["gather"] == 2
-    # the kernel ran every multi-line access, NT store, prefetch and
-    # flush (the array state raises on any Python transition)
-    assert set(plans) == {"gather", "load", "store", "ntstore",
-                          "prefetch", "flush"}
     assert (fast_r.batch.remote_dram_lines > 0) == (node == 1)
     assert fast_r.batch.flushes and fast_r.batch.writebacks
     assert fast_r.batch.nt_lines and fast_r.batch.sw_prefetches
     assert fast_r.batch.prefetch_useful
+    return fast, sinks, plans
+
+
+@pytest.mark.parametrize("node", [0, 1], ids=["local", "remote"])
+def test_straight_line_accesses_run_in_the_nest(node, monkeypatch):
+    fast, sinks, plans = _run_straight_line_pair(node, monkeypatch)
+    # one batch event set per nest call, so only PHASE events compare
+    assert _phase_events(sinks[0]) == _phase_events(sinks[1])
+    stats = fast.core(0).plan_stats
+    assert stats.nest_runs == 2 and not plans
+    assert not any(stats.fallbacks.values())
+
+
+@pytest.mark.parametrize("node", [0, 1], ids=["local", "remote"])
+def test_walked_straight_line_accesses_run_in_the_kernel(node, monkeypatch,
+                                                        walk_on_c):
+    fast, sinks, plans = _run_straight_line_pair(node, monkeypatch)
+    assert _events(sinks[0]) == _events(sinks[1])
+    assert fast.core(0).plan_stats.fallbacks["unsupported"] == 2
+    # the kernel ran every access as a one-run plan (the array state
+    # raises on any Python transition), one-line demand accesses too
+    assert set(plans) == {"gather", "load", "store", "ntstore",
+                          "prefetch", "flush"}
 
 
 def test_negative_multisite_stride_still_raises():

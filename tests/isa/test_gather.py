@@ -7,6 +7,7 @@ from repro.isa import ProgramBuilder, format_program
 from repro.isa.instructions import AddrExpr, GatherLoad
 from repro.isa.registers import gpr, vec
 from repro.machine.presets import tiny_test_machine
+from tests.conftest import build_descending_gather
 
 
 def gather_sum_program(n=256, modulus=64, stride=37):
@@ -75,6 +76,11 @@ class TestBuilderAndValidation:
             b.gather(x, table[i * 1], width=64)
         with pytest.raises(IsaError):
             b.build()
+
+    def test_index_below_table_rejected(self):
+        with pytest.raises(IsaError, match=r"entries -5\.\.2 but the table "
+                                           r"has 16"):
+            build_descending_gather()
 
     def test_table_offset_beyond_buffer_rejected(self):
         b = ProgramBuilder()
