@@ -3,7 +3,7 @@
 Not a paper figure — this bounds the cost of the distributed telemetry
 plane (:mod:`repro.obs.remote`) the sweep executor grew: trace-context
 propagation, always-on flight-recorder breadcrumbs, fault-hook checks,
-and (when collecting) worker span capture plus metrics/event transport.
+and (when collecting) worker span capture plus metrics transport.
 
 The acceptance bar is the *disabled* path: a serial sweep with
 ``telemetry=False`` still pays the always-on parts — two flight
@@ -23,8 +23,9 @@ construction:
   per-call costs can.
 * **enabled overhead** is a direct ratio of the same serial sweep with
   full collection (``telemetry=True``: span capture, metrics delta,
-  trace-event sample, parent-side merge) vs collection off — coarse,
-  but it only needs to show collection stays usable.
+  parent-side merge; workers attach no sink to the machine's trace
+  bus) vs collection off — coarse, but it only needs to show
+  collection stays usable.
 
 Run directly (``python benchmarks/bench_s9_disttrace.py --out
 BENCH_disttrace.json``) to regenerate the committed baseline;

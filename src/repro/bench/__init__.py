@@ -8,7 +8,6 @@ from .cachebw import (
 )
 from .peakbw import (
     PeakBandwidthResult,
-    bandwidth_by_method,
     bandwidth_methods,
     best_bandwidth,
     default_stream_elements,
@@ -27,7 +26,6 @@ __all__ = [
     "LevelBandwidth",
     "PeakBandwidthResult",
     "PeakFlopsResult",
-    "bandwidth_by_method",
     "bandwidth_methods",
     "best_bandwidth",
     "default_stream_elements",

@@ -16,7 +16,7 @@ unbound anti-pattern the paper warns about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..kernels.base import CodegenCaps
@@ -135,12 +135,3 @@ def best_bandwidth(machine: Machine, cores: Sequence[int],
         for method in methods
     ]
     return max(results, key=lambda r: r.bytes_per_second)
-
-
-def bandwidth_by_method(machine: Machine, cores: Sequence[int],
-                        n: Optional[int] = None) -> Dict[str, float]:
-    """Convenience: method -> bytes/s for one thread set."""
-    return {
-        method: measure_bandwidth(machine, method, cores, n=n, reps=1).bytes_per_second
-        for method in bandwidth_methods()
-    }

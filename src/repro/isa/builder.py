@@ -24,6 +24,8 @@ import contextlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from ..errors import IsaError
 from .instructions import (
     AddrExpr,
@@ -161,13 +163,14 @@ class ProgramBuilder:
         return BufferHandle(name, size_bytes)
 
     def index_table(self, name: str, byte_offsets) -> TableHandle:
-        """Register a gather index table (byte offsets, int sequence)."""
+        """Register a gather index table (byte offsets: an int sequence
+        or int array, copied)."""
         if name in self._tables or name in self._buffers:
             raise IsaError(f"table/buffer name {name!r} already used")
-        offsets = list(byte_offsets)
-        if not offsets:
+        offsets = np.array(byte_offsets, dtype=np.int64)
+        if not offsets.size:
             raise IsaError(f"index table {name!r} must be non-empty")
-        if min(offsets) < 0:
+        if offsets.min() < 0:
             raise IsaError(f"index table {name!r} has negative offsets")
         self._tables[name] = offsets
         return TableHandle(name, len(offsets))

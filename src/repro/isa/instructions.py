@@ -272,17 +272,3 @@ class Loop:
             raise IsaError(f"loop {self.loop_id!r} has negative trip count")
         if not self.loop_id:
             raise IsaError("loop id must be non-empty")
-
-
-Instruction = (VecOp, Load, Store, GatherLoad, PrefetchHint, Flush)
-
-
-def is_instruction(node: object) -> bool:
-    """True when ``node`` is a leaf instruction (not a loop)."""
-    return isinstance(node, Instruction)
-
-
-def memory_instructions(nodes) -> list:
-    """Leaf memory instructions among ``nodes`` (no loop recursion)."""
-    return [n for n in nodes
-            if isinstance(n, (Load, Store, GatherLoad, PrefetchHint, Flush))]

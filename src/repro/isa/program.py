@@ -51,10 +51,6 @@ class StaticCounts:
     def mem_ops(self) -> int:
         return self.loads + self.stores + self.nt_stores
 
-    @property
-    def total_bytes(self) -> int:
-        return self.load_bytes + self.store_bytes
-
     def fp_width_map(self) -> Dict[Tuple[int, str], int]:
         return dict(self.fp_by_width)
 
@@ -136,9 +132,6 @@ class Program:
         acc = _CountAccumulator()
         _accumulate(self.body, 1, acc)
         return acc.finish()
-
-    def flop_count(self) -> int:
-        return self.static_counts().flops
 
     def max_extent(self, buffer: str) -> int:
         """Highest byte offset (exclusive) any access may touch in

@@ -22,32 +22,51 @@ y         ``8 * n``                unit-stride read+write
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..isa.program import Program
 from .base import CodegenCaps, Kernel, new_builder, partition_range
 
 
-def _lcg_columns(n: int, row_nnz: int, bandwidth: int, seed: int):
+#: the column generator's LCG: state' = (A * state + C) mod 2^31
+_LCG_A, _LCG_C, _LCG_MASK = 1103515245, 12345, 0x7FFFFFFF
+
+
+def _lcg_columns(n: int, row_nnz: int, bandwidth: int,
+                 seed: int) -> np.ndarray:
     """Deterministic column indices for a square matrix: each row draws
     ``row_nnz`` columns from a band of ``bandwidth`` around the
     diagonal (wrapping)."""
     return _lcg_columns_rect(n, n, row_nnz, bandwidth, seed)
 
 
+def _lcg_states(draws: int, seed: int) -> np.ndarray:
+    """The LCG's first ``draws`` states after ``seed``, as int64.
+
+    The step is affine, so ``k`` steps are one affine map
+    ``(mult[k-1], add[k-1])``; composing the known maps with the last
+    one doubles the table per pass.  Every factor is below 2^31, so
+    each product fits in int64 before the mask.
+    """
+    mult = np.array([_LCG_A], dtype=np.int64)
+    add = np.array([_LCG_C], dtype=np.int64)
+    while len(mult) < draws:
+        step_mult, step_add = mult[-1], add[-1]
+        add = np.concatenate((add, (mult * step_add + add) & _LCG_MASK))
+        mult = np.concatenate((mult, (mult * step_mult) & _LCG_MASK))
+    return (mult[:draws] * (seed & _LCG_MASK) + add[:draws]) & _LCG_MASK
+
+
 def _lcg_columns_rect(n: int, ncols: int, row_nnz: int, bandwidth: int,
-                      seed: int):
+                      seed: int) -> np.ndarray:
     """Rectangular variant: rows spread their band centres across all
-    ``ncols`` columns so a wide matrix really is gathered widely."""
-    state = seed & 0x7FFFFFFF
-    columns = []
-    append = columns.append
+    ``ncols`` columns so a wide matrix really is gathered widely.
+    Row ``r`` takes draws ``r*row_nnz ...`` of one LCG stream."""
     band, rows = max(bandwidth, 1), max(n, 1)
-    for row in range(n):
-        low = (row * ncols) // rows - bandwidth // 2  # the band's start
-        for _ in range(row_nnz):
-            state = (1103515245 * state + 12345) & 0x7FFFFFFF
-            append((low + state % band) % ncols)
-    return columns
+    low = (np.arange(n, dtype=np.int64) * ncols) // rows - bandwidth // 2
+    states = _lcg_states(n * row_nnz, seed)
+    return (np.repeat(low, row_nnz) + states % band) % ncols
 
 
 class Spmv(Kernel):
@@ -90,7 +109,7 @@ class Spmv(Kernel):
         y = b.buffer("y", 8 * n)
         columns = _lcg_columns_rect(n, ncols, k, min(self.bandwidth, ncols),
                                     self.seed)
-        table = b.index_table("cols", [8 * c for c in columns])
+        table = b.index_table("cols", 8 * columns)
         with b.loop(hi - lo, "row") as row:
             acc = b.reg()
             with b.loop(k, "j") as j:

@@ -5,12 +5,11 @@ from .explain import ExecutionReport, explain_kernel
 from .protocol import ColdCache, Protocol, WarmCache, make_protocol
 from .runner import Measurement, build_init_program, measure_kernel, measure_sweep
 from .stats import Summary, relative_error, summarize
-from .traffic import TRAFFIC_EVENTS, bytes_from_session, read_write_bytes
+from .traffic import TRAFFIC_EVENTS, bytes_from_session
 from .work import (
     WORK_EVENTS,
     WORK_EVENTS_F32,
     WORK_EVENTS_F64,
-    flops_breakdown,
     flops_from_session,
 )
 
@@ -28,12 +27,10 @@ __all__ = [
     "build_init_program",
     "bytes_from_session",
     "explain_kernel",
-    "flops_breakdown",
     "flops_from_session",
     "make_protocol",
     "measure_kernel",
     "measure_sweep",
-    "read_write_bytes",
     "relative_error",
     "summarize",
 ]

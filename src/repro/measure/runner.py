@@ -164,15 +164,6 @@ class Measurement:
         return self.true_flops / max(self.level_bytes[level], 64.0)
 
     @property
-    def counted_performance(self) -> float:
-        """Flops/s using raw counted work (inflated on cold caches)."""
-        return self.work_flops / self.runtime_seconds
-
-    @property
-    def counted_intensity(self) -> float:
-        return self.work_flops / max(self.traffic_bytes, 1.0)
-
-    @property
     def work_overcount(self) -> float:
         """Measured W / true W — the overcount factor of experiment F2."""
         return self.work_flops / self.true_flops if self.true_flops else 0.0

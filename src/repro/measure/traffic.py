@@ -24,11 +24,3 @@ def bytes_from_session(session: PerfSession) -> float:
         "imc_cas_writes"
     )
     return float(lines * CACHE_LINE_BYTES)
-
-
-def read_write_bytes(session: PerfSession) -> Tuple[float, float]:
-    """(read bytes, write bytes) over a closed session window."""
-    return (
-        float(session.uncore_delta("imc_cas_reads") * CACHE_LINE_BYTES),
-        float(session.uncore_delta("imc_cas_writes") * CACHE_LINE_BYTES),
-    )

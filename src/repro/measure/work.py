@@ -26,14 +26,3 @@ def flops_from_session(session: PerfSession) -> float:
         if event_id in session.core_events:
             total += lanes * session.core_delta(event_id)
     return total
-
-
-def flops_breakdown(session: PerfSession) -> dict:
-    """Per-event counted flops (diagnostics for validation reports)."""
-    breakdown = {}
-    for event_id, lanes in FP_EVENT_LANES_F64 + FP_EVENT_LANES_F32:
-        if event_id in session.core_events:
-            delta = session.core_delta(event_id)
-            if delta:
-                breakdown[event_id] = lanes * delta
-    return breakdown

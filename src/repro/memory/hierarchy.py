@@ -129,10 +129,6 @@ class BatchStats:
         }
 
     @property
-    def demand_misses_to_dram(self) -> int:
-        return self.dram_reads
-
-    @property
     def dram_lines_total(self) -> int:
         """All DRAM line transfers caused by this batch."""
         return (self.dram_reads + self.writebacks + self.nt_lines

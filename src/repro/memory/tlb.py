@@ -56,10 +56,6 @@ class TlbStats:
         self.l2_hits = 0
         self.walks = 0
 
-    @property
-    def walk_rate(self) -> float:
-        return self.walks / self.accesses if self.accesses else 0.0
-
 
 class Tlb:
     """Per-core two-level TLB (fully associative, LRU via dict order)."""

@@ -151,8 +151,8 @@ GATES: Dict[str, List[GateCheck]] = {
         # stay under 2% of the dgemm sweep wall time with collection
         # off (absolute ceiling — the baseline value does not relax it)
         GateCheck("disabled.overhead_fraction", "max_cap", 0.02),
-        # full collection (span capture, metrics delta, event sample,
-        # merge) must stay usable on the same sweep
+        # full collection (span capture, metrics delta, merge) must
+        # stay usable on the same sweep
         GateCheck("enabled.overhead_factor", "max_rel", 0.75),
     ],
 }

@@ -2,13 +2,13 @@
 
 The sweep executor fans points out to ``ProcessPoolExecutor`` workers,
 and before this module everything observed *inside* a worker — spans
-from ``SPANS("sweep.point")``, trace-bus events, metrics increments —
-died with the worker process.  This module is the transport between
-those two worlds:
+from ``SPANS("sweep.point")``, metrics increments — died with the
+worker process.  This module is the transport between those two
+worlds:
 
 * :class:`TraceContext` — the picklable per-point context the parent
-  attaches to each dispatch (run id, point index, parent span name,
-  collection switches).  It rides to the worker as a second argument to
+  attaches to each dispatch (run id, point index, collection switch).
+  It rides to the worker as a second argument to
   :func:`repro.sweep.executor.simulate_point`.
 * :class:`SpanSectionCapture` — captures the spans a point produces as
   a self-contained *section* (records with section-relative parent
@@ -27,7 +27,8 @@ those two worlds:
   comparable), folds metrics deltas into the parent registry
   (counters sum, gauges last-write, histograms bucket-merge), and
   produces the compact ``telemetry`` summary that ``repro sweep
-  --json`` exposes.
+  --json`` exposes.  Workers never trace the machine: a point's
+  telemetry is its spans and metrics, not its trace-bus events.
 * :class:`FlightRecorder` / :data:`FLIGHT` — the always-on fixed-size
   ring of breadcrumbs every worker keeps, dumped to
   ``artifacts/flightrec/`` with the failing point's repr when a point
@@ -69,7 +70,7 @@ __all__ = [
 ]
 
 #: telemetry payload-section schema version
-TELEMETRY_VERSION = 1
+TELEMETRY_VERSION = 2
 
 #: where flight-recorder dumps land unless overridden
 FLIGHTREC_DIR_ENV = "REPRO_FLIGHTREC_DIR"
@@ -79,12 +80,6 @@ DEFAULT_FLIGHTREC_DIR = os.path.join("artifacts", "flightrec")
 #: equals the point's ``kernel:n`` label, the worker raises / dies
 CRASH_ENV = "REPRO_DISTTRACE_CRASH"
 KILL_ENV = "REPRO_DISTTRACE_KILL"
-
-#: per-run cap on trace events sampled back from any one worker point
-DEFAULT_EVENT_SAMPLE = 16
-
-#: cap on trace-event sample rows kept in the merged run summary
-MERGED_EVENT_SAMPLE = 64
 
 
 def new_run_id() -> str:
@@ -99,17 +94,14 @@ def new_run_id() -> str:
 class TraceContext:
     """Picklable per-point trace context (parent → worker).
 
-    ``collect`` switches span/metrics/event capture; the flight
-    recorder and fault hooks are always on regardless (breadcrumbs are
-    a handful of dict appends per point).
+    ``collect`` switches span/metrics capture; the flight recorder and
+    fault hooks are always on regardless (breadcrumbs are a handful of
+    dict appends per point).
     """
 
     run_id: str
     point_index: int
-    parent_span: str = "sweep.run"
     collect: bool = True
-    event_sample: int = DEFAULT_EVENT_SAMPLE
-    flightrec_dir: Optional[str] = None
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +275,9 @@ class SpanSectionCapture:
 # worker-side section assembly
 # ----------------------------------------------------------------------
 def build_point_telemetry(ctx: TraceContext, spans: Optional[dict],
-                          busy_ns: int, events_total: int,
-                          event_sample: List[dict],
-                          metrics: Optional[MetricsRegistry] = None) -> dict:
+                          busy_ns: int,
+                          metrics: Optional[MetricsRegistry] = None
+                          ) -> dict:
     """Assemble the ``telemetry`` payload section for one point.
 
     The worker-labelled metric families are built in a throwaway
@@ -315,7 +307,6 @@ def build_point_telemetry(ctx: TraceContext, spans: Optional[dict],
         "spans": spans or {"mode": "owned", "records": [],
                            "aggregates": {}, "dropped": 0},
         "metrics": local.to_delta_doc(),
-        "events": {"total": events_total, "sample": event_sample},
     }
 
 
@@ -345,8 +336,6 @@ def merge_run_telemetry(run_id: str, sections: List[Optional[dict]],
     registry = registry if registry is not None else REGISTRY
     workers: Dict[int, dict] = {}
     points: List[dict] = []
-    events_total = 0
-    event_sample: List[dict] = []
 
     for idx, section in enumerate(sections):
         status = statuses[idx] if idx < len(statuses) else ""
@@ -361,7 +350,7 @@ def merge_run_telemetry(run_id: str, sections: List[Optional[dict]],
         points.append(row)
         worker = workers.setdefault(pid, {
             "pid": pid, "points": 0, "busy_seconds": 0.0,
-            "spans": 0, "span_records_dropped": 0, "events": 0,
+            "spans": 0, "span_records_dropped": 0,
         })
         worker["points"] += 1
         worker["busy_seconds"] += section.get("busy_ns", 0) / 1e9
@@ -381,13 +370,6 @@ def merge_run_telemetry(run_id: str, sections: List[Optional[dict]],
         metrics = section.get("metrics")
         if metrics:
             registry.absorb_delta(metrics)
-        events = section.get("events") or {}
-        total = int(events.get("total", 0))
-        events_total += total
-        worker["events"] += total
-        budget = MERGED_EVENT_SAMPLE - len(event_sample)
-        if budget > 0:
-            event_sample.extend(events.get("sample", ())[:budget])
 
     if elapsed_seconds > 0 and workers:
         utilization = registry.gauge(
@@ -409,5 +391,4 @@ def merge_run_telemetry(run_id: str, sections: List[Optional[dict]],
         "workers": [workers[pid] for pid in sorted(workers)],
         "points": points,
         "cached_points": cached,
-        "events": {"total": events_total, "sample": event_sample},
     }

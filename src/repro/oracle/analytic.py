@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..kernels.base import CodegenCaps
-from ..kernels.registry import kernel_names, make_kernel
+from ..kernels.registry import make_kernel
 from ..machine.machine import Machine
 from ..machine.presets import make_machine
 from ..measure.runner import measure_kernel
@@ -284,12 +284,3 @@ def check_kernel(kernel_name: str, n: Optional[int] = None) -> List[str]:
                 f"exceeds overfetch allowance {allowance}"
             )
     return problems
-
-
-def check_all_kernels(names: Optional[List[str]] = None
-                      ) -> Dict[str, List[str]]:
-    """Run :func:`check_kernel` over the registry; name -> problems."""
-    results = {}
-    for name in (names if names is not None else kernel_names()):
-        results[name] = check_kernel(name)
-    return results

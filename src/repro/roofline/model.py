@@ -90,10 +90,6 @@ class RooflineModel:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def with_point_ceilings(self) -> "RooflineModel":
-        """A copy of the model (hook for derived plots)."""
-        return RooflineModel(self.name, list(self.compute), list(self.memory))
-
     def compute_ceiling(self, label: str) -> ComputeCeiling:
         for ceiling in self.compute:
             if ceiling.label == label:

@@ -28,9 +28,9 @@ or fold :meth:`SweepStats.to_dict` into a Prometheus exposition.
 The executor is also the anchor of the *distributed* telemetry plane
 (:mod:`repro.obs.remote`): each dispatched point carries a
 :class:`~repro.obs.remote.TraceContext`, workers send back a compact
-``telemetry`` payload section (span tree, metrics delta, trace-event
-sample) that is merged into the parent profiler/registry after the run,
-and every process keeps an always-on flight-recorder ring that dumps to
+``telemetry`` payload section (span tree, metrics delta) that is
+merged into the parent profiler/registry after the run, and every
+process keeps an always-on flight-recorder ring that dumps to
 ``artifacts/flightrec/`` when a point raises or a worker dies.  The
 telemetry section is popped from the payload before it reaches the
 result cache, so measurement checksums are identical with telemetry on,
@@ -50,7 +50,7 @@ from ..measure.runner import Measurement, counting_into, measure_kernel
 from ..obs import remote
 from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.spans import SPANS
-from ..trace.bus import RingSink, TraceBus
+from ..trace.bus import TraceBus
 from ..trace.events import MARK, SWEEP, TraceEvent
 from .cache import CORRUPT, HIT, SweepCache, point_key
 from .plan import SweepPlan, SweepPoint
@@ -94,12 +94,12 @@ def simulate_point(point: SweepPoint,
 
     With a collecting :class:`~repro.obs.remote.TraceContext` the
     payload additionally carries a ``"telemetry"`` section (span tree,
-    worker metrics delta, bounded trace-event sample).  The caller pops
-    it before the payload reaches the result cache, so it never enters
-    the checksum.  The flight recorder notes breadcrumbs regardless of
-    telemetry state, and any exception dumps the ring with the failing
-    point's repr before re-raising as
-    :class:`~repro.errors.SweepPointError`.
+    worker metrics delta).  The machine's trace bus stays detached
+    either way.  The caller pops the section before the payload reaches
+    the result cache, so it never enters the checksum.  The flight
+    recorder notes breadcrumbs regardless of telemetry state, and any
+    exception dumps the ring with the failing point's repr before
+    re-raising as :class:`~repro.errors.SweepPointError`.
     """
     label = f"{point.kernel}:{point.n}"
     remote.FLIGHT.note("point", "begin", point=label,
@@ -109,16 +109,11 @@ def simulate_point(point: SweepPoint,
         remote.maybe_fault(label)
         collect = ctx is not None and ctx.collect
         capture = remote.SpanSectionCapture() if collect else None
-        sink: Optional[RingSink] = None
         busy_start = time.perf_counter_ns()
         if capture is not None:
             capture.__enter__()
         try:
             machine = point.machine.build()
-            if collect and ctx.event_sample > 0:
-                # sampled over the traced window (the first repetition's
-                # run A), which keeps the other sessions replayable
-                sink = RingSink(ctx.event_sample)
             # with telemetry on, the measurement's rep counts travel in
             # the point's metrics delta; otherwise they stay in this
             # process's registry
@@ -129,7 +124,6 @@ def simulate_point(point: SweepPoint,
                     machine, point.build_kernel(), point.n,
                     protocol=point.protocol, cores=point.cores,
                     reps=point.reps, width_bits=point.width_bits,
-                    trace=sink,
                 )
         finally:
             if capture is not None:
@@ -139,17 +133,12 @@ def simulate_point(point: SweepPoint,
         payload["plan_cache"] = _harvest_plan_cache(machine, point.cores)
         if collect:
             payload["telemetry"] = remote.build_point_telemetry(
-                ctx, capture.section, busy_ns, metrics=counts,
-                events_total=sink.total if sink else 0,
-                event_sample=[e.to_dict() for e in sink.events]
-                if sink else [],
-            )
+                ctx, capture.section, busy_ns, metrics=counts)
         remote.FLIGHT.note("point", "end", point=label, busy_ns=busy_ns)
         return payload
     except Exception as exc:
         dump = remote.FLIGHT.dump(
             "point-exception", point=repr(point),
-            directory=ctx.flightrec_dir if ctx else None,
             error=f"{type(exc).__name__}: {exc}",
         )
         raise SweepPointError(
@@ -230,8 +219,8 @@ class SweepRun:
     every payload (cached replays included, since the harvest happened
     when the point was first simulated).  ``telemetry`` is the merged
     distributed-telemetry summary (worker table, per-point status
-    including replayed-from-cache marks, bounded trace-event sample) —
-    purely observational, never part of any measurement checksum.
+    including replayed-from-cache marks) — purely observational, never
+    part of any measurement checksum.
     """
 
     measurements: List[Measurement]
@@ -272,9 +261,10 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
     cache-compatible whichever backend runs them.
 
     ``telemetry`` switches distributed telemetry collection: ``None``
-    (default) enables it exactly when execution leaves the calling
-    process — serial runs keep the span-capture cost off their hot
-    path unless asked.
+    (default) enables it exactly when the chosen backend runs points
+    outside the calling process — serial runs keep the span-capture
+    cost off their hot path unless asked.  A run with no misses
+    collects nothing and reports ``collected: false``.
     ``on_point`` is called as ``(done, total, point, status)`` the
     moment each point *completes* (cache hits during the probe,
     simulated points as their results land, in completion order) —
@@ -286,12 +276,6 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
     from .backends.serial import SerialBackend
 
     jobs = resolve_jobs(jobs)
-    if telemetry is not None:
-        collect = bool(telemetry)
-    elif backend is None:
-        collect = jobs > 1
-    else:
-        collect = backend.parallel
     run_id = remote.new_run_id()
     run_stats = SweepStats()
     started = time.perf_counter()
@@ -334,6 +318,7 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
                 pending.append(idx)
 
     backend_name = "cached"
+    collect = False
     if pending:
         owned: Optional[SweepBackend] = None
         if backend is None:
@@ -346,6 +331,7 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
             active = backend
         backend_name = active.name
         backend_stats = active.stats
+        collect = active.parallel if telemetry is None else bool(telemetry)
         items = [
             WorkItem(index=idx, point=points[idx],
                      ctx=remote.TraceContext(run_id=run_id,

@@ -18,7 +18,7 @@ from its data alone, so a pool can start the longest points first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SweepError
@@ -139,10 +139,6 @@ class SweepPlan:
 
     def extend(self, other: "SweepPlan") -> None:
         self.points.extend(other.points)
-
-    def with_reps(self, reps: int) -> "SweepPlan":
-        """A copy of the plan with every point's rep count replaced."""
-        return SweepPlan(replace(p, reps=reps) for p in self.points)
 
     def __len__(self) -> int:
         return len(self.points)

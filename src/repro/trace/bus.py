@@ -21,8 +21,7 @@ timeline.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional
+from typing import List
 
 from .events import TraceEvent
 
@@ -32,36 +31,6 @@ class NullSink:
 
     def emit(self, event: TraceEvent) -> None:
         pass
-
-
-class RingSink:
-    """Keeps the most recent ``capacity`` events, counts them all.
-
-    The distributed-telemetry plane attaches one of these to each sweep
-    worker's machine bus: the ring bounds what rides back to the parent
-    in the telemetry section, while ``total`` preserves how many events
-    the run actually produced (so a truncated sample is never mistaken
-    for the full stream).  The worker flight recorder uses the same
-    shape for its crash dumps.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.total = 0
-        self._ring: "deque[TraceEvent]" = deque(maxlen=capacity)
-
-    def emit(self, event: TraceEvent) -> None:
-        self.total += 1
-        self._ring.append(event)
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
 
 
 class ListSink:

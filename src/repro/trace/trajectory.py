@@ -39,10 +39,6 @@ class TrajectoryPoint:
     flops: int
     dram_bytes: int
 
-    @property
-    def t_mid(self) -> float:
-        return 0.5 * (self.t_start + self.t_end)
-
 
 @dataclass
 class RooflineTrajectory:

@@ -24,11 +24,6 @@ CACHE_LINE_BYTES = 64
 PAGE_BYTES = 4096
 
 
-def giga(value: float) -> float:
-    """Scale a raw per-second quantity to its Giga- representation."""
-    return value / 1e9
-
-
 def format_bytes(n: float) -> str:
     """Render a byte count with a binary suffix, e.g. ``'2.5 MiB'``."""
     if n < 0:

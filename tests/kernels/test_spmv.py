@@ -1,21 +1,36 @@
 """SpMV kernel: pattern determinism, ground truth, locality behaviour."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.kernels import CodegenCaps, Spmv
-from repro.kernels.spmv import _lcg_columns
+from repro.kernels.spmv import _lcg_columns, _lcg_columns_rect
 from repro.machine.presets import tiny_test_machine
 from repro.measure import measure_kernel
 
 CAPS = CodegenCaps(width_bits=256, has_fma=False)
 
 
+def scalar_columns(n, ncols, row_nnz, bandwidth, seed):
+    """The column generator one draw at a time: the oracle for the
+    vectorised jump-ahead."""
+    state = seed & 0x7FFFFFFF
+    columns = []
+    band, rows = max(bandwidth, 1), max(n, 1)
+    for row in range(n):
+        low = (row * ncols) // rows - bandwidth // 2
+        for _ in range(row_nnz):
+            state = (1103515245 * state + 12345) & 0x7FFFFFFF
+            columns.append((low + state % band) % ncols)
+    return columns
+
+
 class TestPattern:
     def test_deterministic(self):
         a = _lcg_columns(64, 4, 32, seed=7)
         b = _lcg_columns(64, 4, 32, seed=7)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_columns_in_range(self):
         columns = _lcg_columns(128, 8, 64, seed=3)
@@ -31,7 +46,30 @@ class TestPattern:
                 assert abs(col - row) <= band
 
     def test_seed_changes_pattern(self):
-        assert _lcg_columns(64, 4, 32, 1) != _lcg_columns(64, 4, 32, 2)
+        assert not np.array_equal(_lcg_columns(64, 4, 32, 1),
+                                  _lcg_columns(64, 4, 32, 2))
+
+    @pytest.mark.parametrize("n, ncols, row_nnz, bandwidth, seed", [
+        (1, 1, 1, 1, 0),
+        (3, 3, 5, 2, 1),
+        (64, 64, 4, 32, 7),
+        (100, 700, 3, 700, 0xC0FFEE),
+        (257, 257, 8, 512, 0x7FFFFFFF),
+        (1000, 1000, 4, 10, 2**40 + 5),
+        (2048, 4096, 8, 1 << 20, 12345),
+    ])
+    def test_jump_ahead_matches_the_scalar_loop(self, n, ncols, row_nnz,
+                                                bandwidth, seed):
+        columns = _lcg_columns_rect(n, ncols, row_nnz, bandwidth, seed)
+        assert columns.dtype == np.int64
+        assert columns.tolist() == scalar_columns(n, ncols, row_nnz,
+                                                  bandwidth, seed)
+
+    def test_kernel_table_is_the_scaled_columns(self):
+        kernel = Spmv(row_nnz=4, bandwidth=64, seed=9, cols=300)
+        table = kernel.build(128, CAPS).tables["cols"]
+        assert table.tolist() == [
+            8 * c for c in scalar_columns(128, 300, 4, 64, 9)]
 
 
 class TestGroundTruth:

@@ -28,7 +28,6 @@ from repro.obs.remote import (
     merge_run_telemetry,
     new_run_id,
 )
-from repro.measure import measure_kernel
 from repro.obs.spans import SPANS, SpanProfiler
 from repro.sweep import (
     SweepCache,
@@ -37,8 +36,7 @@ from repro.sweep import (
     run_plan,
 )
 from repro.sweep.executor import simulate_point
-from repro.trace.bus import RingSink, TraceBus
-from repro.trace.events import TraceEvent
+from repro.trace.bus import TraceBus
 
 pytestmark = pytest.mark.sweep
 
@@ -122,7 +120,7 @@ class TestTelemetryShape:
         REGISTRY.reset()
         parallel = run_plan(small_plan(), jobs=2, cache=None).telemetry
         for doc in (serial, parallel):
-            assert doc["version"] == 1
+            assert doc["version"] == 2
             assert doc["collected"] is True
             assert doc["cached_points"] == 0
             assert [p["status"] for p in doc["points"]] == (
@@ -134,8 +132,8 @@ class TestTelemetryShape:
                 assert worker["busy_seconds"] > 0
                 assert worker["spans"] > 0
                 assert 0.0 <= worker["utilization"] <= 1.0
-            assert doc["events"]["total"] > 0
-            assert doc["events"]["sample"]
+                assert "events" not in worker
+            assert "events" not in doc
         assert set(serial) == set(parallel)
         assert set(serial["workers"][0]) == set(parallel["workers"][0])
 
@@ -165,25 +163,55 @@ class TestTelemetryShape:
 
 
 # ----------------------------------------------------------------------
+# workers never trace the machine
+# ----------------------------------------------------------------------
+class TestNoMachineTracing:
+    def test_collecting_run_attaches_nothing_to_any_trace_bus(
+            self, monkeypatch):
+        attached = []
+        monkeypatch.setattr(TraceBus, "attach",
+                            lambda bus, sink: attached.append(sink))
+        run = run_plan(small_plan(), jobs=1, cache=None, telemetry=True)
+        assert attached == []
+        assert run.telemetry["collected"] is True
+        assert run.telemetry["version"] == 2
+        assert "events" not in run.telemetry
+
+    def test_point_sections_carry_no_event_sample(self):
+        plan = small_plan()
+        section = simulate_point(plan.points[0],
+                                 TraceContext(new_run_id(), 0))["telemetry"]
+        assert section["version"] == 2
+        assert "events" not in section
+        assert section["spans"]["records"]
+
+
+# ----------------------------------------------------------------------
+# default collection follows the backend that actually runs
+# ----------------------------------------------------------------------
+class TestCollectionFollowsBackend:
+    def test_one_pending_point_under_jobs_runs_serial_uncollected(self):
+        plan = SweepPlan()
+        plan.add_sweep(MachineRef.of("tiny"), "daxpy", (96,),
+                       protocol="cold", reps=1)
+        run = run_plan(plan, jobs=2, cache=None)
+        assert run.backend == "serial"
+        assert run.telemetry["collected"] is False
+        assert run.telemetry["workers"] == []
+        assert not SPANS.enabled
+        assert SPANS.records == []
+
+    def test_all_hits_report_nothing_collected(self, tmp_path):
+        cache = SweepCache(str(tmp_path / "sweepcache"))
+        run_plan(small_plan(), jobs=2, cache=cache)
+        warm = run_plan(small_plan(), jobs=2, cache=cache)
+        assert warm.backend == "cached"
+        assert warm.telemetry["collected"] is False
+
+
+# ----------------------------------------------------------------------
 # merged flame: per-worker tracks with causal links
 # ----------------------------------------------------------------------
-class TestPointEventSample:
-    def test_sample_covers_the_traced_window_only(self):
-        # the point's ring is the measurement's trace sink: it counts
-        # exactly the events a collector sees for the same measurement
-        plan = SweepPlan()
-        plan.add_sweep(MachineRef.of("tiny"), "daxpy", (192,),
-                       protocol="cold", reps=3)
-        point = plan.points[0]
-        payload = simulate_point(point, TraceContext(new_run_id(), 0))
-        measured = measure_kernel(
-            point.machine.build(), point.build_kernel(), point.n,
-            protocol=point.protocol, cores=point.cores, reps=point.reps,
-            width_bits=point.width_bits, trace=True)
-        total = payload["telemetry"]["events"]["total"]
-        assert total == len(measured.trace.events) > 0
-
-
 class TestMergedFlame:
     def test_worker_spans_land_on_per_pid_tracks_with_links(self):
         run = run_plan(small_plan(), jobs=2, cache=None)
@@ -349,8 +377,7 @@ class TestSpanSectionCapture:
                 pass
         telemetry = build_point_telemetry(
             TraceContext(run_id="abc", point_index=0),
-            capture.section, busy_ns=1000, events_total=0,
-            event_sample=[])
+            capture.section, busy_ns=1000)
         before = len(profiler.records)
         doc = merge_run_telemetry(
             "abc", [telemetry], ["miss"], ["daxpy:96"], [None],
@@ -379,21 +406,9 @@ class TestSpanSectionCapture:
 
 
 # ----------------------------------------------------------------------
-# ring sink: bounded trace-event sampling on the machine bus
+# run ids
 # ----------------------------------------------------------------------
-class TestRingSink:
-    def test_keeps_last_n_and_counts_all(self):
-        bus = TraceBus()
-        sink = RingSink(capacity=3)
-        bus.attach(sink)
-        for i in range(7):
-            bus.emit(TraceEvent(kind="mark", name=f"e{i}", ts=float(i)))
-        assert sink.total == 7
-        assert len(sink) == 3
-        assert [e.name for e in sink.events] == ["e4", "e5", "e6"]
-        with pytest.raises(ValueError):
-            RingSink(capacity=0)
-
+class TestRunId:
     def test_run_id_is_short_and_unique(self):
         ids = {new_run_id() for _ in range(64)}
         assert len(ids) == 64
