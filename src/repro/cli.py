@@ -339,11 +339,18 @@ def _cmd_sweep(args) -> int:
     if args.live:
         dashboard = SweepDashboard(total=len(plan),
                                    jobs=resolve_jobs(args.jobs))
+    if args.flame_out:
+        # the telemetry merge absorbs worker spans only into an enabled
+        # profiler
+        SPANS.reset()
+        SPANS.enable()
     try:
         run = run_plan(plan, jobs=args.jobs, cache=cache, bus=bus,
                        progress=progress, telemetry=args.telemetry,
                        on_point=dashboard.update if dashboard else None)
     finally:
+        if args.flame_out:
+            SPANS.disable()
         if dashboard is not None:
             dashboard.close()
     if args.trace_out:

@@ -40,7 +40,7 @@
 #include <string.h>
 
 /* BEGIN GENERATED INTERFACE: written from the tables in engine/ckernel.py by
- * `python -m repro.engine.ckernel`; edit those tables, not this block. */
+ * `python -m repro.engine`; edit those tables, not this block. */
 
 enum { PF_BLOCK_SHIFT = 9 };
 

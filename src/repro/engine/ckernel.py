@@ -16,7 +16,7 @@ struct), :data:`LAYOUTS` (every int64 array layout shared by position)
 and :data:`CONSTANTS`.  The ctypes :class:`Ctx`, the index tables
 (:data:`OUT`, :data:`RM`, ``OP_*``, ...) and the C block between the
 ``GENERATED INTERFACE`` markers of ``_ckernel.c`` are built from them;
-``python -m repro.engine.ckernel`` rewrites that block after a table
+``python -m repro.engine`` rewrites that block after a table
 edit.  The block's ``repro_layout()`` reports ``sizeof(Ctx)``, every
 member's offset and every enum value as compiled, and the loader
 refuses a kernel whose words differ, naming the first that does.
@@ -129,8 +129,10 @@ def row(layout: Dict[str, int], **columns: int) -> List[int]:
     return values
 
 
-BEGIN = ("/* BEGIN GENERATED INTERFACE: written from the tables in "
-         "engine/ckernel.py by\n * `python -m repro.engine.ckernel`; "
+#: the block's opening marker; the banner text after it may change
+BEGIN_MARK = "/* BEGIN GENERATED INTERFACE"
+BEGIN = (BEGIN_MARK + ": written from the tables in "
+         "engine/ckernel.py by\n * `python -m repro.engine`; "
          "edit those tables, not this block. */\n")
 END = "/* END GENERATED INTERFACE */\n"
 
@@ -176,7 +178,7 @@ def c_block() -> str:
 
 def _split(source: str) -> Tuple[str, str, str]:
     """(text before the generated block, the block, text after)."""
-    start, stop = source.index(BEGIN), source.index(END) + len(END)
+    start, stop = source.index(BEGIN_MARK), source.index(END) + len(END)
     return source[:start], source[start:stop], source[stop:]
 
 
@@ -313,6 +315,3 @@ def lib() -> Optional[ctypes.CDLL]:
 def available() -> bool:
     return lib() is not None
 
-
-if __name__ == "__main__":
-    print("rewritten" if regenerate() else "already up to date", _SRC)

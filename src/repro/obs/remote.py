@@ -16,8 +16,9 @@ worlds:
   **owned** (the profiler was disabled, so the capture enables it and
   restores the exact prior state afterwards — the worker steady state)
   and **inline** (the profiler was already enabled, e.g. under
-  ``repro selfprofile``; the section is sliced out without disturbing
-  the live record list, and the merge step knows not to absorb it
+  ``repro selfprofile`` or in a worker forked from an enabled parent;
+  the section is sliced out without disturbing the live record list,
+  and the merge step knows not to absorb a section of its own process
   twice).
 * :func:`build_point_telemetry` / :func:`merge_run_telemetry` — the
   worker-side section builder and the parent-side merge.  The merge
@@ -210,7 +211,8 @@ class SpanSectionCapture:
     afterwards — repeated points in a long-lived pool worker never leak
     state into each other.  Inline mode (already enabled) leaves the
     live profiler untouched and only slices; the section is tagged so
-    the merge step skips re-absorbing spans that are already present.
+    the merge step skips re-absorbing spans that are already present
+    (it checks the pid: a forked worker's inline spans are not).
     """
 
     def __init__(self, profiler: Optional[SpanProfiler] = None) -> None:
@@ -324,10 +326,13 @@ def merge_run_telemetry(run_id: str, sections: List[Optional[dict]],
 
     ``sections``/``statuses``/``labels``/``submit_ns`` are parallel
     arrays in plan order; cache hits have no section and show up as
-    ``replayed-from-cache`` rows.  Owned span sections are absorbed
-    onto per-pid flame tracks with a causal link from the parent's
-    dispatch instant; inline sections (serial run under an
-    already-enabled profiler) are counted but not re-absorbed.  Worker
+    ``replayed-from-cache`` rows.  Span sections are counted always,
+    but absorbed only into an enabled ``profiler``: each lands on its
+    worker's flame track with a causal link from the parent's dispatch
+    instant.  An inline section from this process (a serial run under
+    the enabled profiler) already sits in it and is not absorbed again;
+    one from another pid is a worker forked from an enabled parent, so
+    its records are absorbed like an owned section's.  Worker
     metric deltas merge into ``registry`` and a
     ``repro_sweep_worker_utilization`` gauge (busy seconds / run wall
     seconds) is set per worker.
@@ -355,7 +360,8 @@ def merge_run_telemetry(run_id: str, sections: List[Optional[dict]],
         worker["points"] += 1
         worker["busy_seconds"] += section.get("busy_ns", 0) / 1e9
         spans = section.get("spans") or {}
-        if spans.get("mode") == "owned" and pid:
+        local = spans.get("mode") == "inline" and pid == os.getpid()
+        if profiler.enabled and pid and not local:
             absorbed = profiler.absorb_remote(
                 spans, track=pid, track_name=f"sweep worker {pid}",
                 link={"id": f"{run_id}:{idx}",

@@ -115,6 +115,8 @@ class JobTable:
         self._by_key: Dict[str, Job] = {}
         self._finished_order: List[str] = []
         self._ids = itertools.count(1)
+        #: jobs submitted and not yet finished
+        self._live = 0
 
     def submit(self, kind: str, params: dict) -> Tuple[Job, bool]:
         """Get-or-create the job for one request.
@@ -131,6 +133,7 @@ class JobTable:
                   key=key)
         self._by_id[job.id] = job
         self._by_key[key] = job
+        self._live += 1
         return job, False
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -138,6 +141,7 @@ class JobTable:
 
     def finish(self, job: Job) -> None:
         """Mark terminal state bookkeeping; evict old finished jobs."""
+        self._live -= 1
         self._finished_order.append(job.id)
         while len(self._finished_order) > MAX_FINISHED_JOBS:
             old_id = self._finished_order.pop(0)
@@ -146,7 +150,7 @@ class JobTable:
                 del self._by_key[old.key]
 
     def in_flight(self) -> int:
-        return sum(1 for job in self._by_id.values() if not job.finished)
+        return self._live
 
     def __len__(self) -> int:
         return len(self._by_id)

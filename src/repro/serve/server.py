@@ -16,10 +16,13 @@ measurement pipeline:
 Requests are **coalesced** (:mod:`repro.serve.jobs`): identical
 in-flight requests share one execution, and repeats after completion
 replay point-by-point from the content-addressed sweep cache — the
-service never simulates the same inputs twice.  POSTs run the work on
-a thread pool (the event loop only shuffles bytes) and respond when
-the job finishes; pass ``{"async": true}`` to get ``202`` + a job id
-immediately and poll ``/jobs/<id>`` instead.
+service never simulates the same inputs twice.  The server holds one
+:class:`~repro.sweep.cache.SweepCache` for its lifetime, so a point
+read and verified once answers later requests from memory.  POSTs run
+the work on a thread pool (the event loop only shuffles bytes) and
+respond when the job finishes; pass ``{"async": true}`` to get
+``202`` + a job id immediately and poll ``/jobs/<id>`` instead.
+Response bodies are compact one-line JSON.
 
 Requests are built as the CLI verbs build them (:mod:`repro.request`):
 a bad field answers ``400`` naming it, and the job key hashes the
@@ -43,6 +46,7 @@ from typing import Optional
 
 from ..errors import ConfigurationError, ReproError, SweepPointError
 from ..obs.metrics import REGISTRY
+from ..sweep.cache import SweepCache
 from .http import (
     HttpError,
     Request,
@@ -88,8 +92,9 @@ class RooflineServer:
         self.host = host
         self.port = port
         self.jobs = jobs
-        self.cache_dir = cache_dir
-        self.no_cache = no_cache
+        # one cache for the server's lifetime: a point verified once
+        # answers every later request from memory
+        self.cache = None if no_cache else SweepCache(cache_dir)
         self.table = JobTable()
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
@@ -172,7 +177,9 @@ class RooflineServer:
 
     async def _send_json(self, writer: asyncio.StreamWriter, status: int,
                          doc: dict) -> None:
-        body = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        # compact, so json's C encoder runs (an indent selects the
+        # pure-Python one); pipe through `python -m json.tool` to read
+        body = (json.dumps(doc) + "\n").encode("utf-8")
         writer.write(response_bytes(status, body))
         await writer.drain()
 
@@ -298,10 +305,6 @@ class RooflineServer:
     # ------------------------------------------------------------------
     # the actual work (runs on the thread pool)
     # ------------------------------------------------------------------
-    def _cache(self):
-        from ..sweep import SweepCache
-        return None if self.no_cache else SweepCache(self.cache_dir)
-
     def _execute(self, kind: str, params: dict, emit) -> dict:
         from ..measure.runner import Measurement  # noqa: F401 — warm import
         runner = getattr(self, f"_run_{kind}")
@@ -333,7 +336,7 @@ class RooflineServer:
             grid=params.get("grid"), protocol=params.get("protocol", "cold"),
             reps=params["reps"], threads=params.get("threads", 1),
             quick=params.get("quick", False))
-        run = run_plan(plan, jobs=self.jobs, cache=self._cache(),
+        run = run_plan(plan, jobs=self.jobs, cache=self.cache,
                        on_point=self._on_point(emit))
         return sweep_document(ref, run)
 
@@ -347,7 +350,7 @@ class RooflineServer:
             params["kernel"], params["sizes"], machine=ref,
             protocol=params["protocol"], reps=params["reps"],
             flop_counts=params["flops"], jobs=self.jobs,
-            cache=self._cache(),
+            cache=self.cache,
         )
         emit({"type": "phase", "phase": "placed"})
         return result.to_json_doc()

@@ -11,13 +11,20 @@ Integrity rules:
 
 * entries are written atomically (temp file + ``os.replace``) so a
   crashed run can leave at worst a stray temp file, never a torn entry;
-* every load re-verifies the checksum and the payload schema; a
+* every read from disk re-verifies the checksum and the envelope; a
   truncated, corrupted, or stale entry is treated as a *miss* (and
   counted as ``corrupt``), so the point is transparently re-simulated —
   bad bytes are never silently returned;
 * :data:`VERSION_SALT` participates in every key.  Bump it whenever a
   simulator change alters measured values; old entries then simply stop
   being addressed, no invalidation pass required.
+
+Each :class:`SweepCache` object also remembers the payloads it has read
+and verified, up to :data:`MEMORY_ENTRIES` of them, so a repeated lookup
+of one key reads its file once.  Damaged entries are never remembered;
+``store`` and ``gc`` forget the entries they replace or remove.  A file
+damaged after its verified read goes unseen until a new cache object
+reads it.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
+from collections import OrderedDict
 from typing import Optional, Tuple
 
 from ..errors import SweepError
@@ -42,6 +51,10 @@ DEFAULT_CACHE_DIR = os.path.join("artifacts", "sweepcache")
 
 #: lookup outcomes
 HIT, MISS, CORRUPT = "hit", "miss", "corrupt"
+
+#: verified payloads one cache object keeps in memory, least recently
+#: used evicted first (about 4 MB at the 3.6 KB of a typical payload)
+MEMORY_ENTRIES = 1024
 
 
 def canonical_json(doc: dict) -> str:
@@ -70,10 +83,18 @@ def default_cache_dir() -> str:
 
 
 class SweepCache:
-    """Filesystem-backed, checksum-verified measurement store."""
+    """Filesystem-backed, checksum-verified measurement store.
+
+    Safe to share between threads: the in-memory table of verified
+    payloads is guarded by a lock, and entry files are replaced
+    atomically.  Callers must not mutate a returned payload, which may
+    be the remembered one.
+    """
 
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = root or default_cache_dir()
+        self._memory: "OrderedDict[str, dict]" = OrderedDict()
+        self._lock = threading.Lock()
 
     def path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")
@@ -88,7 +109,13 @@ class SweepCache:
         wrong envelope, key or checksum mismatch — downgrades to a miss
         so the caller re-simulates; a defective *existing* entry reports
         ``corrupt``.  Nothing an entry file holds makes this raise.
+        A key verified once before answers from memory.
         """
+        with self._lock:
+            payload = self._memory.get(key)
+            if payload is not None:
+                self._memory.move_to_end(key)
+                return payload, HIT
         path = self.path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -101,10 +128,25 @@ class SweepCache:
             return None, MISS
         except (OSError, ValueError, RecursionError):
             return None, CORRUPT
-        return (payload, HIT) if valid else (None, CORRUPT)
+        if not valid:
+            return None, CORRUPT
+        with self._lock:
+            self._memory[key] = payload
+            if len(self._memory) > MEMORY_ENTRIES:
+                self._memory.popitem(last=False)
+        return payload, HIT
+
+    def _forget(self, key: str) -> None:
+        with self._lock:
+            self._memory.pop(key, None)
 
     def store(self, key: str, payload: dict) -> str:
-        """Atomically persist one payload; returns the entry path."""
+        """Atomically persist one payload; returns the entry path.
+
+        The key's remembered payload, if any, is forgotten: the next
+        lookup reads and verifies the new file.
+        """
+        self._forget(key)
         path = self.path(key)
         entry = {
             "key": key,
@@ -191,6 +233,8 @@ class SweepCache:
                 "reclaimed_bytes": reclaimed, "kept_bytes": kept}
 
     def _unlink(self, path: str) -> int:
+        key, _ext = os.path.splitext(os.path.basename(path))
+        self._forget(key)
         try:
             os.unlink(path)
             return 1

@@ -73,6 +73,10 @@ def payload_to_measurement(doc: dict) -> Measurement:
         )
     try:
         fields = {name: doc[name] for name in _MEASUREMENT_FIELDS}
+        # the payload may be the sweep cache's remembered one: the
+        # Measurement gets its own copy of the one mutable field
+        if fields["level_bytes"] is not None:
+            fields["level_bytes"] = dict(fields["level_bytes"])
         summaries = {name: _summary_from_doc(doc[name])
                      for name in _SUMMARY_KEYS}
         floor = float(doc.get(_NOISE_FLOOR, NOISE_FLOOR_BYTES))

@@ -17,7 +17,7 @@ WORDS = ckernel._expected()
 
 
 def test_generated_block_matches_the_tables():
-    # after a table edit, `python -m repro.engine.ckernel` rewrites it
+    # after a table edit, `python -m repro.engine` rewrites it
     assert ckernel._split(SOURCE)[1] == ckernel.c_block()
 
 

@@ -213,6 +213,15 @@ class TestCollectionFollowsBackend:
 # merged flame: per-worker tracks with causal links
 # ----------------------------------------------------------------------
 class TestMergedFlame:
+    """Worker spans merge into an enabled profiler, as under ``repro
+    sweep --flame-out``; forked workers then capture inline."""
+
+    @pytest.fixture(autouse=True)
+    def enabled_profiler(self):
+        SPANS.enable()
+        yield
+        SPANS.disable()
+
     def test_worker_spans_land_on_per_pid_tracks_with_links(self):
         run = run_plan(small_plan(), jobs=2, cache=None)
         pids = {w["pid"] for w in run.telemetry["workers"]}
@@ -243,6 +252,41 @@ class TestMergedFlame:
         finishes = [e for e in events if e.get("ph") == "f"]
         assert len(starts) == len(SIZES) and len(finishes) == len(SIZES)
         assert all(e["name"] == "sweep.dispatch" for e in starts + finishes)
+
+
+    def test_parent_spans_stay_on_the_main_track(self):
+        run_plan(small_plan(), jobs=2, cache=None)
+        parent = {r.name for r in SPANS.records if r.tid == 0}
+        assert {"sweep.cache.probe", "sweep.run"} <= parent
+        assert "sweep.point" not in parent
+
+
+class TestDisabledProfiler:
+    def test_pool_run_absorbs_nothing_into_a_disabled_profiler(self):
+        run = run_plan(small_plan(), jobs=2, cache=None)
+        assert run.telemetry["collected"] is True
+        # the summary still counts every worker's spans
+        assert all(w["spans"] > 0 for w in run.telemetry["workers"])
+        assert SPANS.records == []
+        assert SPANS._links == []
+        assert SPANS._tracks == {}
+        assert SPANS._agg == {}
+
+    def test_owned_section_is_counted_but_not_absorbed(self):
+        profiler = SpanProfiler()
+        with SpanSectionCapture(profiler) as capture:
+            with profiler("sweep.point"):
+                pass
+        telemetry = build_point_telemetry(
+            TraceContext(run_id="abc", point_index=0),
+            capture.section, busy_ns=1000)
+        telemetry["worker"]["pid"] = os.getpid() + 1
+        doc = merge_run_telemetry(
+            "abc", [telemetry], ["miss"], ["daxpy:96"], [0],
+            elapsed_seconds=1.0, profiler=profiler,
+            registry=MetricsRegistry())
+        assert profiler.records == [] and profiler._links == []
+        assert doc["workers"][0]["spans"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -384,6 +428,30 @@ class TestSpanSectionCapture:
             elapsed_seconds=1.0, profiler=profiler, registry=registry)
         assert len(profiler.records) == before  # no double absorption
         assert doc["workers"][0]["spans"] == 1
+
+    def test_inline_sections_from_another_pid_are_absorbed(self):
+        # a pool worker forked from an enabled parent inherits the
+        # enabled profiler, so its sections are inline; its records are
+        # not in the parent's profiler and must be absorbed
+        profiler = SpanProfiler()
+        profiler.enable()
+        with SpanSectionCapture(profiler) as capture:
+            with profiler("sweep.point"):
+                pass
+        assert capture.section["mode"] == "inline"
+        telemetry = build_point_telemetry(
+            TraceContext(run_id="abc", point_index=0),
+            capture.section, busy_ns=1000)
+        worker = os.getpid() + 1
+        telemetry["worker"]["pid"] = worker
+        before = len(profiler.records)
+        merge_run_telemetry(
+            "abc", [telemetry], ["miss"], ["daxpy:96"], [0],
+            elapsed_seconds=1.0, profiler=profiler,
+            registry=MetricsRegistry())
+        assert len(profiler.records) == before + 1
+        assert profiler.records[-1].tid == worker
+        assert len(profiler._links) == 1
 
     def test_absorb_remote_drops_oversized_sections_whole(self):
         profiler = SpanProfiler(max_records=2)

@@ -37,6 +37,14 @@ def get(base: str, path: str):
         return resp.status, resp.read()
 
 
+def post_raw(base: str, path: str, doc: dict) -> bytes:
+    req = urllib.request.Request(
+        base + path, data=json.dumps(doc).encode("utf-8"),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(req, timeout=120) as resp:
+        return resp.read()
+
+
 def serve(test_body):
     """Run ``await test_body(server, base_url)`` on a fresh server."""
     async def runner():
@@ -381,6 +389,88 @@ class TestCoalescing:
             fresh, attached = table.submit("measure", {"n": 1})
             assert not attached and fresh is not job
         asyncio.run(body())
+
+    def test_in_flight_count_follows_attach_finish_and_eviction(
+            self, monkeypatch):
+        from repro.serve import jobs as jobs_module
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+
+        async def body():
+            table = JobTable()
+
+            def check(expected: int) -> None:
+                walked = sum(1 for job in table._by_id.values()
+                             if not job.finished)
+                assert table.in_flight() == walked == expected
+
+            first, _ = table.submit("measure", {"n": 1})
+            check(1)
+            _, attached = table.submit("measure", {"n": 1})
+            assert attached
+            check(1)
+            second, _ = table.submit("measure", {"n": 2})
+            check(2)
+            first.status = "done"
+            table.finish(first)
+            check(1)
+            for n in range(3, 8):  # finished jobs past the cap evict
+                job, _ = table.submit("measure", {"n": n})
+                check(2)
+                job.status = "error"
+                table.finish(job)
+                check(1)
+            assert len(table) == 3 and table.get(first.id) is None
+            second.status = "done"
+            table.finish(second)
+            check(0)
+        asyncio.run(body())
+
+
+class TestResponseBodies:
+    def test_bodies_are_single_line_and_parse_to_the_same_document(self):
+        from repro.machine.ref import MachineRef
+        from repro.roofline.hierarchical import analyze
+
+        request = {"kernel": "dgemm-tiled", "sizes": [16, 32],
+                   "machine": "tiny"}
+        direct = analyze("dgemm-tiled", [16, 32],
+                         machine=MachineRef.named("tiny", 0.125, "fast"),
+                         cache=None).to_json_doc()
+
+        async def body(server, base):
+            loop = asyncio.get_running_loop()
+            # simulated or replayed, then replayed from the server's cache
+            for _ in range(2):
+                raw = await loop.run_in_executor(
+                    None, post_raw, base, "/analyze", request)
+                assert raw.endswith(b"\n") and raw.count(b"\n") == 1
+                doc = json.loads(raw)
+                assert raw == (json.dumps(doc) + "\n").encode("utf-8")
+                assert doc["result"] == json.loads(json.dumps(direct))
+            status, raw = await loop.run_in_executor(
+                None, get, base, "/healthz")
+            assert raw == b'{"status": "ok", "jobs_in_flight": 0}\n'
+        serve(body)
+
+
+class TestServerCache:
+    def test_one_cache_serves_every_job_from_memory(self):
+        async def body(server, base):
+            cache = server.cache
+            assert cache is not None
+            loop = asyncio.get_running_loop()
+            request = {"kernel": "daxpy", "sizes": [88], "machine": "tiny"}
+            docs = [(await loop.run_in_executor(
+                None, post, base, "/sweep", request))[1]["result"]
+                for _ in range(2)]
+            assert server.cache is cache
+            assert docs[1]["stats"]["hits"] == 1
+            assert docs[1]["measurements"] == docs[0]["measurements"]
+            assert docs[1]["keys"][0] in cache._memory
+        serve(body)
+
+    def test_no_cache_server_holds_none(self):
+        assert RooflineServer(port=0, no_cache=True).cache is None
 
 
 class TestDrain:

@@ -2,6 +2,7 @@
 ``--jobs`` / ``--no-cache`` / ``--cache-dir`` flags."""
 
 import json
+import os
 
 import pytest
 
@@ -96,6 +97,25 @@ class TestSweepCommand:
         text = metrics.read_text()
         assert 'repro_sweep_points_total{outcome="miss"}' in text
         assert "repro_sweep_cache_hit_rate" in text
+
+    def test_flame_out_merges_worker_tracks(self, tmp_path, capsys):
+        from repro.obs.spans import SPANS
+        flame = tmp_path / "flame.json"
+        assert main(["--jobs", "2", "sweep", "daxpy", "--sizes", "96,192",
+                     "--machine", "tiny", "--reps", "1", "--no-cache",
+                     "--flame-out", str(flame), "--json"]) == 0
+        workers = json.loads(capsys.readouterr().out)["telemetry"][
+            "workers"]
+        assert not SPANS.enabled
+        events = json.loads(flame.read_text())["traceEvents"]
+        tracks = {e["args"]["name"] for e in events
+                  if e.get("ph") == "M" and e["name"] == "thread_name"}
+        points = {e["tid"] for e in events
+                  if e.get("ph") == "X" and e["name"] == "sweep.point"}
+        assert points and points == {w["pid"] for w in workers}
+        assert os.getpid() not in points
+        assert {f"sweep worker {pid}" for pid in points} <= tracks
+        SPANS.reset()
 
     def test_metrics_out_has_no_machine_plane_family(self, tmp_path,
                                                      capsys):
