@@ -96,6 +96,9 @@ _COST_FIELDS = ("l2_hits", "l3_hits", "dram_reads", "writebacks",
 _COST_COLS = [ckernel.OUT[name] for name in
               ("l2h", "l3h", "drd", "wbk", "ntl", "pfr", "rem", "tlbw")]
 
+#: the nest state word counting the lines the kernel fast-forwarded
+_NST_SKIPPED = ckernel.NST["skipped"]
+
 
 @dataclass
 class ExecutionResult:
@@ -297,6 +300,7 @@ class Core:
                 n = dp.execute_nest(nest, state, max(nest.room, int(state[1])))
             if n:
                 self._cost_rows(nest, n, dram_bpc, result)
+        self.plan_cache.stats.skipped_lines += int(state[_NST_SKIPPED])
 
     def _cost_rows(self, nest: Nest, n: int, dram_bpc,
                    result: ExecutionResult) -> None:

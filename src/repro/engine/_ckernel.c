@@ -85,8 +85,8 @@ enum {
     NS_INDEX, NS_IVS
 };
 
-/* nest state: walk position, iv slots, 2 words per flat site */
-enum { NST_PC, NST_NEED, NST_IVS };
+/* nest state: resume point, requests, lines skipped, iv slots, scratch */
+enum { NST_PC, NST_NEED, NST_FFWD, NST_SKIPPED, NST_IVS };
 
 typedef struct {
     /* caches: 0 = L1, 1 = L2, 2 = L3 */
@@ -113,6 +113,11 @@ typedef struct {
     int64_t nl_on, sm_on, st_on;
     /* scalar registers [last_page]; per-home DRAM rows of HM_FIELDS */
     int64_t *regs, *homes;
+    int64_t nhomes;
+    /* fast-forward copy of the demand state, NULL until a loop is eligible */
+    int64_t *ff_words;
+    uint8_t *ff_dirty;
+    int64_t ff_nwords, ff_nbytes;
 } Ctx;
 
 /* what the loader checks against engine/ckernel.py */
@@ -161,6 +166,11 @@ static const int64_t layout_words[] = {
     (int64_t)offsetof(Ctx, st_on),
     (int64_t)offsetof(Ctx, regs),
     (int64_t)offsetof(Ctx, homes),
+    (int64_t)offsetof(Ctx, nhomes),
+    (int64_t)offsetof(Ctx, ff_words),
+    (int64_t)offsetof(Ctx, ff_dirty),
+    (int64_t)offsetof(Ctx, ff_nwords),
+    (int64_t)offsetof(Ctx, ff_nbytes),
     (int64_t)O_ACC,
     (int64_t)O_L1H,
     (int64_t)O_L2H,
@@ -249,6 +259,8 @@ static const int64_t layout_words[] = {
     (int64_t)NS_IVS,
     (int64_t)NST_PC,
     (int64_t)NST_NEED,
+    (int64_t)NST_FFWD,
+    (int64_t)NST_SKIPPED,
     (int64_t)NST_IVS,
     (int64_t)PF_BLOCK_SHIFT,
 };
@@ -873,12 +885,182 @@ static inline void frontier(Ctx *c, const int64_t *s, int64_t pos,
     *last = end;
 }
 
+/* ------------------------------------------------------------------ */
+/* steady-stream fast-forward                                          */
+/* ------------------------------------------------------------------ */
+
+/* A flat loop whose sites are all demand accesses at one positive byte
+ * stride, run with every prefetch engine off and the prefetched set
+ * empty, reaches the hierarchy only through demand_line, and every step
+ * of that path commutes with shifting all lines by P: P is a multiple
+ * of every level's set count and of the lines per page, so set indices
+ * and page boundaries stay put, and homes come from the sites.  When
+ * the stride divides P lines, a period of the loop later its line
+ * stream is the same stream shifted by P.  So once the state at one
+ * period boundary equals the state at the one before shifted by P, every
+ * later period repeats that period shifted again, and ff_skip applies
+ * the whole periods left at once.  The copy of the state at the earlier
+ * boundary lives in ff_words, laid out as FfMap says, and ff_dirty,
+ * which holds the dirty bytes at the tags' offsets. */
+
+/* bounds checks on the copy's indices, compiled into sanitizer builds
+ * only: `n` words at `off` lie within an array of `len` */
+#ifdef __SANITIZE_ADDRESS__
+#include <assert.h>
+#define FF_SPAN(off, n, len) \
+    assert((off) >= 0 && (n) >= 0 && (off) + (n) <= (len))
+#else
+#define FF_SPAN(off, n, len) ((void)0)
+#endif
+
+/* where each part of the copy starts in ff_words; regs holds the two
+ * TLB counts and the last page */
+typedef struct {
+    int64_t tags[3], tlb1, tlb2, regs, out, homes, end;
+} FfMap;
+
+static inline int64_t ff_ways(const Ctx *c, int l) {
+    return (c->set_mask[l] + 1) * c->assoc[l];
+}
+
+static FfMap ff_map(const Ctx *c) {
+    FfMap m;
+    m.tags[0] = 0;
+    m.tags[1] = ff_ways(c, 0);
+    m.tags[2] = m.tags[1] + ff_ways(c, 1);
+    m.tlb1 = m.tags[2] + ff_ways(c, 2);
+    m.tlb2 = m.tlb1 + c->tlb1_entries;
+    m.regs = m.tlb2 + c->tlb2_entries;
+    m.out = m.regs + 3;
+    m.homes = m.out + O_COUNT;
+    m.end = m.homes + c->nhomes * HM_FIELDS;
+    FF_SPAN(0, m.end, c->ff_nwords);
+    FF_SPAN(0, m.tlb1, c->ff_nbytes);
+    return m;
+}
+
+/* the shift P in lines when flat node nd may fast-forward, else 0 (and
+ * *tp, *first untouched): the loop must run on past its first period
+ * boundary beyond the larger of the L3 and the TLB's reach, *first, for
+ * a copy there, a comparison one period (*tp trips) later and at least
+ * one period to skip */
+static int64_t ff_period(const Ctx *c, const int64_t *nd, const int64_t *S0,
+                         int64_t sw, int64_t shift, int64_t *tp,
+                         int64_t *first) {
+    if (c->nl_on || c->sm_on || c->st_on || c->pf_regs[0])
+        return 0;
+    int64_t stride = S0[NS_STRIDE];
+    if (stride <= 0)
+        return 0;
+    for (int64_t s = 0; s < nd[NN_NSITES]; s++) {
+        const int64_t *S = S0 + s * sw;
+        if (S[NS_STRIDE] != stride
+            || (S[NS_OP] != OP_DEMAND_READ && S[NS_OP] != OP_DEMAND_WRITE))
+            return 0;
+    }
+    int64_t P = (int64_t)1 << c->page_shift;
+    for (int l = 0; l < 3; l++)
+        if (c->set_mask[l] + 1 > P)
+            P = c->set_mask[l] + 1;
+    if ((P << shift) % stride)
+        return 0;
+    int64_t onset = ff_ways(c, 2);
+    int64_t reach = (c->tlb1_entries + c->tlb2_entries) << c->page_shift;
+    if (reach > onset)
+        onset = reach;
+    int64_t period = (P << shift) / stride;
+    int64_t boundary = (onset + P - 1) / P * period;
+    if (boundary + 2 * period > nd[NN_TRIPS])
+        return 0;
+    *tp = period;
+    *first = boundary;
+    return P;
+}
+
+/* copy the state and the counters at a period boundary */
+static void ff_save(Ctx *c, const int64_t *o) {
+    FfMap m = ff_map(c);
+    int64_t *w = c->ff_words;
+    for (int l = 0; l < 3; l++) {
+        int64_t n = ff_ways(c, l);
+        memcpy(w + m.tags[l], c->tags[l], (size_t)n * sizeof *w);
+        memcpy(c->ff_dirty + m.tags[l], c->dirty[l], (size_t)n);
+    }
+    memcpy(w + m.tlb1, c->tlb1_pages, (size_t)c->tlb1_entries * sizeof *w);
+    memcpy(w + m.tlb2, c->tlb2_pages, (size_t)c->tlb2_entries * sizeof *w);
+    w[m.regs] = c->tlb_regs[0];
+    w[m.regs + 1] = c->tlb_regs[1];
+    w[m.regs + 2] = c->regs[0];
+    memcpy(w + m.out, o, O_COUNT * sizeof *w);
+    memcpy(w + m.homes, c->homes,
+           (size_t)(c->nhomes * HM_FIELDS) * sizeof *w);
+}
+
+/* does the state equal the copy shifted by P lines?  Invalid ways
+ * (-1) and TLB slots past the counts stay as they are */
+static int ff_steady(const Ctx *c, int64_t P) {
+    FfMap m = ff_map(c);
+    const int64_t *w = c->ff_words, *r = w + m.regs;
+    int64_t dp = P >> c->page_shift;
+    if (c->tlb_regs[0] != r[0] || c->tlb_regs[1] != r[1]
+        || c->regs[0] != r[2] + dp)
+        return 0;
+    FF_SPAN(0, r[0], c->tlb1_entries);
+    FF_SPAN(0, r[1], c->tlb2_entries);
+    for (int64_t k = 0; k < r[0]; k++)
+        if (c->tlb1_pages[k] != w[m.tlb1 + k] + dp)
+            return 0;
+    for (int64_t k = 0; k < r[1]; k++)
+        if (c->tlb2_pages[k] != w[m.tlb2 + k] + dp)
+            return 0;
+    for (int l = 0; l < 3; l++) {
+        int64_t n = ff_ways(c, l);
+        const int64_t *t = c->tags[l], *s = w + m.tags[l];
+        if (memcmp(c->dirty[l], c->ff_dirty + m.tags[l], (size_t)n))
+            return 0;
+        for (int64_t i = 0; i < n; i++)
+            if (t[i] != (s[i] == -1 ? -1 : s[i] + P))
+                return 0;
+    }
+    return 1;
+}
+
+/* run `periods` more periods at once from a steady boundary: the
+ * counters and homes rows grow by that many times the period since the
+ * copy, and every valid line, TLB page and the last page move by
+ * periods * P lines; returns the lines skipped */
+static int64_t ff_skip(Ctx *c, int64_t P, int64_t periods, int64_t *o) {
+    FfMap m = ff_map(c);
+    const int64_t *w = c->ff_words;
+    int64_t skipped = periods * (o[O_ACC] - w[m.out + O_ACC]);
+    for (int64_t i = 0; i < O_COUNT; i++)
+        o[i] += periods * (o[i] - w[m.out + i]);
+    for (int64_t i = 0; i < c->nhomes * HM_FIELDS; i++)
+        c->homes[i] += periods * (c->homes[i] - w[m.homes + i]);
+    int64_t dl = periods * P, dp = dl >> c->page_shift;
+    for (int l = 0; l < 3; l++) {
+        int64_t *t = c->tags[l], n = ff_ways(c, l);
+        for (int64_t i = 0; i < n; i++)
+            if (t[i] != -1)
+                t[i] += dl;
+    }
+    for (int64_t k = 0; k < c->tlb_regs[0]; k++)
+        c->tlb1_pages[k] += dp;
+    for (int64_t k = 0; k < c->tlb_regs[1]; k++)
+        c->tlb2_pages[k] += dp;
+    c->regs[0] += dp;
+    return skipped;
+}
+
 /* one flat-loop execution: Core._iter_interleaved (any number of sites
- * with non-negative own strides, closed-form skip between crossings)
- * or the descending single-site frontier of Core._site_lines */
+ * with non-negative own strides, closed-form skip between crossings,
+ * whole steady periods fast-forwarded when the copy is allocated) or the
+ * descending single-site frontier of Core._site_lines; adds the lines it
+ * fast-forwarded to *skipped */
 static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
                       int64_t sw, const int64_t *iv, int64_t depth,
-                      int64_t shift, int64_t *scratch, int64_t *o) {
+                      int64_t shift, int64_t *scratch, int64_t *skipped,
+                      int64_t *o) {
     int64_t trips = nd[NN_TRIPS], ns = nd[NN_NSITES];
     const int64_t *S0 = sites + nd[NN_SITE0] * sw;
     int64_t *base = scratch, *last = scratch + ns;
@@ -907,8 +1089,34 @@ static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
         base[s] = nest_at(S0 + s * sw, NS_BASE, iv, depth);
         last[s] = -1;
     }
+    /* the next period boundary to copy or compare the state at, and
+     * whether a copy was taken one period before it */
+    int64_t tp = 0, boundary = trips;
+    int64_t P = c->ff_words
+        ? ff_period(c, nd, S0, sw, shift, &tp, &boundary) : 0;
+    int copied = 0;
     int64_t t = 0;
     while (t < trips) {
+        if (t >= boundary) {
+            /* no trip in [boundary, t) emits a line, so the state now is
+             * the state at the boundary */
+            if (copied && ff_steady(c, P)) {
+                int64_t periods = (trips - boundary) / tp;
+                *skipped += ff_skip(c, P, periods, o);
+                for (int64_t s = 0; s < ns; s++)
+                    last[s] += periods * P;
+                t += periods * tp;
+                boundary = trips;
+                continue;
+            }
+            if (boundary + 2 * tp <= trips) {
+                ff_save(c, o);
+                copied = 1;
+                boundary += tp;
+            } else {
+                boundary = trips;
+            }
+        }
         for (int64_t s = 0; s < ns; s++) {
             const int64_t *S = S0 + s * sw;
             frontier(c, S, base[s] + t * S[NS_STRIDE], shift, &last[s], o);
@@ -978,9 +1186,11 @@ static void nest_flat_gather(Ctx *c, const int64_t *nd, const int64_t *sites,
  * traffic accumulates in ctx->homes for the whole call.  Stops at a
  * phase boundary when `max_rows` rows are written, or when the
  * prefetched-line set lacks room for the next phase's worst case
- * (NN_BOUND lines; state[NST_NEED] then holds the inserts to reserve).
- * Returns the rows written; the walk is done when state[NST_PC] reaches
- * NH_NODES. */
+ * (NN_BOUND lines; state[NST_NEED] then holds the inserts to reserve),
+ * or when the next phase may fast-forward but ctx->ff_words is NULL
+ * (state[NST_FFWD] = 1: allocate the copy and call again).  Lines
+ * fast-forwarded add to state[NST_SKIPPED].  Returns the rows written;
+ * the walk is done when state[NST_PC] reaches NH_NODES. */
 int64_t repro_execute_nest(Ctx *c, const int64_t *hdr, const int64_t *nodes,
                            const int64_t *sites, const int64_t *tables,
                            int64_t *state, int64_t *rows, int64_t *row_node,
@@ -990,6 +1200,7 @@ int64_t repro_execute_nest(Ctx *c, const int64_t *hdr, const int64_t *nodes,
     int64_t *iv = state + NST_IVS, *scratch = iv + depth;
     int64_t pc = state[NST_PC], nrows = 0;
     state[NST_NEED] = 0;
+    state[NST_FFWD] = 0;
     for (int64_t i = 0; i < O_COUNT; i++)
         o[i] = 0;
     while (pc < nnodes) {
@@ -1016,8 +1227,17 @@ int64_t repro_execute_nest(Ctx *c, const int64_t *hdr, const int64_t *nodes,
                 state[NST_NEED] = need;
                 break;
             }
+            if (kind == NK_FLAT && !c->ff_words) {
+                int64_t tp, first;
+                if (ff_period(c, nd, sites + nd[NN_SITE0] * sw, sw, shift,
+                              &tp, &first)) {
+                    state[NST_FFWD] = 1;
+                    break;
+                }
+            }
             if (kind == NK_FLAT) {
-                nest_flat(c, nd, sites, sw, iv, depth, shift, scratch, o);
+                nest_flat(c, nd, sites, sw, iv, depth, shift, scratch,
+                          state + NST_SKIPPED, o);
             } else if (kind == NK_FLAT_GATHER) {
                 nest_flat_gather(c, nd, sites, sw, iv, depth, shift, tables,
                                  scratch, o);

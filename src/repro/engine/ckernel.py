@@ -57,7 +57,9 @@ CTX = (
     ("next-line prefetcher, port", "int64_t nl_lpp, page_shift"),
     ("per-call enable flags (MSR mask)", "int64_t nl_on, sm_on, st_on"),
     ("scalar registers [last_page]; per-home DRAM rows of HM_FIELDS",
-     "int64_t *regs, *homes"),
+     "int64_t *regs, *homes; int64_t nhomes"),
+    ("fast-forward copy of the demand state, NULL until a loop is eligible",
+     "int64_t *ff_words; uint8_t *ff_dirty; int64_t ff_nwords, ff_nbytes"),
 )
 
 #: every int64 array layout shared by position, one C enum each:
@@ -80,8 +82,9 @@ LAYOUTS = (
      "loop end flat flat_gather single nop", None),
     ("NS", "nest sites: a row of NS_* fields, then a stride per iv slot",
      "op sid home remote base stride width index", "IVS"),
-    ("NST", "nest state: walk position, iv slots, 2 words per flat site",
-     "pc need", "IVS"),
+    ("NST", "nest state: resume point, requests, lines skipped, iv slots, "
+     "scratch",
+     "pc need ffwd skipped", "IVS"),
 )
 
 #: shared scalars: (C name, value)

@@ -54,6 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: returns at a phase boundary (bounds the row matrix)
 NEST_MAX_ROWS = 2048
 
+#: the nest state word where the kernel asks for the fast-forward copy
+_NST_FFWD = ckernel.NST["ffwd"]
+
 #: a home's DRAM row in the order trace events list it
 _home_row = itemgetter(*(ckernel.HM[name] for name in (
     "demand_reads", "prefetch_reads", "writes", "remote_lines")))
@@ -66,6 +69,8 @@ class BatchDatapath:
         self.port = port
         self._ctx = None
         self._cmask = None
+        #: the fast-forward copy, allocated when a loop first needs it
+        self._ff_words = self._ff_dirty = None
 
     def execute_single(self, line: int, is_write: bool, node) -> BatchStats:
         """One single-line demand access; :meth:`execute_single_c` is
@@ -83,7 +88,7 @@ class BatchDatapath:
             self._fn_plan(self._ctx_ref, plan.nruns, meta_p, lines_p,
                           sids_p, self._out_ptr)
             self._post_call()
-            return self._apply_out(self._out.tolist())
+            return self._apply_out(self._counters())
 
     def _build_ctx(self) -> "ckernel.Ctx":
         """Materialise the C context over the port's array state.
@@ -154,6 +159,7 @@ class BatchDatapath:
         self._row_node_p = self.nest_row_node.ctypes.data
         ctx.regs = self._regs.ctypes.data
         ctx.homes = self._homes.ctypes.data
+        ctx.nhomes = len(hier.dram)
         lib = ckernel.lib()
         # per-call invariants hoisted: the bound C functions, the byref
         # wrapper, and the out-array pointer (ndarray.ctypes costs a
@@ -220,7 +226,8 @@ class BatchDatapath:
         number of phase rows written into :attr:`nest_rows` /
         :attr:`nest_row_node` (cumulative counter blocks, see
         ``docs/ENGINE.md``).  Nothing is applied to Python state until
-        :meth:`apply_nest_totals`.
+        :meth:`apply_nest_totals`.  A call that stopped to ask for the
+        fast-forward copy gets it here, and the next call goes on.
         """
         self._pre_call(room)
         n = self._fn_nest(
@@ -229,11 +236,32 @@ class BatchDatapath:
             NEST_MAX_ROWS, self._out_ptr,
         )
         self._post_call()
+        if state[_NST_FFWD]:
+            self._alloc_ffwd()
         return n
+
+    def _alloc_ffwd(self) -> None:
+        """Give the kernel its steady-stream fast-forward copy (see
+        ``docs/ENGINE.md``), once per datapath and only when a loop is
+        eligible: a word per cache way, TLB entry, TLB count, the last
+        page, counter and homes cell, and a dirty byte per cache way."""
+        port = self.port
+        ways = sum(cache._tags.size for cache in (port.l1, port.l2, port.l3))
+        tlb = port.tlb
+        words = (ways + tlb.l1_pages.size + tlb.l2_pages.size
+                 + tlb.regs.size + self._regs.size + ckernel.OUT_COUNT
+                 + self._homes.size)
+        self._ff_words = np.zeros(words, dtype=np.int64)
+        self._ff_dirty = np.zeros(ways, dtype=np.uint8)
+        ctx = self._ctx
+        ctx.ff_words = self._ff_words.ctypes.data
+        ctx.ff_dirty = self._ff_dirty.ctypes.data
+        ctx.ff_nwords = words
+        ctx.ff_nbytes = ways
 
     def apply_nest_totals(self) -> BatchStats:
         """Apply a nest call's whole counter block in one step."""
-        return self._apply_out(self._out.tolist())
+        return self._apply_out(self._counters())
 
     def execute_single_c(self, line: int, is_write: bool, node) -> BatchStats:
         """One single-line demand access as a one-run plan (stream id
@@ -243,73 +271,71 @@ class BatchDatapath:
             "store" if is_write else "load", [line],
             own if node is None else node, own))
 
-    def _apply_out(self, o: list) -> BatchStats:
-        """Apply one kernel invocation's counter block to Python state.
+    def _counters(self) -> dict:
+        """The last call's counter block, keyed by its ``OUT`` names."""
+        return dict(zip(ckernel.OUT_FIELDS, self._out.tolist()))
+
+    def _apply_out(self, c: dict) -> BatchStats:
+        """Apply one kernel invocation's counter block, keyed by its
+        ``OUT`` names (:meth:`_counters`), to Python state.
 
         Derived demand-path CacheStats (every demand miss at a level is
         a fill there), occupancy deltas, TLB stats, per-engine
         issue/useful attribution, IMC CAS counters, and the
         plan-granular trace emission.
         """
-        (acc, l1h, l2h, l3h, drd, wbk, ntl,
-         e1, e2, e3, swp, hwi, pfr, pfu, rem, fls,
-         tlbm, tlbw, dacc,
-         c1f, c1d, c1i, c2f, c2d, c2i,
-         c3h, c3m, c3f, c3d, c3i,
-         occ1, occ2, occ3,
-         nli, smi, sti, useful,
-         tacc, t1h, t2h, twalk) = o
         port = self.port
         stats = BatchStats(
-            accesses=acc, l1_hits=l1h, l2_hits=l2h, l3_hits=l3h,
-            dram_reads=drd, writebacks=wbk, nt_lines=ntl,
-            l1_evictions=e1, l2_evictions=e2, l3_evictions=e3,
-            sw_prefetches=swp, hw_prefetch_issued=hwi,
-            hw_prefetch_dram_reads=pfr, prefetch_useful=pfu,
-            remote_dram_lines=rem, flushes=fls,
-            tlb_misses=tlbm, tlb_walk_cycles=tlbw,
+            accesses=c["acc"], l1_hits=c["l1h"], l2_hits=c["l2h"],
+            l3_hits=c["l3h"], dram_reads=c["drd"], writebacks=c["wbk"],
+            nt_lines=c["ntl"], l1_evictions=c["e1"], l2_evictions=c["e2"],
+            l3_evictions=c["e3"], sw_prefetches=c["swp"],
+            hw_prefetch_issued=c["hwi"], hw_prefetch_dram_reads=c["pfr"],
+            prefetch_useful=c["pfu"], remote_dram_lines=c["rem"],
+            flushes=c["fls"], tlb_misses=c["tlbm"],
+            tlb_walk_cycles=c["tlbw"],
         )
-        dm1 = dacc - l1h
-        dm2 = dm1 - l2h
-        dm3 = dm2 - l3h
+        dm1 = c["dacc"] - c["l1h"]
+        dm2 = dm1 - c["l2h"]
+        dm3 = dm2 - c["l3h"]
         cs = port.l1.stats
-        cs.hits += l1h
+        cs.hits += c["l1h"]
         cs.misses += dm1
-        cs.fills += dm1 + c1f
-        cs.evictions += e1
-        cs.dirty_evictions += c1d
-        cs.invalidations += c1i
+        cs.fills += dm1 + c["c1f"]
+        cs.evictions += c["e1"]
+        cs.dirty_evictions += c["c1d"]
+        cs.invalidations += c["c1i"]
         cs = port.l2.stats
-        cs.hits += l2h
+        cs.hits += c["l2h"]
         cs.misses += dm2
-        cs.fills += dm2 + c2f
-        cs.evictions += e2
-        cs.dirty_evictions += c2d
-        cs.invalidations += c2i
+        cs.fills += dm2 + c["c2f"]
+        cs.evictions += c["e2"]
+        cs.dirty_evictions += c["c2d"]
+        cs.invalidations += c["c2i"]
         cs = port.l3.stats
-        cs.hits += l3h + c3h
-        cs.misses += dm3 + c3m
-        cs.fills += dm3 + c3f
-        cs.evictions += e3
-        cs.dirty_evictions += c3d
-        cs.invalidations += c3i
-        port.l1._resident += occ1
-        port.l2._resident += occ2
-        port.l3._resident += occ3
+        cs.hits += c["l3h"] + c["c3h"]
+        cs.misses += dm3 + c["c3m"]
+        cs.fills += dm3 + c["c3f"]
+        cs.evictions += c["e3"]
+        cs.dirty_evictions += c["c3d"]
+        cs.invalidations += c["c3i"]
+        port.l1._resident += c["occ1"]
+        port.l2._resident += c["occ2"]
+        port.l3._resident += c["occ3"]
         ts = port.tlb.stats
-        ts.accesses += tacc
-        ts.l1_hits += t1h
-        ts.l2_hits += t2h
-        ts.walks += twalk
-        if nli:
-            self._c_nl.stats.issued += nli
-        if smi:
-            self._c_sm.stats.issued += smi
-        if sti:
-            self._c_st.stats.issued += sti
-        if useful:
+        ts.accesses += c["tacc"]
+        ts.l1_hits += c["t1h"]
+        ts.l2_hits += c["t2h"]
+        ts.walks += c["twalk"]
+        if c["nli"]:
+            self._c_nl.stats.issued += c["nli"]
+        if c["smi"]:
+            self._c_sm.stats.issued += c["smi"]
+        if c["sti"]:
+            self._c_st.stats.issued += c["sti"]
+        if c["useful"]:
             for engine in self._c_engines:
-                engine.stats.useful += useful
+                engine.stats.useful += c["useful"]
         homes = {}
         harr = self._homes
         drams = port.hierarchy.dram

@@ -335,8 +335,11 @@ class PlanCacheStats:
     (gathers, negative strides) count nowhere.
 
     The nest executor bypasses both tiers: ``nest_runs`` counts
-    descriptor executions, and ``fallbacks`` the top-level program
-    nodes walked instead, by reason (:data:`NEST_FALLBACK_REASONS`).
+    descriptor executions, ``skipped_lines`` the demand lines the kernel
+    fast-forwarded over instead of simulating (steady prefetch-free
+    streams, see ``docs/ENGINE.md``), and ``fallbacks`` the top-level
+    program nodes walked instead, by reason
+    (:data:`NEST_FALLBACK_REASONS`).
     """
 
     hits: int = 0
@@ -345,6 +348,7 @@ class PlanCacheStats:
     built_lines: int = 0
     flushes: int = 0
     nest_runs: int = 0
+    skipped_lines: int = 0
     fallbacks: Dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(NEST_FALLBACK_REASONS, 0))
 
@@ -365,6 +369,7 @@ class PlanCacheStats:
             "built_lines": self.built_lines,
             "flushes": self.flushes,
             "nest_runs": self.nest_runs,
+            "skipped_lines": self.skipped_lines,
             **{f"fallback_{reason}": count
                for reason, count in self.fallbacks.items()},
         }

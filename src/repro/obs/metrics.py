@@ -403,6 +403,11 @@ class MetricsRegistry:
             "repro_nest_runs_total",
             "Loop-nest descriptors executed by the C nest executor",
         ).inc(stats_doc.get("nest_runs", 0))
+        self.counter(
+            "repro_nest_skipped_lines_total",
+            "Demand lines the C kernel fast-forwarded over in steady "
+            "prefetch-free streams instead of simulating",
+        ).inc(stats_doc.get("skipped_lines", 0))
         fallbacks = self.counter(
             "repro_nest_fallbacks_total",
             "Top-level program nodes walked in Python, by reason",

@@ -108,9 +108,24 @@ def test_counter_block_leads_with_the_batch_stats_fields():
     assert ckernel.OUT_FIELDS[:len(columns)] == tuple(columns.values())
 
 
-def test_apply_out_unpacks_the_counter_block_in_table_order():
-    # its first locals after (self, o) are the block's columns, unpacked
-    from repro.engine.datapath import BatchDatapath
+@pytest.mark.skipif(not ckernel.available(),
+                    reason="the C kernel is unavailable")
+def test_apply_out_reads_every_counter_by_name():
+    # _apply_out reads the block by its OUT names, every one of them
+    from repro.machine.presets import tiny_test_machine
 
-    names = BatchDatapath._apply_out.__code__.co_varnames
-    assert names[2:2 + ckernel.OUT_COUNT] == ckernel.OUT_FIELDS
+    class Recording(dict):
+        def __init__(self):
+            super().__init__(dict.fromkeys(ckernel.OUT_FIELDS, 0))
+            self.read = set()
+
+        def __getitem__(self, name):
+            self.read.add(name)
+            return super().__getitem__(name)
+
+    core = tiny_test_machine().core(0)
+    datapath = core._datapath
+    datapath.execute_single(0, False, None)  # builds the context
+    block = Recording()
+    datapath._apply_out(block)
+    assert block.read == set(ckernel.OUT_FIELDS)
