@@ -322,8 +322,7 @@ def _cmd_sweep(args) -> int:
     ref = MachineRef.named(args.machine, args.scale, args.engine)
     plan = build_plan(ref, kernel=args.kernel, sizes=args.sizes,
                       grid=args.grid, protocol=args.protocol,
-                      reps=args.reps, threads=args.threads,
-                      quick=args.quick)
+                      reps=args.reps, threads=args.threads)
 
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     bus = TraceBus()
@@ -394,23 +393,22 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_experiment(args) -> int:
     stats = SweepStats()
-    config = ExperimentConfig(scale=args.scale, quick=args.quick,
-                              reps=args.reps, jobs=args.jobs,
-                              cache=not args.no_cache,
+    config = ExperimentConfig(scale=args.scale, reps=args.reps,
+                              jobs=args.jobs, cache=not args.no_cache,
                               cache_dir=args.cache_dir, stats=stats)
     ids = args.ids or None
     results = run_experiments(ids, config)
     report = render_report(results, config)
     if args.output:
-        _write(args.output, report)
-        print(f"report written to {args.output}")
+        _write(args.output, report, "report")
     else:
-        print(report)
+        sys.stdout.write(report)
     if args.artifacts:
         written = write_artifacts(results, args.artifacts)
-        print(f"{len(written)} artifact(s) written to {args.artifacts}")
+        print(f"{len(written)} artifact(s) written to {args.artifacts}",
+              file=sys.stderr)
     if stats.points:
-        print(f"sweep cache: {stats.describe()}")
+        print(f"sweep cache: {stats.describe()}", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -971,8 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(with KERNEL form)")
     _add_request_flags(p_sweep, presets=True, threads=1, protocol="cold",
                        protocols=True, reps=2, engine=_ENGINE_HELP)
-    p_sweep.add_argument("--quick", action="store_true",
-                         help="trim grid sizes (named grids only)")
     p_sweep.add_argument("--json", action="store_true",
                          help="emit stats, keys, and measurement payloads "
                               "as JSON")
@@ -1167,7 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run paper experiments")
     p_exp.add_argument("ids", nargs="*", help="experiment ids (default all)")
     _add_request_flags(p_exp, None, reps=2)
-    p_exp.add_argument("--quick", action="store_true")
     p_exp.add_argument("--output", help="write markdown report here")
     p_exp.add_argument("--artifacts", help="directory for SVG/CSV artifacts")
     _add_sweep_flags(p_exp, suppress=True)

@@ -25,8 +25,7 @@ from ..sweep.plan import SweepPlan
 class ExperimentConfig:
     """Knobs shared by all experiments.
 
-    ``scale`` shrinks preset cache capacities (see presets docstring);
-    ``quick`` trims sweep sizes and repetitions for test/bench runs.
+    ``scale`` shrinks preset cache capacities (see presets docstring).
 
     The platform is described by a picklable :class:`MachineRef`
     (preset name + kwargs), *not* a factory callable: experiment
@@ -43,7 +42,6 @@ class ExperimentConfig:
     """
 
     scale: float = 0.125
-    quick: bool = False
     reps: int = 2
     machine_ref: Optional[MachineRef] = None
     jobs: Optional[int] = None

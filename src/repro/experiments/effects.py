@@ -40,7 +40,7 @@ class PrefetchEffect(Experiment):
         result = self.new_result()
         machine = config.machine()
         l3 = machine.spec.hierarchy.l3.size_bytes
-        daxpy_n = round_to((2 if config.quick else 4) * l3 // 16, 32)
+        daxpy_n = round_to(4 * l3 // 16, 32)
         strided_n = round_to(2 * l3 // 128, 32)  # footprint 2x L3 at stride 16
         cases = [
             ("unit-stride stream", Daxpy(), daxpy_n),

@@ -35,10 +35,7 @@ class CacheAwareRoofline(Experiment):
         result = self.new_result()
         machine = config.machine()
         hier = machine.spec.hierarchy
-        model = build_cache_aware_roofline(
-            machine, trips=2048 if config.quick else 8192,
-            sweeps=4 if config.quick else 8,
-        )
+        model = build_cache_aware_roofline(machine, trips=8192, sweeps=8)
         levels = level_bandwidth_map(model)
         table = Table(
             "Measured per-level read bandwidth (one core)",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 import time
 from typing import Iterable, List, Optional
 
@@ -21,25 +22,38 @@ whose verdicts are recorded below.
 Machines are cache-scaled presets (capacities x{scale}, bandwidths and
 latencies unscaled) so the DRAM-resident regime is reached at
 simulation-friendly sizes; see DESIGN.md for the substitution table.
+
+This file is generated: CI regenerates it and fails when the output
+differs. Regenerate it and `artifacts/` with
+`python -m repro experiment --output EXPERIMENTS.md --artifacts artifacts/ --no-cache`.
+
+An intensity written `>=` belongs to a point whose measured traffic is
+below the noise floor (see `Measurement.noise_floor_bytes`), so only a
+lower bound is known.
 """
 
 
 def run_experiments(ids: Optional[Iterable[str]] = None,
                     config: Optional[ExperimentConfig] = None,
                     verbose: bool = True) -> List[ExperimentResult]:
-    """Run a set of experiments and return their results."""
+    """Run a set of experiments and return their results.
+
+    ``verbose`` prints one progress line per experiment, with its wall
+    time, to stderr: stdout is left to the report.
+    """
     config = config or ExperimentConfig()
     results = []
     for experiment_id in (list(ids) if ids else experiment_ids()):
         experiment = make_experiment(experiment_id)
         start = time.time()
         if verbose:
-            print(f"[{experiment_id}] {experiment.title} ...", flush=True)
+            print(f"[{experiment_id}] {experiment.title} ...",
+                  file=sys.stderr, flush=True)
         result = experiment.run(config)
         if verbose:
             status = "ok" if result.passed else "SHAPE-CHECK FAILURES"
             print(f"[{experiment_id}] {status} ({time.time() - start:.1f}s)",
-                  flush=True)
+                  file=sys.stderr, flush=True)
         results.append(result)
     return results
 

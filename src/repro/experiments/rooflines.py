@@ -98,7 +98,7 @@ class DaxpyRoofline(Experiment):
         result = self.new_result()
         machine = config.machine()
         hier = machine.spec.hierarchy
-        sizes = daxpy_sizes(machine.spec, config.quick)
+        sizes = daxpy_sizes(machine.spec)
         model = build_roofline(machine, cores=(0,), trips=4096,
                                stream_elements=round_to(
                                    2 * hier.l3.size_bytes // 8, 64))
@@ -145,7 +145,7 @@ class DgemvRoofline(Experiment):
         result = self.new_result()
         machine = config.machine()
         hier = machine.spec.hierarchy
-        sizes = dgemv_sizes(machine.spec, config.quick)
+        sizes = dgemv_sizes(machine.spec)
         model = build_roofline(machine, cores=(0,), trips=4096,
                                stream_elements=round_to(
                                    2 * hier.l3.size_bytes // 8, 64))
@@ -183,7 +183,7 @@ class DgemmRoofline(Experiment):
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         result = self.new_result()
         machine = config.machine()
-        sizes = dgemm_sizes(machine.spec, config.quick)
+        sizes = dgemm_sizes(machine.spec)
         model = build_roofline(machine, cores=(0,), trips=4096,
                                stream_elements=round_to(
                                    machine.spec.hierarchy.l3.size_bytes // 8,
@@ -233,7 +233,7 @@ class FftRoofline(Experiment):
         result = self.new_result()
         machine = config.machine()
         l3 = machine.spec.hierarchy.l3.size_bytes
-        sizes = fft_sizes(machine.spec, config.quick)
+        sizes = fft_sizes(machine.spec)
         model = build_roofline(machine, cores=(0,), trips=4096,
                                stream_elements=round_to(2 * l3 // 8, 64))
         warm_t, warm_m = _sweep(config, "fft", sizes, "warm")
@@ -266,9 +266,9 @@ class ParallelRoofline(Experiment):
         machine = config.machine()
         hier = machine.spec.hierarchy
         ncores = machine.topology.total_cores
-        thread_counts = [1, 2, ncores] if not config.quick else [1, ncores]
+        thread_counts = [1, 2, ncores]
         daxpy_n = round_to(4 * hier.l3.size_bytes // 16, 32 * ncores)
-        gemm_n = 128 if not config.quick else 64
+        gemm_n = 128
         table = Table(
             "Scaling with threads",
             ["kernel", "threads", "P [Gflop/s]", "speedup vs 1t"],

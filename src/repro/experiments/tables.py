@@ -69,7 +69,6 @@ class PeakFlopsTable(Experiment):
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         result = self.new_result()
         machine = config.machine()
-        trips = 2048 if config.quick else 16384
         thread_counts = [1, machine.topology.total_cores]
         widths = [w for w in (64, 128, 256)
                   if machine.ports.supports_width(w)]
@@ -81,7 +80,7 @@ class PeakFlopsTable(Experiment):
         for width in widths:
             for threads in thread_counts:
                 cores = machine.topology.first_cores(threads)
-                r = measure_peak_flops(machine, width, cores, trips=trips)
+                r = measure_peak_flops(machine, width, cores, trips=16384)
                 table.add(
                     f"{width}-bit", threads,
                     format_flops(r.flops_per_second),
@@ -112,10 +111,6 @@ class PeakBandwidthTable(Experiment):
         result = self.new_result()
         machine = config.machine()
         all_cores = machine.topology.total_cores
-        n = None
-        if config.quick:
-            from ..bench.peakbw import default_stream_elements
-            n = default_stream_elements(machine) // 2
         table = Table(
             f"Measured bandwidth on {machine.spec.name} (application bytes)",
             ["method", "threads", "measured", "theoretical", "efficiency"],
@@ -124,7 +119,7 @@ class PeakBandwidthTable(Experiment):
         for method in bandwidth_methods():
             for threads in (1, all_cores):
                 cores = machine.topology.first_cores(threads)
-                r = measure_bandwidth(machine, method, cores, n=n, reps=1)
+                r = measure_bandwidth(machine, method, cores, reps=1)
                 values[(method, threads)] = r.bytes_per_second
                 table.add(
                     method, threads,

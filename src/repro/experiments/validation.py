@@ -52,8 +52,6 @@ class WorkValidation(Experiment):
         for kernel, bytes_per_elem in kernels:
             warm_n = round_to(l1 // (2 * bytes_per_elem), granule)
             cold_n = round_to(4 * l3 // bytes_per_elem, granule)
-            if config.quick:
-                cold_n = round_to(2 * l3 // bytes_per_elem, granule)
             warm = measure_kernel(machine, kernel, warm_n, protocol="warm",
                                   reps=config.reps)
             cold = measure_kernel(machine, kernel, cold_n, protocol="cold",
@@ -144,7 +142,7 @@ class TrafficValidation(Experiment):
         machine = config.machine()
         l3 = machine.spec.hierarchy.l3.size_bytes
         kernel = StreamTriad()
-        factors = [2, 4] if config.quick else [2, 4, 8]
+        factors = [2, 4, 8]
         table = Table(
             "Measured Q / expected Q for the STREAM triad (cold caches)",
             ["working set", "n", "LLC events, pf ON", "LLC events, pf OFF",

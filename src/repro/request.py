@@ -46,11 +46,11 @@ _FIELDS = {
     "measure": (("kernel", "n"), ("protocol", "reps", "threads")),
     "analyze": (("kernel", "sizes"), ("protocol", "reps", "flops")),
     "sweep": (("kernel", "sizes"), ("protocol", "reps", "threads")),
-    "grid": (("grid",), ("quick", "reps")),
+    "grid": (("grid",), ("reps",)),
 }
 
 _DEFAULTS = {"scale": 0.125, "engine": "fast", "protocol": "cold",
-             "reps": 2, "threads": 1, "quick": False,
+             "reps": 2, "threads": 1,
              "flops": list(DEFAULT_FLOP_COUNTS)}
 
 
@@ -77,7 +77,6 @@ _TYPES = {
     "scale": (lambda v: type(v) in (int, float) and 0 < v < math.inf,
               "a finite positive number"),
     "grid": (lambda v: isinstance(v, str), "a string"),
-    "quick": (lambda v: isinstance(v, bool), "true or false"),
 }
 
 #: the names a name field may take

@@ -334,8 +334,7 @@ class RooflineServer:
         plan = build_plan(
             ref, kernel=params.get("kernel"), sizes=params.get("sizes"),
             grid=params.get("grid"), protocol=params.get("protocol", "cold"),
-            reps=params["reps"], threads=params.get("threads", 1),
-            quick=params.get("quick", False))
+            reps=params["reps"], threads=params.get("threads", 1))
         run = run_plan(plan, jobs=self.jobs, cache=self.cache,
                        on_point=self._on_point(emit))
         return sweep_document(ref, run)

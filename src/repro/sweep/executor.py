@@ -215,12 +215,12 @@ class SweepStats:
 class SweepRun:
     """Measurements in plan order plus the run's cache statistics.
 
-    ``plan_cache`` aggregates the compile-tier telemetry carried in
-    every payload (cached replays included, since the harvest happened
-    when the point was first simulated).  ``telemetry`` is the merged
-    distributed-telemetry summary (worker table, per-point status
-    including replayed-from-cache marks) — purely observational, never
-    part of any measurement checksum.
+    ``plan_cache`` aggregates the compile-tier telemetry of the points
+    this run simulated; a point replayed from the sweep cache adds
+    nothing, so a fully cached run reports zeros.  ``telemetry`` is the
+    merged distributed-telemetry summary (worker table, per-point
+    status including replayed-from-cache marks) — purely observational,
+    never part of any measurement checksum.
     """
 
     measurements: List[Measurement]
@@ -366,7 +366,8 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
     run_stats.misses = len(pending)
     run_stats.elapsed_seconds = time.perf_counter() - started
     REGISTRY.absorb_sweep_stats(run_stats.to_dict())
-    plan_cache = merge_plan_cache(p.get("plan_cache") for p in payloads if p)
+    plan_cache = merge_plan_cache(payloads[idx].get("plan_cache")
+                                  for idx in pending if payloads[idx])
     REGISTRY.absorb_plan_cache(plan_cache)
     telemetry_doc = remote.merge_run_telemetry(
         run_id, sections, status, [p.label() for p in points], submit_ns,

@@ -31,44 +31,39 @@ from .plan import SweepPlan
 DGEMM_VARIANTS = ("naive", "ikj", "tiled")
 
 
-def daxpy_sizes(spec: MachineSpec, quick: bool) -> List[int]:
+def daxpy_sizes(spec: MachineSpec) -> List[int]:
     """F4 grid: working sets straddling L2, L3, and DRAM residency."""
     hier = spec.hierarchy
-    targets = [hier.l2.size_bytes // 2, hier.l3.size_bytes // 2,
-               2 * hier.l3.size_bytes]
-    if not quick:
-        targets.insert(0, hier.l1.size_bytes // 2)
-        targets.append(6 * hier.l3.size_bytes)
+    targets = [hier.l1.size_bytes // 2, hier.l2.size_bytes // 2,
+               hier.l3.size_bytes // 2, 2 * hier.l3.size_bytes,
+               6 * hier.l3.size_bytes]
     return sorted({round_to(t // 16, 32) for t in targets})
 
 
-def dgemv_sizes(spec: MachineSpec, quick: bool) -> List[int]:
+def dgemv_sizes(spec: MachineSpec) -> List[int]:
     """F5 grid: matrix orders whose footprint brackets the L3."""
     hier = spec.hierarchy
-    targets = [hier.l3.size_bytes // 2, 2 * hier.l3.size_bytes]
-    if not quick:
-        targets.insert(0, hier.l2.size_bytes)
+    targets = [hier.l2.size_bytes, hier.l3.size_bytes // 2,
+               2 * hier.l3.size_bytes]
     return sorted({round_to(int(math.sqrt(t / 8)), 8) for t in targets})
 
 
-def dgemm_sizes(spec: MachineSpec, quick: bool) -> List[int]:
+def dgemm_sizes(spec: MachineSpec) -> List[int]:
     """F6 grid: small orders — dgemm is compute-bound, not capacity-probing."""
-    return [32, 64] if quick else [32, 64, 96, 128]
+    return [32, 64, 96, 128]
 
 
-def fft_sizes(spec: MachineSpec, quick: bool) -> List[int]:
+def fft_sizes(spec: MachineSpec) -> List[int]:
     """F7 grid: power-of-two transform lengths up to 2x L3 residency."""
     l3 = spec.hierarchy.l3.size_bytes
     max_exp = int(math.log2(max(2 * l3 // 24, 1 << 10)))
-    exps = range(8, min(max_exp, 12) + 1, 2) if quick else \
-        range(8, max_exp + 1, 2)
-    return [1 << e for e in exps]
+    return [1 << e for e in range(8, max_exp + 1, 2)]
 
 
 #: named grids accepted by ``repro sweep --grid``: each figure's size
 #: selector and its (kernel, comma-separated protocols) sweeps, in plan
 #: order
-GRIDS: Dict[str, Tuple[Callable[[MachineSpec, bool], List[int]],
+GRIDS: Dict[str, Tuple[Callable[[MachineSpec], List[int]],
                        Tuple[Tuple[str, str], ...]]] = {
     "f4": (daxpy_sizes, (("daxpy", "cold,warm"),)),
     "f5": (dgemv_sizes, (("dgemv-row", "cold"), ("dgemv-col", "cold"))),
@@ -78,8 +73,7 @@ GRIDS: Dict[str, Tuple[Callable[[MachineSpec, bool], List[int]],
 }
 
 
-def make_grid(name: str, ref: MachineRef, quick: bool = False,
-              reps: int = 2) -> SweepPlan:
+def make_grid(name: str, ref: MachineRef, reps: int = 2) -> SweepPlan:
     """Build a named grid's plan for ``ref``."""
     try:
         selector, sweeps = GRIDS[name.lower()]
@@ -87,7 +81,7 @@ def make_grid(name: str, ref: MachineRef, quick: bool = False,
         raise SweepError(
             f"unknown grid {name!r}; known: {sorted(GRIDS)}"
         ) from exc
-    sizes = selector(ref.spec(), quick)
+    sizes = selector(ref.spec())
     plan = SweepPlan()
     for kernel, protocols in sweeps:
         plan.extend(build_plan(ref, kernel=kernel, sizes=sizes,
@@ -98,12 +92,11 @@ def make_grid(name: str, ref: MachineRef, quick: bool = False,
 def build_plan(ref: MachineRef, *, kernel: Optional[str] = None,
                sizes: Optional[Sequence[int]] = None,
                grid: Optional[str] = None, protocol: str = "cold",
-               reps: int = 2, threads: int = 1,
-               quick: bool = False) -> SweepPlan:
+               reps: int = 2, threads: int = 1) -> SweepPlan:
     """A named figure grid, or ``kernel`` over ``sizes`` once per
     comma-separated ``protocol`` on the first ``threads`` cores."""
     if grid:
-        return make_grid(grid, ref, quick=quick, reps=reps)
+        return make_grid(grid, ref, reps=reps)
     if not kernel or not sizes:
         raise ConfigurationError(
             "sweep needs either --grid or KERNEL --sizes N,..")

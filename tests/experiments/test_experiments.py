@@ -11,6 +11,7 @@ from repro.experiments import (
     experiment_ids,
     make_experiment,
     render_report,
+    run_experiments,
 )
 from repro.experiments.report import write_artifacts
 from repro.machine.ref import MachineRef
@@ -71,8 +72,7 @@ class TestRegistry:
 
 
 def tiny_config():
-    return ExperimentConfig(quick=True, reps=1,
-                            machine_ref=MachineRef.of("tiny"))
+    return ExperimentConfig(reps=1, machine_ref=MachineRef.of("tiny"))
 
 
 class TestFastExperiments:
@@ -90,13 +90,13 @@ class TestFastExperiments:
     def test_f2_work_validation(self):
         # needs an 8-way L1: the tiny machine's 2-way L1 cannot hold
         # triad's three streams conflict-free, so warm ratios inflate
-        config = ExperimentConfig(quick=True, reps=1, scale=0.03125)
+        config = ExperimentConfig(reps=1, scale=0.03125)
         result = make_experiment("F2").run(config)
         assert result.passed, [c.name for c in result.checks if not c.passed]
 
     def test_f2b_fma_counter(self):
         result = make_experiment("F2b").run(ExperimentConfig(
-            quick=True, reps=1, scale=0.125))
+            reps=1, scale=0.125))
         assert result.passed
 
     def test_f11_turbo(self):
@@ -112,6 +112,30 @@ class TestReport:
         failing.check("c", False)
         text = render_report([passing, failing])
         assert "1/2 experiments pass" in text
+
+    def test_report_holds_nothing_from_the_host(self, tmp_path):
+        import os
+        import re
+        import sys
+        import tempfile
+
+        # the first render simulates every point, the second replays
+        # them from the sweep cache; CI diffs the committed report
+        # against a fresh one, so both must give the same bytes
+        ids = ["T1", "T2", "F1", "F4", "F11"]
+        config = ExperimentConfig(cache_dir=str(tmp_path / "cache"))
+        first = render_report(run_experiments(ids, config, verbose=False),
+                              config)
+        second = render_report(run_experiments(ids, config, verbose=False),
+                               config)
+        assert first == second
+        # none of these ids reports a simulated time, so any duration
+        # would be a host wall time
+        duration = re.compile(r"\d(\.\d+)? ?(s|ms|us|µs|sec|seconds)\b")
+        assert not duration.search(first), duration.search(first)
+        for path in {os.getcwd(), os.path.expanduser("~"),
+                     tempfile.gettempdir(), sys.prefix, str(tmp_path)}:
+            assert len(path) < 2 or path not in first, path
 
     def test_write_artifacts(self, tmp_path):
         result = ExperimentResult("X1", "a", "b")

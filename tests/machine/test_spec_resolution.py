@@ -50,7 +50,7 @@ def test_an_overridden_ref_builds_one_machine(monkeypatch):
 
 _READERS = {
     "ert_plan": ert_plan,
-    "make_grid": lambda ref: make_grid("f4", ref, quick=True),
+    "make_grid": lambda ref: make_grid("f4", ref),
     "cores": lambda ref: ref.cores(2),
     "predicted_work": lambda ref: SweepPoint(
         machine=ref, kernel="daxpy", n=4096).predicted_work(),
@@ -70,7 +70,7 @@ def test_shape_readers_build_no_machine(monkeypatch, reader):
 
 
 def test_the_platform_table_builds_no_machine(monkeypatch):
-    config = ExperimentConfig(scale=0.125, quick=True)
+    config = ExperimentConfig(scale=0.125)
     result, machines, caches = _count(
         monkeypatch, lambda: make_experiment("T1").run(config))
     assert result.passed

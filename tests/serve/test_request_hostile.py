@@ -21,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
 _FIELDS = ("kernel", "n", "sizes", "flops", "machine", "scale", "engine",
-           "protocol", "reps", "threads", "grid", "quick")
+           "protocol", "reps", "threads", "grid")
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=6)
@@ -35,8 +35,7 @@ _JSON = st.recursive(
 
 _GOOD = {"kernel": "daxpy", "n": 96, "sizes": [96, 128], "flops": [1, 2],
          "machine": "tiny", "scale": 0.5, "engine": "fast",
-         "protocol": "cold", "reps": 1, "threads": 1, "grid": "f4",
-         "quick": True}
+         "protocol": "cold", "reps": 1, "threads": 1, "grid": "f4"}
 
 
 @st.composite
@@ -73,7 +72,6 @@ def test_validate_returns_a_request_or_a_400(kind, body):
     assert _is_count(params["reps"])
     if "grid" in params:
         assert isinstance(params["grid"], str)
-        assert isinstance(params["quick"], bool)
         return
     assert isinstance(params["kernel"], str)
     assert isinstance(params["protocol"], str)
@@ -98,6 +96,6 @@ def test_two_spellings_normalise_to_one_request():
 
 def test_grid_requests_drop_the_kernel_form_fields():
     params = validate("sweep", {"grid": "F4", "machine": "tiny",
-                                "threads": 1})
+                                "threads": 1, "quick": True})
     assert params == {"machine": "tiny", "scale": 0.125, "engine": "fast",
-                      "grid": "f4", "quick": False, "reps": 2}
+                      "grid": "f4", "reps": 2}

@@ -14,7 +14,7 @@ pytestmark = pytest.mark.sweep
 class TestParser:
     def test_sweep_subcommand_parses(self):
         args = build_parser().parse_args(
-            ["sweep", "--grid", "f4", "--machine", "tiny", "--quick"])
+            ["sweep", "--grid", "f4", "--machine", "tiny"])
         assert args.command == "sweep"
         assert args.grid == "f4"
 
@@ -43,7 +43,7 @@ class TestParser:
 
 class TestSweepCommand:
     def test_grid_then_replay_hits_100_percent(self, tmp_path, capsys):
-        argv = ["sweep", "--grid", "f4", "--machine", "tiny", "--quick",
+        argv = ["sweep", "--grid", "f4", "--machine", "tiny",
                 "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0
         cold = capsys.readouterr().out
@@ -53,7 +53,7 @@ class TestSweepCommand:
         assert "(100% hit rate)" in warm
 
     def test_json_runs_are_bit_identical(self, tmp_path, capsys):
-        argv = ["sweep", "--grid", "f4", "--machine", "tiny", "--quick",
+        argv = ["sweep", "--grid", "f4", "--machine", "tiny",
                 "--cache-dir", str(tmp_path / "cache"), "--json"]
         assert main(argv) == 0
         first = json.loads(capsys.readouterr().out)
@@ -73,7 +73,7 @@ class TestSweepCommand:
         assert out.count("daxpy") >= 4  # 2 sizes x 2 protocols
 
     def test_no_cache_never_hits(self, tmp_path, capsys):
-        argv = ["sweep", "--grid", "f4", "--machine", "tiny", "--quick",
+        argv = ["sweep", "--grid", "f4", "--machine", "tiny",
                 "--no-cache", "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0 and main(argv) == 0
         out = capsys.readouterr().out
@@ -88,7 +88,7 @@ class TestSweepCommand:
         trace = tmp_path / "sweep.trace.json"
         metrics = tmp_path / "sweep.prom"
         assert main(["sweep", "--grid", "f4", "--machine", "tiny",
-                     "--quick", "--cache-dir", str(tmp_path / "cache"),
+                     "--cache-dir", str(tmp_path / "cache"),
                      "--trace-out", str(trace),
                      "--metrics-out", str(metrics)]) == 0
         doc = json.loads(trace.read_text())
@@ -165,10 +165,10 @@ class TestSweepCommand:
 
 class TestExperimentIntegration:
     def test_experiment_reports_cache_stats(self, tmp_path, capsys):
-        argv = ["experiment", "F4", "--quick",
+        argv = ["experiment", "F4",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--output", str(tmp_path / "report.md")]
         assert main(argv) == 0
-        assert "sweep cache:" in capsys.readouterr().out
+        assert "sweep cache:" in capsys.readouterr().err
         assert main(argv) == 0
-        assert "(100% hit rate)" in capsys.readouterr().out
+        assert "(100% hit rate)" in capsys.readouterr().err

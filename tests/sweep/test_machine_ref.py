@@ -50,7 +50,7 @@ class TestPickle:
         assert clone.points == plan.points
 
     def test_experiment_config_round_trips(self):
-        config = ExperimentConfig(quick=True, reps=1,
+        config = ExperimentConfig(reps=1,
                                   machine_ref=MachineRef.of("tiny"),
                                   jobs=2, cache=False,
                                   stats=SweepStats())

@@ -68,15 +68,30 @@ class TestCommands:
 
     def test_experiment_report_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.md"
-        code = main(["experiment", "T1", "--output", str(out_file),
-                     "--quick"])
+        code = main(["experiment", "T1", "--output", str(out_file)])
         assert code == 0
         text = out_file.read_text()
         assert "T1 — Platform characteristics" in text
 
+    def test_experiment_stdout_is_exactly_the_report(self, capsys):
+        from repro.experiments import (
+            ExperimentConfig,
+            render_report,
+            run_experiments,
+        )
+
+        assert main(["experiment", "T1"]) == 0
+        captured = capsys.readouterr()
+        config = ExperimentConfig()
+        report = render_report(run_experiments(["T1"], config,
+                                               verbose=False), config)
+        assert captured.out == report
+        # progress lines carry wall times, so they go to stderr
+        assert "[T1] ok (" in captured.err
+
     def test_experiment_artifacts(self, tmp_path):
         art_dir = tmp_path / "art"
-        code = main(["experiment", "F1", "--quick", "--output",
+        code = main(["experiment", "F1", "--output",
                      str(tmp_path / "r.md"), "--artifacts", str(art_dir)])
         assert code == 0
         assert (art_dir / "f1_example.svg").exists()

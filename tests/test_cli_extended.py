@@ -93,6 +93,27 @@ class TestAnalyzeCommand:
         assert doc["kernel"] == "daxpy"
         assert len(doc["points"]) == 4
 
+    def test_plan_cache_counts_only_this_runs_simulations(self, tmp_path,
+                                                          capsys):
+        import json as _json
+
+        from repro.engine import ckernel
+
+        argv = ["analyze", "dgemm-tiled", "--sizes", "16,32",
+                "--machine", "tiny", "--json",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        first = _json.loads(capsys.readouterr().out)["plan_cache"]
+        if ckernel.available():
+            assert first["nest_runs"] > 0
+        else:
+            assert first["hits"] + first["misses"] > 0
+        # every point replays from the sweep cache: nothing simulated
+        assert main(argv) == 0
+        second = _json.loads(capsys.readouterr().out)["plan_cache"]
+        assert set(second) == set(first)
+        assert all(value == 0 for value in second.values()), second
+
     def test_analyze_empty_sizes_errors(self, capsys):
         code = main(["analyze", "daxpy", "--sizes", ",",
                      "--machine", "tiny", "--no-cache"])

@@ -187,8 +187,7 @@ class TestBuildPlan:
 
     def test_grid_wins_over_the_kernel_form(self):
         ref = MachineRef.of("tiny")
-        plan = build_plan(ref, grid="f4", kernel="fft", sizes=[8],
-                          quick=True)
+        plan = build_plan(ref, grid="f4", kernel="fft", sizes=[8])
         assert {p.kernel for p in plan} == {"daxpy"}
 
     def test_neither_form_is_an_error(self):
