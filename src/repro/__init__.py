@@ -28,17 +28,21 @@ Lower-level building blocks::
 """
 
 from .errors import ReproError
-from .machine import (
-    Machine,
-    MachineRef,
-    MachineSpec,
-    make_machine,
-    paper_machine,
-    tiny_test_machine,
-)
-from .roofline.hierarchical import AnalyzeResult, analyze
+from .machine.machine import Machine, MachineSpec
+from .machine.presets import make_machine, paper_machine, tiny_test_machine
+from .machine.ref import MachineRef
 from .roofline.ert import discover_ceilings
-from .sweep import SweepCache, SweepPlan, SweepPoint, run_plan
+from .roofline.hierarchical import AnalyzeResult, analyze
+from .sweep.cache import SweepCache
+from .sweep.executor import run_plan
+from .sweep.plan import SweepPlan, SweepPoint
+
+# ``run_plan`` imports the backend it picks when it is called: load both
+# now, so that a call's time is its work and not their compilation (the
+# kernel registry ``analyze`` resolves names through is already loaded)
+from .sweep.backends import localpool, serial  # noqa: F401
+
+del localpool, serial
 
 __version__ = "1.0.0"
 

@@ -70,10 +70,12 @@ import os
 import sys
 from typing import List, Optional
 
-from .errors import ReproError
-from .experiments import ExperimentConfig, experiment_ids, run_experiments
-from .experiments.report import render_report, write_artifacts
+# Module level holds what ``build_parser``, ``main`` and the shared
+# helpers need, all of it loaded by ``import repro`` anyway; each
+# ``_cmd_*`` imports what only that verb runs, so starting one verb does
+# not compile the others' modules.
 from .engine import ENGINES
+from .errors import ReproError
 from .kernels.registry import (
     kernel_choices,
     kernel_names,
@@ -82,26 +84,9 @@ from .kernels.registry import (
 )
 from .machine.presets import PRESETS
 from .machine.ref import MachineRef
-from .measure import explain_kernel, measure_kernel
 from .measure.protocol import PROTOCOLS
-from .obs.metrics import REGISTRY
-from .roofline import KernelPoint, analyze_point, ascii_plot, build_roofline
-from .roofline.ert import DEFAULT_FLOP_COUNTS, LEVELS, discover_ceilings
-from .roofline.export import to_json as roofline_to_json
-from .roofline.hierarchical import HierarchicalRoofline
-from .roofline.hierarchical import analyze as hierarchical_analyze
-from .roofline.plot_svg import save_svg, svg_plot
-from .request import build_plan, sweep_document
-from .sweep import GRIDS, SweepCache, SweepStats, run_plan
-from .trace import (
-    RooflineTrajectory,
-    TimelineConfig,
-    TraceCollector,
-    measurement_to_dict,
-    timeline_from_events,
-    to_chrome_trace,
-)
-from .trace.bus import ListSink, TraceBus
+from .roofline.ert import DEFAULT_FLOP_COUNTS, LEVELS
+from .sweep.grids import GRIDS
 from .units import format_bandwidth, format_bytes, format_flops, format_time
 
 
@@ -116,6 +101,8 @@ def _write(path: str, content, label: Optional[str] = None) -> None:
 
 
 def _cmd_list(_args) -> int:
+    from .experiments.registry import experiment_ids
+
     print("machines: ", ", ".join(sorted(PRESETS)))
     print("kernels:  ", ", ".join(kernel_names()))
     print("experiments:", ", ".join(experiment_ids()))
@@ -130,11 +117,15 @@ def _machine(args):
 
 
 def _cmd_roofline(args) -> int:
+    from .roofline.builder import build_roofline
+    from .roofline.export import to_json
+    from .roofline.plot_ascii import ascii_plot
+
     machine, cores = _machine(args)
     model = build_roofline(machine, cores=cores,
                            include_thread_scaling=args.threads > 1)
     if args.json:
-        print(roofline_to_json(model))
+        print(to_json(model))
         return 0
     print(ascii_plot(model))
     return 0
@@ -159,6 +150,9 @@ def _print_measurement(args, kernel, machine, m) -> None:
 
 
 def _cmd_measure(args) -> int:
+    from .measure.runner import measure_kernel
+    from .trace.export import measurement_to_dict
+
     machine, cores = _machine(args)
     kernel = make_kernel(args.kernel)
     m = measure_kernel(machine, kernel, args.n, protocol=args.protocol,
@@ -168,6 +162,11 @@ def _cmd_measure(args) -> int:
         return 0
     _print_measurement(args, kernel, machine, m)
     if args.plot:
+        from .roofline.analysis import analyze_point
+        from .roofline.builder import build_roofline
+        from .roofline.plot_ascii import ascii_plot
+        from .roofline.point import KernelPoint
+
         model = build_roofline(machine, cores=cores)
         point = KernelPoint.from_measurement(m)
         print()
@@ -177,6 +176,11 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .measure.runner import measure_kernel
+    from .obs.metrics import REGISTRY
+    from .trace.collector import TraceCollector
+    from .trace.export import measurement_to_dict, to_chrome_trace
+
     machine, cores = _machine(args)
     kernel = make_kernel(args.kernel)
     collector = TraceCollector(machine)
@@ -233,6 +237,15 @@ def _default_timeline_n(name: str) -> int:
 
 
 def _cmd_timeline(args) -> int:
+    from .measure.runner import measure_kernel
+    from .roofline.builder import build_roofline
+    from .roofline.plot_ascii import ascii_plot
+    from .roofline.plot_svg import svg_plot
+    from .trace.collector import TraceCollector
+    from .trace.export import measurement_to_dict, to_chrome_trace
+    from .trace.timeline import TimelineConfig, timeline_from_events
+    from .trace.trajectory import RooflineTrajectory
+
     # validate the window before paying for a measurement
     config = TimelineConfig(args.window)
     kernel_name = resolve_kernel(args.kernel)
@@ -307,6 +320,8 @@ def _cmd_timeline(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    from .measure.explain import explain_kernel
+
     machine, _cores = _machine(args)
     kernel = make_kernel(args.kernel)
     report = explain_kernel(machine, kernel, args.n, protocol=args.protocol)
@@ -316,8 +331,13 @@ def _cmd_explain(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .obs.dashboard import SweepDashboard
+    from .obs.metrics import REGISTRY
     from .obs.spans import SPANS
-    from .sweep.executor import resolve_jobs
+    from .request import build_plan, sweep_document
+    from .sweep.cache import SweepCache
+    from .sweep.executor import resolve_jobs, run_plan
+    from .trace.bus import ListSink, TraceBus
+    from .trace.export import to_chrome_trace
 
     ref = MachineRef.named(args.machine, args.scale, args.engine)
     plan = build_plan(ref, kernel=args.kernel, sizes=args.sizes,
@@ -392,6 +412,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments.base import ExperimentConfig
+    from .experiments.report import (
+        render_report,
+        run_experiments,
+        write_artifacts,
+    )
+    from .sweep.executor import SweepStats
+
     stats = SweepStats()
     config = ExperimentConfig(scale=args.scale, reps=args.reps,
                               jobs=args.jobs, cache=not args.no_cache,
@@ -416,14 +444,14 @@ def _cmd_conformance(args) -> int:
     import os
     import random
 
-    from .oracle import (
+    from .oracle.analytic import check_kernel, oracle_n
+    from .oracle.differential import (
         minimize_program,
-        random_program,
         render_program,
         run_cross_engine,
         run_differential,
     )
-    from .oracle.analytic import check_kernel, oracle_n
+    from .oracle.fuzz import random_program
 
     # which differential checks to run per fuzz program: the fast
     # machine vs the textbook reference model ("oracle"), the fast
@@ -519,7 +547,11 @@ def _cmd_conformance(args) -> int:
 
 def _cmd_selfprofile(args) -> int:
     """Run one kernel sweep under the host-side span profiler."""
-    from .obs import SPANS
+    from .obs.metrics import REGISTRY
+    from .obs.spans import SPANS
+    from .request import build_plan
+    from .sweep.cache import SweepCache
+    from .sweep.executor import run_plan
 
     kernel_name = resolve_kernel(args.kernel)
     ref = MachineRef.named(args.machine, args.scale, args.engine)
@@ -613,6 +645,10 @@ def _print_ceiling_table(ceilings) -> None:
 
 
 def _cmd_ert(args) -> int:
+    from .roofline.ert import discover_ceilings
+    from .roofline.hierarchical import HierarchicalRoofline
+    from .sweep.cache import SweepCache
+
     ref = MachineRef.named(args.machine, args.scale, args.engine)
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     ceilings = discover_ceilings(
@@ -632,9 +668,13 @@ def _cmd_ert(args) -> int:
         return 0
     _print_ceiling_table(ceilings)
     if args.plot:
+        from .roofline.plot_ascii import ascii_plot
+
         print()
         print(ascii_plot(roofline.to_model()))
     if args.svg:
+        from .roofline.plot_svg import save_svg, svg_plot
+
         save_svg(svg_plot(roofline.to_model(),
                           title=f"ERT ceilings: {roofline.name}"),
                  args.svg)
@@ -646,9 +686,12 @@ def _cmd_analyze(args) -> int:
     if not args.sizes:
         print("error: analyze needs --sizes N,N,..", file=sys.stderr)
         return 2
+    from .roofline.hierarchical import analyze
+    from .sweep.cache import SweepCache
+
     ref = MachineRef.named(args.machine, args.scale, args.engine)
     cache = None if args.no_cache else SweepCache(args.cache_dir)
-    result = hierarchical_analyze(
+    result = analyze(
         args.kernel, args.sizes, machine=ref, protocol=args.protocol,
         reps=args.reps,
         flop_counts=args.flops or list(DEFAULT_FLOP_COUNTS),
@@ -673,6 +716,8 @@ def _cmd_analyze(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     stem = f"{result.kernel}_{args.machine}"
     if args.svg:
+        from .roofline.plot_svg import save_svg
+
         path = os.path.join(args.out_dir, f"{stem}.svg")
         save_svg(result.svg(), path)
         print(f"\nsvg written to {path}", file=sys.stderr)
@@ -730,7 +775,7 @@ def _cmd_serve(args) -> int:
     """Run the roofline HTTP service until SIGTERM/SIGINT."""
     import asyncio
 
-    from .serve import RooflineServer
+    from .serve.server import RooflineServer
 
     server = RooflineServer(
         host=args.host, port=args.port, jobs=args.jobs,
@@ -790,6 +835,8 @@ def _parse_age(text: str) -> float:
 
 def _cmd_cache(args) -> int:
     """Sweep-cache maintenance (currently: gc)."""
+    from .sweep.cache import SweepCache
+
     cache = SweepCache(args.cache_dir)
     if args.cache_command == "gc":
         if args.max_bytes is None and args.max_age is None:

@@ -44,8 +44,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine import AccessPlan, BatchDatapath, PlanCache
 from ..engine import ckernel
+from ..engine.datapath import BatchDatapath
+from ..engine.plan import AccessPlan, PlanCache
 from ..errors import ExecutionError
 from ..isa.instructions import (
     Flush,

@@ -13,16 +13,8 @@ two are counter-for-counter identical — see ``docs/ENGINE.md`` for the
 equivalence argument and the conformance gates that enforce it.
 """
 
+from .._lazy import lazy_exports
 from ..errors import ConfigurationError
-from .datapath import BatchDatapath
-from .plan import (
-    SYMBOLIC_REGISTRY,
-    AccessPlan,
-    PlanCache,
-    PlanCacheStats,
-    SymbolicPlan,
-    SymbolicRegistry,
-)
 
 #: valid engine selectors, in CLI/choice order
 ENGINES = ("fast", "reference")
@@ -37,14 +29,8 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-__all__ = [
-    "ENGINES",
-    "SYMBOLIC_REGISTRY",
-    "AccessPlan",
-    "BatchDatapath",
-    "PlanCache",
-    "PlanCacheStats",
-    "SymbolicPlan",
-    "SymbolicRegistry",
-    "validate_engine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".datapath": ("BatchDatapath",),
+    ".plan": ("SYMBOLIC_REGISTRY", "AccessPlan", "PlanCache", "PlanCacheStats",
+              "SymbolicPlan", "SymbolicRegistry"),
+}, eager=("ENGINES", "validate_engine"))

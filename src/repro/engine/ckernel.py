@@ -9,7 +9,8 @@ None``: the fast engine then keeps dict state and walks exactly as the
 reference engine does, about 100x slower, and the first failure in a
 process emits one :class:`RuntimeWarning` naming the reason (compiler
 stderr tail included).  ``REPRO_CKERNEL=0`` disables the kernel on
-purpose and silently (used by the conformance suite).
+purpose and silently (used by the conformance suite).  :func:`status`
+tells the three outcomes apart and carries a failure's reason.
 
 The kernel's interface is written once, here: :data:`CTX` (the ``Ctx``
 struct), :data:`LAYOUTS` (every int64 array layout shared by position)
@@ -33,7 +34,7 @@ import tempfile
 import textwrap
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..memory.prefetched import BLOCK_SHIFT
 
@@ -218,8 +219,22 @@ def layout_mismatch(words: List[int]) -> Optional[str]:
 #: characters of compiler stderr kept in a failure reason
 STDERR_TAIL = 400
 
+#: :attr:`KernelStatus.state` values
+LOADED, DISABLED, FAILED = "loaded", "disabled", "failed"
+
+
+class KernelStatus(NamedTuple):
+    """How this process's kernel load ended."""
+
+    #: :data:`LOADED`, :data:`DISABLED` (``REPRO_CKERNEL=0``) or
+    #: :data:`FAILED`
+    state: str
+    #: why a failed load failed, as the one-time warning words it
+    reason: Optional[str] = None
+
+
 _lib = None
-_tried = False
+_status: Optional[KernelStatus] = None  # set by the first lib() call
 
 
 def so_path(source: Optional[bytes] = None) -> Path:
@@ -299,22 +314,32 @@ def lib() -> Optional[ctypes.CDLL]:
     The first failure warns once (see the module docstring); an
     explicit ``REPRO_CKERNEL=0`` stays silent.
     """
-    global _lib, _tried
-    if _tried:
+    global _lib, _status
+    if _status is not None:
         return _lib
-    _tried = True
     if os.environ.get("REPRO_CKERNEL", "1") == "0":
+        _status = KernelStatus(DISABLED)
         return None
     _lib, reason = _load()
     if _lib is None:
+        _status = KernelStatus(FAILED, reason)
         warnings.warn(
             f"C kernel unavailable: {reason}; the fast engine falls back "
             f"to the reference engine's per-line walk, about 100x slower",
             RuntimeWarning, stacklevel=2,
         )
+    else:
+        _status = KernelStatus(LOADED)
     return _lib
 
 
+def status() -> KernelStatus:
+    """This process's kernel load state, loading the kernel first if no
+    call has tried yet."""
+    lib()
+    return _status
+
+
 def available() -> bool:
-    return lib() is not None
+    return status().state == LOADED
 

@@ -1,19 +1,11 @@
 """Experiments: one class per paper table/figure, plus ablations,
 with shape checks and report generation."""
 
-from .base import Check, Experiment, ExperimentConfig, ExperimentResult, Table
-from .registry import experiment_ids, make_experiment
-from .report import render_report, run_experiments, write_artifacts
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Check",
-    "Experiment",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "Table",
-    "experiment_ids",
-    "make_experiment",
-    "render_report",
-    "run_experiments",
-    "write_artifacts",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("Check", "Experiment", "ExperimentConfig", "ExperimentResult",
+              "Table"),
+    ".registry": ("experiment_ids", "make_experiment"),
+    ".report": ("render_report", "run_experiments", "write_artifacts"),
+})

@@ -6,44 +6,14 @@ This subpackage is the substrate the paper's runtime code generation
 this ISA, executed by :mod:`repro.cpu`.
 """
 
-from .assembler import format_program, parse_addr, parse_program
-from .builder import AffineExpr, BufferHandle, LoopVar, ProgramBuilder
-from .instructions import (
-    AddrExpr,
-    Flush,
-    Load,
-    Loop,
-    PrefetchHint,
-    Store,
-    VecOp,
-    flops_of,
-    lanes,
-)
-from .program import Program, StaticCounts
-from .registers import Register, RegisterAllocator, gpr, parse_register, vec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddrExpr",
-    "AffineExpr",
-    "BufferHandle",
-    "Flush",
-    "Load",
-    "Loop",
-    "LoopVar",
-    "PrefetchHint",
-    "Program",
-    "ProgramBuilder",
-    "Register",
-    "RegisterAllocator",
-    "StaticCounts",
-    "Store",
-    "VecOp",
-    "flops_of",
-    "format_program",
-    "gpr",
-    "lanes",
-    "parse_addr",
-    "parse_program",
-    "parse_register",
-    "vec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".assembler": ("format_program", "parse_addr", "parse_program"),
+    ".builder": ("AffineExpr", "BufferHandle", "LoopVar", "ProgramBuilder"),
+    ".instructions": ("AddrExpr", "Flush", "Load", "Loop", "PrefetchHint",
+                      "Store", "VecOp", "flops_of", "lanes"),
+    ".program": ("Program", "StaticCounts"),
+    ".registers": ("Register", "RegisterAllocator", "gpr", "parse_register",
+                   "vec"),
+})

@@ -1,35 +1,17 @@
 """Kernels: the paper's evaluation subjects, with exact analytic work
 and compulsory-traffic models used as counter-validation ground truth."""
 
-from .base import CodegenCaps, Kernel, partition_range
-from .blas1 import Daxpy, Dot, Scale, StreamTriad, StridedSum, SumReduction
-from .blas2 import Dgemv
-from .blas3 import Dgemm
-from .fft import Fft
-from .memops import Memcpy, Memset, ReadStream
-from .registry import kernel_names, make_kernel, register_kernel
-from .spmv import Spmv
-from .stencil import Stencil3
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CodegenCaps",
-    "Daxpy",
-    "Dgemm",
-    "Dgemv",
-    "Dot",
-    "Fft",
-    "Kernel",
-    "Memcpy",
-    "Memset",
-    "ReadStream",
-    "Scale",
-    "Spmv",
-    "Stencil3",
-    "StreamTriad",
-    "StridedSum",
-    "SumReduction",
-    "kernel_names",
-    "make_kernel",
-    "partition_range",
-    "register_kernel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("CodegenCaps", "Kernel", "partition_range"),
+    ".blas1": ("Daxpy", "Dot", "Scale", "StreamTriad", "StridedSum",
+               "SumReduction"),
+    ".blas2": ("Dgemv",),
+    ".blas3": ("Dgemm",),
+    ".fft": ("Fft",),
+    ".memops": ("Memcpy", "Memset", "ReadStream"),
+    ".registry": ("kernel_names", "make_kernel", "register_kernel"),
+    ".spmv": ("Spmv",),
+    ".stencil": ("Stencil3",),
+})

@@ -29,7 +29,7 @@ from ..memory.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..memory.numa import Topology
 from ..pmu.core_pmu import CorePmu
 from ..pmu.uncore import UncorePmu
-from ..prefetch import PrefetchControl
+from ..prefetch.control import PrefetchControl
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,7 @@ from ..machine.machine import LoadedProgram, Machine
 from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.spans import SPANS
 from ..pmu.perf import PerfSession
-from ..trace.collector import TraceCollector
 from ..trace.events import MARK, TraceEvent
-from ..trace.timeline import TimelineConfig, TimelineSampler
 from ..units import CACHE_LINE_BYTES
 from .protocol import Protocol, make_protocol
 from .replay import RunLog, _skip_reason
@@ -221,6 +219,9 @@ def measure_kernel(machine: Machine, kernel: Kernel, n: int,
         raise MeasurementError("need at least one repetition")
     collector = None
     if trace is not None and trace is not False:
+        from ..trace.collector import TraceCollector
+        from ..trace.timeline import TimelineConfig, TimelineSampler
+
         if trace is True:
             collector = TraceCollector(machine)
         elif isinstance(trace, TimelineConfig):

@@ -1,52 +1,17 @@
 """Memory subsystem: caches, replacement, DRAM/IMC, NUMA, allocator,
 and the multi-level hierarchy with per-core access ports."""
 
-from .allocator import Allocation, BumpAllocator
-from .cache import Cache, CacheConfig, CacheStats
-from .dram import DramConfig, DramNode, ImcCounters
-from .hierarchy import (
-    BatchStats,
-    CorePort,
-    HierarchyConfig,
-    MemoryHierarchy,
-    default_prefetchers,
-)
-from .numa import NumaConfig, Topology
-from .tlb import Tlb, TlbConfig, TlbStats
-from .replacement import (
-    FifoPolicy,
-    LruPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TreePlruPolicy,
-    make_policy,
-    policy_names,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Allocation",
-    "BatchStats",
-    "BumpAllocator",
-    "Cache",
-    "CacheConfig",
-    "CacheStats",
-    "CorePort",
-    "DramConfig",
-    "DramNode",
-    "FifoPolicy",
-    "HierarchyConfig",
-    "ImcCounters",
-    "LruPolicy",
-    "MemoryHierarchy",
-    "NumaConfig",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "Tlb",
-    "TlbConfig",
-    "TlbStats",
-    "Topology",
-    "TreePlruPolicy",
-    "default_prefetchers",
-    "make_policy",
-    "policy_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".allocator": ("Allocation", "BumpAllocator"),
+    ".cache": ("Cache", "CacheConfig", "CacheStats"),
+    ".dram": ("DramConfig", "DramNode", "ImcCounters"),
+    ".hierarchy": ("BatchStats", "CorePort", "HierarchyConfig",
+                   "MemoryHierarchy", "default_prefetchers"),
+    ".numa": ("NumaConfig", "Topology"),
+    ".tlb": ("Tlb", "TlbConfig", "TlbStats"),
+    ".replacement": ("FifoPolicy", "LruPolicy", "RandomPolicy",
+                     "ReplacementPolicy", "TreePlruPolicy", "make_policy",
+                     "policy_names"),
+})

@@ -22,13 +22,11 @@ from ..errors import ConfigurationError
 from ..obs.spans import SPANS
 from ..trace.bus import TraceBus
 from ..trace.events import CACHE, DRAM, PREFETCH, TraceEvent
-from ..prefetch import (
-    NextLinePrefetcher,
-    PrefetchControl,
-    Prefetcher,
-    StreamPrefetcher,
-    StridePrefetcher,
-)
+from ..prefetch.base import Prefetcher
+from ..prefetch.control import PrefetchControl
+from ..prefetch.nextline import NextLinePrefetcher
+from ..prefetch.stream import StreamPrefetcher
+from ..prefetch.stride import StridePrefetcher
 from ..prefetch.arraystate import ArrayStreamPrefetcher, ArrayStridePrefetcher
 from .cache import Cache, CacheConfig
 from .dram import DramConfig, DramNode

@@ -34,58 +34,17 @@ trace bus, host-time span profiler, cross-process distributed plane)
 and the metrics catalog.
 """
 
-from .spans import SPANS, SpanProfiler, SpanRecord
-from .metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    escape_help,
-    escape_label_value,
-    format_labels,
-    format_value,
-)
-from .remote import (
-    FLIGHT,
-    FlightRecorder,
-    SpanSectionCapture,
-    TraceContext,
-    build_point_telemetry,
-    merge_run_telemetry,
-)
-from .dashboard import SweepDashboard
-from .benchgate import (
-    GateResult,
-    compare_docs,
-    gate_checks_for,
-    inject_slowdown,
-    run_gate,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SPANS",
-    "SpanProfiler",
-    "SpanRecord",
-    "REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "escape_help",
-    "escape_label_value",
-    "format_labels",
-    "format_value",
-    "FLIGHT",
-    "FlightRecorder",
-    "SpanSectionCapture",
-    "TraceContext",
-    "build_point_telemetry",
-    "merge_run_telemetry",
-    "SweepDashboard",
-    "GateResult",
-    "compare_docs",
-    "gate_checks_for",
-    "inject_slowdown",
-    "run_gate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".spans": ("SPANS", "SpanProfiler", "SpanRecord"),
+    ".metrics": ("REGISTRY", "Counter", "Gauge", "Histogram",
+                 "MetricsRegistry", "escape_help", "escape_label_value",
+                 "format_labels", "format_value"),
+    ".remote": ("FLIGHT", "FlightRecorder", "SpanSectionCapture",
+                "TraceContext", "build_point_telemetry",
+                "merge_run_telemetry"),
+    ".dashboard": ("SweepDashboard",),
+    ".benchgate": ("GateResult", "compare_docs", "gate_checks_for",
+                   "inject_slowdown", "run_gate"),
+})

@@ -16,33 +16,14 @@ Driven by ``repro conformance`` (seeded CLI fuzzing) and by the
 hypothesis suite under ``tests/oracle/``.
 """
 
-from .differential import (
-    DifferentialOutcome,
-    Divergence,
-    diff_engine_sides,
-    minimize_program,
-    render_program,
-    run_cross_engine,
-    run_cross_engine_sequence,
-    run_differential,
-)
-from .fuzz import ProgramGenerator, random_program
-from .refmem import InfiniteCacheMemory, ReferenceMemory
-from .reference import ReferenceInterpreter, RefResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DifferentialOutcome",
-    "Divergence",
-    "InfiniteCacheMemory",
-    "diff_engine_sides",
-    "ProgramGenerator",
-    "ReferenceInterpreter",
-    "ReferenceMemory",
-    "RefResult",
-    "minimize_program",
-    "random_program",
-    "render_program",
-    "run_cross_engine",
-    "run_cross_engine_sequence",
-    "run_differential",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".differential": ("DifferentialOutcome", "Divergence",
+                      "diff_engine_sides", "minimize_program",
+                      "render_program", "run_cross_engine",
+                      "run_cross_engine_sequence", "run_differential"),
+    ".fuzz": ("ProgramGenerator", "random_program"),
+    ".refmem": ("InfiniteCacheMemory", "ReferenceMemory"),
+    ".reference": ("ReferenceInterpreter", "RefResult"),
+})

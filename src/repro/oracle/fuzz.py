@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..isa import ProgramBuilder
+from ..isa.builder import ProgramBuilder
 from ..isa.program import Program
 
 _WIDTHS = (64, 128, 256)

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..memory.cache import CacheConfig, CacheStats
 from ..memory.hierarchy import default_prefetchers
-from ..prefetch import PrefetchControl
+from ..prefetch.control import PrefetchControl
 
 #: the exact counter set of ``BatchStats.as_dict`` (kept literal on
 #: purpose: if the fast path grows a counter the diff must notice)

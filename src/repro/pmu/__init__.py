@@ -2,33 +2,14 @@
 Sandy Bridge FP overcount artifact), uncore IMC counters (with platform
 background noise), and a perf-like session API."""
 
-from .core_pmu import CorePmu
-from .events import (
-    FP_EVENT_LANES_F32,
-    FP_EVENT_LANES_F64,
-    SCOPE_CORE,
-    SCOPE_UNCORE,
-    EventDef,
-    all_events,
-    event,
-    fp_event_for,
-)
-from .multiplex import DEFAULT_SLOTS, MultiplexedPerfSession
-from .perf import PerfSession
-from .uncore import UncorePmu
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CorePmu",
-    "DEFAULT_SLOTS",
-    "MultiplexedPerfSession",
-    "EventDef",
-    "FP_EVENT_LANES_F32",
-    "FP_EVENT_LANES_F64",
-    "PerfSession",
-    "SCOPE_CORE",
-    "SCOPE_UNCORE",
-    "UncorePmu",
-    "all_events",
-    "event",
-    "fp_event_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core_pmu": ("CorePmu",),
+    ".events": ("FP_EVENT_LANES_F32", "FP_EVENT_LANES_F64", "SCOPE_CORE",
+                "SCOPE_UNCORE", "EventDef", "all_events", "event",
+                "fp_event_for"),
+    ".multiplex": ("DEFAULT_SLOTS", "MultiplexedPerfSession"),
+    ".perf": ("PerfSession",),
+    ".uncore": ("UncorePmu",),
+})

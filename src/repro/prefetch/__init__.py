@@ -1,28 +1,12 @@
 """Hardware prefetcher models and their MSR-style control mask."""
 
-from .base import Prefetcher, PrefetchStats
-from .control import (
-    ALL_DISABLED_MASK,
-    BIT_L1_NEXTLINE,
-    BIT_L1_STRIDE,
-    BIT_L2_ADJACENT,
-    BIT_L2_STREAM,
-    PrefetchControl,
-)
-from .nextline import NextLinePrefetcher
-from .stream import StreamPrefetcher
-from .stride import StridePrefetcher
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_DISABLED_MASK",
-    "BIT_L1_NEXTLINE",
-    "BIT_L1_STRIDE",
-    "BIT_L2_ADJACENT",
-    "BIT_L2_STREAM",
-    "NextLinePrefetcher",
-    "PrefetchControl",
-    "PrefetchStats",
-    "Prefetcher",
-    "StreamPrefetcher",
-    "StridePrefetcher",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("Prefetcher", "PrefetchStats"),
+    ".control": ("ALL_DISABLED_MASK", "BIT_L1_NEXTLINE", "BIT_L1_STRIDE",
+                 "BIT_L2_ADJACENT", "BIT_L2_STREAM", "PrefetchControl"),
+    ".nextline": ("NextLinePrefetcher",),
+    ".stream": ("StreamPrefetcher",),
+    ".stride": ("StridePrefetcher",),
+})

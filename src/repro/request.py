@@ -21,7 +21,8 @@ from .machine.presets import PRESETS
 from .machine.ref import MachineRef
 from .measure.protocol import PROTOCOLS
 from .roofline.ert import DEFAULT_FLOP_COUNTS
-from .sweep import GRIDS, build_plan, measurement_to_payload
+from .sweep.grids import GRIDS, build_plan
+from .sweep.serialize import measurement_to_payload
 
 __all__ = ["build_plan", "sweep_document", "validate"]
 

@@ -1,72 +1,23 @@
 """The roofline model: ceilings, measured construction, analysis,
 ASCII/SVG plotting, and data export."""
 
-from .analysis import (
-    BOUND_COMPUTE,
-    BOUND_MEMORY,
-    PointAnalysis,
-    analyze_point,
-    check_point_sanity,
-    speedup_if_compute_bound,
-)
-from .builder import build_roofline, theoretical_roofline
-from .cache_aware import (
-    build_cache_aware_roofline,
-    level_bandwidth_map,
-    served_from,
-)
-from .ert import (
-    DiscoveredCeiling,
-    ErtCeilings,
-    LEVELS,
-    discover_ceilings,
-    ert_plan,
-    ert_working_sets,
-)
-from .export import model_to_dict, points_to_csv, to_json, trajectories_to_csv
-from .hierarchical import (
-    AnalyzeResult,
-    HierarchicalRoofline,
-    analyze,
-    hierarchical_points,
-)
-from .model import ComputeCeiling, MemoryCeiling, RooflineModel
-from .plot_ascii import ascii_plot
-from .plot_svg import save_svg, svg_plot
-from .point import KernelPoint, Trajectory
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnalyzeResult",
-    "BOUND_COMPUTE",
-    "BOUND_MEMORY",
-    "ComputeCeiling",
-    "DiscoveredCeiling",
-    "ErtCeilings",
-    "HierarchicalRoofline",
-    "KernelPoint",
-    "LEVELS",
-    "MemoryCeiling",
-    "PointAnalysis",
-    "RooflineModel",
-    "Trajectory",
-    "analyze",
-    "analyze_point",
-    "ascii_plot",
-    "build_cache_aware_roofline",
-    "build_roofline",
-    "check_point_sanity",
-    "discover_ceilings",
-    "ert_plan",
-    "ert_working_sets",
-    "hierarchical_points",
-    "model_to_dict",
-    "points_to_csv",
-    "level_bandwidth_map",
-    "save_svg",
-    "served_from",
-    "speedup_if_compute_bound",
-    "svg_plot",
-    "theoretical_roofline",
-    "to_json",
-    "trajectories_to_csv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".analysis": ("BOUND_COMPUTE", "BOUND_MEMORY", "PointAnalysis",
+                  "analyze_point", "check_point_sanity",
+                  "speedup_if_compute_bound"),
+    ".builder": ("build_roofline", "theoretical_roofline"),
+    ".cache_aware": ("build_cache_aware_roofline", "level_bandwidth_map",
+                     "served_from"),
+    ".ert": ("DiscoveredCeiling", "ErtCeilings", "LEVELS",
+             "discover_ceilings", "ert_plan", "ert_working_sets"),
+    ".export": ("model_to_dict", "points_to_csv", "to_json",
+                "trajectories_to_csv"),
+    ".hierarchical": ("AnalyzeResult", "HierarchicalRoofline", "analyze",
+                      "hierarchical_points"),
+    ".model": ("ComputeCeiling", "MemoryCeiling", "RooflineModel"),
+    ".plot_ascii": ("ascii_plot",),
+    ".plot_svg": ("save_svg", "svg_plot"),
+    ".point": ("KernelPoint", "Trajectory"),
+})

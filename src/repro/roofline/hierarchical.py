@@ -38,8 +38,6 @@ from .ert import (
 )
 from .export import model_to_dict
 from .model import ComputeCeiling, MemoryCeiling, RooflineModel
-from .plot_ascii import ascii_plot
-from .plot_svg import svg_plot
 from .point import KernelPoint, Trajectory
 
 
@@ -224,6 +222,8 @@ class AnalyzeResult:
         }
 
     def svg(self, **kwargs) -> str:
+        from .plot_svg import svg_plot
+
         kwargs.setdefault("title",
                           f"Hierarchical roofline: {self.kernel} "
                           f"on {self.roofline.name}")
@@ -231,6 +231,8 @@ class AnalyzeResult:
                         **kwargs)
 
     def ascii(self, **kwargs) -> str:
+        from .plot_ascii import ascii_plot
+
         return ascii_plot(self.model(), trajectories=self.trajectories(),
                           **kwargs)
 

@@ -6,9 +6,10 @@ streams for transport, the sweep engine for the work, the metrics
 registry for observability.
 """
 
-from .http import HttpError, Request
-from .jobs import Job, JobTable, job_key
-from .server import RooflineServer
+from .._lazy import lazy_exports
 
-__all__ = ["HttpError", "Job", "JobTable", "Request", "RooflineServer",
-           "job_key"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".http": ("HttpError", "Request"),
+    ".jobs": ("Job", "JobTable", "job_key"),
+    ".server": ("RooflineServer",),
+})

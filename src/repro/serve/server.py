@@ -328,7 +328,7 @@ class RooflineServer:
     def _run_sweep(self, params: dict, emit) -> dict:
         from ..machine.ref import MachineRef
         from ..request import build_plan, sweep_document
-        from ..sweep import run_plan
+        from ..sweep.executor import run_plan
         ref = MachineRef.named(params["machine"], params["scale"],
                                params["engine"])
         plan = build_plan(

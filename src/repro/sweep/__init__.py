@@ -9,47 +9,17 @@ of each point's inputs.  Every backend and cache-replayed run returns
 bit-identical measurements; ``tests/sweep/`` enforces it.
 """
 
-from .backends import (
-    LocalPoolBackend,
-    PointResult,
-    SerialBackend,
-    SweepBackend,
-    WorkItem,
-)
-from .cache import VERSION_SALT, SweepCache, default_cache_dir, point_key
-from .executor import (
-    JOBS_ENV,
-    SweepRun,
-    SweepStats,
-    resolve_jobs,
-    run_plan,
-    simulate_point,
-)
-from .grids import GRIDS, build_plan, make_grid
-from .plan import SweepPlan, SweepPoint
-from .serialize import measurement_to_payload, payload_to_measurement
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GRIDS",
-    "JOBS_ENV",
-    "LocalPoolBackend",
-    "PointResult",
-    "SerialBackend",
-    "SweepBackend",
-    "SweepCache",
-    "SweepPlan",
-    "SweepPoint",
-    "SweepRun",
-    "SweepStats",
-    "VERSION_SALT",
-    "WorkItem",
-    "build_plan",
-    "default_cache_dir",
-    "make_grid",
-    "measurement_to_payload",
-    "payload_to_measurement",
-    "point_key",
-    "resolve_jobs",
-    "run_plan",
-    "simulate_point",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".backends.base": ("PointResult", "SweepBackend", "WorkItem"),
+    ".backends.localpool": ("LocalPoolBackend",),
+    ".backends.serial": ("SerialBackend",),
+    ".cache": ("VERSION_SALT", "SweepCache", "default_cache_dir",
+               "point_key"),
+    ".executor": ("JOBS_ENV", "SweepRun", "SweepStats", "resolve_jobs",
+                  "run_plan", "simulate_point"),
+    ".grids": ("GRIDS", "build_plan", "make_grid"),
+    ".plan": ("SweepPlan", "SweepPoint"),
+    ".serialize": ("measurement_to_payload", "payload_to_measurement"),
+})

@@ -17,17 +17,10 @@ for one job or one pending point, the pool otherwise) unless the caller
 lends it a backend instance.
 """
 
-from __future__ import annotations
+from ..._lazy import lazy_exports
 
-from .base import BackendStats, PointResult, SweepBackend, WorkItem
-from .localpool import LocalPoolBackend
-from .serial import SerialBackend
-
-__all__ = [
-    "BackendStats",
-    "LocalPoolBackend",
-    "PointResult",
-    "SerialBackend",
-    "SweepBackend",
-    "WorkItem",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("BackendStats", "PointResult", "SweepBackend", "WorkItem"),
+    ".localpool": ("LocalPoolBackend",),
+    ".serial": ("SerialBackend",),
+})

@@ -28,6 +28,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+# the pool imports these when it starts; loading them with the backend
+# keeps a run's time free of imports
+from multiprocessing import popen_fork, synchronize  # noqa: F401
 from typing import Dict, Iterator, Optional, Sequence
 
 from ...errors import SweepError

@@ -271,7 +271,7 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
     unlike ``progress``, which fires in plan order after everything is
     done.  The live dashboard hangs off ``on_point``.
     """
-    from .backends import SweepBackend, WorkItem
+    from .backends.base import SweepBackend, WorkItem
     from .backends.localpool import LocalPoolBackend
     from .backends.serial import SerialBackend
 

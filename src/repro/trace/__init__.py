@@ -18,59 +18,16 @@ registry (:meth:`repro.obs.metrics.MetricsRegistry.absorb_trace_summary`).
 See ``docs/OBSERVABILITY.md`` for the full tour.
 """
 
-from .bus import ListSink, NullSink, TraceBus
-from .collector import BOUND_ORDER, PhaseRecord, TraceCollector
-from .events import (
-    CACHE,
-    COUNTERS,
-    DRAM,
-    KINDS,
-    MARK,
-    PHASE,
-    PREFETCH,
-    TraceEvent,
-)
-from .export import (
-    measurement_to_dict,
-    to_chrome_trace,
-    to_jsonl,
-)
-from .timeline import (
-    COUNTER_KEYS,
-    DERIVED_KEYS,
-    Timeline,
-    TimelineConfig,
-    TimelineSampler,
-    TimelineWindow,
-    timeline_from_events,
-)
-from .trajectory import RooflineTrajectory, TrajectoryPoint
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TraceBus",
-    "TraceEvent",
-    "TraceCollector",
-    "PhaseRecord",
-    "ListSink",
-    "NullSink",
-    "BOUND_ORDER",
-    "PHASE",
-    "CACHE",
-    "DRAM",
-    "PREFETCH",
-    "COUNTERS",
-    "MARK",
-    "KINDS",
-    "to_chrome_trace",
-    "to_jsonl",
-    "measurement_to_dict",
-    "Timeline",
-    "TimelineConfig",
-    "TimelineSampler",
-    "TimelineWindow",
-    "timeline_from_events",
-    "COUNTER_KEYS",
-    "DERIVED_KEYS",
-    "RooflineTrajectory",
-    "TrajectoryPoint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bus": ("ListSink", "NullSink", "TraceBus"),
+    ".collector": ("BOUND_ORDER", "PhaseRecord", "TraceCollector"),
+    ".events": ("CACHE", "COUNTERS", "DRAM", "KINDS", "MARK", "PHASE",
+                "PREFETCH", "TraceEvent"),
+    ".export": ("measurement_to_dict", "to_chrome_trace", "to_jsonl"),
+    ".timeline": ("COUNTER_KEYS", "DERIVED_KEYS", "Timeline",
+                  "TimelineConfig", "TimelineSampler", "TimelineWindow",
+                  "timeline_from_events"),
+    ".trajectory": ("RooflineTrajectory", "TrajectoryPoint"),
+})

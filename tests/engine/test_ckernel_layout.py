@@ -71,13 +71,15 @@ def test_a_kernel_with_two_ctx_fields_swapped_does_not_load(
     monkeypatch.setenv("REPRO_CKERNEL", "1")
     monkeypatch.setattr(ckernel, "_SRC", mutant)
     monkeypatch.setattr(ckernel, "_lib", None)
-    monkeypatch.setattr(ckernel, "_tried", False)
+    monkeypatch.setattr(ckernel, "_status", None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         machine = tiny_test_machine()
         assert ckernel.lib() is None
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "at offsetof(Ctx, st_deg):" in str(caught[0].message)
+    state, reason = ckernel.status()
+    assert state == ckernel.FAILED and reason in str(caught[0].message)
     assert machine.walk_reason == "no_ckernel"
 
 

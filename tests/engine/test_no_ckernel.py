@@ -23,6 +23,7 @@ import sys
 import pytest
 
 import repro
+from repro.engine import ckernel
 from repro.kernels import CodegenCaps, make_kernel
 from repro.machine.presets import tiny_test_machine
 from repro.machine.ref import MachineRef
@@ -144,9 +145,10 @@ print(json.dumps([[w.category.__name__, str(w.message)] for w in caught
 """
 
 
-def _probe(tmp_path, **env):
-    """RuntimeWarnings raised by a fresh interpreter that builds the
-    kernel into an empty cache and measures daxpy."""
+def _probe(tmp_path, script=_PROBE, **env):
+    """The last stdout line of ``script`` (by default the
+    RuntimeWarnings raised by a fresh interpreter that builds the kernel
+    into an empty cache and measures daxpy), decoded from JSON."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     full = dict(os.environ)
     full.pop("REPRO_CKERNEL", None)
@@ -154,7 +156,7 @@ def _probe(tmp_path, **env):
                 REPRO_CKERNEL_CACHE=str(tmp_path / "ckernel"),
                 PYTHONPATH=os.pathsep.join(
                     filter(None, [src, full.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _PROBE], env=full,
+    proc = subprocess.run([sys.executable, "-c", script], env=full,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -180,3 +182,39 @@ def test_compiler_stderr_tail_is_in_the_warning(tmp_path):
 
 def test_explicit_opt_out_is_silent(tmp_path):
     assert _probe(tmp_path, CC="false", REPRO_CKERNEL="0") == []
+
+
+# ----------------------------------------------------------------------
+# ckernel.status(): loaded, disabled on purpose, or failed with a reason
+# ----------------------------------------------------------------------
+_STATUS_PROBE = """
+import json, warnings
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    from repro.engine import ckernel
+    state, reason = ckernel.status()
+print(json.dumps({"state": state, "reason": reason,
+                  "available": ckernel.available(),
+                  "warnings": [str(w.message) for w in caught]}))
+"""
+
+
+@pytest.mark.skipif(not ckernel.available(),
+                    reason="the C kernel did not load")
+def test_status_of_a_loaded_kernel():
+    assert ckernel.status() == (ckernel.LOADED, None)
+
+
+def test_status_of_an_explicit_opt_out(tmp_path):
+    probe = _probe(tmp_path, _STATUS_PROBE, CC="false", REPRO_CKERNEL="0")
+    assert probe == {"state": ckernel.DISABLED, "reason": None,
+                     "available": False, "warnings": []}
+
+
+def test_status_of_a_failed_load_carries_the_warnings_reason(tmp_path):
+    probe = _probe(tmp_path, _STATUS_PROBE, CC="false")
+    assert probe["state"] == ckernel.FAILED and not probe["available"]
+    reason = probe["reason"]
+    assert reason.startswith("compiling _ckernel.c with 'false' failed")
+    (message,) = probe["warnings"]
+    assert message.startswith(f"C kernel unavailable: {reason}; ")
