@@ -45,7 +45,11 @@ from repro.machine.presets import tiny_test_machine
 from repro.measure import measure_kernel
 from repro.measure.protocol import ColdCache
 
-DAXPY_SIZES = (512, 1024, 2048, 4096)
+#: 1,024 to 8,192 lines a stream on the tiny machine, past its L3 and
+#: short of its TLB's reach (no fast-forward): the fast sweep runs about
+#: 50 ms, well above timer and scheduler noise (a sweep of 512 to 4,096
+#: elements ran about 18 ms, and its speedup moved 25% between runs)
+DAXPY_SIZES = (8192, 16384, 32768, 65536)
 # cache-resident through DRAM-resident on the tiny machine: the regime
 # sweeps actually spend their time in (and where per-line
 # interpretation hurts most) is the upper end

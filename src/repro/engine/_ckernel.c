@@ -37,12 +37,15 @@
 
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* BEGIN GENERATED INTERFACE: written from the tables in engine/ckernel.py by
  * `python -m repro.engine`; edit those tables, not this block. */
 
 enum { PF_BLOCK_SHIFT = 9 };
+
+enum { FF_PF_LINES = 4096 };
 
 /* out[]: the counter block every entry point fills */
 enum {
@@ -114,7 +117,7 @@ typedef struct {
     /* scalar registers [last_page]; per-home DRAM rows of HM_FIELDS */
     int64_t *regs, *homes;
     int64_t nhomes;
-    /* fast-forward copy of the demand state, NULL until a loop is eligible */
+    /* fast-forward copy of the loop state, NULL until a loop is eligible */
     int64_t *ff_words;
     uint8_t *ff_dirty;
     int64_t ff_nwords, ff_nbytes;
@@ -263,6 +266,7 @@ static const int64_t layout_words[] = {
     (int64_t)NST_SKIPPED,
     (int64_t)NST_IVS,
     (int64_t)PF_BLOCK_SHIFT,
+    (int64_t)FF_PF_LINES,
 };
 
 const int64_t *repro_layout(int64_t *n) {
@@ -890,21 +894,24 @@ static inline void frontier(Ctx *c, const int64_t *s, int64_t pos,
 /* ------------------------------------------------------------------ */
 
 /* A flat loop whose sites are all demand accesses at one positive byte
- * stride, run with every prefetch engine off and the prefetched set
- * empty, reaches the hierarchy only through demand_line, and every step
- * of that path commutes with shifting all lines by P: P is a multiple
- * of every level's set count and of the lines per page, so set indices
- * and page boundaries stay put, and homes come from the sites.  When
- * the stride divides P lines, a period of the loop later its line
- * stream is the same stream shifted by P.  So once the state at one
- * period boundary equals the state at the one before shifted by P, every
- * later period repeats that period shifted again, and ff_skip applies
- * the whole periods left at once.  The copy of the state at the earlier
- * boundary lives in ff_words, laid out as FfMap says, and ff_dirty,
- * which holds the dirty bytes at the tags' offsets. */
+ * stride reaches the hierarchy only through demand_line and the
+ * prefetches it issues, and every step of that path commutes with
+ * shifting all lines by P: P is a multiple of every level's set count,
+ * of the lines per page and of each enabled engine's page (the stream
+ * engine's times its trackers), so set indices, page boundaries and
+ * tracker pages stay put, and homes come from the sites.  When the
+ * stride divides P lines, a period of the loop later its line stream is
+ * the same stream shifted by P.  So once the state at one period
+ * boundary equals the state at the one before shifted by P, every later
+ * period repeats that period shifted again, and ff_skip applies whole
+ * periods at once.  docs/ENGINE.md, "Steady-stream fast-forward", says
+ * which parts of the state compare how and why that is exact.  The copy
+ * of the state at the earlier boundary lives in ff_words, laid out as
+ * FfMap says, and ff_dirty, which holds the dirty bytes at the tags'
+ * offsets. */
 
-/* bounds checks on the copy's indices, compiled into sanitizer builds
- * only: `n` words at `off` lie within an array of `len` */
+/* bounds checks on the copy's and the tables' indices, compiled into
+ * sanitizer builds only: `n` words at `off` lie within an array of `len` */
 #ifdef __SANITIZE_ADDRESS__
 #include <assert.h>
 #define FF_SPAN(off, n, len) \
@@ -913,11 +920,26 @@ static inline void frontier(Ctx *c, const int64_t *s, int64_t pos,
 #define FF_SPAN(off, n, len) ((void)0)
 #endif
 
-/* where each part of the copy starts in ff_words; regs holds the two
- * TLB counts and the last page */
+/* a tracker table's columns in copy order; the stride table has no
+ * FC_FRONT */
+enum { FC_KEY, FC_LAST, FC_DIR, FC_CONF, FC_LRU, FC_FRONT };
+enum { FF_SM_COLS = 6, FF_ST_COLS = 5 };
+
+/* where each part of the copy starts in ff_words: regs holds the two
+ * TLB counts and the last page; sm and st a tracker table's columns,
+ * then its [tick, count]; pf the sizes of two prefetched-line lists,
+ * the copy's and the live state's, then the lists */
 typedef struct {
-    int64_t tags[3], tlb1, tlb2, regs, out, homes, end;
+    int64_t tags[3], tlb1, tlb2, regs, out, homes, sm, st, pf, end;
 } FfMap;
+
+/* a loop that may fast-forward: the shift P in lines, the distance B in
+ * lines from a demand line within which its prefetched-set accesses
+ * fall, and its sites with their frontiers */
+typedef struct {
+    int64_t P, B, ns, sw;
+    const int64_t *S0, *last;
+} FfLoop;
 
 static inline int64_t ff_ways(const Ctx *c, int l) {
     return (c->set_mask[l] + 1) * c->assoc[l];
@@ -933,10 +955,27 @@ static FfMap ff_map(const Ctx *c) {
     m.regs = m.tlb2 + c->tlb2_entries;
     m.out = m.regs + 3;
     m.homes = m.out + O_COUNT;
-    m.end = m.homes + c->nhomes * HM_FIELDS;
+    m.sm = m.homes + c->nhomes * HM_FIELDS;
+    m.st = m.sm + FF_SM_COLS * c->sm_trackers + 2;
+    m.pf = m.st + FF_ST_COLS * c->st_sites + 2;
+    m.end = m.pf + 2 + 2 * FF_PF_LINES;
     FF_SPAN(0, m.end, c->ff_nwords);
     FF_SPAN(0, m.tlb1, c->ff_nbytes);
     return m;
+}
+
+static void ff_columns(const Ctx *c, int64_t **sm, int64_t **st) {
+    sm[FC_KEY] = c->sm_keys;
+    sm[FC_LAST] = c->sm_last;
+    sm[FC_DIR] = c->sm_dirn;
+    sm[FC_CONF] = c->sm_conf;
+    sm[FC_LRU] = c->sm_lruv;
+    sm[FC_FRONT] = c->sm_front;
+    st[FC_KEY] = c->st_keys;
+    st[FC_LAST] = c->st_last;
+    st[FC_DIR] = c->st_strd;
+    st[FC_CONF] = c->st_conf;
+    st[FC_LRU] = c->st_lruv;
 }
 
 /* the shift P in lines when flat node nd may fast-forward, else 0 (and
@@ -947,8 +986,6 @@ static FfMap ff_map(const Ctx *c) {
 static int64_t ff_period(const Ctx *c, const int64_t *nd, const int64_t *S0,
                          int64_t sw, int64_t shift, int64_t *tp,
                          int64_t *first) {
-    if (c->nl_on || c->sm_on || c->st_on || c->pf_regs[0])
-        return 0;
     int64_t stride = S0[NS_STRIDE];
     if (stride <= 0)
         return 0;
@@ -957,12 +994,23 @@ static int64_t ff_period(const Ctx *c, const int64_t *nd, const int64_t *S0,
         if (S[NS_STRIDE] != stride
             || (S[NS_OP] != OP_DEMAND_READ && S[NS_OP] != OP_DEMAND_WRITE))
             return 0;
+        /* the stride engine's confidence rule needs a tracker per site */
+        for (int64_t u = 0; c->st_on && u < s; u++)
+            if (S0[u * sw + NS_SID] == S[NS_SID])
+                return 0;
     }
     int64_t P = (int64_t)1 << c->page_shift;
     for (int l = 0; l < 3; l++)
         if (c->set_mask[l] + 1 > P)
             P = c->set_mask[l] + 1;
-    if ((P << shift) % stride)
+    /* a period turns the stream table over whole, so its slots repeat */
+    int64_t nl = c->nl_on ? c->nl_lpp : 1;
+    int64_t sm = c->sm_on ? c->sm_lpp * c->sm_trackers : 1;
+    if (nl > P)
+        P = nl;
+    if (sm > P)
+        P = sm;
+    if (P % nl || P % sm || (P << shift) % stride)
         return 0;
     int64_t onset = ff_ways(c, 2);
     int64_t reach = (c->tlb1_entries + c->tlb2_entries) << c->page_shift;
@@ -977,14 +1025,83 @@ static int64_t ff_period(const Ctx *c, const int64_t *nd, const int64_t *S0,
     return P;
 }
 
-/* copy the state and the counters at a period boundary */
-static void ff_save(Ctx *c, const int64_t *o) {
+/* the farthest a prefetched-set access lies from the demand line that
+ * causes it: next-line one line up, the stream engine its distance
+ * either way within a page, the stride engine degree times its largest
+ * stride either way */
+static int64_t ff_reach(const Ctx *c) {
+    int64_t b = c->nl_on ? 1 : 0;
+    if (c->sm_on && c->sm_dist > b)
+        b = c->sm_dist;
+    if (c->st_on && c->st_deg * c->st_maxs > b)
+        b = c->st_deg * c->st_maxs;
+    return b;
+}
+
+/* does `line` lie within [lo, hi] lines of some site's frontier? */
+static int ff_within(const FfLoop *f, int64_t line, int64_t lo, int64_t hi) {
+    for (int64_t s = 0; s < f->ns; s++)
+        if (line >= f->last[s] + lo && line <= f->last[s] + hi)
+            return 1;
+    return 0;
+}
+
+static int ff_site_sid(const FfLoop *f, int64_t sid) {
+    for (int64_t s = 0; s < f->ns; s++)
+        if (f->S0[s * f->sw + NS_SID] == sid)
+            return 1;
+    return 0;
+}
+
+static int ff_cmp_line(const void *a, const void *b) {
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* the prefetched lines within [lo, hi] lines of some frontier, sorted
+ * into buf; their count, or -1 when there are more than FF_PF_LINES.
+ * Only the blocks the touched map marks are read. */
+static int64_t ff_pf_collect(const Ctx *c, const FfLoop *f, int64_t lo,
+                             int64_t hi, int64_t *buf) {
+    int64_t size = c->pf_mask + 1, n = 0;
+    int64_t nblocks = size >> PF_BLOCK_SHIFT ? size >> PF_BLOCK_SHIFT : 1;
+    for (int64_t b = 0; b < nblocks && c->pf_regs[0]; b++) {
+        FF_SPAN(b, 1, nblocks);
+        if (!c->pf_touched[b])
+            continue;
+        int64_t i = b << PF_BLOCK_SHIFT, end = (b + 1) << PF_BLOCK_SHIFT;
+        if (end > size)
+            end = size;
+        FF_SPAN(i, end - i, size);
+        for (; i < end; i++) {
+            int64_t v = c->pf_slots[i];
+            if (!v || !ff_within(f, v - 1, lo, hi))
+                continue;
+            if (n == FF_PF_LINES)
+                return -1;
+            buf[n++] = v - 1;
+        }
+    }
+    qsort(buf, (size_t)n, sizeof *buf, ff_cmp_line);
+    return n;
+}
+
+/* copy the state and the counters at a period boundary, with the
+ * prefetched lines the next `most` + 1 periods may reach; 0 when there
+ * are more of those than the copy holds */
+static int ff_save(Ctx *c, const int64_t *o, const FfLoop *f, int64_t most) {
     FfMap m = ff_map(c);
     int64_t *w = c->ff_words;
+    FF_SPAN(m.pf + 2, FF_PF_LINES, m.end);
+    int64_t n = ff_pf_collect(c, f, 1 - f->B, most * f->P + f->B,
+                              w + m.pf + 2);
+    if (n < 0)
+        return 0;
+    w[m.pf] = n;
     for (int l = 0; l < 3; l++) {
-        int64_t n = ff_ways(c, l);
-        memcpy(w + m.tags[l], c->tags[l], (size_t)n * sizeof *w);
-        memcpy(c->ff_dirty + m.tags[l], c->dirty[l], (size_t)n);
+        int64_t k = ff_ways(c, l);
+        memcpy(w + m.tags[l], c->tags[l], (size_t)k * sizeof *w);
+        memcpy(c->ff_dirty + m.tags[l], c->dirty[l], (size_t)k);
     }
     memcpy(w + m.tlb1, c->tlb1_pages, (size_t)c->tlb1_entries * sizeof *w);
     memcpy(w + m.tlb2, c->tlb2_pages, (size_t)c->tlb2_entries * sizeof *w);
@@ -994,14 +1111,166 @@ static void ff_save(Ctx *c, const int64_t *o) {
     memcpy(w + m.out, o, O_COUNT * sizeof *w);
     memcpy(w + m.homes, c->homes,
            (size_t)(c->nhomes * HM_FIELDS) * sizeof *w);
+    int64_t *sm[FF_SM_COLS], *st[FF_ST_COLS];
+    int64_t nsm = c->sm_trackers, nst = c->st_sites;
+    ff_columns(c, sm, st);
+    for (int k = 0; k < FF_SM_COLS; k++) {
+        FF_SPAN(m.sm + k * nsm, nsm, m.st);
+        memcpy(w + m.sm + k * nsm, sm[k], (size_t)nsm * sizeof *w);
+    }
+    w[m.sm + FF_SM_COLS * nsm] = c->sm_regs[0];
+    w[m.sm + FF_SM_COLS * nsm + 1] = c->sm_regs[1];
+    for (int k = 0; k < FF_ST_COLS; k++) {
+        FF_SPAN(m.st + k * nst, nst, m.pf);
+        memcpy(w + m.st + k * nst, st[k], (size_t)nst * sizeof *w);
+    }
+    w[m.st + FF_ST_COLS * nst] = c->st_regs[0];
+    w[m.st + FF_ST_COLS * nst + 1] = c->st_regs[1];
+    return 1;
 }
 
-/* does the state equal the copy shifted by P lines?  Invalid ways
- * (-1) and TLB slots past the counts stay as they are */
-static int ff_steady(const Ctx *c, int64_t P) {
+static inline int ff_conf_eq(int64_t a, int64_t b, int64_t thr) {
+    return a == b || (a >= thr && b >= thr);
+}
+
+/* do the valid slots' stamps (lruv) rank as the copy's (lx) do? */
+static int ff_ranked(const int64_t *keys, const int64_t *lruv,
+                     const int64_t *lx, int64_t n) {
+    for (int64_t i = 0; i < n; i++) {
+        if (keys[i] == -1)
+            continue;
+        for (int64_t j = i + 1; j < n; j++)
+            if (keys[j] != -1 && (lruv[i] < lruv[j]) != (lx[i] < lx[j]))
+                return 0;
+    }
+    return 1;
+}
+
+/* do the enabled engines' tracker tables equal the copy's, slot for
+ * slot, under the shift?  A stream tracker moves P lines-per-page pages
+ * and its lines P on; a stride tracker keeps its key and, for one of
+ * the loop's sites, moves its last line P on, while any other stays as
+ * it is.  Stamps compare by rank and confidences saturated at their
+ * threshold, since only the smallest stamp and conf < thr are read */
+static int ff_trackers_steady(const Ctx *c, const FfMap *m,
+                              const FfLoop *f) {
+    int64_t *sm[FF_SM_COLS], *st[FF_ST_COLS], P = f->P;
+    ff_columns(c, sm, st);
+    if (c->sm_on) {
+        int64_t n = c->sm_trackers, dk = P / c->sm_lpp;
+        const int64_t *x = c->ff_words + m->sm;
+        FF_SPAN(m->sm, FF_SM_COLS * n + 2, m->st);
+        if (c->sm_regs[1] != x[FF_SM_COLS * n + 1])
+            return 0;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t key = sm[FC_KEY][i], kx = x[FC_KEY * n + i];
+            if (key == -1 || kx == -1) {
+                if (key != kx)
+                    return 0;
+                continue;
+            }
+            if (key != kx + dk || sm[FC_LAST][i] != x[FC_LAST * n + i] + P
+                || sm[FC_FRONT][i] != x[FC_FRONT * n + i] + P
+                || sm[FC_DIR][i] != x[FC_DIR * n + i]
+                || !ff_conf_eq(sm[FC_CONF][i], x[FC_CONF * n + i],
+                               c->sm_thr))
+                return 0;
+        }
+        if (!ff_ranked(sm[FC_KEY], sm[FC_LRU], x + FC_LRU * n, n))
+            return 0;
+    }
+    if (c->st_on) {
+        int64_t n = c->st_sites;
+        const int64_t *x = c->ff_words + m->st;
+        FF_SPAN(m->st, FF_ST_COLS * n + 2, m->pf);
+        if (c->st_regs[1] != x[FF_ST_COLS * n + 1])
+            return 0;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t key = st[FC_KEY][i];
+            if (key != x[FC_KEY * n + i])
+                return 0;
+            if (key == -1)
+                continue;
+            int ours = ff_site_sid(f, key);
+            if (st[FC_LAST][i] != x[FC_LAST * n + i] + (ours ? P : 0)
+                || st[FC_DIR][i] != x[FC_DIR * n + i])
+                return 0;
+            if (ours ? !ff_conf_eq(st[FC_CONF][i], x[FC_CONF * n + i],
+                                   c->st_thr)
+                     : (st[FC_CONF][i] != x[FC_CONF * n + i]
+                        || st[FC_LRU][i] != x[FC_LRU * n + i]))
+                return 0;
+        }
+        if (!ff_ranked(st[FC_KEY], st[FC_LRU], x + FC_LRU * n, n))
+            return 0;
+    }
+    return 1;
+}
+
+/* is `line` in the strip the last period left behind, [1 - B - P, -B]
+ * lines from some frontier, and in no frontier's zone, [1 - B, most P +
+ * B]?  Later periods never reach it again */
+static int ff_behind(const FfLoop *f, int64_t line, int64_t most) {
+    return ff_within(f, line, 1 - f->B - f->P, -f->B)
+        && !ff_within(f, line, 1 - f->B, most * f->P + f->B);
+}
+
+/* the periods, at most `most`, over which the prefetched lines the loop
+ * reaches repeat the copy's shifted by P, else 0.  The live lines within
+ * the zone, [1 - B, most P + B] lines of a frontier, must be the copy's
+ * moved P up; a line in one list only (one an earlier loop left ahead
+ * of this one) caps the periods at the last whose reach stays below it.
+ * A line in the strip the last period left behind must lie outside the
+ * zone.  The live list stays in the copy for ff_skip */
+static int64_t ff_pf_steady(Ctx *c, const FfMap *m, const FfLoop *f,
+                            int64_t most) {
+    int64_t *w = c->ff_words, P = f->P, B = f->B;
+    const int64_t *x = w + m->pf + 2;
+    int64_t *y = w + m->pf + 2 + FF_PF_LINES;
+    int64_t nx = w[m->pf];
+    FF_SPAN(m->pf + 2, nx, m->pf + 2 + FF_PF_LINES);
+    FF_SPAN(m->pf + 2 + FF_PF_LINES, FF_PF_LINES, m->end);
+    int64_t ny = ff_pf_collect(c, f, 1 - B - P, most * P + B, y);
+    w[m->pf + 1] = ny;
+    if (ny < 0)
+        return 0;
+    int64_t i = 0, j = 0, periods = most;
+    while (i < nx || j < ny) {
+        int64_t e;
+        if (j < ny && ff_within(f, y[j], 1 - B - P, -B)) {
+            if (!ff_behind(f, y[j], most))
+                return 0;
+            j++;
+            continue;
+        }
+        if (j == ny || (i < nx && x[i] + P < y[j])) {
+            e = x[i++] + P;
+        } else if (i == nx || y[j] < x[i] + P) {
+            e = y[j++];
+        } else {
+            i++;
+            j++;
+            continue;
+        }
+        /* the skipped periods reach up to (periods P + B) past each
+         * frontier: they must stop short of e */
+        for (int64_t s = 0; s < f->ns; s++) {
+            int64_t d = e - f->last[s] - B - 1;
+            if (e >= f->last[s] + 1 - B && (d < 0 ? 0 : d / P) < periods)
+                periods = d < 0 ? 0 : d / P;
+        }
+    }
+    return periods;
+}
+
+/* the whole periods, at most `most`, that may be skipped from a boundary
+ * where the state is compared with the copy one period back: 0 when it
+ * is not the copy shifted by P lines.  Invalid ways (-1) and TLB slots
+ * past the counts stay as they are */
+static int64_t ff_steady(Ctx *c, const FfLoop *f, int64_t most) {
     FfMap m = ff_map(c);
     const int64_t *w = c->ff_words, *r = w + m.regs;
-    int64_t dp = P >> c->page_shift;
+    int64_t P = f->P, dp = P >> c->page_shift;
     if (c->tlb_regs[0] != r[0] || c->tlb_regs[1] != r[1]
         || c->regs[0] != r[2] + dp)
         return 0;
@@ -1013,6 +1282,8 @@ static int ff_steady(const Ctx *c, int64_t P) {
     for (int64_t k = 0; k < r[1]; k++)
         if (c->tlb2_pages[k] != w[m.tlb2 + k] + dp)
             return 0;
+    if (!ff_trackers_steady(c, &m, f))
+        return 0;
     for (int l = 0; l < 3; l++) {
         int64_t n = ff_ways(c, l);
         const int64_t *t = c->tags[l], *s = w + m.tags[l];
@@ -1022,16 +1293,24 @@ static int ff_steady(const Ctx *c, int64_t P) {
             if (t[i] != (s[i] == -1 ? -1 : s[i] + P))
                 return 0;
     }
-    return 1;
+    return ff_pf_steady(c, &m, f, most);
 }
 
-/* run `periods` more periods at once from a steady boundary: the
+/* run `periods` more periods at once from a steady boundary that
+ * ff_steady compared over `most` periods: the
  * counters and homes rows grow by that many times the period since the
- * copy, and every valid line, TLB page and the last page move by
- * periods * P lines; returns the lines skipped */
-static int64_t ff_skip(Ctx *c, int64_t P, int64_t periods, int64_t *o) {
+ * copy; every valid line, TLB page, tracker and the last page move by
+ * periods * P lines; stamps set in the period move on by the ticks of
+ * that many periods, and a stride confidence that grew by one a line
+ * grows on; the prefetched lines the skipped periods reach leave, those
+ * within B lines of a frontier return periods * P up, and each line the
+ * last period left behind returns once per period up to periods * P
+ * up.  Returns the lines skipped */
+static int64_t ff_skip(Ctx *c, const FfLoop *f, int64_t periods,
+                       int64_t most, int64_t *o) {
     FfMap m = ff_map(c);
     const int64_t *w = c->ff_words;
+    int64_t P = f->P, B = f->B;
     int64_t skipped = periods * (o[O_ACC] - w[m.out + O_ACC]);
     for (int64_t i = 0; i < O_COUNT; i++)
         o[i] += periods * (o[i] - w[m.out + i]);
@@ -1049,6 +1328,57 @@ static int64_t ff_skip(Ctx *c, int64_t P, int64_t periods, int64_t *o) {
     for (int64_t k = 0; k < c->tlb_regs[1]; k++)
         c->tlb2_pages[k] += dp;
     c->regs[0] += dp;
+    int64_t *sm[FF_SM_COLS], *st[FF_ST_COLS];
+    ff_columns(c, sm, st);
+    if (c->sm_on) {
+        int64_t n = c->sm_trackers, dk = periods * (P / c->sm_lpp);
+        const int64_t *x = w + m.sm;
+        FF_SPAN(m.sm, FF_SM_COLS * n + 2, m.st);
+        int64_t tick = x[FF_SM_COLS * n], ticks = c->sm_regs[0] - tick;
+        for (int64_t i = 0; i < n; i++) {
+            if (sm[FC_KEY][i] == -1)
+                continue;
+            sm[FC_KEY][i] += dk;
+            sm[FC_LAST][i] += dl;
+            sm[FC_FRONT][i] += dl;
+            if (sm[FC_LRU][i] > tick)
+                sm[FC_LRU][i] += periods * ticks;
+        }
+        c->sm_regs[0] += periods * ticks;
+    }
+    if (c->st_on) {
+        int64_t n = c->st_sites;
+        const int64_t *x = w + m.st;
+        FF_SPAN(m.st, FF_ST_COLS * n + 2, m.pf);
+        int64_t tick = x[FF_ST_COLS * n], ticks = c->st_regs[0] - tick;
+        for (int64_t i = 0; i < n; i++) {
+            if (st[FC_KEY][i] == -1 || !ff_site_sid(f, st[FC_KEY][i]))
+                continue;
+            int64_t strd = st[FC_DIR][i];
+            int64_t grew = st[FC_CONF][i] - x[FC_CONF * n + i];
+            st[FC_LAST][i] += dl;
+            if (strd > 0 && P % strd == 0 && grew == P / strd)
+                st[FC_CONF][i] += periods * grew;
+            if (st[FC_LRU][i] > tick)
+                st[FC_LRU][i] += periods * ticks;
+        }
+        c->st_regs[0] += periods * ticks;
+    }
+    const int64_t *y = w + m.pf + 2 + FF_PF_LINES;
+    int64_t ny = w[m.pf + 1];
+    FF_SPAN(m.pf + 2 + FF_PF_LINES, ny, m.end);
+    for (int64_t k = 0; k < ny; k++)
+        if (ff_within(f, y[k], 1 - B, dl + B))
+            pf_discard(c, y[k]);
+    for (int64_t k = 0; k < ny; k++) {
+        if (ff_within(f, y[k], 1 - B, B)) {
+            pf_add(c, y[k] + dl);
+        } else if (ff_behind(f, y[k], most)) {
+            /* a line left behind: each skipped period leaves its own */
+            for (int64_t j = 1; j <= periods; j++)
+                pf_add(c, y[k] + j * P);
+        }
+    }
     return skipped;
 }
 
@@ -1089,32 +1419,44 @@ static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
         base[s] = nest_at(S0 + s * sw, NS_BASE, iv, depth);
         last[s] = -1;
     }
-    /* the next period boundary to copy or compare the state at, and
-     * whether a copy was taken one period before it */
-    int64_t tp = 0, boundary = trips;
+    /* the next period boundary to copy or compare the state at, whether
+     * a copy was taken one period before it, and the periods to wait
+     * after the next mismatch */
+    int64_t tp = 0, boundary = trips, wait = 0;
     int64_t P = c->ff_words
         ? ff_period(c, nd, S0, sw, shift, &tp, &boundary) : 0;
+    FfLoop f = {P, ff_reach(c), ns, sw, S0, last};
     int copied = 0;
     int64_t t = 0;
     while (t < trips) {
         if (t >= boundary) {
             /* no trip in [boundary, t) emits a line, so the state now is
              * the state at the boundary */
-            if (copied && ff_steady(c, P)) {
-                int64_t periods = (trips - boundary) / tp;
-                *skipped += ff_skip(c, P, periods, o);
-                for (int64_t s = 0; s < ns; s++)
-                    last[s] += periods * P;
-                t += periods * tp;
-                boundary = trips;
-                continue;
+            if (copied) {
+                int64_t most = (trips - boundary) / tp;
+                int64_t periods = ff_steady(c, &f, most);
+                if (periods) {
+                    *skipped += ff_skip(c, &f, periods, most, o);
+                    for (int64_t s = 0; s < ns; s++)
+                        last[s] += periods * P;
+                    t += periods * tp;
+                    boundary = trips;
+                    continue;
+                }
+                /* wait 0, 1, 2, 4, ... periods before the next copy, so a
+                 * loop that never settles makes few comparisons */
+                copied = 0;
+                boundary += wait * tp;
+                wait = wait ? 2 * wait : 1;
             }
-            if (boundary + 2 * tp <= trips) {
-                ff_save(c, o);
-                copied = 1;
-                boundary += tp;
-            } else {
-                boundary = trips;
+            if (t >= boundary) {
+                if (boundary + 2 * tp <= trips
+                    && ff_save(c, o, &f, (trips - boundary) / tp - 1)) {
+                    copied = 1;
+                    boundary += tp;
+                } else {
+                    boundary = trips;
+                }
             }
         }
         for (int64_t s = 0; s < ns; s++) {

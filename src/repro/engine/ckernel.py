@@ -59,7 +59,7 @@ CTX = (
     ("per-call enable flags (MSR mask)", "int64_t nl_on, sm_on, st_on"),
     ("scalar registers [last_page]; per-home DRAM rows of HM_FIELDS",
      "int64_t *regs, *homes; int64_t nhomes"),
-    ("fast-forward copy of the demand state, NULL until a loop is eligible",
+    ("fast-forward copy of the loop state, NULL until a loop is eligible",
      "int64_t *ff_words; uint8_t *ff_dirty; int64_t ff_nwords, ff_nbytes"),
 )
 
@@ -88,8 +88,12 @@ LAYOUTS = (
      "pc need ffwd skipped", "IVS"),
 )
 
+#: prefetched lines the fast-forward copy holds per side; a loop whose
+#: copy would need more simulates in full
+FF_PF_LINES = 4096
+
 #: shared scalars: (C name, value)
-CONSTANTS = (("PF_BLOCK_SHIFT", BLOCK_SHIFT),)
+CONSTANTS = (("PF_BLOCK_SHIFT", BLOCK_SHIFT), ("FF_PF_LINES", FF_PF_LINES))
 
 _c64 = ctypes.c_int64
 _cp = ctypes.c_void_p

@@ -244,13 +244,22 @@ class BatchDatapath:
         """Give the kernel its steady-stream fast-forward copy (see
         ``docs/ENGINE.md``), once per datapath and only when a loop is
         eligible: a word per cache way, TLB entry, TLB count, the last
-        page, counter and homes cell, and a dirty byte per cache way."""
+        page, counter and homes cell, per tracker table its columns and
+        ``regs``, two lists of prefetched lines with their sizes, and a
+        dirty byte per cache way."""
         port = self.port
         ways = sum(cache._tags.size for cache in (port.l1, port.l2, port.l3))
         tlb = port.tlb
+        sm, st = self._c_sm, self._c_st
+        trackers = sum(
+            sum(column.size for column in columns) + engine.regs.size
+            for engine, columns in (
+                (sm, (sm.keys, sm.last, sm.dirn, sm.conf, sm.front, sm.lruv)),
+                (st, (st.keys, st.last, st.strd, st.conf, st.lruv))))
         words = (ways + tlb.l1_pages.size + tlb.l2_pages.size
                  + tlb.regs.size + self._regs.size + ckernel.OUT_COUNT
-                 + self._homes.size)
+                 + self._homes.size + trackers
+                 + 2 * (1 + ckernel.FF_PF_LINES))
         self._ff_words = np.zeros(words, dtype=np.int64)
         self._ff_dirty = np.zeros(ways, dtype=np.uint8)
         ctx = self._ctx

@@ -336,8 +336,8 @@ class PlanCacheStats:
 
     The nest executor bypasses both tiers: ``nest_runs`` counts
     descriptor executions, ``skipped_lines`` the demand lines the kernel
-    fast-forwarded over instead of simulating (steady prefetch-free
-    streams, see ``docs/ENGINE.md``), and ``fallbacks`` the top-level
+    fast-forwarded over instead of simulating (steady streams, see
+    ``docs/ENGINE.md``), and ``fallbacks`` the top-level
     program nodes walked instead, by reason
     (:data:`NEST_FALLBACK_REASONS`).
     """

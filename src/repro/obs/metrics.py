@@ -406,7 +406,7 @@ class MetricsRegistry:
         self.counter(
             "repro_nest_skipped_lines_total",
             "Demand lines the C kernel fast-forwarded over in steady "
-            "prefetch-free streams instead of simulating",
+            "streams instead of simulating",
         ).inc(stats_doc.get("skipped_lines", 0))
         fallbacks = self.counter(
             "repro_nest_fallbacks_total",

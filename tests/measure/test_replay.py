@@ -91,6 +91,26 @@ def test_replay_matches_full_simulation(monkeypatch, name, protocol, preset):
 
 
 @needs_ckernel
+@pytest.mark.parametrize("protocol", ["cold", "warm"])
+def test_replay_restores_a_fast_forwarded_session(monkeypatch, protocol):
+    # F4's largest daxpy on snb x0.125, every prefetcher on: each
+    # session's loops skip whole periods, which move the trackers and
+    # the prefetched lines the replayed sessions start from
+    replayed = make_machine("snb", scale=0.125)
+    simulated = make_machine("snb", scale=0.125)
+    with monkeypatch.context() as patch:
+        _full(patch)
+        want = _observe(simulated, measure_kernel(
+            simulated, Daxpy(), 983040, protocol=protocol, reps=2))
+    got = _observe(replayed, measure_kernel(
+        replayed, Daxpy(), 983040, protocol=protocol, reps=2))
+    assert simulated.core(0).plan_stats.skipped_lines > 0
+    assert got[0] == want[0]
+    assert got[1]["counters"] == want[1]["counters"]
+    assert got[1]["state"] == want[1]["state"]
+
+
+@needs_ckernel
 def test_full_simulation_is_what_the_patch_forces(monkeypatch):
     # guards the test above against comparing replay with itself
     calls = []
