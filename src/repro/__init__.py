@@ -37,12 +37,13 @@ from .sweep.cache import SweepCache
 from .sweep.executor import run_plan
 from .sweep.plan import SweepPlan, SweepPoint
 
-# ``run_plan`` imports the backend it picks when it is called: load both
-# now, so that a call's time is its work and not their compilation (the
-# kernel registry ``analyze`` resolves names through is already loaded)
-from .sweep.backends import localpool, serial  # noqa: F401
+# ``run_plan`` imports its process pool when a run needs one: load it
+# now, so that a call's time is its work and not the pool's compilation
+# (the kernel registry ``analyze`` resolves names through is already
+# loaded)
+from .sweep.backends import localpool  # noqa: F401
 
-del localpool, serial
+del localpool
 
 __version__ = "1.0.0"
 

@@ -34,7 +34,7 @@ from .ref import MachineRef
 
 def _hierarchy(l3_size: int, l3_assoc: int, dram: DramConfig,
                scale: float) -> HierarchyConfig:
-    if scale <= 0 or scale > 1:
+    if not 0 < scale <= 1:
         raise ConfigurationError("scale must be in (0, 1]")
     l1 = CacheConfig("L1d", 32 * KIB, assoc=8, latency_cycles=4,
                      bytes_per_cycle=32.0)

@@ -1,26 +1,15 @@
-"""Sweep execution backends.
+"""Where ``run_plan`` runs a sweep's misses in parallel.
 
-Two implementations of the :class:`~repro.sweep.backends.base.
-SweepBackend` protocol:
-
-========  ============================  ===============================
-name      class                         runs points
-========  ============================  ===============================
-serial    :class:`SerialBackend`        in-process, one at a time
-pool      :class:`LocalPoolBackend`     local ``ProcessPoolExecutor``
-========  ============================  ===============================
-
-Both funnel points through the same ``simulate_point`` →
-serialised-payload path, so results are bit-identical and share one
-content-addressed cache.  ``run_plan`` picks one from ``jobs`` (serial
-for one job or one pending point, the pool otherwise) unless the caller
-lends it a backend instance.
+:class:`LocalPoolBackend` fans one run's points over a local
+``ProcessPoolExecutor``; ``run_plan`` builds one when ``jobs > 1`` and
+more than one point misses, and shuts it down when the run ends.  A
+serial run calls :func:`~repro.sweep.executor.simulate_point` inline.
+Both paths produce the same serialised payload, so results are
+bit-identical and share one content-addressed cache.
 """
 
 from ..._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".base": ("BackendStats", "PointResult", "SweepBackend", "WorkItem"),
     ".localpool": ("LocalPoolBackend",),
-    ".serial": ("SerialBackend",),
 })

@@ -1,36 +1,5 @@
-"""In-process serial backend: simulate each point on the calling thread.
+"""Empty: serial sweep points run inline in ``run_plan``.
 
-The reference implementation of the protocol and the baseline every
-other backend must match bit-for-bit.  Points run in item order, so
-completion order equals submission order here (the only backend with
-that property — consumers must not rely on it).
+``perfbench/ledger.py`` imports this module by name before it installs
+its wrappers, so the module stays until that import goes.
 """
-
-from __future__ import annotations
-
-import time
-from typing import Iterator, Sequence
-
-from ..executor import simulate_point
-from .base import PointResult, SweepBackend, WorkItem
-
-__all__ = ["SerialBackend"]
-
-
-class SerialBackend(SweepBackend):
-    """Simulate every item in-process, one at a time."""
-
-    name = "serial"
-    parallel = False
-
-    def submit(self, items: Sequence[WorkItem]) -> Iterator[PointResult]:
-        for item in items:
-            self._stats.dispatched += 1
-            submit_ns = time.perf_counter_ns()
-            t0 = time.perf_counter()
-            payload = simulate_point(item.point, item.ctx)
-            self._stats.completed += 1
-            yield PointResult(
-                index=item.index, payload=payload, submit_ns=submit_ns,
-                elapsed_seconds=time.perf_counter() - t0,
-            )

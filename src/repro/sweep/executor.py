@@ -2,22 +2,23 @@
 
 The executor takes a :class:`~repro.sweep.plan.SweepPlan` and produces
 one :class:`~repro.measure.runner.Measurement` per point, in plan
-order, via three interchangeable paths:
+order.  A point is either
 
-* **cache hit** — the point's content-addressed key is present on disk
-  and checksum-verified; the stored payload is replayed;
-* **backend miss** — the point is handed to a
-  :class:`~repro.sweep.backends.SweepBackend` (in-process serial or a
-  local process pool), which rebuilds a fresh machine from the point's
-  :class:`MachineRef`
-  recipe and simulates there.  Machines are never shipped across
-  processes — only the recipe and the resulting payload are.
+* **a cache hit** — its content-addressed key is present on disk and
+  checksum-verified; the stored payload is replayed; or
+* **a miss** — :func:`simulate_point` rebuilds a fresh machine from the
+  point's :class:`MachineRef` recipe and simulates there: in this
+  process when ``jobs`` is 1 or one point misses, otherwise on a
+  :class:`~repro.sweep.backends.localpool.LocalPoolBackend` that
+  ``run_plan`` builds for the run and shuts down when it ends.
+  Machines are never shipped across processes — only the recipe and
+  the resulting payload are.
 
 Every path funnels through the same serialised payload
-(:mod:`repro.sweep.serialize`), so cached runs and both backends are
+(:mod:`repro.sweep.serialize`), so cached, serial and pooled runs are
 bit-identical by construction — the determinism suite in
 ``tests/sweep/`` asserts it point by point and
-``tests/sweep/test_backends.py`` checksums backend parity.
+``tests/sweep/test_backends.py`` checksums serial/pool parity.
 
 Execution emits ``sweep``-kind events on a :class:`repro.trace.TraceBus`
 (timestamps in seconds on the host clock) so per-point progress and
@@ -149,6 +150,16 @@ def simulate_point(point: SweepPoint,
         ) from exc
 
 
+def _simulate_inline(items):
+    """The serial path: simulate ``(point, ctx)`` items one at a time
+    in this process, in item order, yielding what
+    :meth:`~repro.sweep.backends.localpool.LocalPoolBackend.submit`
+    yields: ``(point_index, payload, submit_ns)``."""
+    for point, ctx in items:
+        start_ns = time.perf_counter_ns()
+        yield ctx.point_index, simulate_point(point, ctx), start_ns
+
+
 def merge_plan_cache(docs) -> dict:
     """Sum keyed ``plan_cache`` counter docs (missing/None skipped) and
     derive the combined hit rate.  The single summing helper behind
@@ -228,9 +239,9 @@ class SweepRun:
     keys: List[str] = field(default_factory=list)
     plan_cache: dict = field(default_factory=dict)
     telemetry: dict = field(default_factory=dict)
-    #: name of the backend that simulated the misses ("cached" when
-    #: every point replayed from the cache) — observational only, never
-    #: part of any checksum
+    #: where the misses ran: "serial" or "pool" ("cached" when every
+    #: point replayed from the cache) — observational only, never part
+    #: of any checksum
     backend: str = "cached"
 
 
@@ -242,9 +253,7 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
              stats: Optional[SweepStats] = None,
              telemetry: Optional[bool] = None,
              on_point: Optional[Callable[[int, int, SweepPoint, str], None]]
-             = None,
-             backend: Optional["SweepBackend"] = None
-             ) -> SweepRun:
+             = None) -> SweepRun:
     """Execute a plan: replay cached points, simulate the rest.
 
     ``cache=None`` disables memoisation entirely.  ``bus`` receives one
@@ -253,28 +262,22 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
     ``stats`` lets callers accumulate counters across several plans
     (the experiment runner does); a fresh one is used when omitted.
 
-    Cache misses run serially when ``jobs`` is 1 or only one point
-    misses, on a local process pool of ``jobs`` workers otherwise.  A
-    :class:`~repro.sweep.backends.SweepBackend` instance passed as
-    ``backend`` replaces that choice and is borrowed (the caller closes
-    it, so it can be reused across runs).  Results are bit-identical and
-    cache-compatible whichever backend runs them.
+    Cache misses run serially, in plan order, when ``jobs`` is 1 or
+    only one point misses; otherwise on a
+    :class:`~repro.sweep.backends.localpool.LocalPoolBackend` of
+    ``min(jobs, misses)`` workers that lives for this run only.  Results
+    are bit-identical and cache-compatible either way.
 
     ``telemetry`` switches distributed telemetry collection: ``None``
-    (default) enables it exactly when the chosen backend runs points
-    outside the calling process — serial runs keep the span-capture
-    cost off their hot path unless asked.  A run with no misses
-    collects nothing and reports ``collected: false``.
+    (default) enables it exactly when the pool runs the points — serial
+    runs keep the span-capture cost off their hot path unless asked.  A
+    run with no misses collects nothing and reports ``collected: false``.
     ``on_point`` is called as ``(done, total, point, status)`` the
     moment each point *completes* (cache hits during the probe,
     simulated points as their results land, in completion order) —
     unlike ``progress``, which fires in plan order after everything is
     done.  The live dashboard hangs off ``on_point``.
     """
-    from .backends.base import SweepBackend, WorkItem
-    from .backends.localpool import LocalPoolBackend
-    from .backends.serial import SerialBackend
-
     jobs = resolve_jobs(jobs)
     run_id = remote.new_run_id()
     run_stats = SweepStats()
@@ -319,37 +322,32 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
 
     backend_name = "cached"
     collect = False
+    pool = None
     if pending:
-        owned: Optional[SweepBackend] = None
-        if backend is None:
-            if jobs == 1 or len(pending) == 1:
-                owned = SerialBackend()
-            else:
-                owned = LocalPoolBackend(min(jobs, len(pending)))
-            active = owned
+        if jobs > 1 and len(pending) > 1:
+            from .backends.localpool import LocalPoolBackend
+            pool = LocalPoolBackend(min(jobs, len(pending)))
+            backend_name = "pool"
         else:
-            active = backend
-        backend_name = active.name
-        backend_stats = active.stats
-        collect = active.parallel if telemetry is None else bool(telemetry)
-        items = [
-            WorkItem(index=idx, point=points[idx],
-                     ctx=remote.TraceContext(run_id=run_id,
-                                             point_index=idx,
-                                             collect=collect))
-            for idx in pending
-        ]
+            backend_name = "serial"
+        collect = pool is not None if telemetry is None else bool(telemetry)
+        items = [(points[idx], remote.TraceContext(
+            run_id=run_id, point_index=idx, collect=collect))
+            for idx in pending]
         try:
+            results = (pool.submit(items) if pool is not None
+                       else _simulate_inline(items))
             with SPANS("sweep.run", points=len(pending),
-                       backend=active.name):
-                for result in active.submit(items):
-                    payloads[result.index] = result.payload
-                    submit_ns[result.index] = result.submit_ns
-                    point_seconds.observe(result.elapsed_seconds)
-                    _notify(points[result.index], status[result.index])
+                       backend=backend_name):
+                for idx, payload, start_ns in results:
+                    payloads[idx] = payload
+                    submit_ns[idx] = start_ns
+                    point_seconds.observe(
+                        (time.perf_counter_ns() - start_ns) / 1e9)
+                    _notify(points[idx], status[idx])
         finally:
-            if owned is not None:
-                owned.close()
+            if pool is not None:
+                pool.close()
         # Telemetry never reaches the content-addressed cache: pop it
         # here so stored payloads (and their checksums) are identical
         # with collection on or off.
@@ -374,9 +372,14 @@ def run_plan(plan: SweepPlan, jobs: Optional[int] = None,
         elapsed_seconds=run_stats.elapsed_seconds, collected=collect,
     )
     if pending:
-        # counters (dispatched/completed/worker deaths), cumulative over
-        # the backend's lifetime when the caller lent us a shared one
-        telemetry_doc["backend"] = backend_stats()
+        # a failed point or a dead worker raised above, so every
+        # dispatched point completed
+        telemetry_doc["backend"] = {
+            "backend": backend_name, "parallel": pool is not None,
+            "dispatched": len(pending), "completed": len(pending),
+            "worker_deaths": 0,
+            "workers_spawned": pool.jobs if pool is not None else 0,
+        }
 
     measurements: List[Measurement] = []
     done = 0

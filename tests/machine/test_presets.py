@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.machine.ref import MachineRef
 from repro.machine.presets import (
     PRESETS,
     dual_socket_ep_spec,
@@ -49,6 +50,12 @@ class TestSandyBridge:
             sandy_bridge_ep_spec(scale=0.0)
         with pytest.raises(ConfigurationError):
             sandy_bridge_ep_spec(scale=2.0)
+
+    def test_nan_scale_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"scale must be in"):
+            make_machine("snb-ep", scale=float("nan"))
+        with pytest.raises(ConfigurationError, match=r"scale must be in"):
+            MachineRef.named("snb", float("nan")).spec()
 
     def test_socket_count_is_in_the_name(self):
         assert sandy_bridge_ep_spec(scale=0.125).name == "snb-ep@0.125"

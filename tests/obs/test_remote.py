@@ -11,6 +11,7 @@ point raises (worker-side) or a worker dies (parent-side).
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -337,6 +338,13 @@ class TestFlightRecorder:
         assert doc["reason"] == "point-exception"
         assert "daxpy" in doc["point"]
         assert doc["records"]
+
+    def test_pool_point_crash_names_the_point_and_leaves_no_workers(
+            self, monkeypatch, flightrec_dir):
+        monkeypatch.setenv("REPRO_DISTTRACE_CRASH", "daxpy:192")
+        with pytest.raises(SweepPointError, match="daxpy:192"):
+            run_plan(small_plan(), jobs=2, cache=None)
+        assert multiprocessing.active_children() == []
 
     def test_worker_death_dumps_parent_flight_naming_inflight_points(
             self, monkeypatch, flightrec_dir):

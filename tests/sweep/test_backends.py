@@ -1,14 +1,15 @@
-"""Backend parity: serial ≡ local pool, bit for bit.
+"""Dispatch parity: serial ≡ local pool, bit for bit.
 
-The backend protocol's contract is that *where* a point executes is
-unobservable in the result.  These tests checksum full serialised
-payloads across both backends, prove cache-key compatibility (a cache
-populated by one backend replays on the other), and exercise backend
-reuse across many submits with a hypothesis sweep-shape suite.
+Where a point executes must be unobservable in the result.  These tests
+checksum full serialised payloads across ``run_plan``'s serial and pool
+paths, prove cache-key compatibility (a cache populated under one
+``jobs`` replays under another), pin the run's backend report, and run
+random sweep shapes through the pool with a hypothesis suite.
 """
 
 import hashlib
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -16,8 +17,6 @@ from repro.errors import SweepError
 from repro.machine.ref import MachineRef
 from repro.sweep import (
     JOBS_ENV,
-    LocalPoolBackend,
-    SerialBackend,
     SweepCache,
     SweepPlan,
     measurement_to_payload,
@@ -47,45 +46,59 @@ def checksum(run) -> str:
 
 
 @pytest.fixture(scope="module")
-def pool_backend():
-    with LocalPoolBackend(jobs=2) as backend:
-        yield backend
-
-
-@pytest.fixture(scope="module")
 def serial_reference():
     return run_plan(small_plan(), cache=None, jobs=1)
 
 
 class TestParity:
-    def test_serial_pool_checksum_identical(self, serial_reference,
-                                            pool_backend):
-        pool = run_plan(small_plan(), cache=None, backend=pool_backend)
+    def test_serial_pool_checksum_identical(self, serial_reference):
+        pool = run_plan(small_plan(), cache=None, jobs=2)
         assert checksum(pool) == checksum(serial_reference)
         assert pool.backend == "pool"
 
-    def test_backend_names_recorded(self, serial_reference):
-        assert serial_reference.backend == "serial"
-        assert serial_reference.telemetry["backend"]["backend"] == "serial"
-
-    def test_cache_populated_by_one_backend_replays_on_all(
-            self, tmp_path, serial_reference, pool_backend):
+    @pytest.mark.parametrize("fill_jobs", [1, 2])
+    def test_cache_populated_under_one_jobs_replays_under_all(
+            self, tmp_path, serial_reference, fill_jobs):
         cache = SweepCache(str(tmp_path / "shared"))
-        cold = run_plan(small_plan(), cache=cache, jobs=1)
+        cold = run_plan(small_plan(), cache=cache, jobs=fill_jobs)
         assert cold.stats.misses == 3 and cold.stats.hits == 0
-        for backend in (pool_backend, None):
-            replay = run_plan(small_plan(), cache=cache, jobs=1,
-                              backend=backend)
+        for jobs in (1, 2):
+            replay = run_plan(small_plan(), cache=cache, jobs=jobs)
             assert replay.stats.hits == 3 and replay.stats.misses == 0
             assert replay.keys == cold.keys
             assert checksum(replay) == checksum(serial_reference)
             assert replay.backend == "cached"
 
-    def test_pool_results_fold_back_into_plan_order(self, pool_backend):
-        run = run_plan(small_plan(), cache=None, backend=pool_backend)
+    def test_pool_results_fold_back_into_plan_order(self):
+        run = run_plan(small_plan(), cache=None, jobs=2)
         plan = small_plan()
         for point, m in zip(plan, run.measurements):
             assert (point.kernel, point.n) == (m.kernel, m.n)
+
+
+class TestBackendReport:
+    """``SweepRun.backend`` and ``telemetry["backend"]`` per ``jobs``."""
+
+    @pytest.mark.parametrize("jobs,backend,parallel,workers", [
+        (1, "serial", False, 0),
+        (2, "pool", True, 2),
+        (8, "pool", True, 3),  # never more workers than misses
+    ])
+    def test_report_names_where_the_misses_ran(self, jobs, backend,
+                                               parallel, workers):
+        run = run_plan(small_plan(), cache=None, jobs=jobs)
+        assert run.backend == backend
+        assert run.telemetry["backend"] == {
+            "backend": backend, "parallel": parallel, "dispatched": 3,
+            "completed": 3, "worker_deaths": 0, "workers_spawned": workers,
+        }
+
+    def test_fully_cached_rerun_reports_no_backend(self, tmp_path):
+        cache = SweepCache(str(tmp_path / "cache"))
+        run_plan(small_plan(), cache=cache, jobs=2)
+        warm = run_plan(small_plan(), cache=cache, jobs=2)
+        assert warm.backend == "cached"
+        assert "backend" not in warm.telemetry
 
 
 class TestDispatchOrder:
@@ -104,16 +117,15 @@ class TestDispatchOrder:
         assert expected != list(range(len(points)))
         assert estimates[4] == estimates[5]
 
-        with LocalPoolBackend(jobs=2) as backend:
-            pool = backend._ensure_pool()
-            submitted = []
+        submitted = []
+        submit = ProcessPoolExecutor.submit
 
-            def record(fn, point, ctx):
-                submitted.append(ctx.point_index)
-                return type(pool).submit(pool, fn, point, ctx)
+        def record(pool, fn, point, ctx):
+            submitted.append(ctx.point_index)
+            return submit(pool, fn, point, ctx)
 
-            monkeypatch.setattr(pool, "submit", record)
-            run = run_plan(plan, cache=None, backend=backend)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", record)
+        run = run_plan(plan, cache=None, jobs=2)
         assert submitted == expected
         assert [(m.kernel, m.n, m.protocol) for m in run.measurements] == \
             [(p.kernel, p.n, p.protocol) for p in points]
@@ -121,7 +133,7 @@ class TestDispatchOrder:
 
 
 class TestHypothesisShapes:
-    """Random small plans through long-lived (reused) backends."""
+    """Random small plans through the pool and the serial path."""
 
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import given, settings
@@ -134,13 +146,12 @@ class TestHypothesisShapes:
                        min_size=1, max_size=3, unique=True),
         protocol=st.sampled_from(["cold", "warm"]),
     )
-    def test_pool_matches_serial(self, kernel, sizes, protocol,
-                                 pool_backend):
+    def test_pool_matches_serial(self, kernel, sizes, protocol):
         plan = small_plan(kernel=kernel, sizes=sizes, protocol=protocol,
                           reps=1)
         serial = run_plan(plan, cache=None, jobs=1)
-        assert checksum(run_plan(plan, cache=None,
-                                 backend=pool_backend)) == checksum(serial)
+        assert checksum(run_plan(plan, cache=None, jobs=2)) == \
+            checksum(serial)
 
 
 class TestResolveJobs:
@@ -160,10 +171,3 @@ class TestResolveJobs:
         monkeypatch.setenv(JOBS_ENV, "many")
         with pytest.raises(SweepError, match=JOBS_ENV):
             resolve_jobs(None)
-
-
-class TestBackendLifecycle:
-    def test_backend_context_manager_closes(self):
-        with SerialBackend() as backend:
-            assert not backend.closed
-        assert backend.closed

@@ -66,6 +66,12 @@ class TestCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_measure_nan_scale_is_handled(self, capsys):
+        code = main(["measure", "daxpy", "96", "--machine", "snb",
+                     "--scale", "nan"])
+        assert code == 2
+        assert "error: scale must be in (0, 1]" in capsys.readouterr().err
+
     def test_experiment_report_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.md"
         code = main(["experiment", "T1", "--output", str(out_file)])
