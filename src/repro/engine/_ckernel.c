@@ -275,6 +275,17 @@ const int64_t *repro_layout(int64_t *n) {
 }
 /* END GENERATED INTERFACE */
 
+/* bounds checks on array indices, compiled into sanitizer builds only:
+ * `n` entries at `off` lie within an array of `len`.  ASan sees an index
+ * past a buffer, but not one that lands in another set or slot of it */
+#ifdef __SANITIZE_ADDRESS__
+#include <assert.h>
+#define SPAN(off, n, len) \
+    assert((off) >= 0 && (n) >= 0 && (off) + (n) <= (len))
+#else /* names the operands unevaluated, so none is left unused */
+#define SPAN(off, n, len) ((void)sizeof((off) + (n) + (len)))
+#endif
+
 /* ------------------------------------------------------------------ */
 /* cache primitives (array backend semantics)                          */
 /* ------------------------------------------------------------------ */
@@ -285,6 +296,7 @@ const int64_t *repro_layout(int64_t *n) {
 static inline int64_t way_probe(const Ctx *c, int l, int64_t set,
                                 int64_t line, int64_t *victim) {
     int64_t a = c->assoc[l];
+    SPAN(set, 1, c->set_mask[l] + 1);
     const int64_t *t = c->tags[l] + set * a;
     int64_t w = 0;
     for (; w < a; w++) {
@@ -308,6 +320,8 @@ static inline int64_t way_find(const Ctx *c, int l, int64_t set,
  * `way` is overwritten) */
 static inline void to_front(Ctx *c, int l, int64_t set, int64_t way,
                             int64_t tag, uint8_t dirty) {
+    SPAN(set, 1, c->set_mask[l] + 1);
+    SPAN(way, 1, c->assoc[l]);
     int64_t *t = c->tags[l] + set * c->assoc[l];
     uint8_t *d = c->dirty[l] + set * c->assoc[l];
     memmove(t + 1, t, (size_t)way * sizeof *t);
@@ -330,6 +344,8 @@ static inline void touch(Ctx *c, int l, int64_t set, int64_t way) {
  * set), 0 when the way was empty (occupancy grows at the caller) */
 static int fill_way(Ctx *c, int l, int64_t set, int64_t way, int64_t line,
                     int dirty, int64_t *ev_line, int *ev_dirty) {
+    SPAN(set, 1, c->set_mask[l] + 1);
+    SPAN(way, 1, c->assoc[l]);
     int64_t i = set * c->assoc[l] + way;
     int64_t old = c->tags[l][i];
     int evicted = old != -1;
@@ -348,6 +364,8 @@ static int cache_invalidate(Ctx *c, int l, int64_t line) {
     int64_t w = way_find(c, l, set, line);
     if (w < 0)
         return -1;
+    SPAN(set, 1, c->set_mask[l] + 1);
+    SPAN(w, 1, a);
     int64_t *t = c->tags[l] + set * a;
     uint8_t *d = c->dirty[l] + set * a;
     int dirty = d[w];
@@ -378,6 +396,7 @@ static inline int64_t pf_find(const Ctx *c, int64_t line) {
     int64_t i = pf_home(line, mask);
     while (s[i] != key && s[i] != 0)
         i = (i + 1) & mask;
+    SPAN(i, 1, mask + 1);
     return i;
 }
 
@@ -418,8 +437,11 @@ static int pf_discard(Ctx *c, int64_t line) {
 /* ------------------------------------------------------------------ */
 
 /* put a page at the front of a level's valid prefix, moving entries
- * 0..n-1 back by one (entry n is overwritten) */
-static inline void tlb_push(int64_t *pages, int64_t n, int64_t page) {
+ * 0..n-1 back by one (entry n, below the level's `entries`, is
+ * overwritten) */
+static inline void tlb_push(int64_t *pages, int64_t n, int64_t entries,
+                            int64_t page) {
+    SPAN(0, n + 1, entries);
     memmove(pages + 1, pages, (size_t)n * sizeof *pages);
     pages[0] = page;
 }
@@ -432,20 +454,23 @@ static void tlb_fill(Ctx *c, int64_t page) {
         r[0] -= 1;
         if (r[1] >= c->tlb2_entries)
             r[1] -= 1;
-        tlb_push(c->tlb2_pages, r[1], c->tlb1_pages[r[0]]);
+        tlb_push(c->tlb2_pages, r[1], c->tlb2_entries,
+                 c->tlb1_pages[r[0]]);
         r[1] += 1;
     }
-    tlb_push(c->tlb1_pages, r[0], page);
+    tlb_push(c->tlb1_pages, r[0], c->tlb1_entries, page);
     r[0] += 1;
 }
 
 static int64_t tlb_translate(Ctx *c, int64_t page, int64_t *o) {
     int64_t *r = c->tlb_regs;
+    SPAN(0, r[0], c->tlb1_entries);
+    SPAN(0, r[1], c->tlb2_entries);
     o[O_TACC] += 1;
     int64_t *p = c->tlb1_pages;
     for (int64_t k = 0; k < r[0]; k++)
         if (p[k] == page) {
-            tlb_push(p, k, page);
+            tlb_push(p, k, c->tlb1_entries, page);
             o[O_T1H] += 1;
             return 0;
         }
@@ -595,6 +620,8 @@ static inline int64_t tracker_slot(int64_t *keys, int64_t *lruv,
         keys[i] = key;
         regs[1] += 1;
     }
+    SPAN(i, 1, n);
+    SPAN(0, regs[1], n);
     lruv[i] = regs[0];
     return i;
 }
@@ -910,16 +937,6 @@ static inline void frontier(Ctx *c, const int64_t *s, int64_t pos,
  * FfMap says, and ff_dirty, which holds the dirty bytes at the tags'
  * offsets. */
 
-/* bounds checks on the copy's and the tables' indices, compiled into
- * sanitizer builds only: `n` words at `off` lie within an array of `len` */
-#ifdef __SANITIZE_ADDRESS__
-#include <assert.h>
-#define FF_SPAN(off, n, len) \
-    assert((off) >= 0 && (n) >= 0 && (off) + (n) <= (len))
-#else
-#define FF_SPAN(off, n, len) ((void)0)
-#endif
-
 /* a tracker table's columns in copy order; the stride table has no
  * FC_FRONT */
 enum { FC_KEY, FC_LAST, FC_DIR, FC_CONF, FC_LRU, FC_FRONT };
@@ -959,8 +976,8 @@ static FfMap ff_map(const Ctx *c) {
     m.st = m.sm + FF_SM_COLS * c->sm_trackers + 2;
     m.pf = m.st + FF_ST_COLS * c->st_sites + 2;
     m.end = m.pf + 2 + 2 * FF_PF_LINES;
-    FF_SPAN(0, m.end, c->ff_nwords);
-    FF_SPAN(0, m.tlb1, c->ff_nbytes);
+    SPAN(0, m.end, c->ff_nwords);
+    SPAN(0, m.tlb1, c->ff_nbytes);
     return m;
 }
 
@@ -978,14 +995,39 @@ static void ff_columns(const Ctx *c, int64_t **sm, int64_t **st) {
     st[FC_LRU] = c->st_lruv;
 }
 
-/* the shift P in lines when flat node nd may fast-forward, else 0 (and
- * *tp, *first untouched): the loop must run on past its first period
- * boundary beyond the larger of the L3 and the TLB's reach, *first, for
- * a copy there, a comparison one period (*tp trips) later and at least
- * one period to skip */
+/* the lines the sites cover together once each has advanced t lines
+ * from its first line at the current ivs: a site covers the lines from
+ * its own first line up to the next site's above it, at most t (sites on
+ * one line count once), so k disjoint streams cover k * t lines, and one
+ * stream, or sites on overlapping lines, t plus the few lines between
+ * them */
+static int64_t ff_cover(const int64_t *S0, int64_t ns, int64_t sw,
+                        const int64_t *iv, int64_t depth, int64_t shift,
+                        int64_t t) {
+    int64_t cover = 0;
+    for (int64_t s = 0; s < ns; s++) {
+        int64_t b = nest_at(S0 + s * sw, NS_BASE, iv, depth) >> shift;
+        int64_t gap = t;
+        for (int64_t u = 0; u < ns; u++) {
+            int64_t a = nest_at(S0 + u * sw, NS_BASE, iv, depth) >> shift;
+            if ((a > b || (a == b && u > s)) && a - b < gap)
+                gap = a - b;
+        }
+        cover += gap;
+    }
+    return cover;
+}
+
+/* the shift P in lines when flat node nd may fast-forward at the outer
+ * ivs `iv`, else 0 (and *tp, *first untouched): the loop must run on past
+ * its first period boundary at which its sites together have swept the
+ * larger of the L3 and the TLB's reach (ff_cover), *first, for a copy
+ * there, a comparison one period (*tp trips) later and at least one
+ * period to skip.  The boundary only schedules the copy; ff_steady alone
+ * decides whether a period is skipped */
 static int64_t ff_period(const Ctx *c, const int64_t *nd, const int64_t *S0,
-                         int64_t sw, int64_t shift, int64_t *tp,
-                         int64_t *first) {
+                         int64_t sw, const int64_t *iv, int64_t depth,
+                         int64_t shift, int64_t *tp, int64_t *first) {
     int64_t stride = S0[NS_STRIDE];
     if (stride <= 0)
         return 0;
@@ -1016,12 +1058,17 @@ static int64_t ff_period(const Ctx *c, const int64_t *nd, const int64_t *S0,
     int64_t reach = (c->tlb1_entries + c->tlb2_entries) << c->page_shift;
     if (reach > onset)
         onset = reach;
-    int64_t period = (P << shift) / stride;
-    int64_t boundary = (onset + P - 1) / P * period;
-    if (boundary + 2 * period > nd[NN_TRIPS])
+    /* j periods move each site j * P lines; the sites cover at least
+     * that and at most ns times it */
+    int64_t ns = nd[NN_NSITES], period = (P << shift) / stride;
+    int64_t j = (onset + ns * P - 1) / (ns * P);
+    while ((j + 2) * period <= nd[NN_TRIPS]
+           && ff_cover(S0, ns, sw, iv, depth, shift, j * P) < onset)
+        j++;
+    if ((j + 2) * period > nd[NN_TRIPS])
         return 0;
     *tp = period;
-    *first = boundary;
+    *first = j * period;
     return P;
 }
 
@@ -1066,13 +1113,13 @@ static int64_t ff_pf_collect(const Ctx *c, const FfLoop *f, int64_t lo,
     int64_t size = c->pf_mask + 1, n = 0;
     int64_t nblocks = size >> PF_BLOCK_SHIFT ? size >> PF_BLOCK_SHIFT : 1;
     for (int64_t b = 0; b < nblocks && c->pf_regs[0]; b++) {
-        FF_SPAN(b, 1, nblocks);
+        SPAN(b, 1, nblocks);
         if (!c->pf_touched[b])
             continue;
         int64_t i = b << PF_BLOCK_SHIFT, end = (b + 1) << PF_BLOCK_SHIFT;
         if (end > size)
             end = size;
-        FF_SPAN(i, end - i, size);
+        SPAN(i, end - i, size);
         for (; i < end; i++) {
             int64_t v = c->pf_slots[i];
             if (!v || !ff_within(f, v - 1, lo, hi))
@@ -1092,7 +1139,7 @@ static int64_t ff_pf_collect(const Ctx *c, const FfLoop *f, int64_t lo,
 static int ff_save(Ctx *c, const int64_t *o, const FfLoop *f, int64_t most) {
     FfMap m = ff_map(c);
     int64_t *w = c->ff_words;
-    FF_SPAN(m.pf + 2, FF_PF_LINES, m.end);
+    SPAN(m.pf + 2, FF_PF_LINES, m.end);
     int64_t n = ff_pf_collect(c, f, 1 - f->B, most * f->P + f->B,
                               w + m.pf + 2);
     if (n < 0)
@@ -1115,13 +1162,13 @@ static int ff_save(Ctx *c, const int64_t *o, const FfLoop *f, int64_t most) {
     int64_t nsm = c->sm_trackers, nst = c->st_sites;
     ff_columns(c, sm, st);
     for (int k = 0; k < FF_SM_COLS; k++) {
-        FF_SPAN(m.sm + k * nsm, nsm, m.st);
+        SPAN(m.sm + k * nsm, nsm, m.st);
         memcpy(w + m.sm + k * nsm, sm[k], (size_t)nsm * sizeof *w);
     }
     w[m.sm + FF_SM_COLS * nsm] = c->sm_regs[0];
     w[m.sm + FF_SM_COLS * nsm + 1] = c->sm_regs[1];
     for (int k = 0; k < FF_ST_COLS; k++) {
-        FF_SPAN(m.st + k * nst, nst, m.pf);
+        SPAN(m.st + k * nst, nst, m.pf);
         memcpy(w + m.st + k * nst, st[k], (size_t)nst * sizeof *w);
     }
     w[m.st + FF_ST_COLS * nst] = c->st_regs[0];
@@ -1159,7 +1206,7 @@ static int ff_trackers_steady(const Ctx *c, const FfMap *m,
     if (c->sm_on) {
         int64_t n = c->sm_trackers, dk = P / c->sm_lpp;
         const int64_t *x = c->ff_words + m->sm;
-        FF_SPAN(m->sm, FF_SM_COLS * n + 2, m->st);
+        SPAN(m->sm, FF_SM_COLS * n + 2, m->st);
         if (c->sm_regs[1] != x[FF_SM_COLS * n + 1])
             return 0;
         for (int64_t i = 0; i < n; i++) {
@@ -1182,7 +1229,7 @@ static int ff_trackers_steady(const Ctx *c, const FfMap *m,
     if (c->st_on) {
         int64_t n = c->st_sites;
         const int64_t *x = c->ff_words + m->st;
-        FF_SPAN(m->st, FF_ST_COLS * n + 2, m->pf);
+        SPAN(m->st, FF_ST_COLS * n + 2, m->pf);
         if (c->st_regs[1] != x[FF_ST_COLS * n + 1])
             return 0;
         for (int64_t i = 0; i < n; i++) {
@@ -1228,8 +1275,8 @@ static int64_t ff_pf_steady(Ctx *c, const FfMap *m, const FfLoop *f,
     const int64_t *x = w + m->pf + 2;
     int64_t *y = w + m->pf + 2 + FF_PF_LINES;
     int64_t nx = w[m->pf];
-    FF_SPAN(m->pf + 2, nx, m->pf + 2 + FF_PF_LINES);
-    FF_SPAN(m->pf + 2 + FF_PF_LINES, FF_PF_LINES, m->end);
+    SPAN(m->pf + 2, nx, m->pf + 2 + FF_PF_LINES);
+    SPAN(m->pf + 2 + FF_PF_LINES, FF_PF_LINES, m->end);
     int64_t ny = ff_pf_collect(c, f, 1 - B - P, most * P + B, y);
     w[m->pf + 1] = ny;
     if (ny < 0)
@@ -1274,8 +1321,8 @@ static int64_t ff_steady(Ctx *c, const FfLoop *f, int64_t most) {
     if (c->tlb_regs[0] != r[0] || c->tlb_regs[1] != r[1]
         || c->regs[0] != r[2] + dp)
         return 0;
-    FF_SPAN(0, r[0], c->tlb1_entries);
-    FF_SPAN(0, r[1], c->tlb2_entries);
+    SPAN(0, r[0], c->tlb1_entries);
+    SPAN(0, r[1], c->tlb2_entries);
     for (int64_t k = 0; k < r[0]; k++)
         if (c->tlb1_pages[k] != w[m.tlb1 + k] + dp)
             return 0;
@@ -1333,7 +1380,7 @@ static int64_t ff_skip(Ctx *c, const FfLoop *f, int64_t periods,
     if (c->sm_on) {
         int64_t n = c->sm_trackers, dk = periods * (P / c->sm_lpp);
         const int64_t *x = w + m.sm;
-        FF_SPAN(m.sm, FF_SM_COLS * n + 2, m.st);
+        SPAN(m.sm, FF_SM_COLS * n + 2, m.st);
         int64_t tick = x[FF_SM_COLS * n], ticks = c->sm_regs[0] - tick;
         for (int64_t i = 0; i < n; i++) {
             if (sm[FC_KEY][i] == -1)
@@ -1349,7 +1396,7 @@ static int64_t ff_skip(Ctx *c, const FfLoop *f, int64_t periods,
     if (c->st_on) {
         int64_t n = c->st_sites;
         const int64_t *x = w + m.st;
-        FF_SPAN(m.st, FF_ST_COLS * n + 2, m.pf);
+        SPAN(m.st, FF_ST_COLS * n + 2, m.pf);
         int64_t tick = x[FF_ST_COLS * n], ticks = c->st_regs[0] - tick;
         for (int64_t i = 0; i < n; i++) {
             if (st[FC_KEY][i] == -1 || !ff_site_sid(f, st[FC_KEY][i]))
@@ -1366,7 +1413,7 @@ static int64_t ff_skip(Ctx *c, const FfLoop *f, int64_t periods,
     }
     const int64_t *y = w + m.pf + 2 + FF_PF_LINES;
     int64_t ny = w[m.pf + 1];
-    FF_SPAN(m.pf + 2 + FF_PF_LINES, ny, m.end);
+    SPAN(m.pf + 2 + FF_PF_LINES, ny, m.end);
     for (int64_t k = 0; k < ny; k++)
         if (ff_within(f, y[k], 1 - B, dl + B))
             pf_discard(c, y[k]);
@@ -1424,7 +1471,7 @@ static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
      * after the next mismatch */
     int64_t tp = 0, boundary = trips, wait = 0;
     int64_t P = c->ff_words
-        ? ff_period(c, nd, S0, sw, shift, &tp, &boundary) : 0;
+        ? ff_period(c, nd, S0, sw, iv, depth, shift, &tp, &boundary) : 0;
     FfLoop f = {P, ff_reach(c), ns, sw, S0, last};
     int copied = 0;
     int64_t t = 0;
@@ -1571,8 +1618,8 @@ int64_t repro_execute_nest(Ctx *c, const int64_t *hdr, const int64_t *nodes,
             }
             if (kind == NK_FLAT && !c->ff_words) {
                 int64_t tp, first;
-                if (ff_period(c, nd, sites + nd[NN_SITE0] * sw, sw, shift,
-                              &tp, &first)) {
+                if (ff_period(c, nd, sites + nd[NN_SITE0] * sw, sw, iv,
+                              depth, shift, &tp, &first)) {
                     state[NST_FFWD] = 1;
                     break;
                 }

@@ -25,6 +25,7 @@ import contextvars
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ..engine import ckernel
 from ..errors import AllocationError, ConfigurationError, MeasurementError
 from ..isa.builder import ProgramBuilder
 from ..kernels.base import CodegenCaps, Kernel
@@ -401,8 +402,10 @@ def counting_into(registry: MetricsRegistry):
 
 
 def _count_reps(reps: int, skipped) -> None:
-    """Record how one measurement's repetitions ran."""
+    """Record how one measurement's repetitions ran, and the C kernel's
+    load state they ran under."""
     registry = _COUNTS.get()
+    registry.absorb_ckernel_status(ckernel.status().state)
     counted = registry.counter(
         "repro_measure_reps_total",
         "Measurement repetitions by mode (simulated in full, or replayed "

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..engine import ckernel
 from ..engine.plan import NEST_FALLBACK_REASONS
 
 __all__ = [
@@ -416,6 +417,20 @@ class MetricsRegistry:
         for reason in NEST_FALLBACK_REASONS:
             fallbacks.inc(stats_doc.get(f"fallback_{reason}", 0),
                           reason=reason)
+
+    def absorb_ckernel_status(self, state: str) -> None:
+        """Record the C kernel's load state (``ckernel.status()``): 1 for
+        ``state``, 0 for the other two, so an export shows a run that
+        fell back to the per-line walk."""
+        gauge = self.gauge(
+            "repro_ckernel_status",
+            "C kernel load state, 1 for the current one: loaded, disabled "
+            "by REPRO_CKERNEL=0, or failed; unless loaded, the fast engine "
+            "walks per line",
+            labelnames=("state",),
+        )
+        for each in (ckernel.LOADED, ckernel.DISABLED, ckernel.FAILED):
+            gauge.set(1 if each == state else 0, state=each)
 
     def absorb_sweep_stats(self, stats_doc: dict) -> None:
         """Fold a :class:`SweepStats` ``to_dict()`` into the registry."""

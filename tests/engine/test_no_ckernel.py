@@ -218,3 +218,49 @@ def test_status_of_a_failed_load_carries_the_warnings_reason(tmp_path):
     assert reason.startswith("compiling _ckernel.c with 'false' failed")
     (message,) = probe["warnings"]
     assert message.startswith(f"C kernel unavailable: {reason}; ")
+
+
+# ----------------------------------------------------------------------
+# the load state reaches the metrics exports
+# ----------------------------------------------------------------------
+_GAUGE_PROBE = """
+import json, warnings
+warnings.simplefilter("ignore")
+from repro.kernels import make_kernel
+from repro.machine.presets import tiny_test_machine
+from repro.measure import measure_kernel
+from repro.obs.metrics import REGISTRY
+measure_kernel(tiny_test_machine(), make_kernel("daxpy"), 64, reps=1)
+print(json.dumps([line for line in REGISTRY.to_prometheus().splitlines()
+                  if line.startswith("repro_ckernel_status{")]))
+"""
+
+
+def _gauge_lines(state: str) -> list:
+    return [f'repro_ckernel_status{{state="{each}"}} {int(each == state)}'
+            for each in sorted((ckernel.DISABLED, ckernel.FAILED,
+                                ckernel.LOADED))]
+
+
+@pytest.mark.parametrize("env,state", [
+    ({"REPRO_CKERNEL": "0"}, ckernel.DISABLED),
+    ({}, ckernel.FAILED),
+], ids=["opt-out", "failed-load"])
+def test_a_measurement_exports_the_load_state(tmp_path, env, state):
+    # CC=false: a kernel the opt-out would not load fails to build
+    assert _probe(tmp_path, _GAUGE_PROBE, CC="false", **env) == \
+        _gauge_lines(state)
+
+
+@pytest.mark.skipif(not ckernel.available(),
+                    reason="the C kernel did not load")
+def test_a_loaded_kernel_exports_its_state():
+    from repro.measure import measure_kernel
+    from repro.measure.runner import counting_into
+    from repro.obs.metrics import MetricsRegistry
+
+    with counting_into(MetricsRegistry()) as registry:
+        measure_kernel(tiny_test_machine(), make_kernel("daxpy"), 64, reps=1)
+    assert [line for line in registry.to_prometheus().splitlines()
+            if line.startswith("repro_ckernel_status{")] == \
+        _gauge_lines(ckernel.LOADED)

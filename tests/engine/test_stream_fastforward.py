@@ -1,8 +1,9 @@
 """Steady-stream fast-forward: the C kernel skips whole periods exactly.
 
 A flat loop of demand sites at one positive stride repeats its cache,
-TLB, tracker and prefetched-line state shifted by P lines once it has
-swept the L3 and the TLB, with any set of prefetch engines on.  The
+TLB, tracker and prefetched-line state shifted by P lines once its
+sites together have swept the L3 and the TLB, with any set of prefetch
+engines on.  The
 kernel then applies the periods left at once instead of simulating them
 (``docs/ENGINE.md``, "Steady-stream fast-forward").  These tests hold it
 to the reference engine's per-line walk on a machine small enough that
@@ -68,11 +69,13 @@ def trips_per_period(stride: int, period: int = P) -> int:
     return period * LINE // stride
 
 
-def shortest_skipping(stride: int, period: int = P) -> int:
+def shortest_skipping(stride: int, period: int = P, streams: int = 1) -> int:
     """The fewest trips that fast-forward: a copy at the first period
-    boundary past the onset, a comparison one period later, and one
-    more period to skip."""
-    return (-(-ONSET // period) + 2) * trips_per_period(stride, period)
+    boundary at which the loop's ``streams`` disjoint streams together
+    have swept the onset, a comparison one period later, and one more
+    period to skip."""
+    boundary = -(-ONSET // (streams * period))
+    return (boundary + 2) * trips_per_period(stride, period)
 
 
 def stream(trips: int, stride: int = LINE, sites: str = "r",
@@ -236,13 +239,39 @@ def test_a_stream_over_dirty_lines_retries_its_comparison():
     assert 0 < skipped < first_match
 
 
+@pytest.mark.parametrize("sites", ["r", "rw", "rrw"])
 @pytest.mark.parametrize("extra,fires", [(-1, False), (0, True)])
-def test_streams_just_under_and_just_over_the_onset(extra, fires):
-    trips = shortest_skipping(LINE) + extra
-    skipped = run_both(stream(trips, sites="rw"))
+def test_streams_just_under_and_just_over_the_onset(sites, extra, fires):
+    # each site's buffer lies past the lines the others sweep, so k
+    # streams cover k times one stream's lines and reach the onset after
+    # a k-th of its periods (rounded up)
+    streams = len(sites)
+    trips = shortest_skipping(LINE, streams=streams) + extra
+    skipped = run_both(stream(trips, sites=sites))
     assert (skipped > 0) == fires
-    if fires:  # one period of both sites
-        assert skipped == 2 * P
+    if fires:  # one period of every site
+        assert skipped == streams * P
+
+
+def stencil(trips: int):
+    """A 3-point stencil: three loads of one buffer 8 bytes apart, at a
+    stride of 8 bytes, so the sites' lines overlap."""
+    b = ProgramBuilder()
+    x = b.buffer("x", 8 * trips + 2 * LINE)
+    with b.loop(trips) as i:
+        for offset in (0, 8, 16):
+            b.load(x[i * 8 + offset], width=64)
+    return b.build()
+
+
+@pytest.mark.parametrize("extra,fires", [(-1, False), (0, True)])
+def test_a_stencil_keeps_the_one_stream_onset(extra, fires):
+    # the sites cover one stream's lines plus at most the two between
+    # their first lines, so the copy waits as long as for one stream
+    skipped = run_both(stencil(shortest_skipping(8) + extra))
+    assert (skipped > 0) == fires
+    if fires:  # one period of each of the three sites
+        assert skipped == 3 * P
 
 
 def test_a_stride_that_does_not_divide_the_period_is_simulated():
@@ -310,8 +339,9 @@ def long_streams(draw):
     width = draw(st.sampled_from([64, 256, 512]))
     offset = draw(st.integers(0, LINE - 1))
     period = shift(engines)
-    lines = draw(st.integers(shortest_skipping(LINE, period) - period // 2,
-                             shortest_skipping(LINE, period) + 2 * period))
+    lines = draw(st.integers(
+        shortest_skipping(LINE, period, len(sites)) - period // 2,
+        shortest_skipping(LINE, period) + 2 * period))
     trips = max(1, lines * LINE // stride)
     span = trips * stride + 2 * LINE
     dirty = draw(st.integers(0, min(2 * ONSET, span // LINE - 1)))
@@ -352,3 +382,27 @@ def test_the_copy_is_allocated_only_for_an_eligible_loop():
     assert datapath._ff_words is None
     machine.run(machine.load(stream(shortest_skipping(LINE))))
     assert datapath._ff_words.size > 0
+
+
+def test_the_f4_grid_skips_its_pinned_line_count():
+    # the paper's daxpy grid, cold and warm with every prefetcher on:
+    # each point's two streams copy once together they have swept the
+    # L3, so n=327,680 skips in both protocols and n=983,040 skips more
+    from repro.machine.ref import MachineRef
+    from repro.sweep import make_grid, run_plan
+
+    plan = make_grid("f4", MachineRef.of("snb-ep", scale=0.125))
+    run = run_plan(plan, jobs=1, cache=None)
+    assert run.plan_cache["skipped_lines"] == 1_550_336
+
+
+@pytest.mark.parametrize("kernel", ["daxpy", "dgemm-tiled"])
+def test_the_s5_engine_sweeps_simulate_every_line(kernel):
+    # BENCH_engine.json's sweep speedups time the two engines: a sweep
+    # that fast-forwarded would time the skip instead
+    from benchmarks.bench_s5_engine import DAXPY_SIZES, DGEMM_SIZES, _sweep
+
+    sizes = DAXPY_SIZES if kernel == "daxpy" else DGEMM_SIZES
+    machine = _sweep("fast", kernel, sizes)
+    assert machine.core(0).plan_stats.nest_runs > 0
+    assert machine.core(0).plan_stats.skipped_lines == 0

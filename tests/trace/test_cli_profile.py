@@ -54,7 +54,7 @@ class TestProfileCommand:
     def test_profile_metrics_keep_every_family(self, tmp_path, capsys):
         # the machine-plane families, kinds and labels `profile
         # --metrics-out` has always written, the measurement's rep
-        # counts, and nothing else
+        # counts and kernel load state, and nothing else
         metrics_file = tmp_path / "m.prom"
         code = main(["profile", "triad", "512", "--machine", "tiny",
                      "--scale", "1", "--metrics-out", str(metrics_file)])
@@ -76,6 +76,7 @@ class TestProfileCommand:
             "repro_avg_outstanding_misses": "gauge",
             "repro_measure_reps_total": "counter",
             "repro_measure_replay_skipped_total": "counter",
+            "repro_ckernel_status": "gauge",
         }
         assert 'repro_measure_reps_total{mode="simulated"}' in text
         assert 'repro_dram_lines_total{dir="read"}' in text
