@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
@@ -45,11 +46,12 @@ from repro.machine.presets import tiny_test_machine
 from repro.measure import measure_kernel
 from repro.measure.protocol import ColdCache
 
-#: 1,024 to 8,192 lines a stream on the tiny machine, past its L3 and
-#: short of its TLB's reach (no fast-forward): the fast sweep runs about
-#: 50 ms, well above timer and scheduler noise (a sweep of 512 to 4,096
-#: elements ran about 18 ms, and its speedup moved 25% between runs)
-DAXPY_SIZES = (8192, 16384, 32768, 65536)
+#: 1,024 to 2,560 lines a stream on the tiny machine, past its L3 and
+#: short of the three fast-forward periods a loop needs with every
+#: prefetcher on (3,072 lines a stream): the sweeps time the engines,
+#: not the skip.  The fast sweep is short, so the speedup is the median
+#: of per-pair ratios (see _sweep_baseline)
+DAXPY_SIZES = (8192, 12288, 16384, 20480)
 # cache-resident through DRAM-resident on the tiny machine: the regime
 # sweeps actually spend their time in (and where per-line
 # interpretation hurts most) is the upper end
@@ -136,17 +138,20 @@ def _time(fn, repeats: int) -> float:
 def _sweep_baseline(kernel_name: str, sizes) -> dict:
     """Both engines' sweep times, sampled pair by pair.
 
-    Each pair times one fast sweep and then one reference sweep, and
-    each side keeps its minimum over :data:`SWEEP_PAIRS` pairs: a host
-    that speeds up or slows down during the run touches both sides
-    alike, where timing one block per side let the drift between the
-    blocks move the speedup.
+    Each pair times one fast sweep and then one reference sweep, and the
+    speedup is the median of the :data:`SWEEP_PAIRS` pairs' ratios: a
+    host that speeds up or slows down during the run touches both sides
+    of a pair alike.  Each side's minimum came from different moments,
+    and the multi-second reference side drifts far more than the fast
+    one, which moved the speedup by a third between regenerations.  The
+    seconds reported are each side's median.
     """
     fast, ref = [], []
     for _ in range(SWEEP_PAIRS):
         fast.append(_time(lambda: _sweep("fast", kernel_name, sizes), 1))
         ref.append(_time(lambda: _sweep("reference", kernel_name, sizes), 1))
-    fast, ref = min(fast), min(ref)
+    speedup = statistics.median(r / f for f, r in zip(fast, ref))
+    fast, ref = statistics.median(fast), statistics.median(ref)
     machine = _sweep("fast", kernel_name, sizes)
     plan = machine.core(0).plan_stats
     return {
@@ -156,7 +161,7 @@ def _sweep_baseline(kernel_name: str, sizes) -> dict:
         "pairs": SWEEP_PAIRS,
         "fast_seconds": fast,
         "reference_seconds": ref,
-        "speedup": ref / fast,
+        "speedup": speedup,
         "plan_cache": plan.as_dict(),
         "nest": _nest_doc(plan),
     }

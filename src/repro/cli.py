@@ -440,6 +440,11 @@ def _cmd_experiment(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+#: the share of the conformance stream family's programs that must
+#: fast-forward
+STREAM_MIN_SKIPPING = 0.3
+
+
 def _cmd_conformance(args) -> int:
     import os
     import random
@@ -451,8 +456,16 @@ def _cmd_conformance(args) -> int:
         run_cross_engine,
         run_differential,
     )
-    from .oracle.fuzz import random_program
+    from .machine.presets import stream_test_machine, tiny_test_machine
+    from .oracle.fuzz import random_program, stream_program
 
+    # the stream family runs long flat loops on a machine where they
+    # reach the fast-forward; at least STREAM_MIN_SKIPPING of its
+    # programs must skip, or the campaign proves nothing about it
+    stream = args.family == "stream"
+    generate, factory, masks = (
+        (stream_program, stream_test_machine, 7) if stream
+        else (random_program, tiny_test_machine, 15))
     # which differential checks to run per fuzz program: the fast
     # machine vs the textbook reference model ("oracle"), the fast
     # engine vs the per-line reference engine ("engine"), or both
@@ -470,24 +483,29 @@ def _cmd_conformance(args) -> int:
     if os.path.dirname(report_path):
         os.makedirs(os.path.dirname(report_path), exist_ok=True)
     records = []
-    divergent = 0
+    divergent = skipping = skipped = 0
     for i in range(args.n):
         # independent stream per program: failure i reproduces alone
         rng = random.Random(args.seed * 1_000_003 + i)
-        program = random_program(rng)
-        mask = rng.randint(0, 15)
+        program = generate(rng)
+        mask = rng.randint(0, masks)
         program_diverged = False
+        lines = 0
         for kind, run_diff in checks:
-            outcome = run_diff(program, prefetch_mask=mask)
+            outcome = run_diff(program, prefetch_mask=mask,
+                               machine_factory=factory)
+            lines = max(lines, outcome.skipped_lines)
             if outcome.ok:
                 continue
             program_diverged = True
 
             def still_diverges(p, _mask=mask, _run=run_diff):
-                return not _run(p, prefetch_mask=_mask).ok
+                return not _run(p, prefetch_mask=_mask,
+                                machine_factory=factory).ok
 
             minimized = minimize_program(program, still_diverges)
-            min_outcome = run_diff(minimized, prefetch_mask=mask)
+            min_outcome = run_diff(minimized, prefetch_mask=mask,
+                                   machine_factory=factory)
             records.append({
                 "kind": kind,
                 "seed": args.seed,
@@ -503,6 +521,8 @@ def _cmd_conformance(args) -> int:
             print(f"DIVERGENCE ({kind}) at index {i} (mask {mask}): "
                   f"{outcome.divergences[0]}")
         divergent += program_diverged
+        skipping += lines > 0
+        skipped += lines
         if (i + 1) % 500 == 0:
             print(f"  {i + 1}/{args.n} programs, {divergent} divergent")
 
@@ -530,18 +550,26 @@ def _cmd_conformance(args) -> int:
         "programs": args.n,
         "seed": args.seed,
         "diff": args.diff,
+        "family": args.family,
         "divergent_programs": divergent,
         "analytic_mismatches": kernel_problems,
+        "skipping_programs": skipping,
+        "skipped_lines": skipped,
     }
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(summary) + "\n")
         for record in records:
             handle.write(json.dumps(record) + "\n")
 
-    failed = divergent or kernel_problems
-    print(f"conformance: {args.n} programs, {divergent} divergent; "
+    too_few = stream and skipping < STREAM_MIN_SKIPPING * args.n
+    failed = divergent or kernel_problems or too_few
+    print(f"conformance: {args.n} programs, {divergent} divergent, "
+          f"{skipping} fast-forwarded ({skipped} lines); "
           f"kernel oracles: {kernel_problems} mismatch(es); "
           f"report: {report_path}")
+    if too_few:
+        print(f"error: fewer than {STREAM_MIN_SKIPPING:.0%} of the stream "
+              f"family's programs fast-forwarded")
     return 1 if failed else 0
 
 
@@ -1107,6 +1135,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="which differential checks to fuzz: machine "
                              "vs reference model (oracle), fast vs "
                              "reference engine (engine), or both")
+    p_conf.add_argument("--family", choices=("random", "stream"),
+                        default="random",
+                        help="program family: random programs on the "
+                             "tiny machine, or long streaming loops on "
+                             "a machine where they fast-forward")
     p_conf.add_argument("--report",
                         help="JSONL divergence report path (default "
                              "artifacts/conformance/report.jsonl)")

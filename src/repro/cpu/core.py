@@ -46,7 +46,7 @@ import numpy as np
 
 from ..engine import ckernel
 from ..engine.datapath import BatchDatapath
-from ..engine.plan import AccessPlan, PlanCache
+from ..engine.plan import FF_COUNTERS, AccessPlan, PlanCache
 from ..errors import ExecutionError
 from ..isa.instructions import (
     Flush,
@@ -99,6 +99,8 @@ _COST_COLS = [ckernel.OUT[name] for name in
 
 #: the nest state word counting the lines the kernel fast-forwarded
 _NST_SKIPPED = ckernel.NST["skipped"]
+#: PlanCacheStats fields and the nest-state words that count them
+_NST_FF = tuple((name, ckernel.NST[name[3:]]) for name in FF_COUNTERS)
 
 
 @dataclass
@@ -301,7 +303,10 @@ class Core:
                 n = dp.execute_nest(nest, state, max(nest.room, int(state[1])))
             if n:
                 self._cost_rows(nest, n, dram_bpc, result)
-        self.plan_cache.stats.skipped_lines += int(state[_NST_SKIPPED])
+        stats = self.plan_cache.stats
+        stats.skipped_lines += int(state[_NST_SKIPPED])
+        for name, word in _NST_FF:
+            setattr(stats, name, getattr(stats, name) + int(state[word]))
 
     def _cost_rows(self, nest: Nest, n: int, dram_bpc,
                    result: ExecutionResult) -> None:

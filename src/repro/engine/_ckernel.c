@@ -88,8 +88,11 @@ enum {
     NS_INDEX, NS_IVS
 };
 
-/* nest state: resume point, requests, lines skipped, iv slots, scratch */
-enum { NST_PC, NST_NEED, NST_FFWD, NST_SKIPPED, NST_IVS };
+/* nest state: resume point, requests, lines skipped, fast-forward copies, failed comparisons and skips by the kinds of L3 way their periods filled or evicted, iv slots, scratch */
+enum {
+    NST_PC, NST_NEED, NST_FFWD, NST_SKIPPED, NST_COPIES, NST_MISMATCHES,
+    NST_SKIPS_EMPTY, NST_SKIPS_CLEAN, NST_SKIPS_DIRTY, NST_IVS
+};
 
 typedef struct {
     /* caches: 0 = L1, 1 = L2, 2 = L3 */
@@ -264,6 +267,11 @@ static const int64_t layout_words[] = {
     (int64_t)NST_NEED,
     (int64_t)NST_FFWD,
     (int64_t)NST_SKIPPED,
+    (int64_t)NST_COPIES,
+    (int64_t)NST_MISMATCHES,
+    (int64_t)NST_SKIPS_EMPTY,
+    (int64_t)NST_SKIPS_CLEAN,
+    (int64_t)NST_SKIPS_DIRTY,
     (int64_t)NST_IVS,
     (int64_t)PF_BLOCK_SHIFT,
     (int64_t)FF_PF_LINES,
@@ -956,6 +964,9 @@ typedef struct {
 typedef struct {
     int64_t P, B, ns, sw;
     const int64_t *S0, *last;
+    /* 1 when every site has one home: older L3 ways may then sink (see
+     * ff_split); else the whole L3 and TLB compare under the shift */
+    int one_home;
 } FfLoop;
 
 static inline int64_t ff_ways(const Ctx *c, int l) {
@@ -1018,13 +1029,26 @@ static int64_t ff_cover(const int64_t *S0, int64_t ns, int64_t sw,
     return cover;
 }
 
+/* do all `ns` sites share one home node? */
+static int ff_one_home(const int64_t *S0, int64_t ns, int64_t sw) {
+    for (int64_t s = 1; s < ns; s++)
+        if (S0[s * sw + NS_HOME] != S0[NS_HOME])
+            return 0;
+    return 1;
+}
+
 /* the shift P in lines when flat node nd may fast-forward at the outer
  * ivs `iv`, else 0 (and *tp, *first untouched): the loop must run on past
  * its first period boundary at which its sites together have swept the
- * larger of the L3 and the TLB's reach (ff_cover), *first, for a copy
- * there, a comparison one period (*tp trips) later and at least one
- * period to skip.  The boundary only schedules the copy; ff_steady alone
- * decides whether a period is skipped */
+ * onset (ff_cover), *first, for a copy there, a comparison one period
+ * (*tp trips) later and at least one period to skip.  The onset is the
+ * larger of the L1 and L2 lines and the first TLB level's reach, since
+ * older ways of the L3 and the second TLB level may sink (ff_split), and
+ * the sites must have swept the L2's lines one period earlier; a
+ * loop whose sites have more than one home compares those in full, so
+ * its onset is the larger of the L3 lines and both TLB levels' reach.
+ * The boundary only schedules the copy; ff_steady alone decides whether
+ * a period is skipped */
 static int64_t ff_period(const Ctx *c, const int64_t *nd, const int64_t *S0,
                          int64_t sw, const int64_t *iv, int64_t depth,
                          int64_t shift, int64_t *tp, int64_t *first) {
@@ -1054,16 +1078,24 @@ static int64_t ff_period(const Ctx *c, const int64_t *nd, const int64_t *S0,
         P = sm;
     if (P % nl || P % sm || (P << shift) % stride)
         return 0;
-    int64_t onset = ff_ways(c, 2);
-    int64_t reach = (c->tlb1_entries + c->tlb2_entries) << c->page_shift;
+    int64_t ns = nd[NN_NSITES], period = (P << shift) / stride;
+    int one_home = ff_one_home(S0, ns, sw);
+    int64_t onset = one_home ? ff_ways(c, 0) + ff_ways(c, 1) : ff_ways(c, 2);
+    int64_t reach = (c->tlb1_entries + (one_home ? 0 : c->tlb2_entries))
+        << c->page_shift;
     if (reach > onset)
         onset = reach;
     /* j periods move each site j * P lines; the sites cover at least
      * that and at most ns times it */
-    int64_t ns = nd[NN_NSITES], period = (P << shift) / stride;
     int64_t j = (onset + ns * P - 1) / (ns * P);
+    /* with older ways sinking, the copy's oldest loop lines must also
+     * have left the L2 a period before it, or a period could still
+     * dirty them in the L3 */
+    int64_t gone = one_home ? ff_ways(c, 1) : 0;
     while ((j + 2) * period <= nd[NN_TRIPS]
-           && ff_cover(S0, ns, sw, iv, depth, shift, j * P) < onset)
+           && (ff_cover(S0, ns, sw, iv, depth, shift, j * P) < onset
+               || (j ? ff_cover(S0, ns, sw, iv, depth, shift, (j - 1) * P)
+                     : 0) < gone))
         j++;
     if ((j + 2) * period > nd[NN_TRIPS])
         return 0;
@@ -1310,28 +1342,206 @@ static int64_t ff_pf_steady(Ctx *c, const FfMap *m, const FfLoop *f,
     return periods;
 }
 
+/* The split of one recency stack, an L3 set or the second TLB level
+ * (its -1 entries past the count), between the live ways y and the
+ * copy's x one period back: ways [0, k) equal the copy's under the shift
+ * sh (dirty bytes too, when dy is given), and ways [k, a) are the copy's
+ * from k - n on, moved down by the n insertions of a period.  Those are
+ * the older ways (older data, or empty), and above them the copy's
+ * oldest n ways of the top, which the period retired unshifted.  Returns
+ * 0 when there is no such split, 1 when n is pinned to the period's
+ * insertions, by a way the stack did not fill (a -1 at its end) or by a
+ * valid way of the copy's [k, a) that sank by n, and 2 when only the
+ * retired ways could pin it: the caller must show the period never read
+ * them.  k = a (n = 0) is the full comparison */
+static int ff_split(const int64_t *y, const uint8_t *dy, const int64_t *x,
+                    const uint8_t *dx, int64_t a, int64_t sh, int64_t *kp,
+                    int64_t *np) {
+    int64_t k = 0;
+    while (k < a && y[k] == (x[k] == -1 ? -1 : x[k] + sh)
+           && (!dy || dy[k] == dx[k]))
+        k++;
+    *kp = k;
+    *np = 0;
+    if (k == a)
+        return 1;
+    if (y[k] == -1)
+        return 0;
+    int64_t q = k - 1;
+    while (q >= 0 && x[q] != y[k])
+        q--;
+    if (q < 0)
+        return 0;
+    int64_t n = k - q;
+    int pinned = y[a - 1] == -1;
+    for (int64_t p = k; p < a; p++) {
+        if (y[p] != x[p - n] || (dy && dy[p] != dx[p - n]))
+            return 0;
+        pinned |= p - n >= k && x[p - n] != -1;
+    }
+    *np = n;
+    return pinned ? 1 : 2;
+}
+
+/* the split of L3 set `set`, live against the copy */
+static int ff_split3(const Ctx *c, const FfMap *m, const FfLoop *f,
+                     int64_t set, int64_t *k, int64_t *n) {
+    int64_t a = c->assoc[2], i = set * a;
+    SPAN(i, a, ff_ways(c, 2));
+    return ff_split(c->tags[2] + i, c->dirty[2] + i,
+                    c->ff_words + m->tags[2] + i,
+                    c->ff_dirty + m->tags[2] + i, a, f->P, k, n);
+}
+
+/* the first period in which some site reaches a line of [lo, hi]:
+ * period j + 1 of a site reaches [last + j P + 1 - below, last + (j + 1)
+ * P + above].  A large value when every site has passed the range */
+static int64_t ff_reached(const FfLoop *f, int64_t lo, int64_t hi,
+                          int64_t below, int64_t above) {
+    int64_t first = INT64_MAX;
+    for (int64_t s = 0; s < f->ns; s++) {
+        int64_t last = f->last[s];
+        if (hi < last + 1 - below)
+            continue;
+        int64_t d = lo - last - above - 1, j = d <= 0 ? 0 : d / f->P;
+        if (j < first)
+            first = j;
+    }
+    return first;
+}
+
+/* does the copy hold `line` in level l (0 = L1, 1 = L2)? */
+static int ff_copied(const Ctx *c, const FfMap *m, int l, int64_t line) {
+    int64_t a = c->assoc[l];
+    const int64_t *t = c->ff_words + m->tags[l] + (line & c->set_mask[l]) * a;
+    for (int64_t i = 0; i < a && t[i] != -1; i++)
+        if (t[i] == line)
+            return 1;
+    return 0;
+}
+
+/* does some site's [last + from, last + to] meet [lo, hi]? */
+static inline int ff_near(const FfLoop *f, int64_t lo, int64_t hi,
+                          int64_t from, int64_t to) {
+    for (int64_t s = 0; s < f->ns; s++)
+        if (hi >= f->last[s] + from && lo <= f->last[s] + to)
+            return 1;
+    return 0;
+}
+
+/* the periods, at most `periods`, a stack's bottom way at position p,
+ * holding [lo, hi] (a line, or a page's lines reached by demand lines
+ * alone: below = above = 0), may be skipped over: it sinks n ways a
+ * period out of the a ways, and the skipped periods must not reach it
+ * while it is there */
+static int64_t ff_sink_cap(const FfLoop *f, int64_t periods, int64_t lo,
+                           int64_t hi, int64_t below, int64_t above,
+                           int64_t p, int64_t n, int64_t a) {
+    int64_t there = (a - p + n - 1) / n;
+    if (there > periods)
+        there = periods;
+    if (!ff_near(f, lo, hi, 1 - below, there * f->P + above))
+        return periods;
+    int64_t reached = ff_reached(f, lo, hi, below, above);
+    return reached < periods && p + reached * n < a ? reached : periods;
+}
+
+/* the L3 sets' and the second TLB level's part of ff_steady: each must
+ * split (ff_split), into the full comparison unless the loop has one
+ * home.  The copy's older ways must lie beyond the copied period's reach,
+ * so they sank unread; the live bottom ways [k, a) must lie beyond the
+ * reach of the skipped periods while they sink out of the stack (that
+ * caps the periods), and no line of L1 or L2, live or copied, may sit in
+ * a bottom, where a dirty eviction would reach it.  Returns the periods,
+ * at most `periods`, or 0 */
+static int64_t ff_sunk_steady(const Ctx *c, const FfMap *m, const FfLoop *f,
+                              int64_t periods) {
+    const int64_t *w = c->ff_words;
+    int64_t P = f->P, B = f->B, a = c->assoc[2], sets = c->set_mask[2] + 1;
+    int64_t k, n, *split = NULL;
+    for (int64_t set = 0; set < sets && periods; set++) {
+        int pinned = ff_split3(c, m, f, set, &k, &n);
+        if (!pinned || (k < a && !f->one_home))
+            goto fail;
+        if (k == a)
+            continue;
+        /* the sets' splits, for the L1 and L2 lines below */
+        if (!split && !(split = malloc((size_t)sets * sizeof *split)))
+            return 0;
+        for (int64_t s = 0; s < sets; s++)
+            split[s] = s < set ? a : s == set ? k : -1;
+        const int64_t *y = c->tags[2] + set * a;
+        const int64_t *x = w + m->tags[2] + set * a;
+        for (int64_t p = pinned == 2 ? k - n : k; p < k; p++)
+            if (ff_near(f, x[p], x[p], 1 - B - P, B)
+                || ff_copied(c, m, 0, x[p]) || ff_copied(c, m, 1, x[p]))
+                goto fail;
+        for (int64_t p = k; p < a; p++) {
+            if (x[p] != -1 && ff_near(f, x[p], x[p], 1 - B - P, B))
+                goto fail;
+            if (y[p] != -1)
+                periods = ff_sink_cap(f, periods, y[p], y[p], B, B, p, n, a);
+        }
+    }
+    for (int64_t set = 0; split && set < sets; set++)
+        if (split[set] < 0)
+            ff_split3(c, m, f, set, &split[set], &n);
+    int64_t ps = c->page_shift, e = c->tlb2_entries;
+    const int64_t *y = c->tlb2_pages, *x = w + m->tlb2;
+    int pinned = ff_split(y, NULL, x, NULL, e, P >> ps, &k, &n);
+    if (!pinned || (k < e && !f->one_home))
+        goto fail;
+    for (int64_t p = k < e && pinned == 2 ? k - n : k; p < e && periods; p++) {
+        int64_t lo = x[p] << ps, hi = lo + ((int64_t)1 << ps) - 1;
+        if (x[p] != -1 && ff_near(f, lo, hi, 1 - P, 0))
+            goto fail;
+        if (p >= k && y[p] != -1)
+            periods = ff_sink_cap(f, periods, y[p] << ps,
+                                  ((y[p] + 1) << ps) - 1, 0, 0, p, n, e);
+    }
+    /* no L1 or L2 line, live or copied, in a set's bottom */
+    for (int l = 0; l < 2 && split && periods; l++) {
+        int64_t ways = ff_ways(c, l);
+        for (int side = 0; side < 2; side++) {
+            const int64_t *t = side ? w + m->tags[l] : c->tags[l];
+            for (int64_t i = 0; i < ways; i++) {
+                int64_t v = t[i], set = v & c->set_mask[2];
+                if (v == -1 || split[set] == a)
+                    continue;
+                const int64_t *s3 = (side ? w + m->tags[2] : c->tags[2])
+                    + set * a;
+                for (int64_t p = split[set]; p < a; p++)
+                    if (s3[p] == v)
+                        goto fail;
+            }
+        }
+    }
+    free(split);
+    return periods;
+fail:
+    free(split);
+    return 0;
+}
+
 /* the whole periods, at most `most`, that may be skipped from a boundary
  * where the state is compared with the copy one period back: 0 when it
- * is not the copy shifted by P lines.  Invalid ways (-1) and TLB slots
- * past the counts stay as they are */
+ * is not the copy shifted by P lines.  L1, L2, the first TLB level, the
+ * trackers and the prefetched zone compare in full; the L3 sets and the
+ * second TLB level split (ff_sunk_steady).  Invalid ways (-1) and TLB
+ * slots past the counts stay as they are */
 static int64_t ff_steady(Ctx *c, const FfLoop *f, int64_t most) {
     FfMap m = ff_map(c);
     const int64_t *w = c->ff_words, *r = w + m.regs;
     int64_t P = f->P, dp = P >> c->page_shift;
-    if (c->tlb_regs[0] != r[0] || c->tlb_regs[1] != r[1]
-        || c->regs[0] != r[2] + dp)
+    if (c->tlb_regs[0] != r[0] || c->regs[0] != r[2] + dp)
         return 0;
     SPAN(0, r[0], c->tlb1_entries);
-    SPAN(0, r[1], c->tlb2_entries);
     for (int64_t k = 0; k < r[0]; k++)
         if (c->tlb1_pages[k] != w[m.tlb1 + k] + dp)
             return 0;
-    for (int64_t k = 0; k < r[1]; k++)
-        if (c->tlb2_pages[k] != w[m.tlb2 + k] + dp)
-            return 0;
     if (!ff_trackers_steady(c, &m, f))
         return 0;
-    for (int l = 0; l < 3; l++) {
+    for (int l = 0; l < 2; l++) {
         int64_t n = ff_ways(c, l);
         const int64_t *t = c->tags[l], *s = w + m.tags[l];
         if (memcmp(c->dirty[l], c->ff_dirty + m.tags[l], (size_t)n))
@@ -1340,40 +1550,139 @@ static int64_t ff_steady(Ctx *c, const FfLoop *f, int64_t most) {
             if (t[i] != (s[i] == -1 ? -1 : s[i] + P))
                 return 0;
     }
-    return ff_pf_steady(c, &m, f, most);
+    int64_t periods = ff_sunk_steady(c, &m, f, most);
+    return periods ? ff_pf_steady(c, &m, f, periods) : 0;
+}
+
+/* apply `periods` periods to a stack split at (k, n) with k < a: the top
+ * [0, k) moves by periods * sh; below it the retired block, the copy's
+ * x[k - n, k), repeats once per period, newest (shifted furthest) first,
+ * above the older ways y[k + n, a) sunk by periods * n.  The ways pushed
+ * past the end add to ev[] by kind: empty, valid, dirty */
+static void ff_sink(int64_t *y, uint8_t *dy, const int64_t *x,
+                    const uint8_t *dx, int64_t a, int64_t k, int64_t n,
+                    int64_t periods, int64_t sh, int64_t *ev) {
+    const int64_t *r = x + k - n;
+    const uint8_t *dr = dx ? dx + k - n : NULL;
+    int64_t mn = periods * n, blocks = k + (periods + 1) * n;
+    /* pushed out of the repeated blocks: every way valid */
+    int64_t nb = (a + mn < blocks ? a + mn : blocks) - a;
+    if (nb > 0) {
+        ev[1] += nb;
+        for (int64_t i = 0; dr && i < n; i++) {
+            /* block positions a - k .. a - k + nb - 1 hold r[i] where
+             * position % n == i */
+            int64_t from = (a - k - i + n - 1) / n, hi = a - k + nb - 1 - i;
+            if (dr[i] && hi >= 0 && hi / n >= from)
+                ev[2] += hi / n - from + 1;
+        }
+    }
+    for (int64_t p = a - mn > k + n ? a - mn : k + n; p < a; p++) {
+        if (y[p] == -1)
+            ev[0] += 1;
+        else
+            ev[1] += 1, ev[2] += dy && dy[p];
+    }
+    for (int64_t p = a - 1; p >= k; p--) {
+        int64_t q = p - k, b = q / n;
+        if (b <= periods) {
+            y[p] = r[q % n] + (periods - b) * sh;
+            if (dy)
+                dy[p] = dr[q % n];
+        } else {
+            y[p] = y[p - mn];
+            if (dy)
+                dy[p] = dy[p - mn];
+        }
+    }
+    for (int64_t p = 0; p < k; p++)
+        if (y[p] != -1)
+            y[p] += periods * sh;
 }
 
 /* run `periods` more periods at once from a steady boundary that
- * ff_steady compared over `most` periods: the
- * counters and homes rows grow by that many times the period since the
- * copy; every valid line, TLB page, tracker and the last page move by
- * periods * P lines; stamps set in the period move on by the ticks of
- * that many periods, and a stride confidence that grew by one a line
- * grows on; the prefetched lines the skipped periods reach leave, those
- * within B lines of a frontier return periods * P up, and each line the
- * last period left behind returns once per period up to periods * P
- * up.  Returns the lines skipped */
+ * ff_steady compared over `most` periods: the counters and homes rows
+ * grow by that many times the period since the copy, less the copy's
+ * evictions from the L3 sets that split and plus those sets' evictions
+ * over the skipped periods (ff_sink), which are all the loop's one
+ * home's; every valid line, TLB page, tracker and the last page move by
+ * periods * P lines, and a split stack sinks instead (ff_sink); stamps
+ * set in the period move on by the ticks of that many periods, and a
+ * stride confidence that grew by one a line grows on; the prefetched
+ * lines the skipped periods reach leave, those within B lines of a
+ * frontier return periods * P up, and each line the last period left
+ * behind returns once per period up to periods * P up.  The kinds of
+ * L3 way the skipped periods filled or evicted (empty, clean, dirty)
+ * are set in kinds[].  Returns the lines skipped */
 static int64_t ff_skip(Ctx *c, const FfLoop *f, int64_t periods,
-                       int64_t most, int64_t *o) {
+                       int64_t most, int64_t *kinds, int64_t *o) {
     FfMap m = ff_map(c);
     const int64_t *w = c->ff_words;
     int64_t P = f->P, B = f->B;
+    int64_t dl = periods * P, dp = dl >> c->page_shift;
+    /* the L3's evictions by kind (empty, valid, dirty): the copied
+     * period's from split sets, and the skipped periods' */
+    int64_t ev0[3] = {0, 0, 0}, ev[3] = {0, 0, 0};
+    int64_t a = c->assoc[2], k, n;
+    for (int64_t set = 0; set <= c->set_mask[2]; set++) {
+        int64_t *t = c->tags[2] + set * a;
+        ff_split3(c, &m, f, set, &k, &n);
+        if (k == a) {
+            for (int64_t i = 0; i < a; i++)
+                if (t[i] != -1)
+                    t[i] += dl;
+            continue;
+        }
+        const int64_t *x = w + m.tags[2] + set * a;
+        const uint8_t *dx = c->ff_dirty + m.tags[2] + set * a;
+        for (int64_t p = a - n; p < a; p++) {
+            if (x[p] == -1)
+                ev0[0] += 1;
+            else
+                ev0[1] += 1, ev0[2] += dx[p];
+        }
+        ff_sink(t, c->dirty[2] + set * a, x, dx, a, k, n, periods, P, ev);
+    }
     int64_t skipped = periods * (o[O_ACC] - w[m.out + O_ACC]);
     for (int64_t i = 0; i < O_COUNT; i++)
         o[i] += periods * (o[i] - w[m.out + i]);
     for (int64_t i = 0; i < c->nhomes * HM_FIELDS; i++)
         c->homes[i] += periods * (c->homes[i] - w[m.homes + i]);
-    int64_t dl = periods * P, dp = dl >> c->page_shift;
-    for (int l = 0; l < 3; l++) {
-        int64_t *t = c->tags[l], n = ff_ways(c, l);
-        for (int64_t i = 0; i < n; i++)
+    int64_t grew[3];
+    for (int i = 0; i < 3; i++)
+        grew[i] = ev[i] - periods * ev0[i];
+    o[O_OCC3] += grew[0];
+    o[O_E3] += grew[1];
+    o[O_C3D] += grew[2];
+    o[O_WBK] += grew[2];
+    home_add(c, f->S0[NS_HOME], HM_WRITES, grew[2]);
+    /* what the skipped periods filled or evicted, by kind */
+    int64_t occ = o[O_OCC3] - w[m.out + O_OCC3], e3 = o[O_E3] - w[m.out + O_E3];
+    int64_t c3d = o[O_C3D] - w[m.out + O_C3D];
+    kinds[0] = occ > 0;
+    kinds[1] = e3 > c3d;
+    kinds[2] = c3d > 0;
+    for (int l = 0; l < 2; l++) {
+        int64_t *t = c->tags[l], nw = ff_ways(c, l);
+        for (int64_t i = 0; i < nw; i++)
             if (t[i] != -1)
                 t[i] += dl;
     }
-    for (int64_t k = 0; k < c->tlb_regs[0]; k++)
-        c->tlb1_pages[k] += dp;
-    for (int64_t k = 0; k < c->tlb_regs[1]; k++)
-        c->tlb2_pages[k] += dp;
+    for (int64_t i = 0; i < c->tlb_regs[0]; i++)
+        c->tlb1_pages[i] += dp;
+    int64_t e = c->tlb2_entries;
+    ff_split(c->tlb2_pages, NULL, w + m.tlb2, NULL, e, P >> c->page_shift,
+             &k, &n);
+    if (k == e) {
+        for (int64_t i = 0; i < c->tlb_regs[1]; i++)
+            c->tlb2_pages[i] += dp;
+    } else {
+        int64_t unused[3] = {0, 0, 0};
+        ff_sink(c->tlb2_pages, NULL, w + m.tlb2, NULL, e, k, n, periods,
+                P >> c->page_shift, unused);
+        while (c->tlb_regs[1] < e && c->tlb2_pages[c->tlb_regs[1]] != -1)
+            c->tlb_regs[1] += 1;
+    }
     c->regs[0] += dp;
     int64_t *sm[FF_SM_COLS], *st[FF_ST_COLS];
     ff_columns(c, sm, st);
@@ -1432,11 +1741,12 @@ static int64_t ff_skip(Ctx *c, const FfLoop *f, int64_t periods,
 /* one flat-loop execution: Core._iter_interleaved (any number of sites
  * with non-negative own strides, closed-form skip between crossings,
  * whole steady periods fast-forwarded when the copy is allocated) or the
- * descending single-site frontier of Core._site_lines; adds the lines it
- * fast-forwarded to *skipped */
+ * descending single-site frontier of Core._site_lines; counts the lines
+ * it fast-forwarded, its copies, failed comparisons and skips by the
+ * kinds of L3 way they filled or evicted in the nest state `st` */
 static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
                       int64_t sw, const int64_t *iv, int64_t depth,
-                      int64_t shift, int64_t *scratch, int64_t *skipped,
+                      int64_t shift, int64_t *scratch, int64_t *st,
                       int64_t *o) {
     int64_t trips = nd[NN_TRIPS], ns = nd[NN_NSITES];
     const int64_t *S0 = sites + nd[NN_SITE0] * sw;
@@ -1472,7 +1782,7 @@ static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
     int64_t tp = 0, boundary = trips, wait = 0;
     int64_t P = c->ff_words
         ? ff_period(c, nd, S0, sw, iv, depth, shift, &tp, &boundary) : 0;
-    FfLoop f = {P, ff_reach(c), ns, sw, S0, last};
+    FfLoop f = {P, ff_reach(c), ns, sw, S0, last, ff_one_home(S0, ns, sw)};
     int copied = 0;
     int64_t t = 0;
     while (t < trips) {
@@ -1481,18 +1791,25 @@ static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
              * the state at the boundary */
             if (copied) {
                 int64_t most = (trips - boundary) / tp;
-                int64_t periods = ff_steady(c, &f, most);
+                int64_t periods = ff_steady(c, &f, most), kinds[3];
+                copied = 0;
                 if (periods) {
-                    *skipped += ff_skip(c, &f, periods, most, o);
+                    st[NST_SKIPPED] += ff_skip(c, &f, periods, most, kinds, o);
+                    st[NST_SKIPS_EMPTY] += kinds[0];
+                    st[NST_SKIPS_CLEAN] += kinds[1];
+                    st[NST_SKIPS_DIRTY] += kinds[2];
                     for (int64_t s = 0; s < ns; s++)
                         last[s] += periods * P;
+                    /* a skip that stopped short of an older line copies
+                     * again at once, with the backoff reset */
                     t += periods * tp;
-                    boundary = trips;
+                    boundary += periods * tp;
+                    wait = 0;
                     continue;
                 }
                 /* wait 0, 1, 2, 4, ... periods before the next copy, so a
                  * loop that never settles makes few comparisons */
-                copied = 0;
+                st[NST_MISMATCHES] += 1;
                 boundary += wait * tp;
                 wait = wait ? 2 * wait : 1;
             }
@@ -1500,6 +1817,7 @@ static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
                 if (boundary + 2 * tp <= trips
                     && ff_save(c, o, &f, (trips - boundary) / tp - 1)) {
                     copied = 1;
+                    st[NST_COPIES] += 1;
                     boundary += tp;
                 } else {
                     boundary = trips;
@@ -1578,7 +1896,9 @@ static void nest_flat_gather(Ctx *c, const int64_t *nd, const int64_t *sites,
  * (NN_BOUND lines; state[NST_NEED] then holds the inserts to reserve),
  * or when the next phase may fast-forward but ctx->ff_words is NULL
  * (state[NST_FFWD] = 1: allocate the copy and call again).  Lines
- * fast-forwarded add to state[NST_SKIPPED].  Returns the rows written;
+ * fast-forwarded add to state[NST_SKIPPED], and the fast-forward's
+ * copies, failed comparisons and skips by kind to the words after it.
+ * Returns the rows written;
  * the walk is done when state[NST_PC] reaches NH_NODES. */
 int64_t repro_execute_nest(Ctx *c, const int64_t *hdr, const int64_t *nodes,
                            const int64_t *sites, const int64_t *tables,
@@ -1626,7 +1946,7 @@ int64_t repro_execute_nest(Ctx *c, const int64_t *hdr, const int64_t *nodes,
             }
             if (kind == NK_FLAT) {
                 nest_flat(c, nd, sites, sw, iv, depth, shift, scratch,
-                          state + NST_SKIPPED, o);
+                          state, o);
             } else if (kind == NK_FLAT_GATHER) {
                 nest_flat_gather(c, nd, sites, sw, iv, depth, shift, tables,
                                  scratch, o);

@@ -83,9 +83,11 @@ LAYOUTS = (
      "loop end flat flat_gather single nop", None),
     ("NS", "nest sites: a row of NS_* fields, then a stride per iv slot",
      "op sid home remote base stride width index", "IVS"),
-    ("NST", "nest state: resume point, requests, lines skipped, iv slots, "
-     "scratch",
-     "pc need ffwd skipped", "IVS"),
+    ("NST", "nest state: resume point, requests, lines skipped, "
+     "fast-forward copies, failed comparisons and skips by the kinds of "
+     "L3 way their periods filled or evicted, iv slots, scratch",
+     "pc need ffwd skipped copies mismatches skips_empty skips_clean "
+     "skips_dirty", "IVS"),
 )
 
 #: prefetched lines the fast-forward copy holds per side; a loop whose

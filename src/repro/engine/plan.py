@@ -320,6 +320,11 @@ class SymbolicRegistry:
 SYMBOLIC_REGISTRY = SymbolicRegistry()
 
 
+#: the fast-forward's nest-state counters, as PlanCacheStats fields
+FF_COUNTERS = ("ff_copies", "ff_mismatches", "ff_skips_empty",
+               "ff_skips_clean", "ff_skips_dirty")
+
+
 @dataclass
 class PlanCacheStats:
     """Compile-tier telemetry (hit rate drives the amortization story).
@@ -337,7 +342,11 @@ class PlanCacheStats:
     The nest executor bypasses both tiers: ``nest_runs`` counts
     descriptor executions, ``skipped_lines`` the demand lines the kernel
     fast-forwarded over instead of simulating (steady streams, see
-    ``docs/ENGINE.md``), and ``fallbacks`` the top-level
+    ``docs/ENGINE.md``), ``ff_copies`` and ``ff_mismatches`` the
+    fast-forward's state copies and failed comparisons,
+    ``ff_skips_empty``/``_clean``/``_dirty`` its skips whose periods
+    filled an empty L3 way or evicted a clean or dirty line (a skip may
+    count under several), and ``fallbacks`` the top-level
     program nodes walked instead, by reason
     (:data:`NEST_FALLBACK_REASONS`).
     """
@@ -349,6 +358,11 @@ class PlanCacheStats:
     flushes: int = 0
     nest_runs: int = 0
     skipped_lines: int = 0
+    ff_copies: int = 0
+    ff_mismatches: int = 0
+    ff_skips_empty: int = 0
+    ff_skips_clean: int = 0
+    ff_skips_dirty: int = 0
     fallbacks: Dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(NEST_FALLBACK_REASONS, 0))
 
@@ -370,6 +384,7 @@ class PlanCacheStats:
             "flushes": self.flushes,
             "nest_runs": self.nest_runs,
             "skipped_lines": self.skipped_lines,
+            **{name: getattr(self, name) for name in FF_COUNTERS},
             **{f"fallback_{reason}": count
                for reason, count in self.fallbacks.items()},
         }

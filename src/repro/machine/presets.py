@@ -21,12 +21,15 @@ scale.
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..cpu.port_model import haswell_ports, sandy_bridge_ports
 from ..errors import ConfigurationError
 from ..memory.cache import CacheConfig
 from ..memory.dram import DramConfig
 from ..memory.hierarchy import HierarchyConfig
 from ..memory.numa import NumaConfig, Topology
+from ..memory.tlb import TlbConfig
 from ..units import KIB, MIB
 from .machine import Machine, MachineSpec
 from .ref import MachineRef
@@ -202,6 +205,23 @@ def make_machine(name: str, scale: float = 1.0,
 def tiny_test_machine(engine: str = "fast") -> Machine:
     """The ``tiny`` preset's machine (see :func:`tiny_spec`)."""
     return make_machine("tiny", engine=engine)
+
+
+def stream_test_machine(engine: str = "fast") -> Machine:
+    """``tiny`` with a 256 KiB, 16-way L3 and a TLB of 16 + 32 entries of
+    4 KiB pages: the conformance fuzz's stream family runs on it, where
+    a flat loop reaches the fast-forward's onset (the first TLB level's
+    1,024 lines of reach) within a few thousand lines and older lines
+    outlive several periods in the L3 and the second TLB level."""
+    tiny = tiny_spec()
+    spec = dataclasses.replace(
+        tiny, name="stream-test",
+        hierarchy=dataclasses.replace(
+            tiny.hierarchy,
+            l3=dataclasses.replace(tiny.hierarchy.l3, size_bytes=256 * KIB,
+                                   assoc=16),
+            tlb=TlbConfig(l1_entries=16, l2_entries=32, page_bytes=4096)))
+    return Machine(spec, engine=engine)
 
 
 def paper_machine(scale: float = 0.125, engine: str = "fast") -> Machine:

@@ -68,6 +68,8 @@ class DifferentialOutcome:
     fast_cycles: float = 0.0
     ref_cycles: float = 0.0
     minimized: Optional[Program] = None
+    #: line accesses the fast machine's C kernel fast-forwarded
+    skipped_lines: int = 0
 
     @property
     def ok(self) -> bool:
@@ -184,8 +186,9 @@ def run_differential(program: Program, prefetch_mask: int = 0,
     if fast_tlb != ref_tlb:
         divs.append(Divergence("tlb.resident_pages", fast_tlb, ref_tlb))
 
-    return DifferentialOutcome(divergences=divs, fast_cycles=res.cycles,
-                               ref_cycles=ref.cycles)
+    return DifferentialOutcome(
+        divergences=divs, fast_cycles=res.cycles, ref_cycles=ref.cycles,
+        skipped_lines=machine.core(core_id).plan_stats.skipped_lines)
 
 
 def run_cross_engine(program: Program, prefetch_mask: int = 0,
@@ -214,8 +217,9 @@ def run_cross_engine(program: Program, prefetch_mask: int = 0,
         sides.append((machine, run.result))
     (fast_m, fast_r), (ref_m, ref_r) = sides
     divs = diff_engine_sides(fast_m, fast_r, ref_m, ref_r, core_id)
-    return DifferentialOutcome(divergences=divs, fast_cycles=fast_r.cycles,
-                               ref_cycles=ref_r.cycles)
+    return DifferentialOutcome(
+        divergences=divs, fast_cycles=fast_r.cycles, ref_cycles=ref_r.cycles,
+        skipped_lines=fast_m.core(core_id).plan_stats.skipped_lines)
 
 
 def run_cross_engine_sequence(programs, prefetch_mask: int = 0,

@@ -19,6 +19,12 @@ overlapping strides (stride < width), stride 0, multi-site interleaves,
 gathers with duplicate/monotone/random index tables, loop nests with
 straight-line instructions between levels, software prefetch and
 flush sites, and dependent FP chains that trigger reissue overcounts.
+
+A second family, :func:`stream_program`, draws long streaming loops for
+the C kernel's steady-stream fast-forward (``docs/ENGINE.md``), run on
+:func:`~repro.machine.presets.stream_test_machine`; ``repro conformance
+--family stream`` selects it, with its own seed stream, so the first
+family's programs (and the golden digests over them) stay as they are.
 """
 
 from __future__ import annotations
@@ -261,3 +267,70 @@ class ProgramGenerator:
 def random_program(rng) -> Program:
     """One random valid program from an rng with randint/choice."""
     return ProgramGenerator(rng).generate()
+
+
+#: the stream family's strides in bytes: 8 to 128 divide the fast-forward
+#: period of the stream test machine, 24, 40 and 96 divide none
+_STREAM_STRIDES = (8, 16, 32, 64, 128, 8, 64, 24, 40, 96)
+#: lines of the stream test machine's L3 (a prefix sweeps up to these)
+_STREAM_L3_LINES = 4096
+
+
+def stream_program(rng) -> Program:
+    """One program of the stream family: a flat loop of 1-4 sites that
+    runs several fast-forward onsets long on the stream test machine,
+    behind a random prefix that leaves its L3 empty, full of clean lines,
+    partly dirty, or holding lines of the loop's own first buffer.  Most
+    sites are loads and stores at one stride; one program in eight adds
+    an NT-store, software-prefetch or gather site, which the fast-forward
+    refuses."""
+    b = ProgramBuilder()
+    regs = b.regs(2)
+    stride = rng.choice(_STREAM_STRIDES)
+    width = rng.choice((64, 64, 128, 256))
+    lines = rng.randint(2048, 6144)
+    trips = lines * 64 // stride
+    n_sites = rng.randint(1, 4)
+    span = stride * trips + 128  # room for a prefetch's whole line
+    bufs = [b.buffer(f"s{k}", span) for k in range(n_sites)]
+    prefix = rng.randint(0, 3)
+    if prefix:
+        old = b.buffer("old", _STREAM_L3_LINES * 64)
+        count = (_STREAM_L3_LINES if prefix == 1
+                 else rng.randint(1, 64) if prefix == 3
+                 else rng.randint(1, _STREAM_L3_LINES))
+        # 1: clean lines fill the L3; 2: part of it dirty, over older
+        # clean lines; 3: up to 64 lines of the first buffer, within its
+        # first 3,072, which the loop may meet in the periods it skips
+        if prefix == 2:
+            with b.loop(_STREAM_L3_LINES) as i:
+                b.load(old[i * 64], width=64)
+        target = bufs[0] if prefix == 3 else old
+        limit = min(count, span // 64)
+        start = (rng.randint(0, min(span // 64 - limit, 3072)) * 64
+                 if prefix == 3 else 0)
+        with b.loop(limit) as i:
+            if prefix == 1 or rng.randint(0, 1):
+                b.load(target[i * 64 + start], width=64)
+            else:
+                b.store(regs[0], target[i * 64 + start], width=64)
+    odd = rng.randint(0, 7) == 0
+    with b.loop(trips) as i:
+        for k, buf in enumerate(bufs):
+            offset = rng.randint(0, 7) * 8
+            addr = buf[i * stride + offset]
+            if odd and k == n_sites - 1:
+                kind = rng.randint(0, 2)
+                if kind == 0:
+                    b.store(regs[1], addr, width=width, nt=True)
+                elif kind == 1:
+                    b.prefetch(addr)
+                else:
+                    table = b.index_table(
+                        "tab", [j * stride for j in range(trips)])
+                    b.gather(buf, table[i], width=64)
+            elif rng.randint(0, 1):
+                b.load(addr, width=width)
+            else:
+                b.store(regs[1], addr, width=width)
+    return b.build()

@@ -2,15 +2,16 @@
 
 A flat loop of demand sites at one positive stride repeats its cache,
 TLB, tracker and prefetched-line state shifted by P lines once its
-sites together have swept the L3 and the TLB, with any set of prefetch
-engines on.  The
-kernel then applies the periods left at once instead of simulating them
-(``docs/ENGINE.md``, "Steady-stream fast-forward").  These tests hold it
-to the reference engine's per-line walk on a machine small enough that
-the onset comes within a few hundred lines: every counter, the per-home
-DRAM counters, the phase totals, and the final cache and TLB arrays in
-recency order, the tracker tables and the prefetched lines.  They also
-check that the skip fires where it must and nowhere else.
+sites together have swept the L1, the L2 and the first TLB level, with
+any set of prefetch engines on, while older lines sink through the L3
+and the second TLB level.  The kernel then applies the periods left at
+once instead of simulating them (``docs/ENGINE.md``, "Steady-stream
+fast-forward").  These tests hold it to the reference engine's per-line
+walk on machines small enough that the onset comes within a few hundred
+lines: every counter, the per-home DRAM counters, the phase totals, and
+the final cache and TLB arrays in recency order, the tracker tables and
+the prefetched lines.  They also check that the skip fires where it
+must and nowhere else.
 """
 
 from __future__ import annotations
@@ -46,10 +47,27 @@ SPEC = dataclasses.replace(
         tiny_spec().hierarchy,
         tlb=TlbConfig(l1_entries=2, l2_entries=4, page_bytes=512)))
 LINE = 64
+#: SPEC with a 64 KiB, 16-way L3 (64 sets) and a second TLB level of 64
+#: entries: older lines outlive 16 periods of one stream in an L3 set,
+#: and a stream fills the second TLB level over 16 periods
+BIG = dataclasses.replace(
+    SPEC, name="fastforward-big",
+    hierarchy=dataclasses.replace(
+        SPEC.hierarchy,
+        l3=dataclasses.replace(SPEC.hierarchy.l3, size_bytes=64 * 1024,
+                               assoc=16),
+        tlb=TlbConfig(l1_entries=2, l2_entries=64, page_bytes=512)))
+#: BIG's shift with the prefetchers off: its L3's 64 sets
+BIG_P = 64
+SPECS = (SPEC, BIG)
 #: the shift: the L3's 32 sets outnumber the 8 lines of a page
 P = 32
-#: the larger of the L3's 256 lines and the TLB's 6 x 8 lines of reach
-ONSET = 256
+#: the larger of the L1's and L2's 16 + 64 lines and the first TLB
+#: level's 2 x 8 lines of reach
+ONSET = 80
+#: the L2's lines, which the sites must have swept a period before the
+#: copy, so the copy's oldest loop lines have left it
+L2_LINES = 64
 
 
 #: the prefetch engines, in the order the MSR names them
@@ -72,9 +90,10 @@ def trips_per_period(stride: int, period: int = P) -> int:
 def shortest_skipping(stride: int, period: int = P, streams: int = 1) -> int:
     """The fewest trips that fast-forward: a copy at the first period
     boundary at which the loop's ``streams`` disjoint streams together
-    have swept the onset, a comparison one period later, and one more
-    period to skip."""
-    boundary = -(-ONSET // (streams * period))
+    have swept the onset, and a period before it the L2, a comparison
+    one period later, and one more period to skip."""
+    swept = streams * period
+    boundary = max(-(-ONSET // swept), 1 + -(-L2_LINES // swept))
     return (boundary + 2) * trips_per_period(stride, period)
 
 
@@ -166,11 +185,36 @@ def assert_same_state(fast, ref):
     assert set(fast_port._prefetched) == set(ref_port._prefetched)
 
 
-def run_both(*programs, mask: int = ALL_DISABLED_MASK, node: int = 0,
-             spec=SPEC) -> int:
-    """Run ``programs`` in turn on a fast and a reference machine, hold
+#: what the L3 holds before a loop: nothing, or older clean or dirty
+#: lines (:func:`prefill`)
+FILLS = ("none", "clean", "dirty")
+
+
+def prefill(kind: str, lines: int):
+    """A read sweep of ``lines`` lines of a buffer of its own ("clean"),
+    or the same with every other line written ("dirty"): it leaves older
+    lines in the L3 that the next loop's skipped periods evict."""
+    b = ProgramBuilder()
+    value = b.reg()
+    old = b.buffer("old", lines * LINE)
+    with b.loop(lines // 2) as i:
+        b.load(old[i * (2 * LINE)], width=64)
+        if kind == "dirty":
+            b.store(value, old[i * (2 * LINE) + LINE], width=64)
+        else:
+            b.load(old[i * (2 * LINE) + LINE], width=64)
+    return b.build()
+
+
+def run_machines(*programs, mask: int = ALL_DISABLED_MASK, node: int = 0,
+                 spec=SPEC, fill: str = "none"):
+    """Run ``programs`` in turn on a fast and a reference machine, after
+    a ``fill`` ("clean" or "dirty") of the L3 with older lines, hold
     every observable of the last run and the final state equal, and
-    return the lines the fast engine skipped."""
+    return the fast machine's plan counters."""
+    if fill != "none":
+        programs = (prefill(fill, spec.hierarchy.l3.size_bytes // LINE),
+                    *programs)
     fast, ref = Machine(spec), Machine(spec, engine="reference")
     results = []
     for machine in (fast, ref):
@@ -181,7 +225,13 @@ def run_both(*programs, mask: int = ALL_DISABLED_MASK, node: int = 0,
     divergences = diff_engine_sides(fast, results[0], ref, results[1], 0)
     assert not divergences, divergences[:5]
     assert_same_state(fast, ref)
-    return fast.core(0).plan_stats.skipped_lines
+    return fast.core(0).plan_stats
+
+
+def run_both(*programs, **kwargs) -> int:
+    """:func:`run_machines`, returning the lines the fast engine
+    skipped."""
+    return run_machines(*programs, **kwargs).skipped_lines
 
 
 @pytest.mark.parametrize("sites", ["r", "rw", "rrw"])
@@ -243,8 +293,9 @@ def test_a_stream_over_dirty_lines_retries_its_comparison():
 @pytest.mark.parametrize("extra,fires", [(-1, False), (0, True)])
 def test_streams_just_under_and_just_over_the_onset(sites, extra, fires):
     # each site's buffer lies past the lines the others sweep, so k
-    # streams cover k times one stream's lines and reach the onset after
-    # a k-th of its periods (rounded up)
+    # streams cover k times one stream's lines and reach the onset (80
+    # lines: the L1's and L2's) after a k-th of its periods, rounded up,
+    # but no earlier than a period after sweeping the L2's 64 lines
     streams = len(sites)
     trips = shortest_skipping(LINE, streams=streams) + extra
     skipped = run_both(stream(trips, sites=sites))
@@ -323,6 +374,55 @@ def test_the_cold_protocols_buster_skips_exactly():
     assert fast.core(0).plan_stats.skipped_lines > 0
 
 
+@pytest.mark.parametrize("fill", FILLS)
+def test_a_skip_evicts_each_kind_of_older_way_exactly(fill):
+    # on BIG an older L3 line sinks one way a period and outlives 16 of
+    # them, so the skipped periods fill the empty ways, or evict the
+    # older clean lines, or the dirty ones with their writebacks and
+    # home writes, as the L3 held before the loop
+    stats = run_machines(stream(40 * BIG_P, sites="r"), spec=BIG, fill=fill)
+    assert stats.skipped_lines > 0
+    kinds = {"none": stats.ff_skips_empty, "clean": stats.ff_skips_clean,
+             "dirty": stats.ff_skips_dirty}
+    assert kinds[fill] > 0
+
+
+def test_an_older_line_ahead_caps_the_skip():
+    # the prefix leaves eight lines of the loop's own buffer, ten
+    # periods ahead, in the L3; the loop reaches them before they sink
+    # out, so its skip stops short of them and it copies again past them
+    n = 40 * BIG_P
+    b = ProgramBuilder()
+    x = b.buffer("x", n * LINE)
+    with b.loop(8) as i:
+        b.load(x[i * LINE + 10 * BIG_P * LINE], width=64)
+    with b.loop(n) as i:
+        b.load(x[i * LINE], width=64)
+    stats = run_machines(b.build(), spec=BIG)
+    uncapped = run_both(stream(n), spec=BIG)
+    assert 0 < stats.skipped_lines < uncapped
+    assert stats.ff_copies >= 2
+
+
+def test_the_second_tlb_level_fills_up_during_a_skip():
+    # BIG's 64 second-level entries hold 512 lines: the copy comes with
+    # about 14 of them used, and the skipped periods fill the rest
+    fast_stats = run_machines(stream(40 * BIG_P), spec=BIG)
+    assert fast_stats.skipped_lines > 0
+    machine = Machine(BIG)
+    machine.prefetch_control.write_msr(ALL_DISABLED_MASK)
+    machine.run(machine.load(stream(40 * BIG_P)))
+    assert machine.hierarchy.port(0).tlb.regs[1] == 64
+
+
+@pytest.mark.parametrize("engines", [(), ENGINES])
+def test_a_warm_rerun_skips_exactly(engines):
+    # the second run meets the first run's lines (and prefetches past
+    # the ends) in the L3, the TLB and the prefetched set
+    program = stream(max(40 * BIG_P, 6 * shift(engines)), sites="rw")
+    assert run_both(program, program, spec=BIG, mask=msr(*engines)) > 0
+
+
 #: strides in bytes: the first five divide every period, 24 and 96 none
 STRIDES = [8, 16, 32, 64, 128, 24, 96]
 
@@ -359,7 +459,9 @@ def long_streams(draw):
                 b.load(buf[i * stride + offset], width=width)
             else:
                 b.store(value, buf[i * stride + offset], width=width)
-    return b.build(), msr(*engines), draw(st.sampled_from([0, 1]))
+    return (b.build(), msr(*engines), draw(st.sampled_from([0, 1])),
+            draw(st.sampled_from(FILLS)), draw(st.sampled_from(SPECS)))
+
 
 
 @settings(max_examples=60, deadline=None,
@@ -368,10 +470,11 @@ def long_streams(draw):
 @given(long_streams())
 def test_long_streams_match_the_reference_engine(case):
     # counter for counter, and the final caches, TLB, trackers and
-    # prefetched lines; whether the loop skipped is not asserted, only
-    # that whatever it skipped changed nothing
-    program, mask, node = case
-    run_both(program, mask=mask, node=node)
+    # prefetched lines, from an empty or a pre-filled L3; whether the
+    # loop skipped is not asserted, only that whatever it skipped
+    # changed nothing
+    program, mask, node, fill, spec = case
+    run_both(program, mask=mask, node=node, fill=fill, spec=spec)
 
 
 def test_the_copy_is_allocated_only_for_an_eligible_loop():
@@ -386,14 +489,28 @@ def test_the_copy_is_allocated_only_for_an_eligible_loop():
 
 def test_the_f4_grid_skips_its_pinned_line_count():
     # the paper's daxpy grid, cold and warm with every prefetcher on:
-    # each point's two streams copy once together they have swept the
-    # L3, so n=327,680 skips in both protocols and n=983,040 skips more
+    # each point's two streams copy once they have swept the first TLB
+    # level's reach together, while the buster's lines still sink
+    # through the L3; the grid simulates 361,296 of its 2,720,592 line
+    # accesses (1,170,256 when a copy waited for the L3 to be swept)
     from repro.machine.ref import MachineRef
     from repro.sweep import make_grid, run_plan
 
     plan = make_grid("f4", MachineRef.of("snb-ep", scale=0.125))
     run = run_plan(plan, jobs=1, cache=None)
-    assert run.plan_cache["skipped_lines"] == 1_550_336
+    assert run.plan_cache["skipped_lines"] == 2_359_296
+
+
+@pytest.mark.parametrize("preset", ["snb", "snb-ep"])
+def test_the_cold_buster_simulates_its_pinned_line_count(preset):
+    # the buster streams 91,136 lines, twice the caches, into an empty
+    # L3: it copies after 4,096 lines and simulates 9,216 of them
+    # (44,032 when a copy waited for the L3 to be swept)
+    from repro.machine.ref import MachineRef
+
+    machine = MachineRef.of(preset, scale=0.125).build()
+    ColdCache().prepare(machine, lambda: None)
+    assert 91_136 - machine.core(0).plan_stats.skipped_lines == 9_216
 
 
 @pytest.mark.parametrize("kernel", ["daxpy", "dgemm-tiled"])

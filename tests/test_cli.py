@@ -39,6 +39,28 @@ class TestCommands:
         assert summary["programs"] == 5
         assert summary["divergent_programs"] == 0
 
+    def test_conformance_stream_family_counts_its_skips(self, tmp_path,
+                                                        capsys):
+        # the stream family's programs reach the fast-forward: the report
+        # counts those that skipped and the lines they skipped
+        from repro.engine import ckernel
+
+        report = tmp_path / "stream.jsonl"
+        code = main(["conformance", "--family", "stream", "--n", "4",
+                     "--diff", "engine", "--kernels", "none",
+                     "--report", str(report)])
+        summary = json.loads(report.read_text().splitlines()[0])
+        assert summary["family"] == "stream"
+        assert summary["divergent_programs"] == 0
+        if ckernel.available():
+            assert code == 0
+            assert summary["skipping_programs"] >= 2
+            assert summary["skipped_lines"] > 0
+        else:  # nothing skips: under the stated share, so the run fails
+            assert code == 1
+            assert summary["skipping_programs"] == 0
+        assert "fast-forwarded" in capsys.readouterr().out
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
