@@ -1465,11 +1465,15 @@ static int64_t ff_sunk_steady(const Ctx *c, const FfMap *m, const FfLoop *f,
             goto fail;
         if (k == a)
             continue;
-        /* the sets' splits, for the L1 and L2 lines below */
-        if (!split && !(split = malloc((size_t)sets * sizeof *split)))
-            return 0;
-        for (int64_t s = 0; s < sets; s++)
-            split[s] = s < set ? a : s == set ? k : -1;
+        /* the sets' splits, for the L1 and L2 lines below: earlier sets
+         * compared in full, later ones are filled in after the loop */
+        if (!split) {
+            if (!(split = malloc((size_t)sets * sizeof *split)))
+                return 0;
+            for (int64_t s = 0; s < sets; s++)
+                split[s] = s < set ? a : -1;
+        }
+        split[set] = k;
         const int64_t *y = c->tags[2] + set * a;
         const int64_t *x = w + m->tags[2] + set * a;
         for (int64_t p = pinned == 2 ? k - n : k; p < k; p++)
