@@ -964,9 +964,6 @@ typedef struct {
 typedef struct {
     int64_t P, B, ns, sw;
     const int64_t *S0, *last;
-    /* 1 when every site has one home: older L3 ways may then sink (see
-     * ff_split); else the whole L3 and TLB compare under the shift */
-    int one_home;
 } FfLoop;
 
 static inline int64_t ff_ways(const Ctx *c, int l) {
@@ -1029,14 +1026,6 @@ static int64_t ff_cover(const int64_t *S0, int64_t ns, int64_t sw,
     return cover;
 }
 
-/* do all `ns` sites share one home node? */
-static int ff_one_home(const int64_t *S0, int64_t ns, int64_t sw) {
-    for (int64_t s = 1; s < ns; s++)
-        if (S0[s * sw + NS_HOME] != S0[NS_HOME])
-            return 0;
-    return 1;
-}
-
 /* the shift P in lines when flat node nd may fast-forward at the outer
  * ivs `iv`, else 0 (and *tp, *first untouched): the loop must run on past
  * its first period boundary at which its sites together have swept the
@@ -1044,10 +1033,8 @@ static int ff_one_home(const int64_t *S0, int64_t ns, int64_t sw) {
  * (*tp trips) later and at least one period to skip.  The onset is the
  * larger of the L1 and L2 lines and the first TLB level's reach, since
  * older ways of the L3 and the second TLB level may sink (ff_split), and
- * the sites must have swept the L2's lines one period earlier; a
- * loop whose sites have more than one home compares those in full, so
- * its onset is the larger of the L3 lines and both TLB levels' reach.
- * The boundary only schedules the copy; ff_steady alone decides whether
+ * the sites must have swept the L2's lines one period earlier.  The
+ * boundary only schedules the copy; ff_steady alone decides whether
  * a period is skipped */
 static int64_t ff_period(const Ctx *c, const int64_t *nd, const int64_t *S0,
                          int64_t sw, const int64_t *iv, int64_t depth,
@@ -1079,19 +1066,16 @@ static int64_t ff_period(const Ctx *c, const int64_t *nd, const int64_t *S0,
     if (P % nl || P % sm || (P << shift) % stride)
         return 0;
     int64_t ns = nd[NN_NSITES], period = (P << shift) / stride;
-    int one_home = ff_one_home(S0, ns, sw);
-    int64_t onset = one_home ? ff_ways(c, 0) + ff_ways(c, 1) : ff_ways(c, 2);
-    int64_t reach = (c->tlb1_entries + (one_home ? 0 : c->tlb2_entries))
-        << c->page_shift;
+    int64_t onset = ff_ways(c, 0) + ff_ways(c, 1);
+    int64_t reach = c->tlb1_entries << c->page_shift;
     if (reach > onset)
         onset = reach;
     /* j periods move each site j * P lines; the sites cover at least
      * that and at most ns times it */
     int64_t j = (onset + ns * P - 1) / (ns * P);
-    /* with older ways sinking, the copy's oldest loop lines must also
-     * have left the L2 a period before it, or a period could still
-     * dirty them in the L3 */
-    int64_t gone = one_home ? ff_ways(c, 1) : 0;
+    /* the copy's oldest loop lines must also have left the L2 a period
+     * before it, or a period could still dirty them in the L3 */
+    int64_t gone = ff_ways(c, 1);
     while ((j + 2) * period <= nd[NN_TRIPS]
            && (ff_cover(S0, ns, sw, iv, depth, shift, j * P) < onset
                || (j ? ff_cover(S0, ns, sw, iv, depth, shift, (j - 1) * P)
@@ -1447,8 +1431,7 @@ static int64_t ff_sink_cap(const FfLoop *f, int64_t periods, int64_t lo,
 }
 
 /* the L3 sets' and the second TLB level's part of ff_steady: each must
- * split (ff_split), into the full comparison unless the loop has one
- * home.  The copy's older ways must lie beyond the copied period's reach,
+ * split (ff_split).  The copy's older ways must lie beyond the copied period's reach,
  * so they sank unread; the live bottom ways [k, a) must lie beyond the
  * reach of the skipped periods while they sink out of the stack (that
  * caps the periods), and no line of L1 or L2, live or copied, may sit in
@@ -1461,7 +1444,7 @@ static int64_t ff_sunk_steady(const Ctx *c, const FfMap *m, const FfLoop *f,
     int64_t k, n, *split = NULL;
     for (int64_t set = 0; set < sets && periods; set++) {
         int pinned = ff_split3(c, m, f, set, &k, &n);
-        if (!pinned || (k < a && !f->one_home))
+        if (!pinned)
             goto fail;
         if (k == a)
             continue;
@@ -1493,7 +1476,7 @@ static int64_t ff_sunk_steady(const Ctx *c, const FfMap *m, const FfLoop *f,
     int64_t ps = c->page_shift, e = c->tlb2_entries;
     const int64_t *y = c->tlb2_pages, *x = w + m->tlb2;
     int pinned = ff_split(y, NULL, x, NULL, e, P >> ps, &k, &n);
-    if (!pinned || (k < e && !f->one_home))
+    if (!pinned)
         goto fail;
     for (int64_t p = k < e && pinned == 2 ? k - n : k; p < e && periods; p++) {
         int64_t lo = x[p] << ps, hi = lo + ((int64_t)1 << ps) - 1;
@@ -1554,8 +1537,10 @@ static int64_t ff_steady(Ctx *c, const FfLoop *f, int64_t most) {
             if (t[i] != (s[i] == -1 ? -1 : s[i] + P))
                 return 0;
     }
-    int64_t periods = ff_sunk_steady(c, &m, f, most);
-    return periods ? ff_pf_steady(c, &m, f, periods) : 0;
+    /* the prefetched zone first, over all `most` periods: ff_skip puts
+     * back the lines the last period left behind by the same zone */
+    int64_t periods = ff_pf_steady(c, &m, f, most);
+    return periods ? ff_sunk_steady(c, &m, f, periods) : 0;
 }
 
 /* apply `periods` periods to a stack split at (k, n) with k < a: the top
@@ -1608,8 +1593,8 @@ static void ff_sink(int64_t *y, uint8_t *dy, const int64_t *x,
  * ff_steady compared over `most` periods: the counters and homes rows
  * grow by that many times the period since the copy, less the copy's
  * evictions from the L3 sets that split and plus those sets' evictions
- * over the skipped periods (ff_sink), which are all the loop's one
- * home's; every valid line, TLB page, tracker and the last page move by
+ * over the skipped periods (ff_sink), which are all the sites' home's
+ * (Machine.load places every buffer of a program on one node); every valid line, TLB page, tracker and the last page move by
  * periods * P lines, and a split stack sinks instead (ff_sink); stamps
  * set in the period move on by the ticks of that many periods, and a
  * stride confidence that grew by one a line grows on; the prefetched
@@ -1786,7 +1771,7 @@ static void nest_flat(Ctx *c, const int64_t *nd, const int64_t *sites,
     int64_t tp = 0, boundary = trips, wait = 0;
     int64_t P = c->ff_words
         ? ff_period(c, nd, S0, sw, iv, depth, shift, &tp, &boundary) : 0;
-    FfLoop f = {P, ff_reach(c), ns, sw, S0, last, ff_one_home(S0, ns, sw)};
+    FfLoop f = {P, ff_reach(c), ns, sw, S0, last};
     int copied = 0;
     int64_t t = 0;
     while (t < trips) {

@@ -415,6 +415,81 @@ def test_the_second_tlb_level_fills_up_during_a_skip():
     assert machine.hierarchy.port(0).tlb.regs[1] == 64
 
 
+def after_older_lines(touches, trips: int, sites, stride: int = LINE,
+                      buffers: int = 1):
+    """A flat loop of ``sites``, each (buffer, byte offset, "r" or "w"),
+    at ``stride`` bytes for ``trips`` trips, behind loops that each touch
+    (buffer, first line, lines, step in lines, "r" or "w") of the same
+    buffers: they leave older lines, some dirty, in the caches, the TLB
+    and the prefetched set where the loop meets them."""
+    b = ProgramBuilder()
+    value = b.reg()
+    span = trips * stride + 1024 * LINE
+    bufs = [b.buffer(f"s{k}", span) for k in range(buffers)]
+
+    def access(addr, kind):
+        if kind == "w":
+            b.store(value, addr, width=64)
+        else:
+            b.load(addr, width=64)
+
+    for buf, first, lines, step, kind in touches:
+        with b.loop(lines) as i:
+            access(bufs[buf][i * (step * LINE) + first * LINE], kind)
+    with b.loop(trips) as i:
+        for buf, offset, kind in sites:
+            access(bufs[buf][i * stride + offset], kind)
+    return b.build()
+
+
+def test_an_older_line_a_store_stream_meets_keeps_its_set_in_step():
+    # one older clean line of the stream's own buffer, a period ahead: the
+    # stream's lines turn dirty in the L3 as they leave the L2, so the
+    # ways a set's stack sinks must carry the copy's dirty bits
+    program = after_older_lines([(0, 37, 1, 1, "r")], 497, [(0, 0, "w")])
+    assert run_both(program) > 0
+
+
+def test_dirty_lines_of_the_stream_ahead_stay_out_of_the_sinking_ways():
+    # the prefix dirties 64 lines of the stream's buffer half a period
+    # ahead; while they are in the L2, a set's sinking ways may not hold
+    # them, where the L2's dirty eviction would mark them
+    program = after_older_lines([(0, 32, 64, 1, "w")], 461, [(0, 0, "w")])
+    assert run_both(program) > 0
+
+
+def test_older_lines_a_second_stream_reaches_keep_the_copy_exact():
+    # every other line of the first stream's buffer, three periods ahead:
+    # the copy's older ways must lie beyond the period it was taken over
+    program = after_older_lines([(1, 208, 256, 2, "r")], 1249,
+                                [(1, 0, "w"), (0, 0, "w")], buffers=2)
+    assert run_both(program, spec=BIG) > 0
+
+
+def test_an_older_page_ahead_caps_the_skip():
+    # every other line of 4 pages of the stream's buffer, four periods
+    # ahead from the second line of the first page: the stream enters
+    # that page a period before it meets the first older line, so the
+    # skip must stop short of the pages in the second TLB level, not only
+    # of the lines in the L3
+    capped = run_both(after_older_lines(
+        [(0, 257, 16, 2, "r")], 600, [(0, LINE, "r")]), spec=BIG)
+    uncapped = run_both(after_older_lines([], 600, [(0, LINE, "r")]),
+                        spec=BIG)
+    assert 0 < capped < uncapped
+
+
+def test_a_capped_skip_puts_back_the_far_streams_prefetches():
+    # two streams of one buffer, 156 lines apart, behind older lines the
+    # far one reaches first: the near one reads the far one's next-line
+    # prefetches, so a skip capped short of the loop's end must put back
+    # those the skipped periods made, as the whole zone said
+    program = after_older_lines(
+        [(0, 624, 16, 2, "r")], 340,
+        [(0, 156 * LINE, "w"), (0, LINE, "r"), (0, 0, "w")], stride=2 * LINE)
+    assert run_both(program, spec=BIG, mask=msr("nextline")) > 0
+
+
 @pytest.mark.parametrize("engines", [(), ENGINES])
 def test_a_warm_rerun_skips_exactly(engines):
     # the second run meets the first run's lines (and prefetches past
