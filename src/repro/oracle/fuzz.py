@@ -281,9 +281,11 @@ def stream_program(rng) -> Program:
     runs several fast-forward onsets long on the stream test machine,
     behind a random prefix that leaves its L3 empty, full of clean lines,
     partly dirty, or holding lines of the loop's own first buffer.  Most
-    sites are loads and stores at one stride; one program in eight adds
-    an NT-store, software-prefetch or gather site, which the fast-forward
-    refuses."""
+    sites are loads and stores at one stride, each on a buffer of its own;
+    one in four after the first streams the first buffer up to 512 lines
+    ahead of it, so it meets what the first site left behind.  One
+    program in eight adds an NT-store, software-prefetch or gather site,
+    which the fast-forward refuses."""
     b = ProgramBuilder()
     regs = b.regs(2)
     stride = rng.choice(_STREAM_STRIDES)
@@ -292,7 +294,11 @@ def stream_program(rng) -> Program:
     trips = lines * 64 // stride
     n_sites = rng.randint(1, 4)
     span = stride * trips + 128  # room for a prefetch's whole line
-    bufs = [b.buffer(f"s{k}", span) for k in range(n_sites)]
+    # each site's lead over the first, in lines, when it shares its buffer
+    ahead = [0] + [rng.randint(1, 512) if rng.randint(0, 3) == 0 else 0
+                   for _ in range(1, n_sites)]
+    bufs = [b.buffer(f"s{k}", span + (max(ahead) * 64 if k == 0 else 0))
+            for k in range(n_sites)]
     prefix = rng.randint(0, 3)
     if prefix:
         old = b.buffer("old", _STREAM_L3_LINES * 64)
@@ -317,8 +323,8 @@ def stream_program(rng) -> Program:
     odd = rng.randint(0, 7) == 0
     with b.loop(trips) as i:
         for k, buf in enumerate(bufs):
-            offset = rng.randint(0, 7) * 8
-            addr = buf[i * stride + offset]
+            offset = rng.randint(0, 7) * 8 + ahead[k] * 64
+            addr = (bufs[0] if ahead[k] else buf)[i * stride + offset]
             if odd and k == n_sites - 1:
                 kind = rng.randint(0, 2)
                 if kind == 0:
