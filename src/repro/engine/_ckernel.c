@@ -1479,8 +1479,8 @@ static int64_t ff_sunk_steady(const Ctx *c, const FfMap *m, const FfLoop *f,
     if (!pinned)
         goto fail;
     for (int64_t p = k < e && pinned == 2 ? k - n : k; p < e && periods; p++) {
-        int64_t lo = x[p] << ps, hi = lo + ((int64_t)1 << ps) - 1;
-        if (x[p] != -1 && ff_near(f, lo, hi, 1 - P, 0))
+        if (x[p] != -1 && ff_near(f, x[p] << ps, ((x[p] + 1) << ps) - 1,
+                                  1 - P, 0))
             goto fail;
         if (p >= k && y[p] != -1)
             periods = ff_sink_cap(f, periods, y[p] << ps,
