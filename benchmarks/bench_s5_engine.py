@@ -49,9 +49,10 @@ from repro.measure.protocol import ColdCache
 #: 1,024 to 2,560 lines a stream on the tiny machine, past its L3 and
 #: short of the three fast-forward periods a loop needs with every
 #: prefetcher on (3,072 lines a stream): the sweeps time the engines,
-#: not the skip.  The fast sweep is short, so the speedup is the median
-#: of per-pair ratios (see _sweep_baseline)
-DAXPY_SIZES = (8192, 12288, 16384, 20480)
+#: not the skip.  Seven sizes keep the fast sweep near 50 ms, above
+#: timer and scheduler noise (four of them ran about 30 ms), and the
+#: speedup is the median of per-pair ratios (see _sweep_baseline)
+DAXPY_SIZES = (8192, 10240, 12288, 14336, 16384, 18432, 20480)
 # cache-resident through DRAM-resident on the tiny machine: the regime
 # sweeps actually spend their time in (and where per-line
 # interpretation hurts most) is the upper end
